@@ -8,7 +8,7 @@ use rapid_arch::precision::Precision;
 use rapid_bench::{compare, mean, num_threads, section, try_par_map, BenchRecord};
 use rapid_compiler::mapping::map_layer;
 use rapid_numerics::Tensor;
-use rapid_sim::chip::{try_run_chip_gemm_telemetry, ChipGemmJob};
+use rapid_sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid_arch::geometry::CoreConfig;
 use rapid_sim::gemm::{CoreSim, GemmJob};
 use rapid_telemetry::{trace_path_from_env, Telemetry};
@@ -106,8 +106,7 @@ fn main() -> ExitCode {
             precision: Precision::Int4,
         };
         let mut tele = Telemetry::from_env();
-        match try_run_chip_gemm_telemetry(&job, CoreConfig::default(), 4, 0, None, Some(&mut tele))
-        {
+        match try_run_chip_gemm_with(&job, CoreConfig::default(), 4, 0, None, Some(&mut tele)) {
             Ok(r) => {
                 println!(
                     "chip GEMM 32x256x256 int4: {} cycles ({} distribution, {} compute)",

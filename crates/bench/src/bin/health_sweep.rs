@@ -411,7 +411,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let inputs: Vec<Vec<f32>> =
         (0..world).map(|c| vec![c as f32 * 0.25 + 0.5; 512]).collect();
     let cfg = ElasticConfig::rapid_training(world, true);
-    let out = elastic_allreduce(&inputs, &mut mem, &cfg, None)
+    let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None)
         .map_err(|e| format!("post-demotion allreduce failed: {e}"))?;
     if out.contributors != vec![0, 1, 3] {
         return Err(format!("survivors wrong: {:?}", out.contributors).into());

@@ -16,11 +16,11 @@ use rapid_bench::{compare, section, BenchRecord};
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{
     conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int_scalar, conv2d_int_with_simd,
-    matmul_emulated_scalar, matmul_emulated_with_simd, matmul_int_scalar, matmul_int_with_simd,
-    ConvScratch, ConvSpec, GemmStats,
+    matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar, matmul_int_with, ConvScratch,
+    ConvSpec, Exec, GemmStats,
 };
 use rapid_numerics::int::Signedness;
-use rapid_numerics::{kernel_matrix_at, IntFormat, QuantParams, SimdMode, Tensor};
+use rapid_numerics::{kernel_matrix_at, GuardPolicy, IntFormat, QuantParams, SimdMode, Tensor};
 use std::time::Instant;
 
 const CHUNK: usize = 64;
@@ -104,6 +104,11 @@ impl GroupResult {
     }
 }
 
+/// Execution options pinning one backend, unguarded and fault-free.
+fn pinned(simd: SimdMode) -> Exec<'static> {
+    Exec { simd, guard: GuardPolicy::Propagate, faults: None }
+}
+
 /// Times one float GEMM group: scalar reference, tiled (`off`), vector
 /// (`force`); the fast results must match the reference bit-for-bit.
 fn float_group(
@@ -114,12 +119,10 @@ fn float_group(
     reps: usize,
 ) -> Result<GroupResult, Box<dyn std::error::Error>> {
     let (reference, scalar_ms) = best_ms(reps, || matmul_emulated_scalar(mode, a, b, CHUNK));
-    let (tiled, tiled_ms) = best_ms(reps, || {
-        matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Off)
-    });
-    let (simd, simd_ms) = best_ms(reps, || {
-        matmul_emulated_with_simd(mode, a, b, CHUNK, SimdMode::Force)
-    });
+    let (tiled, tiled_ms) =
+        best_ms(reps, || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Off)));
+    let (simd, simd_ms) =
+        best_ms(reps, || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Force)));
     assert_bitexact(name, "tiled", &tiled?, &reference);
     assert_bitexact(name, "simd", &simd?, &reference);
     Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
@@ -136,9 +139,9 @@ fn int_group(
     let q = QuantParams::from_abs_max(fmt, Signedness::Signed, 1.0);
     let (reference, scalar_ms) = best_ms(reps, || matmul_int_scalar(a, b, q, q, CHUNK));
     let (tiled, tiled_ms) =
-        best_ms(reps, || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Off));
+        best_ms(reps, || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Off)));
     let (simd, simd_ms) =
-        best_ms(reps, || matmul_int_with_simd(a, b, q, q, CHUNK, SimdMode::Force));
+        best_ms(reps, || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Force)));
     assert_bitexact(name, "tiled", &tiled?, &reference);
     assert_bitexact(name, "simd", &simd?, &reference);
     Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })

@@ -34,7 +34,7 @@ use rapid_serve::{
     run_open_loop, synthetic_table, EmulatedSession, OfferedLoad, OkSession, ServeConfig,
     SweepResult, Tier,
 };
-use rapid_sim::chip::{try_run_chip_gemm_telemetry, ChipGemmJob};
+use rapid_sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid_telemetry::span::{critical_path, spans_to_trace, validate_forest};
 use rapid_telemetry::{
     metrics_path_from_env, openmetrics, trace_path_from_env, MetricsRegistry, Telemetry, TraceSink,
@@ -219,7 +219,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let mut gemm_tele = Telemetry::with_trace();
     let gemm =
-        try_run_chip_gemm_telemetry(&job, CoreConfig::default(), 4, 0, None, Some(&mut gemm_tele))
+        try_run_chip_gemm_with(&job, CoreConfig::default(), 4, 0, None, Some(&mut gemm_tele))
             .map_err(|e| format!("traced chip GEMM failed: {e}"))?;
     if let Some(t) = gemm_tele.trace.take() {
         trace.merge(t);

@@ -30,7 +30,7 @@ use rapid_numerics::{GuardPolicy, Tensor};
 use rapid_recover::{train_qat_resilient, GuardedHfp8Backend, Protection, ResilientConfig};
 use rapid_refnet::data::gaussian_blobs;
 use rapid_refnet::qat::{train_qat, QatConfig, QatMlp};
-use rapid_ring::{reliable_allreduce_instrumented, ReliableConfig};
+use rapid_ring::{reliable_allreduce, ReliableConfig};
 use rapid_sim::gemm::{CoreSim, GemmJob};
 use rapid_sim::SimError;
 use rapid_telemetry::{MetricsRegistry, Telemetry};
@@ -222,7 +222,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..FaultConfig::default()
         });
         let mut t = Telemetry::new();
-        let outcome = core.try_run_gemm_instrumented(&job, Some(&mut plan), Some(&mut t));
+        let outcome = core.try_run_gemm(&job, Some(&mut plan), Some(&mut t));
         let flips = plan.counts().spad_flips;
         match outcome {
             Ok(r) => Ok((r.c == clean_c, false, flips, t.registry)),
@@ -266,7 +266,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
         .collect();
     let rcfg = ReliableConfig::rapid_training(chips as u32, true);
-    let (clean_sum, _) = reliable_allreduce_instrumented(&inputs, &rcfg, None, None)?;
+    let (clean_sum, _) = reliable_allreduce(&inputs, &rcfg, None, None)?;
     let ring_rates = [1e-3, 5e-3, 2e-2];
     let ring_cells: Vec<u64> = (0..plans_per_side as u64).collect();
     let ring_rows = try_par_map(&ring_cells, |&i| {
@@ -277,7 +277,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..FaultConfig::default()
         });
         let mut t = Telemetry::new();
-        reliable_allreduce_instrumented(&inputs, &rcfg, Some(&mut plan), Some(&mut t))
+        reliable_allreduce(&inputs, &rcfg, Some(&mut plan), Some(&mut t))
             .map(|(sum, health)| (sum == clean_sum, health, t.registry))
             .map_err(|e| e.to_string())
     });

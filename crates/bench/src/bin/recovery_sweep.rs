@@ -26,7 +26,7 @@ use rapid_numerics::GuardPolicy;
 use rapid_recover::{train_qat_resilient, GuardedHfp8Backend, ResilientConfig};
 use rapid_refnet::data::gaussian_blobs;
 use rapid_refnet::qat::{train_qat, QatConfig, QatMlp};
-use rapid_ring::{reliable_allreduce_instrumented, ReliableConfig};
+use rapid_ring::{reliable_allreduce, ReliableConfig};
 use rapid_telemetry::Telemetry;
 use rapid_workloads::suite::benchmark;
 
@@ -128,8 +128,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Accumulate RingHealth counters for every exchange into one telemetry
     // bundle; they land in the JSON record as ring.reliable.* metrics.
     let mut tele = Telemetry::new();
-    let (clean_sum, clean_health) =
-        reliable_allreduce_instrumented(&inputs, &rcfg, None, Some(&mut tele))?;
+    let (clean_sum, clean_health) = reliable_allreduce(&inputs, &rcfg, None, Some(&mut tele))?;
     println!(
         "{:<8} {:<8} {:<8} {:>8} {:>10} {:>8} {:>12} {:>10}",
         "drop", "dup", "delay", "chunks", "retrans", "dups", "cycles", "retention"
@@ -144,8 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ring_delay_rate: delay,
             ..FaultConfig::default()
         });
-        let (sum, health) =
-            reliable_allreduce_instrumented(&inputs, &rcfg, Some(&mut plan), Some(&mut tele))?;
+        let (sum, health) = reliable_allreduce(&inputs, &rcfg, Some(&mut plan), Some(&mut tele))?;
         assert_eq!(sum, clean_sum, "reduced values must be bit-identical under faults");
         println!(
             "{:<8} {:<8} {:<8} {:>8} {:>10} {:>8} {:>12} {:>9.1}%",

@@ -25,7 +25,8 @@
 //!   core cannot oscillate in and out of service.
 //! * [`map`] — the dynamic [`CoreMap`]: the live exclusion mask the
 //!   chip simulator and the serving layer consult per batch (the dynamic
-//!   generalization of `try_run_chip_gemm_degraded`'s static mask).
+//!   generalization of the static failed-core mask
+//!   `rapid_sim::chip::try_run_chip_gemm_with` takes).
 //! * [`monitor`] — [`ChipHealthMonitor`] ties it together: one probe
 //!   cycle runs one kernel on every core, updates scores and states,
 //!   maintains the map, feeds a quarantine SLO burn-rate rule, and

@@ -1,7 +1,7 @@
 //! The dynamic [`CoreMap`]: the live per-chip exclusion mask.
 //!
-//! PR 3's `try_run_chip_gemm_degraded` takes a *static* failed-core mask
-//! fixed at manufacturing test. The health monitor generalizes it: the
+//! The chip simulator's `try_run_chip_gemm_with` takes a *static*
+//! failed-core mask, fixed at manufacturing test. The health monitor generalizes it: the
 //! map starts all-healthy, cores drop out as the quarantine machine
 //! demotes them and return on reinstatement, and every change bumps an
 //! epoch so consumers (the chip simulator, the serving engine) can detect
@@ -42,7 +42,8 @@ impl CoreMap {
     }
 
     /// The exclusion bitmask, bit `i` set ⇒ core `i` is out of service.
-    /// This is the same encoding `try_run_chip_gemm_degraded` consumes.
+    /// This is the same encoding `try_run_chip_gemm_with` consumes; pass it
+    /// with [`CoreMap::cores`] as the core count.
     pub fn failed_mask(&self) -> u64 {
         self.excluded
     }

@@ -16,10 +16,10 @@
 use rapid_fault::FaultPlan;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{
-    matmul_emulated_guarded, matmul_emulated_scalar, matmul_int_guarded, matmul_int_scalar,
+    matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar, matmul_int_with, Exec,
 };
 use rapid_numerics::int::Signedness;
-use rapid_numerics::{GuardPolicy, IntFormat, QuantParams, Tensor};
+use rapid_numerics::{IntFormat, QuantParams, Tensor};
 
 use crate::HealthConfig;
 
@@ -158,13 +158,12 @@ impl ProbeSuite {
     pub fn run(&self, mut faults: Option<&mut FaultPlan>) -> Vec<ProbeOutcome> {
         let mut outcomes = Vec::with_capacity(self.len());
         for p in &self.floats {
-            let run = matmul_emulated_guarded(
+            let run = matmul_emulated_with(
                 p.mode,
                 &p.a,
                 &p.b,
                 self.chunk_len,
-                GuardPolicy::Propagate,
-                faults.as_deref_mut(),
+                Exec { faults: faults.as_deref_mut(), ..Exec::default() },
             );
             let (passed, mismatches) = match run {
                 Ok((out, _)) => {
@@ -175,14 +174,13 @@ impl ProbeSuite {
             };
             outcomes.push(ProbeOutcome { kind: p.kind, passed, mismatches });
         }
-        let run = matmul_int_guarded(
+        let run = matmul_int_with(
             &self.int.a,
             &self.int.b,
             self.int.qa,
             self.int.qb,
             self.chunk_len,
-            GuardPolicy::Propagate,
-            faults,
+            Exec { faults, ..Exec::default() },
         );
         let (passed, mismatches) = match run {
             Ok((out, _)) => {

@@ -36,7 +36,7 @@
 use crate::accumulate::ChunkAccumulator;
 use crate::error::NumericsError;
 use crate::fma::FmaMode;
-use crate::gemm::{matmul_emulated_guarded, matmul_int_guarded, GemmStats};
+use crate::gemm::{matmul_emulated_with, matmul_int_with, Exec, GemmStats};
 use crate::guard::GuardPolicy;
 use crate::int::{IntAccumulator, QuantParams};
 use crate::tensor::Tensor;
@@ -185,8 +185,8 @@ pub fn abft_matmul_emulated(
     chunk_len: usize,
     faults: Option<&mut FaultPlan>,
 ) -> Result<(Tensor, GemmStats, AbftReport), NumericsError> {
-    let (mut out, stats) =
-        matmul_emulated_guarded(mode, a, b, chunk_len, GuardPolicy::Propagate, faults)?;
+    let exec = Exec { guard: GuardPolicy::Propagate, faults, ..Exec::default() };
+    let (mut out, stats) = matmul_emulated_with(mode, a, b, chunk_len, exec)?;
     let (m, n) = (out.shape()[0], out.shape()[1]);
     let k = a.shape()[1];
     let mut report = AbftReport { base_macs: stats.macs, ..AbftReport::default() };
@@ -296,8 +296,8 @@ pub fn abft_matmul_int(
     chunk_len: usize,
     faults: Option<&mut FaultPlan>,
 ) -> Result<(Tensor, GemmStats, AbftReport), NumericsError> {
-    let (mut out, stats) =
-        matmul_int_guarded(a, b, qa, qb, chunk_len, GuardPolicy::Propagate, faults)?;
+    let exec = Exec { guard: GuardPolicy::Propagate, faults, ..Exec::default() };
+    let (mut out, stats) = matmul_int_with(a, b, qa, qb, chunk_len, exec)?;
     let (m, n) = (out.shape()[0], out.shape()[1]);
     let k = a.shape()[1];
     let worst = |p: QuantParams| {

@@ -2,7 +2,8 @@
 //!
 //! PR 1's tiled fast paths are portable scalar Rust; this module decides,
 //! per call and per format, whether the explicitly vectorized backends
-//! ([`crate::simd`], [`crate::bitslice`]) run instead:
+//! (the crate-private `simd` AVX2 and `bitslice` popcount kernels) run
+//! instead:
 //!
 //! * the `RAPID_SIMD` environment knob (`auto` | `force` | `off`) — `auto`
 //!   (the default) uses vector kernels only when the CPU supports them and

@@ -284,6 +284,32 @@ pub fn matmul_f32_checked(a: &Tensor, b: &Tensor) -> Result<Tensor, NumericsErro
     Ok(out)
 }
 
+/// How a fallible GEMM entry point executes: the vectorization policy,
+/// the numeric guard, and an optional fault plan. The three are the knobs
+/// the datapath model takes as control inputs; the precision and operands
+/// stay explicit arguments.
+///
+/// [`Exec::default`] reads the vectorization policy from `RAPID_SIMD`
+/// ([`SimdMode::from_env`]) — not `SimdMode::Auto` — so default callers keep
+/// honoring the environment knob. Pin a backend with
+/// `Exec { simd: SimdMode::Off, ..Exec::default() }`.
+#[derive(Debug)]
+pub struct Exec<'a> {
+    /// Vector-kernel selection policy.
+    pub simd: SimdMode,
+    /// What to do when an accumulator is detected corrupted.
+    pub guard: GuardPolicy,
+    /// Fault plan driving MAC-level injection; `None` (or a plan whose MAC
+    /// injectors are disabled) runs the bit-exact fast path.
+    pub faults: Option<&'a mut FaultPlan>,
+}
+
+impl Default for Exec<'_> {
+    fn default() -> Self {
+        Self { simd: SimdMode::from_env(), guard: GuardPolicy::default(), faults: None }
+    }
+}
+
 /// Emulated floating-point matrix multiply through the MPE FPU pipeline:
 /// inputs are quantized to the mode's operand formats, multiplied through
 /// the internal representation, and chunk-accumulated.
@@ -293,45 +319,17 @@ pub fn matmul_f32_checked(a: &Tensor, b: &Tensor) -> Result<Tensor, NumericsErro
 ///
 /// # Panics
 ///
-/// Panics if the shapes are not compatible or `chunk_len == 0`.
+/// Panics if the shapes are not compatible or `chunk_len == 0`. Use
+/// [`matmul_emulated_with`] for a structured error.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn matmul_emulated(mode: FmaMode, a: &Tensor, b: &Tensor, chunk_len: usize) -> (Tensor, GemmStats) {
-    matmul_emulated_checked(mode, a, b, chunk_len).expect("incompatible matmul shapes")
+    matmul_emulated_with(mode, a, b, chunk_len, Exec::default())
+        .expect("incompatible matmul shapes")
 }
 
-/// [`matmul_emulated`], returning an error instead of panicking on
-/// incompatible shapes.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] if the operands are not
-/// `[m,k]` and `[k,n]` matrices.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_emulated_checked(
-    mode: FmaMode,
-    a: &Tensor,
-    b: &Tensor,
-    chunk_len: usize,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    matmul_emulated_with_simd(mode, a, b, chunk_len, SimdMode::from_env())
-}
-
-/// [`matmul_emulated_checked`] under an explicit vectorization policy
-/// instead of the `RAPID_SIMD` environment knob — the entry point tests
-/// and benches use to pin a backend regardless of the environment.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] if the operands are not
-/// `[m,k]` and `[k,n]` matrices.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_emulated_with_simd(
+/// The bit-exact fast path of [`matmul_emulated_with`] under an explicit
+/// vectorization policy.
+fn matmul_emulated_fast(
     mode: FmaMode,
     a: &Tensor,
     b: &Tensor,
@@ -676,13 +674,15 @@ pub fn matmul_emulated_scalar(
     (out, stats)
 }
 
-/// [`matmul_emulated`] with fault injection and a numeric guard.
+/// [`matmul_emulated`] under explicit execution options: the single
+/// fallible entry point of the float GEMM.
 ///
-/// With `faults == None` (or a plan whose MAC injectors are disabled) this
-/// delegates to the bit-exact fast path — the hook costs nothing when off.
-/// With an active plan it drives the scalar datapath model one FMA at a
-/// time, corrupting operands and the chunk register per the plan, and
-/// applies `policy` whenever the chunk register goes non-finite.
+/// With `exec.faults == None` (or a plan whose MAC injectors are disabled)
+/// this runs the bit-exact fast path under `exec.simd` — the hook costs
+/// nothing when off. With an active plan it drives the scalar datapath
+/// model one FMA at a time, corrupting operands and the chunk register per
+/// the plan, and applies `exec.guard` whenever the chunk register goes
+/// non-finite.
 ///
 /// # Errors
 ///
@@ -693,17 +693,16 @@ pub fn matmul_emulated_scalar(
 /// # Panics
 ///
 /// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_emulated_guarded(
+pub fn matmul_emulated_with(
     mode: FmaMode,
     a: &Tensor,
     b: &Tensor,
     chunk_len: usize,
-    policy: GuardPolicy,
-    faults: Option<&mut FaultPlan>,
+    exec: Exec<'_>,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
-    let plan = faults.filter(|p| p.mac_enabled());
-    let Some(plan) = plan else {
-        let (out, stats) = matmul_emulated_checked(mode, a, b, chunk_len)?;
+    let Exec { simd, guard: policy, faults } = exec;
+    let Some(plan) = faults.filter(|p| p.mac_enabled()) else {
+        let (out, stats) = matmul_emulated_fast(mode, a, b, chunk_len, simd)?;
         // The clean kernels saturate at FP16 write-back and cannot emit
         // non-finite values; the scan is defense in depth for checking
         // policies and costs O(m·n) only when asked for.
@@ -777,23 +776,6 @@ pub fn matmul_emulated_guarded(
     Ok((out, stats))
 }
 
-/// FP16 (DLFloat) matrix multiply with chunked accumulation.
-pub fn matmul_fp16(a: &Tensor, b: &Tensor, chunk_len: usize) -> (Tensor, GemmStats) {
-    matmul_emulated(FmaMode::Fp16, a, b, chunk_len)
-}
-
-/// HFP8 forward-pass matrix multiply: both operands FP8 (1,4,3), default
-/// bias.
-pub fn matmul_hfp8_fwd(a: &Tensor, b: &Tensor, chunk_len: usize) -> (Tensor, GemmStats) {
-    matmul_emulated(FmaMode::hfp8_fwd_default(), a, b, chunk_len)
-}
-
-/// HFP8 backward-pass matrix multiply: operand `a` FP8 (1,4,3), operand `b`
-/// FP8 (1,5,2).
-pub fn matmul_hfp8_bwd(a: &Tensor, b: &Tensor, chunk_len: usize) -> (Tensor, GemmStats) {
-    matmul_emulated(FmaMode::hfp8_bwd_default(), a, b, chunk_len)
-}
-
 /// Quantized integer matrix multiply through the FXU pipeline: inputs are
 /// quantized with the given per-tensor parameters, multiplied as integer
 /// codes with INT16-chunk/INT32 accumulation, and the result dequantized by
@@ -801,7 +783,8 @@ pub fn matmul_hfp8_bwd(a: &Tensor, b: &Tensor, chunk_len: usize) -> (Tensor, Gem
 ///
 /// # Panics
 ///
-/// Panics if the shapes are not compatible or `chunk_len == 0`.
+/// Panics if the shapes are not compatible or `chunk_len == 0`. Use
+/// [`matmul_int_with`] for a structured error.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn matmul_int(
     a: &Tensor,
@@ -810,28 +793,7 @@ pub fn matmul_int(
     qb: QuantParams,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    matmul_int_checked(a, b, qa, qb, chunk_len).expect("incompatible matmul shapes")
-}
-
-/// [`matmul_int`], returning an error instead of panicking on incompatible
-/// shapes.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] if the operands are not
-/// `[m,k]` and `[k,n]` matrices.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_int_checked(
-    a: &Tensor,
-    b: &Tensor,
-    qa: QuantParams,
-    qb: QuantParams,
-    chunk_len: usize,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    matmul_int_with_simd(a, b, qa, qb, chunk_len, SimdMode::from_env())
+    matmul_int_with(a, b, qa, qb, chunk_len, Exec::default()).expect("incompatible matmul shapes")
 }
 
 /// Whether an INT16 chunk register could saturate for these quantization
@@ -846,26 +808,23 @@ pub(crate) fn int_saturation_possible(
     k: usize,
     chunk_len: usize,
 ) -> bool {
+    int_chunk_bound(qa, qb, k, chunk_len) > i64::from(i16::MAX)
+}
+
+/// Worst-case magnitude of one chunk window's exact integer sum: the
+/// legal bound a guarded INT kernel checks the chunk register against.
+fn int_chunk_bound(qa: QuantParams, qb: QuantParams, k: usize, chunk_len: usize) -> i64 {
     let worst = |p: QuantParams| {
         let (lo, hi) = p.code_range();
         i64::from(lo.unsigned_abs().max(hi.unsigned_abs()))
     };
     let window = chunk_len.min(k.max(1)) as i64;
-    window * worst(qa) * worst(qb) > i64::from(i16::MAX)
+    window * worst(qa) * worst(qb)
 }
 
-/// [`matmul_int_checked`] under an explicit vectorization policy instead
-/// of the `RAPID_SIMD` environment knob.
-///
-/// # Errors
-///
-/// Returns [`NumericsError::ShapeMismatch`] if the operands are not
-/// `[m,k]` and `[k,n]` matrices.
-///
-/// # Panics
-///
-/// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_int_with_simd(
+/// The fast path of [`matmul_int_with`] under an explicit vectorization
+/// policy (still modeling INT16 saturation exactly when it is possible).
+fn matmul_int_fast(
     a: &Tensor,
     b: &Tensor,
     qa: QuantParams,
@@ -944,15 +903,16 @@ pub fn matmul_int_scalar(
     (out, stats)
 }
 
-/// [`matmul_int`] with fault injection and a numeric guard.
+/// [`matmul_int`] under explicit execution options: the single fallible
+/// entry point of the integer GEMM.
 ///
-/// With `faults == None` (or a plan whose MAC injectors are disabled) this
-/// delegates to the bit-exact fast path, except that
+/// With `exec.faults == None` (or a plan whose MAC injectors are disabled)
+/// this runs the bit-exact fast path under `exec.simd`, except that
 /// [`GuardPolicy::Error`] forces the scalar datapath model whenever INT16
 /// saturation is possible for the requested chunk length, so the first
 /// overflow can be located. With an active plan it corrupts integer codes
-/// and the chunk register per the plan and applies `policy` when the chunk
-/// register saturates or is pushed past the legal worst-case bound.
+/// and the chunk register per the plan and applies `exec.guard` when the
+/// chunk register saturates or is pushed past the legal worst-case bound.
 ///
 /// # Errors
 ///
@@ -963,27 +923,22 @@ pub fn matmul_int_scalar(
 /// # Panics
 ///
 /// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-pub fn matmul_int_guarded(
+pub fn matmul_int_with(
     a: &Tensor,
     b: &Tensor,
     qa: QuantParams,
     qb: QuantParams,
     chunk_len: usize,
-    policy: GuardPolicy,
-    faults: Option<&mut FaultPlan>,
+    exec: Exec<'_>,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
+    let Exec { simd, guard: policy, faults } = exec;
     let (m, k, n) = check_matmul_shapes(a, b)?;
     assert!(chunk_len > 0, "chunk length must be positive");
-    let worst = |p: QuantParams| {
-        let (lo, hi) = p.code_range();
-        i64::from(lo.unsigned_abs().max(hi.unsigned_abs()))
-    };
-    let window = chunk_len.min(k.max(1)) as i64;
-    let legal_bound = window * worst(qa) * worst(qb);
+    let legal_bound = int_chunk_bound(qa, qb, k, chunk_len);
     let mut plan = faults.filter(|p| p.mac_enabled());
     let saturation_possible = legal_bound > i64::from(i16::MAX);
     if plan.is_none() && !(policy == GuardPolicy::Error && saturation_possible) {
-        return matmul_int_checked(a, b, qa, qb, chunk_len);
+        return matmul_int_fast(a, b, qa, qb, chunk_len, simd);
     }
     let ca: Vec<i8> = a.as_slice().iter().map(|&x| qa.quantize(x)).collect();
     let cb: Vec<i8> = b.as_slice().iter().map(|&x| qb.quantize(x)).collect();
@@ -1117,7 +1072,7 @@ impl PackedPanel {
 }
 
 /// Fills one row band of an integer GEMM from packed panels. Only called
-/// when the chunk guard in [`matmul_int_checked`] rules out INT16
+/// when the chunk guard in [`matmul_int_fast`] rules out INT16
 /// saturation, so i32 window sums match the hardware accumulator exactly.
 ///
 /// The packed B panel is decoded once per band and each packed A row once
@@ -1421,19 +1376,9 @@ fn check_conv_shapes(input: &Tensor, weight: &Tensor) -> Result<ConvGeom, Numeri
 /// # Panics
 ///
 /// Panics if the operand ranks or channel counts are inconsistent.
-pub fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
-    conv2d_f32_with_scratch(input, weight, spec, &mut ConvScratch::default())
-}
-
-/// [`conv2d_f32`] reusing caller-provided scratch buffers.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
-pub fn conv2d_f32_with_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-    scratch: &mut ConvScratch,
-) -> Tensor {
-    conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
+pub fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
+    conv2d_via_gemm(input, weight, spec, &mut ConvScratch::default(), |cols, wmat| {
         Ok((matmul_f32(cols, wmat), GemmStats::default()))
     })
     .expect("inconsistent conv operand shapes")
@@ -1441,6 +1386,12 @@ pub fn conv2d_f32_with_scratch(
 }
 
 /// Emulated floating-point convolution through the FPU pipeline.
+///
+/// # Panics
+///
+/// Panics if the operand ranks or channel counts are inconsistent. Use
+/// [`conv2d_emulated_with_simd`] for a structured error.
+#[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn conv2d_emulated(
     input: &Tensor,
     weight: &Tensor,
@@ -1448,26 +1399,15 @@ pub fn conv2d_emulated(
     mode: FmaMode,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    conv2d_emulated_with_scratch(input, weight, spec, mode, chunk_len, &mut ConvScratch::default())
-}
-
-/// [`conv2d_emulated`] reusing caller-provided scratch buffers.
-#[allow(clippy::expect_used)] // documented panic on bad shapes
-pub fn conv2d_emulated_with_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-    mode: FmaMode,
-    chunk_len: usize,
-    scratch: &mut ConvScratch,
-) -> (Tensor, GemmStats) {
+    let scratch = &mut ConvScratch::default();
     conv2d_emulated_with_simd(input, weight, spec, mode, chunk_len, scratch, SimdMode::from_env())
         .expect("inconsistent conv operand shapes")
 }
 
-/// [`conv2d_emulated_with_scratch`] under an explicit vectorization
-/// policy. In the SIMD regime the convolution runs panel-packed: the GEMM
-/// is restated per image as `weights [co, ci·kh·kw] × im2col-rowsᵀ`, whose
+/// [`conv2d_emulated`] reusing caller-provided scratch buffers, under an
+/// explicit vectorization policy — the single fallible conv entry point.
+/// In the SIMD regime the convolution runs panel-packed: the GEMM is
+/// restated per image as `weights [co, ci·kh·kw] × im2col-rowsᵀ`, whose
 /// Bᵀ k-panels *are* the im2col rows, and output panels land directly in
 /// the `[n, co, ho, wo]` layout — no weight transpose, no column-panel
 /// copy, no output rearrange pass. Operand order commutes bit-exactly
@@ -1499,7 +1439,7 @@ pub fn conv2d_emulated_with_simd(
         conv2d_panels_emulated(input, weight, spec, mode, chunk_len, scratch, simd_mode)
     } else {
         conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
-            matmul_emulated_with_simd(mode, cols, wmat, chunk_len, simd_mode)
+            matmul_emulated_fast(mode, cols, wmat, chunk_len, simd_mode)
         })
     }
 }
@@ -1521,6 +1461,12 @@ pub fn conv2d_emulated_scalar(
 }
 
 /// Emulated integer convolution through the FXU pipeline.
+///
+/// # Panics
+///
+/// Panics if the operand ranks or channel counts are inconsistent. Use
+/// [`conv2d_int_with_simd`] for a structured error.
+#[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn conv2d_int(
     input: &Tensor,
     weight: &Tensor,
@@ -1529,25 +1475,13 @@ pub fn conv2d_int(
     qw: QuantParams,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    conv2d_int_with_scratch(input, weight, spec, qa, qw, chunk_len, &mut ConvScratch::default())
-}
-
-/// [`conv2d_int`] reusing caller-provided scratch buffers.
-#[allow(clippy::expect_used)] // documented panic on bad shapes
-pub fn conv2d_int_with_scratch(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-    qa: QuantParams,
-    qw: QuantParams,
-    chunk_len: usize,
-    scratch: &mut ConvScratch,
-) -> (Tensor, GemmStats) {
+    let scratch = &mut ConvScratch::default();
     conv2d_int_with_simd(input, weight, spec, qa, qw, chunk_len, scratch, SimdMode::from_env())
         .expect("inconsistent conv operand shapes")
 }
 
-/// [`conv2d_int_with_scratch`] under an explicit vectorization policy,
+/// [`conv2d_int`] reusing caller-provided scratch buffers, under an
+/// explicit vectorization policy — the single fallible conv entry point,
 /// panel-packed in the SIMD regime like [`conv2d_emulated_with_simd`].
 /// Falls back to the flat GEMM path whenever the chunk guard makes INT16
 /// saturation possible (the saturating accumulator must then be modeled).
@@ -1581,9 +1515,11 @@ pub fn conv2d_int_with_simd(
         dispatch::int_kernel(simd_mode, macs, kcols, both_int2)
     };
     match kernel {
-        dispatch::IntKernel::Tiled => conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
-            matmul_int_with_simd(cols, wmat, qa, qw, chunk_len, simd_mode)
-        }),
+        dispatch::IntKernel::Tiled => {
+            conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
+                matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
+            })
+        }
         kernel => conv2d_panels_int(input, weight, spec, qa, qw, scratch, kernel),
     }
 }
@@ -1810,7 +1746,7 @@ mod tests {
         let a = rand_mat(8, 32, 2);
         let b = rand_mat(32, 8, 3);
         let exact = matmul_f32(&a, &b);
-        let (got, stats) = matmul_fp16(&a, &b, 64);
+        let (got, stats) = matmul_emulated(FmaMode::Fp16, &a, &b, 64);
         assert_eq!(stats.macs, 8 * 32 * 8);
         assert!(got.max_rel_diff(&exact) < 5e-3, "diff {}", got.max_rel_diff(&exact));
     }
@@ -1820,8 +1756,8 @@ mod tests {
         let a = rand_mat(8, 64, 4);
         let b = rand_mat(64, 8, 5);
         let exact = matmul_f32(&a, &b);
-        let (fwd, _) = matmul_hfp8_fwd(&a, &b, 64);
-        let (bwd, _) = matmul_hfp8_bwd(&a, &b, 64);
+        let (fwd, _) = matmul_emulated(FmaMode::hfp8_fwd_default(), &a, &b, 64);
+        let (bwd, _) = matmul_emulated(FmaMode::hfp8_bwd_default(), &a, &b, 64);
         // 3-bit / 2-bit mantissas: coarse but correlated.
         assert!(fwd.max_rel_diff(&exact) < 0.08, "fwd diff {}", fwd.max_rel_diff(&exact));
         assert!(bwd.max_rel_diff(&exact) < 0.15, "bwd diff {}", bwd.max_rel_diff(&exact));
@@ -1849,7 +1785,7 @@ mod tests {
             }
         }
         let b = rand_mat(32, 4, 9);
-        let (_, stats) = matmul_fp16(&a, &b, 64);
+        let (_, stats) = matmul_emulated(FmaMode::Fp16, &a, &b, 64);
         let frac = stats.gated_fraction();
         assert!((frac - 0.5).abs() < 0.05, "gated fraction {frac}");
     }
@@ -1859,9 +1795,9 @@ mod tests {
         let a = Tensor::zeros(vec![2, 3]);
         let b = Tensor::zeros(vec![4, 5]);
         assert!(matmul_f32_checked(&a, &b).is_err());
-        assert!(matmul_emulated_checked(FmaMode::Fp16, &a, &b, 64).is_err());
+        assert!(matmul_emulated_with(FmaMode::Fp16, &a, &b, 64, Exec::default()).is_err());
         let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
-        assert!(matmul_int_checked(&a, &b, q, q, 64).is_err());
+        assert!(matmul_int_with(&a, &b, q, q, 64, Exec::default()).is_err());
     }
 
     fn assert_bits_eq(a: &Tensor, b: &Tensor) {
@@ -2015,9 +1951,12 @@ mod tests {
         let mut scratch = ConvScratch::default();
         // Dirty the scratch with a differently-shaped problem first.
         let small = Tensor::random_uniform(vec![1, 3, 4, 4], -1.0, 1.0, 42);
-        let _ = conv2d_emulated_with_scratch(&small, &weight, ConvSpec::unit(), mode, 64, &mut scratch);
+        let simd = SimdMode::from_env();
+        let unit = ConvSpec::unit();
+        let _ =
+            conv2d_emulated_with_simd(&small, &weight, unit, mode, 64, &mut scratch, simd).unwrap();
         let (reused, reused_stats) =
-            conv2d_emulated_with_scratch(&input, &weight, spec, mode, 64, &mut scratch);
+            conv2d_emulated_with_simd(&input, &weight, spec, mode, 64, &mut scratch, simd).unwrap();
         assert_bits_eq(&fresh, &reused);
         assert_eq!(fresh_stats, reused_stats);
     }
@@ -2029,30 +1968,25 @@ mod tests {
         let weight = Tensor::random_uniform(vec![2, 3, 3, 3], -0.5, 0.5, 60);
         let mode = FmaMode::Fp16;
         let mut scratch = ConvScratch::default();
+        let conv = |input: &Tensor, spec: ConvSpec, scratch: &mut ConvScratch| {
+            conv2d_emulated_with_simd(input, &weight, spec, mode, 64, scratch, SimdMode::from_env())
+                .unwrap()
+        };
         let big = Tensor::random_uniform(vec![1, 3, 8, 8], -1.0, 1.0, 61);
         let small = Tensor::random_uniform(vec![1, 3, 5, 5], -1.0, 1.0, 62);
         for _ in 0..3 {
-            let _ = conv2d_emulated_with_scratch(&big, &weight, ConvSpec::unit(), mode, 64, &mut scratch);
-            let _ =
-                conv2d_emulated_with_scratch(&small, &weight, ConvSpec::unit(), mode, 64, &mut scratch);
+            let _ = conv(&big, ConvSpec::unit(), &mut scratch);
+            let _ = conv(&small, ConvSpec::unit(), &mut scratch);
         }
         // Two geometries, two slots — revisits hit their cached buffers.
         assert_eq!(scratch.cached_shapes(), 2);
         // A distinct pad makes a distinct key even at the same input shape.
-        let _ = conv2d_emulated_with_scratch(
-            &small,
-            &weight,
-            ConvSpec { stride: 1, pad: 1 },
-            mode,
-            64,
-            &mut scratch,
-        );
+        let _ = conv(&small, ConvSpec { stride: 1, pad: 1 }, &mut scratch);
         assert_eq!(scratch.cached_shapes(), 3);
         // Flooding with fresh geometries caps the cache at the LRU bound.
         for h in 0..24 {
             let input = Tensor::random_uniform(vec![1, 3, 9 + h, 9], -1.0, 1.0, 63);
-            let _ =
-                conv2d_emulated_with_scratch(&input, &weight, ConvSpec::unit(), mode, 64, &mut scratch);
+            let _ = conv(&input, ConvSpec::unit(), &mut scratch);
         }
         assert_eq!(scratch.cached_shapes(), ConvScratch::MAX_SLOTS);
     }
@@ -2075,6 +2009,11 @@ mod tests {
     }
 
     #[test]
+    fn exec_default_honors_the_simd_env_knob() {
+        assert_eq!(Exec::default().simd, SimdMode::from_env());
+    }
+
+    #[test]
     fn guarded_kernels_without_active_faults_are_bit_exact() {
         use rapid_fault::FaultPlan;
         let a = rand_mat(5, 33, 70);
@@ -2082,16 +2021,16 @@ mod tests {
         let mode = FmaMode::hfp8_fwd_default();
         let (base, bs) = matmul_emulated(mode, &a, &b, 64);
         for faults in [None, Some(&mut FaultPlan::disabled())] {
-            let (got, gs) =
-                matmul_emulated_guarded(mode, &a, &b, 64, GuardPolicy::Error, faults).unwrap();
+            let exec = Exec { guard: GuardPolicy::Error, faults, ..Exec::default() };
+            let (got, gs) = matmul_emulated_with(mode, &a, &b, 64, exec).unwrap();
             assert_bits_eq(&base, &got);
             assert_eq!(bs, gs);
         }
         let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
         let (bi, bis) = matmul_int(&a, &b, q, q, 64);
-        let (gi, gis) =
-            matmul_int_guarded(&a, &b, q, q, 64, GuardPolicy::Error, Some(&mut FaultPlan::disabled()))
-                .unwrap();
+        let mut plan = FaultPlan::disabled();
+        let exec = Exec { guard: GuardPolicy::Error, faults: Some(&mut plan), ..Exec::default() };
+        let (gi, gis) = matmul_int_with(&a, &b, q, q, 64, exec).unwrap();
         assert_bits_eq(&bi, &gi);
         assert_eq!(bis, gis);
     }
@@ -2110,13 +2049,12 @@ mod tests {
                 ..FaultConfig::default()
             };
             let mut plan = FaultPlan::new(cfg);
-            let r = matmul_emulated_guarded(
+            let r = matmul_emulated_with(
                 FmaMode::Fp16,
                 &a,
                 &b,
                 64,
-                GuardPolicy::Error,
-                Some(&mut plan),
+                Exec { guard: GuardPolicy::Error, faults: Some(&mut plan), ..Exec::default() },
             );
             if let Err(e) = r {
                 assert!(matches!(e, NumericsError::NonFinite { .. }), "unexpected {e:?}");
@@ -2139,13 +2077,12 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut plan = FaultPlan::new(cfg);
-        let (out, _) = matmul_emulated_guarded(
+        let (out, _) = matmul_emulated_with(
             FmaMode::Fp16,
             &a,
             &b,
             64,
-            GuardPolicy::Saturate,
-            Some(&mut plan),
+            Exec { guard: GuardPolicy::Saturate, faults: Some(&mut plan), ..Exec::default() },
         )
         .unwrap();
         assert!(out.as_slice().iter().all(|v| v.is_finite()));
@@ -2167,22 +2104,28 @@ mod tests {
                 exponent_share: 1.0,
                 ..FaultConfig::default()
             };
-            let errored = matmul_emulated_guarded(
+            let errored = matmul_emulated_with(
                 FmaMode::Fp16,
                 &a,
                 &b,
                 64,
-                GuardPolicy::Error,
-                Some(&mut FaultPlan::new(cfg)),
+                Exec {
+                    guard: GuardPolicy::Error,
+                    faults: Some(&mut FaultPlan::new(cfg)),
+                    ..Exec::default()
+                },
             )
             .is_err();
-            let (out, stats) = matmul_emulated_guarded(
+            let (out, stats) = matmul_emulated_with(
                 FmaMode::Fp16,
                 &a,
                 &b,
                 64,
-                GuardPolicy::Saturate,
-                Some(&mut FaultPlan::new(cfg)),
+                Exec {
+                    guard: GuardPolicy::Saturate,
+                    faults: Some(&mut FaultPlan::new(cfg)),
+                    ..Exec::default()
+                },
             )
             .unwrap();
             assert!(out.as_slice().iter().all(|v| v.is_finite()));
@@ -2201,14 +2144,15 @@ mod tests {
         let a = Tensor::from_fn(vec![2, 2048], |_| 1.0);
         let b = Tensor::from_fn(vec![2048, 2], |_| 1.0);
         let qa = QuantParams::with_scale(IntFormat::Int4, Signedness::Signed, 1.0 / 7.0).unwrap();
-        let err = matmul_int_guarded(&a, &b, qa, qa, 1024, GuardPolicy::Error, None).unwrap_err();
+        let exec = Exec { guard: GuardPolicy::Error, ..Exec::default() };
+        let err = matmul_int_with(&a, &b, qa, qa, 1024, exec).unwrap_err();
         assert!(
             matches!(err, NumericsError::Overflow { row: 0, col: 0, .. }),
             "unexpected {err:?}"
         );
         // Saturate matches the hardware register's native behavior.
-        let (sat, stats) =
-            matmul_int_guarded(&a, &b, qa, qa, 1024, GuardPolicy::Saturate, None).unwrap();
+        let exec = Exec { guard: GuardPolicy::Saturate, ..Exec::default() };
+        let (sat, stats) = matmul_int_with(&a, &b, qa, qa, 1024, exec).unwrap();
         let (scalar, _) = matmul_int_scalar(&a, &b, qa, qa, 1024);
         assert!(stats.saturations > 0);
         assert_bits_eq(&sat, &scalar);
@@ -2222,13 +2166,12 @@ mod tests {
         let cfg = FaultConfig { seed: 9, mac_operand_rate: 0.05, ..FaultConfig::default() };
         let run = || {
             let mut plan = FaultPlan::new(cfg);
-            let (out, _) = matmul_emulated_guarded(
+            let (out, _) = matmul_emulated_with(
                 FmaMode::hfp8_fwd_default(),
                 &a,
                 &b,
                 64,
-                GuardPolicy::Propagate,
-                Some(&mut plan),
+                Exec { faults: Some(&mut plan), ..Exec::default() },
             )
             .unwrap();
             (out, plan.trace().to_vec(), plan.counts())

@@ -39,14 +39,14 @@
 //!   paths, the AVX2 vector kernels and the bit-sliced INT2 kernel, plus
 //!   the [`kernel_matrix`] telemetry report.
 //! * [`guard`] — numeric guard policies ([`GuardPolicy`]) applied by the
-//!   fault-injectable kernel variants ([`gemm::matmul_emulated_guarded`],
-//!   [`gemm::matmul_int_guarded`]) when an accumulator goes non-finite or
-//!   an INT16 chunk register overflows.
+//!   single fallible GEMM entry points ([`gemm::matmul_emulated_with`],
+//!   [`gemm::matmul_int_with`], configured by [`gemm::Exec`]) when an
+//!   accumulator goes non-finite or an INT16 chunk register overflows.
 //!
 //! # Example
 //!
 //! ```
-//! use rapid_numerics::{format::FpFormat, gemm, tensor::Tensor};
+//! use rapid_numerics::{fma::FmaMode, format::FpFormat, gemm, tensor::Tensor};
 //!
 //! // Quantize a value to FP8 (1,4,3) with the default bias.
 //! let f = FpFormat::fp8_e4m3();
@@ -55,7 +55,7 @@
 //! // Run a small GEMM through the HFP8 forward pipeline.
 //! let a = Tensor::from_vec(vec![2, 3], vec![0.5, -1.0, 2.0, 0.25, 1.5, -0.5]);
 //! let b = Tensor::from_vec(vec![3, 2], vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-//! let (c, stats) = gemm::matmul_hfp8_fwd(&a, &b, 64);
+//! let (c, stats) = gemm::matmul_emulated(FmaMode::hfp8_fwd_default(), &a, &b, 64);
 //! assert_eq!(c.shape(), &[2, 2]);
 //! assert_eq!(stats.macs, 12);
 //! ```

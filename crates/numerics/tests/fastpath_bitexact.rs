@@ -10,14 +10,20 @@
 use proptest::prelude::*;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::format::FpFormat;
+use rapid_fault::FaultPlan;
 use rapid_numerics::gemm::{
     conv2d_emulated, conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int,
     conv2d_int_scalar, conv2d_int_with_simd, matmul_emulated, matmul_emulated_scalar,
-    matmul_emulated_with_simd, matmul_int, matmul_int_scalar, matmul_int_with_simd, ConvScratch,
-    ConvSpec,
+    matmul_emulated_with, matmul_int, matmul_int_scalar, matmul_int_with, ConvScratch, ConvSpec,
+    Exec,
 };
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
-use rapid_numerics::{SimdMode, Tensor};
+use rapid_numerics::{GuardPolicy, NumericsError, SimdMode, Tensor};
+
+/// Every guard policy: without an active fault plan none of them may
+/// change a bit of the fast path's output or statistics.
+const GUARDS: [GuardPolicy; 3] =
+    [GuardPolicy::Propagate, GuardPolicy::Saturate, GuardPolicy::Error];
 
 /// Random tensor with roughly a third of the entries zeroed, so zero-gating
 /// statistics are exercised alongside the numerics.
@@ -133,7 +139,8 @@ proptest! {
     /// pins the portable tiled path. All float modes (FP16, HFP8 fwd with
     /// programmable biases, HFP8 bwd), depths away from lane multiples, and
     /// a B operand materialized from a transpose so panel packing sees
-    /// transposed data.
+    /// transposed data. Every pin runs through the single entry point under
+    /// each guard policy, with no fault plan and with a disabled one.
     #[test]
     fn float_gemm_bit_exact_across_backends(
         (m, k, n) in (1usize..5, 1usize..70, 1usize..100),
@@ -148,10 +155,16 @@ proptest! {
         let b = sparse_mat(vec![n, k], seed.wrapping_add(1), -600.0, 600.0).transposed();
         let (scalar, scalar_stats) = matmul_emulated_scalar(mode, &a, &b, chunk_len);
         for simd in [SimdMode::Force, SimdMode::Off] {
-            let (fast, fast_stats) =
-                matmul_emulated_with_simd(mode, &a, &b, chunk_len, simd).unwrap();
-            assert_bits_eq(&fast, &scalar);
-            prop_assert_eq!(fast_stats, scalar_stats, "{:?}", simd);
+            for guard in GUARDS {
+                for mut plan in [None, Some(FaultPlan::disabled())] {
+                    let exec = Exec { simd, guard, faults: plan.as_mut() };
+                    let (fast, fast_stats) =
+                        matmul_emulated_with(mode, &a, &b, chunk_len, exec).unwrap();
+                    assert_bits_eq(&fast, &scalar);
+                    let ctx = format!("{simd:?} {guard:?} plan={}", plan.is_some());
+                    prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+                }
+            }
         }
     }
 
@@ -159,7 +172,8 @@ proptest! {
     /// (INT2×INT2), widening madd (other pairs) and the tiled windowed
     /// path must all reproduce the IntAccumulator reference, including
     /// chunk lengths long enough that the saturation guard forces the
-    /// scalar accumulator regardless of the pin.
+    /// scalar accumulator regardless of the pin — under each guard policy,
+    /// with no fault plan and with a disabled one.
     #[test]
     fn int_gemm_bit_exact_across_backends(
         (m, k, n) in (1usize..4, 1usize..80, 1usize..100),
@@ -174,9 +188,31 @@ proptest! {
         let qb = int_params_from(fmt_b, b.max_abs());
         let (scalar, scalar_stats) = matmul_int_scalar(&a, &b, qa, qb, chunk_len);
         for simd in [SimdMode::Force, SimdMode::Off] {
-            let (fast, fast_stats) = matmul_int_with_simd(&a, &b, qa, qb, chunk_len, simd).unwrap();
-            assert_bits_eq(&fast, &scalar);
-            prop_assert_eq!(fast_stats, scalar_stats, "{:?}", simd);
+            for guard in GUARDS {
+                for mut plan in [None, Some(FaultPlan::disabled())] {
+                    let exec = Exec { simd, guard, faults: plan.as_mut() };
+                    match matmul_int_with(&a, &b, qa, qb, chunk_len, exec) {
+                        Ok((fast, fast_stats)) => {
+                            assert_bits_eq(&fast, &scalar);
+                            let ctx = format!("{simd:?} {guard:?} plan={}", plan.is_some());
+                            prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+                            // `Error` may not let a saturated register through.
+                            prop_assert!(
+                                guard != GuardPolicy::Error || fast_stats.saturations == 0
+                            );
+                        }
+                        // Under `Error` a chunk register that leaves the
+                        // INT16 range is located instead of returned.
+                        Err(e) => prop_assert!(
+                            guard == GuardPolicy::Error
+                                && matches!(e, NumericsError::Overflow { .. }),
+                            "{:?} under {:?}",
+                            e,
+                            guard
+                        ),
+                    }
+                }
+            }
         }
     }
 

@@ -10,7 +10,7 @@
 use rapid_fault::{FaultConfig, FaultCounts, FaultPlan};
 use rapid_numerics::abft::{abft_matmul_emulated, AbftReport};
 use rapid_numerics::fma::FmaMode;
-use rapid_numerics::gemm::{matmul_emulated_guarded, GemmStats};
+use rapid_numerics::gemm::{matmul_emulated_with, Exec, GemmStats};
 use rapid_numerics::{GuardPolicy, NumericsError, Tensor};
 use rapid_refnet::backend::{Backend, OperandRole};
 use rapid_telemetry::MetricsRegistry;
@@ -156,7 +156,8 @@ impl GuardedHfp8Backend {
             report.record_into(&mut reg, ABFT_METRIC_PREFIX);
             (c, stats)
         } else {
-            matmul_emulated_guarded(mode, a, b, self.chunk_len, self.policy, Some(&mut plan))?
+            let exec = Exec { guard: self.policy, faults: Some(&mut plan), ..Exec::default() };
+            matmul_emulated_with(mode, a, b, self.chunk_len, exec)?
         };
         let mut reg = self.metrics.borrow_mut();
         stats.record_into(&mut reg, BACKEND_METRIC_PREFIX);

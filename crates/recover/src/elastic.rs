@@ -38,7 +38,7 @@ use rapid_refnet::backend::{Backend, Fp32Backend};
 use rapid_refnet::data::Dataset;
 use rapid_refnet::mlp::{softmax_cross_entropy, Mlp};
 use rapid_ring::elastic::{
-    elastic_allreduce_instrumented, ElasticConfig, ElasticError, ElasticEvent, Membership,
+    elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, Membership,
 };
 use rapid_telemetry::Telemetry;
 
@@ -251,7 +251,7 @@ fn shard_range(start: usize, end: usize, idx: usize, of: usize) -> (usize, usize
 /// Trains `mlp` data-parallel over the `membership`'s world with the
 /// elastic collective: each step shards the batch over the current
 /// members, computes per-node SGD deltas, all-reduces them through
-/// [`elastic_allreduce_instrumented`] (healing crashes and hangs,
+/// [`elastic_allreduce`] (healing crashes and hangs,
 /// deadline-bounding stragglers), and applies the contributor mean —
 /// gradient averaging rescaled to the surviving world.
 ///
@@ -334,7 +334,7 @@ pub fn train_elastic(
                 unflatten(mlp, &snapshot);
             }
             // Elastic exchange: heals crashes/hangs, bounds stragglers.
-            let out = elastic_allreduce_instrumented(
+            let out = elastic_allreduce(
                 &deltas,
                 membership,
                 &cfg.ring,

@@ -7,7 +7,7 @@
 //! accumulation throughout.
 
 use rapid_numerics::fma::FmaMode;
-use rapid_numerics::gemm::{matmul_emulated_checked, matmul_f32_checked};
+use rapid_numerics::gemm::{matmul_emulated_with, matmul_f32_checked, Exec};
 use rapid_numerics::{NumericsError, Tensor};
 
 /// Role of a GEMM operand in the training dataflow.
@@ -88,7 +88,7 @@ impl Backend for Fp16Backend {
         b: &Tensor,
         _roles: (OperandRole, OperandRole),
     ) -> Result<Tensor, NumericsError> {
-        matmul_emulated_checked(FmaMode::Fp16, a, b, self.chunk_len).map(|(c, _)| c)
+        matmul_emulated_with(FmaMode::Fp16, a, b, self.chunk_len, Exec::default()).map(|(c, _)| c)
     }
 
     fn name(&self) -> &'static str {
@@ -119,11 +119,14 @@ impl Backend for Hfp8Backend {
         roles: (OperandRole, OperandRole),
     ) -> Result<Tensor, NumericsError> {
         use OperandRole::{Data, Error};
+        let mm = |mode, a: &Tensor, b: &Tensor| {
+            matmul_emulated_with(mode, a, b, self.chunk_len, Exec::default()).map(|(c, _)| c)
+        };
         match roles {
-            (Data, Data) => matmul_emulated_checked(FmaMode::hfp8_fwd_default(), a, b, self.chunk_len)
-                .map(|(c, _)| c),
-            (Data, Error) => matmul_emulated_checked(FmaMode::hfp8_bwd_default(), a, b, self.chunk_len)
-                .map(|(c, _)| c),
+            (Data, Data) => mm(FmaMode::hfp8_fwd_default(), a, b),
+            // Error × error products do not occur in the HFP8 dataflow;
+            // they fall back to the wider-range format on both ports.
+            (Data, Error) | (Error, Error) => mm(FmaMode::hfp8_bwd_default(), a, b),
             // The pipeline takes (1,4,3) on port A; compute the transpose
             // to present the error operand on port B: C = A×B = (BᵀAᵀ)ᵀ.
             (Error, Data) => {
@@ -133,19 +136,8 @@ impl Backend for Hfp8Backend {
                         actual: format!("a {:?} × b {:?}", a.shape(), b.shape()),
                     });
                 }
-                let ct = matmul_emulated_checked(
-                    FmaMode::hfp8_bwd_default(),
-                    &b.transposed(),
-                    &a.transposed(),
-                    self.chunk_len,
-                )?
-                .0;
-                Ok(ct.transposed())
+                Ok(mm(FmaMode::hfp8_bwd_default(), &b.transposed(), &a.transposed())?.transposed())
             }
-            // Error × error products do not occur in the HFP8 dataflow;
-            // fall back to the wider-range format on both ports.
-            (Error, Error) => matmul_emulated_checked(FmaMode::hfp8_bwd_default(), a, b, self.chunk_len)
-                .map(|(c, _)| c),
         }
     }
 

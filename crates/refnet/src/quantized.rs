@@ -5,7 +5,7 @@
 use crate::backend::{Backend, Fp32Backend};
 use crate::data::Dataset;
 use crate::mlp::Mlp;
-use rapid_numerics::gemm::matmul_int_checked;
+use rapid_numerics::gemm::{matmul_int_with, Exec};
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid_numerics::{NumericsError, Tensor};
 use rapid_quant::sawb::sawb_params;
@@ -83,12 +83,13 @@ impl QuantizedMlp {
         let depth = self.model.depth();
         let mut cur = x.clone();
         for i in 0..depth {
-            let (z, _stats) = matmul_int_checked(
+            let (z, _stats) = matmul_int_with(
                 &cur,
                 self.model.weights(i),
                 self.act_params[i],
                 self.weight_params[i],
                 self.chunk_len,
+                Exec::default(),
             )?;
             cur = if i + 1 < depth { z.map(|v| v.max(0.0)) } else { z };
         }

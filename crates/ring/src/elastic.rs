@@ -421,6 +421,11 @@ fn ideal_exchange_cycles(n: usize, elems: usize, cfg: &ReliableConfig) -> u64 {
 /// all fixed cycle charges, and the survivor exchange inherits the
 /// reliable protocol's bounded-retry guarantee.
 ///
+/// With `tele = Some`, the exchange's [`ElasticHealth`] accumulates into
+/// the bundle under `ring.elastic.*` (plus a `ring.elastic.exchanges` call
+/// counter and, when the bundle records spans, one `exchange` span with
+/// its detect/heal/transfer stages). `tele = None` records nothing.
+///
 /// # Errors
 ///
 /// [`ElasticError::InvalidConfig`] on shape mismatches,
@@ -432,6 +437,7 @@ pub fn elastic_allreduce(
     membership: &mut Membership,
     cfg: &ElasticConfig,
     mut faults: Option<&mut FaultPlan>,
+    tele: Option<&mut rapid_telemetry::Telemetry>,
 ) -> Result<ElasticOutcome, ElasticError> {
     if inputs.len() != membership.world() as usize {
         return Err(ElasticError::InvalidConfig(format!(
@@ -574,7 +580,7 @@ pub fn elastic_allreduce(
         },
         ..cfg.reliable
     };
-    let (reduced, transport) = reliable_allreduce(&contributor_inputs, &rcfg, faults)?;
+    let (reduced, transport) = reliable_allreduce(&contributor_inputs, &rcfg, faults, None)?;
     health.transport = transport;
     // A dropped straggler's deadline expires before the fallback
     // completes; a retained one stretches the exchange by its factor.
@@ -588,31 +594,7 @@ pub fn elastic_allreduce(
         health.ideal_cycles = health.cycles.max(1);
     }
 
-    Ok(ElasticOutcome {
-        reduced,
-        contributors,
-        epoch: membership.epoch(),
-        health,
-        events,
-    })
-}
-
-/// [`elastic_allreduce`] that additionally accumulates the exchange's
-/// [`ElasticHealth`] into a telemetry bundle under `ring.elastic.*` (plus
-/// a `ring.elastic.exchanges` call counter). `tele = None` is exactly
-/// [`elastic_allreduce`].
-///
-/// # Errors
-///
-/// Same contract as [`elastic_allreduce`].
-pub fn elastic_allreduce_instrumented(
-    inputs: &[Vec<f32>],
-    membership: &mut Membership,
-    cfg: &ElasticConfig,
-    faults: Option<&mut FaultPlan>,
-    tele: Option<&mut rapid_telemetry::Telemetry>,
-) -> Result<ElasticOutcome, ElasticError> {
-    let out = elastic_allreduce(inputs, membership, cfg, faults)?;
+    let out = ElasticOutcome { reduced, contributors, epoch: membership.epoch(), health, events };
     if let Some(t) = tele {
         // The cumulative exchange-cycle counter doubles as the span time
         // base: exchange N starts where exchange N-1 ended, so a whole
@@ -687,7 +669,7 @@ mod tests {
         // The next exchange proceeds over the survivors.
         let inputs = gradients(4, 1024);
         let cfg = ElasticConfig::rapid_training(4, true);
-        let out = elastic_allreduce(&inputs, &mut mem, &cfg, None).unwrap();
+        let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
         assert_eq!(out.contributors, vec![0, 1, 3]);
         assert_eq!(out.epoch, 1);
         // Healthy fleets and non-members are untouched; no epoch churn.
@@ -704,8 +686,8 @@ mod tests {
         let inputs = gradients(4, 4096);
         let cfg = ElasticConfig::rapid_training(4, true);
         let mut mem = Membership::new(4).unwrap();
-        let out = elastic_allreduce(&inputs, &mut mem, &cfg, None).unwrap();
-        let (expect, rh) = reliable_allreduce(&inputs, &cfg.reliable, None).unwrap();
+        let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
+        let (expect, rh) = reliable_allreduce(&inputs, &cfg.reliable, None, None).unwrap();
         assert_eq!(out.reduced, expect);
         assert_eq!(out.contributors, vec![0, 1, 2, 3]);
         assert_eq!(out.epoch, 0);
@@ -721,7 +703,7 @@ mod tests {
         let cfg = ElasticConfig::rapid_training(4, true);
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(11, 1.0, 1);
-        let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).unwrap();
+        let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap();
         assert_eq!(out.health.crashes_detected, 1);
         assert_eq!(out.health.splices, 1);
         assert_eq!(out.contributors.len(), 3);
@@ -733,7 +715,7 @@ mod tests {
         let survivor_inputs: Vec<Vec<f32>> =
             out.contributors.iter().map(|&m| inputs[m as usize].clone()).collect();
         let rcfg = ReliableConfig::rapid_training(3, true);
-        let (expect, _) = reliable_allreduce(&survivor_inputs, &rcfg, None).unwrap();
+        let (expect, _) = reliable_allreduce(&survivor_inputs, &rcfg, None, None).unwrap();
         assert_eq!(out.reduced, expect);
         // Healing costs cycles: detection + epoch + re-reduction.
         assert!(out.health.cycles > out.health.transport.cycles);
@@ -754,7 +736,7 @@ mod tests {
                 node_slow_factor: 1.5,
                 ..FaultConfig::default()
             });
-            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).unwrap()
+            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap()
         };
         let a = run(42);
         let b = run(42);
@@ -777,7 +759,7 @@ mod tests {
                 node_fault_budget: 1,
                 ..FaultConfig::default()
             });
-            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan))
+            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None)
                 .unwrap()
                 .health
                 .detect_cycles
@@ -806,7 +788,7 @@ mod tests {
                 node_slow_factor: factor,
                 ..FaultConfig::default()
             });
-            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).unwrap()
+            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap()
         };
         // Factor 1.5 ≤ deadline 2.0: everyone retained, exchange stretched.
         let retained = run(1.0, 1.5);
@@ -826,7 +808,7 @@ mod tests {
                     node_slow_factor: 4.0,
                     ..FaultConfig::default()
                 });
-                elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan))
+                elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None)
                     .ok()
                     .filter(|o| (1..=3).contains(&o.health.stragglers_dropped))
             })
@@ -844,7 +826,7 @@ mod tests {
             node_slow_factor: 4.0,
             ..FaultConfig::default()
         });
-        let err = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).unwrap_err();
+        let err = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap_err();
         assert!(matches!(err, ElasticError::WorldTooSmall { survivors: 0, .. }), "{err}");
     }
 
@@ -855,7 +837,7 @@ mod tests {
         cfg.min_world = 2;
         let mut mem = Membership::new(2).unwrap();
         let mut plan = crash_plan(3, 1.0, u64::MAX);
-        let err = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).unwrap_err();
+        let err = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap_err();
         assert!(matches!(err, ElasticError::WorldTooSmall { .. }), "{err}");
     }
 
@@ -891,14 +873,8 @@ mod tests {
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::default();
-        let out = elastic_allreduce_instrumented(
-            &inputs,
-            &mut mem,
-            &cfg,
-            Some(&mut plan),
-            Some(&mut tele),
-        )
-        .unwrap();
+        let out =
+            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), Some(&mut tele)).unwrap();
         assert_eq!(tele.registry.counter("ring.elastic.exchanges"), 1);
         assert_eq!(tele.registry.counter("ring.elastic.crashes_detected"), 1);
         let round = ElasticHealth::from_registry(&tele.registry, "ring.elastic");
@@ -916,14 +892,7 @@ mod tests {
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::with_spans();
         for _ in 0..3 {
-            elastic_allreduce_instrumented(
-                &inputs,
-                &mut mem,
-                &cfg,
-                Some(&mut plan),
-                Some(&mut tele),
-            )
-            .unwrap();
+            elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), Some(&mut tele)).unwrap();
         }
         let spans = tele.spans.as_ref().unwrap().spans();
         validate_forest(spans).unwrap();

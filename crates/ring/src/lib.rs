@@ -48,12 +48,10 @@ pub mod sim;
 pub use allreduce::{analytic_allreduce_cycles, simulate_allreduce, AllReduceConfig, AllReduceResult};
 pub use crc::{crc8, crc8_f32, CRC8_POLY};
 pub use elastic::{
-    demote_unhealthy, elastic_allreduce, elastic_allreduce_instrumented, ElasticConfig,
-    ElasticError, ElasticEvent, ElasticHealth, ElasticOutcome, HeartbeatDetector, Membership,
+    demote_unhealthy, elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, ElasticHealth,
+    ElasticOutcome, HeartbeatDetector, Membership,
 };
-pub use reliable::{
-    reliable_allreduce, reliable_allreduce_instrumented, ReliableConfig, ReliableError, RingHealth,
-};
+pub use reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth};
 pub use channel::{Channel, Direction, Flit, FLIT_BYTES};
 pub use node::MniNode;
 pub use sim::{memory_read, multicast, unicast, RingError, RingSim, RingTimeout, RING_TRACE_PID};

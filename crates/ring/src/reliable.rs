@@ -268,6 +268,8 @@ fn simulate_link(
 /// Returns the reduced vector — the element-wise sum every chip ends up
 /// holding, **bit-identical to the fault-free run** because delivery is
 /// exactly-once and in fixed ring order — plus the [`RingHealth`] report.
+/// With `tele = Some` the report also accumulates into the bundle under
+/// `ring.reliable.*` (plus a `ring.reliable.exchanges` call counter).
 ///
 /// # Errors
 ///
@@ -279,6 +281,7 @@ pub fn reliable_allreduce(
     inputs: &[Vec<f32>],
     cfg: &ReliableConfig,
     mut faults: Option<&mut FaultPlan>,
+    tele: Option<&mut rapid_telemetry::Telemetry>,
 ) -> Result<(Vec<f32>, RingHealth), ReliableError> {
     let n = inputs.len();
     if n == 0 {
@@ -316,10 +319,8 @@ pub fn reliable_allreduce(
     }
 
     // ---- timing: chunked ack/retransmit per link --------------------
+    // A single chip has no ring steps: both phases run zero times.
     let mut health = RingHealth::default();
-    if n == 1 {
-        return Ok((reduced, health));
-    }
     let max_shard = elems.div_ceil(n);
     let chunks_per_shard = (max_shard.div_ceil(cfg.chunk_elems)) as u64;
     let chunk_cycles = |elem_bytes: f64| -> u64 {
@@ -369,29 +370,11 @@ pub fn reliable_allreduce(
     }
     health.cycles = total;
     health.ideal_cycles = ideal;
-    Ok((reduced, health))
-}
-
-/// [`reliable_allreduce`] that additionally accumulates the exchange's
-/// [`RingHealth`] into a telemetry bundle under `ring.reliable.*` (plus a
-/// `ring.reliable.exchanges` call counter). `tele = None` is exactly
-/// [`reliable_allreduce`].
-///
-/// # Errors
-///
-/// Same contract as [`reliable_allreduce`].
-pub fn reliable_allreduce_instrumented(
-    inputs: &[Vec<f32>],
-    cfg: &ReliableConfig,
-    faults: Option<&mut FaultPlan>,
-    tele: Option<&mut rapid_telemetry::Telemetry>,
-) -> Result<(Vec<f32>, RingHealth), ReliableError> {
-    let (out, health) = reliable_allreduce(inputs, cfg, faults)?;
     if let Some(t) = tele {
         health.record_into(&mut t.registry, "ring.reliable");
         t.registry.incr("ring.reliable.exchanges");
     }
-    Ok((out, health))
+    Ok((reduced, health))
 }
 
 #[cfg(test)]
@@ -424,7 +407,7 @@ mod tests {
     fn fault_free_matches_elementwise_sum() {
         let inputs = gradients(4, 1000);
         let cfg = ReliableConfig::rapid_training(4, true);
-        let (out, health) = reliable_allreduce(&inputs, &cfg, None).unwrap();
+        let (out, health) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         for (i, &v) in out.iter().enumerate() {
             let direct: f32 = (0..4).map(|c| inputs[c][i]).sum();
             // Ring order is a rotation of chip order; both are exact here
@@ -446,9 +429,9 @@ mod tests {
     fn values_are_bit_identical_under_faults() {
         let inputs = gradients(4, 65_536);
         let cfg = ReliableConfig::rapid_training(4, true);
-        let (clean, _) = reliable_allreduce(&inputs, &cfg, None).unwrap();
+        let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = faulty_plan(17, 0.05, 0.02, 0.02);
-        let (dirty, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan)).unwrap();
+        let (dirty, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap();
         assert_eq!(clean, dirty, "faults must never change reduced values");
         assert!(health.retransmits > 0, "expected drops at 1%: {health:?}");
         assert!(health.duplicates_discarded > 0, "expected dupes: {health:?}");
@@ -461,13 +444,13 @@ mod tests {
         let inputs = gradients(4, 32_768);
         let cfg = ReliableConfig::rapid_training(4, true);
         assert!(cfg.crc, "training links default to CRC protection");
-        let (clean, _) = reliable_allreduce(&inputs, &cfg, None).unwrap();
+        let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
             seed: 23,
             ring_corrupt_rate: 0.03,
             ..FaultConfig::default()
         });
-        let (out, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan)).unwrap();
+        let (out, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap();
         assert_eq!(out, clean, "CRC-protected corruption must never reach the values");
         assert!(health.crc_retransmits > 0, "3% corruption must fire: {health:?}");
         assert_eq!(health.silent_corruptions, 0);
@@ -479,13 +462,13 @@ mod tests {
         let inputs = gradients(4, 32_768);
         let cfg =
             ReliableConfig { crc: false, ..ReliableConfig::rapid_training(4, true) };
-        let (clean, _) = reliable_allreduce(&inputs, &cfg, None).unwrap();
+        let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
             seed: 23,
             ring_corrupt_rate: 0.03,
             ..FaultConfig::default()
         });
-        let (out, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan)).unwrap();
+        let (out, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap();
         assert!(health.silent_corruptions > 0, "{health:?}");
         assert_eq!(health.crc_retransmits, 0);
         assert_ne!(out, clean, "silent corruption must be visible in the reduced values");
@@ -500,8 +483,8 @@ mod tests {
         let cfg = ReliableConfig::rapid_training(4, true);
         let mut mild = faulty_plan(5, 0.002, 0.0, 0.0);
         let mut harsh = faulty_plan(5, 0.02, 0.0, 0.0);
-        let (_, h_mild) = reliable_allreduce(&inputs, &cfg, Some(&mut mild)).unwrap();
-        let (_, h_harsh) = reliable_allreduce(&inputs, &cfg, Some(&mut harsh)).unwrap();
+        let (_, h_mild) = reliable_allreduce(&inputs, &cfg, Some(&mut mild), None).unwrap();
+        let (_, h_harsh) = reliable_allreduce(&inputs, &cfg, Some(&mut harsh), None).unwrap();
         assert!(h_harsh.retransmits > h_mild.retransmits);
         assert!(h_harsh.cycles >= h_mild.cycles);
     }
@@ -514,7 +497,7 @@ mod tests {
             ..ReliableConfig::rapid_training(2, true)
         };
         let mut plan = faulty_plan(3, 0.95, 0.0, 0.0);
-        let err = reliable_allreduce(&inputs, &cfg, Some(&mut plan)).unwrap_err();
+        let err = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap_err();
         assert!(matches!(err, ReliableError::RetriesExhausted { .. }), "{err}");
     }
 
@@ -522,16 +505,16 @@ mod tests {
     fn invalid_configs_are_rejected() {
         let cfg = ReliableConfig::rapid_training(4, true);
         assert!(matches!(
-            reliable_allreduce(&[], &cfg, None),
+            reliable_allreduce(&[], &cfg, None, None),
             Err(ReliableError::InvalidConfig(_))
         ));
         assert!(matches!(
-            reliable_allreduce(&gradients(3, 16), &cfg, None),
+            reliable_allreduce(&gradients(3, 16), &cfg, None, None),
             Err(ReliableError::InvalidConfig(_))
         ));
         let ragged = vec![vec![0.0; 8], vec![0.0; 9], vec![0.0; 8], vec![0.0; 8]];
         assert!(matches!(
-            reliable_allreduce(&ragged, &cfg, None),
+            reliable_allreduce(&ragged, &cfg, None, None),
             Err(ReliableError::InvalidConfig(_))
         ));
     }
@@ -540,7 +523,7 @@ mod tests {
     fn single_chip_is_free_and_identity() {
         let inputs = gradients(1, 64);
         let cfg = ReliableConfig::rapid_training(1, true);
-        let (out, health) = reliable_allreduce(&inputs, &cfg, None).unwrap();
+        let (out, health) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         assert_eq!(out, inputs[0]);
         assert_eq!(health.cycles, 0);
     }

@@ -11,7 +11,7 @@
 //! Robustness invariants, enforced by construction:
 //!
 //! - **Conservation**: every submitted request flows through the single
-//!   [`ServeEngine::finish`] path exactly once —
+//!   `ServeEngine::finish` path exactly once —
 //!   `completed + rejected + shed + timed_out == submitted` after drain.
 //! - **No late deliveries**: a completion past its deadline is converted
 //!   to `TimedOut(Exec)` before it reaches the client, unconditionally.

@@ -51,21 +51,8 @@ pub struct ChipSimResult {
     pub cores: Vec<SimResult>,
 }
 
-/// Simulates a GEMM across `n_cores` cores of a chip.
-///
-/// # Panics
-///
-/// Panics if shapes are incompatible or `n_cores == 0`. Use
-/// [`try_run_chip_gemm`] for a structured error instead.
-// Infallible wrapper: the only failures are the validated job shape and
-// core count; the ring budget is far above any reachable drain time.
-#[allow(clippy::expect_used)]
-pub fn run_chip_gemm(job: &ChipGemmJob, core_cfg: CoreConfig, n_cores: usize) -> ChipSimResult {
-    try_run_chip_gemm(job, core_cfg, n_cores).expect("invalid chip GEMM job")
-}
-
-/// [`run_chip_gemm`] that surfaces malformed jobs and simulation failures
-/// as [`SimError`] instead of panicking.
+/// Simulates a GEMM across `n_cores` healthy cores of a chip, with a
+/// fault-free ring and no instrumentation.
 ///
 /// # Errors
 ///
@@ -78,96 +65,41 @@ pub fn try_run_chip_gemm(
     core_cfg: CoreConfig,
     n_cores: usize,
 ) -> Result<ChipSimResult, SimError> {
-    try_run_chip_gemm_with(job, core_cfg, n_cores, None)
+    try_run_chip_gemm_with(job, core_cfg, n_cores, 0, None, None)
 }
 
-/// [`try_run_chip_gemm`] with an optional fault plan applied to the
-/// operand-distribution ring (drops, duplicates, slot delays). The compute
-/// phase is unaffected; ring faults show up as distribution-cycle
-/// inflation, never as value corruption (dropped flits are retransmitted).
+/// [`try_run_chip_gemm`] with every execution option explicit — the single
+/// full entry point of the chip simulation.
 ///
-/// # Errors
-///
-/// Same contract as [`try_run_chip_gemm`].
-pub fn try_run_chip_gemm_with(
-    job: &ChipGemmJob,
-    core_cfg: CoreConfig,
-    n_cores: usize,
-    ring_faults: Option<FaultPlan>,
-) -> Result<ChipSimResult, SimError> {
-    try_run_chip_gemm_degraded(job, core_cfg, n_cores, 0, ring_faults)
-}
-
-/// [`try_run_chip_gemm_with`] on a chip with permanently failed cores:
-/// bit `i` of `failed_mask` marks core `i` dead (the mask a
-/// [`rapid_fault::FaultConfig::core_failed_mask`] carries, or one built
-/// directly). The failed cores take no work — their column partitions are
-/// remapped across the survivors — while the ring keeps its full node
-/// count (the physical interconnect is intact; a dead core's station just
-/// forwards).
-///
-/// Because every output element is an independent chunked accumulation
-/// along `k`, the remap changes only *which core* computes each column,
-/// never the value: the degraded result is bit-identical to the healthy
-/// chip's, and only `compute_cycles`/`total_cycles` pay for the loss.
+/// * `failed_mask` — bit `i` marks core `i` out of service: permanently
+///   dead (the mask a [`rapid_fault::FaultConfig::core_failed_mask`]
+///   carries) or quarantined by the health monitor (pass a
+///   `rapid_health::CoreMap`'s `cores()` and `failed_mask()`, consulted
+///   between batches). Masked cores take no work — their column partitions
+///   are remapped across the survivors — while the ring keeps its full
+///   node count (the physical interconnect is intact; a dead core's
+///   station just forwards). Because every output element is an
+///   independent chunked accumulation along `k`, the remap changes only
+///   *which core* computes each column, never the value: the degraded
+///   result is bit-identical to the healthy chip's, and only
+///   `compute_cycles`/`total_cycles` pay for the loss.
+/// * `ring_faults` — a fault plan applied to the operand-distribution ring
+///   (drops, duplicates, slot delays). The compute phase is unaffected;
+///   ring faults show up as distribution-cycle inflation, never as value
+///   corruption (dropped flits are retransmitted).
+/// * `tele` — with `Some`, distribution/compute/total cycle counters and
+///   ring transport statistics accumulate under `chip.*`, every core
+///   contributes its `sim.core<id>.*` counters, and — when the bundle
+///   carries a trace sink — the trace gains the per-core sequencer/array
+///   tracks, a `ring` track group with per-node flit events, and an `sfu`
+///   track timing the operand quantization that runs on the SFU arrays.
+///   `None` is the byte-for-byte uninstrumented path.
 ///
 /// # Errors
 ///
 /// [`SimError::InvalidConfig`] when every core is masked out; otherwise
 /// the same contract as [`try_run_chip_gemm`].
-pub fn try_run_chip_gemm_degraded(
-    job: &ChipGemmJob,
-    core_cfg: CoreConfig,
-    n_cores: usize,
-    failed_mask: u64,
-    ring_faults: Option<FaultPlan>,
-) -> Result<ChipSimResult, SimError> {
-    try_run_chip_gemm_telemetry(job, core_cfg, n_cores, failed_mask, ring_faults, None)
-}
-
-/// [`try_run_chip_gemm_degraded`] driven by a live health
-/// [`CoreMap`](rapid_health::CoreMap) instead of a static mask — the
-/// dynamic generalization the online health monitor maintains. Consult the
-/// map between batches: quarantined cores take no work (their column
-/// partitions remap across the in-service cores, values unchanged), and a
-/// reinstated core resumes work on the next call with no other state to
-/// update. `map.epoch()` is the cheap staleness check for callers caching
-/// anything derived from the layout.
-///
-/// # Errors
-///
-/// [`SimError::InvalidConfig`] when the map has excluded every core;
-/// otherwise the same contract as [`try_run_chip_gemm`].
-pub fn try_run_chip_gemm_mapped(
-    job: &ChipGemmJob,
-    core_cfg: CoreConfig,
-    map: &rapid_health::CoreMap,
-    ring_faults: Option<FaultPlan>,
-    tele: Option<&mut Telemetry>,
-) -> Result<ChipSimResult, SimError> {
-    try_run_chip_gemm_telemetry(
-        job,
-        core_cfg,
-        map.cores() as usize,
-        map.failed_mask(),
-        ring_faults,
-        tele,
-    )
-}
-
-/// [`try_run_chip_gemm_degraded`] with an optional telemetry bundle. With
-/// `tele = Some`, distribution/compute/total cycle counters and ring
-/// transport statistics accumulate under `chip.*`, every core contributes
-/// its `sim.core<id>.*` counters, and — when the bundle carries a trace
-/// sink — the trace gains the per-core sequencer/array tracks, a `ring`
-/// track group with per-node flit events, and an `sfu` track timing the
-/// operand quantization that runs on the SFU arrays. `tele = None` is the
-/// byte-for-byte uninstrumented path.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_chip_gemm_degraded`].
-pub fn try_run_chip_gemm_telemetry(
+pub fn try_run_chip_gemm_with(
     job: &ChipGemmJob,
     core_cfg: CoreConfig,
     n_cores: usize,
@@ -259,7 +191,7 @@ pub fn try_run_chip_gemm_telemetry(
             }
         }
         let sim = CoreSim::new(core_cfg).with_core_id(core_id as u32);
-        let r = sim.try_run_gemm_instrumented(
+        let r = sim.try_run_gemm(
             &GemmJob { a: job.a.clone(), b: b_slice, precision: job.precision },
             None,
             tele.as_deref_mut(),
@@ -305,7 +237,7 @@ mod tests {
     #[test]
     fn chip_gemm_is_bitexact_vs_emulated() {
         let j = job(8, 128, 256, Precision::Fp16);
-        let r = run_chip_gemm(&j, CoreConfig::default(), 4);
+        let r = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
         let ci_lrf = CoreConfig::default().corelet.ci_lrf_max(Precision::Fp16) as usize;
         let (expect, _) = matmul_emulated(FmaMode::Fp16, &j.a, &j.b, ci_lrf);
         assert_eq!(r.c, expect);
@@ -314,8 +246,8 @@ mod tests {
     #[test]
     fn more_cores_cut_compute_cycles() {
         let j = job(16, 256, 512, Precision::Fp16);
-        let one = run_chip_gemm(&j, CoreConfig::default(), 1);
-        let four = run_chip_gemm(&j, CoreConfig::default(), 4);
+        let one = try_run_chip_gemm(&j, CoreConfig::default(), 1).unwrap();
+        let four = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
         assert!(
             four.compute_cycles * 3 < one.compute_cycles,
             "4-core {} vs 1-core {}",
@@ -328,7 +260,7 @@ mod tests {
     #[test]
     fn distribution_overlaps_with_compute() {
         let j = job(16, 256, 256, Precision::Fp16);
-        let r = run_chip_gemm(&j, CoreConfig::default(), 4);
+        let r = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
         assert!(r.total_cycles < r.compute_cycles + r.distribution_cycles);
         assert!(r.total_cycles >= r.compute_cycles.max(r.distribution_cycles));
     }
@@ -351,14 +283,14 @@ mod tests {
     fn ring_faults_inflate_distribution_but_never_values() {
         use rapid_fault::{FaultConfig, FaultPlan};
         let j = job(8, 128, 128, Precision::Fp16);
-        let clean = run_chip_gemm(&j, CoreConfig::default(), 4);
+        let clean = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
         let plan = FaultPlan::new(FaultConfig {
             seed: 11,
             ring_drop_rate: 0.02,
             ring_delay_rate: 0.01,
             ..FaultConfig::default()
         });
-        let faulty = try_run_chip_gemm_with(&j, CoreConfig::default(), 4, Some(plan))
+        let faulty = try_run_chip_gemm_with(&j, CoreConfig::default(), 4, 0, Some(plan), None)
             .expect("drops are retransmitted, not lost");
         assert_eq!(faulty.c, clean.c, "ring faults must not corrupt values");
         assert!(
@@ -372,10 +304,10 @@ mod tests {
     #[test]
     fn degraded_chip_keeps_values_and_pays_cycles() {
         let j = job(8, 128, 256, Precision::Fp16);
-        let healthy = run_chip_gemm(&j, CoreConfig::default(), 4);
+        let healthy = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
         // Core 2 dead: work remaps across cores {0, 1, 3}.
         let degraded =
-            try_run_chip_gemm_degraded(&j, CoreConfig::default(), 4, 0b0100, None).unwrap();
+            try_run_chip_gemm_with(&j, CoreConfig::default(), 4, 0b0100, None, None).unwrap();
         assert_eq!(degraded.c, healthy.c, "remap must not change values");
         assert_eq!(degraded.cores.len(), 3);
         assert!(
@@ -386,38 +318,7 @@ mod tests {
         );
         // All cores dead is a configuration error, not a panic.
         assert!(matches!(
-            try_run_chip_gemm_degraded(&j, CoreConfig::default(), 4, 0b1111, None),
-            Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn mapped_chip_follows_quarantine_and_reinstatement() {
-        use rapid_health::CoreMap;
-        let j = job(8, 128, 256, Precision::Fp16);
-        let healthy = run_chip_gemm(&j, CoreConfig::default(), 4);
-        let mut map = CoreMap::new(4);
-        // Full-strength map is identical to the plain path.
-        let r = try_run_chip_gemm_mapped(&j, CoreConfig::default(), &map, None, None).unwrap();
-        assert_eq!(r.c, healthy.c);
-        assert_eq!(r.cores.len(), 4);
-        // Quarantining core 2 matches the static-degraded result exactly.
-        map.exclude(2);
-        let q = try_run_chip_gemm_mapped(&j, CoreConfig::default(), &map, None, None).unwrap();
-        let s = try_run_chip_gemm_degraded(&j, CoreConfig::default(), 4, 0b0100, None).unwrap();
-        assert_eq!(q.c, healthy.c, "remap must not change values");
-        assert_eq!(q.compute_cycles, s.compute_cycles);
-        assert_eq!(q.cores.len(), 3);
-        // Reinstatement restores full strength on the next batch.
-        map.restore(2);
-        let back = try_run_chip_gemm_mapped(&j, CoreConfig::default(), &map, None, None).unwrap();
-        assert_eq!(back.compute_cycles, healthy.compute_cycles);
-        // An empty map is a configuration error, not a panic.
-        for c in 0..4 {
-            map.exclude(c);
-        }
-        assert!(matches!(
-            try_run_chip_gemm_mapped(&j, CoreConfig::default(), &map, None, None),
+            try_run_chip_gemm_with(&j, CoreConfig::default(), 4, 0b1111, None, None),
             Err(SimError::InvalidConfig(_))
         ));
     }

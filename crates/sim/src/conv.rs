@@ -7,7 +7,7 @@ use crate::error::SimError;
 use crate::gemm::{CoreSim, GemmJob, SimResult};
 use crate::sfu::{SfuStage, SfuUnit};
 use rapid_arch::precision::Precision;
-use rapid_numerics::gemm::{im2col_into, ConvSpec};
+use rapid_numerics::gemm::{im2col, ConvSpec};
 use rapid_numerics::{NumericsError, Tensor};
 
 /// A convolution job for the core simulator.
@@ -51,19 +51,6 @@ impl ConvSimResult {
 /// Runs a convolution on the core: im2col → systolic GEMM → (optional)
 /// fused SFU stage → fold to `[n, co, ho, wo]`.
 ///
-/// # Panics
-///
-/// Panics if the operand ranks or channel counts are inconsistent, or the
-/// precision is FP32 (SFU-only). Use [`try_run_conv`] for an error instead.
-// Infallible wrapper: the only failures are the validated job shapes.
-#[allow(clippy::expect_used)]
-pub fn run_conv(core: &CoreSim, job: &ConvJob) -> ConvSimResult {
-    try_run_conv(core, job).expect("invalid conv job")
-}
-
-/// [`run_conv`] that surfaces malformed jobs as [`SimError`] instead of
-/// panicking.
-///
 /// # Errors
 ///
 /// Returns [`SimError::Numerics`] wrapping
@@ -71,22 +58,6 @@ pub fn run_conv(core: &CoreSim, job: &ConvJob) -> ConvSimResult {
 /// channel counts and [`NumericsError::InvalidFormat`] for FP32, and
 /// propagates any error of the underlying GEMM simulation.
 pub fn try_run_conv(core: &CoreSim, job: &ConvJob) -> Result<ConvSimResult, SimError> {
-    try_run_conv_with_scratch(core, job, &mut Tensor::default())
-}
-
-/// [`try_run_conv`] reusing a caller-provided im2col scratch tensor, so
-/// repeated convolutions (e.g. layer sweeps) don't reallocate the lowered
-/// matrix on every call. The scratch is resized in place and its previous
-/// contents are discarded.
-///
-/// # Errors
-///
-/// Same contract as [`try_run_conv`].
-pub fn try_run_conv_with_scratch(
-    core: &CoreSim,
-    job: &ConvJob,
-    cols_scratch: &mut Tensor,
-) -> Result<ConvSimResult, SimError> {
     if job.input.shape().len() != 4 || job.weight.shape().len() != 4 {
         return Err(SimError::Numerics(NumericsError::ShapeMismatch {
             expected: "input [n, ci, h, w] and weight [co, ci, kh, kw]".to_string(),
@@ -114,18 +85,15 @@ pub fn try_run_conv_with_scratch(
     let ho = job.spec.out_dim(h, kh);
     let wo = job.spec.out_dim(w, kw);
 
-    im2col_into(&job.input, kh, kw, job.spec, cols_scratch);
+    let cols = im2col(&job.input, kh, kw, job.spec);
     let wmat = job
         .weight
         .clone()
         .reshape(vec![co, ci * kh * kw])
         .map_err(SimError::Numerics)?
         .transposed();
-    // Move the scratch buffer into the job (GemmJob owns its operands) and
-    // hand it back afterwards so the allocation survives for the next call.
-    let gjob = GemmJob { a: std::mem::take(cols_scratch), b: wmat, precision: job.precision };
-    let gemm = core.try_run_gemm(&gjob)?;
-    *cols_scratch = gjob.a;
+    let gjob = GemmJob { a: cols, b: wmat, precision: job.precision };
+    let gemm = core.try_run_gemm(&gjob, None, None)?;
 
     // Fused SFU stage over the flat output stream.
     let (flat, sfu_cycles, sfu_exposed) = match &job.sfu {
@@ -179,7 +147,7 @@ mod tests {
             precision: Precision::Fp16,
             sfu: None,
         };
-        let r = run_conv(&core, &job);
+        let r = try_run_conv(&core, &job).unwrap();
         assert_eq!(r.output.shape(), &[1, 16, 6, 6]);
         let ci_lrf = core.config().corelet.ci_lrf_max(Precision::Fp16) as usize;
         let (expect, _) =
@@ -197,7 +165,7 @@ mod tests {
             precision: Precision::Fp16,
             sfu: Some(SfuStage::Relu),
         };
-        let r = run_conv(&core, &job);
+        let r = try_run_conv(&core, &job).unwrap();
         assert!(r.output.as_slice().iter().all(|&v| v >= 0.0));
         assert!(r.sfu_cycles > 0);
     }
@@ -212,7 +180,7 @@ mod tests {
             precision: Precision::Fp16,
             sfu: Some(SfuStage::Relu),
         };
-        let r = run_conv(&core, &job);
+        let r = try_run_conv(&core, &job).unwrap();
         // 2048 outputs over 256 SFU lanes ≈ 16 cycles — trivially hidden
         // under thousands of array cycles.
         assert_eq!(r.sfu_exposed_cycles, 0, "relu should hide: {r:?}");
@@ -220,7 +188,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_reuse_is_bit_exact_and_errors_surface() {
+    fn repeat_runs_are_bit_exact_and_errors_surface() {
         let core = CoreSim::rapid();
         let job = ConvJob {
             input: Tensor::random_uniform(vec![1, 4, 5, 5], -1.0, 1.0, 80),
@@ -229,13 +197,11 @@ mod tests {
             precision: Precision::Hfp8,
             sfu: None,
         };
-        let fresh = run_conv(&core, &job);
-        // Dirty scratch from a differently-shaped run must not leak in.
-        let mut scratch = Tensor::random_uniform(vec![7, 9], -3.0, 3.0, 82);
-        let reused = try_run_conv_with_scratch(&core, &job, &mut scratch).unwrap();
-        assert_eq!(reused.output, fresh.output);
-        // The scratch now holds the im2col matrix, ready for reuse.
-        assert_eq!(scratch.shape(), &[25, 36]);
+        let fresh = try_run_conv(&core, &job).unwrap();
+        // No state carries from one run into the next.
+        let again = try_run_conv(&core, &job).unwrap();
+        assert_eq!(again.output, fresh.output);
+        assert_eq!(again.total_cycles(), fresh.total_cycles());
 
         let bad = ConvJob { weight: Tensor::zeros(vec![6, 3, 3, 3]), ..job.clone() };
         assert!(matches!(
@@ -259,7 +225,7 @@ mod tests {
             precision: Precision::Int4,
             sfu: None,
         };
-        let r = run_conv(&core, &job);
+        let r = try_run_conv(&core, &job).unwrap();
         assert_eq!(r.output.shape(), &[2, 4, 4, 4]);
     }
 }

@@ -121,51 +121,25 @@ impl CoreSim {
     // and precision; the watchdog cannot trip without fault injection.
     #[allow(clippy::expect_used)]
     pub fn run_gemm(&self, job: &GemmJob) -> SimResult {
-        self.try_run_gemm(job).expect("invalid GEMM job")
+        self.try_run_gemm(job, None, None).expect("invalid GEMM job")
     }
 
     /// Runs a GEMM on the core, returning an error for malformed jobs
     /// (non-matrix operands, mismatched inner dimensions, or the SFU-only
-    /// FP32 precision) instead of panicking.
+    /// FP32 precision) instead of panicking — the single full entry point
+    /// of the core simulation.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::Numerics`] wrapping
-    /// [`NumericsError::ShapeMismatch`] when the operands are not
-    /// `[m, k] × [k, n]` matrices or [`NumericsError::InvalidFormat`] when
-    /// `precision` is [`Precision::Fp32`] (which the MPE array cannot run),
-    /// and [`SimError::Deadlock`] if the watchdog sees no forward progress
-    /// for its whole window.
-    pub fn try_run_gemm(&self, job: &GemmJob) -> Result<SimResult, SimError> {
-        self.try_run_gemm_with(job, None)
-    }
-
-    /// [`CoreSim::try_run_gemm`] with an optional fault plan: when a plan
-    /// with a non-zero `seq_stall_rate` is supplied, the corelet sequencers
-    /// randomly lose their token-grant slot for a burst of cycles, and the
-    /// run-loop watchdog converts any resulting wedge into a structured
-    /// [`SimError::Deadlock`]. Passing `None` (or an all-zero-rate plan) is
-    /// the bit-exact fast path.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`CoreSim::try_run_gemm`].
-    pub fn try_run_gemm_with(
-        &self,
-        job: &GemmJob,
-        faults: Option<&mut FaultPlan>,
-    ) -> Result<SimResult, SimError> {
-        self.try_run_gemm_instrumented(job, faults, None)
-    }
-
-    /// [`CoreSim::try_run_gemm_with`] with an optional telemetry bundle:
-    /// when `tele` is `Some`, per-corelet counters (cycles by phase, MACs,
-    /// zero-gated MACs, sequencer stalls and elements moved) accumulate
-    /// into the registry under `sim.core<id>.c<corelet>.*`, and — when the
-    /// bundle carries a trace sink — every corelet contributes three
-    /// Chrome-trace tracks (weight sequencer, input sequencer, array
-    /// phases). With `tele = None` the run is byte-for-byte the
-    /// uninstrumented path.
+    /// * `faults` — when a plan with a non-zero `seq_stall_rate` is
+    ///   supplied, the corelet sequencers randomly lose their token-grant
+    ///   slot for a burst of cycles, and the run-loop watchdog converts any
+    ///   resulting wedge into a structured [`SimError::Deadlock`]. `None`
+    ///   (or an all-zero-rate plan) is the bit-exact fast path.
+    /// * `tele` — when `Some`, per-corelet counters (cycles by phase, MACs,
+    ///   zero-gated MACs, sequencer stalls and elements moved) accumulate
+    ///   into the registry under `sim.core<id>.c<corelet>.*`, and — when
+    ///   the bundle carries a trace sink — every corelet contributes three
+    ///   Chrome-trace tracks (weight sequencer, input sequencer, array
+    ///   phases). `None` is byte-for-byte the uninstrumented path.
     ///
     /// On a watchdog deadlock the partial counters collected up to the
     /// failure cycle are flushed into the registry (plus a
@@ -175,8 +149,13 @@ impl CoreSim {
     ///
     /// # Errors
     ///
-    /// Same contract as [`CoreSim::try_run_gemm`].
-    pub fn try_run_gemm_instrumented(
+    /// Returns [`SimError::Numerics`] wrapping
+    /// [`NumericsError::ShapeMismatch`] when the operands are not
+    /// `[m, k] × [k, n]` matrices or [`NumericsError::InvalidFormat`] when
+    /// `precision` is [`Precision::Fp32`] (which the MPE array cannot run),
+    /// and [`SimError::Deadlock`] if the watchdog sees no forward progress
+    /// for its whole window.
+    pub fn try_run_gemm(
         &self,
         job: &GemmJob,
         mut faults: Option<&mut FaultPlan>,
@@ -695,7 +674,7 @@ mod tests {
             precision: Precision::Fp16,
         };
         assert!(matches!(
-            core.try_run_gemm(&bad_shape),
+            core.try_run_gemm(&bad_shape, None, None),
             Err(SimError::Numerics(NumericsError::ShapeMismatch { .. }))
         ));
         let fp32 = GemmJob {
@@ -704,7 +683,7 @@ mod tests {
             precision: Precision::Fp32,
         };
         assert!(matches!(
-            core.try_run_gemm(&fp32),
+            core.try_run_gemm(&fp32, None, None),
             Err(SimError::Numerics(NumericsError::InvalidFormat(_)))
         ));
     }
@@ -720,7 +699,7 @@ mod tests {
             seq_stall_cycles: 16,
             ..FaultConfig::default()
         });
-        let faulty = core.try_run_gemm_with(&j, Some(&mut plan)).expect("stalls only delay");
+        let faulty = core.try_run_gemm(&j, Some(&mut plan), None).expect("stalls only delay");
         // Sequencer stalls delay data movement but never corrupt it.
         assert_eq!(faulty.c, clean.c, "values must survive stall faults");
         assert!(faulty.cycles > clean.cycles, "stalls must cost cycles");
@@ -740,7 +719,7 @@ mod tests {
         });
         let mut tele = rapid_telemetry::Telemetry::new();
         let faulty = core
-            .try_run_gemm_instrumented(&j, Some(&mut plan), Some(&mut tele))
+            .try_run_gemm(&j, Some(&mut plan), Some(&mut tele))
             .expect("SEC absorbs single flips");
         assert_eq!(faulty.c, clean.c, "ECC must deliver bit-exact data");
         assert!(plan.counts().spad_flips > 0, "injector must have fired");
@@ -767,7 +746,7 @@ mod tests {
                 ..FaultConfig::default()
             });
             let faulty = core
-                .try_run_gemm_with(&j, Some(&mut plan))
+                .try_run_gemm(&j, Some(&mut plan), None)
                 .expect("unprotected flips are silent, not errors");
             assert!(plan.counts().spad_flips > 0, "injector must have fired");
             faulty.c != clean.c
@@ -790,7 +769,7 @@ mod tests {
                 seed,
                 ..FaultConfig::default()
             });
-            match core.try_run_gemm_with(&j, Some(&mut plan)) {
+            match core.try_run_gemm(&j, Some(&mut plan), None) {
                 Err(SimError::EccUncorrectable { cycle, .. }) => {
                     assert!(cycle > 0);
                     true

@@ -55,11 +55,9 @@ pub mod watchdog;
 
 pub use array::{ArrayJob, Datapath, MpeArray, TOKEN_BLOCK_FREE};
 pub use chip::{
-    run_chip_gemm, try_run_chip_gemm, try_run_chip_gemm_degraded, try_run_chip_gemm_mapped,
-    try_run_chip_gemm_telemetry, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult,
-    SFU_TRACE_PID,
+    try_run_chip_gemm, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult, SFU_TRACE_PID,
 };
-pub use conv::{run_conv, try_run_conv, ConvJob, ConvSimResult};
+pub use conv::{try_run_conv, ConvJob, ConvSimResult};
 pub use error::{SeqSnapshot, SimError};
 pub use gemm::{precision_label, CoreSim, CoreletReport, GemmJob, SimResult};
 pub use sfu::{SfuStage, SfuUnit};

@@ -48,9 +48,12 @@
 #                                 with --json, schema validation of its
 #                                 record, and the zero-silent-wrong grep
 #                                 contract
+#   scripts/check.sh --doc        doc gate only: rustdoc over the whole
+#                                 workspace with warnings denied, so a doc
+#                                 link to a deleted or private item fails
 #   scripts/check.sh --all        every named gate (recovery, telemetry,
 #                                 protection, simd, serve, elastic, obs,
-#                                 health) without the full build/test/
+#                                 health, doc) without the full build/test/
 #                                 clippy preamble. Gates keep running
 #                                 after a failure; a per-gate PASS/FAIL
 #                                 table prints at the end and the exit
@@ -244,6 +247,17 @@ health_gate() {
         || { echo "record is missing the health.quarantines counter"; exit 1; }
 }
 
+doc_gate() {
+    echo "== cargo doc --workspace (deny warnings: broken or private intra-doc links) =="
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+}
+
+if [[ "${1:-}" == "--doc" ]]; then
+    doc_gate
+    echo "Doc checks passed."
+    exit 0
+fi
+
 if [[ "${1:-}" == "--simd" ]]; then
     simd_gate
     echo "SIMD checks passed."
@@ -278,7 +292,7 @@ if [[ "${1:-}" == "--all" ]]; then
     # Run every named gate in a child invocation so one failure cannot
     # stop the rest (this script sets -e); then print a PASS/FAIL table
     # and exit nonzero iff any gate failed.
-    gates=(--recovery --telemetry --protection --simd --serve --elastic --obs --health)
+    gates=(--recovery --telemetry --protection --simd --serve --elastic --obs --health --doc)
     results=()
     failed=0
     for g in "${gates[@]}"; do
@@ -324,5 +338,6 @@ serve_gate
 elastic_gate
 obs_gate
 health_gate
+doc_gate
 
 echo "All checks passed."

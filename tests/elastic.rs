@@ -164,7 +164,7 @@ fn stragglers_never_cost_membership() {
             node_slow_factor: 4.0,
             ..FaultConfig::default()
         });
-        let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)).ok()?;
+        let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).ok()?;
         (out.health.stragglers_dropped > 0).then_some((out, mem))
     });
     let (out, mem) = dropped_case.expect("some seed must drop 1–3 stragglers");
@@ -195,7 +195,7 @@ proptest! {
             node_slow_rate: slow,
             ..FaultConfig::default()
         });
-        match elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan)) {
+        match elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None) {
             Ok(out) => {
                 prop_assert!(!out.contributors.is_empty());
                 prop_assert!(out.health.cycles >= out.health.ideal_cycles);

@@ -21,7 +21,7 @@ use rapid::arch::isa::SeqInstr;
 use rapid::fault::{FaultConfig, FaultPlan};
 use rapid::numerics::fma::FmaMode;
 use rapid::numerics::gemm::{
-    matmul_emulated, matmul_emulated_guarded, matmul_int, matmul_int_guarded,
+    matmul_emulated, matmul_emulated_with, matmul_int, matmul_int_with, Exec,
 };
 use rapid::numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid::numerics::{GuardPolicy, NumericsError, Tensor};
@@ -105,13 +105,12 @@ fn same_seed_reproduces_identical_fault_trace() {
     };
     let run = |cfg: FaultConfig| {
         let mut plan = FaultPlan::new(cfg);
-        let (c, _) = matmul_emulated_guarded(
+        let (c, _) = matmul_emulated_with(
             FmaMode::hfp8_fwd_default(),
             &a,
             &b,
             64,
-            GuardPolicy::Saturate,
-            Some(&mut plan),
+            Exec { guard: GuardPolicy::Saturate, faults: Some(&mut plan), ..Exec::default() },
         )
         .expect("saturating guards never error");
         (c, plan.trace().to_vec(), plan.counts())
@@ -147,7 +146,9 @@ fn guard_error_catches_float_injection_in_all_three_float_formats() {
                 exponent_share: 1.0,
                 ..FaultConfig::default()
             });
-            match matmul_emulated_guarded(mode, &a, &b, 64, GuardPolicy::Error, Some(&mut plan)) {
+            let exec =
+                Exec { guard: GuardPolicy::Error, faults: Some(&mut plan), ..Exec::default() };
+            match matmul_emulated_with(mode, &a, &b, 64, exec) {
                 Err(NumericsError::NonFinite { row, col, bits }) => {
                     assert!(row < 8 && col < 8, "{name}: coordinates in range");
                     assert!(!f32::from_bits(bits).is_finite());
@@ -178,7 +179,9 @@ fn guard_error_catches_chunk_injection_in_int4_and_int2() {
                 mac_acc_rate: 0.25,
                 ..FaultConfig::default()
             });
-            match matmul_int_guarded(&a, &b, q, q, 32, GuardPolicy::Error, Some(&mut plan)) {
+            let exec =
+                Exec { guard: GuardPolicy::Error, faults: Some(&mut plan), ..Exec::default() };
+            match matmul_int_with(&a, &b, q, q, 32, exec) {
                 Err(NumericsError::Overflow { row, col, .. }) => {
                     assert!(row < 4 && col < 4, "{fmt:?}: coordinates in range");
                     caught = true;
@@ -201,9 +204,9 @@ fn disabled_injectors_leave_every_fast_path_bit_exact() {
     for mode in [FmaMode::Fp16, FmaMode::hfp8_fwd_default(), FmaMode::hfp8_bwd_default()] {
         let (clean, _) = matmul_emulated(mode, &a, &b, 64);
         let mut plan = FaultPlan::disabled();
+        let exec = Exec { guard: GuardPolicy::Error, faults: Some(&mut plan), ..Exec::default() };
         let (guarded, _) =
-            matmul_emulated_guarded(mode, &a, &b, 64, GuardPolicy::Error, Some(&mut plan))
-                .expect("clean run cannot trip the guard");
+            matmul_emulated_with(mode, &a, &b, 64, exec).expect("clean run cannot trip the guard");
         assert_eq!(clean, guarded);
         assert!(plan.trace().is_empty());
         assert_eq!(plan.counts(), rapid::fault::FaultCounts::default());
@@ -211,8 +214,7 @@ fn disabled_injectors_leave_every_fast_path_bit_exact() {
     for fmt in [IntFormat::Int4, IntFormat::Int2] {
         let q = QuantParams::with_scale(fmt, Signedness::Signed, 0.05).expect("valid scale");
         let (clean, _) = matmul_int(&a, &b, q, q, 64);
-        let (guarded, _) = matmul_int_guarded(&a, &b, q, q, 64, GuardPolicy::Propagate, None)
-            .expect("clean run");
+        let (guarded, _) = matmul_int_with(&a, &b, q, q, 64, Exec::default()).expect("clean run");
         assert_eq!(clean, guarded);
     }
 }
@@ -265,7 +267,7 @@ proptest! {
             ring_drop_rate: 1.0,
             ..FaultConfig::default()
         });
-        match reliable_allreduce(&inputs, &cfg, Some(&mut plan)) {
+        match reliable_allreduce(&inputs, &cfg, Some(&mut plan), None) {
             Err(ReliableError::RetriesExhausted { seq: _, retries }) => {
                 // The reported count is the attempt that broke the budget.
                 prop_assert_eq!(retries, cfg.max_retries + 1, "budget must be fully spent");
@@ -289,8 +291,12 @@ proptest! {
             exponent_share: 1.0,
             ..FaultConfig::default()
         });
-        let (c, _) = matmul_emulated_guarded(
-            FmaMode::hfp8_fwd_default(), &a, &b, 64, GuardPolicy::Saturate, Some(&mut plan),
+        let (c, _) = matmul_emulated_with(
+            FmaMode::hfp8_fwd_default(),
+            &a,
+            &b,
+            64,
+            Exec { guard: GuardPolicy::Saturate, faults: Some(&mut plan), ..Exec::default() },
         ).expect("saturating guards never error");
         for &v in c.as_slice() {
             prop_assert!(v.is_finite(), "saturated output must stay finite, got {}", v);

@@ -25,7 +25,13 @@ use rapid::health::{
     ChipHealthMonitor, CoreMap, CoreState, CoreTracker, Evidence, HealthConfig,
 };
 use rapid::numerics::Tensor;
-use rapid::sim::{run_chip_gemm, try_run_chip_gemm_mapped, ChipGemmJob};
+use rapid::sim::{try_run_chip_gemm, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult, SimError};
+
+/// Runs a chip GEMM on the cores `map` keeps in service.
+fn run_mapped(job: &ChipGemmJob, map: &CoreMap) -> Result<ChipSimResult, SimError> {
+    let (cores, mask) = (map.cores() as usize, map.failed_mask());
+    try_run_chip_gemm_with(job, CoreConfig::default(), cores, mask, None, None)
+}
 
 fn burst_plan(seed: u64, rate: f64) -> FaultPlan {
     FaultPlan::new(FaultConfig {
@@ -76,9 +82,8 @@ fn mercurial_core_is_detected_within_budget_end_to_end() {
         b: Tensor::random_uniform(vec![64, 32], -1.0, 1.0, 71),
         precision: Precision::Fp16,
     };
-    let healthy = run_chip_gemm(&job, CoreConfig::default(), 4);
-    let mapped =
-        try_run_chip_gemm_mapped(&job, CoreConfig::default(), mon.map(), None, None).unwrap();
+    let healthy = try_run_chip_gemm(&job, CoreConfig::default(), 4).unwrap();
+    let mapped = run_mapped(&job, mon.map()).unwrap();
     assert_eq!(mapped.c, healthy.c, "quarantine remap must not change values");
     assert_eq!(mapped.cores.len(), 3);
 }
@@ -92,10 +97,8 @@ fn health_disabled_is_bit_identical_to_pre_health_path() {
         b: Tensor::random_uniform(vec![128, 64], -1.0, 1.0, 81),
         precision: Precision::Fp16,
     };
-    let plain = run_chip_gemm(&job, CoreConfig::default(), 4);
-    let map = CoreMap::new(4);
-    let mapped =
-        try_run_chip_gemm_mapped(&job, CoreConfig::default(), &map, None, None).unwrap();
+    let plain = try_run_chip_gemm(&job, CoreConfig::default(), 4).unwrap();
+    let mapped = run_mapped(&job, &CoreMap::new(4)).unwrap();
     assert_eq!(mapped.c, plain.c);
     assert_eq!(mapped.compute_cycles, plain.compute_cycles);
     assert_eq!(mapped.distribution_cycles, plain.distribution_cycles);
@@ -107,6 +110,40 @@ fn health_disabled_is_bit_identical_to_pre_health_path() {
     }
     assert_eq!(mon.map().epoch(), 0, "clean chip must see zero map churn");
     assert!(mon.events().is_empty());
+}
+
+/// The chip GEMM follows a live map between batches: quarantine remaps
+/// work exactly like the static failed-core mask, reinstatement restores
+/// full strength on the next call, and an empty map is an error.
+#[test]
+fn mapped_chip_follows_quarantine_and_reinstatement() {
+    let j = ChipGemmJob {
+        a: Tensor::random_uniform(vec![8, 128], -1.0, 1.0, 90),
+        b: Tensor::random_uniform(vec![128, 256], -1.0, 1.0, 91),
+        precision: Precision::Fp16,
+    };
+    let healthy = try_run_chip_gemm(&j, CoreConfig::default(), 4).unwrap();
+    let mut map = CoreMap::new(4);
+    // Full-strength map is identical to the plain path.
+    let r = run_mapped(&j, &map).unwrap();
+    assert_eq!(r.c, healthy.c);
+    assert_eq!(r.cores.len(), 4);
+    // Quarantining core 2 matches the static-degraded result exactly.
+    map.exclude(2);
+    let q = run_mapped(&j, &map).unwrap();
+    let s = try_run_chip_gemm_with(&j, CoreConfig::default(), 4, 0b0100, None, None).unwrap();
+    assert_eq!(q.c, healthy.c, "remap must not change values");
+    assert_eq!(q.compute_cycles, s.compute_cycles);
+    assert_eq!(q.cores.len(), 3);
+    // Reinstatement restores full strength on the next batch.
+    map.restore(2);
+    let back = run_mapped(&j, &map).unwrap();
+    assert_eq!(back.compute_cycles, healthy.compute_cycles);
+    // An empty map is a configuration error, not a panic.
+    for c in 0..4 {
+        map.exclude(c);
+    }
+    assert!(matches!(run_mapped(&j, &map), Err(SimError::InvalidConfig(_))));
 }
 
 proptest! {

@@ -31,7 +31,7 @@ use rapid::arch::geometry::CoreConfig;
 use rapid::arch::precision::Precision;
 use rapid::numerics::Tensor;
 use rapid::ring::{reliable_allreduce, ReliableConfig};
-use rapid::sim::{try_run_chip_gemm_degraded, ChipGemmJob};
+use rapid::sim::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid::workloads::suite::benchmark;
 
 fn faulty_backend(seed: u64, rate: f64) -> GuardedHfp8Backend {
@@ -149,7 +149,7 @@ fn reliable_allreduce_is_bit_identical_under_faults() {
         .collect();
     let cfg = ReliableConfig::rapid_training(chips as u32, true);
     let (clean, clean_health) =
-        reliable_allreduce(&inputs, &cfg, None).expect("fault-free allreduce");
+        reliable_allreduce(&inputs, &cfg, None, None).expect("fault-free allreduce");
 
     let seed = derive_seed(7, "recovery/allreduce");
     let mut plan = FaultPlan::new(FaultConfig {
@@ -160,7 +160,7 @@ fn reliable_allreduce_is_bit_identical_under_faults() {
         ..FaultConfig::default()
     });
     let (faulty, health) =
-        reliable_allreduce(&inputs, &cfg, Some(&mut plan)).expect("protocol absorbs faults");
+        reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).expect("protocol absorbs faults");
 
     assert_eq!(clean, faulty, "reduced values must be bit-identical");
     assert!(health.retransmits > 0, "4% drops must force retransmits: {health:?}");
@@ -182,10 +182,9 @@ fn degraded_chip_matches_healthy_values_and_pays_slowdown() {
         precision: Precision::Fp16,
     };
     let core = CoreConfig::default();
-    let healthy =
-        try_run_chip_gemm_degraded(&job, core, 4, 0, None).expect("healthy chip runs");
+    let healthy = try_run_chip_gemm_with(&job, core, 4, 0, None, None).expect("healthy chip runs");
     let degraded =
-        try_run_chip_gemm_degraded(&job, core, 4, 0b0010, None).expect("3 cores survive");
+        try_run_chip_gemm_with(&job, core, 4, 0b0010, None, None).expect("3 cores survive");
     assert_eq!(degraded.cores.len(), 3, "one core is gone");
     assert_eq!(healthy.c, degraded.c, "remapped columns must be bit-identical");
     assert!(

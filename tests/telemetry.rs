@@ -8,7 +8,7 @@
 use rapid::fault::{FaultConfig, FaultPlan};
 use rapid::numerics::gemm::GemmStats;
 use rapid::numerics::Tensor;
-use rapid::sim::chip::{try_run_chip_gemm_telemetry, ChipGemmJob};
+use rapid::sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid::sim::error::SimError;
 use rapid::sim::gemm::{CoreSim, GemmJob};
 use rapid::telemetry::{validate_bench_record, Json, MetricsRegistry, Telemetry, BENCH_SCHEMA};
@@ -28,7 +28,7 @@ fn counters_are_deterministic_across_identical_runs() {
     let job = gemm_job(70);
     let run = || {
         let mut tele = Telemetry::new();
-        core.try_run_gemm_instrumented(&job, None, Some(&mut tele)).expect("clean run");
+        core.try_run_gemm(&job, None, Some(&mut tele)).expect("clean run");
         tele.registry.to_json().render()
     };
     let first = run();
@@ -41,10 +41,9 @@ fn counters_are_deterministic_across_identical_runs() {
 fn disabled_telemetry_is_bit_invisible() {
     let core = CoreSim::rapid();
     let job = gemm_job(71);
-    let plain = core.try_run_gemm_with(&job, None).expect("plain run");
+    let plain = core.try_run_gemm(&job, None, None).expect("plain run");
     let mut tele = Telemetry::with_trace();
-    let instrumented =
-        core.try_run_gemm_instrumented(&job, None, Some(&mut tele)).expect("instrumented run");
+    let instrumented = core.try_run_gemm(&job, None, Some(&mut tele)).expect("instrumented run");
     assert_eq!(plain.cycles, instrumented.cycles, "cycle counts must match");
     let pa = plain.c.as_slice();
     let ia = instrumented.c.as_slice();
@@ -63,7 +62,7 @@ fn chip_trace_round_trips_and_is_well_nested() {
         precision: Precision::Int4,
     };
     let mut tele = Telemetry::with_trace();
-    try_run_chip_gemm_telemetry(&job, Default::default(), 4, 0, None, Some(&mut tele))
+    try_run_chip_gemm_with(&job, Default::default(), 4, 0, None, Some(&mut tele))
         .expect("chip run");
     let sink = tele.trace.expect("trace sink");
     let text = sink.to_json().render();
@@ -130,7 +129,7 @@ fn watchdog_deadlock_flushes_partial_telemetry() {
     });
     let mut tele = Telemetry::with_trace();
     let err = core
-        .try_run_gemm_instrumented(&job, Some(&mut plan), Some(&mut tele))
+        .try_run_gemm(&job, Some(&mut plan), Some(&mut tele))
         .expect_err("fully stalled sequencers must deadlock");
     assert!(matches!(err, SimError::Deadlock { .. }), "got {err:?}");
     assert_eq!(tele.registry.counter("sim.watchdog.deadlocks"), 1);
