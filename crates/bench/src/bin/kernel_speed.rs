@@ -1,10 +1,11 @@
 //! Kernel-backend speed benchmark: times the scalar reference kernels
 //! against the portable tiled fast paths (`RAPID_SIMD=off`) and the
 //! vector / bit-sliced backends (`RAPID_SIMD=force`) on the canonical
-//! 128³ GEMM shape (chunk 64) plus a representative convolution, checks
-//! every fast output bit-for-bit against its scalar reference, and
-//! records `<group>.speedup_vs_scalar` — the ratios `repro_all` gates
-//! against regressions between runs.
+//! 128³ GEMM shape (chunk 64), a 1×2048×1000 GEMV (the ResNet50 FC
+//! layer) and a representative convolution, checks every fast output
+//! bit-for-bit against its scalar reference, and records
+//! `<group>.speedup_vs_scalar` — the ratios `repro_all` gates against
+//! regressions between runs.
 //!
 //! Runs single-threaded by default (set `RAPID_THREADS` to override):
 //! the metric is per-kernel speedup, not machine throughput, and thread
@@ -192,6 +193,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         int_group("gemm_int2", IntFormat::Int2, &a, &b, reps)?,
     ];
     for g in &groups {
+        g.report(&mut rec);
+    }
+
+    // The m = 1 regime at the ResNet50 FC shape: per-call B staging, not
+    // MACs, dominates here, so it gets its own isolated number.
+    let (gk, gn) = (2048, 1000);
+    section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} (best of {reps})"));
+    let x = filled(vec![1, gk], 0x2545_F491);
+    let w = filled(vec![gk, gn], 0x6A09_E667);
+    let gemv_groups = [
+        float_group("gemv_fp16", FmaMode::Fp16, &x, &w, reps)?,
+        float_group("gemv_hfp8_fwd", FmaMode::hfp8_fwd_default(), &x, &w, reps)?,
+    ];
+    for g in &gemv_groups {
         g.report(&mut rec);
     }
 

@@ -87,9 +87,9 @@ pub fn popcnt_available() -> bool {
     }
 }
 
-/// Below this many MACs, `auto` keeps the tiled paths: the vector kernels
-/// pay for operand interleaving / plane packing, which only amortizes on
-/// reasonably sized problems.
+/// Below this many MACs, `auto` keeps the portable paths: per-call vector
+/// setup (bit-plane packing, the `#[target_feature]` call boundary) only
+/// amortizes on reasonably sized problems.
 pub(crate) const AUTO_MIN_MACS: u64 = 4096;
 
 /// Beyond this reduction depth the INT4 madd kernel's per-lane i32
@@ -180,7 +180,7 @@ fn float_choice(format: &'static str, mode: SimdMode, macs: u64) -> KernelChoice
         let how = if format == "fp16" {
             "avx2 16-lane FP16 MAC with vectorized DLFloat rounding"
         } else {
-            "avx2 16-lane MAC on LUT-factored FP9 operands, vectorized DLFloat rounding"
+            "avx2 16-lane MAC on staged FP9 operands, vectorized DLFloat rounding"
         };
         (KernelBackend::Simd, format!("{how} (RAPID_SIMD={mode})"))
     } else {

@@ -11,12 +11,18 @@
 //! Each emulated kernel exists twice: a fast path (the default entry
 //! points) and a scalar reference (`matmul_emulated_scalar`,
 //! `matmul_int_scalar`, …) that drives the accumulator structs one FMA at a
-//! time. The fast path quantizes operands once ([`crate::qtensor::QTensor`]),
-//! replaces the HFP8 pipeline's per-FMA format conversions with exhaustive
-//! product tables ([`crate::lut`]), walks B through transposed k-panels,
-//! register-blocks columns to overlap the serial FP16 rounding chains, and
-//! fans rows out across threads. It is required to be *bit-exact* against
-//! the scalar reference — same output bits, same [`GemmStats`] — which
+//! time. The float kernels stage each operand in one pass: every element
+//! is quantized to its format and converted to the multiplier operand (the
+//! FP16 lattice value, or the FP9 value HFP8 converts to on the fly). A
+//! keeps its row-major layout; B is read row by row in its native `[k, n]`
+//! layout (the convolution's im2col rows are already Bᵀ) and written into
+//! 16-column groups, the last one zero-padded. The same pass counts the
+//! quantized zeros at each k-position, so zero-gating statistics are a
+//! count per k-position rather than a test per MAC. One band loop then
+//! runs every float mode over the groups, 16 or 64 columns per sweep to
+//! overlap the serial FP16 rounding chains. Every kernel fans rows out
+//! across threads. The fast path is required to be *bit-exact* against the
+//! scalar reference — same output bits, same [`GemmStats`] — which
 //! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
 //! per-band statistics is deterministic regardless of thread count.
 
@@ -24,11 +30,10 @@ use crate::accumulate::ChunkAccumulator;
 use crate::bitslice;
 use crate::dispatch::{self, SimdMode};
 use crate::fma::FmaMode;
+use crate::format::FpFormat;
 use crate::guard::{saturate_f32, GuardPolicy};
 use crate::int::{IntAccumulator, IntFormat, QuantParams, Signedness};
 use crate::simd;
-use crate::lut::{is_zero_code, product_lut};
-use crate::qtensor::QTensor;
 use crate::tensor::Tensor;
 use crate::NumericsError;
 use rapid_fault::FaultPlan;
@@ -118,11 +123,6 @@ pub fn num_threads() -> usize {
 /// would dominate smaller problems.
 const PAR_MIN_MACS: usize = 1 << 18;
 
-/// Columns per register block in the float inner kernels. The FP16 chunk
-/// update is a serial rounding chain; blocking this many independent output
-/// columns per A-row pass lets the chains overlap.
-const JR: usize = 16;
-
 /// FP16 (DLFloat) rounding of an in-kernel accumulation sum, specialized
 /// for the value domain the dot-product kernels produce: `x` is the f32 sum
 /// of an FP16-lattice register and an exact operand product, so it is
@@ -160,10 +160,9 @@ pub(crate) fn fp16_round_sum(x: f32) -> f32 {
 }
 
 /// [`fp16_round_sum`] with the rare cases handled by selects instead of
-/// branches, for the register-blocked accumulation loops: a branch-free
-/// body (together with hoisting the LUT loads into a separate pass) is what
-/// lets the compiler vectorize the per-column rounding lanes. Agreement
-/// with the general quantizer is pinned by the same test.
+/// branches, for the 16-column portable accumulation loop: a branch-free
+/// body is what lets the compiler vectorize the per-column rounding lanes.
+/// Agreement with the general quantizer is pinned by the same test.
 #[inline(always)]
 pub(crate) fn fp16_round_sum_sel(x: f32) -> f32 {
     const MIN_NORMAL: u32 = ((-30 + 127) as u32) << 23;
@@ -338,304 +337,195 @@ fn matmul_emulated_fast(
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let (m, k, n) = check_matmul_shapes(a, b)?;
     assert!(chunk_len > 0, "chunk length must be positive");
-    let (fa, fb) = mode.operand_formats();
-    let qa = QTensor::quantize(a, fa);
-    let qb = QTensor::quantize(b, fb);
     let mut out = Tensor::zeros(vec![m, n]);
-    if m == 0 || n == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return Ok((out, GemmStats::default()));
     }
+    let (fa, fb) = mode.operand_formats();
+    let sa = Staged::rows(a.as_slice(), k, fa, multiplier(mode));
+    let sb = Staged::groups(b.as_slice(), k, n, fb, multiplier(mode));
     let use_simd = dispatch::float_use_simd(simd_mode, (m * n * k) as u64);
-    let stats = match (qa.codes(), qb.codes()) {
-        (Some(ac), Some(bc)) => {
-            // 8-bit operands: every FP9 conversion and operand product is
-            // precomputed in a 64K-entry table indexed by the code pair.
-            let lut = product_lut(fa, fb);
-            // Rewrite zero products as -0.0: IEEE `x + (-0.0)` is the
-            // identity on every f32 (both zero signs included), so the MAC
-            // loop can add unconditionally instead of branching on gated
-            // products — bit-exactly.
-            let products: Vec<f32> =
-                lut.products().iter().map(|&p| if p == 0.0 { -0.0 } else { p }).collect();
-            let bt = transposed_panels(bc, k, n);
-            // The SIMD path decodes both operands to their FP9 values up
-            // front: the table factors bit-exactly into the operand tables
-            // (`product(ca, cb) == a_operands[ca] * b_operands[cb]`), so
-            // the vector kernel's runtime multiply reproduces every table
-            // entry and the per-step gather disappears.
-            let fdec = (use_simd && n >= simd::GROUP).then(|| {
-                let ia = lut.a_operands();
-                let ib = lut.b_operands();
-                let av: Vec<f32> = ac.iter().map(|&c| ia[usize::from(c)]).collect();
-                let btv: Vec<f32> = bt.iter().map(|&c| ib[usize::from(c)]).collect();
-                (av, interleave_groups(&btv, k, n))
-            });
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                let fdec = fdec.as_ref().map(|(av, bi)| (av.as_slice(), bi.as_slice()));
-                lut_band(ac, &bt, fdec, &products, row0, k, n, chunk_len, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
-        }
-        _ => {
-            // FP16 operands: the product of two quantized values is exact in
-            // f32, so the kernel works on lattice values directly.
-            let bt = transposed_panels(qb.values().as_slice(), k, n);
-            let binter =
-                (use_simd && n >= simd::GROUP).then(|| interleave_groups(&bt, k, n));
-            let av = qa.values().as_slice();
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                fp16_band(av, &bt, binter.as_deref(), row0, k, n, chunk_len, band)
-            };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
-        }
+    let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+        staged_band(&sa.vals, &sb, n, row0, chunk_len, use_simd, band);
+        GemmStats::default()
     };
-    Ok((out, stats))
+    par_rows(out.as_mut_slice(), m, n, k, &work);
+    Ok((out, staged_stats(&sa, &sb, m, n)))
 }
 
-/// Interleaves `[n, k]` column panels into 16-wide groups for the AVX2
-/// kernels: group `g` stores, for each k-position `p`, the 16 consecutive
-/// column values `bt[(16g + t) * k + p]` contiguously, so each SIMD step
-/// is one (or two) straight vector loads instead of 16 strided ones.
-/// Trailing columns (`n % 16`) stay on the scalar block path.
-fn interleave_groups<T: Copy + Default>(bt: &[T], k: usize, n: usize) -> Vec<T> {
-    let groups = n / simd::GROUP;
-    let mut out = vec![T::default(); groups * k * simd::GROUP];
-    for g in 0..groups {
-        let dst = &mut out[g * k * simd::GROUP..(g + 1) * k * simd::GROUP];
-        for t in 0..simd::GROUP {
-            let col = &bt[(g * simd::GROUP + t) * k..(g * simd::GROUP + t + 1) * k];
-            for (p, &v) in col.iter().enumerate() {
-                dst[p * simd::GROUP + t] = v;
+/// The multiplier operand of a value quantized to the mode's operand
+/// format: FP16 multiplies lattice values as they are; HFP8 converts both
+/// operands to FP9 on the fly (the value `ProductLut::{a,b}_operands`
+/// holds for the code).
+fn multiplier(mode: FmaMode) -> impl Fn(f32) -> f32 {
+    let hfp8 = mode != FmaMode::Fp16;
+    move |q| if hfp8 { FpFormat::fp9().quantize(q) } else { q }
+}
+
+/// One float GEMM operand, staged in a single pass: every element
+/// quantized to its format and converted to the multiplier operand, with
+/// the quantized zeros at each k-position counted on the way.
+struct Staged {
+    /// Multiplier operands, laid out for the band loop.
+    vals: Vec<f32>,
+    /// Quantized zeros at each k-position (per column of A, per row of B).
+    zeros: Vec<u64>,
+}
+
+impl Staged {
+    /// Stages row-major `[m, k]` A in place.
+    fn rows(a: &[f32], k: usize, fa: FpFormat, operand: impl Fn(f32) -> f32) -> Self {
+        let mut vals = vec![0.0f32; a.len()];
+        let mut zeros = vec![0u64; k];
+        for (arow, orow) in a.chunks_exact(k).zip(vals.chunks_exact_mut(k)) {
+            for ((&x, o), z) in arow.iter().zip(orow).zip(&mut zeros) {
+                let q = fa.quantize(x);
+                *z += u64::from(q == 0.0);
+                *o = operand(q);
             }
         }
+        Self { vals, zeros }
     }
-    out
+
+    /// Stages row-major `[k, n]` B, read row by row, into `n.div_ceil(16)`
+    /// groups of `k × 16`: group `g` holds, for each k-position `p`,
+    /// columns `16g .. 16g + 16` contiguously. Lanes past column `n` in the
+    /// last group are zero and their results are discarded.
+    fn groups(b: &[f32], k: usize, n: usize, fb: FpFormat, operand: impl Fn(f32) -> f32) -> Self {
+        let gsz = k * simd::GROUP;
+        let mut vals = vec![0.0f32; n.div_ceil(simd::GROUP) * gsz];
+        let mut zeros = vec![0u64; k];
+        for (p, (row, z)) in b.chunks_exact(n).zip(&mut zeros).enumerate() {
+            for (g, cols) in row.chunks(simd::GROUP).enumerate() {
+                let dst = &mut vals[g * gsz + p * simd::GROUP..][..cols.len()];
+                for (d, &x) in dst.iter_mut().zip(cols) {
+                    let q = fb.quantize(x);
+                    *z += u64::from(q == 0.0);
+                    *d = operand(q);
+                }
+            }
+        }
+        Self { vals, zeros }
+    }
+
+    /// [`Self::groups`] from Bᵀ: `bt` holds the `n` columns of B, each `k`
+    /// long — the layout the convolution's im2col rows already have.
+    fn groups_from_columns(
+        bt: &[f32],
+        k: usize,
+        fb: FpFormat,
+        operand: impl Fn(f32) -> f32,
+    ) -> Self {
+        let n = bt.len() / k;
+        let gsz = k * simd::GROUP;
+        let mut vals = vec![0.0f32; n.div_ceil(simd::GROUP) * gsz];
+        let mut zeros = vec![0u64; k];
+        for (j, col) in bt.chunks_exact(k).enumerate() {
+            let lane = vals[(j / simd::GROUP) * gsz + j % simd::GROUP..].iter_mut();
+            for ((&x, d), z) in col.iter().zip(lane.step_by(simd::GROUP)).zip(&mut zeros) {
+                let q = fb.quantize(x);
+                *z += u64::from(q == 0.0);
+                *d = operand(q);
+            }
+        }
+        Self { vals, zeros }
+    }
 }
 
-/// Fills one row band of an 8-bit-operand GEMM from the product LUT.
+/// Statistics of an `m × n` product of staged operands.
 ///
-/// Zero-gating statistics come from per-row/per-column zero bitmasks
-/// (popcounts of their unions), keeping the MAC loop free of counting.
-#[allow(clippy::too_many_arguments)]
-fn lut_band(
-    ac: &[u8],
-    bt: &[u8],
-    fdec: Option<(&[f32], &[f32])>,
-    products: &[f32],
-    row0: usize,
-    k: usize,
-    n: usize,
-    chunk_len: usize,
-    band: &mut [f32],
-) -> GemmStats {
-    #[allow(clippy::expect_used)] // LUT size is a construction invariant
-    let products: &[f32; 1 << 16] = products.try_into().expect("product LUT is 64K entries");
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &bt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| is_zero_code(col[p]), k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        let arow = &ac[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| is_zero_code(arow[p]), k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
-        let orow = &mut band[r * n..(r + 1) * n];
-        let mut j = 0;
-        if let Some((av, bi)) = fdec {
-            // AVX2 float kernel over the interleaved 16-column groups of
-            // pre-decoded FP9 operand values: four groups at a time (8
-            // independent accumulation chains to hide the add+round
-            // latency), single groups as cleanup. A group starting at
-            // column j begins at element j*k. The kernel's multiply
-            // reproduces each table entry bit-exactly and its zero-product
-            // remap to -0.0 matches the table's gated entries.
-            let arv = &av[(row0 + r) * k..(row0 + r + 1) * k];
-            let gsz = k * simd::GROUP;
-            let mut wres = [0.0f32; simd::WIDE];
-            while j + simd::WIDE <= n {
-                let bw = &bi[j * k..j * k + simd::WIDE_GROUPS * gsz];
-                simd::dot_fp16_groups_wide(arv, bw, chunk_len, &mut wres);
-                orow[j..j + simd::WIDE].copy_from_slice(&wres);
-                j += simd::WIDE;
-            }
-            let mut res = [0.0f32; simd::GROUP];
-            while j + simd::GROUP <= n {
-                simd::dot_fp16_group16(arv, &bi[j * k..j * k + gsz], chunk_len, &mut res);
-                orow[j..j + simd::GROUP].copy_from_slice(&res);
-                j += simd::GROUP;
-            }
-        } else {
-            while j + JR <= n {
-                let bcols = std::array::from_fn(|t| &bt[(j + t) * k..(j + t + 1) * k]);
-                let res = dot_lut_block::<JR>(arow, bcols, products, chunk_len);
-                orow[j..j + JR].copy_from_slice(&res);
-                j += JR;
-            }
-        }
-        while j < n {
-            let res = dot_lut_block::<1>(arow, [&bt[j * k..(j + 1) * k]], products, chunk_len);
-            orow[j] = res[0];
-            j += 1;
-        }
-    }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
+/// The scalar datapath gates a MAC when either *quantized* operand is zero
+/// (`fma_prequantized`); an operand whose FP9 conversion underflows is
+/// multiplied, not gated. At k-position `p`, with `za` zeros in A's column
+/// and `zb` in B's row, the gated MACs are `za·n + (m − za)·zb`: a zero A
+/// element gates all `n` MACs it feeds, any other gates B's zeros.
+fn staged_stats(sa: &Staged, sb: &Staged, m: usize, n: usize) -> GemmStats {
+    let (m, n) = (m as u64, n as u64);
+    let zero_gated = sa.zeros.iter().zip(&sb.zeros).map(|(&za, &zb)| za * n + (m - za) * zb).sum();
+    GemmStats { macs: m * n * sa.zeros.len() as u64, zero_gated, ..GemmStats::default() }
 }
 
-/// Chunk-accumulated dot products of one A-row of codes against `B`
-/// columns, all walking the same k-panel positions so the per-column FP16
-/// rounding chains execute independently.
+/// Fills one row band of an `n`-column float GEMM from staged operands:
+/// `av` holds the A rows, `sb` the staged B groups (see [`Staged::groups`]).
+///
+/// Every output column runs the scalar reference's chunk-accumulation
+/// chain in k order. The operands are the exact factors the datapath
+/// multiplies, so `x * y` reproduces each FP9 product table entry
+/// (`ProductLut::product(ca, cb) == a_operands[ca] * b_operands[cb]`) and
+/// each FP16 lattice product; exact-zero products are remapped to `-0.0`,
+/// the IEEE additive identity, in place of the scalar gate.
+fn staged_band(
+    av: &[f32],
+    sb: &Staged,
+    n: usize,
+    row0: usize,
+    chunk_len: usize,
+    use_simd: bool,
+    band: &mut [f32],
+) {
+    let k = sb.zeros.len();
+    let gsz = k * simd::GROUP;
+    let ngroups = n.div_ceil(simd::GROUP);
+    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+        let arow = &av[(row0 + r) * k..(row0 + r + 1) * k];
+        let mut g = 0;
+        if use_simd {
+            // AVX2: four groups per k sweep (8 independent chains hide the
+            // add+round latency), single groups as cleanup.
+            let mut wres = [0.0f32; simd::WIDE];
+            while g + simd::WIDE_GROUPS <= ngroups {
+                let bw = &sb.vals[g * gsz..(g + simd::WIDE_GROUPS) * gsz];
+                simd::dot_fp16_groups_wide(arow, bw, chunk_len, &mut wres);
+                let j = g * simd::GROUP;
+                let lanes = simd::WIDE.min(n - j);
+                orow[j..j + lanes].copy_from_slice(&wres[..lanes]);
+                g += simd::WIDE_GROUPS;
+            }
+        }
+        while g < ngroups {
+            let bg = &sb.vals[g * gsz..(g + 1) * gsz];
+            let mut res = [0.0f32; simd::GROUP];
+            if use_simd {
+                simd::dot_fp16_group16(arow, bg, chunk_len, &mut res);
+            } else {
+                res = dot_staged_group(arow, bg, chunk_len);
+            }
+            let j = g * simd::GROUP;
+            let lanes = simd::GROUP.min(n - j);
+            orow[j..j + lanes].copy_from_slice(&res[..lanes]);
+            g += 1;
+        }
+    }
+}
+
+/// Portable twin of `simd::dot_fp16_group16`: chunk-accumulated dot
+/// products of one A row against one staged 16-column group, with the
+/// same op sequence per column.
 ///
 /// The chunk update uses a plain f32 add where the scalar reference
 /// computes `(f64(acc) + f64(prod)) as f32`: double rounding through f64 is
 /// innocuous for the sum of two f32 values (53 ≥ 2·24 + 2), so the results
-/// are bit-identical.
-#[inline]
-fn dot_lut_block<const B: usize>(
-    arow: &[u8],
-    bcols: [&[u8]; B],
-    products: &[f32; 1 << 16],
-    chunk_len: usize,
-) -> [f32; B] {
-    let k = arow.len();
-    let bcols: [&[u8]; B] = std::array::from_fn(|t| &bcols[t][..k]);
-    let mut outer = [0.0f32; B];
-    let mut chunk = [0.0f32; B];
+/// are bit-identical. A k-step whose A operand is zero is skipped, as in
+/// the vector kernel: every product would be `-0.0`, which leaves an
+/// FP16-lattice chunk register unchanged through the re-round.
+fn dot_staged_group(arow: &[f32], group: &[f32], chunk_len: usize) -> [f32; simd::GROUP] {
+    const G: usize = simd::GROUP;
+    let mut outer = [0.0f32; G];
+    let mut chunk = [0.0f32; G];
     let mut in_chunk = 0usize;
-    let mut prods = [0.0f32; B];
-    for (p, &ca) in arow.iter().enumerate() {
-        let base = usize::from(ca) << 8;
-        #[allow(clippy::expect_used)] // row stride is a construction invariant
-        let prow: &[f32; 256] =
-            products[base..base + 256].try_into().expect("256-entry LUT row");
-        // Zero products (gated, or FP9 underflow under extreme biases) are
-        // stored as -0.0 — the IEEE additive identity — so the add and the
-        // re-round leave an FP16-lattice chunk register unchanged without a
-        // branch. Gathering into a register array first leaves the
-        // accumulation pass load- and branch-free, so it vectorizes.
-        for t in 0..B {
-            prods[t] = prow[usize::from(bcols[t][p])];
-        }
-        for t in 0..B {
-            chunk[t] = fp16_round_sum_sel(chunk[t] + prods[t]);
+    for (&x, bv) in arow.iter().zip(group.chunks_exact(G)) {
+        if x != 0.0 {
+            for (c, &y) in chunk.iter_mut().zip(bv) {
+                let prod = x * y;
+                let prod = if prod == 0.0 { -0.0 } else { prod };
+                *c = fp16_round_sum_sel(*c + prod);
+            }
         }
         in_chunk += 1;
         if in_chunk == chunk_len {
-            for t in 0..B {
-                outer[t] += chunk[t];
-                chunk[t] = 0.0;
-            }
-            in_chunk = 0;
-        }
-    }
-    std::array::from_fn(|t| fp16_round_sum(outer[t] + chunk[t]))
-}
-
-/// Fills one row band of an FP16-operand GEMM on lattice values, with the
-/// same popcount-based gating statistics as [`lut_band`].
-#[allow(clippy::too_many_arguments)]
-fn fp16_band(
-    av: &[f32],
-    bt: &[f32],
-    binter: Option<&[f32]>,
-    row0: usize,
-    k: usize,
-    n: usize,
-    chunk_len: usize,
-    band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &bt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0.0, k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        let arow = &av[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| arow[p] == 0.0, k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
-        let orow = &mut band[r * n..(r + 1) * n];
-        let mut j = 0;
-        if let Some(bi) = binter {
-            // AVX2 lattice-value kernel over the interleaved groups, wide
-            // first then single-group cleanup (see `lut_band`).
-            let gsz = k * simd::GROUP;
-            let mut wres = [0.0f32; simd::WIDE];
-            while j + simd::WIDE <= n {
-                let bw = &bi[j * k..j * k + simd::WIDE_GROUPS * gsz];
-                simd::dot_fp16_groups_wide(arow, bw, chunk_len, &mut wres);
-                orow[j..j + simd::WIDE].copy_from_slice(&wres);
-                j += simd::WIDE;
-            }
-            let mut res = [0.0f32; simd::GROUP];
-            while j + simd::GROUP <= n {
-                simd::dot_fp16_group16(arow, &bi[j * k..j * k + gsz], chunk_len, &mut res);
-                orow[j..j + simd::GROUP].copy_from_slice(&res);
-                j += simd::GROUP;
-            }
-        } else {
-            while j + JR <= n {
-                let bcols = std::array::from_fn(|t| &bt[(j + t) * k..(j + t + 1) * k]);
-                let res = dot_fp16_block::<JR>(arow, bcols, chunk_len);
-                orow[j..j + JR].copy_from_slice(&res);
-                j += JR;
-            }
-        }
-        while j < n {
-            let res = dot_fp16_block::<1>(arow, [&bt[j * k..(j + 1) * k]], chunk_len);
-            orow[j] = res[0];
-            j += 1;
-        }
-    }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
-}
-
-/// FP16-mode analogue of [`dot_lut_block`]: products of two FP16 lattice
-/// values are exact in f32 and never underflow, so a product is zero
-/// exactly when a gated FMA would have skipped it.
-#[inline]
-fn dot_fp16_block<const B: usize>(
-    arow: &[f32],
-    bcols: [&[f32]; B],
-    chunk_len: usize,
-) -> [f32; B] {
-    let k = arow.len();
-    let bcols: [&[f32]; B] = std::array::from_fn(|t| &bcols[t][..k]);
-    let mut outer = [0.0f32; B];
-    let mut chunk = [0.0f32; B];
-    let mut in_chunk = 0usize;
-    let mut bvals = [0.0f32; B];
-    for (p, &x) in arow.iter().enumerate() {
-        // Strided column loads first; the accumulation pass is then pure
-        // vertical arithmetic and vectorizes. A zero product (operands are
-        // lattice values, whose products never underflow) is remapped to
-        // -0.0 — the IEEE additive identity — which preserves the chunk
-        // register through the re-round exactly like the scalar
-        // reference's zero-gate skip.
-        for t in 0..B {
-            bvals[t] = bcols[t][p];
-        }
-        for t in 0..B {
-            let prod = x * bvals[t];
-            let gated = f32::from_bits(prod.to_bits() | 0x8000_0000);
-            let prod = if prod == 0.0 { gated } else { prod };
-            chunk[t] = fp16_round_sum_sel(chunk[t] + prod);
-        }
-        in_chunk += 1;
-        if in_chunk == chunk_len {
-            for t in 0..B {
-                outer[t] += chunk[t];
-                chunk[t] = 0.0;
+            for (o, c) in outer.iter_mut().zip(&mut chunk) {
+                *o += *c;
+                *c = 0.0;
             }
             in_chunk = 0;
         }
@@ -1409,11 +1299,11 @@ pub fn conv2d_emulated(
 /// In the SIMD regime the convolution runs panel-packed: the GEMM is
 /// restated per image as `weights [co, ci·kh·kw] × im2col-rowsᵀ`, whose
 /// Bᵀ k-panels *are* the im2col rows, and output panels land directly in
-/// the `[n, co, ho, wo]` layout — no weight transpose, no column-panel
-/// copy, no output rearrange pass. Operand order commutes bit-exactly
-/// (the FP9 product table and lattice products are exact f32 values, and
-/// the chunked accumulation walks the same k order), which the
-/// `fastpath_bitexact` proptests pin against the scalar reference.
+/// the `[n, co, ho, wo]` layout — no weight transpose, no output
+/// rearrange pass. Operand order commutes bit-exactly (FP9 and lattice
+/// products are exact f32 values, and the chunked accumulation walks the
+/// same k order), which the `fastpath_bitexact` proptests pin against the
+/// scalar reference.
 ///
 /// # Errors
 ///
@@ -1581,9 +1471,11 @@ fn conv2d_via_gemm(
 /// [`conv2d_emulated_with_simd`]): per image `i`,
 /// `out[i] = weights [co, K'] × cols_rows(i)ᵀ` computed band-parallel over
 /// output channels, writing straight into the `[n, co, ho, wo]` buffer.
-/// The product LUT is built as `(fb, fa)` because the weight code now
-/// indexes the high byte; FP9 products commute exactly, so the result is
-/// bit-identical to the flat-GEMM orientation.
+/// The weights are staged once as the A rows (in the flat GEMM's B
+/// format) and each image's im2col rows as the B groups (in its A
+/// format); FP9 and lattice products commute exactly, and the gating
+/// count is symmetric, so the result is bit-identical to the flat-GEMM
+/// orientation.
 #[allow(clippy::too_many_arguments)]
 fn conv2d_panels_emulated(
     input: &Tensor,
@@ -1602,61 +1494,23 @@ fn conv2d_panels_emulated(
     let kcols = g.ci * g.kh * g.kw;
     let cols = scratch.cols_slot(input, g.kh, g.kw, spec);
     im2col_into(input, g.kh, g.kw, spec, cols);
-    let (fa, fb) = mode.operand_formats();
-    let wmat = weight.clone().reshape(vec![g.co, kcols])?;
-    let qw = QTensor::quantize(&wmat, fb);
-    let qc = QTensor::quantize(cols, fa);
     let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
-    if out.as_slice().is_empty() {
+    if out.as_slice().is_empty() || kcols == 0 {
         return Ok((out, GemmStats::default()));
     }
+    let (fa, fb) = mode.operand_formats();
+    let sw = Staged::rows(weight.as_slice(), kcols, fb, multiplier(mode));
     let use_simd = dispatch::float_use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
     let mut stats = GemmStats::default();
-    let od = out.as_mut_slice();
-    match (qw.codes(), qc.codes()) {
-        (Some(wc), Some(cc)) => {
-            let lut = product_lut(fb, fa);
-            let products: Vec<f32> =
-                lut.products().iter().map(|&p| if p == 0.0 { -0.0 } else { p }).collect();
-            // Decoded FP9 weight values for the SIMD kernel (see the GEMM
-            // LUT branch); the per-image column panels are decoded inside
-            // the loop as they are interleaved.
-            let wv: Option<Vec<f32>> = (use_simd && hw >= simd::GROUP).then(|| {
-                let ia = lut.a_operands();
-                wc.iter().map(|&c| ia[usize::from(c)]).collect()
-            });
-            for i in 0..g.n {
-                let bt = &cc[i * hw * kcols..(i + 1) * hw * kcols];
-                let binter = wv.as_ref().map(|_| {
-                    let ib = lut.b_operands();
-                    let btv: Vec<f32> = bt.iter().map(|&c| ib[usize::from(c)]).collect();
-                    interleave_groups(&btv, kcols, hw)
-                });
-                let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                    let fdec = wv
-                        .as_ref()
-                        .zip(binter.as_ref())
-                        .map(|(av, bi)| (av.as_slice(), bi.as_slice()));
-                    lut_band(wc, bt, fdec, &products, row0, kcols, hw, chunk_len, band)
-                };
-                stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
-            }
-        }
-        _ => {
-            let wv = qw.values().as_slice();
-            let cv = qc.values().as_slice();
-            for i in 0..g.n {
-                let bt = &cv[i * hw * kcols..(i + 1) * hw * kcols];
-                let binter =
-                    (use_simd && hw >= simd::GROUP).then(|| interleave_groups(bt, kcols, hw));
-                let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
-                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                    fp16_band(wv, bt, binter.as_deref(), row0, kcols, hw, chunk_len, band)
-                };
-                stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
-            }
-        }
+    let image_cols = cols.as_slice().chunks_exact(hw * kcols);
+    for (band_out, ci) in out.as_mut_slice().chunks_exact_mut(g.co * hw).zip(image_cols) {
+        let sc = Staged::groups_from_columns(ci, kcols, fa, multiplier(mode));
+        let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+            staged_band(&sw.vals, &sc, hw, row0, chunk_len, use_simd, band);
+            GemmStats::default()
+        };
+        par_rows(band_out, g.co, hw, kcols, &work);
+        stats.merge(staged_stats(&sw, &sc, g.co, hw));
     }
     Ok((out, stats))
 }
@@ -1788,6 +1642,74 @@ mod tests {
         let (_, stats) = matmul_emulated(FmaMode::Fp16, &a, &b, 64);
         let frac = stats.gated_fraction();
         assert!((frac - 0.5).abs() < 0.05, "gated fraction {frac}");
+    }
+
+    /// The row-count gating identity: a zero A element gates all `n` MACs
+    /// it feeds, any other gates the zeros of its B row. B has all-zero
+    /// rows and columns, A an all-zero row; elsewhere the operands are
+    /// bounded away from zero so every format keeps them nonzero. With
+    /// `bias_b: 124` every quantized B value is nonzero but its FP9
+    /// operand underflows to zero, which must not count as gated.
+    #[test]
+    fn zero_gating_counts_zero_rows_and_columns() {
+        let (m, k, n) = (4, 9, 21);
+        let (zero_a_row, zero_b_rows, zero_b_cols) = (2, [1, 4], [0, 7]);
+        let a = Tensor::from_fn(vec![m, k], |i| {
+            if i / k == zero_a_row {
+                0.0
+            } else {
+                0.5 + (i % 7) as f32 * 0.05
+            }
+        });
+        let b = Tensor::from_fn(vec![k, n], |i| {
+            if zero_b_rows.contains(&(i / n)) || zero_b_cols.contains(&(i % n)) {
+                0.0
+            } else {
+                -0.25 - (i % 11) as f32 * 0.03
+            }
+        });
+        let row_zeros = |p| if zero_b_rows.contains(&p) { n } else { zero_b_cols.len() };
+        let expect: usize = (0..m)
+            .map(|r| (0..k).map(|p| if r == zero_a_row { n } else { row_zeros(p) }).sum::<usize>())
+            .sum();
+        for mode in [
+            FmaMode::Fp16,
+            FmaMode::hfp8_fwd_default(),
+            FmaMode::hfp8_bwd_default(),
+            FmaMode::Hfp8Fwd { bias_a: 7, bias_b: 124 },
+        ] {
+            let (_, scalar) = matmul_emulated_scalar(mode, &a, &b, 4);
+            assert_eq!(scalar.zero_gated, expect as u64, "{mode:?} reference");
+            for simd in [SimdMode::Force, SimdMode::Off] {
+                let exec = Exec { simd, ..Exec::default() };
+                let (_, fast) = matmul_emulated_with(mode, &a, &b, 4, exec).unwrap();
+                assert_eq!(fast, scalar, "{mode:?} {simd:?}");
+            }
+        }
+    }
+
+    /// An empty reduction (`k == 0`, no im2col columns) writes zeros and
+    /// issues no MACs, as the scalar reference does.
+    #[test]
+    fn empty_reduction_matches_scalar() {
+        let (a, b) = (Tensor::zeros(vec![3, 0]), Tensor::zeros(vec![0, 5]));
+        for simd in [SimdMode::Force, SimdMode::Off] {
+            let exec = Exec { simd, ..Exec::default() };
+            let (fast, fs) = matmul_emulated_with(FmaMode::Fp16, &a, &b, 4, exec).unwrap();
+            let (scalar, ss) = matmul_emulated_scalar(FmaMode::Fp16, &a, &b, 4);
+            assert_bits_eq(&fast, &scalar);
+            assert_eq!(fs, ss);
+        }
+        let (input, weight) = (Tensor::zeros(vec![1, 0, 4, 4]), Tensor::zeros(vec![2, 0, 1, 1]));
+        let mut scratch = ConvScratch::default();
+        let mode = FmaMode::hfp8_fwd_default();
+        let (fast, fs) = conv2d_emulated_with_simd(
+            &input, &weight, ConvSpec::unit(), mode, 4, &mut scratch, SimdMode::Force,
+        )
+        .unwrap();
+        let (scalar, ss) = conv2d_emulated_scalar(&input, &weight, ConvSpec::unit(), mode, 4);
+        assert_bits_eq(&fast, &scalar);
+        assert_eq!(fs, ss);
     }
 
     #[test]

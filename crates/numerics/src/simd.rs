@@ -3,15 +3,15 @@
 //! Two inner-loop families, selected by [`crate::dispatch`]:
 //!
 //! * [`dot_fp16_groups_wide`] / [`dot_fp16_group16`] — the float MAC loop
-//!   over interleaved 16-column B panels: broadcast the A value,
-//!   multiply against the contiguous panel, remap exact-zero products to
+//!   over staged 16-column B groups: broadcast the A value,
+//!   multiply against the contiguous group, remap exact-zero products to
 //!   `-0.0` (the IEEE additive identity the scalar kernel's gate uses),
 //!   then run the DLFloat16 chunk rounding entirely in integer lanes.
-//!   The same kernel serves both float modes: FP16 runs on lattice
-//!   values directly, and the HFP8 LUT path feeds it **pre-decoded FP9
-//!   operand values** — `ProductLut::product(ca, cb)` factors bit-exactly
-//!   into `a_operands[ca] * b_operands[cb]` (the table entry *is* that
-//!   f32 multiply), so one `vmulps` replaces a `vpgatherdps` from the 64K
+//!   The same kernel serves every float mode: FP16 runs on lattice
+//!   values, and HFP8 on the **FP9 operand values** both operands are
+//!   converted to when staged — `ProductLut::product(ca, cb)` is exactly
+//!   `a_operands[ca] * b_operands[cb]` (the table entry *is* that f32
+//!   multiply), so one `vmulps` replaces a `vpgatherdps` from the 64K
 //!   table. A gather variant was tried first; at ~3 cycles per 8-lane
 //!   gather (the per-step index row is only 1 KiB, L1-resident) it was
 //!   strictly slower than the multiply it replaces.
@@ -52,8 +52,7 @@
 
 #![allow(clippy::inline_always)] // rounding helpers must fuse into the k-loop
 
-/// Columns per interleaved group — two AVX2 f32 vectors, matching the
-/// tiled path's register-block width `JR`.
+/// Columns per staged B group — two AVX2 f32 vectors.
 pub(crate) const GROUP: usize = 16;
 
 /// Column groups the wide float kernels process per k sweep. Four groups
@@ -113,7 +112,7 @@ mod avx2 {
         _mm256_castsi256_ps(_mm256_or_si256(sign, r))
     }
 
-    /// The float MAC loop over `G` interleaved 16-column groups laid out
+    /// The float MAC loop over `G` staged 16-column groups laid out
     /// back to back in `bgroups` (`G * k * 16` values). `2G` independent
     /// accumulation chains advance per k step; each column's chain
     /// performs exactly the scalar kernel's op sequence, so `G` is
@@ -257,7 +256,7 @@ mod avx2 {
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against [`WIDE_GROUPS`] consecutive interleaved panels.
+    /// A-row against [`WIDE_GROUPS`] consecutive staged groups.
     pub(crate) fn dot_fp16_groups_wide(
         arow: &[f32],
         bgroups: &[f32],
@@ -271,7 +270,7 @@ mod avx2 {
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against a single 16-column interleaved B panel.
+    /// A-row against a single staged 16-column B group.
     pub(crate) fn dot_fp16_group16(
         arow: &[f32],
         bgroup: &[f32],

@@ -168,6 +168,49 @@ proptest! {
         }
     }
 
+    /// GEMV and column-tail shapes of the staged float GEMM: `m` of 1–3
+    /// rows, `n` from below one 16-column group through zero-padded last
+    /// groups to past the 64-column wide kernel, and depths spanning
+    /// several chunks. Every float mode runs, HFP8 with biases across the
+    /// whole range `fp8_e4m3_with_bias` accepts and operands scaled to
+    /// land in, above or below each format's range — so FP9 conversion
+    /// underflows and saturates, and zero-gating must count quantized
+    /// zeros, not FP9 ones. `Auto` takes the AVX2 kernels whenever the
+    /// shape has at least 4096 MACs (the dispatch the benchmark takes) and
+    /// the portable kernel below that; `Force` and `Off` pin each backend.
+    #[test]
+    fn float_gemv_and_tail_shapes_bit_exact(
+        (m, k, n) in (1usize..4, 1usize..300, 1usize..200),
+        mode_idx in 0u8..4,
+        bias_a in -111i32..=124,
+        bias_b in -111i32..=124,
+        (scale_a, scale_b) in (-24i32..=24, -24i32..=24),
+        chunk_len in 1usize..80,
+        seed in 0u64..1_000_000,
+    ) {
+        let mode = mode_from(mode_idx, bias_a, bias_b);
+        let (fa, fb) = mode.operand_formats();
+        // Centre each operand on its format's range, then shift it by up
+        // to 24 binades either way (clamped to the finite f32 range).
+        let centred = |fmt: FpFormat, shift: i32| {
+            let mid = (fmt.max_value().log2() + fmt.min_normal().log2()) / 2.0;
+            2f32.powi((mid as i32 + shift).clamp(-120, 120))
+        };
+        let (sa, sb) = (centred(fa, scale_a), centred(fb, scale_b));
+        let mut a = sparse_mat(vec![m, k], seed, -1.0, 1.0);
+        a.map_inplace(|v| v * sa);
+        let mut b = sparse_mat(vec![k, n], seed.wrapping_add(1), -1.0, 1.0);
+        b.map_inplace(|v| v * sb);
+        let (scalar, scalar_stats) = matmul_emulated_scalar(mode, &a, &b, chunk_len);
+        for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+            let exec = Exec { simd, ..Exec::default() };
+            let (fast, fast_stats) = matmul_emulated_with(mode, &a, &b, chunk_len, exec).unwrap();
+            assert_bits_eq(&fast, &scalar);
+            let ctx = format!("{simd:?} {mode:?} m={m} k={k} n={n}");
+            prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+        }
+    }
+
     /// Integer GEMM under every explicit backend pin: bit-sliced popcount
     /// (INT2×INT2), widening madd (other pairs) and the tiled windowed
     /// path must all reproduce the IntAccumulator reference, including

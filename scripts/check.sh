@@ -115,8 +115,10 @@ protection_gate() {
 simd_gate() {
     echo "== cargo clippy on the kernel crates (deny warnings) =="
     cargo clippy -p rapid-numerics -p rapid-bench --all-targets -- -D warnings
-    echo "== fastpath_bitexact proptests under RAPID_SIMD=force and =off =="
+    echo "== fastpath_bitexact proptests under RAPID_SIMD=auto, =force and =off =="
     cargo build --release -p rapid-bench --bin kernel_speed
+    # auto is the default dispatch (AVX2 from 4096 MACs up) the benchmark takes.
+    RAPID_SIMD=auto cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     RAPID_SIMD=force cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     RAPID_SIMD=off cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     echo "== kernel_speed --smoke (hard 120s timeout; asserts bit-exactness inline) =="
