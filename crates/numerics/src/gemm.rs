@@ -18,7 +18,15 @@
 //! layout (the convolution's im2col rows are already Bᵀ) and written into
 //! 16-column groups, the last one zero-padded. The same pass counts the
 //! quantized zeros at each k-position, so zero-gating statistics are a
-//! count per k-position rather than a test per MAC. One band loop then
+//! count per k-position rather than a test per MAC. Staging does not call
+//! `FpFormat::quantize` per element: a private lane quantizer does the
+//! same rounding, flush, saturation and NaN handling with integer selects
+//! (composed with the FP9 conversion for HFP8), so the pass vectorizes.
+//! It runs as an AVX2 clone exactly when the band loop does (one
+//! `dispatch::float_use_simd` decision per call; `RAPID_SIMD=off` stages
+//! with the portable body). Callers that need a transposed operand, such
+//! as HFP8's `(Error, Data)` role mapping, use the tiled
+//! [`Tensor::transposed`]. One band loop then
 //! runs every float mode over the groups, 16 or 64 columns per sweep to
 //! overlap the serial FP16 rounding chains. Every kernel fans rows out
 //! across threads. The fast path is required to be *bit-exact* against the
@@ -342,9 +350,9 @@ fn matmul_emulated_fast(
         return Ok((out, GemmStats::default()));
     }
     let (fa, fb) = mode.operand_formats();
-    let sa = Staged::rows(a.as_slice(), k, fa, multiplier(mode));
-    let sb = Staged::groups(b.as_slice(), k, n, fb, multiplier(mode));
     let use_simd = dispatch::float_use_simd(simd_mode, (m * n * k) as u64);
+    let sa = Staged::rows(a.as_slice(), k, Stager::new(mode, fa, use_simd));
+    let sb = Staged::groups(b.as_slice(), k, n, Stager::new(mode, fb, use_simd));
     let work = |row0: usize, band: &mut [f32]| -> GemmStats {
         staged_band(&sa.vals, &sb, n, row0, chunk_len, use_simd, band);
         GemmStats::default()
@@ -353,13 +361,154 @@ fn matmul_emulated_fast(
     Ok((out, staged_stats(&sa, &sb, m, n)))
 }
 
-/// The multiplier operand of a value quantized to the mode's operand
-/// format: FP16 multiplies lattice values as they are; HFP8 converts both
-/// operands to FP9 on the fly (the value `ProductLut::{a,b}_operands`
-/// holds for the code).
-fn multiplier(mode: FmaMode) -> impl Fn(f32) -> f32 {
-    let hfp8 = mode != FmaMode::Fp16;
-    move |q| if hfp8 { FpFormat::fp9().quantize(q) } else { q }
+/// Branch-free quantizer for one saturating, subnormal-free format (every
+/// staged operand format): [`FpFormat::quantize`]'s round-to-nearest-even,
+/// flush to `{0, min_normal}`, saturation and NaN as integer selects on the
+/// f32 bits, so a staging loop over it vectorizes. The bit patterns are
+/// precomputed once per operand. Scalar callers keep `FpFormat::quantize`,
+/// whose early exits are cheaper one value at a time.
+#[derive(Debug, Clone, Copy)]
+struct LaneQuant {
+    /// Dropped mantissa bits, `23 - man_bits`.
+    shift: u32,
+    min_normal: u32,
+    half_min: u32,
+    max: u32,
+}
+
+impl LaneQuant {
+    fn new(f: FpFormat) -> Self {
+        assert!(
+            f.saturates() && !f.has_subnormals() && f.man_bits() < 23,
+            "lane quantizer needs a saturating, subnormal-free format, got {f}"
+        );
+        Self {
+            shift: 23 - f.man_bits(),
+            min_normal: f.min_normal().to_bits(),
+            half_min: (f.min_normal() * 0.5).to_bits(),
+            max: f.max_value().to_bits(),
+        }
+    }
+
+    /// `f.quantize(f32::from_bits(bits)).to_bits()`. Magnitudes and
+    /// thresholds are below 2³¹, so the compares are signed (`vpcmpgtd`).
+    #[inline(always)]
+    fn apply(self, bits: u32) -> u32 {
+        let mag = bits & 0x7fff_ffff;
+        let lsb = 1u32 << self.shift;
+        // RNE: add lsb/2 − 1 plus the kept LSB, truncate; a mantissa carry
+        // moves into the next binade, infinity stays put.
+        let rounded = (mag + (lsb >> 1) - 1 + ((mag >> self.shift) & 1)) & !(lsb - 1);
+        let flushed = if mag as i32 > self.half_min as i32 { self.min_normal } else { 0 };
+        let r = if (mag as i32) < self.min_normal as i32 { flushed } else { rounded };
+        let r = if r as i32 > self.max as i32 { self.max } else { r };
+        if mag as i32 > 0x7f80_0000 {
+            0x7fc0_0000 // f32::NAN, as `quantize` returns
+        } else {
+            (bits & 0x8000_0000) | r
+        }
+    }
+}
+
+/// How one float operand is staged: quantized to its format and, for
+/// HFP8, converted to the FP9 value the FPU multiplies
+/// (`fp9().quantize ∘ quantize`; FP16 multiplies lattice values as they
+/// are). The loop runs as an AVX2 clone when the band kernel does, so
+/// `SimdMode::Off` runs the portable body end to end.
+#[derive(Debug, Clone, Copy)]
+struct Stager {
+    fmt: LaneQuant,
+    fp9: Option<LaneQuant>,
+    simd: bool,
+}
+
+impl Stager {
+    fn new(mode: FmaMode, fmt: FpFormat, simd: bool) -> Self {
+        let fp9 = (mode != FmaMode::Fp16).then(|| LaneQuant::new(FpFormat::fp9()));
+        Self { fmt: LaneQuant::new(fmt), fp9, simd: simd && dispatch::simd_available() }
+    }
+
+    /// Writes the multiplier operand of each `src` element to `dst` and
+    /// counts its quantized zeros: per position into `zeros[i]` when
+    /// `PER_ELEMENT`, else all into `zeros[0]`. The counts are u32, which
+    /// keeps the loop 8 lanes wide (u64 halves it); callers fold them into
+    /// u64 totals every [`FOLD`] rows or elements, before they can wrap.
+    fn run<const PER_ELEMENT: bool>(self, src: &[f32], dst: &mut [f32], zeros: &mut [u32]) {
+        #[cfg(target_arch = "x86_64")]
+        if self.simd {
+            // SAFETY: `simd` is only set when AVX2 is available.
+            return unsafe { self.run_avx2::<PER_ELEMENT>(src, dst, zeros) };
+        }
+        self.run_body::<PER_ELEMENT>(src, dst, zeros);
+    }
+
+    /// [`Self::run_body`] compiled for AVX2.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2<const PER_ELEMENT: bool>(
+        self,
+        src: &[f32],
+        dst: &mut [f32],
+        zeros: &mut [u32],
+    ) {
+        self.run_body::<PER_ELEMENT>(src, dst, zeros);
+    }
+
+    #[inline(always)]
+    fn run_body<const PER_ELEMENT: bool>(self, src: &[f32], dst: &mut [f32], zeros: &mut [u32]) {
+        let fmt = self.fmt;
+        match self.fp9 {
+            None => stage_loop::<PER_ELEMENT>(src, dst, zeros, |x| {
+                let q = fmt.apply(x);
+                (q, q)
+            }),
+            Some(fp9) => stage_loop::<PER_ELEMENT>(src, dst, zeros, |x| {
+                let q = fmt.apply(x);
+                (q, fp9.apply(q))
+            }),
+        }
+    }
+}
+
+/// The loop of [`Stager::run`]: `op` maps input bits to the (quantized,
+/// operand) bit pair.
+#[inline(always)]
+fn stage_loop<const PER_ELEMENT: bool>(
+    src: &[f32],
+    dst: &mut [f32],
+    zeros: &mut [u32],
+    op: impl Fn(u32) -> (u32, u32),
+) {
+    let is_zero = |q: u32| u32::from(q & 0x7fff_ffff == 0);
+    if PER_ELEMENT {
+        for ((&x, d), z) in src.iter().zip(dst).zip(zeros) {
+            let (q, o) = op(x.to_bits());
+            *z += is_zero(q);
+            *d = f32::from_bits(o);
+        }
+    } else {
+        let mut count = 0u32;
+        for (&x, d) in src.iter().zip(dst) {
+            let (q, o) = op(x.to_bits());
+            count += is_zero(q);
+            *d = f32::from_bits(o);
+        }
+        zeros[0] += count;
+    }
+}
+
+/// Rows (or elements) staged between folds of the u32 zero counts.
+const FOLD: usize = 1 << 16;
+
+/// Adds the u32 zero counts into the u64 totals and clears them.
+fn fold_zeros(zeros: &mut [u64], counts: &mut [u32]) {
+    for (z, c) in zeros.iter_mut().zip(counts) {
+        *z += u64::from(std::mem::take(c));
+    }
 }
 
 /// One float GEMM operand, staged in a single pass: every element
@@ -374,16 +523,17 @@ struct Staged {
 
 impl Staged {
     /// Stages row-major `[m, k]` A in place.
-    fn rows(a: &[f32], k: usize, fa: FpFormat, operand: impl Fn(f32) -> f32) -> Self {
+    fn rows(a: &[f32], k: usize, st: Stager) -> Self {
         let mut vals = vec![0.0f32; a.len()];
         let mut zeros = vec![0u64; k];
-        for (arow, orow) in a.chunks_exact(k).zip(vals.chunks_exact_mut(k)) {
-            for ((&x, o), z) in arow.iter().zip(orow).zip(&mut zeros) {
-                let q = fa.quantize(x);
-                *z += u64::from(q == 0.0);
-                *o = operand(q);
+        let mut counts = vec![0u32; k];
+        for (i, (arow, orow)) in a.chunks_exact(k).zip(vals.chunks_exact_mut(k)).enumerate() {
+            st.run::<true>(arow, orow, &mut counts);
+            if i % FOLD == FOLD - 1 {
+                fold_zeros(&mut zeros, &mut counts);
             }
         }
+        fold_zeros(&mut zeros, &mut counts);
         Self { vals, zeros }
     }
 
@@ -391,18 +541,19 @@ impl Staged {
     /// groups of `k × 16`: group `g` holds, for each k-position `p`,
     /// columns `16g .. 16g + 16` contiguously. Lanes past column `n` in the
     /// last group are zero and their results are discarded.
-    fn groups(b: &[f32], k: usize, n: usize, fb: FpFormat, operand: impl Fn(f32) -> f32) -> Self {
+    fn groups(b: &[f32], k: usize, n: usize, st: Stager) -> Self {
         let gsz = k * simd::GROUP;
         let mut vals = vec![0.0f32; n.div_ceil(simd::GROUP) * gsz];
         let mut zeros = vec![0u64; k];
+        let mut row_ops = vec![0.0f32; n];
         for (p, (row, z)) in b.chunks_exact(n).zip(&mut zeros).enumerate() {
-            for (g, cols) in row.chunks(simd::GROUP).enumerate() {
-                let dst = &mut vals[g * gsz + p * simd::GROUP..][..cols.len()];
-                for (d, &x) in dst.iter_mut().zip(cols) {
-                    let q = fb.quantize(x);
-                    *z += u64::from(q == 0.0);
-                    *d = operand(q);
-                }
+            for (piece, ops) in row.chunks(FOLD).zip(row_ops.chunks_mut(FOLD)) {
+                let mut count = [0u32];
+                st.run::<false>(piece, ops, &mut count);
+                *z += u64::from(count[0]);
+            }
+            for (g, cols) in row_ops.chunks(simd::GROUP).enumerate() {
+                vals[g * gsz + p * simd::GROUP..][..cols.len()].copy_from_slice(cols);
             }
         }
         Self { vals, zeros }
@@ -410,24 +561,24 @@ impl Staged {
 
     /// [`Self::groups`] from Bᵀ: `bt` holds the `n` columns of B, each `k`
     /// long — the layout the convolution's im2col rows already have.
-    fn groups_from_columns(
-        bt: &[f32],
-        k: usize,
-        fb: FpFormat,
-        operand: impl Fn(f32) -> f32,
-    ) -> Self {
+    fn groups_from_columns(bt: &[f32], k: usize, st: Stager) -> Self {
         let n = bt.len() / k;
         let gsz = k * simd::GROUP;
         let mut vals = vec![0.0f32; n.div_ceil(simd::GROUP) * gsz];
         let mut zeros = vec![0u64; k];
+        let mut counts = vec![0u32; k];
+        let mut col_ops = vec![0.0f32; k];
         for (j, col) in bt.chunks_exact(k).enumerate() {
+            st.run::<true>(col, &mut col_ops, &mut counts);
+            if j % FOLD == FOLD - 1 {
+                fold_zeros(&mut zeros, &mut counts);
+            }
             let lane = vals[(j / simd::GROUP) * gsz + j % simd::GROUP..].iter_mut();
-            for ((&x, d), z) in col.iter().zip(lane.step_by(simd::GROUP)).zip(&mut zeros) {
-                let q = fb.quantize(x);
-                *z += u64::from(q == 0.0);
-                *d = operand(q);
+            for (d, &v) in lane.step_by(simd::GROUP).zip(&col_ops) {
+                *d = v;
             }
         }
+        fold_zeros(&mut zeros, &mut counts);
         Self { vals, zeros }
     }
 }
@@ -1499,12 +1650,13 @@ fn conv2d_panels_emulated(
         return Ok((out, GemmStats::default()));
     }
     let (fa, fb) = mode.operand_formats();
-    let sw = Staged::rows(weight.as_slice(), kcols, fb, multiplier(mode));
     let use_simd = dispatch::float_use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
+    let sw = Staged::rows(weight.as_slice(), kcols, Stager::new(mode, fb, use_simd));
+    let col_stager = Stager::new(mode, fa, use_simd);
     let mut stats = GemmStats::default();
     let image_cols = cols.as_slice().chunks_exact(hw * kcols);
     for (band_out, ci) in out.as_mut_slice().chunks_exact_mut(g.co * hw).zip(image_cols) {
-        let sc = Staged::groups_from_columns(ci, kcols, fa, multiplier(mode));
+        let sc = Staged::groups_from_columns(ci, kcols, col_stager);
         let work = |row0: usize, band: &mut [f32]| -> GemmStats {
             staged_band(&sw.vals, &sc, hw, row0, chunk_len, use_simd, band);
             GemmStats::default()
@@ -1752,6 +1904,92 @@ mod tests {
             let x = f32::from_bits((state >> 32) as u32);
             if x.is_finite() {
                 check(x);
+            }
+        }
+    }
+
+    /// Both stager bodies — the AVX2 clone and the portable loop — must
+    /// reproduce `FpFormat::quantize` (composed with the FP9 conversion
+    /// for HFP8) bit for bit on every staged format, and count exactly
+    /// its quantized zeros.
+    #[test]
+    fn stager_matches_quantize_on_every_staged_format() {
+        let fp9 = FpFormat::fp9();
+        let mut formats: Vec<FpFormat> =
+            (-111..=124).map(|b| FpFormat::fp8_e4m3_with_bias(b).unwrap()).collect();
+        formats.extend([FpFormat::fp8_e5m2(), FpFormat::fp16()]);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let random: Vec<f32> = (0..100_000)
+            .map(|_| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                f32::from_bits((state >> 32) as u32)
+            })
+            .collect();
+        let bodies: &[bool] = if dispatch::simd_available() { &[false, true] } else { &[false] };
+        for &f in &formats {
+            let (half, mn, mx) = (f.min_normal() * 0.5, f.min_normal(), f.max_value());
+            let half_ulp = 1u32 << (22 - f.man_bits());
+            let mut xs = vec![
+                0.0,
+                f32::INFINITY,
+                f32::NAN,
+                f32::from_bits(0x7f80_0001),
+                f32::from_bits(0x7fff_ffff),
+                f32::MAX,
+                f32::from_bits(1),
+                half,
+                f32::from_bits(half.to_bits() - 1),
+                f32::from_bits(half.to_bits() + 1),
+                mn,
+                f32::from_bits(mn.to_bits() - 1),
+                mx,
+                // max's mantissa is odd, so the tie above it rounds up past max.
+                f32::from_bits(mx.to_bits() + half_ulp),
+                f32::from_bits(mx.to_bits() + half_ulp - 1),
+                mx * 4.0,
+            ];
+            xs.extend(xs.clone().iter().map(|x| -x));
+            xs.extend(&random);
+            for &simd in bodies {
+                for mode in [FmaMode::Fp16, FmaMode::hfp8_fwd_default()] {
+                    let st = Stager::new(mode, f, simd);
+                    assert_eq!(st.simd, simd);
+                    let mut ops = vec![0.0f32; xs.len()];
+                    let mut zeros = vec![0u32; xs.len()];
+                    st.run::<true>(&xs, &mut ops, &mut zeros);
+                    let mut total_ops = vec![0.0f32; xs.len()];
+                    let mut total = [0u32];
+                    st.run::<false>(&xs, &mut total_ops, &mut total);
+                    let mut want_total = 0;
+                    for (i, &x) in xs.iter().enumerate() {
+                        let q = f.quantize(x);
+                        let want = if mode == FmaMode::Fp16 { q } else { fp9.quantize(q) };
+                        let got = (ops[i].to_bits(), total_ops[i].to_bits(), zeros[i]);
+                        let expect = (want.to_bits(), want.to_bits(), u32::from(q == 0.0));
+                        let bits = x.to_bits();
+                        assert_eq!(got, expect, "{f} {mode:?} simd={simd} x={x:e} ({bits:#x})");
+                        want_total += u32::from(q == 0.0);
+                    }
+                    assert_eq!(total[0], want_total, "{f} {mode:?} simd={simd}");
+                }
+            }
+        }
+        // Exhaustively over the 256 codes, the staged FP9 operands are the
+        // factors of the HFP8 product table.
+        for f in &formats[..formats.len() - 1] {
+            let lut = crate::lut::ProductLut::new(*f, FpFormat::fp8_e5m2());
+            for &simd in bodies {
+                let check = |fmt: FpFormat, want: &[f32; 256]| {
+                    let codes: Vec<f32> = (0..256).map(|c| fmt.decode(c)).collect();
+                    let mut ops = vec![0.0f32; 256];
+                    let st = Stager::new(FmaMode::hfp8_fwd_default(), fmt, simd);
+                    st.run::<true>(&codes, &mut ops, &mut [0; 256]);
+                    for (c, (o, w)) in ops.iter().zip(want).enumerate() {
+                        assert_eq!(o.to_bits(), w.to_bits(), "{fmt} code {c:#04x} simd={simd}");
+                    }
+                };
+                check(*f, lut.a_operands());
+                check(FpFormat::fp8_e5m2(), lut.b_operands());
             }
         }
     }

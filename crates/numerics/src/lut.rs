@@ -6,9 +6,9 @@
 //! all 65 536 pairwise products for an (A-format, B-format) pair: the
 //! exhaustive statement of the HFP8 multiply. The emulated kernels compute
 //! the same products by multiplying FP9-converted operands staged once per
-//! call, which the table's operand factors pin entry by entry. Tables are
-//! built once per format pair and cached process-wide (512 KiB each, with
-//! the zero-remapped copy).
+//! call; the table's operand factors pin that staging code by code (see the
+//! stager test in `gemm`). Tables are built once per format pair and cached
+//! process-wide (256 KiB each).
 
 use crate::format::FpFormat;
 use std::collections::HashMap;
@@ -64,8 +64,6 @@ pub fn is_zero_code(code: u8) -> bool {
 #[derive(Debug, Clone)]
 pub struct ProductLut {
     products: Box<[f32]>,
-    /// `products` with every zero entry stored as `-0.0`.
-    gated_products: Box<[f32]>,
     /// FP9-converted A-operand values, indexed by code — the exact left
     /// factors the product table was built from.
     a_operands: [f32; 256],
@@ -98,8 +96,7 @@ impl ProductLut {
         a_operands.copy_from_slice(&ia);
         let mut b_operands = [0.0f32; 256];
         b_operands.copy_from_slice(&ib);
-        let gated_products = products.iter().map(|&p| if p == 0.0 { -0.0 } else { p }).collect();
-        Self { products, gated_products, a_operands, b_operands }
+        Self { products, a_operands, b_operands }
     }
 
     /// The product for A-code `ca` and B-code `cb`.
@@ -111,16 +108,6 @@ impl ProductLut {
     /// The full 64K product table, indexed by `(ca << 8) | cb`.
     pub fn products(&self) -> &[f32] {
         &self.products
-    }
-
-    /// [`Self::products`] with every zero product stored as `-0.0`, built
-    /// once with the table.
-    ///
-    /// IEEE `x + (-0.0)` is the identity on every f32 (both zero signs
-    /// included), so a MAC loop over this table can add unconditionally
-    /// instead of branching on gated products, bit-exactly.
-    pub fn gated_products(&self) -> &[f32] {
-        &self.gated_products
     }
 
     /// The 256 FP9-converted A-operand values, indexed by code.
@@ -144,7 +131,7 @@ impl ProductLut {
 
 /// Returns the cached [`ProductLut`] for a format pair, building it on first
 /// use. Tables are never evicted; a sweep touches a handful of (format, bias)
-/// pairs, each costing 512 KiB.
+/// pairs, each costing 256 KiB.
 pub fn product_lut(fa: FpFormat, fb: FpFormat) -> Arc<ProductLut> {
     type Cache = Mutex<HashMap<(FpFormat, FpFormat), Arc<ProductLut>>>;
     static CACHE: OnceLock<Cache> = OnceLock::new();
@@ -215,17 +202,6 @@ mod tests {
                     assert_eq!(lut.product(ca, cb).to_bits(), expect.to_bits());
                 }
             }
-        }
-    }
-
-    /// The zero-remapped table differs from the plain one only in the sign
-    /// of its zero entries.
-    #[test]
-    fn gated_products_remap_only_zeros() {
-        let lut = ProductLut::new(FpFormat::fp8_e4m3_with_bias(11).unwrap(), FpFormat::fp8_e5m2());
-        for (&p, &g) in lut.products().iter().zip(lut.gated_products()) {
-            let want = if p == 0.0 { (-0.0f32).to_bits() } else { p.to_bits() };
-            assert_eq!(g.to_bits(), want);
         }
     }
 

@@ -207,16 +207,34 @@ impl Tensor {
 
     /// Transpose of a rank-2 tensor.
     ///
+    /// Works in 16×16 tiles: each tile's source rows are read into a
+    /// stack buffer, then written out as contiguous destination rows. A
+    /// plain element loop writes the output with a stride of `rows`
+    /// elements, which misses cache on nearly every store when that stride
+    /// is a multiple of a cache-set period; wider tiles measured no faster.
+    ///
     /// # Panics
     ///
     /// Panics if the tensor is not rank 2.
     pub fn transposed(&self) -> Self {
+        const TILE: usize = 16;
         assert_eq!(self.shape.len(), 2, "transpose requires a rank-2 tensor");
         let (r, c) = (self.shape[0], self.shape[1]);
         let mut out = Tensor::zeros(vec![c, r]);
-        for i in 0..r {
-            for j in 0..c {
-                out.data[j * r + i] = self.data[i * c + j];
+        let mut tile = [[0.0f32; TILE]; TILE];
+        for i0 in (0..r).step_by(TILE) {
+            let h = TILE.min(r - i0);
+            for j0 in (0..c).step_by(TILE) {
+                let w = TILE.min(c - j0);
+                for (di, trow) in tile[..h].iter_mut().enumerate() {
+                    trow[..w].copy_from_slice(&self.data[(i0 + di) * c + j0..][..w]);
+                }
+                for dj in 0..w {
+                    let orow = &mut out.data[(j0 + dj) * r + i0..][..h];
+                    for (o, trow) in orow.iter_mut().zip(&tile) {
+                        *o = trow[dj];
+                    }
+                }
             }
         }
         out
@@ -279,6 +297,36 @@ mod tests {
         let t = Tensor::random_uniform(vec![3, 5], -1.0, 1.0, 42);
         assert_eq!(t.transposed().transposed(), t);
         assert_eq!(t.transposed().get(&[4, 2]), t.get(&[2, 4]));
+    }
+
+    /// `t.transposed()` against the index formula `out[j][i] = t[i][j]`,
+    /// plus the round trip.
+    fn check_transpose(r: usize, c: usize, seed: u64) {
+        let t = Tensor::random_uniform(vec![r, c], -1.0, 1.0, seed);
+        let want = Tensor::from_fn(vec![c, r], |x| t.as_slice()[(x % r) * c + x / r]);
+        let got = t.transposed();
+        assert_eq!(got.shape(), want.shape(), "[{r}, {c}]");
+        assert_eq!(got.as_slice(), want.as_slice(), "[{r}, {c}]");
+        assert_eq!(got.transposed(), t, "[{r}, {c}] round trip");
+    }
+
+    /// Empty dimensions, single rows and columns, and one below, at and
+    /// above the 16×16 tile edge.
+    #[test]
+    fn transpose_edge_shapes_match_index_oracle() {
+        let dims = [0, 1, 15, 16, 17, 32, 33, 70];
+        for r in dims {
+            for c in dims {
+                check_transpose(r, c, (r * 71 + c) as u64);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn transposed_matches_index_oracle(r in 0usize..=70, c in 0usize..=70, seed in 0u64..1000) {
+            check_transpose(r, c, seed);
+        }
     }
 
     #[test]

@@ -204,6 +204,44 @@ mod tests {
         }
     }
 
+    /// Naive index-formula transpose, independent of `Tensor::transposed`.
+    fn transpose_by_index(t: &Tensor) -> Tensor {
+        let (r, c) = (t.shape()[0], t.shape()[1]);
+        Tensor::from_fn(vec![c, r], |x| t.as_slice()[(x % r) * c + x / r])
+    }
+
+    /// The fast backend is bit-equal to the HFP8 role mapping on the scalar
+    /// reference kernel for every role pair, on shapes spanning several
+    /// transpose tiles and staging groups (`(Error, Data)` goes through
+    /// both transposes).
+    #[test]
+    fn try_matmul_is_bit_equal_to_the_scalar_role_mapping() {
+        use rapid_numerics::gemm::matmul_emulated_scalar;
+        use OperandRole::{Data, Error};
+        let be = Hfp8Backend::default();
+        let (fwd, bwd) = (FmaMode::hfp8_fwd_default(), FmaMode::hfp8_bwd_default());
+        for (m, k, n) in [(37, 70, 45), (1, 300, 17)] {
+            let mut a = Tensor::random_uniform(vec![m, k], -2.0, 2.0, (m * k) as u64);
+            let b = Tensor::random_uniform(vec![k, n], -2.0, 2.0, (k * n) as u64);
+            a.as_mut_slice().iter_mut().step_by(7).for_each(|x| *x = 0.0);
+            for roles in [(Data, Data), (Data, Error), (Error, Data)] {
+                let want = match roles {
+                    (Data, Data) => matmul_emulated_scalar(fwd, &a, &b, be.chunk_len).0,
+                    (Error, Data) => {
+                        let (bt, at) = (transpose_by_index(&b), transpose_by_index(&a));
+                        transpose_by_index(&matmul_emulated_scalar(bwd, &bt, &at, be.chunk_len).0)
+                    }
+                    _ => matmul_emulated_scalar(bwd, &a, &b, be.chunk_len).0,
+                };
+                let got = be.try_matmul(&a, &b, roles).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{m}x{k}x{n} {roles:?}");
+                let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect();
+                let (got, want): (Vec<u32>, Vec<u32>) = (bits(&got), bits(&want));
+                assert_eq!(got, want, "{m}x{k}x{n} {roles:?}");
+            }
+        }
+    }
+
     #[test]
     fn error_data_equals_transposed_data_error() {
         // (Error, Data) is computed via the transpose identity; verify it

@@ -16,7 +16,8 @@
 #                                 schema validation of its record
 #   scripts/check.sh --simd       SIMD gate only: clippy on the kernel
 #                                 crates, the bit-exactness proptests under
-#                                 RAPID_SIMD=force and RAPID_SIMD=off, and
+#                                 RAPID_SIMD=auto, =force and =off, the
+#                                 refnet tests under =force and =off, and
 #                                 a timed kernel_speed smoke (which asserts
 #                                 bit-exactness inline)
 #   scripts/check.sh --serve      serving gate only: clippy on the serve
@@ -121,6 +122,9 @@ simd_gate() {
     RAPID_SIMD=auto cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     RAPID_SIMD=force cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     RAPID_SIMD=off cargo test --release -p rapid-numerics --test fastpath_bitexact -q
+    echo "== refnet tests under RAPID_SIMD=force and =off (both operand stagers) =="
+    RAPID_SIMD=force cargo test --release -p rapid-refnet -q
+    RAPID_SIMD=off cargo test --release -p rapid-refnet -q
     echo "== kernel_speed --smoke (hard 120s timeout; asserts bit-exactness inline) =="
     timeout 120 ./target/release/kernel_speed --smoke
 }
