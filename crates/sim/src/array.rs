@@ -1,5 +1,4 @@
-//! The corelet's systolic MPE array as a functional, cycle-tracked state
-//! machine.
+//! The corelet's systolic MPE array as a cycle-tracked state machine.
 //!
 //! The array executes the weight-stationary dataflow of Fig 5 one
 //! (co-tile, ci-block) stationary block at a time:
@@ -9,33 +8,42 @@
 //!    instruction);
 //! 2. **Fill** — systolic pipeline fill (`rows + cols` cycles);
 //! 3. **Stream** — consume input positions from the input link at up to
-//!    `ci_tile(precision)` elements/cycle, issuing the FMMA work
-//!    functionally through the `rapid-numerics` pipelines (chunk-based
-//!    accumulation, zero-gating);
+//!    `ci_tile(precision)` elements/cycle;
 //! 4. signal the weight sequencer (token) so the next block may load.
 //!
-//! Values are checked against reference GEMMs in the driver's tests; the
-//! cycle counts are what the calibration experiment (E9) compares with the
-//! analytical model.
+//! Ticks set the time and never compute. While a tile streams, the array
+//! records the operands it actually popped from its links: each block's
+//! LRF rows and each position's A slice. When the tile's last block
+//! finishes, the tile's values and zero-gated count come from one call to
+//! the `rapid-numerics` kernels on exactly those operands
+//! ([`matmul_emulated_with`] at chunk `ci_lrf`, or [`matmul_int_with`] at
+//! chunk 64), so a scratchpad word that reached a link reaches the values.
+//! The cycle counts are what the calibration experiment (E9) compares
+//! with the analytical model.
 
 use crate::error::SimError;
 use crate::seq::Link;
 use crate::token::TokenFile;
 use rapid_arch::geometry::CoreletConfig;
 use rapid_arch::precision::Precision;
-use rapid_numerics::accumulate::ChunkAccumulator;
 use rapid_numerics::fma::FmaMode;
-use rapid_numerics::int::{IntAccumulator, QuantParams};
+use rapid_numerics::gemm::{matmul_emulated_with, matmul_int_with, Exec};
+use rapid_numerics::int::QuantParams;
+use rapid_numerics::Tensor;
 
 /// Token the array signals when a stationary block has fully streamed and
 /// its LRF may be overwritten.
 pub const TOKEN_BLOCK_FREE: u8 = 0;
 
+/// INT16 chunk length of the FXU pipeline.
+const INT_CHUNK: usize = 64;
+
 /// How the array's datapath computes (which pipeline + quantizers).
 #[derive(Debug, Clone)]
 pub enum Datapath {
-    /// FPU pipeline (FP16 or HFP8); operands are already exact members of
-    /// the mode's formats.
+    /// FPU pipeline (FP16 or HFP8). The kernel quantizes the received
+    /// words to the mode's operand formats, so a corrupted word counts only
+    /// through the bits those formats keep.
     Float {
         /// FMA mode (fixes operand formats and sub-SIMD factor).
         mode: FmaMode,
@@ -47,13 +55,6 @@ pub enum Datapath {
         /// Weight quantization.
         qb: QuantParams,
     },
-}
-
-/// One output tile's accumulators.
-#[derive(Debug)]
-enum AccBank {
-    Float(Vec<ChunkAccumulator>),
-    Int(Vec<IntAccumulator>, f32),
 }
 
 /// Phase of the block state machine.
@@ -90,14 +91,15 @@ pub struct MpeArray {
     block_idx: u64,
     n_blocks: u64,
     phase: Phase,
-    // Current stationary block.
-    lrf: Vec<f32>, // [ci_b × tile_width], row-major by ci
+    // Weights loaded into the current block's LRFs.
     lrf_filled: u64,
-    // Current streaming position.
+    // Current streaming position and the elements it has received.
     pos: u64,
-    pos_buf: Vec<f32>,
-    // Per-(position, col) accumulators for the current tile.
-    acc: Option<AccBank>,
+    pos_filled: u64,
+    // Operands the current tile received: A `[m, k]` and B `[k, width]`,
+    // both row-major.
+    tile_a: Vec<f32>,
+    tile_b: Vec<f32>,
     /// Completed outputs: `(row, col, value)` triples.
     pub outputs: Vec<(u64, u64, f32)>,
     /// Cycles spent per phase: `[blockload, fill, stream, starved]`.
@@ -144,6 +146,7 @@ impl MpeArray {
         }
         let ci_lrf = u64::from(cfg.ci_lrf_max(job.precision));
         let n_blocks = job.k.div_ceil(ci_lrf);
+        let tile_a = vec![0.0; (job.m * job.k) as usize];
         let mut array = Self {
             cfg,
             job,
@@ -152,11 +155,11 @@ impl MpeArray {
             block_idx: 0,
             n_blocks,
             phase: Phase::BlockLoad,
-            lrf: Vec::new(),
             lrf_filled: 0,
             pos: 0,
-            pos_buf: Vec::new(),
-            acc: None,
+            pos_filled: 0,
+            tile_a,
+            tile_b: Vec::new(),
             outputs: Vec::new(),
             phase_cycles: [0; 4],
             macs: 0,
@@ -182,24 +185,17 @@ impl MpeArray {
     }
 
     fn start_tile(&mut self) {
-        let w = (self.tile_width() * self.job.m) as usize;
-        self.acc = Some(match &self.datapath {
-            Datapath::Float { mode } => AccBank::Float(
-                (0..w).map(|_| ChunkAccumulator::new(*mode, self.ci_lrf() as usize)).collect(),
-            ),
-            Datapath::Int { qa, qb } => {
-                AccBank::Int((0..w).map(|_| IntAccumulator::new(64)).collect(), qa.scale() * qb.scale())
-            }
-        });
+        // Every A element is overwritten as the tile streams; B is rebuilt
+        // block by block in load order, which is row-major `[k, width]`.
+        self.tile_b.clear();
         self.block_idx = 0;
         self.begin_block();
     }
 
     fn begin_block(&mut self) {
-        self.lrf.clear();
         self.lrf_filled = 0;
         self.pos = 0;
-        self.pos_buf.clear();
+        self.pos_filled = 0;
         self.phase = Phase::BlockLoad;
     }
 
@@ -222,7 +218,7 @@ impl MpeArray {
             .wrapping_add(self.outputs.len() as u64)
             .wrapping_add(self.lrf_filled)
             .wrapping_add(self.pos)
-            .wrapping_add(self.pos_buf.len() as u64)
+            .wrapping_add(self.pos_filled)
             .wrapping_add(self.block_idx)
             .wrapping_add(self.tile_idx as u64)
             .wrapping_add(self.phase_cycles[1])
@@ -241,7 +237,7 @@ impl MpeArray {
                 let need = self.block_ci() * self.tile_width();
                 while self.lrf_filled < need {
                     let Some(v) = weights.pop() else { break };
-                    self.lrf.push(v);
+                    self.tile_b.push(v);
                     self.lrf_filled += 1;
                 }
                 if self.lrf_filled == need {
@@ -255,21 +251,25 @@ impl MpeArray {
             Phase::Stream => {
                 // Per cycle the rows accept up to ci_tile input elements.
                 let ci_cyc = u64::from(self.cfg.ci_tile(self.job.precision));
-                let need = self.block_ci() as usize;
+                let need = self.block_ci();
+                let row = (self.pos * self.job.k + self.block_idx * self.ci_lrf()) as usize;
                 let mut taken = 0;
-                while taken < ci_cyc && self.pos_buf.len() < need {
+                while taken < ci_cyc && self.pos_filled < need {
                     let Some(v) = inputs.pop() else { break };
-                    self.pos_buf.push(v);
+                    self.tile_a[row + self.pos_filled as usize] = v;
+                    self.pos_filled += 1;
                     taken += 1;
                 }
-                if taken == 0 && self.pos_buf.len() < need {
+                if taken == 0 && self.pos_filled < need {
                     self.phase_cycles[3] += 1; // starved on inputs
                     return;
                 }
                 self.phase_cycles[2] += 1;
-                if self.pos_buf.len() == need {
-                    self.issue_position();
-                    self.pos_buf.clear();
+                if self.pos_filled == need {
+                    // The position issues its FMMA work against the
+                    // stationary block.
+                    self.macs += need * self.tile_width();
+                    self.pos_filled = 0;
                     self.pos += 1;
                     if self.pos == self.job.m {
                         self.finish_block(tokens);
@@ -279,41 +279,6 @@ impl MpeArray {
         }
     }
 
-    /// Issues the FMMA work of one completed input position against the
-    /// stationary block.
-    // The accumulator bank invariantly exists between start_tile and
-    // finish_block; a violation is a simulator bug, not a runtime input.
-    #[allow(clippy::expect_used)]
-    fn issue_position(&mut self) {
-        let w = self.tile_width() as usize;
-        let base = (self.pos as usize) * w;
-        let acc = self.acc.as_mut().expect("tile accumulators exist");
-        match (acc, &self.datapath) {
-            (AccBank::Float(bank), Datapath::Float { .. }) => {
-                for (ci, &a) in self.pos_buf.iter().enumerate() {
-                    let row = &self.lrf[ci * w..(ci + 1) * w];
-                    for (c, &b) in row.iter().enumerate() {
-                        bank[base + c].mac(a, b);
-                    }
-                }
-                self.macs += (self.pos_buf.len() * w) as u64;
-            }
-            (AccBank::Int(bank, _), Datapath::Int { qa, qb }) => {
-                for (ci, &a) in self.pos_buf.iter().enumerate() {
-                    let ca = qa.quantize(a);
-                    let row = &self.lrf[ci * w..(ci + 1) * w];
-                    for (c, &b) in row.iter().enumerate() {
-                        bank[base + c].mac(ca, qb.quantize(b));
-                    }
-                }
-                self.macs += (self.pos_buf.len() * w) as u64;
-            }
-            _ => unreachable!("datapath/accumulator banks always match"),
-        }
-    }
-
-    // Same invariant as issue_position: the bank exists and is m*w long.
-    #[allow(clippy::expect_used)]
     fn finish_block(&mut self, tokens: &mut TokenFile) {
         tokens.signal(TOKEN_BLOCK_FREE);
         self.block_idx += 1;
@@ -321,38 +286,42 @@ impl MpeArray {
             self.begin_block();
             return;
         }
-        // Tile complete: drain accumulators to the output stream.
-        let (col_start, w) = self.job.tiles[self.tile_idx];
-        let acc = self.acc.take().expect("tile accumulators exist");
-        match acc {
-            AccBank::Float(bank) => {
-                let mut it = bank.into_iter();
-                for r in 0..self.job.m {
-                    for c in 0..w {
-                        let a = it.next().expect("bank sized m*w");
-                        // Gating statistics accumulate per tile.
-                        self.zero_gated += a.zero_gated();
-                        self.outputs.push((r, col_start + c, a.finish()));
-                    }
-                }
-            }
-            AccBank::Int(bank, scale) => {
-                let mut it = bank.into_iter();
-                for r in 0..self.job.m {
-                    for c in 0..w {
-                        let a = it.next().expect("bank sized m*w");
-                        self.zero_gated += a.zero_gated();
-                        self.outputs.push((r, col_start + c, a.finish() as f32 * scale));
-                    }
-                }
-            }
-        }
+        self.compute_tile();
         self.tile_idx += 1;
         if self.tile_idx == self.job.tiles.len() {
             self.phase = Phase::Done;
         } else {
             self.start_tile();
         }
+    }
+
+    /// Computes the finished tile's outputs from the operands it received.
+    // The recorded operands are `[m, k] × [k, width]` by construction, the
+    // chunk lengths are positive, and the default guard policy propagates,
+    // so the kernels cannot fail here; a failure is a simulator bug.
+    #[allow(clippy::expect_used)]
+    fn compute_tile(&mut self) {
+        let (m, k) = (self.job.m as usize, self.job.k as usize);
+        let (col_start, w) = self.job.tiles[self.tile_idx];
+        let a = Tensor::from_vec(vec![m, k], std::mem::take(&mut self.tile_a));
+        let b = Tensor::from_vec(vec![k, w as usize], std::mem::take(&mut self.tile_b));
+        let (c, stats) = match &self.datapath {
+            Datapath::Float { mode } => {
+                matmul_emulated_with(*mode, &a, &b, self.ci_lrf() as usize, Exec::default())
+            }
+            Datapath::Int { qa, qb } => {
+                matmul_int_with(&a, &b, *qa, *qb, INT_CHUNK, Exec::default())
+            }
+        }
+        .expect("tile operands are [m, k] x [k, width]");
+        self.zero_gated += stats.zero_gated;
+        for (r, row) in c.as_slice().chunks_exact(w as usize).enumerate() {
+            for (cc, &v) in row.iter().enumerate() {
+                self.outputs.push((r as u64, col_start + cc as u64, v));
+            }
+        }
+        self.tile_a = a.into_vec();
+        self.tile_b = b.into_vec();
     }
 }
 
@@ -485,6 +454,36 @@ mod tests {
         // Exact: col0 = 10, col1 = 20 (all values on the integer grid).
         assert_eq!(array.outputs[0].2, 10.0);
         assert_eq!(array.outputs[1].2, 20.0);
+    }
+
+    #[test]
+    fn float_datapath_requantizes_received_words() {
+        // An unprotected scratchpad delivers a flipped bit inside an f32
+        // word. The kernel quantizes the word to the operand format, so a
+        // flip below FP16 precision rounds away while a sign or exponent
+        // flip reaches the output.
+        let run = |first: f32| {
+            let cfg = CoreletConfig::default();
+            let job = ArrayJob { m: 1, k: 4, tiles: vec![(0, 2)], precision: Precision::Fp16 };
+            let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+            let mut wl = Link::new(64);
+            let mut il = Link::new(64);
+            for _ in 0..4 {
+                wl.push(0.5);
+                wl.push(2.0);
+            }
+            for v in [first, 2.0, 3.0, 4.0] {
+                il.push(v);
+            }
+            drive(&mut array, &mut wl, &mut il, |_| (vec![], vec![]));
+            array.outputs[0].2
+        };
+        let clean = 1.5f32;
+        let flipped = |bit: u32| f32::from_bits(clean.to_bits() ^ (1 << bit));
+        assert_eq!(run(clean), 5.25);
+        assert_eq!(run(flipped(0)), run(clean), "sub-FP16 flip must round away");
+        assert_ne!(run(flipped(31)), run(clean), "sign flip must reach the output");
+        assert_ne!(run(flipped(23)), run(clean), "exponent flip must reach the output");
     }
 
     #[test]

@@ -183,23 +183,19 @@ pub fn try_run_chip_gemm_with(
             break;
         }
         let cols = cols_per_core.min(n - c0);
-        // Slice B's columns for this core.
-        let mut b_slice = Tensor::zeros(vec![k, cols]);
-        for r in 0..k {
-            for cc in 0..cols {
-                b_slice.set(&[r, cc], job.b.get(&[r, c0 + cc]));
-            }
-        }
+        // Slice B's columns for this core, one row at a time.
+        let b_cols =
+            job.b.as_slice().chunks_exact(n).flat_map(|row| &row[c0..c0 + cols]).copied().collect();
+        let b_slice = Tensor::from_vec(vec![k, cols], b_cols);
         let sim = CoreSim::new(core_cfg).with_core_id(core_id as u32);
         let r = sim.try_run_gemm(
             &GemmJob { a: job.a.clone(), b: b_slice, precision: job.precision },
             None,
             tele.as_deref_mut(),
         )?;
-        for row in 0..m {
-            for cc in 0..cols {
-                c.set(&[row, c0 + cc], r.c.get(&[row, cc]));
-            }
+        let rows = c.as_mut_slice().chunks_exact_mut(n).zip(r.c.as_slice().chunks_exact(cols));
+        for (dst, src) in rows {
+            dst[c0..c0 + cols].copy_from_slice(src);
         }
         compute_cycles = compute_cycles.max(r.cycles);
         cores.push(r);

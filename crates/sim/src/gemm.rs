@@ -230,8 +230,9 @@ impl CoreSim {
                 idx as u32,
                 tele.as_deref_mut(),
             )?;
+            let out = c.as_mut_slice();
             for (r, cc, v) in outputs {
-                c.set(&[(row0 + r) as usize, cc as usize], v);
+                out[((row0 + r) * n + cc) as usize] = v;
             }
             wall = wall.max(report.cycles);
             reports.push(report);

@@ -2,8 +2,10 @@
 //!
 //! A cycle-approximate, *functionally executing* simulator of the RaPiD
 //! core (paper §II-A, §III): decoupled data-sequencing programs with
-//! token-based synchronization feed a systolic MPE array that computes
-//! through the bit-exact `rapid-numerics` pipelines.
+//! token-based synchronization feed a systolic MPE array. The tick loop
+//! sets the time; each finished output tile takes its values from one
+//! call to the bit-exact `rapid-numerics` kernels on the operands the
+//! array received.
 //!
 //! Structure (one corelet):
 //!

@@ -17,8 +17,10 @@
 #   scripts/check.sh --simd       SIMD gate only: clippy on the kernel
 #                                 crates, the bit-exactness proptests under
 #                                 RAPID_SIMD=auto, =force and =off, the
-#                                 refnet tests under =force and =off, and
-#                                 a timed kernel_speed smoke (which asserts
+#                                 refnet and sim tests under =force and
+#                                 =off (the simulator's values come from
+#                                 the dispatched kernels), and a timed
+#                                 kernel_speed smoke (which asserts
 #                                 bit-exactness inline)
 #   scripts/check.sh --serve      serving gate only: clippy on the serve
 #                                 crate (unwrap/expect denied), the serving
@@ -125,6 +127,9 @@ simd_gate() {
     echo "== refnet tests under RAPID_SIMD=force and =off (both operand stagers) =="
     RAPID_SIMD=force cargo test --release -p rapid-refnet -q
     RAPID_SIMD=off cargo test --release -p rapid-refnet -q
+    echo "== sim tests under RAPID_SIMD=force and =off (tile values come from the kernels) =="
+    RAPID_SIMD=force cargo test --release -p rapid-sim -q
+    RAPID_SIMD=off cargo test --release -p rapid-sim -q
     echo "== kernel_speed --smoke (hard 120s timeout; asserts bit-exactness inline) =="
     timeout 120 ./target/release/kernel_speed --smoke
 }
