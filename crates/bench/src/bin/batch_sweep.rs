@@ -7,41 +7,41 @@
 
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
-use rapid_bench::{section, BenchRecord};
+use rapid_bench::{run, section};
 use rapid_compiler::passes::{compile, CompileOptions};
 use rapid_model::cost::ModelConfig;
 use rapid_model::inference::evaluate_inference;
 use rapid_workloads::suite::benchmark;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rec = BenchRecord::new("batch_sweep");
-    let chip = ChipConfig::rapid_4core();
-    let cfg = ModelConfig::default();
-    section("batch-size sweep — INT4 inference, per-input latency (µs)");
-    print!("{:<12}", "benchmark");
-    for b in [1u64, 2, 4, 8, 16] {
-        print!(" {:>9}", format!("b={b}"));
-    }
-    println!(" {:>12}", "b16 gain");
-    for name in ["resnet50", "vgg16", "mobilenetv1", "lstm", "bilstm", "bert"] {
-        let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-        print!("{name:<12}");
-        let mut per_input = Vec::new();
+fn main() -> std::process::ExitCode {
+    run("batch_sweep", |ctx| {
+        let chip = ChipConfig::rapid_4core();
+        let cfg = ModelConfig::default();
+        section("batch-size sweep — INT4 inference, per-input latency (µs)");
+        print!("{:<12}", "benchmark");
         for b in [1u64, 2, 4, 8, 16] {
-            let r = evaluate_inference(&net, &plan, &chip, b, &cfg);
-            let t = r.latency_s * 1e6 / b as f64;
-            per_input.push(t);
-            print!(" {:>9.0}", t);
+            print!(" {:>9}", format!("b={b}"));
         }
-        println!(" {:>11.2}x", per_input[0] / per_input[4]);
-        rec.metric(&format!("{name}.b1_latency_us"), per_input[0]);
-        rec.metric(&format!("{name}.b16_gain"), per_input[0] / per_input[4]);
-    }
-    println!("\nCNNs gain little (the weight-stationary dataflow already streams H x W at");
-    println!("batch 1); the LSTM's recurrent GEMVs amortize their block-loads and weight");
-    println!("re-fetches across the batch — the reason training (minibatch 512) reaches");
-    println!("far higher utilization than batch-1 inference on the same layers.");
-    rec.finish();
-    Ok(())
+        println!(" {:>12}", "b16 gain");
+        for name in ["resnet50", "vgg16", "mobilenetv1", "lstm", "bilstm", "bert"] {
+            let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
+            let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
+            print!("{name:<12}");
+            let mut per_input = Vec::new();
+            for b in [1u64, 2, 4, 8, 16] {
+                let r = evaluate_inference(&net, &plan, &chip, b, &cfg);
+                let t = r.latency_s * 1e6 / b as f64;
+                per_input.push(t);
+                print!(" {:>9.0}", t);
+            }
+            println!(" {:>11.2}x", per_input[0] / per_input[4]);
+            ctx.rec.metric(&format!("{name}.b1_latency_us"), per_input[0]);
+            ctx.rec.metric(&format!("{name}.b16_gain"), per_input[0] / per_input[4]);
+        }
+        println!("\nCNNs gain little (the weight-stationary dataflow already streams H x W at");
+        println!("batch 1); the LSTM's recurrent GEMVs amortize their block-loads and weight");
+        println!("re-fetches across the batch — the reason training (minibatch 512) reaches");
+        println!("far higher utilization than batch-1 inference on the same layers.");
+        Ok(())
+    })
 }

@@ -29,9 +29,10 @@
 //! allreduce over the survivors. Registries render as OpenMetrics and
 //! must validate; probe-cycle spans must form a valid forest.
 //!
-//! Usage: `health_sweep [--smoke] [--seed N] [--json PATH]`.
+//! Usage: `health_sweep [--smoke] [--seed N] [--json PATH]`. A broken
+//! contract, or no `health.quarantines` in the record, fails the run.
 
-use rapid_bench::{section, BenchRecord};
+use rapid_bench::{run, section};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
 use rapid_health::{ChipHealthMonitor, Evidence, HealthConfig};
 use rapid_model::scaling::quarantine_retention;
@@ -237,215 +238,193 @@ fn run_serving_cell(
 }
 
 #[allow(clippy::too_many_lines)] // one linear experiment script, like its siblings
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rec = BenchRecord::new("health_sweep");
-    let mut smoke = false;
-    let mut seed = FaultConfig::seed_from_env(24);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed requires a value")?;
-                seed = v.parse().map_err(|_| format!("invalid --seed value '{v}'"))?;
-            }
-            // Consumed by BenchRecord::write_if_requested at exit.
-            "--json" => {
-                args.next().ok_or("--json requires a path")?;
-            }
-            other if other.starts_with("--json=") => {}
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (usage: health_sweep [--smoke] [--seed N] [--json PATH])"
-                )
-                .into())
-            }
+fn main() -> std::process::ExitCode {
+    run("health_sweep", |ctx| {
+        let seed = ctx.seed(24);
+        let smoke = ctx.smoke();
+        if !rapid_health::enabled_from_env() {
+            // The RAPID_HEALTH knob gates the whole subsystem; E24 *is* the
+            // subsystem, so an off run records the fact and exits cleanly.
+            println!("RAPID_HEALTH=off: core-health probing disabled; skipping E24");
+            ctx.rec.config_str("health", "disabled");
+            return Ok(());
         }
-    }
-    rec.config_num("seed", seed as f64);
-    rec.config_str("mode", if smoke { "smoke" } else { "full" });
-    if !rapid_health::enabled_from_env() {
-        // The RAPID_HEALTH knob gates the whole subsystem; E24 *is* the
-        // subsystem, so an off run records the fact and exits cleanly.
-        println!("RAPID_HEALTH=off: core-health probing disabled; skipping E24");
-        rec.config_str("health", "disabled");
-        rec.finish();
-        return Ok(());
-    }
-    section(&format!(
-        "core-health sweep — probes, quarantine, fleet remap (E24; seed {seed})"
-    ));
+        section(&format!(
+            "core-health sweep — probes, quarantine, fleet remap (E24; seed {seed})"
+        ));
 
-    // ---- phase 1: bounded detection across seeds -----------------------
-    section("phase 1 — detection: every mercurial core quarantined within the probe budget");
-    let sweep_seeds = if smoke { 2u64 } else { 6 };
-    let mut latencies = Vec::new();
-    for i in 0..sweep_seeds {
-        let s = derive_seed(seed, &format!("health/detect{i}"));
-        let bad: Vec<u32> = if i % 2 == 0 { vec![BAD_CORE] } else { vec![1, 3] };
-        let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
-        let mut plans = chip_plans(s, &bad);
-        let mut detected_at = None;
-        for _ in 0..DETECT_BUDGET {
-            let rep = mon.probe_cycle(&mut plans, None);
-            if detected_at.is_none() && bad.iter().all(|&b| !mon.map().in_service(b)) {
-                detected_at = Some(rep.cycle);
+        // ---- phase 1: bounded detection across seeds -----------------------
+        section("phase 1 — detection: every mercurial core quarantined within the probe budget");
+        let sweep_seeds = if smoke { 2u64 } else { 6 };
+        let mut latencies = Vec::new();
+        for i in 0..sweep_seeds {
+            let s = derive_seed(seed, &format!("health/detect{i}"));
+            let bad: Vec<u32> = if i % 2 == 0 { vec![BAD_CORE] } else { vec![1, 3] };
+            let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
+            let mut plans = chip_plans(s, &bad);
+            let mut detected_at = None;
+            for _ in 0..DETECT_BUDGET {
+                let rep = mon.probe_cycle(&mut plans, None);
+                if detected_at.is_none() && bad.iter().all(|&b| !mon.map().in_service(b)) {
+                    detected_at = Some(rep.cycle);
+                }
             }
-        }
-        let at = detected_at.ok_or(format!(
-            "seed {s}: cores {bad:?} not quarantined within {DETECT_BUDGET} probe cycles"
-        ))?;
-        for &c in &bad {
-            if mon.map().in_service(c) {
-                return Err(format!("seed {s}: core {c} still in service").into());
+            let at = detected_at.ok_or(format!(
+                "seed {s}: cores {bad:?} not quarantined within {DETECT_BUDGET} probe cycles"
+            ))?;
+            for &c in &bad {
+                if mon.map().in_service(c) {
+                    return Err(format!("seed {s}: core {c} still in service").into());
+                }
             }
-        }
-        for c in (0..CORES).filter(|c| !bad.contains(c)) {
-            if !mon.map().in_service(c) {
-                return Err(format!("seed {s}: clean core {c} was falsely quarantined").into());
+            for c in (0..CORES).filter(|c| !bad.contains(c)) {
+                if !mon.map().in_service(c) {
+                    return Err(format!("seed {s}: clean core {c} was falsely quarantined").into());
+                }
             }
+            latencies.extend_from_slice(mon.detect_latencies_us());
+            println!(
+                "  seed {i}: cores {bad:?} quarantined at cycle {at} (budget {DETECT_BUDGET}), \
+                 clean cores untouched"
+            );
         }
-        latencies.extend_from_slice(mon.detect_latencies_us());
+        let mean_latency =
+            latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
+        ctx.rec.metric("detect.mean_latency_us", mean_latency);
+        ctx.rec.metric("detect.budget_cycles", DETECT_BUDGET as f64);
+        println!("  mean detection latency {mean_latency:.0} us over {} quarantines", latencies.len());
+
+        // ---- phase 2: serving — zero silent wrongs, goodput floor ----------
+        section("phase 2 — serving cell: integrity gate + quarantine, goodput vs analytic floor");
+        let ticks = if smoke { 120 } else { 300 };
+        let mut tele = Telemetry::with_spans();
+        let cell = run_serving_cell(seed, &[BAD_CORE], ticks, Some(&mut tele))?;
+        let clean = run_serving_cell(seed, &[], ticks, None)?;
+
+        if cell.counters.lost() != 0 {
+            return Err(format!("conservation violated: {} lost", cell.counters.lost()).into());
+        }
+        if cell.silent_wrong != 0 {
+            return Err(format!(
+                "{} silent-wrong responses delivered (must be 0)",
+                cell.silent_wrong
+            )
+            .into());
+        }
+        let qc = cell
+            .quarantine_cycle
+            .ok_or("serving cell never quarantined the mercurial core")?;
+        if qc >= DETECT_BUDGET {
+            return Err(format!("serving-cell quarantine at cycle {qc} exceeds budget").into());
+        }
+        // Injection liveness is proven by the quarantine above; whether the
+        // integrity gate also tripped depends on whether a burst landed in a
+        // production GEMM before the probes caught the core — both are valid.
+        let floor = quarantine_retention(CORES, 1);
+        let retention = cell.window_completed as f64 / clean.window_completed.max(1) as f64;
+        if retention < floor {
+            return Err(format!(
+                "post-quarantine goodput retention {retention:.3} below analytic floor {floor:.3}"
+            )
+            .into());
+        }
+        println!("  silent_wrong=0 (hard-asserted, {} delivered)", cell.delivered);
         println!(
-            "  seed {i}: cores {bad:?} quarantined at cycle {at} (budget {DETECT_BUDGET}), \
-             clean cores untouched"
+            "  quarantine at probe cycle {qc}; {} integrity retries absorbed pre-detection",
+            cell.integrity_retries
         );
-    }
-    let mean_latency =
-        latencies.iter().sum::<u64>() as f64 / latencies.len().max(1) as f64;
-    rec.metric("detect.mean_latency_us", mean_latency);
-    rec.metric("detect.budget_cycles", DETECT_BUDGET as f64);
-    println!("  mean detection latency {mean_latency:.0} us over {} quarantines", latencies.len());
-
-    // ---- phase 2: serving — zero silent wrongs, goodput floor ----------
-    section("phase 2 — serving cell: integrity gate + quarantine, goodput vs analytic floor");
-    let ticks = if smoke { 120 } else { 300 };
-    let mut tele = Telemetry::with_spans();
-    let cell = run_serving_cell(seed, &[BAD_CORE], ticks, Some(&mut tele))?;
-    let clean = run_serving_cell(seed, &[], ticks, None)?;
-
-    if cell.counters.lost() != 0 {
-        return Err(format!("conservation violated: {} lost", cell.counters.lost()).into());
-    }
-    if cell.silent_wrong != 0 {
-        return Err(format!(
-            "{} silent-wrong responses delivered (must be 0)",
-            cell.silent_wrong
-        )
-        .into());
-    }
-    let qc = cell
-        .quarantine_cycle
-        .ok_or("serving cell never quarantined the mercurial core")?;
-    if qc >= DETECT_BUDGET {
-        return Err(format!("serving-cell quarantine at cycle {qc} exceeds budget").into());
-    }
-    // Injection liveness is proven by the quarantine above; whether the
-    // integrity gate also tripped depends on whether a burst landed in a
-    // production GEMM before the probes caught the core — both are valid.
-    let floor = quarantine_retention(CORES, 1);
-    let retention = cell.window_completed as f64 / clean.window_completed.max(1) as f64;
-    if retention < floor {
-        return Err(format!(
-            "post-quarantine goodput retention {retention:.3} below analytic floor {floor:.3}"
-        )
-        .into());
-    }
-    println!("  silent_wrong=0 (hard-asserted, {} delivered)", cell.delivered);
-    println!(
-        "  quarantine at probe cycle {qc}; {} integrity retries absorbed pre-detection",
-        cell.integrity_retries
-    );
-    println!(
-        "  goodput retention {retention:.3} >= analytic world-k floor {floor:.3} \
-         ({} vs {} window completions)",
-        cell.window_completed, clean.window_completed
-    );
-    rec.metric("serve.silent_wrong", cell.silent_wrong as f64);
-    rec.metric("serve.integrity_retries", cell.integrity_retries as f64);
-    rec.metric("serve.goodput_retention", retention);
-    rec.metric("serve.retention_floor", floor);
-    rec.metric("serve.quarantine_cycle", qc as f64);
-
-    // ---- phase 3: bit-identical replay ---------------------------------
-    section("phase 3 — replay: same seed, same trace, same counters");
-    let replay = run_serving_cell(seed, &[BAD_CORE], ticks, None)?;
-    if replay != cell {
-        return Err("replay diverged: same seed must reproduce the cell exactly".into());
-    }
-    if replay.events.is_empty() {
-        return Err("replay contract is vacuous: no quarantine events recorded".into());
-    }
-    println!(
-        "  replay reproduced {} health events and all counters bit-for-bit (asserted)",
-        replay.events.len()
-    );
-    rec.metric("replay.events", replay.events.len() as f64);
-
-    // ---- phase 4: fleet — barrier demotion of the sick chip ------------
-    section("phase 4 — elastic fleet: sick chip demoted at the barrier, ring continues");
-    let world = 4u32;
-    let mut chip_health = Vec::new();
-    for chip in 0..world {
-        let s = derive_seed(seed, &format!("health/chip{chip}"));
-        let bad: Vec<u32> = if chip == 2 { vec![0, 1, 2] } else { vec![] };
-        let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
-        let mut plans = chip_plans(s, &bad);
-        for _ in 0..DETECT_BUDGET {
-            mon.probe_cycle(&mut plans, None);
-        }
-        chip_health.push((chip, mon.chip_health()));
-    }
-    let mut mem = Membership::new(world)?;
-    let events = demote_unhealthy(&mut mem, &chip_health, 0.8);
-    let demoted: Vec<u32> = events
-        .iter()
-        .filter_map(|e| match e {
-            ElasticEvent::HealthDemoted { node, .. } => Some(*node),
-            _ => None,
-        })
-        .collect();
-    if demoted != vec![2] {
-        return Err(format!("expected chip 2 demoted, got {demoted:?}").into());
-    }
-    let inputs: Vec<Vec<f32>> =
-        (0..world).map(|c| vec![c as f32 * 0.25 + 0.5; 512]).collect();
-    let cfg = ElasticConfig::rapid_training(world, true);
-    let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None)
-        .map_err(|e| format!("post-demotion allreduce failed: {e}"))?;
-    if out.contributors != vec![0, 1, 3] {
-        return Err(format!("survivors wrong: {:?}", out.contributors).into());
-    }
-    for (chip, h) in &chip_health {
         println!(
-            "  chip {chip}: health {h:.3}{}",
-            if demoted.contains(chip) { "  -> demoted at barrier" } else { "" }
+            "  goodput retention {retention:.3} >= analytic world-k floor {floor:.3} \
+             ({} vs {} window completions)",
+            cell.window_completed, clean.window_completed
         );
-    }
-    println!("  allreduce over {:?} at epoch {} (asserted)", out.contributors, out.epoch);
-    rec.metric("fleet.demoted", demoted.len() as f64);
-    rec.metric("fleet.survivors", out.contributors.len() as f64);
+        ctx.rec.metric("serve.silent_wrong", cell.silent_wrong as f64);
+        ctx.rec.metric("serve.integrity_retries", cell.integrity_retries as f64);
+        ctx.rec.metric("serve.goodput_retention", retention);
+        ctx.rec.metric("serve.retention_floor", floor);
+        ctx.rec.metric("serve.quarantine_cycle", qc as f64);
 
-    // ---- exposition: spans + OpenMetrics must validate ------------------
-    section("exposition — probe-cycle spans + OpenMetrics round trip");
-    let spans = tele.spans.take().ok_or("span sink missing")?;
-    if spans.is_empty() {
-        return Err("probe cycles recorded no spans".into());
-    }
-    validate_forest(spans.spans()).map_err(|e| format!("probe span forest invalid: {e}"))?;
-    let mut merged = MetricsRegistry::new();
-    merged.merge(&tele.registry);
-    let text = openmetrics::render_labeled(&merged, &[("experiment", "health_sweep")]);
-    let doc = openmetrics::validate(&text).map_err(|e| format!("snapshot rejected: {e}"))?;
-    println!(
-        "  {} spans validated, {} metric families validated",
-        spans.len(),
-        doc.families.len()
-    );
-    rec.metric("spans.count", spans.len() as f64);
-    rec.metric("openmetrics.families", doc.families.len() as f64);
+        // ---- phase 3: bit-identical replay ---------------------------------
+        section("phase 3 — replay: same seed, same trace, same counters");
+        let replay = run_serving_cell(seed, &[BAD_CORE], ticks, None)?;
+        if replay != cell {
+            return Err("replay diverged: same seed must reproduce the cell exactly".into());
+        }
+        if replay.events.is_empty() {
+            return Err("replay contract is vacuous: no quarantine events recorded".into());
+        }
+        println!(
+            "  replay reproduced {} health events and all counters bit-for-bit (asserted)",
+            replay.events.len()
+        );
+        ctx.rec.metric("replay.events", replay.events.len() as f64);
 
-    rec.merge_registry(&merged);
-    rec.finish();
-    Ok(())
+        // ---- phase 4: fleet — barrier demotion of the sick chip ------------
+        section("phase 4 — elastic fleet: sick chip demoted at the barrier, ring continues");
+        let world = 4u32;
+        let mut chip_health = Vec::new();
+        for chip in 0..world {
+            let s = derive_seed(seed, &format!("health/chip{chip}"));
+            let bad: Vec<u32> = if chip == 2 { vec![0, 1, 2] } else { vec![] };
+            let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
+            let mut plans = chip_plans(s, &bad);
+            for _ in 0..DETECT_BUDGET {
+                mon.probe_cycle(&mut plans, None);
+            }
+            chip_health.push((chip, mon.chip_health()));
+        }
+        let mut mem = Membership::new(world)?;
+        let events = demote_unhealthy(&mut mem, &chip_health, 0.8);
+        let demoted: Vec<u32> = events
+            .iter()
+            .filter_map(|e| match e {
+                ElasticEvent::HealthDemoted { node, .. } => Some(*node),
+                _ => None,
+            })
+            .collect();
+        if demoted != vec![2] {
+            return Err(format!("expected chip 2 demoted, got {demoted:?}").into());
+        }
+        let inputs: Vec<Vec<f32>> =
+            (0..world).map(|c| vec![c as f32 * 0.25 + 0.5; 512]).collect();
+        let cfg = ElasticConfig::rapid_training(world, true);
+        let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None)
+            .map_err(|e| format!("post-demotion allreduce failed: {e}"))?;
+        if out.contributors != vec![0, 1, 3] {
+            return Err(format!("survivors wrong: {:?}", out.contributors).into());
+        }
+        for (chip, h) in &chip_health {
+            println!(
+                "  chip {chip}: health {h:.3}{}",
+                if demoted.contains(chip) { "  -> demoted at barrier" } else { "" }
+            );
+        }
+        println!("  allreduce over {:?} at epoch {} (asserted)", out.contributors, out.epoch);
+        ctx.rec.metric("fleet.demoted", demoted.len() as f64);
+        ctx.rec.metric("fleet.survivors", out.contributors.len() as f64);
+
+        // ---- exposition: spans + OpenMetrics must validate ------------------
+        section("exposition — probe-cycle spans + OpenMetrics round trip");
+        let spans = tele.spans.take().ok_or("span sink missing")?;
+        if spans.is_empty() {
+            return Err("probe cycles recorded no spans".into());
+        }
+        validate_forest(spans.spans()).map_err(|e| format!("probe span forest invalid: {e}"))?;
+        let mut merged = MetricsRegistry::new();
+        merged.merge(&tele.registry);
+        let text = openmetrics::render_labeled(&merged, &[("experiment", "health_sweep")]);
+        let doc = openmetrics::validate(&text).map_err(|e| format!("snapshot rejected: {e}"))?;
+        println!(
+            "  {} spans validated, {} metric families validated",
+            spans.len(),
+            doc.families.len()
+        );
+        ctx.rec.metric("spans.count", spans.len() as f64);
+        ctx.rec.metric("openmetrics.families", doc.families.len() as f64);
+
+        ctx.rec.merge_registry(&merged);
+        // The quarantine the phases assert must also reach the record.
+        ctx.require_positive("health.quarantines");
+        Ok(())
+    })
 }

@@ -13,7 +13,7 @@
 //!
 //! Usage: `kernel_speed [--smoke] [--json PATH]`
 
-use rapid_bench::{compare, section, BenchRecord};
+use rapid_bench::{compare, run, section, BenchRecord};
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{
     conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int_scalar, conv2d_int_with_simd,
@@ -148,121 +148,108 @@ fn int_group(
     Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() -> std::process::ExitCode {
     // Per-kernel ratios, not machine throughput: default to one thread so
-    // the gated speedup metric is stable across host core counts.
+    // the gated speedup metric is stable across host core counts. Set
+    // before the harness builds the record, which reads the count.
     if std::env::var_os("RAPID_THREADS").is_none() {
         std::env::set_var("RAPID_THREADS", "1");
     }
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--json" => drop(args.next()), // path consumed by BenchRecord::finish
-            a if a.starts_with("--json=") => {}
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (usage: kernel_speed [--smoke] [--json PATH])"
-                )
-                .into())
-            }
+    run("kernel_speed", |ctx| {
+        let smoke = ctx.smoke();
+        let (dim, reps) = if smoke { (64, 2) } else { (128, 5) };
+        ctx.rec.config_num("dim", dim as f64);
+        ctx.rec.config_num("chunk_len", CHUNK as f64);
+        ctx.rec.config_str("simd", SimdMode::from_env().as_str());
+
+        section(&format!("kernel selection matrix ({dim}³, chunk {CHUNK}, RAPID_SIMD=force)"));
+        for c in kernel_matrix_at(SimdMode::Force, dim, CHUNK) {
+            compare(&format!("  {}", c.format), format!("{}", c.backend), c.reason.as_str());
+            let choice = format!("{} — {}", c.backend, c.reason);
+            ctx.rec.config_str(&format!("kernel.{}", c.format), &choice);
         }
-    }
-    let mut rec = BenchRecord::new("kernel_speed");
-    let (dim, reps) = if smoke { (64, 2) } else { (128, 5) };
-    rec.config_str("mode", if smoke { "smoke" } else { "full" });
-    rec.config_num("dim", dim as f64);
-    rec.config_num("chunk_len", CHUNK as f64);
-    rec.config_str("simd", SimdMode::from_env().as_str());
 
-    section(&format!("kernel selection matrix ({dim}³, chunk {CHUNK}, RAPID_SIMD=force)"));
-    for c in kernel_matrix_at(SimdMode::Force, dim, CHUNK) {
-        compare(&format!("  {}", c.format), format!("{}", c.backend), c.reason.as_str());
-        rec.config_str(&format!("kernel.{}", c.format), &format!("{} — {}", c.backend, c.reason));
-    }
+        section(&format!("GEMM {dim}×{dim}×{dim}, chunk {CHUNK} (best of {reps})"));
+        let a = filled(vec![dim, dim], 0x9E37_79B9);
+        let b = filled(vec![dim, dim], 0xC2B2_AE35);
+        let groups = [
+            float_group("gemm_fp16", FmaMode::Fp16, &a, &b, reps)?,
+            float_group("gemm_hfp8_fwd", FmaMode::hfp8_fwd_default(), &a, &b, reps)?,
+            float_group("gemm_hfp8_bwd", FmaMode::hfp8_bwd_default(), &a, &b, reps)?,
+            int_group("gemm_int4", IntFormat::Int4, &a, &b, reps)?,
+            int_group("gemm_int2", IntFormat::Int2, &a, &b, reps)?,
+        ];
+        for g in &groups {
+            g.report(&mut ctx.rec);
+        }
 
-    section(&format!("GEMM {dim}×{dim}×{dim}, chunk {CHUNK} (best of {reps})"));
-    let a = filled(vec![dim, dim], 0x9E37_79B9);
-    let b = filled(vec![dim, dim], 0xC2B2_AE35);
-    let groups = [
-        float_group("gemm_fp16", FmaMode::Fp16, &a, &b, reps)?,
-        float_group("gemm_hfp8_fwd", FmaMode::hfp8_fwd_default(), &a, &b, reps)?,
-        float_group("gemm_hfp8_bwd", FmaMode::hfp8_bwd_default(), &a, &b, reps)?,
-        int_group("gemm_int4", IntFormat::Int4, &a, &b, reps)?,
-        int_group("gemm_int2", IntFormat::Int2, &a, &b, reps)?,
-    ];
-    for g in &groups {
-        g.report(&mut rec);
-    }
+        // The m = 1 regime at the ResNet50 FC shape: per-call B staging, not
+        // MACs, dominates here, so it gets its own isolated number.
+        let (gk, gn) = (2048, 1000);
+        section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} (best of {reps})"));
+        let x = filled(vec![1, gk], 0x2545_F491);
+        let w = filled(vec![gk, gn], 0x6A09_E667);
+        let gemv_groups = [
+            float_group("gemv_fp16", FmaMode::Fp16, &x, &w, reps)?,
+            float_group("gemv_hfp8_fwd", FmaMode::hfp8_fwd_default(), &x, &w, reps)?,
+        ];
+        for g in &gemv_groups {
+            g.report(&mut ctx.rec);
+        }
 
-    // The m = 1 regime at the ResNet50 FC shape: per-call B staging, not
-    // MACs, dominates here, so it gets its own isolated number.
-    let (gk, gn) = (2048, 1000);
-    section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} (best of {reps})"));
-    let x = filled(vec![1, gk], 0x2545_F491);
-    let w = filled(vec![gk, gn], 0x6A09_E667);
-    let gemv_groups = [
-        float_group("gemv_fp16", FmaMode::Fp16, &x, &w, reps)?,
-        float_group("gemv_hfp8_fwd", FmaMode::hfp8_fwd_default(), &x, &w, reps)?,
-    ];
-    for g in &gemv_groups {
-        g.report(&mut rec);
-    }
+        // A convolution exercises the panel-packed path (im2col rows consumed
+        // in place, output written straight into [n, co, ho, wo]).
+        let (n, ci, hw_in, co) = if smoke { (2, 4, 14, 8) } else { (4, 8, 28, 16) };
+        let spec = ConvSpec { stride: 1, pad: 1 };
+        section(&format!(
+            "conv {n}×{ci}×{hw_in}×{hw_in} · {co}×{ci}×3×3 stride 1 pad 1 (best of {reps})"
+        ));
+        let input = filled(vec![n, ci, hw_in, hw_in], 0x1234_5678);
+        let weight = filled(vec![co, ci, 3, 3], 0x8765_4321);
+        let conv_groups = [
+            {
+                let m = FmaMode::hfp8_fwd_default();
+                let (reference, scalar_ms) =
+                    best_ms(reps, || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK));
+                let (tiled, tiled_ms) = best_ms(reps, || {
+                    let mut s = ConvScratch::default();
+                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Off)
+                });
+                let (simd, simd_ms) = best_ms(reps, || {
+                    let mut s = ConvScratch::default();
+                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Force)
+                });
+                assert_bitexact("conv_hfp8", "tiled", &tiled?, &reference);
+                assert_bitexact("conv_hfp8", "simd", &simd?, &reference);
+                GroupResult { name: "conv_hfp8", scalar_ms, tiled_ms, simd_ms }
+            },
+            {
+                let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
+                let (reference, scalar_ms) =
+                    best_ms(reps, || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK));
+                let (tiled, tiled_ms) = best_ms(reps, || {
+                    let mut s = ConvScratch::default();
+                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Off)
+                });
+                let (simd, simd_ms) = best_ms(reps, || {
+                    let mut s = ConvScratch::default();
+                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Force)
+                });
+                assert_bitexact("conv_int4", "tiled", &tiled?, &reference);
+                assert_bitexact("conv_int4", "simd", &simd?, &reference);
+                GroupResult { name: "conv_int4", scalar_ms, tiled_ms, simd_ms }
+            },
+        ];
+        for g in &conv_groups {
+            g.report(&mut ctx.rec);
+        }
 
-    // A convolution exercises the panel-packed path (im2col rows consumed
-    // in place, output written straight into [n, co, ho, wo]).
-    let (n, ci, hw_in, co) = if smoke { (2, 4, 14, 8) } else { (4, 8, 28, 16) };
-    let spec = ConvSpec { stride: 1, pad: 1 };
-    section(&format!(
-        "conv {n}×{ci}×{hw_in}×{hw_in} · {co}×{ci}×3×3 stride 1 pad 1 (best of {reps})"
-    ));
-    let input = filled(vec![n, ci, hw_in, hw_in], 0x1234_5678);
-    let weight = filled(vec![co, ci, 3, 3], 0x8765_4321);
-    let conv_groups = [
-        {
-            let m = FmaMode::hfp8_fwd_default();
-            let (reference, scalar_ms) =
-                best_ms(reps, || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK));
-            let (tiled, tiled_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Off)
-            });
-            let (simd, simd_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Force)
-            });
-            assert_bitexact("conv_hfp8", "tiled", &tiled?, &reference);
-            assert_bitexact("conv_hfp8", "simd", &simd?, &reference);
-            GroupResult { name: "conv_hfp8", scalar_ms, tiled_ms, simd_ms }
-        },
-        {
-            let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
-            let (reference, scalar_ms) =
-                best_ms(reps, || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK));
-            let (tiled, tiled_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Off)
-            });
-            let (simd, simd_ms) = best_ms(reps, || {
-                let mut s = ConvScratch::default();
-                conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Force)
-            });
-            assert_bitexact("conv_int4", "tiled", &tiled?, &reference);
-            assert_bitexact("conv_int4", "simd", &simd?, &reference);
-            GroupResult { name: "conv_int4", scalar_ms, tiled_ms, simd_ms }
-        },
-    ];
-    for g in &conv_groups {
-        g.report(&mut rec);
-    }
-
-    section("bit-exactness");
-    compare(
-        "all fast backends vs scalar references",
-        "identical output bits and datapath stats",
-        "required (asserted above)",
-    );
-    rec.finish();
-    Ok(())
+        section("bit-exactness");
+        compare(
+            "all fast backends vs scalar references",
+            "identical output bits and datapath stats",
+            "required (asserted above)",
+        );
+        Ok(())
+    })
 }

@@ -26,7 +26,7 @@
 
 use rapid_arch::geometry::CoreConfig;
 use rapid_arch::precision::Precision;
-use rapid_bench::{section, BenchRecord};
+use rapid_bench::{run, section, BenchRecord};
 use rapid_fault::{derive_seed, FaultConfig};
 use rapid_numerics::{GuardPolicy, Tensor};
 use rapid_recover::backend::Protection;
@@ -36,9 +36,7 @@ use rapid_serve::{
 };
 use rapid_sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid_telemetry::span::{critical_path, spans_to_trace, validate_forest};
-use rapid_telemetry::{
-    metrics_path_from_env, openmetrics, trace_path_from_env, MetricsRegistry, Telemetry, TraceSink,
-};
+use rapid_telemetry::{metrics_path_from_env, openmetrics, MetricsRegistry, Telemetry, TraceSink};
 
 /// Validates the per-cell observability contracts shared by every cell:
 /// conservation, no late deliveries, a well-nested span forest, and
@@ -98,172 +96,145 @@ fn roundtrip_snapshot(label: &str, reg: &MetricsRegistry) -> Result<String, Stri
 }
 
 #[allow(clippy::too_many_lines)] // one linear experiment script, like its siblings
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rec = BenchRecord::new("obs_sweep");
-    let mut smoke = false;
-    let mut seed = FaultConfig::seed_from_env(7);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed requires a value")?;
-                seed = v.parse().map_err(|_| format!("invalid --seed value '{v}'"))?;
-            }
-            // Consumed by BenchRecord::write_if_requested at exit.
-            "--json" => {
-                args.next().ok_or("--json requires a path")?;
-            }
-            other if other.starts_with("--json=") => {}
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (usage: obs_sweep [--smoke] [--seed N] [--json PATH])"
-                )
-                .into())
+fn main() -> std::process::ExitCode {
+    run("obs_sweep", |ctx| {
+        let seed = ctx.seed(7);
+        let smoke = ctx.smoke();
+        section(&format!(
+            "observability sweep — spans, burn-rate SLOs, OpenMetrics (E23; seed {seed})"
+        ));
+
+        // Synthetic latency table: capacity is analytically known, so cell
+        // load multipliers are exact and the sweep needs no calibration pass.
+        let models = vec!["resnet50".to_string(), "bert".to_string()];
+        let table = synthetic_table(&["resnet50", "bert"], 150.0, 60.0);
+        let cfg = ServeConfig { record_spans: true, span_seed: seed, ..ServeConfig::hardened() };
+        let mean_per_req_us = 60.0 + 150.0 / cfg.batch_max as f64;
+        let sat_qps = cfg.workers as f64 * 1e6 / mean_per_req_us;
+        let worst_batch_us = 150.0 + cfg.batch_max as f64 * 60.0;
+        let deadline_budget_us = (4.0 * worst_batch_us) as u64 + 4 * cfg.batch_window_us;
+        ctx.rec.metric("sweep.saturation_qps", sat_qps);
+        ctx.rec.config_num("deadline_budget_us", deadline_budget_us as f64);
+        println!("saturation ≈ {sat_qps:.0} qps, deadline budget {deadline_budget_us} us");
+
+        let load = |label: &str, mult: f64, duration_us: u64| OfferedLoad {
+            qps: sat_qps * mult,
+            duration_us,
+            seed: derive_seed(seed, &format!("obs_sweep/{label}")),
+            deadline_budget_us,
+            critical_fraction: 0.1,
+            models: models.clone(),
+            tier: Tier::Fp16,
+        };
+        let scale = if smoke { 1 } else { 3 };
+
+        // ---- cell 1: clean — silent monitors, exact attribution ------------
+        section("cell 1 — clean 0.8x: monitors stay silent, attribution within 1%");
+        let clean = run_open_loop(&cfg, &table, &load("clean", 0.8, 100_000 * scale), &OkSession);
+        check_cell("clean", &clean, &mut ctx.rec)?;
+        if clean.slo.total_alerts() != 0 {
+            return Err(format!(
+                "clean: burn-rate rules fired {} alerts in the fault-free underload cell",
+                clean.slo.total_alerts()
+            )
+            .into());
+        }
+        println!("  clean cell: 0 alerts across {} rules (required)", clean.slo.rules.len());
+
+        // ---- cell 2: chaos — deadline burns fire, deterministically --------
+        section("cell 2 — transient storm at 1x: deadline burns fire, bit-reproducibly");
+        let chaos_load = load("chaos", 1.0, 80_000 * scale);
+        let session_cfg = FaultConfig {
+            seed: derive_seed(seed, "obs_sweep/chaos-faults"),
+            serve_transient_rate: 0.6,
+            ..FaultConfig::default()
+        };
+        let run_chaos = || {
+            let session = EmulatedSession::new(session_cfg, GuardPolicy::Error, Protection::None);
+            run_open_loop(&cfg, &table, &chaos_load, &session)
+        };
+        let chaos = run_chaos();
+        check_cell("chaos", &chaos, &mut ctx.rec)?;
+        let deadline_alerts = chaos.slo.rule("deadline").map_or(0, |r| r.alerts.len());
+        if deadline_alerts == 0 {
+            return Err("chaos: 60% transient storm did not fire the deadline burn rule".into());
+        }
+        let replay = run_chaos();
+        if replay.slo != chaos.slo || replay.counters != chaos.counters {
+            return Err("chaos: same seed must reproduce identical alerts and counters".into());
+        }
+        if let Some(rule) = chaos.slo.rule("deadline") {
+            for a in &rule.alerts {
+                println!(
+                    "  deadline alert at {:>7} us: fast burn {:.1}x, slow burn {:.1}x",
+                    a.at_us, a.fast_burn, a.slow_burn
+                );
             }
         }
-    }
-    rec.config_num("seed", seed as f64);
-    rec.config_str("mode", if smoke { "smoke" } else { "full" });
-    section(&format!(
-        "observability sweep — spans, burn-rate SLOs, OpenMetrics (E23; seed {seed})"
-    ));
+        println!("  replay with the same seed: identical alert list (asserted)");
 
-    // Synthetic latency table: capacity is analytically known, so cell
-    // load multipliers are exact and the sweep needs no calibration pass.
-    let models = vec!["resnet50".to_string(), "bert".to_string()];
-    let table = synthetic_table(&["resnet50", "bert"], 150.0, 60.0);
-    let cfg = ServeConfig { record_spans: true, span_seed: seed, ..ServeConfig::hardened() };
-    let mean_per_req_us = 60.0 + 150.0 / cfg.batch_max as f64;
-    let sat_qps = cfg.workers as f64 * 1e6 / mean_per_req_us;
-    let worst_batch_us = 150.0 + cfg.batch_max as f64 * 60.0;
-    let deadline_budget_us = (4.0 * worst_batch_us) as u64 + 4 * cfg.batch_window_us;
-    rec.metric("sweep.saturation_qps", sat_qps);
-    rec.config_num("deadline_budget_us", deadline_budget_us as f64);
-    println!("saturation ≈ {sat_qps:.0} qps, deadline budget {deadline_budget_us} us");
-
-    let load = |label: &str, mult: f64, duration_us: u64| OfferedLoad {
-        qps: sat_qps * mult,
-        duration_us,
-        seed: derive_seed(seed, &format!("obs_sweep/{label}")),
-        deadline_budget_us,
-        critical_fraction: 0.1,
-        models: models.clone(),
-        tier: Tier::Fp16,
-    };
-    let scale = if smoke { 1 } else { 3 };
-
-    // ---- cell 1: clean — silent monitors, exact attribution ------------
-    section("cell 1 — clean 0.8x: monitors stay silent, attribution within 1%");
-    let clean = run_open_loop(&cfg, &table, &load("clean", 0.8, 100_000 * scale), &OkSession);
-    check_cell("clean", &clean, &mut rec)?;
-    if clean.slo.total_alerts() != 0 {
-        return Err(format!(
-            "clean: burn-rate rules fired {} alerts in the fault-free underload cell",
-            clean.slo.total_alerts()
-        )
-        .into());
-    }
-    println!("  clean cell: 0 alerts across {} rules (required)", clean.slo.rules.len());
-
-    // ---- cell 2: chaos — deadline burns fire, deterministically --------
-    section("cell 2 — transient storm at 1x: deadline burns fire, bit-reproducibly");
-    let chaos_load = load("chaos", 1.0, 80_000 * scale);
-    let session_cfg = FaultConfig {
-        seed: derive_seed(seed, "obs_sweep/chaos-faults"),
-        serve_transient_rate: 0.6,
-        ..FaultConfig::default()
-    };
-    let run_chaos = || {
-        let session = EmulatedSession::new(session_cfg, GuardPolicy::Error, Protection::None);
-        run_open_loop(&cfg, &table, &chaos_load, &session)
-    };
-    let chaos = run_chaos();
-    check_cell("chaos", &chaos, &mut rec)?;
-    let deadline_alerts = chaos.slo.rule("deadline").map_or(0, |r| r.alerts.len());
-    if deadline_alerts == 0 {
-        return Err("chaos: 60% transient storm did not fire the deadline burn rule".into());
-    }
-    let replay = run_chaos();
-    if replay.slo != chaos.slo || replay.counters != chaos.counters {
-        return Err("chaos: same seed must reproduce identical alerts and counters".into());
-    }
-    if let Some(rule) = chaos.slo.rule("deadline") {
-        for a in &rule.alerts {
-            println!(
-                "  deadline alert at {:>7} us: fast burn {:.1}x, slow burn {:.1}x",
-                a.at_us, a.fast_burn, a.slow_burn
-            );
+        // ---- cell 3: overload — the shed rule pages ------------------------
+        section("cell 3 — fault-free 2.5x overload: the shed rule pages");
+        let overload = run_open_loop(&cfg, &table, &load("overload", 2.5, 60_000 * scale), &OkSession);
+        check_cell("overload", &overload, &mut ctx.rec)?;
+        let shed_alerts = overload.slo.rule("shed").map_or(0, |r| r.alerts.len());
+        if shed_alerts == 0 {
+            return Err("overload: 2.5x offered load did not fire the shed burn rule".into());
         }
-    }
-    println!("  replay with the same seed: identical alert list (asserted)");
+        println!("  shed rule fired {shed_alerts} alert(s) under 2.5x offered load");
 
-    // ---- cell 3: overload — the shed rule pages ------------------------
-    section("cell 3 — fault-free 2.5x overload: the shed rule pages");
-    let overload = run_open_loop(&cfg, &table, &load("overload", 2.5, 60_000 * scale), &OkSession);
-    check_cell("overload", &overload, &mut rec)?;
-    let shed_alerts = overload.slo.rule("shed").map_or(0, |r| r.alerts.len());
-    if shed_alerts == 0 {
-        return Err("overload: 2.5x offered load did not fire the shed burn rule".into());
-    }
-    println!("  shed rule fired {shed_alerts} alert(s) under 2.5x offered load");
+        // ---- one Perfetto timeline: request spans + sim cycle tracks -------
+        section("merged trace — serve request spans + 4-core chip GEMM cycle tracks");
+        let mut trace = TraceSink::new();
+        spans_to_trace(&clean.spans, &mut trace, 1000, "serve", "serve requests");
+        let job = ChipGemmJob {
+            a: Tensor::random_uniform(vec![16, 64], -1.0, 1.0, 900),
+            b: Tensor::random_uniform(vec![64, 64], -1.0, 1.0, 901),
+            precision: Precision::Int4,
+        };
+        let mut gemm_tele = Telemetry::with_trace();
+        let gemm =
+            try_run_chip_gemm_with(&job, CoreConfig::default(), 4, 0, None, Some(&mut gemm_tele))
+                .map_err(|e| format!("traced chip GEMM failed: {e}"))?;
+        if let Some(t) = gemm_tele.trace.take() {
+            trace.merge(t);
+        }
+        let serve_events = trace.events().iter().filter(|e| e.cat == "serve").count();
+        let sim_events =
+            trace.events().iter().filter(|e| !matches!(e.cat, "serve" | "__metadata")).count();
+        println!(
+            "  {} serve span events + {} sim cycle events in one trace (chip GEMM: {} cycles)",
+            serve_events, sim_events, gemm.total_cycles
+        );
+        if serve_events == 0 || sim_events == 0 {
+            return Err(format!(
+                "merged trace must carry both layers: {serve_events} serve events, {sim_events} sim events"
+            )
+            .into());
+        }
+        ctx.rec.metric("trace.serve_events", serve_events as f64);
+        ctx.rec.metric("trace.sim_events", sim_events as f64);
+        ctx.write_trace(&trace)?;
 
-    // ---- one Perfetto timeline: request spans + sim cycle tracks -------
-    section("merged trace — serve request spans + 4-core chip GEMM cycle tracks");
-    let mut trace = TraceSink::new();
-    spans_to_trace(&clean.spans, &mut trace, 1000, "serve", "serve requests");
-    let job = ChipGemmJob {
-        a: Tensor::random_uniform(vec![16, 64], -1.0, 1.0, 900),
-        b: Tensor::random_uniform(vec![64, 64], -1.0, 1.0, 901),
-        precision: Precision::Int4,
-    };
-    let mut gemm_tele = Telemetry::with_trace();
-    let gemm =
-        try_run_chip_gemm_with(&job, CoreConfig::default(), 4, 0, None, Some(&mut gemm_tele))
-            .map_err(|e| format!("traced chip GEMM failed: {e}"))?;
-    if let Some(t) = gemm_tele.trace.take() {
-        trace.merge(t);
-    }
-    let serve_events = trace.events().iter().filter(|e| e.cat == "serve").count();
-    let sim_events =
-        trace.events().iter().filter(|e| !matches!(e.cat, "serve" | "__metadata")).count();
-    println!(
-        "  {} serve span events + {} sim cycle events in one trace (chip GEMM: {} cycles)",
-        serve_events, sim_events, gemm.total_cycles
-    );
-    if serve_events == 0 || sim_events == 0 {
-        return Err(format!(
-            "merged trace must carry both layers: {serve_events} serve events, {sim_events} sim events"
-        )
-        .into());
-    }
-    rec.metric("trace.serve_events", serve_events as f64);
-    rec.metric("trace.sim_events", sim_events as f64);
-    if let Some(path) = trace_path_from_env() {
-        trace.write(&path)?;
-        rec.config_str("trace_path", &path.display().to_string());
-        println!("  merged trace written to {}", path.display());
-    }
+        // ---- OpenMetrics: every emitted snapshot must validate -------------
+        section("OpenMetrics exposition — render → validate round trip on every snapshot");
+        let mut merged = MetricsRegistry::new();
+        for (label, r) in [("clean", &clean), ("chaos", &chaos), ("overload", &overload)] {
+            let text = roundtrip_snapshot(label, &r.registry)?;
+            println!("  {label:<9} snapshot: {} bytes, validated", text.len());
+            merged.merge(&r.registry);
+        }
+        merged.merge(&gemm_tele.registry);
+        let text = openmetrics::render_labeled(&merged, &[("experiment", "obs_sweep")]);
+        let doc = openmetrics::validate(&text).map_err(|e| format!("merged snapshot rejected: {e}"))?;
+        ctx.rec.metric("openmetrics.families", doc.families.len() as f64);
+        println!("  merged snapshot: {} families, validated", doc.families.len());
+        if let Some(path) = metrics_path_from_env() {
+            // The harness writes the validated record snapshot there.
+            ctx.rec.config_str("metrics_path", &path.display().to_string());
+        }
 
-    // ---- OpenMetrics: every emitted snapshot must validate -------------
-    section("OpenMetrics exposition — render → validate round trip on every snapshot");
-    let mut merged = MetricsRegistry::new();
-    for (label, r) in [("clean", &clean), ("chaos", &chaos), ("overload", &overload)] {
-        let text = roundtrip_snapshot(label, &r.registry)?;
-        println!("  {label:<9} snapshot: {} bytes, validated", text.len());
-        merged.merge(&r.registry);
-    }
-    merged.merge(&gemm_tele.registry);
-    let text = openmetrics::render_labeled(&merged, &[("experiment", "obs_sweep")]);
-    let doc = openmetrics::validate(&text).map_err(|e| format!("merged snapshot rejected: {e}"))?;
-    rec.metric("openmetrics.families", doc.families.len() as f64);
-    println!("  merged snapshot: {} families, validated", doc.families.len());
-    if let Some(path) = metrics_path_from_env() {
-        // rec.finish() writes the validated record snapshot there.
-        rec.config_str("metrics_path", &path.display().to_string());
-    }
-
-    rec.merge_registry(&merged);
-    rec.finish();
-    Ok(())
+        ctx.rec.merge_registry(&merged);
+        Ok(())
+    })
 }

@@ -18,11 +18,12 @@
 //!
 //! Usage: `protection_sweep [--smoke] [--seed N] [--json PATH]`. The seed
 //! honours `RAPID_FAULT_SEED` (`--seed` wins); every cell derives its own
-//! child stream, so cells are independent of sweep composition.
+//! child stream. A silent delivery, no ABFT repairs, or a missing 1e-3
+//! cell fails the run.
 
 use rapid_arch::precision::Precision;
 use rapid_arch::protection::ProtectionParams;
-use rapid_bench::{section, try_par_map, BenchRecord};
+use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
 use rapid_model::protection::protection_tax;
 use rapid_numerics::int::IntFormat;
@@ -84,262 +85,243 @@ fn run_protected(
     })
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut rec = BenchRecord::new("protection_sweep");
-    let mut smoke = false;
-    let mut seed = FaultConfig::seed_from_env(11);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            "--seed" => {
-                let v = args.next().ok_or("--seed requires a value")?;
-                seed = v.parse().map_err(|_| format!("invalid --seed value '{v}'"))?;
-            }
-            // Consumed by BenchRecord::write_if_requested at exit.
-            "--json" => {
-                args.next().ok_or("--json requires a path")?;
-            }
-            other if other.starts_with("--json=") => {}
-            other => {
-                return Err(format!(
-                    "unknown argument '{other}' (usage: protection_sweep [--smoke] [--seed N] [--json PATH])"
-                )
-                .into())
-            }
-        }
-    }
+fn main() -> std::process::ExitCode {
+    run("protection_sweep", |ctx| {
+        let seed = ctx.seed(11);
+        let smoke = ctx.smoke();
+        section(&format!(
+            "protection sweep — end-to-end data protection (seed {seed}; override with --seed or RAPID_FAULT_SEED)"
+        ));
+        let mut tele = Telemetry::new();
 
-    section(&format!(
-        "protection sweep — end-to-end data protection (seed {seed}; override with --seed or RAPID_FAULT_SEED)"
-    ));
-    rec.config_num("seed", seed as f64);
-    rec.config_str("mode", if smoke { "smoke" } else { "full" });
-    let mut tele = Telemetry::new();
+        // ---- sweep 1: ABFT vs redundancy-3 under MAC faults -----------------
+        section("sweep 1 — ABFT checksummed GEMM vs redundancy-3 voting (resilient HFP8 QAT)");
+        let epochs = if smoke { 4 } else { 12 };
+        let data = gaussian_blobs(if smoke { 256 } else { 512 }, 4, 16, 0.35, 42);
+        let cfg = QatConfig { epochs, ..QatConfig::default() };
+        let mut clean = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 1);
+        let acc_clean = train_qat(&mut clean, &data, &cfg);
+        // The unprotected fault-free run sets the compute baseline.
+        let base = run_protected(&data, &cfg, seed, 0.0, "baseline", Protection::None, 1)
+            .map_err(|e| format!("fault-free baseline failed: {e}"))?;
+        let base_macs = base.macs.max(1) as f64;
+        ctx.rec.metric("train.clean_accuracy", acc_clean);
+        ctx.rec.metric("train.baseline_macs", base_macs);
 
-    // ---- sweep 1: ABFT vs redundancy-3 under MAC faults -----------------
-    section("sweep 1 — ABFT checksummed GEMM vs redundancy-3 voting (resilient HFP8 QAT)");
-    let epochs = if smoke { 4 } else { 12 };
-    let data = gaussian_blobs(if smoke { 256 } else { 512 }, 4, 16, 0.35, 42);
-    let cfg = QatConfig { epochs, ..QatConfig::default() };
-    let mut clean = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 1);
-    let acc_clean = train_qat(&mut clean, &data, &cfg);
-    // The unprotected fault-free run sets the compute baseline.
-    let base = run_protected(&data, &cfg, seed, 0.0, "baseline", Protection::None, 1)
-        .map_err(|e| format!("fault-free baseline failed: {e}"))?;
-    let base_macs = base.macs.max(1) as f64;
-    rec.metric("train.clean_accuracy", acc_clean);
-    rec.metric("train.baseline_macs", base_macs);
-
-    let rates: &[f64] = if smoke { &[1e-3] } else { &[1e-4, 1e-3] };
-    // (rate, label, protection, redundancy) cells, fanned out together.
-    let cells: Vec<(f64, &str, Protection, u32)> = rates
-        .iter()
-        .flat_map(|&r| {
-            [(r, "red3", Protection::None, 3), (r, "abft", Protection::Abft, 1)]
-        })
-        .collect();
-    let rows = try_par_map(&cells, |&(rate, label, protection, redundancy)| {
-        run_protected(&data, &cfg, seed, rate, label, protection, redundancy)
-    });
-    println!(
-        "{:<10} {:<6} {:>8} {:>8} {:>8} {:>10} {:>9} {:>9} {:>10}",
-        "flip rate", "mode", "applied", "skipped", "rollbks", "accuracy", "vs clean", "overhead", "repairs"
-    );
-    let mut overheads: Vec<(f64, &str, f64, f64)> = Vec::new();
-    for (&(rate, label, ..), row) in cells.iter().zip(rows) {
-        match row {
-            Ok(Ok(cell)) => {
-                let overhead = cell.macs as f64 / base_macs - 1.0;
-                let delta = cell.accuracy - acc_clean;
-                println!(
-                    "{:<10} {:<6} {:>8} {:>8} {:>8} {:>9.1}% {:>8.1}% {:>8.2}x {:>10}",
-                    format!("{rate:.0e}"),
-                    label,
-                    cell.applied,
-                    cell.skipped,
-                    cell.rollbacks,
-                    cell.accuracy * 100.0,
-                    delta * 100.0,
-                    overhead,
-                    cell.corrections
-                );
-                rec.metric(&format!("train.rate{rate:e}.{label}.accuracy"), cell.accuracy);
-                rec.metric(&format!("train.rate{rate:e}.{label}.overhead"), overhead);
-                tele.registry.merge(&cell.metrics);
-                overheads.push((rate, label, overhead, delta));
-            }
-            Ok(Err(reason)) => {
-                println!("{:<10} {:<6}   unsurvivable: {reason}", format!("{rate:.0e}"), label)
-            }
-            Err(reason) => {
-                println!("{:<10} {:<6}   FAILED: {reason}", format!("{rate:.0e}"), label)
-            }
-        }
-    }
-    // The headline contract at the documented 1e-3 ceiling: both protected
-    // runs converge within 2% of fault-free, and ABFT's compute tax is at
-    // least 2× smaller than triplication's.
-    let red3 = overheads.iter().find(|(r, l, ..)| *r == 1e-3 && *l == "red3");
-    let abft = overheads.iter().find(|(r, l, ..)| *r == 1e-3 && *l == "abft");
-    if let (Some(&(_, _, oh_red, d_red)), Some(&(_, _, oh_abft, d_abft))) = (red3, abft) {
-        assert!(d_red.abs() <= 0.02, "redundancy-3 accuracy drifted {d_red:.3} from fault-free");
-        assert!(d_abft.abs() <= 0.02, "ABFT accuracy drifted {d_abft:.3} from fault-free");
-        assert!(
-            oh_red >= 2.0 * oh_abft,
-            "ABFT overhead {oh_abft:.2}x must undercut redundancy-3 {oh_red:.2}x by ≥2×"
-        );
-        rec.metric("train.abft_advantage", oh_red / oh_abft.max(1e-9));
-        println!(
-            "\nat 1e-3 per-MAC faults both modes hold accuracy within 2% of fault-free;\n\
-             ABFT pays {:.2}x extra compute where voting pays {:.2}x — a {:.1}× advantage.",
-            oh_abft,
-            oh_red,
-            oh_red / oh_abft.max(1e-9)
-        );
-    }
-
-    // ---- sweep 2: SECDED scratchpads + CRC ring flits, 256 plans --------
-    section("sweep 2 — SECDED scratchpads + CRC ring flits (zero silent deliveries)");
-    let plans_per_side = if smoke { 16 } else { 128 };
-
-    // Scratchpad side: GEMMs through the cycle simulator with particle
-    // strikes on the L1 words. Every plan must end bit-exact (SEC) or in
-    // a structured uncorrectable error (DED) — never silently wrong.
-    let core = CoreSim::rapid();
-    let job = GemmJob {
-        a: Tensor::random_uniform(vec![8, 64], -1.0, 1.0, 1),
-        b: Tensor::random_uniform(vec![64, 32], -1.0, 1.0, 2),
-        precision: Precision::Fp16,
-    };
-    let clean_c = core.run_gemm(&job).c;
-    let spad_rates = [2e-3, 1e-2, 5e-2];
-    let spad_cells: Vec<u64> = (0..plans_per_side as u64).collect();
-    let spad_rows = try_par_map(&spad_cells, |&i| {
-        let mut plan = FaultPlan::new(FaultConfig {
-            seed: derive_seed(seed, &format!("protection_sweep/spad-{i}")),
-            spad_flip_rate: spad_rates[i as usize % spad_rates.len()],
-            ..FaultConfig::default()
+        let rates: &[f64] = if smoke { &[1e-3] } else { &[1e-4, 1e-3] };
+        // (rate, label, protection, redundancy) cells, fanned out together.
+        let cells: Vec<(f64, &str, Protection, u32)> = rates
+            .iter()
+            .flat_map(|&r| {
+                [(r, "red3", Protection::None, 3), (r, "abft", Protection::Abft, 1)]
+            })
+            .collect();
+        let rows = try_par_map(&cells, |&(rate, label, protection, redundancy)| {
+            run_protected(&data, &cfg, seed, rate, label, protection, redundancy)
         });
-        let mut t = Telemetry::new();
-        let outcome = core.try_run_gemm(&job, Some(&mut plan), Some(&mut t));
-        let flips = plan.counts().spad_flips;
-        match outcome {
-            Ok(r) => Ok((r.c == clean_c, false, flips, t.registry)),
-            Err(SimError::EccUncorrectable { .. }) => Ok((true, true, flips, t.registry)),
-            Err(e) => Err(e.to_string()),
+        println!(
+            "{:<10} {:<6} {:>8} {:>8} {:>8} {:>10} {:>9} {:>9} {:>10}",
+            "flip rate", "mode", "applied", "skipped", "rollbks", "accuracy", "vs clean", "overhead", "repairs"
+        );
+        let mut overheads: Vec<(f64, &str, f64, f64)> = Vec::new();
+        for (&(rate, label, ..), row) in cells.iter().zip(rows) {
+            match row {
+                Ok(Ok(cell)) => {
+                    let overhead = cell.macs as f64 / base_macs - 1.0;
+                    let delta = cell.accuracy - acc_clean;
+                    println!(
+                        "{:<10} {:<6} {:>8} {:>8} {:>8} {:>9.1}% {:>8.1}% {:>8.2}x {:>10}",
+                        format!("{rate:.0e}"),
+                        label,
+                        cell.applied,
+                        cell.skipped,
+                        cell.rollbacks,
+                        cell.accuracy * 100.0,
+                        delta * 100.0,
+                        overhead,
+                        cell.corrections
+                    );
+                    ctx.rec.metric(&format!("train.rate{rate:e}.{label}.accuracy"), cell.accuracy);
+                    ctx.rec.metric(&format!("train.rate{rate:e}.{label}.overhead"), overhead);
+                    tele.registry.merge(&cell.metrics);
+                    overheads.push((rate, label, overhead, delta));
+                }
+                Ok(Err(reason)) => {
+                    println!("{:<10} {:<6}   unsurvivable: {reason}", format!("{rate:.0e}"), label)
+                }
+                Err(reason) => {
+                    println!("{:<10} {:<6}   FAILED: {reason}", format!("{rate:.0e}"), label);
+                    ctx.fail(format!("{label} at {rate:e}: worker crashed twice: {reason}"));
+                }
+            }
         }
-    });
-    let (mut spad_exact, mut spad_escalated, mut spad_silent, mut spad_flips) = (0u64, 0u64, 0u64, 0u64);
-    for row in spad_rows {
-        let (bit_exact, escalated, flips, reg) =
-            row.map_err(|p| format!("spad cell panicked: {p}"))??;
-        spad_flips += flips;
-        tele.registry.merge(&reg);
-        if escalated {
-            spad_escalated += 1;
-        } else if bit_exact {
-            spad_exact += 1;
+        // The headline contract at the documented 1e-3 ceiling: both protected
+        // runs converge within 2% of fault-free, and ABFT's compute tax is at
+        // least 2× smaller than triplication's. Both cells must exist for it.
+        let red3 = overheads.iter().find(|(r, l, ..)| *r == 1e-3 && *l == "red3");
+        let abft = overheads.iter().find(|(r, l, ..)| *r == 1e-3 && *l == "abft");
+        if let (Some(&(_, _, oh_red, d_red)), Some(&(_, _, oh_abft, d_abft))) = (red3, abft) {
+            assert!(d_red.abs() <= 0.02, "redundancy-3 accuracy drifted {d_red:.3} from fault-free");
+            assert!(d_abft.abs() <= 0.02, "ABFT accuracy drifted {d_abft:.3} from fault-free");
+            assert!(
+                oh_red >= 2.0 * oh_abft,
+                "ABFT overhead {oh_abft:.2}x must undercut redundancy-3 {oh_red:.2}x by ≥2×"
+            );
+            ctx.rec.metric("train.abft_advantage", oh_red / oh_abft.max(1e-9));
+            println!(
+                "\nat 1e-3 per-MAC faults both modes hold accuracy within 2% of fault-free;\n\
+                 ABFT pays {:.2}x extra compute where voting pays {:.2}x — a {:.1}× advantage.",
+                oh_abft,
+                oh_red,
+                oh_red / oh_abft.max(1e-9)
+            );
         } else {
-            spad_silent += 1;
+            ctx.fail("the 1e-3 headline contract needs both the red3 and the abft cell");
         }
-    }
-    let sec = tele.registry.counter("sim.ecc.sec");
-    let ded = tele.registry.counter("sim.ecc.ded");
-    println!(
-        "scratchpad: {} plans, {} flips injected — {} bit-exact (SEC corrected {}), \
-         {} escalated (DED {}), {} silent",
-        plans_per_side, spad_flips, spad_exact, sec, spad_escalated, ded, spad_silent
-    );
-    assert_eq!(spad_silent, 0, "a scratchpad flip was silently delivered");
-    assert!(sec > 0, "the sweep must exercise single-bit correction");
-    rec.metric("spad.plans", plans_per_side as f64);
-    rec.metric("spad.sec", sec as f64);
-    rec.metric("spad.ded", ded as f64);
-    rec.metric("spad.silent", spad_silent as f64);
 
-    // Ring side: reliable allreduce with corrupted flits. CRC must turn
-    // every corruption into a retransmission and a bit-identical result.
-    let chips = 4usize;
-    let elems = if smoke { 4096 } else { 16_384 };
-    let inputs: Vec<Vec<f32>> = (0..chips)
-        .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
-        .collect();
-    let rcfg = ReliableConfig::rapid_training(chips as u32, true);
-    let (clean_sum, _) = reliable_allreduce(&inputs, &rcfg, None, None)?;
-    let ring_rates = [1e-3, 5e-3, 2e-2];
-    let ring_cells: Vec<u64> = (0..plans_per_side as u64).collect();
-    let ring_rows = try_par_map(&ring_cells, |&i| {
-        let mut plan = FaultPlan::new(FaultConfig {
-            seed: derive_seed(seed, &format!("protection_sweep/ring-{i}")),
-            ring_corrupt_rate: ring_rates[i as usize % ring_rates.len()],
-            ring_drop_rate: if i % 2 == 0 { 5e-3 } else { 0.0 },
-            ..FaultConfig::default()
+        // ---- sweep 2: SECDED scratchpads + CRC ring flits, 256 plans --------
+        section("sweep 2 — SECDED scratchpads + CRC ring flits (zero silent deliveries)");
+        let plans_per_side = if smoke { 16 } else { 128 };
+
+        // Scratchpad side: GEMMs through the cycle simulator with particle
+        // strikes on the L1 words. Every plan must end bit-exact (SEC) or in
+        // a structured uncorrectable error (DED) — never silently wrong.
+        let core = CoreSim::rapid();
+        let job = GemmJob {
+            a: Tensor::random_uniform(vec![8, 64], -1.0, 1.0, 1),
+            b: Tensor::random_uniform(vec![64, 32], -1.0, 1.0, 2),
+            precision: Precision::Fp16,
+        };
+        let clean_c = core.run_gemm(&job).c;
+        let spad_rates = [2e-3, 1e-2, 5e-2];
+        let spad_cells: Vec<u64> = (0..plans_per_side as u64).collect();
+        let spad_rows = try_par_map(&spad_cells, |&i| {
+            let mut plan = FaultPlan::new(FaultConfig {
+                seed: derive_seed(seed, &format!("protection_sweep/spad-{i}")),
+                spad_flip_rate: spad_rates[i as usize % spad_rates.len()],
+                ..FaultConfig::default()
+            });
+            let mut t = Telemetry::new();
+            let outcome = core.try_run_gemm(&job, Some(&mut plan), Some(&mut t));
+            let flips = plan.counts().spad_flips;
+            match outcome {
+                Ok(r) => Ok((r.c == clean_c, false, flips, t.registry)),
+                Err(SimError::EccUncorrectable { .. }) => Ok((true, true, flips, t.registry)),
+                Err(e) => Err(e.to_string()),
+            }
         });
-        let mut t = Telemetry::new();
-        reliable_allreduce(&inputs, &rcfg, Some(&mut plan), Some(&mut t))
-            .map(|(sum, health)| (sum == clean_sum, health, t.registry))
-            .map_err(|e| e.to_string())
-    });
-    let (mut ring_exact, mut ring_retrans, mut ring_silent) = (0u64, 0u64, 0u64);
-    for row in ring_rows {
-        let (bit_identical, health, reg) =
-            row.map_err(|p| format!("ring cell panicked: {p}"))??;
-        tele.registry.merge(&reg);
-        ring_retrans += health.crc_retransmits;
-        ring_silent += health.silent_corruptions;
-        if bit_identical {
-            ring_exact += 1;
+        let (mut spad_exact, mut spad_escalated, mut spad_silent, mut spad_flips) = (0u64, 0u64, 0u64, 0u64);
+        for row in spad_rows {
+            let (bit_exact, escalated, flips, reg) =
+                row.map_err(|p| format!("spad cell panicked: {p}"))??;
+            spad_flips += flips;
+            tele.registry.merge(&reg);
+            if escalated {
+                spad_escalated += 1;
+            } else if bit_exact {
+                spad_exact += 1;
+            } else {
+                spad_silent += 1;
+            }
         }
-    }
-    println!(
-        "ring:       {} plans — {} bit-identical, {} CRC retransmits, {} silent",
-        plans_per_side, ring_exact, ring_retrans, ring_silent
-    );
-    assert_eq!(ring_exact, plans_per_side as u64, "a corrupted flit damaged a reduction");
-    assert_eq!(ring_silent, 0, "a corrupted flit was silently delivered");
-    assert!(ring_retrans > 0, "the sweep must exercise CRC retransmission");
-    rec.metric("ring.plans", plans_per_side as f64);
-    rec.metric("ring.crc_retransmits", ring_retrans as f64);
-    rec.metric("ring.silent", ring_silent as f64);
-    println!(
-        "\nall {} plans delivered protected data: corrected, retransmitted, or escalated —",
-        2 * plans_per_side
-    );
-    println!("never silently wrong.");
-
-    // ---- sweep 3: the analytical protection tax -------------------------
-    section("sweep 3 — the protection tax (storage / bandwidth / compute)");
-    let params = ProtectionParams::rapid();
-    let nets = if smoke { vec!["mobilenetv1"] } else { vec!["resnet50", "bert"] };
-    println!(
-        "{:<14} {:>12} {:>12} {:>10} {:>10} {:>12}",
-        "workload", "abft tax", "red3 tax", "advantage", "l1 factor", "link factor"
-    );
-    for name in nets {
-        let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-        let tax = protection_tax(&net, 1, &params);
+        let sec = tele.registry.counter("sim.ecc.sec");
+        let ded = tele.registry.counter("sim.ecc.ded");
         println!(
-            "{:<14} {:>11.2}% {:>11.0}% {:>9.1}x {:>10.3} {:>12.4}",
-            name,
-            tax.abft_overhead_ratio * 100.0,
-            tax.redundancy3_overhead_ratio * 100.0,
-            tax.abft_advantage(),
-            tax.l1_storage_factor,
-            tax.link_bandwidth_factor
+            "scratchpad: {} plans, {} flips injected — {} bit-exact (SEC corrected {}), \
+             {} escalated (DED {}), {} silent",
+            plans_per_side, spad_flips, spad_exact, sec, spad_escalated, ded, spad_silent
         );
-        rec.metric(&format!("{name}.abft_tax"), tax.abft_overhead_ratio);
-        rec.metric(&format!("{name}.abft_advantage"), tax.abft_advantage());
-    }
-    println!(
-        "\nSECDED charges {:.1}% scratchpad capacity and {:.0}% access energy; CRC-8",
-        params.secded_storage_overhead * 100.0,
-        params.secded_energy_uplift * 100.0
-    );
-    println!("shaves {:.2}% of link bandwidth; ABFT's checksum work amortizes to noise on", (1.0 - params.crc_bandwidth_factor()) * 100.0);
-    println!("real layer shapes — protection is cheap everywhere except brute-force voting.");
+        assert_eq!(spad_silent, 0, "a scratchpad flip was silently delivered");
+        assert!(sec > 0, "the sweep must exercise single-bit correction");
+        ctx.rec.metric("spad.plans", plans_per_side as f64);
+        ctx.rec.metric("spad.sec", sec as f64);
+        ctx.rec.metric("spad.ded", ded as f64);
+        ctx.rec.metric("spad.silent", spad_silent as f64);
 
-    rec.merge_registry(&tele.registry);
-    rec.finish();
-    Ok(())
+        // Ring side: reliable allreduce with corrupted flits. CRC must turn
+        // every corruption into a retransmission and a bit-identical result.
+        let chips = 4usize;
+        let elems = if smoke { 4096 } else { 16_384 };
+        let inputs: Vec<Vec<f32>> = (0..chips)
+            .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
+            .collect();
+        let rcfg = ReliableConfig::rapid_training(chips as u32, true);
+        let (clean_sum, _) = reliable_allreduce(&inputs, &rcfg, None, None)?;
+        let ring_rates = [1e-3, 5e-3, 2e-2];
+        let ring_cells: Vec<u64> = (0..plans_per_side as u64).collect();
+        let ring_rows = try_par_map(&ring_cells, |&i| {
+            let mut plan = FaultPlan::new(FaultConfig {
+                seed: derive_seed(seed, &format!("protection_sweep/ring-{i}")),
+                ring_corrupt_rate: ring_rates[i as usize % ring_rates.len()],
+                ring_drop_rate: if i % 2 == 0 { 5e-3 } else { 0.0 },
+                ..FaultConfig::default()
+            });
+            let mut t = Telemetry::new();
+            reliable_allreduce(&inputs, &rcfg, Some(&mut plan), Some(&mut t))
+                .map(|(sum, health)| (sum == clean_sum, health, t.registry))
+                .map_err(|e| e.to_string())
+        });
+        let (mut ring_exact, mut ring_retrans, mut ring_silent) = (0u64, 0u64, 0u64);
+        for row in ring_rows {
+            let (bit_identical, health, reg) =
+                row.map_err(|p| format!("ring cell panicked: {p}"))??;
+            tele.registry.merge(&reg);
+            ring_retrans += health.crc_retransmits;
+            ring_silent += health.silent_corruptions;
+            if bit_identical {
+                ring_exact += 1;
+            }
+        }
+        println!(
+            "ring:       {} plans — {} bit-identical, {} CRC retransmits, {} silent",
+            plans_per_side, ring_exact, ring_retrans, ring_silent
+        );
+        assert_eq!(ring_exact, plans_per_side as u64, "a corrupted flit damaged a reduction");
+        assert_eq!(ring_silent, 0, "a corrupted flit was silently delivered");
+        assert!(ring_retrans > 0, "the sweep must exercise CRC retransmission");
+        ctx.rec.metric("ring.plans", plans_per_side as f64);
+        ctx.rec.metric("ring.crc_retransmits", ring_retrans as f64);
+        ctx.rec.metric("ring.silent", ring_silent as f64);
+        println!(
+            "\nall {} plans delivered protected data: corrected, retransmitted, or escalated —",
+            2 * plans_per_side
+        );
+        println!("never silently wrong.");
+
+        // ---- sweep 3: the analytical protection tax -------------------------
+        section("sweep 3 — the protection tax (storage / bandwidth / compute)");
+        let params = ProtectionParams::rapid();
+        let nets = if smoke { vec!["mobilenetv1"] } else { vec!["resnet50", "bert"] };
+        println!(
+            "{:<14} {:>12} {:>12} {:>10} {:>10} {:>12}",
+            "workload", "abft tax", "red3 tax", "advantage", "l1 factor", "link factor"
+        );
+        for name in nets {
+            let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
+            let tax = protection_tax(&net, 1, &params);
+            println!(
+                "{:<14} {:>11.2}% {:>11.0}% {:>9.1}x {:>10.3} {:>12.4}",
+                name,
+                tax.abft_overhead_ratio * 100.0,
+                tax.redundancy3_overhead_ratio * 100.0,
+                tax.abft_advantage(),
+                tax.l1_storage_factor,
+                tax.link_bandwidth_factor
+            );
+            ctx.rec.metric(&format!("{name}.abft_tax"), tax.abft_overhead_ratio);
+            ctx.rec.metric(&format!("{name}.abft_advantage"), tax.abft_advantage());
+        }
+        println!(
+            "\nSECDED charges {:.1}% scratchpad capacity and {:.0}% access energy; CRC-8",
+            params.secded_storage_overhead * 100.0,
+            params.secded_energy_uplift * 100.0
+        );
+        println!("shaves {:.2}% of link bandwidth; ABFT's checksum work amortizes to noise on", (1.0 - params.crc_bandwidth_factor()) * 100.0);
+        println!("real layer shapes — protection is cheap everywhere except brute-force voting.");
+
+        ctx.rec.merge_registry(&tele.registry);
+        // ABFT must actually have repaired something under the 1e-3 faults.
+        ctx.require_positive("recover.abft.corrections");
+        Ok(())
+    })
 }

@@ -1,8 +1,9 @@
 //! Machine-readable experiment records: every bench binary accepts
-//! `--json <path>` and, when given, writes one `rapid-bench-v1` JSON
-//! record alongside its human-readable table. `repro_all` passes the flag
-//! to each child and aggregates the records into `BENCH_repro.json`;
-//! `telemetry_report` renders and validates the aggregate.
+//! `--json <path>` and, when given, writes one validated
+//! `rapid-bench-v1` JSON record alongside its human-readable table.
+//! `repro_all` passes the flag to each child and aggregates the records
+//! into `BENCH_repro.json`; `telemetry_report` renders and validates the
+//! aggregate.
 //!
 //! The record shape (see [`rapid_telemetry::schema`]):
 //!
@@ -18,8 +19,10 @@
 
 use rapid_fault::FaultConfig;
 use rapid_telemetry::registry::Metric;
-use rapid_telemetry::{metrics_path_from_env, openmetrics, Json, MetricsRegistry, BENCH_SCHEMA};
-use std::path::PathBuf;
+use rapid_telemetry::{
+    metrics_path_from_env, openmetrics, validate_bench_record, Json, MetricsRegistry, BENCH_SCHEMA,
+};
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Returns the path following a `--json` flag in this process's argument
@@ -28,17 +31,31 @@ pub fn json_path_from_args() -> Option<PathBuf> {
     json_path_from(std::env::args().skip(1))
 }
 
-fn json_path_from(args: impl Iterator<Item = String>) -> Option<PathBuf> {
-    let mut args = args.peekable();
+fn json_path_from(mut args: impl Iterator<Item = String>) -> Option<PathBuf> {
     while let Some(a) = args.next() {
-        if a == "--json" {
-            return args.next().map(PathBuf::from);
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(PathBuf::from(p));
+        if let Some(path) = json_flag(&a, &mut args) {
+            return path.ok();
         }
     }
     None
+}
+
+/// Parses one `--json` flag: `None` when `arg` is not one, else its path
+/// (`--json PATH` takes the next argument, `--json=PATH` the suffix) or
+/// an error when the path is missing.
+pub(crate) fn json_flag(
+    arg: &str,
+    rest: &mut impl Iterator<Item = String>,
+) -> Option<Result<PathBuf, String>> {
+    let path = match arg.strip_prefix("--json")? {
+        "" => rest.next(),
+        tail => Some(tail.strip_prefix('=')?.to_string()),
+    };
+    Some(
+        path.filter(|p| !p.is_empty() && !p.starts_with("--"))
+            .map(PathBuf::from)
+            .ok_or_else(|| "--json requires a path".to_string()),
+    )
 }
 
 /// Builder for one experiment's machine-readable record.
@@ -46,7 +63,7 @@ fn json_path_from(args: impl Iterator<Item = String>) -> Option<PathBuf> {
 /// Construction stamps the wall-clock start and the common config header
 /// (worker `threads` from `RAPID_THREADS`, `fault_seed` from
 /// `RAPID_FAULT_SEED`); the binary adds its own config knobs and metrics
-/// as it runs, then calls [`BenchRecord::write_if_requested`] at exit.
+/// as it runs, then calls [`BenchRecord::finish`] at exit.
 #[derive(Debug)]
 pub struct BenchRecord {
     experiment: String,
@@ -57,18 +74,27 @@ pub struct BenchRecord {
     /// every [`BenchRecord::merge_registry`] call — the OpenMetrics
     /// snapshot source.
     registry: MetricsRegistry,
+    /// Where [`BenchRecord::finish`] writes the record (the `--json` path).
+    json: Option<PathBuf>,
 }
 
 impl BenchRecord {
     /// Starts a record for `experiment` (the binary name by convention)
-    /// with the standard config header.
+    /// with the standard config header; [`BenchRecord::finish`] writes it
+    /// to the path following this process's `--json` flag, if any.
     pub fn new(experiment: &str) -> Self {
+        Self::with_json(experiment, json_path_from_args())
+    }
+
+    /// [`BenchRecord::new`] with an explicit record path.
+    pub(crate) fn with_json(experiment: &str, json: Option<PathBuf>) -> Self {
         let mut r = Self {
             experiment: experiment.to_string(),
             start: Instant::now(),
             config: Vec::new(),
             metrics: Vec::new(),
             registry: MetricsRegistry::new(),
+            json,
         };
         r.config_num("threads", crate::num_threads() as f64);
         r.config_num("fault_seed", FaultConfig::seed_from_env(0) as f64);
@@ -111,6 +137,11 @@ impl BenchRecord {
         }
     }
 
+    /// The value of metric `name`, if recorded.
+    pub(crate) fn metric_value(&self, name: &str) -> Option<f64> {
+        self.metrics.iter().find(|(k, _)| k == name).map(|&(_, v)| v)
+    }
+
     /// Folds every counter/gauge/histogram of a telemetry registry into
     /// the metrics map (histograms expand to `.count`/`.sum`/… as in
     /// [`MetricsRegistry::to_json`]).
@@ -131,7 +162,7 @@ impl BenchRecord {
     /// name. Scalar metrics shadowed by a native registry entry — or by a
     /// histogram's `.count`/`.sum`/... expansion keys — are skipped so no
     /// family is emitted twice.
-    pub fn to_openmetrics(&self) -> String {
+    fn to_openmetrics(&self) -> String {
         let mut reg = self.registry.clone();
         for (k, v) in &self.metrics {
             if reg.get(k).is_some() {
@@ -148,7 +179,7 @@ impl BenchRecord {
     }
 
     /// Elapsed wall-clock since construction, in milliseconds.
-    pub fn wall_ms(&self) -> f64 {
+    fn wall_ms(&self) -> f64 {
         self.start.elapsed().as_secs_f64() * 1e3
     }
 
@@ -169,8 +200,17 @@ impl BenchRecord {
     /// uniform wall-clock/threads/seed line, writes the JSON record when
     /// `--json` was passed, and dumps a validated OpenMetrics snapshot
     /// when `RAPID_METRICS=<path>` is set. Exits non-zero if a requested
-    /// artifact cannot be written, so it is never silently missing.
+    /// artifact is invalid or cannot be written, so it is never silently
+    /// missing.
     pub fn finish(&self) {
+        if let Err(e) = self.try_finish() {
+            eprintln!("[{}] error: {e}", self.experiment);
+            std::process::exit(1);
+        }
+    }
+
+    /// [`BenchRecord::finish`] returning the failure instead of exiting.
+    pub(crate) fn try_finish(&self) -> Result<(), String> {
         println!(
             "\n[{}] wall-clock {:.2}s, {} worker threads, fault seed {}",
             self.experiment,
@@ -178,46 +218,31 @@ impl BenchRecord {
             crate::num_threads(),
             FaultConfig::seed_from_env(0),
         );
-        match self.write_if_requested() {
-            Ok(Some(path)) => println!("[{}] wrote {}", self.experiment, path.display()),
-            Ok(None) => {}
-            Err(e) => {
-                eprintln!("[{}] error: cannot write --json record: {e}", self.experiment);
-                std::process::exit(1);
-            }
+        if let Some(path) = self.write_json()? {
+            println!("[{}] wrote {}", self.experiment, path.display());
         }
         if let Some(path) = metrics_path_from_env() {
             let text = self.to_openmetrics();
-            if let Err(e) = openmetrics::validate(&text) {
-                eprintln!("[{}] error: OpenMetrics snapshot invalid: {e}", self.experiment);
-                std::process::exit(1);
-            }
-            if let Err(e) = std::fs::write(&path, &text) {
-                eprintln!(
-                    "[{}] error: cannot write RAPID_METRICS snapshot {}: {e}",
-                    self.experiment,
-                    path.display()
-                );
-                std::process::exit(1);
-            }
+            openmetrics::validate(&text)
+                .map_err(|e| format!("OpenMetrics snapshot invalid: {e}"))?;
+            std::fs::write(&path, &text).map_err(|e| {
+                format!("cannot write RAPID_METRICS snapshot {}: {e}", path.display())
+            })?;
             println!("[{}] wrote OpenMetrics snapshot {}", self.experiment, path.display());
         }
+        Ok(())
     }
 
-    /// Writes the record to the `--json` path when the flag was passed;
-    /// a no-op otherwise. Returns the path written to.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the file cannot be written.
-    pub fn write_if_requested(&self) -> std::io::Result<Option<PathBuf>> {
-        let Some(path) = json_path_from_args() else { return Ok(None) };
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        std::fs::write(&path, self.to_json().render())?;
+    /// Validates the record against the schema and writes it to the
+    /// `--json` path; a no-op without one. Returns the path written to.
+    fn write_json(&self) -> Result<Option<&Path>, String> {
+        let Some(path) = self.json.as_deref() else { return Ok(None) };
+        let record = self.to_json();
+        validate_bench_record(&record).map_err(|e| format!("record fails its schema: {e}"))?;
+        let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+        dir.map_or(Ok(()), std::fs::create_dir_all)
+            .and_then(|()| std::fs::write(path, record.render()))
+            .map_err(|e| format!("cannot write --json record {}: {e}", path.display()))?;
         Ok(Some(path))
     }
 }
@@ -226,7 +251,6 @@ impl BenchRecord {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use rapid_telemetry::validate_bench_record;
 
     #[test]
     fn record_validates_against_the_schema() {

@@ -25,35 +25,19 @@ pub const ABFT_METRIC_PREFIX: &str = "recover.abft";
 
 /// How a backend protects its datapath against injected faults.
 ///
-/// The resilient training loop composes with all three: `None` relies
-/// purely on guards + skip/rollback, `Redundancy(r)` votes `r` executions
-/// elementwise (PR 3's brute-force baseline, a `r`× compute tax), and
-/// `Abft` runs every GEMM through the Huang–Abraham checksum scheme which
-/// detects and repairs faulty elements at O(m+n) extra work per product.
+/// The resilient training loop composes with both: `None` relies purely
+/// on guards + skip/rollback, and `Abft` runs every GEMM through the
+/// Huang–Abraham checksum scheme which detects and repairs faulty
+/// elements at O(m+n) extra work per product. Modular redundancy is not
+/// a backend mode: the loop votes over
+/// [`ResilientConfig::redundancy`](crate::ResilientConfig::redundancy)
+/// executions of any backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
     /// No datapath protection beyond the numeric guards.
     None,
-    /// Execute each step `r` times and vote elementwise (r ≥ 1).
-    Redundancy(u32),
     /// Checksum-protected GEMMs: detect + correct in the kernel itself.
     Abft,
-}
-
-impl Protection {
-    /// How many redundant executions the training loop should run: 1 for
-    /// every mode except `Redundancy(r)`.
-    pub fn redundancy(&self) -> u32 {
-        match self {
-            Protection::Redundancy(r) => (*r).max(1),
-            _ => 1,
-        }
-    }
-
-    /// Whether GEMMs run under ABFT checksums.
-    pub fn abft(&self) -> bool {
-        matches!(self, Protection::Abft)
-    }
 }
 
 /// HFP8 backend with a seeded fault plan spliced into every GEMM and a
@@ -149,7 +133,7 @@ impl GuardedHfp8Backend {
 
     fn guarded(&self, mode: FmaMode, a: &Tensor, b: &Tensor) -> Result<Tensor, NumericsError> {
         let mut plan = self.plan.borrow_mut();
-        let (c, stats) = if self.protection.abft() {
+        let (c, stats) = if self.protection == Protection::Abft {
             let (c, stats, report) =
                 abft_matmul_emulated(mode, a, b, self.chunk_len, Some(&mut plan))?;
             let mut reg = self.metrics.borrow_mut();
@@ -308,13 +292,9 @@ mod tests {
 
     #[test]
     fn protection_modes_report_their_cost_shape() {
-        assert_eq!(Protection::None.redundancy(), 1);
-        assert_eq!(Protection::Redundancy(3).redundancy(), 3);
-        assert_eq!(Protection::Redundancy(0).redundancy(), 1, "clamped to ≥1");
-        assert_eq!(Protection::Abft.redundancy(), 1);
-        assert!(Protection::Abft.abft());
-        assert!(!Protection::Redundancy(3).abft());
         let be = GuardedHfp8Backend::new(FaultConfig::default(), GuardPolicy::Error);
         assert_eq!(be.protection(), Protection::None);
+        let be = be.with_protection(Protection::Abft);
+        assert_eq!(be.protection(), Protection::Abft);
     }
 }

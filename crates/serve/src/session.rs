@@ -5,8 +5,7 @@
 //! and the chaos sweeps all execute through. [`EmulatedSession`] is the
 //! production implementation: it routes each precision tier to the
 //! corresponding guarded emulated kernel (FP16 and INT4 directly, HFP8
-//! through the [`GuardedHfp8Backend`] so ABFT/redundancy protection
-//! applies), with a shared [`FaultPlan`] injecting both MAC-level upsets
+//! through the [`GuardedHfp8Backend`] so ABFT protection applies), with a shared [`FaultPlan`] injecting both MAC-level upsets
 //! and serving-level transients. [`OkSession`] is the zero-work stand-in
 //! for virtual-time sweeps and unit tests.
 

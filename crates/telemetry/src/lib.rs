@@ -92,16 +92,6 @@ impl Telemetry {
         Self { registry: MetricsRegistry::new(), trace: None, spans: Some(SpanSink::new()) }
     }
 
-    /// Builds from the environment: tracing is enabled iff `RAPID_TRACE`
-    /// names a path (the caller writes the trace there afterwards).
-    pub fn from_env() -> Self {
-        if trace_path_from_env().is_some() {
-            Self::with_trace()
-        } else {
-            Self::new()
-        }
-    }
-
     /// Whether a trace sink is attached.
     pub fn tracing(&self) -> bool {
         self.trace.is_some()

@@ -5,14 +5,17 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
+use proptest::prelude::*;
 use rapid::fault::{FaultConfig, FaultPlan};
 use rapid::numerics::gemm::GemmStats;
 use rapid::numerics::Tensor;
 use rapid::sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid::sim::error::SimError;
 use rapid::sim::gemm::{CoreSim, GemmJob};
+use rapid::telemetry::validate_aggregate;
 use rapid::telemetry::{validate_bench_record, Json, MetricsRegistry, Telemetry, BENCH_SCHEMA};
 use rapid_arch::precision::Precision;
+use rapid_bench::BenchRecord;
 
 fn gemm_job(seed: u64) -> GemmJob {
     GemmJob {
@@ -183,4 +186,67 @@ fn bench_record_schema_accepts_good_and_rejects_bad() {
         }
     }
     validate_bench_record(&missing_seed).expect_err("config without fault_seed must fail");
+}
+
+/// A valid record as `BenchRecord` renders it, with `values` as metrics.
+fn rendered_record(values: &[f64]) -> (Json, String) {
+    let mut r = BenchRecord::new("adversarial");
+    r.config_str("mode", "smoke");
+    for (i, v) in values.iter().enumerate() {
+        r.metric(&format!("m{i}.value"), *v);
+    }
+    let j = r.to_json();
+    let text = j.render();
+    (j, text)
+}
+
+/// Every reader stage on one input; none may panic, whatever the bytes.
+fn read_all_stages(text: &str) {
+    if let Ok(j) = Json::parse(text) {
+        let _ = validate_bench_record(&j);
+        let _ = validate_aggregate(&j);
+        let wrapped = Json::Obj(vec![
+            ("schema".to_string(), Json::str(rapid::telemetry::AGGREGATE_SCHEMA)),
+            ("records".to_string(), Json::Arr(vec![j])),
+        ]);
+        let _ = validate_aggregate(&wrapped);
+    }
+}
+
+proptest! {
+    /// Arbitrary bytes (lossy UTF-8) never panic the record reader.
+    #[test]
+    fn bench_record_reader_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        read_all_stages(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// A valid record round-trips render → parse → equal and validates;
+    /// 1–8 byte mutations of it (overwrite, insert or delete) never panic
+    /// the reader.
+    #[test]
+    fn bench_record_reader_survives_mutated_records(
+        values in proptest::collection::vec(-1.0e12f64..1.0e12, 0..6),
+        edits in proptest::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 1..=8),
+    ) {
+        let (j, text) = rendered_record(&values);
+        let parsed = Json::parse(&text).expect("rendered record parses");
+        prop_assert_eq!(&parsed, &j);
+        prop_assert!(validate_bench_record(&parsed).is_ok());
+
+        let mut bytes = text.into_bytes();
+        for (at, byte, kind) in edits {
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at, byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.push(byte),
+            }
+        }
+        read_all_stages(&String::from_utf8_lossy(&bytes));
+    }
 }
