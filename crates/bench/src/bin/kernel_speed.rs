@@ -129,7 +129,7 @@ fn float_group(
     Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
 }
 
-/// Times one integer GEMM group (madd or bit-sliced under `force`).
+/// Times one integer GEMM group (expanding or bit-sliced under `force`).
 fn int_group(
     name: &'static str,
     fmt: IntFormat,

@@ -2,8 +2,8 @@
 //!
 //! An INT2 code is two bits. Splitting each operand row into two `u64`
 //! bit-planes — plane 0 holds bit 0, plane 1 holds bit 1, LSB-first within
-//! each word like the zero masks in `gemm` — turns a 64-element dot
-//! product into four AND+popcount word operations:
+//! each word — turns a 64-element dot product into four AND+popcount word
+//! operations:
 //!
 //! ```text
 //! value(code) = bit0 + c · bit1          c = -2 (signed, two's complement)
@@ -19,9 +19,9 @@
 //! The kernel is plain portable Rust — `u64::count_ones` — with an
 //! `x86_64` `popcnt`-enabled clone so the baseline build (which may not
 //! assume SSE4.2) still emits hardware popcounts when the CPU has them.
-//! It is exact integer arithmetic, so as with the madd kernel the result
-//! is bit-identical to the tiled windowed sum whenever the chunk guard
-//! rules out INT16 saturation.
+//! It is exact integer arithmetic, so as with the expanding kernel the
+//! result is bit-identical to the tiled windowed sum whenever the chunk
+//! guard rules out INT16 saturation.
 
 use crate::int::Signedness;
 
@@ -67,22 +67,6 @@ impl BitPlanes {
     /// The plane-1 coefficient for this operand's signedness.
     pub(crate) fn coeff(&self) -> i64 {
         self.coeff
-    }
-
-    /// Writes the zero-code mask of row `r` (bit set where the code is 0,
-    /// LSB-first — the `gemm` zero-mask convention): a code is zero iff
-    /// both plane bits are clear.
-    pub(crate) fn zero_mask_into(&self, r: usize, k: usize, out: &mut [u64]) {
-        let (r0, r1) = (self.row0(r), self.row1(r));
-        for ((o, &w0), &w1) in out.iter_mut().zip(r0).zip(r1) {
-            *o = !(w0 | w1);
-        }
-        let tail = k % 64;
-        if tail != 0 {
-            if let Some(last) = out.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
     }
 }
 
@@ -230,21 +214,5 @@ mod tests {
             let want = dot_planes(&pa, 0, &pb, j) as f32 * scale;
             assert_eq!(got.to_bits(), want.to_bits(), "column {j}");
         }
-    }
-
-    #[test]
-    fn zero_mask_matches_codes() {
-        let k = 70;
-        let codes: Vec<i8> = (0..k).map(|i| [0i8, 1, 0, -1][(i as usize) % 4]).collect();
-        let p = BitPlanes::pack(&codes, 1, k as usize, Signedness::Signed);
-        let mut mask = vec![0u64; (k as usize).div_ceil(64)];
-        p.zero_mask_into(0, k as usize, &mut mask);
-        for (i, &c) in codes.iter().enumerate() {
-            let bit = (mask[i / 64] >> (i % 64)) & 1;
-            assert_eq!(bit == 1, c == 0, "position {i}");
-        }
-        // Pad bits beyond k stay clear so popcount-based gating is exact.
-        let tail = k as usize % 64;
-        assert_eq!(mask.last().unwrap() >> tail, 0);
     }
 }

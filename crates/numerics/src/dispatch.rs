@@ -92,11 +92,12 @@ pub fn popcnt_available() -> bool {
 /// amortizes on reasonably sized problems.
 pub(crate) const AUTO_MIN_MACS: u64 = 4096;
 
-/// Beyond this reduction depth the INT4 madd kernel's per-lane i32
-/// accumulator could overflow (worst case ≈ 450·k/16 per lane), so `auto`
-/// and `force` both fall back to the tiled path. Far beyond any model
-/// layer; the bound is conservative by ~3 decimal orders.
-pub(crate) const MADD_MAX_K: usize = 1 << 24;
+/// Beyond this reduction depth an i32 lane of the expanding INT kernel
+/// could overflow, so `auto` and `force` both fall back to the tiled path.
+/// A lane sums one k-quad per step, at most `4·15·15 = 900` in magnitude
+/// with a biased column operand, so `k/4` steps stay below `225·k`, and
+/// `225 · 2^23 < 2^31`. Far beyond any model layer.
+pub(crate) const MADD_MAX_K: usize = 1 << 23;
 
 /// Whether a float GEMM of `macs` total MACs should take the AVX2 kernels.
 pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
@@ -112,15 +113,15 @@ pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
 pub(crate) enum IntKernel {
     /// Packed-panel tiled path (PR 1).
     Tiled,
-    /// AVX2 widening multiply-add over i8 codes.
-    Madd,
+    /// AVX2 expanding multiply-add over register tiles.
+    Expanding,
     /// Popcount over packed bit-planes (both operands INT2; portable).
     BitSliced,
 }
 
 /// Selects the integer kernel: bit-sliced when both operands are INT2
-/// (portable, no feature gate beyond the knob), the AVX2 madd kernel for
-/// wider codes, tiled otherwise.
+/// (portable, no feature gate beyond the knob), the AVX2 expanding kernel
+/// for wider codes, tiled otherwise.
 pub(crate) fn int_kernel(mode: SimdMode, macs: u64, k: usize, both_int2: bool) -> IntKernel {
     let want = match mode {
         SimdMode::Off => false,
@@ -132,7 +133,7 @@ pub(crate) fn int_kernel(mode: SimdMode, macs: u64, k: usize, both_int2: bool) -
     } else if both_int2 {
         IntKernel::BitSliced
     } else if simd_available() && k <= MADD_MAX_K {
-        IntKernel::Madd
+        IntKernel::Expanding
     } else {
         IntKernel::Tiled
     }
@@ -146,7 +147,7 @@ pub enum KernelBackend {
     Scalar,
     /// Portable tiled + register-blocked fast path (PR 1).
     Tiled,
-    /// AVX2 vector kernel (16-lane float MAC / widening madd).
+    /// AVX2 vector kernel (16-lane float MAC / expanding integer tiles).
     Simd,
     /// Popcount over packed INT2 bit-planes.
     BitSliced,
@@ -223,9 +224,11 @@ fn int_choice(
                 format!("bit-sliced planes, {pop} (RAPID_SIMD={mode})"),
             )
         }
-        IntKernel::Madd => (
+        IntKernel::Expanding => (
             KernelBackend::Simd,
-            format!("avx2 widening madd i8→i16→i32 (RAPID_SIMD={mode})"),
+            format!(
+                "avx2 expanding vpmaddubsw u8×i8→i16→i32, 4×16 register tiles (RAPID_SIMD={mode})"
+            ),
         ),
         IntKernel::Tiled => (KernelBackend::Tiled, float_fallback_reason(mode)),
     };

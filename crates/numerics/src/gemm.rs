@@ -45,6 +45,7 @@ use crate::simd;
 use crate::tensor::Tensor;
 use crate::NumericsError;
 use rapid_fault::FaultPlan;
+use std::borrow::Cow;
 
 /// Datapath statistics gathered while executing an emulated kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -188,22 +189,43 @@ pub(crate) fn fp16_round_sum_sel(x: f32) -> f32 {
     f32::from_bits(sign | r)
 }
 
-/// Bitmask of zero positions, one bit per element (LSB-first within each
-/// word). Zero-gating statistics become word-level popcounts instead of a
-/// test per MAC in the hot loops.
-fn zero_mask_into(words: &mut [u64], is_zero: impl Fn(usize) -> bool, len: usize) {
-    words.fill(0);
-    for i in 0..len {
-        if is_zero(i) {
-            words[i / 64] |= 1 << (i % 64);
-        }
-    }
+/// Statistics of an `m × n` product over `za.len()` k-positions, from
+/// per-k zero counts: `za[p]` zeros in A's column `p`, `zb[p]` in B's row
+/// `p`.
+///
+/// The datapath gates a MAC when either operand is zero. At k-position
+/// `p` the gated MACs are `za·n + (m − za)·zb`: a zero A element gates all
+/// `n` MACs it feeds, any other A element gates B's zeros. Summed over
+/// `p`, that is the per-MAC count in O(k) instead of O(m·n·k).
+fn gated_stats(za: &[u64], zb: &[u64], m: usize, n: usize) -> GemmStats {
+    let (m, n) = (m as u64, n as u64);
+    let zero_gated = za.iter().zip(zb).map(|(&za, &zb)| za * n + (m - za) * zb).sum();
+    GemmStats { macs: m * n * za.len() as u64, zero_gated, ..GemmStats::default() }
 }
 
-/// Number of MACs gated in a dot product: positions where either operand is
-/// zero, counted as the popcount of the union of the zero masks.
-fn gated_count(za: &[u64], zb: &[u64]) -> u64 {
-    za.iter().zip(zb).map(|(&x, &y)| u64::from((x | y).count_ones())).sum()
+/// Zero codes in each of the `k` columns of row-major `[rows, k]` codes.
+/// Blocks of up to 255 rows count in `u8` lanes, so the loop vectorizes
+/// 16 or 32 columns wide, before each block folds into the totals.
+fn column_zeros(codes: &[i8], k: usize) -> Vec<u64> {
+    let mut zeros = vec![0u64; k];
+    let mut counts = vec![0u8; k];
+    for block in codes.chunks(255 * k.max(1)) {
+        for row in block.chunks_exact(k.max(1)) {
+            for (z, &c) in counts.iter_mut().zip(row) {
+                *z += u8::from(c == 0);
+            }
+        }
+        for (z, c) in zeros.iter_mut().zip(&mut counts) {
+            *z += u64::from(std::mem::take(c));
+        }
+    }
+    zeros
+}
+
+/// Zero codes in each row of row-major `[k, n]` codes, `n > 0`.
+fn row_zeros(codes: &[i8], n: usize) -> Vec<u64> {
+    let zeros = |row: &[i8]| row.iter().map(|&c| u32::from(c == 0)).sum::<u32>();
+    codes.chunks_exact(n).map(|row| u64::from(zeros(row))).collect()
 }
 
 /// Runs `work` over horizontal bands of the row-major `m × n` output in
@@ -358,7 +380,7 @@ fn matmul_emulated_fast(
         GemmStats::default()
     };
     par_rows(out.as_mut_slice(), m, n, k, &work);
-    Ok((out, staged_stats(&sa, &sb, m, n)))
+    Ok((out, gated_stats(&sa.zeros, &sb.zeros, m, n)))
 }
 
 /// Branch-free quantizer for one saturating, subnormal-free format (every
@@ -517,7 +539,10 @@ fn fold_zeros(zeros: &mut [u64], counts: &mut [u32]) {
 struct Staged {
     /// Multiplier operands, laid out for the band loop.
     vals: Vec<f32>,
-    /// Quantized zeros at each k-position (per column of A, per row of B).
+    /// Quantized zeros at each k-position (per column of A, per row of B),
+    /// for [`gated_stats`]. The scalar datapath gates a MAC when either
+    /// *quantized* operand is zero (`fma_prequantized`); an operand whose
+    /// FP9 conversion underflows is multiplied, not gated.
     zeros: Vec<u64>,
 }
 
@@ -581,19 +606,6 @@ impl Staged {
         fold_zeros(&mut zeros, &mut counts);
         Self { vals, zeros }
     }
-}
-
-/// Statistics of an `m × n` product of staged operands.
-///
-/// The scalar datapath gates a MAC when either *quantized* operand is zero
-/// (`fma_prequantized`); an operand whose FP9 conversion underflows is
-/// multiplied, not gated. At k-position `p`, with `za` zeros in A's column
-/// and `zb` in B's row, the gated MACs are `za·n + (m − za)·zb`: a zero A
-/// element gates all `n` MACs it feeds, any other gates B's zeros.
-fn staged_stats(sa: &Staged, sb: &Staged, m: usize, n: usize) -> GemmStats {
-    let (m, n) = (m as u64, n as u64);
-    let zero_gated = sa.zeros.iter().zip(&sb.zeros).map(|(&za, &zb)| za * n + (m - za) * zb).sum();
-    GemmStats { macs: m * n * sa.zeros.len() as u64, zero_gated, ..GemmStats::default() }
 }
 
 /// Fills one row band of an `n`-column float GEMM from staged operands:
@@ -841,7 +853,7 @@ pub fn matmul_int(
 /// parameters at reduction depth `k`: the worst-case magnitude of a chunk
 /// window exceeds `i16::MAX`. When it cannot, the windowed tiled sum
 /// equals the plain exact dot product (order-independent integer
-/// addition), which is what licenses the whole-k madd and bit-sliced
+/// addition), which is what licenses the whole-k expanding and bit-sliced
 /// kernels to ignore chunk boundaries while staying bit-exact.
 pub(crate) fn int_saturation_possible(
     qa: QuantParams,
@@ -895,34 +907,40 @@ fn matmul_int_fast(
     }
     let macs = (m * n * k) as u64;
     let both_int2 = qa.format() == IntFormat::Int2 && qb.format() == IntFormat::Int2;
-    let stats = match dispatch::int_kernel(simd_mode, macs, k, both_int2) {
+    let od = out.as_mut_slice();
+    match dispatch::int_kernel(simd_mode, macs, k, both_int2) {
         dispatch::IntKernel::Tiled => {
             let cbt = transposed_panels(&cb, k, n);
             let pa = PackedPanel::pack(&ca, m, k, qa);
             let pb = PackedPanel::pack(&cbt, n, k, qb);
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                int_band(&pa, &pb, row0, k, n, chunk_len, out_scale, band)
+                int_band(&pa, &pb, row0, k, n, chunk_len, out_scale, band);
+                GemmStats::default()
             };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_rows(od, m, n, k, &work);
         }
-        dispatch::IntKernel::Madd => {
-            let cbt = transposed_panels(&cb, k, n);
+        dispatch::IntKernel::Expanding => {
+            let pa = IntRows::pack(&ca, m, k, IntCols::bias(qb));
+            let mut pb = IntCols::new(k, n);
+            pb.pack(&cb, qb);
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                madd_band(&ca, &cbt, row0, k, n, out_scale, band)
+                pa.band(&pb, row0, out_scale, band);
+                GemmStats::default()
             };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_rows(od, m, n, k, &work);
         }
         dispatch::IntKernel::BitSliced => {
             let cbt = transposed_panels(&cb, k, n);
             let pa = bitslice::BitPlanes::pack(&ca, m, k, qa.signedness());
             let pb = bitslice::BitPlanes::pack(&cbt, n, k, qb.signedness());
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pa, &pb, row0, k, n, out_scale, band)
+                bitslice_band(&pa, &pb, row0, n, out_scale, band);
+                GemmStats::default()
             };
-            par_rows(out.as_mut_slice(), m, n, k, &work)
+            par_rows(od, m, n, k, &work);
         }
-    };
-    Ok((out, stats))
+    }
+    Ok((out, gated_stats(&column_zeros(&ca, k), &row_zeros(&cb, n), m, n)))
 }
 
 /// Scalar reference for [`matmul_int`]: drives an [`IntAccumulator`] per
@@ -1119,7 +1137,7 @@ impl PackedPanel {
 /// The packed B panel is decoded once per band and each packed A row once
 /// per row; the dot products then run branch-free over `i8` codes (a gated
 /// MAC contributes a zero product, so only the statistics need the gate,
-/// and those come from zero-mask popcounts).
+/// and [`gated_stats`] counts those per k-position).
 #[allow(clippy::too_many_arguments)]
 fn int_band(
     pa: &PackedPanel,
@@ -1130,95 +1148,115 @@ fn int_band(
     chunk_len: usize,
     out_scale: f32,
     band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
+) {
     let mut bdec = vec![0i8; n * k];
-    let mut zb = vec![0u64; n * words];
     for j in 0..n {
-        let col = &mut bdec[j * k..(j + 1) * k];
-        pb.decode_row_into(j, col);
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0, k);
+        pb.decode_row_into(j, &mut bdec[j * k..(j + 1) * k]);
     }
     let mut adec = vec![0i8; k];
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
+    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
         pa.decode_row_into(row0 + r, &mut adec);
-        zero_mask_into(&mut za, |p| adec[p] == 0, k);
-        let orow = &mut band[r * n..(r + 1) * n];
         for (j, o) in orow.iter_mut().enumerate() {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
             let dot = dot_int_windows(&adec, &bdec[j * k..(j + 1) * k], chunk_len);
             *o = dot as f32 * out_scale;
         }
     }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
-/// Fills one row band of an integer GEMM with the AVX2 widening-madd
-/// kernel. Only called when the chunk guard rules out INT16 saturation,
-/// where the windowed sum equals the plain dot product, so the whole-k
-/// vector sum is bit-exact. Operands are unpacked `i8` codes — the madd
-/// kernel reads them directly, so no panel packing/decoding is needed.
-fn madd_band(
-    ca: &[i8],
-    cbt: &[i8],
-    row0: usize,
-    k: usize,
+/// The A operand of the expanding integer kernel ([`simd::int_tiles`]):
+/// codes row-major with each row zero-padded to `k4` (a multiple of 4),
+/// so the kernel reads 4-code quads as one broadcast i32, and each row's
+/// correction for the column operand's bias.
+struct IntRows<'a> {
+    codes: Cow<'a, [i8]>,
+    k4: usize,
+    /// `bias · Σ_p a[r][p]` per row.
+    corr: Vec<i32>,
+}
+
+impl<'a> IntRows<'a> {
+    /// Packs row-major `[rows, k]` codes for a column operand biased by
+    /// `bias` ([`IntCols::bias`]). Rows whose length is already a
+    /// multiple of 4 are borrowed as they are.
+    fn pack(codes: &'a [i8], rows: usize, k: usize, bias: i8) -> Self {
+        let k4 = k.div_ceil(4) * 4;
+        let codes = if k4 == k {
+            Cow::Borrowed(codes)
+        } else {
+            let mut packed = vec![0i8; rows * k4];
+            for r in 0..rows {
+                packed[r * k4..r * k4 + k].copy_from_slice(&codes[r * k..(r + 1) * k]);
+            }
+            Cow::Owned(packed)
+        };
+        let corr = if bias == 0 {
+            vec![0; rows]
+        } else {
+            let sum = |row: &[i8]| row.iter().map(|&c| i32::from(c)).sum::<i32>();
+            (0..rows).map(|r| i32::from(bias) * sum(&codes[r * k4..(r + 1) * k4])).collect()
+        };
+        Self { codes, k4, corr }
+    }
+
+    /// Fills a row band (rows `row0 ..` of this operand) of the product
+    /// with `cols`.
+    fn band(&self, cols: &IntCols, row0: usize, out_scale: f32, band: &mut [f32]) {
+        let rows = band.len() / cols.n;
+        let a = &self.codes[row0 * self.k4..(row0 + rows) * self.k4];
+        let corr = &self.corr[row0..row0 + rows];
+        simd::int_tiles(a, self.k4, corr, &cols.bytes, cols.n, out_scale, band);
+    }
+}
+
+/// The column operand of the expanding integer kernel: `k × n` codes in
+/// 16-column tiles of 4-deep k-quads (see [`simd`]), each code biased
+/// into `u8` range. Cells past `k` multiply the zero pad of the A rows
+/// and cells past `n` feed discarded lanes, so their contents never
+/// matter.
+struct IntCols {
+    bytes: Vec<u8>,
+    k4: usize,
     n: usize,
-    out_scale: f32,
-    band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        let col = &cbt[j * k..(j + 1) * k];
-        zero_mask_into(&mut zb[j * words..(j + 1) * words], |p| col[p] == 0, k);
-    }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        let arow = &ca[(row0 + r) * k..(row0 + r + 1) * k];
-        zero_mask_into(&mut za, |p| arow[p] == 0, k);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
+}
+
+impl IntCols {
+    /// The bias a column operand in `q` is stored with: `2^(bits−1)` for
+    /// signed codes, which lifts them into the unsigned operand of
+    /// `vpmaddubsw`; zero for unsigned codes.
+    fn bias(q: QuantParams) -> i8 {
+        match q.signedness() {
+            Signedness::Signed => 1 << (q.format().bits() - 1),
+            Signedness::Unsigned => 0,
         }
-        simd::dot_int_madd_rows(arow, &cbt[..n * k], out_scale, &mut band[r * n..(r + 1) * n]);
     }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
+
+    /// Space for a `k × n` operand.
+    fn new(k: usize, n: usize) -> Self {
+        let k4 = k.div_ceil(4) * 4;
+        Self { bytes: vec![0; n.div_ceil(simd::INT_TILE) * k4 * simd::INT_TILE], k4, n }
+    }
+
+    /// Packs row-major `[k, n]` codes in `q`.
+    fn pack(&mut self, rows: &[i8], q: QuantParams) {
+        simd::pack_int_cols(rows, self.n, Self::bias(q), self.k4, &mut self.bytes);
+    }
 }
 
 /// Fills one row band of an INT2×INT2 GEMM from packed bit-planes: each
 /// dot product is four AND+popcount passes over `u64` words
-/// ([`crate::bitslice`]), and the zero-gating masks fall out of the planes
-/// for free. Same saturation-free-guard contract as [`madd_band`].
+/// ([`crate::bitslice`]). Same saturation-free-guard contract as the
+/// expanding kernel; [`gated_stats`] counts the gated MACs.
 fn bitslice_band(
     pa: &bitslice::BitPlanes,
     pb: &bitslice::BitPlanes,
     row0: usize,
-    k: usize,
     n: usize,
     out_scale: f32,
     band: &mut [f32],
-) -> GemmStats {
-    let rows = band.len() / n;
-    let words = k.div_ceil(64);
-    let mut zb = vec![0u64; n * words];
-    for j in 0..n {
-        pb.zero_mask_into(j, k, &mut zb[j * words..(j + 1) * words]);
+) {
+    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+        bitslice::dot_planes_row(pa, row0 + r, pb, out_scale, orow);
     }
-    let mut za = vec![0u64; words];
-    let mut gated = 0u64;
-    for r in 0..rows {
-        pa.zero_mask_into(row0 + r, k, &mut za);
-        for j in 0..n {
-            gated += gated_count(&za, &zb[j * words..(j + 1) * words]);
-        }
-        bitslice::dot_planes_row(pa, row0 + r, pb, out_scale, &mut band[r * n..(r + 1) * n]);
-    }
-    GemmStats { macs: (rows * n * k) as u64, zero_gated: gated, saturations: 0, guard_clamps: 0 }
 }
 
 /// Chunk-windowed integer dot product over decoded codes: i32 sums per
@@ -1286,40 +1324,112 @@ pub fn im2col(input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> Tensor {
 /// Panics if `input` is not rank 4.
 pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, spec: ConvSpec, out: &mut Tensor) {
     assert_eq!(input.shape().len(), 4, "im2col expects [n, c, h, w]");
-    let (n, c, h, w) = (
-        input.shape()[0],
-        input.shape()[1],
-        input.shape()[2],
-        input.shape()[3],
-    );
-    let ho = spec.out_dim(h, kh);
-    let wo = spec.out_dim(w, kw);
-    let cols = c * kh * kw;
-    out.reset(vec![n * ho * wo, cols]);
-    let id = input.as_slice();
+    let s = input.shape();
+    let lw = Lowering::new([s[1], s[2], s[3]], kh, kw, spec);
+    let (hw, cols) = (lw.ho * lw.wo, lw.cols());
+    out.reset(vec![s[0] * hw, cols]);
     let od = out.as_mut_slice();
-    for ni in 0..n {
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let rb = ((ni * ho + oy) * wo + ox) * cols;
-                for ci in 0..c {
-                    for ky in 0..kh {
-                        let iy = (oy * spec.stride + ky) as isize - spec.pad as isize;
-                        if iy < 0 || iy as usize >= h {
-                            continue; // padding rows stay zero from reset
-                        }
-                        let irow = (((ni * c) + ci) * h + iy as usize) * w;
-                        let ob = rb + (ci * kh + ky) * kw;
-                        for kx in 0..kw {
-                            let ix = (ox * spec.stride + kx) as isize - spec.pad as isize;
-                            if ix >= 0 && (ix as usize) < w {
-                                od[ob + kx] = id[irow + ix as usize];
-                            }
+    for (ni, img) in lw.images(input.as_slice(), s[0]).enumerate() {
+        let rows = &mut od[ni * hw * cols..(ni + 1) * hw * cols];
+        lw.rows_into(img, rows);
+    }
+}
+
+/// The im2col index walk of one convolution geometry, shared by
+/// [`im2col_into`] and the integer convolution's operand packer so the
+/// index math exists once.
+#[derive(Debug, Clone, Copy)]
+struct Lowering {
+    c: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    ho: usize,
+    wo: usize,
+    spec: ConvSpec,
+}
+
+impl Lowering {
+    fn new([c, h, w]: [usize; 3], kh: usize, kw: usize, spec: ConvSpec) -> Self {
+        let (ho, wo) = (spec.out_dim(h, kh), spec.out_dim(w, kw));
+        Self { c, h, w, kh, kw, ho, wo, spec }
+    }
+
+    /// Columns of the lowered matrix: `c · kh · kw`.
+    fn cols(&self) -> usize {
+        self.c * self.kh * self.kw
+    }
+
+    /// The `n` `[c, h, w]` images of an `[n, c, h, w]` buffer.
+    fn images<'a, T>(&self, data: &'a [T], n: usize) -> impl Iterator<Item = &'a [T]> {
+        let len = self.c * self.h * self.w;
+        (0..n).map(move |i| &data[i * len..(i + 1) * len])
+    }
+
+    /// Walks one `[c, h, w]` image in runs: `put(j, p, xs, stride)` says
+    /// that the lowered matrix holds `xs[0], xs[stride], …` (every
+    /// `stride`-th element of `xs`, starting with the first and ending
+    /// with the last) in column `p` (`(ci·kh + ky)·kw + kx`) of rows
+    /// `j, j + 1, …` (output positions `oy·wo + ox`). A run is one output
+    /// row's in-bounds span of one k-position. Padding positions are
+    /// skipped: callers pre-fill them with zero.
+    #[inline(always)]
+    fn walk<T: Copy>(&self, img: &[T], mut put: impl FnMut(usize, usize, &[T], usize)) {
+        let (stride, pad) = (self.spec.stride, self.spec.pad);
+        // Per kernel column: the output columns `ox_lo..ox_hi` whose input
+        // column `ox·stride + kx − pad` lies inside the image.
+        let spans: Vec<(usize, usize)> = (0..self.kw)
+            .map(|kx| {
+                let lo = pad.saturating_sub(kx).div_ceil(stride);
+                let hi = (self.w + pad).saturating_sub(kx).div_ceil(stride).min(self.wo);
+                (lo, hi.max(lo))
+            })
+            .collect();
+        for oy in 0..self.ho {
+            for ci in 0..self.c {
+                for ky in 0..self.kh {
+                    let Some(iy) = (oy * stride + ky).checked_sub(pad) else { continue };
+                    if iy >= self.h {
+                        continue;
+                    }
+                    let irow = &img[(ci * self.h + iy) * self.w..][..self.w];
+                    for (kx, &(lo, hi)) in spans.iter().enumerate() {
+                        if lo < hi {
+                            let first = lo * stride + kx - pad;
+                            let xs = &irow[first..=first + (hi - lo - 1) * stride];
+                            put(oy * self.wo + lo, (ci * self.kh + ky) * self.kw + kx, xs, stride);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// Writes one image's lowered matrix into `out`, `[ho·wo, c·kh·kw]`
+    /// row-major (the im2col layout). Padding cells keep their contents.
+    fn rows_into<T: Copy>(&self, img: &[T], out: &mut [T]) {
+        let cols = self.cols();
+        self.walk(img, |j, p, xs, stride| {
+            for (row, &x) in out[j * cols..].chunks_mut(cols).zip(xs.iter().step_by(stride)) {
+                row[p] = x;
+            }
+        });
+    }
+
+    /// Writes one image's lowered matrix transposed into `out`,
+    /// `[c·kh·kw, ho·wo]` row-major: the rows of the `[k, n]` column
+    /// operand. Padding cells keep their contents.
+    fn cols_into<T: Copy>(&self, img: &[T], out: &mut [T]) {
+        let n = self.ho * self.wo;
+        self.walk(img, |j, p, xs, stride| {
+            let row = &mut out[p * n + j..];
+            if stride == 1 {
+                row[..xs.len()].copy_from_slice(xs);
+            } else {
+                row.iter_mut().zip(xs.iter().step_by(stride)).for_each(|(d, &x)| *d = x);
+            }
+        });
     }
 }
 
@@ -1523,9 +1633,12 @@ pub fn conv2d_int(
 
 /// [`conv2d_int`] reusing caller-provided scratch buffers, under an
 /// explicit vectorization policy — the single fallible conv entry point,
-/// panel-packed in the SIMD regime like [`conv2d_emulated_with_simd`].
-/// Falls back to the flat GEMM path whenever the chunk guard makes INT16
-/// saturation possible (the saturating accumulator must then be modeled).
+/// panel-packed in the SIMD regime like [`conv2d_emulated_with_simd`],
+/// where the input is quantized once and its codes are lowered into the
+/// kernel operand (the scratch buffers serve the flat path's f32
+/// im2col). Falls back to the flat GEMM path whenever the chunk guard
+/// makes INT16 saturation possible (the saturating accumulator must then
+/// be modeled).
 ///
 /// # Errors
 ///
@@ -1561,7 +1674,7 @@ pub fn conv2d_int_with_simd(
                 matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
             })
         }
-        kernel => conv2d_panels_int(input, weight, spec, qa, qw, scratch, kernel),
+        kernel => conv2d_panels_int(input, weight, spec, qa, qw, kernel),
     }
 }
 
@@ -1662,68 +1775,76 @@ fn conv2d_panels_emulated(
             GemmStats::default()
         };
         par_rows(band_out, g.co, hw, kcols, &work);
-        stats.merge(staged_stats(&sw, &sc, g.co, hw));
+        stats.merge(gated_stats(&sw.zeros, &sc.zeros, g.co, hw));
     }
     Ok((out, stats))
 }
 
 /// Panel-packed integer convolution: same orientation as
-/// [`conv2d_panels_emulated`], with whole-k madd or bit-sliced dot
-/// products. Only called when the chunk guard rules out INT16 saturation,
-/// so `kernel` is never [`dispatch::IntKernel::Tiled`].
+/// [`conv2d_panels_emulated`], with the expanding or bit-sliced kernel.
+/// Only called when the chunk guard rules out INT16 saturation, so
+/// `kernel` is never [`dispatch::IntKernel::Tiled`].
+///
+/// The input is quantized once and each image's codes are lowered by the
+/// im2col walk into code rows — `[k, ho·wo]` for the expanding kernel's
+/// packer, the same layout the GEMM packs B from, or `[ho·wo, k]` for the
+/// bit-planes: no f32 im2col matrix is built and no quantize pass runs
+/// over one. Padding stays code 0, which is what `quantize(0.0)` gives in
+/// every format.
 fn conv2d_panels_int(
     input: &Tensor,
     weight: &Tensor,
     spec: ConvSpec,
     qa: QuantParams,
     qw: QuantParams,
-    scratch: &mut ConvScratch,
     kernel: dispatch::IntKernel,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
-    let ho = spec.out_dim(g.h, g.kh);
-    let wo = spec.out_dim(g.w, g.kw);
-    let hw = ho * wo;
-    let kcols = g.ci * g.kh * g.kw;
-    let cols = scratch.cols_slot(input, g.kh, g.kw, spec);
-    im2col_into(input, g.kh, g.kw, spec, cols);
-    // Weight is already [co][ci·kh·kw] row-major; quantize both flat.
-    let mut cw = Vec::new();
-    let mut cc = Vec::new();
-    qw.quantize_slice_into(weight.as_slice(), &mut cw);
-    qa.quantize_slice_into(cols.as_slice(), &mut cc);
-    // Same expression (and f32 rounding) as the flat path's
-    // `qa.scale() * qb.scale()` with A = cols, B = weights.
-    let out_scale = qa.scale() * qw.scale();
-    let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
+    let lw = Lowering::new([g.ci, g.h, g.w], g.kh, g.kw, spec);
+    let (hw, kcols) = (lw.ho * lw.wo, lw.cols());
+    let mut out = Tensor::zeros(vec![g.n, g.co, lw.ho, lw.wo]);
     if out.as_slice().is_empty() {
         return Ok((out, GemmStats::default()));
     }
+    // Weight is already [co][ci·kh·kw] row-major.
+    let mut cw = Vec::new();
+    let mut cx = Vec::new();
+    qw.quantize_slice_into(weight.as_slice(), &mut cw);
+    qa.quantize_slice_into(input.as_slice(), &mut cx);
+    let zw = column_zeros(&cw, kcols);
+    // Same expression (and f32 rounding) as the flat path's
+    // `qa.scale() * qb.scale()` with A = cols, B = weights.
+    let out_scale = qa.scale() * qw.scale();
     let mut stats = GemmStats::default();
-    let od = out.as_mut_slice();
+    let bands = out.as_mut_slice().chunks_exact_mut(g.co * hw);
     if kernel == dispatch::IntKernel::BitSliced {
         let pw = bitslice::BitPlanes::pack(&cw, g.co, kcols, qw.signedness());
-        for i in 0..g.n {
-            let pc = bitslice::BitPlanes::pack(
-                &cc[i * hw * kcols..(i + 1) * hw * kcols],
-                hw,
-                kcols,
-                qa.signedness(),
-            );
-            let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
+        let mut rows = vec![0i8; hw * kcols];
+        for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
+            rows.fill(0);
+            lw.rows_into(img, &mut rows);
+            let pc = bitslice::BitPlanes::pack(&rows, hw, kcols, qa.signedness());
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pw, &pc, row0, kcols, hw, out_scale, band)
+                bitslice_band(&pw, &pc, row0, hw, out_scale, band);
+                GemmStats::default()
             };
-            stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
+            par_rows(band_out, g.co, hw, kcols, &work);
+            stats.merge(gated_stats(&zw, &column_zeros(&rows, kcols), g.co, hw));
         }
     } else {
-        for i in 0..g.n {
-            let bt = &cc[i * hw * kcols..(i + 1) * hw * kcols];
-            let band_out = &mut od[i * g.co * hw..(i + 1) * g.co * hw];
+        let pw = IntRows::pack(&cw, g.co, kcols, IntCols::bias(qa));
+        let mut rows = vec![0i8; kcols * hw];
+        let mut cols = IntCols::new(kcols, hw);
+        for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
+            rows.fill(0);
+            lw.cols_into(img, &mut rows);
+            cols.pack(&rows, qa);
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                madd_band(&cw, bt, row0, kcols, hw, out_scale, band)
+                pw.band(&cols, row0, out_scale, band);
+                GemmStats::default()
             };
-            stats.merge(par_rows(band_out, g.co, hw, kcols, &work));
+            par_rows(band_out, g.co, hw, kcols, &work);
+            stats.merge(gated_stats(&zw, &row_zeros(&rows, hw), g.co, hw));
         }
     }
     Ok((out, stats))

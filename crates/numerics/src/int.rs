@@ -156,30 +156,55 @@ impl QuantParams {
     }
 
     /// Quantizes a whole slice into `out` (cleared first). Element-wise
-    /// identical to [`Self::quantize`] — on AVX2 machines the loop runs in
-    /// a `target_feature` clone where `round_ties_even` lowers to a single
-    /// `vroundpd` and the divide vectorizes, instead of the baseline
-    /// build's per-element libm call; the computation itself is the same
-    /// Rust expression, so codes never differ between the two.
+    /// identical to [`Self::quantize`]. On AVX2 machines four lanes at a
+    /// time run the same IEEE operations: widen to f64 (exact), `vdivpd`,
+    /// `vroundpd` to nearest-even, NaN to zero, clamp to the code range as
+    /// f64 (which is where the scalar saturating cast and clamp land too),
+    /// then convert and pack. The scalar `as i64` cast is what kept the
+    /// plain loop from vectorizing.
     pub fn quantize_slice_into(&self, xs: &[f32], out: &mut Vec<i8>) {
         out.clear();
-        out.reserve(xs.len());
+        out.resize(xs.len(), 0);
+        let mut done = 0;
         #[cfg(target_arch = "x86_64")]
         if crate::dispatch::simd_available() {
             // SAFETY: AVX2 presence checked on the line above.
-            unsafe { self.quantize_slice_avx2(xs, out) };
-            return;
+            done = unsafe { self.quantize_lanes_avx2(xs, out) };
         }
-        out.extend(xs.iter().map(|&x| self.quantize(x)));
+        for (o, &x) in out[done..].iter_mut().zip(&xs[done..]) {
+            *o = self.quantize(x);
+        }
     }
 
+    /// Quantizes the leading multiple of 8 elements of `xs` into `out` and
+    /// returns how many it wrote; the caller finishes the tail.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2.
+    /// Requires AVX2; `out.len() == xs.len()`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn quantize_slice_avx2(&self, xs: &[f32], out: &mut Vec<i8>) {
-        out.extend(xs.iter().map(|&x| self.quantize(x)));
+    unsafe fn quantize_lanes_avx2(&self, xs: &[f32], out: &mut [i8]) -> usize {
+        use std::arch::x86_64::*;
+        let (lo, hi) = self.code_range();
+        let scale = _mm256_set1_pd(f64::from(self.scale));
+        let (lo, hi) = (_mm256_set1_pd(f64::from(lo)), _mm256_set1_pd(f64::from(hi)));
+        let lanes4 = |v: __m128| {
+            let q = _mm256_div_pd(_mm256_cvtps_pd(v), scale);
+            let q = _mm256_round_pd::<{ _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC }>(q);
+            // NaN compares unordered with itself: its lanes become +0.0.
+            let q = _mm256_and_pd(q, _mm256_cmp_pd::<_CMP_ORD_Q>(q, q));
+            _mm256_cvtpd_epi32(_mm256_min_pd(_mm256_max_pd(q, lo), hi))
+        };
+        let whole = xs.len() / 8 * 8;
+        for (x8, o8) in xs[..whole].chunks_exact(8).zip(out[..whole].chunks_exact_mut(8)) {
+            let v = _mm256_loadu_ps(x8.as_ptr());
+            let lo4 = lanes4(_mm256_castps256_ps128(v));
+            let hi4 = lanes4(_mm256_extractf128_ps::<1>(v));
+            let words = _mm_packs_epi32(lo4, hi4);
+            _mm_storel_epi64(o8.as_mut_ptr().cast(), _mm_packs_epi16(words, words));
+        }
+        whole
     }
 
     /// Real value of a code.

@@ -15,12 +15,23 @@
 //!   table. A gather variant was tried first; at ~3 cycles per 8-lane
 //!   gather (the per-step index row is only 1 KiB, L1-resident) it was
 //!   strictly slower than the multiply it replaces.
-//! * [`dot_int_madd_rows`] / [`dot_int_madd`] — whole-k integer dot
-//!   products over `i8` codes: sign-extend 16 codes to i16, `vpmaddwd`
-//!   pairs into i32 lanes, horizontal-reduce to i64. Only called when the
-//!   chunk guard rules out INT16 saturation, where the windowed tiled sum
-//!   equals the plain dot product exactly (order-independent integer
-//!   addition), so the result is bit-identical.
+//! * [`int_tiles`] — the expanding integer kernel, RaPiD's INT4 engine
+//!   on the host: 4-bit codes multiply into 16-bit pair sums that widen
+//!   into 32-bit accumulators. The column operand is packed in 4-deep
+//!   k-quads × 8 columns (32 bytes, one `u8` code per byte, zero-padded
+//!   to whole 16-column tiles and whole quads); each A row is padded to a
+//!   multiple of 4 codes and each quad is read as one broadcast i32. A
+//!   tile of 4 rows × 16 columns keeps 8 accumulators of 8 i32 lanes;
+//!   each k-quad step is `vpmaddubsw` (packed operand unsigned, A signed),
+//!   `vpmaddwd` by ones and `vpaddd`, so no tile needs a horizontal
+//!   reduction. A signed column operand is biased by `2^(bits−1)` into
+//!   the unsigned range and each row subtracts `bias·Σ_p a_p` once: exact,
+//!   and a pair sum is at most `2·15·15 = 450`, so the i16 step cannot
+//!   saturate. Each output converts its exact integer sum once and
+//!   multiplies by the scale, the scalar reference's two IEEE operations.
+//!   Only called when the chunk guard rules out INT16 saturation, where
+//!   the windowed sum equals the plain dot product exactly
+//!   (order-independent integer addition), so the result is bit-identical.
 //!
 //! The float kernels are **latency-bound**, not throughput-bound: each
 //! chunk register advances through `vaddps` + the ~12-op rounding sequence
@@ -34,9 +45,9 @@
 //! idempotent on its own outputs (a non-saturated input always rounds to
 //! magnitude ≤ `MAX_BITS` with zero low-14 bits, and re-rounding such a
 //! value — or `0`, `±MIN_NORMAL` — returns it unchanged), so the chunk
-//! registers would come back bit-identical. The integer kernels amortize
-//! per-call overhead (and the `#[target_feature]` call boundary) by
-//! computing a whole output row per call.
+//! registers would come back bit-identical. The integer kernel is
+//! throughput-bound instead: its accumulators are exact and independent,
+//! and one call computes a whole row band.
 //!
 //! Bit-exactness of the float kernels rests on two facts: `vaddps` /
 //! `vmulps` are IEEE single ops identical to scalar `f32` arithmetic, and
@@ -63,9 +74,13 @@ pub(crate) const WIDE_GROUPS: usize = 4;
 /// Columns per wide-kernel call.
 pub(crate) const WIDE: usize = GROUP * WIDE_GROUPS;
 
+/// Columns per tile of the packed integer column operand: two 8-column
+/// blocks of 4-code quads, 64 bytes per k-quad.
+pub(crate) const INT_TILE: usize = 16;
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{GROUP, WIDE, WIDE_GROUPS};
+    use super::{GROUP, INT_TILE, WIDE, WIDE_GROUPS};
     use crate::gemm::fp16_round_sum;
     use std::arch::x86_64::*;
 
@@ -200,46 +215,86 @@ mod avx2 {
         }
     }
 
+    /// One band of the expanding integer kernel for `R` A rows: every
+    /// 16-column tile of `cols` accumulates in `2R` registers of eight i32
+    /// lanes (see the module docs), then each lane is corrected, converted
+    /// once and scaled into `out`.
+    ///
     /// # Safety
     ///
-    /// Requires AVX2; `a.len() == b.len()`, with the caller's chunk guard
-    /// bounding `k` so the i32 lane accumulators cannot overflow.
+    /// Requires AVX2; `arows.len() == R * k4`, `corr.len() == R`,
+    /// `cols.len() == n.div_ceil(INT_TILE) * k4 * INT_TILE`,
+    /// `out.len() == R * n`, `k4 % 4 == 0`, and `k4 <= MADD_MAX_K`.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn int_madd(a: &[i8], b: &[i8]) -> i64 {
-        let k = a.len();
-        let mut acc = _mm256_setzero_si256();
-        let mut p = 0usize;
-        while p + 16 <= k {
-            let va = _mm256_cvtepi8_epi16(_mm_loadu_si128(a.as_ptr().add(p).cast()));
-            let vb = _mm256_cvtepi8_epi16(_mm_loadu_si128(b.as_ptr().add(p).cast()));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(va, vb));
-            p += 16;
+    unsafe fn int_rows<const R: usize>(
+        arows: &[i8],
+        k4: usize,
+        corr: &[i32],
+        cols: &[u8],
+        n: usize,
+        out_scale: f32,
+        out: &mut [f32],
+    ) {
+        let ones = _mm256_set1_epi16(1);
+        let scale = _mm256_set1_ps(out_scale);
+        let quads = k4 / 4;
+        let a = arows.as_ptr();
+        for t in 0..n.div_ceil(INT_TILE) {
+            let tile = cols.as_ptr().add(t * k4 * INT_TILE);
+            let mut acc = [[_mm256_setzero_si256(); 2]; R];
+            for q in 0..quads {
+                let b0 = _mm256_loadu_si256(tile.add(q * 64).cast());
+                let b1 = _mm256_loadu_si256(tile.add(q * 64 + 32).cast());
+                for (r, acc) in acc.iter_mut().enumerate() {
+                    let quad = a.add(r * k4 + 4 * q).cast::<i32>().read_unaligned();
+                    let av = _mm256_set1_epi32(quad);
+                    let p0 = _mm256_madd_epi16(_mm256_maddubs_epi16(b0, av), ones);
+                    let p1 = _mm256_madd_epi16(_mm256_maddubs_epi16(b1, av), ones);
+                    acc[0] = _mm256_add_epi32(acc[0], p0);
+                    acc[1] = _mm256_add_epi32(acc[1], p1);
+                }
+            }
+            let j0 = t * INT_TILE;
+            let lanes = INT_TILE.min(n - j0);
+            for (r, acc) in acc.iter().enumerate() {
+                let c = _mm256_set1_epi32(corr[r]);
+                let mut vals = [0.0f32; INT_TILE];
+                for (h, &v) in acc.iter().enumerate() {
+                    let v = _mm256_mul_ps(_mm256_cvtepi32_ps(_mm256_sub_epi32(v, c)), scale);
+                    _mm256_storeu_ps(vals.as_mut_ptr().add(8 * h), v);
+                }
+                out[r * n + j0..r * n + j0 + lanes].copy_from_slice(&vals[..lanes]);
+            }
         }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut sum: i64 = lanes.iter().map(|&v| i64::from(v)).sum();
-        while p < k {
-            sum += i64::from(a[p]) * i64::from(b[p]);
-            p += 1;
-        }
-        sum
     }
 
-    /// Whole output row of madd dot products: one `#[target_feature]`
-    /// call per A row instead of per element, so [`int_madd`] inlines
-    /// into the column loop.
-    ///
     /// # Safety
     ///
-    /// Requires AVX2; `cbt.len() == orow.len() * arow.len()` and the
-    /// caller's chunk guard as in [`int_madd`].
+    /// Requires AVX2 and the extents [`int_tiles`] asserts.
     #[target_feature(enable = "avx2")]
-    unsafe fn int_madd_rows(arow: &[i8], cbt: &[i8], out_scale: f32, orow: &mut [f32]) {
-        let k = arow.len();
-        for (j, o) in orow.iter_mut().enumerate() {
-            let dot = int_madd(arow, &cbt[j * k..(j + 1) * k]);
-            *o = dot as f32 * out_scale;
+    unsafe fn int_tiles_avx2(
+        a: &[i8],
+        k4: usize,
+        corr: &[i32],
+        cols: &[u8],
+        n: usize,
+        out_scale: f32,
+        band: &mut [f32],
+    ) {
+        let rows = corr.len();
+        let mut r = 0;
+        while r < rows {
+            let take = (rows - r).min(4);
+            let (ar, cr) = (&a[r * k4..(r + take) * k4], &corr[r..r + take]);
+            let out = &mut band[r * n..(r + take) * n];
+            match take {
+                4 => int_rows::<4>(ar, k4, cr, cols, n, out_scale, out),
+                3 => int_rows::<3>(ar, k4, cr, cols, n, out_scale, out),
+                2 => int_rows::<2>(ar, k4, cr, cols, n, out_scale, out),
+                _ => int_rows::<1>(ar, k4, cr, cols, n, out_scale, out),
+            }
+            r += take;
         }
     }
 
@@ -283,30 +338,75 @@ mod avx2 {
         unsafe { fp16_groups::<1>(arow, bgroup, chunk_len, out) }
     }
 
-    /// Safe wrapper: exact whole-k integer dot product over i8 codes
-    /// (test-only pin for the row-level kernel).
-    #[cfg(test)]
-    pub(crate) fn dot_int_madd(a: &[i8], b: &[i8]) -> i64 {
-        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
-        assert_eq!(a.len(), b.len());
-        // SAFETY: AVX2 presence and slice extents asserted above.
-        unsafe { int_madd(a, b) }
+    /// # Safety
+    ///
+    /// Requires AVX2 and the extents [`pack_int_cols`] asserts.
+    #[target_feature(enable = "avx2")]
+    unsafe fn pack_int_cols_avx2(rows: &[i8], n: usize, bias: i8, k4: usize, out: &mut [u8]) {
+        let bias = _mm_set1_epi8(bias);
+        for (quad, dst) in out.chunks_exact_mut(64).take(k4 / 4).enumerate() {
+            let dst = dst.as_mut_ptr();
+            for t in 0..n.div_ceil(INT_TILE) {
+                let (j0, width) = (t * INT_TILE, INT_TILE.min(n - t * INT_TILE));
+                // Rows past `k` and columns past `n` read as code 0.
+                let [r0, r1, r2, r3] = std::array::from_fn(|i| {
+                    let mut lanes = [0i8; INT_TILE];
+                    let at = (4 * quad + i) * n + j0;
+                    if let Some(row) = rows.get(at..at + width) {
+                        lanes[..width].copy_from_slice(row);
+                    }
+                    _mm_add_epi8(_mm_loadu_si128(lanes.as_ptr().cast()), bias)
+                });
+                // Byte pairs, then word pairs: each column's 4 codes end up
+                // adjacent, columns 0–3, 4–7, 8–11, 12–15 in turn.
+                let (lo01, lo23) = (_mm_unpacklo_epi8(r0, r1), _mm_unpacklo_epi8(r2, r3));
+                let (hi01, hi23) = (_mm_unpackhi_epi8(r0, r1), _mm_unpackhi_epi8(r2, r3));
+                let tile = dst.add(t * k4 * INT_TILE);
+                _mm_storeu_si128(tile.cast(), _mm_unpacklo_epi16(lo01, lo23));
+                _mm_storeu_si128(tile.add(16).cast(), _mm_unpackhi_epi16(lo01, lo23));
+                _mm_storeu_si128(tile.add(32).cast(), _mm_unpacklo_epi16(hi01, hi23));
+                _mm_storeu_si128(tile.add(48).cast(), _mm_unpackhi_epi16(hi01, hi23));
+            }
+        }
     }
 
-    /// Safe wrapper: one full output row of scaled madd dot products
-    /// (`orow[j] = dot(arow, cbt[j]) * out_scale`).
-    pub(crate) fn dot_int_madd_rows(arow: &[i8], cbt: &[i8], out_scale: f32, orow: &mut [f32]) {
+    /// Safe wrapper: packs row-major `[k, n]` codes, each plus `bias`,
+    /// into the integer column operand of depth `k4` (see the module
+    /// docs): the layout [`int_tiles`] reads.
+    pub(crate) fn pack_int_cols(rows: &[i8], n: usize, bias: i8, k4: usize, out: &mut [u8]) {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
-        assert_eq!(cbt.len(), orow.len() * arow.len());
+        assert!(k4.is_multiple_of(4) && rows.len() <= k4 * n);
+        assert_eq!(out.len(), n.div_ceil(INT_TILE) * k4 * INT_TILE);
+        // SAFETY: AVX2 presence and the output extent asserted above.
+        unsafe { pack_int_cols_avx2(rows, n, bias, k4, out) }
+    }
+
+    /// Safe wrapper: one row band of the expanding integer GEMM. `a`
+    /// holds the band's A rows, each `k4` codes (a multiple of 4,
+    /// zero-padded), `corr[r]` the row's bias correction and `cols` the
+    /// packed column operand (see the module docs); writes
+    /// `band[r·n + j] = (Σ_p a[r][p]·cols[p][j] − corr[r]) · out_scale`.
+    pub(crate) fn int_tiles(
+        a: &[i8],
+        k4: usize,
+        corr: &[i32],
+        cols: &[u8],
+        n: usize,
+        out_scale: f32,
+        band: &mut [f32],
+    ) {
+        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
+        assert!(k4.is_multiple_of(4) && k4 <= crate::dispatch::MADD_MAX_K, "bad k4 {k4}");
+        assert_eq!(a.len(), corr.len() * k4);
+        assert_eq!(band.len(), corr.len() * n);
+        assert_eq!(cols.len(), n.div_ceil(INT_TILE) * k4 * INT_TILE);
         // SAFETY: AVX2 presence and slice extents asserted above.
-        unsafe { int_madd_rows(arow, cbt, out_scale, orow) }
+        unsafe { int_tiles_avx2(a, k4, corr, cols, n, out_scale, band) }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{dot_fp16_group16, dot_fp16_groups_wide, dot_int_madd_rows};
-#[cfg(all(test, target_arch = "x86_64"))]
-pub(crate) use avx2::dot_int_madd;
+pub(crate) use avx2::{dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols};
 
 #[cfg(not(target_arch = "x86_64"))]
 mod fallback {
@@ -334,13 +434,26 @@ mod fallback {
     }
 
     /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
-    pub(crate) fn dot_int_madd_rows(_arow: &[i8], _cbt: &[i8], _out_scale: f32, _orow: &mut [f32]) {
+    pub(crate) fn int_tiles(
+        _a: &[i8],
+        _k4: usize,
+        _corr: &[i32],
+        _cols: &[u8],
+        _n: usize,
+        _out_scale: f32,
+        _band: &mut [f32],
+    ) {
+        unreachable!("SIMD kernel selected on a non-x86_64 target");
+    }
+
+    /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
+    pub(crate) fn pack_int_cols(_rows: &[i8], _n: usize, _bias: i8, _k4: usize, _out: &mut [u8]) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
     }
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, dot_int_madd_rows};
+pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols};
 
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
@@ -397,34 +510,57 @@ mod tests {
         }
     }
 
+    /// The expanding kernel against a plain i64 dot product: every row
+    /// count of a 4-row tile plus tail, ragged 16-column tiles, depths
+    /// padded to whole quads, and column operands biased the way a signed
+    /// operand is (the correction must cancel the bias exactly).
     #[test]
-    fn int_madd_matches_reference() {
+    fn int_tiles_match_reference() {
         if !crate::dispatch::simd_available() {
             return;
         }
-        for k in [0usize, 1, 15, 16, 17, 31, 32, 100, 257] {
-            let a: Vec<i8> = (0..k).map(|i| ((i * 7 + 3) % 31) as i8 - 15).collect();
-            let b: Vec<i8> = (0..k).map(|i| ((i * 13 + 5) % 31) as i8 - 15).collect();
-            let want: i64 = a.iter().zip(&b).map(|(&x, &y)| i64::from(x) * i64::from(y)).sum();
-            assert_eq!(dot_int_madd(&a, &b), want, "k={k}");
-        }
-    }
-
-    /// The row-level madd kernel must agree with per-element calls.
-    #[test]
-    fn int_madd_rows_matches_single() {
-        if !crate::dispatch::simd_available() {
-            return;
-        }
-        let (k, n) = (37usize, 9usize);
-        let a: Vec<i8> = (0..k).map(|i| ((i * 11 + 2) % 15) as i8 - 7).collect();
-        let bt: Vec<i8> = (0..k * n).map(|i| ((i * 5 + 1) % 15) as i8 - 7).collect();
-        let scale = 0.125f32;
-        let mut rows = vec![0.0f32; n];
-        dot_int_madd_rows(&a, &bt, scale, &mut rows);
-        for j in 0..n {
-            let want = dot_int_madd(&a, &bt[j * k..(j + 1) * k]) as f32 * scale;
-            assert_eq!(rows[j].to_bits(), want.to_bits(), "column {j}");
+        // (rows, k, n, column bias)
+        let shapes: [(usize, usize, usize, i32); 6] = [
+            (1, 1, 1, 0),
+            (4, 4, 16, 0),
+            (5, 9, 17, 8),
+            (7, 37, 33, 2),
+            (3, 130, 5, 8),
+            (9, 0, 3, 8),
+        ];
+        for (rows, k, n, bias) in shapes {
+            let k4 = k.div_ceil(4) * 4;
+            let code = |i: usize, m: usize| ((i * m + 3) % 23) as i8 - 7; // -7..=15
+            let a: Vec<i8> = (0..rows * k).map(|i| code(i, 7)).collect();
+            // Unsigned INT4 when unbiased, else signed INT4 (bias 8) or INT2 (bias 2).
+            let (lo, hi) = if bias == 0 { (0, 15) } else { (1 - bias as i8, bias as i8 - 1) };
+            let b: Vec<i8> = (0..k * n).map(|i| code(i, 13).clamp(lo, hi)).collect();
+            let mut pa = vec![0i8; rows * k4];
+            for (dst, src) in pa.chunks_exact_mut(k4.max(1)).zip(a.chunks_exact(k.max(1))) {
+                dst[..k].copy_from_slice(&src[..k]);
+            }
+            let row_sum = |r: usize| a[r * k..(r + 1) * k].iter().map(|&x| i32::from(x));
+            let corr: Vec<i32> = (0..rows).map(|r| bias * row_sum(r).sum::<i32>()).collect();
+            let mut cols = vec![0u8; n.div_ceil(INT_TILE) * k4 * INT_TILE];
+            for p in 0..k {
+                for j in 0..n {
+                    let tile = (j / 16) * k4 * 16;
+                    let off = tile + (p / 4) * 64 + (j % 16 / 8) * 32 + (j % 8) * 4 + p % 4;
+                    cols[off] = (i32::from(b[p * n + j]) + bias) as u8;
+                }
+            }
+            let scale = 0.375f32;
+            let mut band = vec![f32::NAN; rows * n];
+            int_tiles(&pa, k4, &corr, &cols, n, scale, &mut band);
+            for r in 0..rows {
+                for j in 0..n {
+                    let dot: i64 =
+                        (0..k).map(|p| i64::from(a[r * k + p]) * i64::from(b[p * n + j])).sum();
+                    let want = dot as f32 * scale;
+                    let got = band[r * n + j];
+                    assert_eq!(got.to_bits(), want.to_bits(), "rows={rows} k={k} n={n} ({r},{j})");
+                }
+            }
         }
     }
 }

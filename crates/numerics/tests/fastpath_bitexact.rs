@@ -53,6 +53,16 @@ fn mode_from(idx: u8, bias_a: i32, bias_b: i32) -> FmaMode {
     }
 }
 
+/// [`sparse_mat`] through a ReLU when `relu` is set: at least half the
+/// entries of a zero-centred range become zero, as after a real
+/// activation, so zero-gating counts see dense runs of zero codes.
+fn maybe_relu(mut t: Tensor, relu: bool) -> Tensor {
+    if relu {
+        t.map_inplace(|v| v.max(0.0));
+    }
+    t
+}
+
 fn int_params_from(idx: u8, abs_max: f32) -> QuantParams {
     let (fmt, signedness) = match idx % 4 {
         0 => (IntFormat::Int4, Signedness::Signed),
@@ -63,7 +73,133 @@ fn int_params_from(idx: u8, abs_max: f32) -> QuantParams {
     QuantParams::from_abs_max(fmt, signedness, abs_max)
 }
 
+/// An INT quantizer input: the raw bit pattern half the time, otherwise a
+/// special value (NaN payloads, ±inf, ±0, subnormals, ±max) or a value
+/// within 8 ulps of a rounding boundary `(c + ½)·scale` of `q`, codes
+/// `c` one past either end of the range included.
+fn int_quant_input(bits: u32, pick: u8, q: QuantParams) -> f32 {
+    const SPECIALS: [u32; 12] = [
+        0x7fc0_0000, 0xffc0_0001, 0x7f80_0001, 0x7f80_0000, 0xff80_0000, 0, 0x8000_0000, 1,
+        0x8000_0001, 0x007f_ffff, 0x7f7f_ffff, 0xff7f_ffff,
+    ];
+    match pick % 4 {
+        0 | 1 => f32::from_bits(bits),
+        2 => f32::from_bits(SPECIALS[bits as usize % SPECIALS.len()]),
+        _ => {
+            let (lo, hi) = q.code_range();
+            let c = lo - 1 + (bits % (hi - lo + 2) as u32) as i32;
+            let boundary = (c as f32 + 0.5) * q.scale();
+            let nudge = (bits >> 16) % 17;
+            f32::from_bits(boundary.to_bits().wrapping_add(nudge).wrapping_sub(8))
+        }
+    }
+}
+
+/// Asserts `quantize_slice_into` equals per-element `quantize` on `xs`.
+fn assert_int_quantizer_exact(q: QuantParams, xs: &[f32], codes: &mut Vec<i8>) {
+    q.quantize_slice_into(xs, codes);
+    assert_eq!(codes.len(), xs.len());
+    for (&x, &c) in xs.iter().zip(codes.iter()) {
+        assert_eq!(c, q.quantize(x), "{q:?}: quantize({x:e} = {:#010x})", x.to_bits());
+    }
+}
+
+/// The four INT format/signedness pairs at one scale.
+fn int_params_all(scale: f32) -> Vec<QuantParams> {
+    (0..4)
+        .map(|i| {
+            let p = int_params_from(i, 1.0);
+            QuantParams::with_scale(p.format(), p.signedness(), scale).unwrap()
+        })
+        .collect()
+}
+
+/// Every code boundary `(c + ½)·scale`, `c` from one below the code range
+/// to its top, and the 4096 f32 values on either side of each, for all
+/// four formats at scales from subnormal to near the top of the f32
+/// range: the vector quantizer's divide, round-half-even and clamp must
+/// land exactly where the scalar ones do.
+#[test]
+fn int_quantizer_exact_around_every_rounding_boundary() {
+    let scales = [f32::from_bits(1), 1e-30, 2.0f32.powi(-20), 0.1, 1.0 / 7.0, 1.0, 3.0, 1e20, 1e38];
+    let mut codes = Vec::new();
+    for scale in scales {
+        for q in int_params_all(scale) {
+            let (lo, hi) = q.code_range();
+            let mut xs = Vec::new();
+            for c in lo - 1..=hi {
+                let boundary = ((c as f64 + 0.5) * f64::from(scale)) as f32;
+                let bits = boundary.to_bits();
+                let near = |d: u32| f32::from_bits(bits.wrapping_add(d).wrapping_sub(4096));
+                xs.extend((0..=8192u32).map(near));
+            }
+            assert_int_quantizer_exact(q, &xs, &mut codes);
+        }
+    }
+}
+
+/// All 2^32 f32 bit patterns through `quantize_slice_into` against
+/// per-element `quantize`, for the four INT formats at one scale each,
+/// split across threads. Run with `-- --ignored` in release.
+#[test]
+#[ignore = "exhaustive 2^32 sweep; run in release with --ignored"]
+fn int_quantizer_exact_on_every_f32() {
+    let params: Vec<QuantParams> = (0..4u8)
+        .map(|i| {
+            let p = int_params_from(i, 1.0);
+            let scale = [1.0 / 7.0, 0.1, 1.0, 3.0][usize::from(i)];
+            QuantParams::with_scale(p.format(), p.signedness(), scale).unwrap()
+        })
+        .collect();
+    const BLOCK: u64 = 1 << 16;
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    let blocks = (1u64 << 32) / BLOCK;
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let params = &params;
+            s.spawn(move || {
+                let mut xs = vec![0.0f32; BLOCK as usize];
+                let mut codes = Vec::new();
+                for b in (t..blocks).step_by(threads as usize) {
+                    for (i, x) in xs.iter_mut().enumerate() {
+                        *x = f32::from_bits((b * BLOCK) as u32 + i as u32);
+                    }
+                    for &q in params {
+                        assert_int_quantizer_exact(q, &xs, &mut codes);
+                    }
+                }
+            });
+        }
+    });
+}
+
 proptest! {
+    /// The INT quantizer's slice path (AVX2 lanes plus scalar tail, or the
+    /// portable loop) agrees with per-element `quantize` on arbitrary f32
+    /// bit patterns, specials and near-boundary values, for all four
+    /// format/signedness pairs, scales from `from_abs_max` and
+    /// `with_scale` across the whole positive finite f32 range, and slice
+    /// lengths 0–40 so every 8-lane tail occurs.
+    #[test]
+    fn int_quantize_slice_matches_quantize(
+        inputs in proptest::collection::vec((0u32..=u32::MAX, 0u8..4), 0..=40),
+        fmt_idx in 0u8..4,
+        scale_bits in 1u32..0x7f80_0000,
+        by_abs_max in 0u8..2,
+    ) {
+        let base = int_params_from(fmt_idx, 1.0);
+        let (fmt, signedness) = (base.format(), base.signedness());
+        let value = f32::from_bits(scale_bits);
+        let q = if by_abs_max == 0 {
+            QuantParams::from_abs_max(fmt, signedness, value)
+        } else {
+            QuantParams::with_scale(fmt, signedness, value).unwrap()
+        };
+        let xs: Vec<f32> =
+            inputs.iter().map(|&(bits, pick)| int_quant_input(bits, pick, q)).collect();
+        assert_int_quantizer_exact(q, &xs, &mut Vec::new());
+    }
+
     /// The dispatching quantizer and the f64-arithmetic reference agree to
     /// the bit on arbitrary f32 payloads, for every RaPiD format including
     /// programmable biases.
@@ -212,14 +348,15 @@ proptest! {
     }
 
     /// Integer GEMM under every explicit backend pin: bit-sliced popcount
-    /// (INT2×INT2), widening madd (other pairs) and the tiled windowed
+    /// (INT2×INT2), the expanding kernel (other pairs; `m` 1–10 fills a
+    /// 4-row tile plus every tail) and the tiled windowed
     /// path must all reproduce the IntAccumulator reference, including
     /// chunk lengths long enough that the saturation guard forces the
     /// scalar accumulator regardless of the pin — under each guard policy,
     /// with no fault plan and with a disabled one.
     #[test]
     fn int_gemm_bit_exact_across_backends(
-        (m, k, n) in (1usize..4, 1usize..80, 1usize..100),
+        (m, k, n) in (1usize..11, 1usize..80, 1usize..100),
         fmt_a in 0u8..4,
         fmt_b in 0u8..4,
         chunk_len in 1usize..1500,
@@ -262,24 +399,29 @@ proptest! {
     /// Convolution under every explicit backend pin: the panel-packed
     /// float and integer convolutions (spatial sizes crossing the 16- and
     /// 64-column kernel widths) match the scalar convolution bit-for-bit
-    /// with SIMD forced and with it pinned off.
+    /// with SIMD forced and with it pinned off. Activation and weight
+    /// formats are drawn independently (unsigned INT4 × signed INT4 is
+    /// the benchmark's pair); `co` up to 12 fills a 4-row tile plus a
+    /// tail, `ci` up to 8 with 3×3 kernels gives depths up to 72 with
+    /// ragged k-quads, and ReLU inputs put runs of zero codes in the
+    /// gating counts.
     #[test]
     fn conv_bit_exact_across_backends(
-        (ni, ci, co) in (1usize..3, 1usize..4, 1usize..5),
+        (ni, ci, co) in (1usize..3, 1usize..9, 1usize..13),
         (h, w) in (4usize..11, 4usize..11),
         (kh, kw) in (1usize..4, 1usize..4),
-        stride in 1usize..3,
-        pad in 0usize..2,
-        mode_idx in 0u8..4,
+        (stride, pad) in (1usize..3, 0usize..2),
+        (mode_idx, fmt_a, fmt_w) in (0u8..4, 0u8..4, 0u8..4),
+        relu in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
         let spec = ConvSpec { stride, pad };
-        let input = sparse_mat(vec![ni, ci, h, w], seed, -2.0, 2.0);
+        let input = maybe_relu(sparse_mat(vec![ni, ci, h, w], seed, -2.0, 2.0), relu == 1);
         let weight = sparse_mat(vec![co, ci, kh, kw], seed.wrapping_add(1), -1.0, 1.0);
         let mode = mode_from(mode_idx, 7, 7);
         let (scalar, scalar_stats) = conv2d_emulated_scalar(&input, &weight, spec, mode, 16);
-        let qa = int_params_from(mode_idx, input.max_abs());
-        let qw = int_params_from(mode_idx.wrapping_add(1), weight.max_abs());
+        let qa = int_params_from(fmt_a, input.max_abs());
+        let qw = int_params_from(fmt_w, weight.max_abs());
         let (iscalar, iscalar_stats) = conv2d_int_scalar(&input, &weight, spec, qa, qw, 16);
         for simd in [SimdMode::Force, SimdMode::Off] {
             let mut scratch = ConvScratch::default();
@@ -296,20 +438,23 @@ proptest! {
         }
     }
 
-    /// Convolution: im2col scratch reuse + fast GEMM is bit-exact against
-    /// the scalar convolution for random geometries, float and int.
+    /// Convolution: the default dispatch (im2col scratch reuse + fast
+    /// GEMM, or the panel-packed kernels from 4096 MACs up) is bit-exact
+    /// against the scalar convolution for random geometries, float and
+    /// int, with the INT formats drawn independently and the same
+    /// channel, depth and ReLU ranges as the pinned-backend test.
     #[test]
     fn conv_bit_exact(
-        (ni, ci, co) in (1usize..3, 1usize..4, 1usize..5),
+        (ni, ci, co) in (1usize..3, 1usize..9, 1usize..13),
         (h, w) in (3usize..8, 3usize..8),
         (kh, kw) in (1usize..4, 1usize..4),
-        stride in 1usize..3,
-        pad in 0usize..2,
-        mode_idx in 0u8..4,
+        (stride, pad) in (1usize..3, 0usize..2),
+        (mode_idx, fmt_a, fmt_w) in (0u8..4, 0u8..4, 0u8..4),
+        relu in 0u8..2,
         seed in 0u64..1_000_000,
     ) {
         let spec = ConvSpec { stride, pad };
-        let input = sparse_mat(vec![ni, ci, h, w], seed, -2.0, 2.0);
+        let input = maybe_relu(sparse_mat(vec![ni, ci, h, w], seed, -2.0, 2.0), relu == 1);
         let weight = sparse_mat(vec![co, ci, kh, kw], seed.wrapping_add(1), -1.0, 1.0);
         let mode = mode_from(mode_idx, 7, 7);
         let (fast, fast_stats) = conv2d_emulated(&input, &weight, spec, mode, 16);
@@ -317,8 +462,8 @@ proptest! {
         assert_bits_eq(&fast, &scalar);
         prop_assert_eq!(fast_stats, scalar_stats);
 
-        let qa = int_params_from(mode_idx, input.max_abs());
-        let qw = int_params_from(mode_idx.wrapping_add(1), weight.max_abs());
+        let qa = int_params_from(fmt_a, input.max_abs());
+        let qw = int_params_from(fmt_w, weight.max_abs());
         let (ifast, ifast_stats) = conv2d_int(&input, &weight, spec, qa, qw, 16);
         let (iscalar, iscalar_stats) = conv2d_int_scalar(&input, &weight, spec, qa, qw, 16);
         assert_bits_eq(&ifast, &iscalar);
