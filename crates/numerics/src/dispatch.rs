@@ -9,9 +9,10 @@
 //!   (the default) uses vector kernels only when the CPU supports them and
 //!   the problem is large enough to amortize setup; `force` uses them
 //!   whenever the CPU supports them; `off` pins the portable tiled paths;
-//! * capability detection — the float and INT4 vector kernels need AVX2
-//!   (`x86_64` only, checked at runtime); the bit-sliced INT2 kernel is
-//!   portable `u64` popcount code and only obeys the knob and size gate;
+//! * capability detection — the float and INT4 vector kernels need AVX2,
+//!   and the float one FMA too (`x86_64` only, checked at runtime); the
+//!   bit-sliced INT2 kernel is portable `u64` popcount code and only obeys
+//!   the knob and size gate;
 //! * bit-exactness is *not* a selection concern: every backend reproduces
 //!   the scalar references bit-for-bit (`tests/fastpath_bitexact.rs` runs
 //!   the whole suite under `force` and `off`), so selection is purely a
@@ -62,11 +63,12 @@ impl std::fmt::Display for SimdMode {
     }
 }
 
-/// Whether the AVX2 vector kernels can run on this machine.
+/// Whether the AVX2 vector kernels can run on this machine (the float
+/// kernel also needs FMA).
 pub fn simd_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -179,9 +181,9 @@ pub struct KernelChoice {
 fn float_choice(format: &'static str, mode: SimdMode, macs: u64) -> KernelChoice {
     let (backend, reason) = if float_use_simd(mode, macs) {
         let how = if format == "fp16" {
-            "avx2 16-lane FP16 MAC with vectorized DLFloat rounding"
+            "avx2+fma 16-lane FP16 MAC, magic-constant DLFloat rounding"
         } else {
-            "avx2 16-lane MAC on staged FP9 operands, vectorized DLFloat rounding"
+            "avx2+fma 16-lane MAC on staged FP9 operands, magic-constant DLFloat rounding"
         };
         (KernelBackend::Simd, format!("{how} (RAPID_SIMD={mode})"))
     } else {
@@ -193,7 +195,7 @@ fn float_choice(format: &'static str, mode: SimdMode, macs: u64) -> KernelChoice
 fn float_fallback_reason(mode: SimdMode) -> String {
     match mode {
         SimdMode::Off => "RAPID_SIMD=off pins the portable tiled path".to_string(),
-        _ if !simd_available() => format!("AVX2 unavailable on this CPU (RAPID_SIMD={mode})"),
+        _ if !simd_available() => format!("AVX2/FMA unavailable on this CPU (RAPID_SIMD={mode})"),
         _ => format!("below the {AUTO_MIN_MACS}-MAC auto threshold (RAPID_SIMD={mode})"),
     }
 }

@@ -132,61 +132,42 @@ pub fn num_threads() -> usize {
 /// would dominate smaller problems.
 const PAR_MIN_MACS: usize = 1 << 18;
 
-/// FP16 (DLFloat) rounding of an in-kernel accumulation sum, specialized
-/// for the value domain the dot-product kernels produce: `x` is the f32 sum
-/// of an FP16-lattice register and an exact operand product, so it is
-/// always finite (far below f32 overflow) and is `-0.0` only when the
-/// lattice register already was. That removes the NaN/infinity/signed-zero
-/// branches of the general [`fp16_round`]; agreement with it over the whole
-/// domain is pinned by `fast_rounder_matches_general_quantizer`.
+/// FP16 (1,6,9) constants of the accumulation rounder as f32 bit patterns:
+/// the smallest normal `2^-30` and the largest finite `(2 − 2^-9)·2^32`.
+pub(crate) const FP16_MIN_NORMAL: u32 = ((-30 + 127) as u32) << 23;
+pub(crate) const FP16_MAX: u32 = ((32 + 127) as u32) << 23 | (((1u32 << 9) - 1) << 14);
+/// Added to a magnitude's exponent field to form the rounding constant
+/// `c = 2^(E+14)`: one f32 ulp of `|x| + c` is one FP16 ulp at `|x|`.
+pub(crate) const ROUND_EXP: u32 = 14 << 23;
+/// The rounding constant below `FP16_MIN_NORMAL`: `c = 2^-7` has an f32
+/// ulp of `2^-30`, so `|x| + c` rounds to `{0, MIN_NORMAL}`, ties to zero.
+pub(crate) const TINY_C: u32 = 120 << 23;
+
+/// FP16 (DLFloat) rounding of an in-kernel accumulation sum: round to
+/// nearest even onto the 9-bit-mantissa lattice, flush below the smallest
+/// normal (no subnormals; ties to zero), saturate to `±MAX`. Agrees with
+/// [`crate::format::fp16_round`] on every f32 except NaN, which maps to `±MAX`.
+///
+/// f32's own round-to-nearest-even does the rounding: adding the magic
+/// constant `c = 2^(E+14)` (E the exponent of `|x|`) to `|x|` leaves
+/// exactly the FP16 mantissa bits in the sum, and subtracting `c` back is
+/// exact. Only two integer ops pick `c`, so the lane-wise twin in `simd`
+/// runs the same sequence without selects. Two details depend on the exact
+/// form: for `E ≥ 115` the exponent add carries into the sign bit and the
+/// signed max turns `c` into `+0` (at `E = 114`, `c = ∞` and `r` is NaN),
+/// and the final min returns `MAX` for a NaN `r`, so both cases saturate.
+/// `simd`'s `lane_rounder_matches_the_quantizer_near_every_edge` and its
+/// ignored exhaustive sweep pin both rounders over the whole domain.
 #[inline(always)]
 pub(crate) fn fp16_round_sum(x: f32) -> f32 {
-    // FP16 (1,6,9), bias 31: e_min = -30, e_max = 32.
-    const MIN_NORMAL: u32 = ((-30 + 127) as u32) << 23;
-    const HALF_MIN: u32 = ((-31 + 127) as u32) << 23;
-    const MAX_BITS: u32 = ((32 + 127) as u32) << 23 | (((1u32 << 9) - 1) << 14);
     let bits = x.to_bits();
-    // `b << 1` orders f32 bit patterns by |x| regardless of sign, so the
-    // range checks work on the raw pattern without masking the sign out.
-    // One compare fences off both rare cases (underflow-flush, saturate);
-    // in-range, RNE can neither overflow `MAX_BITS` (it lies on the 9-bit
-    // grid, so rounding overflows it iff the unrounded magnitude does) nor
-    // carry into the sign bit.
-    let mag2 = bits << 1;
-    if mag2.wrapping_sub(MIN_NORMAL << 1) > (MAX_BITS << 1) - (MIN_NORMAL << 1) {
-        let sign = bits & 0x8000_0000;
-        if mag2 < MIN_NORMAL << 1 {
-            // No subnormals: nearest of {0, min_normal}, ties to zero.
-            let r = if mag2 > HALF_MIN << 1 { MIN_NORMAL } else { 0 };
-            return f32::from_bits(sign | r);
-        }
-        return f32::from_bits(sign | MAX_BITS); // saturate
-    }
-    // RNE of the 23-bit mantissa down to 9 bits, on the signed pattern.
-    const SHIFT: u32 = 23 - 9;
-    const LSB: u32 = 1 << SHIFT;
-    f32::from_bits((bits + ((LSB >> 1) - 1 + ((bits >> SHIFT) & 1))) & !(LSB - 1))
-}
-
-/// [`fp16_round_sum`] with the rare cases handled by selects instead of
-/// branches, for the 16-column portable accumulation loop: a branch-free
-/// body is what lets the compiler vectorize the per-column rounding lanes.
-/// Agreement with the general quantizer is pinned by the same test.
-#[inline(always)]
-pub(crate) fn fp16_round_sum_sel(x: f32) -> f32 {
-    const MIN_NORMAL: u32 = ((-30 + 127) as u32) << 23;
-    const HALF_MIN: u32 = ((-31 + 127) as u32) << 23;
-    const MAX_BITS: u32 = ((32 + 127) as u32) << 23 | (((1u32 << 9) - 1) << 14);
-    const SHIFT: u32 = 23 - 9;
-    const LSB: u32 = 1 << SHIFT;
-    let bits = x.to_bits();
-    let sign = bits & 0x8000_0000;
-    let mag2 = bits << 1;
-    let rounded = (bits + ((LSB >> 1) - 1 + ((bits >> SHIFT) & 1))) & !(LSB - 1);
-    let small = if mag2 > HALF_MIN << 1 { MIN_NORMAL } else { 0 };
-    let r = if mag2 < MIN_NORMAL << 1 { small } else { rounded & 0x7fff_ffff };
-    let r = if mag2 > MAX_BITS << 1 { MAX_BITS } else { r };
-    f32::from_bits(sign | r)
+    let mag = bits & 0x7fff_ffff;
+    let tiny = if mag < FP16_MIN_NORMAL { TINY_C as i32 } else { 0 };
+    let c = f32::from_bits((((bits & 0x7f80_0000) + ROUND_EXP) as i32).max(tiny) as u32);
+    let r = (f32::from_bits(mag) + c) - c;
+    let max = f32::from_bits(FP16_MAX);
+    let r = if r < max { r } else { max };
+    f32::from_bits(r.to_bits() | (bits ^ mag))
 }
 
 /// Statistics of an `m × n` product over `za.len()` k-positions, from
@@ -615,8 +596,10 @@ impl Staged {
 /// chain in k order. The operands are the exact factors the datapath
 /// multiplies, so `x * y` reproduces each FP9 product table entry
 /// (`ProductLut::product(ca, cb) == a_operands[ca] * b_operands[cb]`) and
-/// each FP16 lattice product; exact-zero products are remapped to `-0.0`,
-/// the IEEE additive identity, in place of the scalar gate.
+/// each FP16 lattice product. A zero product is added like any other:
+/// it leaves a nonzero chunk register unchanged, and on a zero register it
+/// can only change the sign of that zero, which no output can observe (see
+/// [`dot_staged_group`]).
 fn staged_band(
     av: &[f32],
     sb: &Staged,
@@ -633,8 +616,9 @@ fn staged_band(
         let arow = &av[(row0 + r) * k..(row0 + r + 1) * k];
         let mut g = 0;
         if use_simd {
-            // AVX2: four groups per k sweep (8 independent chains hide the
-            // add+round latency), single groups as cleanup.
+            // AVX2: four groups per k sweep (8 independent chains keep the
+            // vector ports busy past the FMA+round latency), single groups
+            // as cleanup.
             let mut wres = [0.0f32; simd::WIDE];
             while g + simd::WIDE_GROUPS <= ngroups {
                 let bw = &sb.vals[g * gsz..(g + simd::WIDE_GROUPS) * gsz];
@@ -668,9 +652,16 @@ fn staged_band(
 /// The chunk update uses a plain f32 add where the scalar reference
 /// computes `(f64(acc) + f64(prod)) as f32`: double rounding through f64 is
 /// innocuous for the sum of two f32 values (53 ≥ 2·24 + 2), so the results
-/// are bit-identical. A k-step whose A operand is zero is skipped, as in
-/// the vector kernel: every product would be `-0.0`, which leaves an
-/// FP16-lattice chunk register unchanged through the re-round.
+/// are bit-identical. Where the reference gates a zero operand, this loop
+/// adds the zero product. The two differ only in the sign of a zero chunk
+/// register (a gated MAC keeps a `-0.0` from a flushed negative sum, while
+/// `-0.0 + 0.0` is `+0.0`), and that sign never reaches an output: the
+/// outer sum starts at `+0.0`, `+0.0 + ±0.0` is `+0.0` and exact
+/// cancellation gives `+0.0`, so `outer + chunk` is never `-0.0` and a
+/// zero chunk register adds nothing. A k-step whose A operand is zero is
+/// skipped, as in the vector kernel: every product is `±0.0`, which leaves
+/// an FP16-lattice chunk register unchanged through the re-round (up to
+/// that sign).
 fn dot_staged_group(arow: &[f32], group: &[f32], chunk_len: usize) -> [f32; simd::GROUP] {
     const G: usize = simd::GROUP;
     let mut outer = [0.0f32; G];
@@ -679,9 +670,7 @@ fn dot_staged_group(arow: &[f32], group: &[f32], chunk_len: usize) -> [f32; simd
     for (&x, bv) in arow.iter().zip(group.chunks_exact(G)) {
         if x != 0.0 {
             for (c, &y) in chunk.iter_mut().zip(bv) {
-                let prod = x * y;
-                let prod = if prod == 0.0 { -0.0 } else { prod };
-                *c = fp16_round_sum_sel(*c + prod);
+                *c = fp16_round_sum(*c + x * y);
             }
         }
         in_chunk += 1;
@@ -2004,13 +1993,12 @@ mod tests {
 
     #[test]
     fn fast_rounder_matches_general_quantizer() {
-        // The specialized kernel rounder must agree with FpFormat::fp16()
-        // quantization on every finite f32 (its full input domain) —
-        // sampled densely across the exponent range plus edge cases.
+        // The kernel rounder must agree with FpFormat::fp16() quantization
+        // on every finite f32 (NaN alone differs) — sampled densely across
+        // the exponent range plus edge cases.
         let check = |x: f32| {
             let general = fp16_round(x);
             assert_eq!(fp16_round_sum(x).to_bits(), general.to_bits(), "x = {x:e}");
-            assert_eq!(fp16_round_sum_sel(x).to_bits(), general.to_bits(), "sel x = {x:e}");
         };
         for exp in 0u32..=254 {
             for man in [0u32, 1, 0x1fff, 0x2000, 0x2001, 0x3fff, 0x7fffff] {

@@ -3,15 +3,15 @@
 //! Two inner-loop families, selected by [`crate::dispatch`]:
 //!
 //! * [`dot_fp16_groups_wide`] / [`dot_fp16_group16`] — the float MAC loop
-//!   over staged 16-column B groups: broadcast the A value,
-//!   multiply against the contiguous group, remap exact-zero products to
-//!   `-0.0` (the IEEE additive identity the scalar kernel's gate uses),
-//!   then run the DLFloat16 chunk rounding entirely in integer lanes.
+//!   over staged 16-column B groups: broadcast the A value, one
+//!   `vfmadd231ps` adds its products with the contiguous group into the
+//!   chunk registers, and the DLFloat16 chunk rounding runs as the
+//!   magic-constant sequence of `gemm::fp16_round_sum`, 11 lane ops.
 //!   The same kernel serves every float mode: FP16 runs on lattice
 //!   values, and HFP8 on the **FP9 operand values** both operands are
 //!   converted to when staged — `ProductLut::product(ca, cb)` is exactly
 //!   `a_operands[ca] * b_operands[cb]` (the table entry *is* that f32
-//!   multiply), so one `vmulps` replaces a `vpgatherdps` from the 64K
+//!   multiply), so the multiply replaces a `vpgatherdps` from the 64K
 //!   table. A gather variant was tried first; at ~3 cycles per 8-lane
 //!   gather (the per-step index row is only 1 KiB, L1-resident) it was
 //!   strictly slower than the multiply it replaces.
@@ -33,41 +33,43 @@
 //!   the windowed sum equals the plain dot product exactly
 //!   (order-independent integer addition), so the result is bit-identical.
 //!
-//! The float kernels are **latency-bound**, not throughput-bound: each
-//! chunk register advances through `vaddps` + the ~12-op rounding sequence
+//! The wide float kernel is **throughput-bound**: it runs at the same
+//! MAC rate whether B is an L2-resident panel or a multi-megabyte stream,
+//! so the vector ports, not memory, set its speed, and every lane op the
+//! rounder saves is time saved. Each chunk register still advances
 //! serially per k step (the order is the bit-exactness contract, so it
-//! cannot be reassociated). The `_wide` variants therefore walk
-//! [`WIDE_GROUPS`] column groups per k sweep — 8 independent accumulation
-//! chains — hiding that chain latency behind instruction-level
-//! parallelism; the 16-column variants clean up the remainder. k steps
-//! whose broadcast A value is exactly zero skip the whole multiply+round
-//! sweep: every product would be `-0.0` after the remap, and `round8` is
-//! idempotent on its own outputs (a non-saturated input always rounds to
-//! magnitude ≤ `MAX_BITS` with zero low-14 bits, and re-rounding such a
-//! value — or `0`, `±MIN_NORMAL` — returns it unchanged), so the chunk
-//! registers would come back bit-identical. The integer kernel is
-//! throughput-bound instead: its accumulators are exact and independent,
-//! and one call computes a whole row band.
+//! cannot be reassociated), so the `_wide` variants walk [`WIDE_GROUPS`]
+//! column groups per k sweep — 8 independent accumulation chains, enough
+//! to cover the FMA + rounding latency; the 16-column variants clean up
+//! the remainder. k steps whose broadcast A value is exactly zero skip the
+//! whole FMA+round sweep: every product is `±0.0`, and the rounder is
+//! idempotent on its own outputs (a lattice value plus its own magic
+//! constant is exact), so the chunk registers come back unchanged up to
+//! the sign of a zero register, which no output observes (see
+//! `gemm::dot_staged_group`). The integer kernel is throughput-bound too:
+//! its accumulators are exact and independent, and one call computes a
+//! whole row band.
 //!
-//! Bit-exactness of the float kernels rests on two facts: `vaddps` /
-//! `vmulps` are IEEE single ops identical to scalar `f32` arithmetic, and
-//! `round8` performs lane-wise exactly the integer-bit computation of
-//! the scalar `fp16_round_sum_sel` (unsigned compares emulated by biasing
-//! both sides with the sign bit). `vector_rounder_matches_scalar` pins the
-//! lane rounder to the scalar one across the magnitude range. Chain count
-//! never changes results: each column's accumulator chain is independent
-//! in every variant, exactly as in the scalar reference.
+//! Bit-exactness of the float kernels rests on three facts: `vaddps` /
+//! `vsubps` / `vminps` are IEEE single ops identical to scalar `f32`
+//! arithmetic; an FP9×FP9 or FP16×FP16 product is exact in f32, so the
+//! fused multiply-add rounds once exactly where `vmulps` + `vaddps` would;
+//! and the lane rounder runs the op sequence of the scalar
+//! `fp16_round_sum`. `lane_rounder_matches_the_quantizer_near_every_edge`
+//! pins both rounders to `format::fp16_round` at every edge of their
+//! domain, and the ignored `lane_rounder_matches_the_quantizer_on_every_f32`
+//! on all 2^32 patterns. Chain count never changes results: each column's
+//! accumulation chain is independent in every variant, exactly as in the
+//! scalar reference.
 //!
 //! On non-`x86_64` targets the dispatcher never selects these kernels;
 //! the stubs here only satisfy the type checker.
-
-#![allow(clippy::inline_always)] // rounding helpers must fuse into the k-loop
 
 /// Columns per staged B group — two AVX2 f32 vectors.
 pub(crate) const GROUP: usize = 16;
 
 /// Column groups the wide float kernels process per k sweep. Four groups
-/// give 8 concurrent add+round chains, enough to saturate the vector
+/// give 8 concurrent FMA+round chains, enough to saturate the vector
 /// ports; more would spill the accumulator registers.
 pub(crate) const WIDE_GROUPS: usize = 4;
 
@@ -81,50 +83,29 @@ pub(crate) const INT_TILE: usize = 16;
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{GROUP, INT_TILE, WIDE, WIDE_GROUPS};
-    use crate::gemm::fp16_round_sum;
+    use crate::gemm::{FP16_MAX, FP16_MIN_NORMAL, ROUND_EXP, TINY_C};
     use std::arch::x86_64::*;
 
-    /// Lane-wise `fp16_round_sum_sel` (see `gemm`): DLFloat16 RNE with
-    /// underflow-flush and saturation handled by selects on the raw bits.
+    /// Lane-wise `fp16_round_sum` (see `gemm`): DLFloat16 RNE with
+    /// underflow flush and saturation, through a magic constant per lane.
     ///
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn round8(x: __m256) -> __m256 {
-        // FP16 (1,6,9), bias 31 — same constants as the scalar rounder.
-        const MIN_NORMAL: u32 = ((-30 + 127) as u32) << 23;
-        const HALF_MIN: u32 = ((-31 + 127) as u32) << 23;
-        const MAX_BITS: u32 = ((32 + 127) as u32) << 23 | (((1u32 << 9) - 1) << 14);
-        const SHIFT: i32 = 23 - 9;
-        // Unsigned thresholds pre-biased by 0x8000_0000 so the unsigned
-        // compares of the scalar rounder become signed `vpcmpgtd`.
-        const BIAS: i32 = i32::MIN;
+    pub(super) unsafe fn round_lanes(x: __m256) -> __m256 {
         let bits = _mm256_castps_si256(x);
-        let sign = _mm256_and_si256(bits, _mm256_set1_epi32(i32::MIN));
-        let mag2 = _mm256_slli_epi32::<1>(bits);
-        let mag2b = _mm256_xor_si256(mag2, _mm256_set1_epi32(BIAS));
-        // rounded = (bits + (LSB/2 - 1) + odd) & !(LSB - 1), LSB = 1<<14.
-        let odd = _mm256_and_si256(_mm256_srli_epi32::<SHIFT>(bits), _mm256_set1_epi32(1));
-        let rounded = _mm256_and_si256(
-            _mm256_add_epi32(bits, _mm256_add_epi32(_mm256_set1_epi32(0x1FFF), odd)),
-            _mm256_set1_epi32(!0x3FFF),
-        );
-        let rmag = _mm256_and_si256(rounded, _mm256_set1_epi32(0x7fff_ffff));
-        // small = (mag2 >u HALF_MIN<<1) ? MIN_NORMAL : 0
-        let gt_half =
-            _mm256_cmpgt_epi32(mag2b, _mm256_set1_epi32(((HALF_MIN << 1) as i32) ^ BIAS));
-        let small = _mm256_and_si256(gt_half, _mm256_set1_epi32(MIN_NORMAL as i32));
-        // r = (mag2 <u MIN_NORMAL<<1) ? small : rmag
-        let lt_min =
-            _mm256_cmpgt_epi32(_mm256_set1_epi32(((MIN_NORMAL << 1) as i32) ^ BIAS), mag2b);
-        let r = _mm256_blendv_epi8(rmag, small, lt_min);
-        // r = (mag2 >u MAX_BITS<<1) ? MAX_BITS : r   (saturate)
-        let gt_max =
-            _mm256_cmpgt_epi32(mag2b, _mm256_set1_epi32(((MAX_BITS << 1) as i32) ^ BIAS));
-        let r = _mm256_blendv_epi8(r, _mm256_set1_epi32(MAX_BITS as i32), gt_max);
-        _mm256_castsi256_ps(_mm256_or_si256(sign, r))
+        let mag = _mm256_and_si256(bits, _mm256_set1_epi32(0x7fff_ffff));
+        let exp = _mm256_and_si256(bits, _mm256_set1_epi32(0x7f80_0000));
+        let c = _mm256_add_epi32(exp, _mm256_set1_epi32(ROUND_EXP as i32));
+        let tiny = _mm256_cmpgt_epi32(_mm256_set1_epi32(FP16_MIN_NORMAL as i32), mag);
+        let c = _mm256_max_epi32(c, _mm256_and_si256(tiny, _mm256_set1_epi32(TINY_C as i32)));
+        let c = _mm256_castsi256_ps(c);
+        let r = _mm256_sub_ps(_mm256_add_ps(_mm256_castsi256_ps(mag), c), c);
+        // `vminps` returns its second operand when the first is NaN.
+        let r = _mm256_min_ps(r, _mm256_castsi256_ps(_mm256_set1_epi32(FP16_MAX as i32)));
+        _mm256_or_ps(r, _mm256_castsi256_ps(_mm256_xor_si256(bits, mag)))
     }
 
     /// The float MAC loop over `G` staged 16-column groups laid out
@@ -132,13 +113,13 @@ mod avx2 {
     /// accumulation chains advance per k step; each column's chain
     /// performs exactly the scalar kernel's op sequence, so `G` is
     /// performance-only. Steps with a zero A value are skipped whole —
-    /// bit-exact by `round8` idempotence (module docs).
+    /// bit-exact by rounder idempotence (module docs).
     ///
     /// # Safety
     ///
-    /// Requires AVX2; `bgroups.len() == G * arow.len() * GROUP`,
+    /// Requires AVX2 and FMA; `bgroups.len() == G * arow.len() * GROUP`,
     /// `out.len() == G * GROUP`.
-    #[target_feature(enable = "avx2")]
+    #[target_feature(enable = "avx2,fma")]
     #[inline]
     unsafe fn fp16_groups<const G: usize>(
         arow: &[f32],
@@ -147,7 +128,6 @@ mod avx2 {
         out: &mut [f32],
     ) {
         let gsz = arow.len() * GROUP;
-        let signbit = _mm256_castsi256_ps(_mm256_set1_epi32(i32::MIN));
         let zero = _mm256_setzero_ps();
         let mut outer_lo = [zero; G];
         let mut outer_hi = [zero; G];
@@ -155,25 +135,17 @@ mod avx2 {
         let mut chunk_hi = [zero; G];
         let mut in_chunk = 0usize;
         for (p, &x) in arow.iter().enumerate() {
-            // A zero broadcast value makes every product ±0, remapped to
-            // -0.0, and `round8(chunk + -0.0) == chunk` (idempotence), so
-            // the whole sweep is skipped; only the chunk-boundary
+            // A zero broadcast value makes every product ±0 and
+            // `round_lanes(chunk ± 0.0)` is `chunk` up to the sign of a
+            // zero, so the whole sweep is skipped; only the chunk-boundary
             // bookkeeping below still runs.
             if x != 0.0 {
                 let xa = _mm256_set1_ps(x);
                 for t in 0..G {
                     let b0 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP));
                     let b1 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP + 8));
-                    let mut prod0 = _mm256_mul_ps(xa, b0);
-                    let mut prod1 = _mm256_mul_ps(xa, b1);
-                    // Exact-zero products (lattice products never underflow)
-                    // become -0.0, the additive identity — the scalar gate.
-                    let z0 = _mm256_cmp_ps::<_CMP_EQ_OQ>(prod0, zero);
-                    let z1 = _mm256_cmp_ps::<_CMP_EQ_OQ>(prod1, zero);
-                    prod0 = _mm256_or_ps(prod0, _mm256_and_ps(z0, signbit));
-                    prod1 = _mm256_or_ps(prod1, _mm256_and_ps(z1, signbit));
-                    chunk_lo[t] = round8(_mm256_add_ps(chunk_lo[t], prod0));
-                    chunk_hi[t] = round8(_mm256_add_ps(chunk_hi[t], prod1));
+                    chunk_lo[t] = round_lanes(_mm256_fmadd_ps(xa, b0, chunk_lo[t]));
+                    chunk_hi[t] = round_lanes(_mm256_fmadd_ps(xa, b1, chunk_hi[t]));
                 }
             }
             in_chunk += 1;
@@ -187,31 +159,13 @@ mod avx2 {
                 in_chunk = 0;
             }
         }
-        finish_groups::<G>(&outer_lo, &outer_hi, &chunk_lo, &chunk_hi, out);
-    }
-
-    /// Reduces the (outer, chunk) register pairs exactly as the scalar
-    /// kernels' epilogue: `fp16_round_sum(outer[t] + chunk[t])` per lane.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2; `out.len() == G * GROUP`.
-    #[target_feature(enable = "avx2")]
-    #[inline]
-    unsafe fn finish_groups<const G: usize>(
-        outer_lo: &[__m256; G],
-        outer_hi: &[__m256; G],
-        chunk_lo: &[__m256; G],
-        chunk_hi: &[__m256; G],
-        out: &mut [f32],
-    ) {
-        let mut sums = [0.0f32; GROUP];
+        // The epilogue: `fp16_round_sum(outer + chunk)` per lane.
+        let out = out.as_mut_ptr();
         for t in 0..G {
-            _mm256_storeu_ps(sums.as_mut_ptr(), _mm256_add_ps(outer_lo[t], chunk_lo[t]));
-            _mm256_storeu_ps(sums.as_mut_ptr().add(8), _mm256_add_ps(outer_hi[t], chunk_hi[t]));
-            for (o, &s) in out[t * GROUP..(t + 1) * GROUP].iter_mut().zip(&sums) {
-                *o = fp16_round_sum(s);
-            }
+            let lo = round_lanes(_mm256_add_ps(outer_lo[t], chunk_lo[t]));
+            let hi = round_lanes(_mm256_add_ps(outer_hi[t], chunk_hi[t]));
+            _mm256_storeu_ps(out.add(t * GROUP), lo);
+            _mm256_storeu_ps(out.add(t * GROUP + 8), hi);
         }
     }
 
@@ -298,18 +252,6 @@ mod avx2 {
         }
     }
 
-    /// Test-only window into the lane rounder so the unit test can pin it
-    /// to the scalar rounder directly.
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX2.
-    #[cfg(test)]
-    #[target_feature(enable = "avx2")]
-    pub(crate) unsafe fn round8_for_test(x: __m256) -> __m256 {
-        round8(x)
-    }
-
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
     /// A-row against [`WIDE_GROUPS`] consecutive staged groups.
     pub(crate) fn dot_fp16_groups_wide(
@@ -318,9 +260,9 @@ mod avx2 {
         chunk_len: usize,
         out: &mut [f32; WIDE],
     ) {
-        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
+        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroups.len(), WIDE_GROUPS * arow.len() * GROUP);
-        // SAFETY: AVX2 presence and slice extents asserted above.
+        // SAFETY: AVX2 and FMA presence and slice extents asserted above.
         unsafe { fp16_groups::<WIDE_GROUPS>(arow, bgroups, chunk_len, out) }
     }
 
@@ -332,9 +274,9 @@ mod avx2 {
         chunk_len: usize,
         out: &mut [f32; GROUP],
     ) {
-        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2");
+        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroup.len(), arow.len() * GROUP);
-        // SAFETY: AVX2 presence and slice extents asserted above.
+        // SAFETY: AVX2 and FMA presence and slice extents asserted above.
         unsafe { fp16_groups::<1>(arow, bgroup, chunk_len, out) }
     }
 
@@ -458,56 +400,104 @@ pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pac
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {
     use super::*;
-    use crate::gemm::fp16_round_sum_sel;
+    use crate::format::fp16_round;
+    use crate::gemm::{fp16_round_sum, FP16_MAX, FP16_MIN_NORMAL};
     use std::arch::x86_64::*;
 
-    /// The vector rounder must agree with the scalar branch-free rounder
-    /// on every magnitude band: zeros, flush-to-zero range, round-to-min,
-    /// normals (both RNE tie directions), saturation, both signs.
+    /// What both rounders must return for `x`: the quantizer's value,
+    /// except that NaN saturates to `±MAX` like any other out-of-range sum.
+    fn rounded(x: f32) -> u32 {
+        if x.is_nan() {
+            (x.to_bits() & 0x8000_0000) | FP16_MAX
+        } else {
+            fp16_round(x).to_bits()
+        }
+    }
+
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn round_lanes_of(xs: [f32; 8]) -> [f32; 8] {
+        let mut out = [0.0f32; 8];
+        _mm256_storeu_ps(out.as_mut_ptr(), avx2::round_lanes(_mm256_loadu_ps(xs.as_ptr())));
+        out
+    }
+
+    /// Runs the lane rounder and the scalar `fp16_round_sum` over `xs`
+    /// against [`rounded`]. The caller checks `simd_available()`.
+    fn assert_rounders_exact(xs: &[f32]) {
+        for chunk in xs.chunks(8) {
+            let mut lanes = [0.0f32; 8];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            // SAFETY: AVX2 presence is the caller's precondition.
+            let got = unsafe { round_lanes_of(lanes) };
+            for (&x, g) in chunk.iter().zip(got) {
+                let (want, scalar) = (rounded(x), fp16_round_sum(x).to_bits());
+                let bits = x.to_bits();
+                assert_eq!(g.to_bits(), want, "lanes({bits:#010x}) = {:#010x}", g.to_bits());
+                assert_eq!(scalar, want, "scalar({bits:#010x}) = {scalar:#010x}");
+            }
+        }
+    }
+
+    /// Both rounders against the quantizer at every edge of their domain,
+    /// both signs: 4096 f32 ulps either side of every binade edge from
+    /// 2^-40 to 2^40 and of ∞ (the largest finites and NaN payloads), the
+    /// FP16 rounding midpoints nearest each edge (ties both ways, carries
+    /// into the next binade), the flush threshold `HALF_MIN`,
+    /// `MIN_NORMAL`, `MAX` and the saturating tie above it, the binades
+    /// where the magic constant becomes ∞ (`E = 114`) and carries into
+    /// the sign bit (`E = 115`), and the zeros and subnormals.
     #[test]
-    fn vector_rounder_matches_scalar() {
+    fn lane_rounder_matches_the_quantizer_near_every_edge() {
         if !crate::dispatch::simd_available() {
             return;
         }
-        #[target_feature(enable = "avx2")]
-        unsafe fn via_round8(vals: &[f32; 8]) -> [f32; 8] {
-            // Route through the public kernel path: a 1-element chunk of a
-            // single k step with products equal to `vals` would need a LUT;
-            // call the rounder via an add with 0.0 instead.
-            let v = _mm256_loadu_ps(vals.as_ptr());
-            let r = super::avx2::round8_for_test(v);
-            let mut out = [0.0f32; 8];
-            _mm256_storeu_ps(out.as_mut_ptr(), r);
-            out
-        }
-        let mut cases: Vec<f32> = vec![0.0, -0.0];
-        // Dense sweep across the exponent range, both signs, plus tie bits.
-        for exp in -40i32..=40 {
-            for frac in [0.0f32, 0.25, 0.5, 0.4999, 0.7501, 0.999_999] {
-                let v = (1.0 + frac) * (exp as f32).exp2();
-                cases.push(v);
-                cases.push(-v);
+        let binade = |e: i32| ((e + 127) as u32) << 23;
+        let mut edges: Vec<u32> = (-40..=40).chain([114, 115]).map(binade).collect();
+        let half_min = binade(-31);
+        edges.extend([0, half_min, FP16_MIN_NORMAL, FP16_MAX, FP16_MAX | 0x2000, 0x7f80_0000]);
+        let mut xs = Vec::new();
+        let mut around = |at: u32, d: u32| {
+            for bits in at.saturating_sub(d)..=at.saturating_add(d) {
+                xs.extend([f32::from_bits(bits), f32::from_bits(bits | 0x8000_0000)]);
+            }
+        };
+        for &edge in &edges {
+            around(edge, 4096);
+            // FP16 midpoints (low 14 bits 0x2000) on either side of the edge.
+            for j in [-3i32, -1, 1, 3] {
+                around(edge.wrapping_add_signed(j * 0x2000), 2);
             }
         }
-        // Exact grid points and half-LSB ties around the FP16 lattice.
-        for bits in (0x3080_0000u32..0x3081_0000).step_by(0x1000) {
-            cases.push(f32::from_bits(bits));
-            cases.push(f32::from_bits(bits | 0x2000)); // half-LSB tie
+        assert_rounders_exact(&xs);
+    }
+
+    /// Both rounders against the quantizer on all 2^32 f32 bit patterns,
+    /// split across threads. Run with `-- --ignored` in release.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep; run in release with --ignored"]
+    fn lane_rounder_matches_the_quantizer_on_every_f32() {
+        if !crate::dispatch::simd_available() {
+            return;
         }
-        for chunk in cases.chunks(8) {
-            let mut vals = [0.0f32; 8];
-            vals[..chunk.len()].copy_from_slice(chunk);
-            // SAFETY: AVX2 checked at function entry.
-            let got = unsafe { via_round8(&vals) };
-            for (g, v) in got.iter().zip(vals) {
-                let want = fp16_round_sum_sel(v);
-                assert_eq!(
-                    g.to_bits(),
-                    want.to_bits(),
-                    "round8({v:e}): vector {g:e} != scalar {want:e}"
-                );
+        const BLOCK: u64 = 1 << 16;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+        let blocks = (1u64 << 32) / BLOCK;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let mut xs = vec![0.0f32; BLOCK as usize];
+                    for b in (t..blocks).step_by(threads as usize) {
+                        for (i, x) in xs.iter_mut().enumerate() {
+                            *x = f32::from_bits((b * BLOCK) as u32 + i as u32);
+                        }
+                        assert_rounders_exact(&xs);
+                    }
+                });
             }
-        }
+        });
     }
 
     /// The expanding kernel against a plain i64 dot product: every row

@@ -8,6 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
 use proptest::prelude::*;
+use rapid_numerics::accumulate::ChunkAccumulator;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::format::FpFormat;
 use rapid_fault::FaultPlan;
@@ -173,6 +174,57 @@ fn int_quantizer_exact_on_every_f32() {
     });
 }
 
+/// The fast float kernels add a zero product where the reference gates
+/// it, so a chunk register the reference holds at `-0.0` (a negative sum
+/// of magnitude ≤ 2^-31 flushes to `-0.0`) becomes `+0.0` in the kernel
+/// at the next zero-B MAC. That sign must never reach an output. Each
+/// column of this FP16 GEMM drives its register to `-0.0` and follows with
+/// zero-B MACs, the register then flushed inside the k range (chunk 4) or
+/// read at the end (the final partial chunk): alone, after a nonzero
+/// chunk, followed by a nonzero product, and with A rows of either sign.
+#[test]
+fn negative_zero_chunk_register_is_unobservable() {
+    let (t, u) = (2f32.powi(-16), 0.75);
+    // A: nonzero everywhere, so no k step is skipped; row 1 flips signs.
+    let arow = [t, 3.0, -5.0, t, t, 1.5, -2.0, 7.0, t, -1.0];
+    let k = arow.len();
+    // B columns (`t·(−t) = −2^-32` is the tiny negative product).
+    let cols: [[f32; 10]; 4] = [
+        [-t, 0.0, 0.0, 0.0, -t, 0.0, 0.0, 0.0, -t, 0.0],
+        [-t, 0.0, u, 0.0, 0.0, 0.0, 0.0, 0.0, -t, 0.0],
+        [u, 1.0, 0.0, -t, -t, 0.0, 0.0, 0.0, -t, 0.0],
+        [0.0, 0.0, 0.0, -t, u, 0.0, -0.5, 0.0, 0.0, -t],
+    ];
+    let n = cols.len();
+    let mut a = Tensor::zeros(vec![2, k]);
+    for (p, &x) in arow.iter().enumerate() {
+        a.as_mut_slice()[p] = x;
+        a.as_mut_slice()[k + p] = -x;
+    }
+    let mut b = Tensor::zeros(vec![k, n]);
+    for (j, col) in cols.iter().enumerate() {
+        for (p, &y) in col.iter().enumerate() {
+            b.as_mut_slice()[p * n + j] = y;
+        }
+    }
+    let chunk_len = 4;
+    // The premise: the reference's register really is -0.0 after the
+    // first MAC of column 0, and stays there through the zero-B MACs.
+    let mut acc = ChunkAccumulator::new(FmaMode::Fp16, chunk_len);
+    acc.mac(arow[0], cols[0][0]);
+    assert_eq!(acc.chunk_value().to_bits(), 0x8000_0000, "tiny negative sum must flush to -0.0");
+    acc.mac(arow[1], cols[0][1]);
+    assert_eq!(acc.chunk_value().to_bits(), 0x8000_0000, "a gated MAC keeps -0.0");
+    let (scalar, scalar_stats) = matmul_emulated_scalar(FmaMode::Fp16, &a, &b, chunk_len);
+    for simd in [SimdMode::Force, SimdMode::Off] {
+        let exec = Exec { simd, ..Exec::default() };
+        let (fast, fast_stats) =
+            matmul_emulated_with(FmaMode::Fp16, &a, &b, chunk_len, exec).unwrap();
+        assert_bits_eq(&fast, &scalar);
+        assert_eq!(fast_stats, scalar_stats, "{simd:?}");
+    }
+}
+
 proptest! {
     /// The INT quantizer's slice path (AVX2 lanes plus scalar tail, or the
     /// portable loop) agrees with per-element `quantize` on arbitrary f32
@@ -225,9 +277,10 @@ proptest! {
         }
     }
 
-    /// Float GEMM: fast path (LUT or FP16-value kernel, tiled and
-    /// register-blocked) is bit-exact against the ChunkAccumulator loop for
-    /// every mode, random shapes and chunk lengths.
+    /// Float GEMM: the default dispatch (the staged-operand band loop, on
+    /// the AVX2 kernel from 4096 MACs up and the portable 16-column loop
+    /// below) is bit-exact against the ChunkAccumulator loop for every
+    /// mode, random shapes and chunk lengths.
     #[test]
     fn float_gemm_bit_exact(
         (m, k, n) in (1usize..12, 1usize..40, 1usize..12),

@@ -22,7 +22,8 @@
 #   scripts/check.sh --simd       SIMD gate only: clippy on the kernel
 #                                 crates, the bit-exactness proptests under
 #                                 RAPID_SIMD=auto, =force and =off, the
-#                                 exhaustive INT quantizer sweep, the
+#                                 exhaustive INT quantizer and FP16
+#                                 accumulation rounder sweeps, the
 #                                 refnet and sim tests under =force and
 #                                 =off (the simulator's values come from
 #                                 the dispatched kernels), and a timed
@@ -116,6 +117,8 @@ simd_gate() {
     RAPID_SIMD=off cargo test --release -p rapid-numerics --test fastpath_bitexact -q
     echo "== exhaustive INT quantizer sweep over all 2^32 f32 bit patterns (release, ~35 s) =="
     cargo test --release -p rapid-numerics --test fastpath_bitexact -q -- --ignored
+    echo "== exhaustive FP16 accumulation rounder sweep over all 2^32 f32 bit patterns (release, ~15 s) =="
+    cargo test --release -p rapid-numerics --lib -q -- --ignored
     echo "== refnet tests under RAPID_SIMD=force and =off (both operand stagers) =="
     RAPID_SIMD=force cargo test --release -p rapid-refnet -q
     RAPID_SIMD=off cargo test --release -p rapid-refnet -q
