@@ -184,8 +184,10 @@ pub fn try_run_chip_gemm_with(
         }
         let cols = cols_per_core.min(n - c0);
         // Slice B's columns for this core, one row at a time.
-        let b_cols =
-            job.b.as_slice().chunks_exact(n).flat_map(|row| &row[c0..c0 + cols]).copied().collect();
+        let mut b_cols = Vec::with_capacity(k * cols);
+        for row in job.b.as_slice().chunks_exact(n) {
+            b_cols.extend_from_slice(&row[c0..c0 + cols]);
+        }
         let b_slice = Tensor::from_vec(vec![k, cols], b_cols);
         let sim = CoreSim::new(core_cfg).with_core_id(core_id as u32);
         let r = sim.try_run_gemm(

@@ -13,7 +13,7 @@ use rapid_arch::precision::Precision;
 use rapid_fault::FaultPlan;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
-use rapid_numerics::{NumericsError, QTensor, Tensor};
+use rapid_numerics::{NumericsError, Tensor};
 use rapid_telemetry::{MetricsRegistry, SpanCoalescer, Telemetry};
 
 /// The stable label a [`Precision`] carries in telemetry metric names
@@ -569,36 +569,32 @@ fn record_corelet_counters(
 }
 
 /// Quantizes the operands for storage and picks the array datapath.
+/// Float values are [`FpFormat::quantize`]'s, as in a `QTensor`; INT codes
+/// come from the vector quantizer, element-wise identical to
+/// [`QuantParams::fake_quantize`]'s once dequantized.
+///
+/// [`FpFormat::quantize`]: rapid_numerics::FpFormat::quantize
 fn prepare_operands(job: &GemmJob) -> (Tensor, Tensor, Datapath) {
+    let float = |mode: FmaMode| {
+        let (fa, fb) = mode.operand_formats();
+        (job.a.map(|v| fa.quantize(v)), job.b.map(|v| fb.quantize(v)), Datapath::Float { mode })
+    };
     match job.precision {
-        Precision::Fp16 => {
-            let (fa, fb) = FmaMode::Fp16.operand_formats();
-            (
-                QTensor::quantize(&job.a, fa).into_values(),
-                QTensor::quantize(&job.b, fb).into_values(),
-                Datapath::Float { mode: FmaMode::Fp16 },
-            )
-        }
-        Precision::Hfp8 => {
-            let mode = FmaMode::hfp8_fwd_default();
-            let (fa, fb) = mode.operand_formats();
-            (
-                QTensor::quantize(&job.a, fa).into_values(),
-                QTensor::quantize(&job.b, fb).into_values(),
-                Datapath::Float { mode },
-            )
-        }
+        Precision::Fp16 => float(FmaMode::Fp16),
+        Precision::Hfp8 => float(FmaMode::hfp8_fwd_default()),
         Precision::Int4 | Precision::Int2 => {
             let fmt =
                 if job.precision == Precision::Int4 { IntFormat::Int4 } else { IntFormat::Int2 };
             let qa = QuantParams::from_abs_max(fmt, Signedness::Signed, job.a.max_abs());
             let qb = QuantParams::from_abs_max(fmt, Signedness::Signed, job.b.max_abs());
             // Store the dequantized grid values; the FXU re-derives codes.
-            (
-                job.a.map(|v| qa.fake_quantize(v)),
-                job.b.map(|v| qb.fake_quantize(v)),
-                Datapath::Int { qa, qb },
-            )
+            let mut codes = Vec::new();
+            let mut grid = |t: &Tensor, q: QuantParams| {
+                q.quantize_slice_into(t.as_slice(), &mut codes);
+                let values = codes.iter().map(|&c| q.dequantize(c)).collect();
+                Tensor::from_vec(t.shape().to_vec(), values)
+            };
+            (grid(&job.a, qa), grid(&job.b, qb), Datapath::Int { qa, qb })
         }
         // try_run_gemm rejects FP32 before operands are prepared.
         Precision::Fp32 => unreachable!("FP32 rejected by try_run_gemm"),
@@ -823,6 +819,77 @@ mod tests {
         let macs: u64 = r.corelets.iter().map(|c| c.macs).sum();
         let frac = gated as f64 / macs as f64;
         assert!((frac - 0.5).abs() < 0.05, "gated fraction {frac}");
+    }
+
+    /// Operand values that stress the quantizers: ±0, NaN, ±inf, values
+    /// beyond every format's range, exact round-to-nearest-even ties on the
+    /// FP16 and FP8 grids and on a unit INT grid, padded to `len` with
+    /// random bit patterns and random values in `[-8, 8)`.
+    fn edge_values(seed: u64, len: usize) -> Vec<f32> {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut v = vec![0.0, -0.0, f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        v.extend([65520.0, -65520.0, 1e30, -1e30, 248.0, -464.0, 100.0, -7.5]);
+        v.extend((-8..8).map(|c| c as f32 + 0.5));
+        for (e, man_bits) in [(-14, 10), (-1, 10), (0, 10), (15, 10), (-6, 3), (0, 3), (7, 3)] {
+            let half_ulp = 2f32.powi(-man_bits - 1);
+            for odd in [1.0, 3.0] {
+                let tie = 2f32.powi(e) * (1.0 + odd * half_ulp);
+                v.extend([tie, -tie]);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        while v.len() < len {
+            let bits = (rng.next_u64() >> 32) as u32;
+            v.push(if bits & 1 == 0 { f32::from_bits(bits) } else { rng.gen_range(-8.0..8.0) });
+        }
+        v
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn prepare_operands_matches_qtensor_and_fake_quantize_bitwise() {
+        use rapid_numerics::QTensor;
+        // 287 and 205 elements: the vector quantizer's 8-lane body and tail.
+        let (m, k, n) = (7, 41, 5);
+        for p in [Precision::Fp16, Precision::Hfp8, Precision::Int4, Precision::Int2] {
+            // INT scales come from abs-max. `a` holds ±inf, so its scale is
+            // 1: its ties are exact and 100.0 saturates. `b` is finite and
+            // gets exact ties on its own grid, plus ±0 and NaN.
+            let fmt = if p == Precision::Int2 { IntFormat::Int2 } else { IntFormat::Int4 };
+            let mut b = Tensor::random_uniform(vec![k, n], -1.0, 1.0, 90);
+            b.as_mut_slice()[..3].copy_from_slice(&[0.0, -0.0, f32::NAN]);
+            let b_scale = QuantParams::from_abs_max(fmt, Signedness::Signed, b.max_abs());
+            let half_step = b_scale.dequantize(1) * 0.5;
+            b.as_mut_slice()[3..5].copy_from_slice(&[half_step, -half_step]);
+            for seed in 0..4 {
+                let a = Tensor::from_vec(vec![m, k], edge_values(seed, m * k));
+                let job = GemmJob { a, b: b.clone(), precision: p };
+                let (qa_t, qb_t, datapath) = prepare_operands(&job);
+                let (expect_a, expect_b) = match (p, datapath) {
+                    (Precision::Fp16 | Precision::Hfp8, Datapath::Float { mode }) => {
+                        let (fa, fb) = mode.operand_formats();
+                        (
+                            QTensor::quantize(&job.a, fa).into_values(),
+                            QTensor::quantize(&job.b, fb).into_values(),
+                        )
+                    }
+                    (Precision::Int4 | Precision::Int2, Datapath::Int { qa, qb }) => {
+                        assert_eq!(qa.scale(), 1.0);
+                        assert_eq!(qb, b_scale);
+                        (job.a.map(|v| qa.fake_quantize(v)), job.b.map(|v| qb.fake_quantize(v)))
+                    }
+                    (p, d) => panic!("{p}: unexpected datapath {d:?}"),
+                };
+                assert_eq!(qa_t.shape(), job.a.shape());
+                assert_eq!(qb_t.shape(), job.b.shape());
+                assert_eq!(bits(&qa_t), bits(&expect_a), "{p} A, seed {seed}");
+                assert_eq!(bits(&qb_t), bits(&expect_b), "{p} B, seed {seed}");
+            }
+        }
     }
 
     /// E9: the analytical model calibration. The paper claims its model is

@@ -6,17 +6,19 @@ use crate::ecc::{self, Decoded};
 use crate::token::TokenFile;
 use rapid_arch::isa::SeqInstr;
 use std::cell::Cell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
-/// Per-word SECDED state of an ECC-protected scratchpad. Reads correct
+/// SECDED state of an ECC-protected scratchpad, kept as its upsets alone:
+/// word `a` stores the codeword `encode(data[a]) ^ upsets[a]`, and every
+/// write re-encodes (clears) its word's mask. A word without an upset
+/// holds its clean codeword, so its read skips the decoder. Reads correct
 /// through [`Cell`]s so `Scratchpad::read(&self)` keeps its shared-borrow
 /// signature — exactly like real ECC logic, which corrects on the read
 /// path without a store port.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct EccState {
-    /// The stored 39-bit codeword per element (what the array cells
-    /// actually hold; `data` is the decoded shadow for the fast path).
-    codewords: Vec<u64>,
+    /// Address → nonzero XOR mask of the codeword bits upset there.
+    upsets: BTreeMap<usize, u64>,
     /// Single-bit errors corrected on read.
     sec: Cell<u64>,
     /// Double-bit errors detected on read.
@@ -34,7 +36,8 @@ struct EccState {
 /// corrected transparently on read, double-bit upsets are detected and
 /// parked for the machine to escalate via
 /// [`Scratchpad::take_uncorrectable`]. On clean data the ECC path is
-/// bit-identical to the unprotected path.
+/// bit-identical to the unprotected path, and it stores no codewords:
+/// only the injected upsets are kept (see `EccState`).
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     data: Vec<f32>,
@@ -47,15 +50,10 @@ impl Scratchpad {
         Self { data: vec![0.0; n], ecc: None }
     }
 
-    /// Enables SECDED protection, encoding the current contents.
+    /// Enables SECDED protection over the current contents (O(1): they
+    /// start without upsets).
     pub fn with_ecc(mut self) -> Self {
-        let codewords = self.data.iter().map(|v| ecc::encode(v.to_bits())).collect();
-        self.ecc = Some(EccState {
-            codewords,
-            sec: Cell::new(0),
-            ded: Cell::new(0),
-            pending: Cell::new(None),
-        });
+        self.ecc = Some(EccState::default());
         self
     }
 
@@ -85,9 +83,20 @@ impl Scratchpad {
     /// `bit` addresses the 39-bit codeword (data, check, or parity bits
     /// all hittable); without ECC only the 32 data bits exist, and flips
     /// aimed at the (absent) check bits are no-ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is out of range.
     pub fn inject_flip(&mut self, addr: usize, bit: u32) {
+        assert!(addr < self.len(), "flip at {addr} outside the scratchpad");
         match &mut self.ecc {
-            Some(e) => e.codewords[addr] ^= 1u64 << (bit % ecc::CODEWORD_BITS),
+            Some(e) => {
+                let mask = e.upsets.entry(addr).or_insert(0);
+                *mask ^= 1u64 << (bit % ecc::CODEWORD_BITS);
+                if *mask == 0 {
+                    e.upsets.remove(&addr);
+                }
+            }
             None => {
                 if bit < 32 {
                     self.data[addr] = f32::from_bits(self.data[addr].to_bits() ^ (1 << bit));
@@ -108,16 +117,19 @@ impl Scratchpad {
 
     /// Reads one element, decoding/correcting through ECC when enabled.
     pub fn read(&self, addr: usize) -> f32 {
-        let Some(e) = &self.ecc else { return self.data[addr] };
-        match ecc::decode(e.codewords[addr]) {
-            Decoded::Clean => self.data[addr],
+        let data = self.data[addr];
+        let Some(e) = &self.ecc else { return data };
+        let Some(&mask) = e.upsets.get(&addr) else { return data };
+        let stored = ecc::encode(data.to_bits()) ^ mask;
+        match ecc::decode(stored) {
+            Decoded::Clean => data,
             Decoded::CorrectedData(bits) => {
                 e.sec.set(e.sec.get() + 1);
                 f32::from_bits(bits)
             }
             Decoded::CorrectedCheck => {
                 e.sec.set(e.sec.get() + 1);
-                self.data[addr]
+                data
             }
             Decoded::DoubleError => {
                 e.ded.set(e.ded.get() + 1);
@@ -126,7 +138,7 @@ impl Scratchpad {
                 }
                 // The hardware delivers the (corrupt) raw word; the
                 // escalation path keeps it from being trusted.
-                f32::from_bits(ecc::data_of(e.codewords[addr]))
+                f32::from_bits(ecc::data_of(stored))
             }
         }
     }
@@ -135,7 +147,7 @@ impl Scratchpad {
     pub fn write(&mut self, addr: usize, v: f32) {
         self.data[addr] = v;
         if let Some(e) = &mut self.ecc {
-            e.codewords[addr] = ecc::encode(v.to_bits());
+            e.upsets.remove(&addr);
         }
     }
 
@@ -147,9 +159,7 @@ impl Scratchpad {
     pub fn store_slice(&mut self, addr: usize, values: &[f32]) {
         self.data[addr..addr + values.len()].copy_from_slice(values);
         if let Some(e) = &mut self.ecc {
-            for (i, v) in values.iter().enumerate() {
-                e.codewords[addr + i] = ecc::encode(v.to_bits());
-            }
+            e.upsets.retain(|a, _| !(addr..addr + values.len()).contains(a));
         }
     }
 

@@ -17,8 +17,10 @@
 #                                 (wrapped as an aggregate) by
 #                                 telemetry_report --validate
 #   scripts/check.sh --protection protection gate only: clippy on the
-#                                 protection-touched crates and a timed
-#                                 protection_sweep smoke
+#                                 protection-touched crates, the
+#                                 scratchpad_ecc proptests (sparse SECDED
+#                                 upsets vs a dense codeword model) and a
+#                                 timed protection_sweep smoke
 #   scripts/check.sh --simd       SIMD gate only: clippy on the kernel
 #                                 crates, the bit-exactness proptests under
 #                                 RAPID_SIMD=auto, =force and =off, the
@@ -104,6 +106,8 @@ protection_gate() {
     echo "== cargo clippy on the protection-touched crates (deny warnings) =="
     cargo clippy -p rapid-numerics -p rapid-sim -p rapid-ring -p rapid-recover \
         -p rapid-arch -p rapid-model -p rapid-fault --all-targets -- -D warnings
+    echo "== scratchpad_ecc proptests (sparse upsets vs dense codewords) =="
+    cargo test --release -p rapid-sim --test scratchpad_ecc -q
     smoke protection_sweep --smoke
 }
 
