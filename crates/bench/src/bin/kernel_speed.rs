@@ -1,6 +1,6 @@
 //! Kernel-backend speed benchmark: times the scalar reference kernels
 //! against the portable tiled fast paths (`RAPID_SIMD=off`) and the
-//! vector / bit-sliced backends (`RAPID_SIMD=force`) on the canonical
+//! AVX2 vector backends (`RAPID_SIMD=force`) on the canonical
 //! 128³ GEMM shape (chunk 64), a 1×2048×1000 GEMV (the ResNet50 FC
 //! layer) and a representative convolution, checks every fast output
 //! bit-for-bit against its scalar reference, and records
@@ -129,7 +129,8 @@ fn float_group(
     Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
 }
 
-/// Times one integer GEMM group (expanding or bit-sliced under `force`).
+/// Times one integer GEMM group: scalar reference, tiled (`off`), the
+/// expanding kernel (`force`) that INT4 and INT2 share.
 fn int_group(
     name: &'static str,
     fmt: IntFormat,

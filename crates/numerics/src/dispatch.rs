@@ -1,18 +1,16 @@
 //! Runtime kernel-backend selection for the emulated GEMM/conv fast paths.
 //!
-//! PR 1's tiled fast paths are portable scalar Rust; this module decides,
-//! per call and per format, whether the explicitly vectorized backends
-//! (the crate-private `simd` AVX2 and `bitslice` popcount kernels) run
-//! instead:
+//! The tiled fast paths are portable scalar Rust; this module decides,
+//! per call and per format, whether the crate-private `simd` AVX2 kernels
+//! run instead:
 //!
 //! * the `RAPID_SIMD` environment knob (`auto` | `force` | `off`) — `auto`
 //!   (the default) uses vector kernels only when the CPU supports them and
 //!   the problem is large enough to amortize setup; `force` uses them
 //!   whenever the CPU supports them; `off` pins the portable tiled paths;
-//! * capability detection — the float and INT4 vector kernels need AVX2,
-//!   and the float one FMA too (`x86_64` only, checked at runtime); the
-//!   bit-sliced INT2 kernel is portable `u64` popcount code and only obeys
-//!   the knob and size gate;
+//! * capability detection — the float and integer vector kernels need
+//!   AVX2, and the float one FMA too (`x86_64` only, checked at runtime);
+//!   INT4 and INT2 share the one expanding integer kernel;
 //! * bit-exactness is *not* a selection concern: every backend reproduces
 //!   the scalar references bit-for-bit (`tests/fastpath_bitexact.rs` runs
 //!   the whole suite under `force` and `off`), so selection is purely a
@@ -76,33 +74,21 @@ pub fn simd_available() -> bool {
     }
 }
 
-/// Whether the bit-sliced kernel can use the hardware popcount
-/// instruction (it falls back to the portable `count_ones` otherwise).
-pub fn popcnt_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("popcnt")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
 /// Below this many MACs, `auto` keeps the portable paths: per-call vector
-/// setup (bit-plane packing, the `#[target_feature]` call boundary) only
+/// setup (operand packing, the `#[target_feature]` call boundary) only
 /// amortizes on reasonably sized problems.
 pub(crate) const AUTO_MIN_MACS: u64 = 4096;
 
 /// Beyond this reduction depth an i32 lane of the expanding INT kernel
 /// could overflow, so `auto` and `force` both fall back to the tiled path.
 /// A lane sums one k-quad per step, at most `4·15·15 = 900` in magnitude
-/// with a biased column operand, so `k/4` steps stay below `225·k`, and
-/// `225 · 2^23 < 2^31`. Far beyond any model layer.
+/// with a biased column operand (INT4; INT2's biased codes are at most 3),
+/// so `k/4` steps stay below `225·k`, and `225 · 2^23 < 2^31`. Far beyond
+/// any model layer.
 pub(crate) const MADD_MAX_K: usize = 1 << 23;
 
-/// Whether a float GEMM of `macs` total MACs should take the AVX2 kernels.
-pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
+/// Whether a GEMM of `macs` total MACs should take the AVX2 kernels.
+pub(crate) fn use_simd(mode: SimdMode, macs: u64) -> bool {
     match mode {
         SimdMode::Off => false,
         SimdMode::Force => simd_available(),
@@ -113,28 +99,17 @@ pub(crate) fn float_use_simd(mode: SimdMode, macs: u64) -> bool {
 /// Integer kernel choice for a (non-saturating) quantized GEMM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum IntKernel {
-    /// Packed-panel tiled path (PR 1).
+    /// Portable windowed dot products over `i8` codes.
     Tiled,
     /// AVX2 expanding multiply-add over register tiles.
     Expanding,
-    /// Popcount over packed bit-planes (both operands INT2; portable).
-    BitSliced,
 }
 
-/// Selects the integer kernel: bit-sliced when both operands are INT2
-/// (portable, no feature gate beyond the knob), the AVX2 expanding kernel
-/// for wider codes, tiled otherwise.
-pub(crate) fn int_kernel(mode: SimdMode, macs: u64, k: usize, both_int2: bool) -> IntKernel {
-    let want = match mode {
-        SimdMode::Off => false,
-        SimdMode::Force => true,
-        SimdMode::Auto => macs >= AUTO_MIN_MACS,
-    };
-    if !want {
-        IntKernel::Tiled
-    } else if both_int2 {
-        IntKernel::BitSliced
-    } else if simd_available() && k <= MADD_MAX_K {
+/// Selects the integer kernel for every INT format pair: the AVX2
+/// expanding kernel when the policy wants vector kernels, the CPU has
+/// AVX2 and `k` fits its i32 lanes; tiled otherwise.
+pub(crate) fn int_kernel(mode: SimdMode, macs: u64, k: usize) -> IntKernel {
+    if use_simd(mode, macs) && k <= MADD_MAX_K {
         IntKernel::Expanding
     } else {
         IntKernel::Tiled
@@ -147,12 +122,10 @@ pub enum KernelBackend {
     /// Accumulator-driven reference loop (selected only when the INT16
     /// chunk guard makes saturation possible, so it must be modeled).
     Scalar,
-    /// Portable tiled + register-blocked fast path (PR 1).
+    /// Portable tiled + register-blocked fast path.
     Tiled,
     /// AVX2 vector kernel (16-lane float MAC / expanding integer tiles).
     Simd,
-    /// Popcount over packed INT2 bit-planes.
-    BitSliced,
 }
 
 impl std::fmt::Display for KernelBackend {
@@ -161,7 +134,6 @@ impl std::fmt::Display for KernelBackend {
             KernelBackend::Scalar => "scalar",
             KernelBackend::Tiled => "tiled",
             KernelBackend::Simd => "simd",
-            KernelBackend::BitSliced => "bit-sliced",
         })
     }
 }
@@ -179,7 +151,7 @@ pub struct KernelChoice {
 }
 
 fn float_choice(format: &'static str, mode: SimdMode, macs: u64) -> KernelChoice {
-    let (backend, reason) = if float_use_simd(mode, macs) {
+    let (backend, reason) = if use_simd(mode, macs) {
         let how = if format == "fp16" {
             "avx2+fma 16-lane FP16 MAC, magic-constant DLFloat rounding"
         } else {
@@ -187,12 +159,12 @@ fn float_choice(format: &'static str, mode: SimdMode, macs: u64) -> KernelChoice
         };
         (KernelBackend::Simd, format!("{how} (RAPID_SIMD={mode})"))
     } else {
-        (KernelBackend::Tiled, float_fallback_reason(mode))
+        (KernelBackend::Tiled, fallback_reason(mode))
     };
     KernelChoice { format, backend, reason }
 }
 
-fn float_fallback_reason(mode: SimdMode) -> String {
+fn fallback_reason(mode: SimdMode) -> String {
     match mode {
         SimdMode::Off => "RAPID_SIMD=off pins the portable tiled path".to_string(),
         _ if !simd_available() => format!("AVX2/FMA unavailable on this CPU (RAPID_SIMD={mode})"),
@@ -218,21 +190,14 @@ fn int_choice(
             ),
         };
     }
-    let (backend, reason) = match int_kernel(mode, macs, k, fmt == IntFormat::Int2) {
-        IntKernel::BitSliced => {
-            let pop = if popcnt_available() { "hardware popcount" } else { "portable popcount" };
-            (
-                KernelBackend::BitSliced,
-                format!("bit-sliced planes, {pop} (RAPID_SIMD={mode})"),
-            )
-        }
+    let (backend, reason) = match int_kernel(mode, macs, k) {
         IntKernel::Expanding => (
             KernelBackend::Simd,
             format!(
                 "avx2 expanding vpmaddubsw u8×i8→i16→i32, 4×16 register tiles (RAPID_SIMD={mode})"
             ),
         ),
-        IntKernel::Tiled => (KernelBackend::Tiled, float_fallback_reason(mode)),
+        IntKernel::Tiled => (KernelBackend::Tiled, fallback_reason(mode)),
     };
     KernelChoice { format, backend, reason }
 }
@@ -268,10 +233,12 @@ mod tests {
     }
 
     #[test]
-    fn int2_bitsliced_under_force() {
+    fn int2_selects_int4_backend_under_force() {
         let m = kernel_matrix_at(SimdMode::Force, 128, 64);
-        let int2 = m.iter().find(|c| c.format == "int2");
-        assert_eq!(int2.map(|c| c.backend), Some(KernelBackend::BitSliced));
+        let backend = |f: &str| m.iter().find(|c| c.format == f).map(|c| c.backend);
+        let want = if simd_available() { KernelBackend::Simd } else { KernelBackend::Tiled };
+        assert_eq!(backend("int4"), Some(want));
+        assert_eq!(backend("int2"), Some(want));
     }
 
     #[test]
@@ -287,7 +254,6 @@ mod tests {
         let m = kernel_matrix_at(SimdMode::Auto, 4, 64);
         for c in m {
             assert_ne!(c.backend, KernelBackend::Simd, "{}: {}", c.format, c.reason);
-            assert_ne!(c.backend, KernelBackend::BitSliced, "{}: {}", c.format, c.reason);
         }
     }
 

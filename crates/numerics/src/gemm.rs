@@ -23,7 +23,7 @@
 //! same rounding, flush, saturation and NaN handling with integer selects
 //! (composed with the FP9 conversion for HFP8), so the pass vectorizes.
 //! It runs as an AVX2 clone exactly when the band loop does (one
-//! `dispatch::float_use_simd` decision per call; `RAPID_SIMD=off` stages
+//! `dispatch::use_simd` decision per call; `RAPID_SIMD=off` stages
 //! with the portable body). Callers that need a transposed operand, such
 //! as HFP8's `(Error, Data)` role mapping, use the tiled
 //! [`Tensor::transposed`]. One band loop then
@@ -35,12 +35,11 @@
 //! per-band statistics is deterministic regardless of thread count.
 
 use crate::accumulate::ChunkAccumulator;
-use crate::bitslice;
 use crate::dispatch::{self, SimdMode};
 use crate::fma::FmaMode;
 use crate::format::FpFormat;
 use crate::guard::{saturate_f32, GuardPolicy};
-use crate::int::{IntAccumulator, IntFormat, QuantParams, Signedness};
+use crate::int::{IntAccumulator, QuantParams, Signedness};
 use crate::simd;
 use crate::tensor::Tensor;
 use crate::NumericsError;
@@ -353,7 +352,7 @@ fn matmul_emulated_fast(
         return Ok((out, GemmStats::default()));
     }
     let (fa, fb) = mode.operand_formats();
-    let use_simd = dispatch::float_use_simd(simd_mode, (m * n * k) as u64);
+    let use_simd = dispatch::use_simd(simd_mode, (m * n * k) as u64);
     let sa = Staged::rows(a.as_slice(), k, Stager::new(mode, fa, use_simd));
     let sb = Staged::groups(b.as_slice(), k, n, Stager::new(mode, fb, use_simd));
     let work = |row0: usize, band: &mut [f32]| -> GemmStats {
@@ -842,8 +841,8 @@ pub fn matmul_int(
 /// parameters at reduction depth `k`: the worst-case magnitude of a chunk
 /// window exceeds `i16::MAX`. When it cannot, the windowed tiled sum
 /// equals the plain exact dot product (order-independent integer
-/// addition), which is what licenses the whole-k expanding and bit-sliced
-/// kernels to ignore chunk boundaries while staying bit-exact.
+/// addition), which is what licenses the whole-k expanding kernel to
+/// ignore chunk boundaries while staying bit-exact.
 pub(crate) fn int_saturation_possible(
     qa: QuantParams,
     qb: QuantParams,
@@ -895,15 +894,21 @@ fn matmul_int_fast(
         return Ok((out, stats));
     }
     let macs = (m * n * k) as u64;
-    let both_int2 = qa.format() == IntFormat::Int2 && qb.format() == IntFormat::Int2;
     let od = out.as_mut_slice();
-    match dispatch::int_kernel(simd_mode, macs, k, both_int2) {
+    match dispatch::int_kernel(simd_mode, macs, k) {
         dispatch::IntKernel::Tiled => {
+            // The i32 window sums cannot overflow (the guard above), and a
+            // gated MAC contributes a zero product, so only the statistics
+            // need the gate: `gated_stats` counts those per k-position.
             let cbt = transposed_panels(&cb, k, n);
-            let pa = PackedPanel::pack(&ca, m, k, qa);
-            let pb = PackedPanel::pack(&cbt, n, k, qb);
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                int_band(&pa, &pb, row0, k, n, chunk_len, out_scale, band);
+                for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+                    let arow = &ca[(row0 + r) * k..(row0 + r + 1) * k];
+                    for (j, o) in orow.iter_mut().enumerate() {
+                        let dot = dot_int_windows(arow, &cbt[j * k..(j + 1) * k], chunk_len);
+                        *o = dot as f32 * out_scale;
+                    }
+                }
                 GemmStats::default()
             };
             par_rows(od, m, n, k, &work);
@@ -914,16 +919,6 @@ fn matmul_int_fast(
             pb.pack(&cb, qb);
             let work = |row0: usize, band: &mut [f32]| -> GemmStats {
                 pa.band(&pb, row0, out_scale, band);
-                GemmStats::default()
-            };
-            par_rows(od, m, n, k, &work);
-        }
-        dispatch::IntKernel::BitSliced => {
-            let cbt = transposed_panels(&cb, k, n);
-            let pa = bitslice::BitPlanes::pack(&ca, m, k, qa.signedness());
-            let pb = bitslice::BitPlanes::pack(&cbt, n, k, qb.signedness());
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pa, &pb, row0, n, out_scale, band);
                 GemmStats::default()
             };
             par_rows(od, m, n, k, &work);
@@ -1067,91 +1062,6 @@ fn matmul_int_codes_scalar(
     stats
 }
 
-/// Integer codes packed at the format's sub-byte density, row-major with
-/// byte-aligned rows (A rows and Bᵀ columns both become contiguous packed
-/// k-panels).
-struct PackedPanel {
-    bytes: Vec<u8>,
-    /// Bytes per packed row.
-    stride: usize,
-    bits: u32,
-    /// Codes per byte.
-    per: usize,
-    signed: bool,
-}
-
-impl PackedPanel {
-    fn pack(codes: &[i8], rows: usize, cols: usize, params: QuantParams) -> Self {
-        let bits = params.format().bits();
-        let per = params.format().per_byte();
-        let stride = cols.div_ceil(per);
-        let mask = (1u16 << bits) - 1;
-        let mut bytes = vec![0u8; rows * stride];
-        for r in 0..rows {
-            for c in 0..cols {
-                let code = codes[r * cols + c];
-                bytes[r * stride + c / per] |=
-                    (((code as u16) & mask) << ((c % per) as u32 * bits)) as u8;
-            }
-        }
-        let signed = params.signedness() == Signedness::Signed;
-        Self { bytes, stride, bits, per, signed }
-    }
-
-    fn row(&self, r: usize) -> &[u8] {
-        &self.bytes[r * self.stride..(r + 1) * self.stride]
-    }
-
-    /// Decodes packed row `r` into `out` (length = the panel's column
-    /// count), sign- or zero-extending according to the panel's signedness.
-    /// Decoding is O(row) and amortized across all the dot products that
-    /// reuse the row, so the MAC loops run on plain `i8` codes.
-    fn decode_row_into(&self, r: usize, out: &mut [i8]) {
-        let row = self.row(r);
-        let mask = ((1u16 << self.bits) - 1) as u8;
-        let ext = 8 - self.bits;
-        let per_shift = self.per.trailing_zeros();
-        let per_mask = self.per - 1;
-        for (c, o) in out.iter_mut().enumerate() {
-            let raw = (row[c >> per_shift] >> ((c & per_mask) as u32 * self.bits)) & mask;
-            *o = if self.signed { ((raw << ext) as i8) >> ext } else { raw as i8 };
-        }
-    }
-}
-
-/// Fills one row band of an integer GEMM from packed panels. Only called
-/// when the chunk guard in [`matmul_int_fast`] rules out INT16
-/// saturation, so i32 window sums match the hardware accumulator exactly.
-///
-/// The packed B panel is decoded once per band and each packed A row once
-/// per row; the dot products then run branch-free over `i8` codes (a gated
-/// MAC contributes a zero product, so only the statistics need the gate,
-/// and [`gated_stats`] counts those per k-position).
-#[allow(clippy::too_many_arguments)]
-fn int_band(
-    pa: &PackedPanel,
-    pb: &PackedPanel,
-    row0: usize,
-    k: usize,
-    n: usize,
-    chunk_len: usize,
-    out_scale: f32,
-    band: &mut [f32],
-) {
-    let mut bdec = vec![0i8; n * k];
-    for j in 0..n {
-        pb.decode_row_into(j, &mut bdec[j * k..(j + 1) * k]);
-    }
-    let mut adec = vec![0i8; k];
-    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-        pa.decode_row_into(row0 + r, &mut adec);
-        for (j, o) in orow.iter_mut().enumerate() {
-            let dot = dot_int_windows(&adec, &bdec[j * k..(j + 1) * k], chunk_len);
-            *o = dot as f32 * out_scale;
-        }
-    }
-}
-
 /// The A operand of the expanding integer kernel ([`simd::int_tiles`]):
 /// codes row-major with each row zero-padded to `k4` (a multiple of 4),
 /// so the kernel reads 4-code quads as one broadcast i32, and each row's
@@ -1231,24 +1141,7 @@ impl IntCols {
     }
 }
 
-/// Fills one row band of an INT2×INT2 GEMM from packed bit-planes: each
-/// dot product is four AND+popcount passes over `u64` words
-/// ([`crate::bitslice`]). Same saturation-free-guard contract as the
-/// expanding kernel; [`gated_stats`] counts the gated MACs.
-fn bitslice_band(
-    pa: &bitslice::BitPlanes,
-    pb: &bitslice::BitPlanes,
-    row0: usize,
-    n: usize,
-    out_scale: f32,
-    band: &mut [f32],
-) {
-    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-        bitslice::dot_planes_row(pa, row0 + r, pb, out_scale, orow);
-    }
-}
-
-/// Chunk-windowed integer dot product over decoded codes: i32 sums per
+/// Chunk-windowed integer dot product over `i8` codes: i32 sums per
 /// chunk window (saturation-free by the caller's guard), i64 outer
 /// accumulation. The window sums are plain multiply-adds the compiler can
 /// vectorize.
@@ -1575,7 +1468,7 @@ pub fn conv2d_emulated_with_simd(
     let g = check_conv_shapes(input, weight)?;
     let hw = spec.out_dim(g.h, g.kh) * spec.out_dim(g.w, g.kw);
     let macs = (g.n * hw * g.co * g.ci * g.kh * g.kw) as u64;
-    if dispatch::float_use_simd(simd_mode, macs) {
+    if dispatch::use_simd(simd_mode, macs) {
         conv2d_panels_emulated(input, weight, spec, mode, chunk_len, scratch, simd_mode)
     } else {
         conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
@@ -1651,20 +1544,14 @@ pub fn conv2d_int_with_simd(
     let hw = spec.out_dim(g.h, g.kh) * spec.out_dim(g.w, g.kw);
     let kcols = g.ci * g.kh * g.kw;
     let macs = (g.n * hw * g.co * kcols) as u64;
-    let both_int2 = qa.format() == IntFormat::Int2 && qw.format() == IntFormat::Int2;
-    let kernel = if int_saturation_possible(qa, qw, kcols, chunk_len) {
-        dispatch::IntKernel::Tiled
-    } else {
-        dispatch::int_kernel(simd_mode, macs, kcols, both_int2)
-    };
-    match kernel {
-        dispatch::IntKernel::Tiled => {
-            conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
-                matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
-            })
-        }
-        kernel => conv2d_panels_int(input, weight, spec, qa, qw, kernel),
+    if !int_saturation_possible(qa, qw, kcols, chunk_len)
+        && dispatch::int_kernel(simd_mode, macs, kcols) == dispatch::IntKernel::Expanding
+    {
+        return conv2d_panels_int(input, weight, spec, qa, qw);
     }
+    conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
+        matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
+    })
 }
 
 /// Scalar reference for [`conv2d_int`] (scalar GEMM underneath).
@@ -1752,7 +1639,7 @@ fn conv2d_panels_emulated(
         return Ok((out, GemmStats::default()));
     }
     let (fa, fb) = mode.operand_formats();
-    let use_simd = dispatch::float_use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
+    let use_simd = dispatch::use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
     let sw = Staged::rows(weight.as_slice(), kcols, Stager::new(mode, fb, use_simd));
     let col_stager = Stager::new(mode, fa, use_simd);
     let mut stats = GemmStats::default();
@@ -1770,14 +1657,12 @@ fn conv2d_panels_emulated(
 }
 
 /// Panel-packed integer convolution: same orientation as
-/// [`conv2d_panels_emulated`], with the expanding or bit-sliced kernel.
-/// Only called when the chunk guard rules out INT16 saturation, so
-/// `kernel` is never [`dispatch::IntKernel::Tiled`].
+/// [`conv2d_panels_emulated`], with the expanding kernel. Only called
+/// when the chunk guard rules out INT16 saturation.
 ///
 /// The input is quantized once and each image's codes are lowered by the
-/// im2col walk into code rows — `[k, ho·wo]` for the expanding kernel's
-/// packer, the same layout the GEMM packs B from, or `[ho·wo, k]` for the
-/// bit-planes: no f32 im2col matrix is built and no quantize pass runs
+/// im2col walk into `[k, ho·wo]` code rows, the same layout the GEMM
+/// packs B from: no f32 im2col matrix is built and no quantize pass runs
 /// over one. Padding stays code 0, which is what `quantize(0.0)` gives in
 /// every format.
 fn conv2d_panels_int(
@@ -1786,7 +1671,6 @@ fn conv2d_panels_int(
     spec: ConvSpec,
     qa: QuantParams,
     qw: QuantParams,
-    kernel: dispatch::IntKernel,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
     let lw = Lowering::new([g.ci, g.h, g.w], g.kh, g.kw, spec);
@@ -1806,35 +1690,19 @@ fn conv2d_panels_int(
     let out_scale = qa.scale() * qw.scale();
     let mut stats = GemmStats::default();
     let bands = out.as_mut_slice().chunks_exact_mut(g.co * hw);
-    if kernel == dispatch::IntKernel::BitSliced {
-        let pw = bitslice::BitPlanes::pack(&cw, g.co, kcols, qw.signedness());
-        let mut rows = vec![0i8; hw * kcols];
-        for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
-            rows.fill(0);
-            lw.rows_into(img, &mut rows);
-            let pc = bitslice::BitPlanes::pack(&rows, hw, kcols, qa.signedness());
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                bitslice_band(&pw, &pc, row0, hw, out_scale, band);
-                GemmStats::default()
-            };
-            par_rows(band_out, g.co, hw, kcols, &work);
-            stats.merge(gated_stats(&zw, &column_zeros(&rows, kcols), g.co, hw));
-        }
-    } else {
-        let pw = IntRows::pack(&cw, g.co, kcols, IntCols::bias(qa));
-        let mut rows = vec![0i8; kcols * hw];
-        let mut cols = IntCols::new(kcols, hw);
-        for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
-            rows.fill(0);
-            lw.cols_into(img, &mut rows);
-            cols.pack(&rows, qa);
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                pw.band(&cols, row0, out_scale, band);
-                GemmStats::default()
-            };
-            par_rows(band_out, g.co, hw, kcols, &work);
-            stats.merge(gated_stats(&zw, &row_zeros(&rows, hw), g.co, hw));
-        }
+    let pw = IntRows::pack(&cw, g.co, kcols, IntCols::bias(qa));
+    let mut rows = vec![0i8; kcols * hw];
+    let mut cols = IntCols::new(kcols, hw);
+    for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
+        rows.fill(0);
+        lw.cols_into(img, &mut rows);
+        cols.pack(&rows, qa);
+        let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+            pw.band(&cols, row0, out_scale, band);
+            GemmStats::default()
+        };
+        par_rows(band_out, g.co, hw, kcols, &work);
+        stats.merge(gated_stats(&zw, &row_zeros(&rows, hw), g.co, hw));
     }
     Ok((out, stats))
 }

@@ -36,8 +36,8 @@
 //!   (MAC counts, zero-gated MACs) consumed by the power model.
 //! * [`dispatch`] — runtime kernel-backend selection (`RAPID_SIMD`
 //!   knob + CPU capability detection) between the portable tiled fast
-//!   paths, the AVX2 vector kernels and the bit-sliced INT2 kernel, plus
-//!   the [`kernel_matrix`] telemetry report.
+//!   paths and the AVX2 vector kernels, plus the [`kernel_matrix`]
+//!   telemetry report.
 //! * [`guard`] — numeric guard policies ([`GuardPolicy`]) applied by the
 //!   single fallible GEMM entry points ([`gemm::matmul_emulated_with`],
 //!   [`gemm::matmul_int_with`], configured by [`gemm::Exec`]) when an
@@ -62,7 +62,6 @@
 
 pub mod abft;
 pub mod accumulate;
-pub(crate) mod bitslice;
 pub mod dispatch;
 pub mod error;
 pub mod fma;

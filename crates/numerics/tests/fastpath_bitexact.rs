@@ -400,13 +400,12 @@ proptest! {
         }
     }
 
-    /// Integer GEMM under every explicit backend pin: bit-sliced popcount
-    /// (INT2×INT2), the expanding kernel (other pairs; `m` 1–10 fills a
-    /// 4-row tile plus every tail) and the tiled windowed
-    /// path must all reproduce the IntAccumulator reference, including
-    /// chunk lengths long enough that the saturation guard forces the
-    /// scalar accumulator regardless of the pin — under each guard policy,
-    /// with no fault plan and with a disabled one.
+    /// Integer GEMM under every explicit backend pin: the expanding kernel
+    /// (every INT4/INT2 pair; `m` 1–10 fills a 4-row tile plus every tail)
+    /// and the tiled windowed path must both reproduce the IntAccumulator
+    /// reference, including chunk lengths long enough that the saturation
+    /// guard forces the scalar accumulator regardless of the pin — under
+    /// each guard policy, with no fault plan and with a disabled one.
     #[test]
     fn int_gemm_bit_exact_across_backends(
         (m, k, n) in (1usize..11, 1usize..80, 1usize..100),

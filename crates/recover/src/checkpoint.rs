@@ -176,8 +176,9 @@ impl<'a> Reader<'a> {
     fn f32_vec(&mut self, n: u64) -> Result<Vec<f32>, CheckpointError> {
         let n = usize::try_from(n)
             .map_err(|_| CheckpointError::Malformed("vector length overflows usize".to_string()))?;
-        // Bound by the remaining bytes before allocating.
-        if n.checked_mul(4).is_none_or(|bytes| self.pos + bytes > self.buf.len()) {
+        // Bound by the remaining bytes before allocating (`pos` never
+        // passes the end, so the subtraction cannot wrap).
+        if n.checked_mul(4).is_none_or(|bytes| bytes > self.buf.len() - self.pos) {
             return Err(CheckpointError::Malformed(format!(
                 "vector of {n} floats exceeds remaining payload"
             )));
@@ -471,6 +472,27 @@ mod tests {
         for keep in [0, 3, HEADER_LEN - 1, HEADER_LEN, clean.len() - 1] {
             assert!(decode(&clean[..keep]).is_err(), "truncation to {keep} accepted");
         }
+    }
+
+    #[test]
+    fn huge_vector_length_is_malformed_not_a_panic() {
+        // One layer of shape 1 × (u64::MAX / 4) and no payload left: the
+        // float count times 4 fits in a u64 but not past the read cursor.
+        let mut payload = Vec::new();
+        put_u64(&mut payload, 0);
+        put_u64(&mut payload, 0);
+        put_f32(&mut payload, 1.0);
+        put_u32(&mut payload, 0);
+        put_u32(&mut payload, 1);
+        put_u64(&mut payload, 1);
+        put_u64(&mut payload, u64::MAX / 4);
+        let mut file = MAGIC.to_vec();
+        put_u32(&mut file, VERSION);
+        put_u64(&mut file, payload.len() as u64);
+        put_u32(&mut file, crc32(&payload));
+        file.extend_from_slice(&payload);
+        assert_eq!(file.len(), 64);
+        assert!(matches!(decode(&file), Err(CheckpointError::Malformed(_))));
     }
 
     #[test]

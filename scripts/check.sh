@@ -8,11 +8,15 @@
 #
 #   scripts/check.sh              full gate (build, tests, clippy, smokes)
 #   scripts/check.sh --recovery   recovery gate only: clippy on the recover
-#                                 crate (unwrap/expect denied) + a timed
+#                                 crate (unwrap/expect denied), the
+#                                 external-bytes parser proptests
+#                                 (checkpoint decode among them) + a timed
 #                                 recovery_sweep smoke
 #   scripts/check.sh --telemetry  telemetry gate only: clippy on the
 #                                 telemetry crate (unwrap/expect denied),
-#                                 a timed calibration smoke under
+#                                 the external-bytes parser proptests
+#                                 (bench records, OpenMetrics, checkpoint
+#                                 decode), a timed calibration smoke under
 #                                 RAPID_TRACE, and validation of its record
 #                                 (wrapped as an aggregate) by
 #                                 telemetry_report --validate
@@ -81,15 +85,25 @@ smoke() {
     timeout 120 "./target/release/$bin" "$@" --json "$out/$bin.json"
 }
 
+# The adversarial-bytes proptests for every reader of external data: the
+# bench-record reader, the RPCK checkpoint decoder and the OpenMetrics
+# validator must return an error, never panic (tests/telemetry.rs).
+parser_proptests() {
+    echo "== external-bytes parser proptests (bench record, checkpoint, OpenMetrics) =="
+    cargo test --release -p rapid --test telemetry -q
+}
+
 recovery_gate() {
     echo "== cargo clippy -p rapid-recover (deny warnings; the crate denies unwrap/expect) =="
     cargo clippy -p rapid-recover --all-targets -- -D warnings
+    parser_proptests
     smoke recovery_sweep --smoke
 }
 
 telemetry_gate() {
     echo "== cargo clippy -p rapid-telemetry (deny warnings; the crate denies unwrap/expect) =="
     cargo clippy -p rapid-telemetry --all-targets -- -D warnings
+    parser_proptests
     rm -f "$out/trace.json"
     RAPID_TRACE="$out/trace.json" smoke calibration
     test -s "$out/trace.json" || { echo "missing trace output"; exit 1; }

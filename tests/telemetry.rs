@@ -1,7 +1,9 @@
 //! Integration tests for the unified telemetry layer: counter determinism
 //! across identical seeded runs, bit-invisibility when telemetry is
-//! disabled, Chrome-trace well-formedness, thin-view round trips, and the
-//! bench record schema.
+//! disabled, Chrome-trace well-formedness, thin-view round trips, the
+//! bench record schema, and adversarial bytes for every reader of
+//! external data: the bench-record reader, the RPCK checkpoint decoder
+//! and the OpenMetrics validator.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
@@ -9,10 +11,14 @@ use proptest::prelude::*;
 use rapid::fault::{FaultConfig, FaultPlan};
 use rapid::numerics::gemm::GemmStats;
 use rapid::numerics::Tensor;
+use rapid::recover::checkpoint::{self, LayerState, TrainState};
+use rapid::recover::crc32;
 use rapid::sim::chip::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid::sim::error::SimError;
 use rapid::sim::gemm::{CoreSim, GemmJob};
+use rapid::telemetry::openmetrics::render_labeled;
 use rapid::telemetry::validate_aggregate;
+use rapid::telemetry::validate_openmetrics;
 use rapid::telemetry::{validate_bench_record, Json, MetricsRegistry, Telemetry, BENCH_SCHEMA};
 use rapid_arch::precision::Precision;
 use rapid_bench::BenchRecord;
@@ -200,6 +206,82 @@ fn rendered_record(values: &[f64]) -> (Json, String) {
     (j, text)
 }
 
+/// Applies one byte edit to `bytes`: kind 0 overwrites the byte at `at`,
+/// kind 1 inserts one there, anything else deletes it; an `at` past the
+/// end appends instead.
+fn apply_edit(bytes: &mut Vec<u8>, at: usize, byte: u8, kind: u8) {
+    let at = at % (bytes.len() + 1);
+    match kind {
+        0 if at < bytes.len() => bytes[at] = byte,
+        1 => bytes.insert(at, byte),
+        _ if at < bytes.len() => {
+            bytes.remove(at);
+        }
+        _ => bytes.push(byte),
+    }
+}
+
+/// RPCK header bytes: magic, version, payload length, payload CRC32.
+const RPCK_HEADER: usize = 20;
+
+/// An RPCK image of `payload` behind a valid header (the magic and
+/// version `encode` writes, then the payload's length and CRC32), so a
+/// mutated payload reaches the field parser instead of stopping at the
+/// checksum.
+fn stamped(payload: &[u8]) -> Vec<u8> {
+    let mut file = checkpoint::encode(&TrainState::default());
+    file.truncate(8);
+    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    file.extend_from_slice(&crc32(payload).to_le_bytes());
+    file.extend_from_slice(payload);
+    file
+}
+
+/// A training state with one layer per `(rows, cols)` pair and `alphas`
+/// PACT levels.
+fn train_state(step: u64, dims: &[(u64, u64)], alphas: usize) -> TrainState {
+    let vals = |n: u64| (0..n).map(|i| i as f32 * 0.25 - 1.0).collect::<Vec<_>>();
+    TrainState {
+        step,
+        rng_state: step.rotate_left(17),
+        scale: 512.0,
+        scaler_good_steps: 3,
+        layers: dims
+            .iter()
+            .map(|&(rows, cols)| LayerState { rows, cols, w: vals(rows * cols), b: vals(cols) })
+            .collect(),
+        alphas: vals(alphas as u64),
+    }
+}
+
+/// Payload offsets of an encoded state's u64 fields: step, RNG word, and
+/// each layer's rows, cols and bias length.
+fn u64_fields(state: &TrainState) -> Vec<usize> {
+    let mut at = vec![0, 8];
+    let mut p = 28; // step, RNG word, scale, good steps, layer count
+    for l in &state.layers {
+        at.extend([p, p + 8, p + 16 + 4 * l.w.len()]);
+        p += 24 + 4 * (l.w.len() + l.b.len());
+    }
+    at
+}
+
+/// Boundary values written over a u64 count or shape field: zero, one,
+/// the u32 edge, and float counts whose byte size fits a u64 but not the
+/// read cursor plus it, or overflows the u64 outright.
+const WIDE: [u64; 6] = [0, 1, u32::MAX as u64, u64::MAX / 4, u64::MAX / 4 + 1, u64::MAX];
+
+/// A registry with one counter, one gauge and one histogram.
+fn om_registry(counter: u64, gauge: f64, samples: &[u64]) -> MetricsRegistry {
+    let mut reg = MetricsRegistry::new();
+    reg.add("om.requests", counter);
+    reg.set_gauge("om.load", gauge);
+    for &v in samples {
+        reg.observe("om.latency_us", v);
+    }
+    reg
+}
+
 /// Every reader stage on one input; none may panic, whatever the bytes.
 fn read_all_stages(text: &str) {
     if let Ok(j) = Json::parse(text) {
@@ -237,16 +319,79 @@ proptest! {
 
         let mut bytes = text.into_bytes();
         for (at, byte, kind) in edits {
-            let at = at % (bytes.len() + 1);
-            match kind {
-                0 if at < bytes.len() => bytes[at] = byte,
-                1 => bytes.insert(at, byte),
-                _ if at < bytes.len() => {
-                    bytes.remove(at);
-                }
-                _ => bytes.push(byte),
-            }
+            apply_edit(&mut bytes, at, byte, kind);
         }
         read_all_stages(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Arbitrary bytes, raw and as a payload behind a header stamped to
+    /// match it, never panic the checkpoint decoder.
+    #[test]
+    fn checkpoint_decode_survives_arbitrary_bytes(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        let _ = checkpoint::decode(&bytes);
+        let _ = checkpoint::decode(&stamped(&bytes));
+    }
+
+    /// A state round-trips `encode` → `decode`. Payload mutations,
+    /// re-stamped so they pass the checksum, never panic the decoder:
+    /// 1–8 byte edits, and every `WIDE` value over every u64 field.
+    #[test]
+    fn checkpoint_decode_survives_mutated_payloads(
+        step in 0u64..u64::MAX,
+        dims in proptest::collection::vec((0u64..4, 0u64..4), 0..=2),
+        alphas in 0usize..4,
+        edits in proptest::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 1..=8),
+    ) {
+        let state = train_state(step, &dims, alphas);
+        let file = checkpoint::encode(&state);
+        prop_assert_eq!(checkpoint::decode(&file).expect("encoded state decodes"), state.clone());
+
+        let payload = &file[RPCK_HEADER..];
+        let mut edited = payload.to_vec();
+        for (at, byte, kind) in edits {
+            apply_edit(&mut edited, at, byte, kind);
+        }
+        let _ = checkpoint::decode(&stamped(&edited));
+        for p in u64_fields(&state) {
+            for wide in WIDE {
+                let mut edited = payload.to_vec();
+                edited[p..p + 8].copy_from_slice(&wide.to_le_bytes());
+                let _ = checkpoint::decode(&stamped(&edited));
+            }
+        }
+    }
+
+    /// Arbitrary text never panics the OpenMetrics validator.
+    #[test]
+    fn openmetrics_validate_survives_arbitrary_text(
+        bytes in proptest::collection::vec(0u8..=255, 0..512),
+    ) {
+        let _ = validate_openmetrics(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// A rendered snapshot validates and parses back to the registry's
+    /// values; 1–8 byte mutations of it never panic the validator.
+    #[test]
+    fn openmetrics_validate_survives_mutated_snapshots(
+        counter in 0u64..u64::MAX,
+        gauge in -1.0e12f64..1.0e12,
+        samples in proptest::collection::vec(0u64..1 << 40, 1..6),
+        edits in proptest::collection::vec((0usize..4096, 0u8..=255, 0u8..3), 1..=8),
+    ) {
+        let reg = om_registry(counter, gauge, &samples);
+        let text = render_labeled(&reg, &[("job", "a\"b\\c\nd")]);
+        let doc = validate_openmetrics(&text).expect("rendered snapshot validates");
+        prop_assert_eq!(doc.counter("om_requests"), Some(counter as f64));
+        prop_assert_eq!(doc.gauge("om_load"), Some(gauge));
+        let sum: u64 = samples.iter().sum();
+        prop_assert_eq!(doc.histogram("om_latency_us"), Some((samples.len() as f64, sum as f64)));
+
+        let mut bytes = text.into_bytes();
+        for (at, byte, kind) in edits {
+            apply_edit(&mut bytes, at, byte, kind);
+        }
+        let _ = validate_openmetrics(&String::from_utf8_lossy(&bytes));
     }
 }
