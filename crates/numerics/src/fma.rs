@@ -14,35 +14,59 @@
 
 use crate::format::FpFormat;
 
+/// One FP8 operand format of the HFP8 datapath. Either format may sit on
+/// either multiplier port: both are converted to the internal (1,5,3)
+/// format on the fly, so the hardware needs no fixed port assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Fp8 {
+    /// FP8 (1,4,3) with a programmable per-tensor exponent bias: the
+    /// format of data tensors (weights and activations).
+    E4m3 {
+        /// Programmable exponent bias (7 by default).
+        bias: i32,
+    },
+    /// FP8 (1,5,2) with the fixed bias 15: the format of error tensors.
+    E5m2,
+}
+
+impl Fp8 {
+    #[allow(clippy::expect_used)] // bias values are validated at construction
+    fn format(self) -> FpFormat {
+        match self {
+            Fp8::E4m3 { bias } => FpFormat::fp8_e4m3_with_bias(bias).expect("validated bias"),
+            Fp8::E5m2 => FpFormat::fp8_e5m2(),
+        }
+    }
+}
+
 /// Precision mode of an FMA instruction stream (fixed per program in the
 /// MPE ISA; set in registers so hardware can data-gate operand widths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FmaMode {
     /// FP16 × FP16 + FP16 → FP16.
     Fp16,
-    /// Forward pass: both operands FP8 (1,4,3); biases are per-tensor.
-    Hfp8Fwd {
-        /// Programmable exponent bias of operand A's (1,4,3) tensor.
-        bias_a: i32,
-        /// Programmable exponent bias of operand B's (1,4,3) tensor.
-        bias_b: i32,
-    },
-    /// Backward pass: operand A in FP8 (1,4,3), operand B in FP8 (1,5,2).
-    Hfp8Bwd {
-        /// Programmable exponent bias of operand A's (1,4,3) tensor.
-        bias_a: i32,
+    /// HFP8: each multiplier port takes its own FP8 format. The forward
+    /// pass runs (1,4,3) × (1,4,3); backward passes put the (1,5,2) error
+    /// operand on whichever port holds the error tensor, so no GEMM needs
+    /// transposing to fit the datapath.
+    Hfp8 {
+        /// Format of operand A.
+        a: Fp8,
+        /// Format of operand B.
+        b: Fp8,
     },
 }
 
 impl FmaMode {
-    /// Forward HFP8 mode with the default (1,4,3) bias for both operands.
+    /// Forward HFP8 mode: (1,4,3) with the default bias 7 on both ports.
     pub fn hfp8_fwd_default() -> Self {
-        FmaMode::Hfp8Fwd { bias_a: 7, bias_b: 7 }
+        FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 7 }, b: Fp8::E4m3 { bias: 7 } }
     }
 
-    /// Backward HFP8 mode with the default (1,4,3) bias.
+    /// Backward HFP8 mode: (1,4,3) with the default bias 7 on port A,
+    /// (1,5,2) on port B.
     pub fn hfp8_bwd_default() -> Self {
-        FmaMode::Hfp8Bwd { bias_a: 7 }
+        FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 7 }, b: Fp8::E5m2 }
     }
 
     /// Number of MACs one SIMD lane executes per cycle in this mode
@@ -50,23 +74,15 @@ impl FmaMode {
     pub fn macs_per_lane(&self) -> usize {
         match self {
             FmaMode::Fp16 => 1,
-            FmaMode::Hfp8Fwd { .. } | FmaMode::Hfp8Bwd { .. } => 2,
+            FmaMode::Hfp8 { .. } => 2,
         }
     }
 
     /// Input formats `(a, b)` for this mode.
-    #[allow(clippy::expect_used)] // bias values are validated at construction
     pub fn operand_formats(&self) -> (FpFormat, FpFormat) {
         match self {
             FmaMode::Fp16 => (FpFormat::fp16(), FpFormat::fp16()),
-            FmaMode::Hfp8Fwd { bias_a, bias_b } => (
-                FpFormat::fp8_e4m3_with_bias(*bias_a).expect("validated bias"),
-                FpFormat::fp8_e4m3_with_bias(*bias_b).expect("validated bias"),
-            ),
-            FmaMode::Hfp8Bwd { bias_a } => (
-                FpFormat::fp8_e4m3_with_bias(*bias_a).expect("validated bias"),
-                FpFormat::fp8_e5m2(),
-            ),
+            FmaMode::Hfp8 { a, b } => (a.format(), b.format()),
         }
     }
 
@@ -74,7 +90,7 @@ impl FmaMode {
     pub fn operand_bytes(&self) -> (usize, usize) {
         match self {
             FmaMode::Fp16 => (2, 2),
-            _ => (1, 1),
+            FmaMode::Hfp8 { .. } => (1, 1),
         }
     }
 }
@@ -131,7 +147,7 @@ pub fn fma_prequantized(mode: FmaMode, acc: f32, qa: f32, qb: f32) -> FmaResult 
     // formats are subsets of FP9 for in-range biases).
     let (ia, ib) = match mode {
         FmaMode::Fp16 => (qa, qb),
-        _ => {
+        FmaMode::Hfp8 { .. } => {
             let fp9 = FpFormat::fp9();
             (fp9.quantize(qa), fp9.quantize(qb))
         }
@@ -210,6 +226,9 @@ mod tests {
         let bwd = fma(FmaMode::hfp8_bwd_default(), 0.0, 1.0, 6.3);
         assert_eq!(fwd.acc, 6.5);
         assert_eq!(bwd.acc, 6.0);
+        // Either port takes either format.
+        let error_on_a = FmaMode::Hfp8 { a: Fp8::E5m2, b: Fp8::E4m3 { bias: 7 } };
+        assert_eq!(fma(error_on_a, 0.0, 6.3, 1.0).acc, 6.0);
     }
 
     #[test]
@@ -218,7 +237,8 @@ mod tests {
         // 16x larger.
         let big = 2000.0f32;
         let default = fma(FmaMode::hfp8_fwd_default(), 0.0, big, 1.0);
-        let wide = fma(FmaMode::Hfp8Fwd { bias_a: 3, bias_b: 7 }, 0.0, big, 1.0);
+        let wide_a = FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 3 }, b: Fp8::E4m3 { bias: 7 } };
+        let wide = fma(wide_a, 0.0, big, 1.0);
         assert_eq!(default.acc, 480.0); // saturated
         assert_eq!(wide.acc, 2048.0); // representable with smaller bias
     }

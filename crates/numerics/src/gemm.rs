@@ -24,11 +24,14 @@
 //! (composed with the FP9 conversion for HFP8), so the pass vectorizes.
 //! It runs as an AVX2 clone exactly when the band loop does (one
 //! `dispatch::use_simd` decision per call; `RAPID_SIMD=off` stages
-//! with the portable body). Callers that need a transposed operand, such
-//! as HFP8's `(Error, Data)` role mapping, use the tiled
-//! [`Tensor::transposed`]. One band loop then
-//! runs every float mode over the groups, 16 or 64 columns per sweep to
-//! overlap the serial FP16 rounding chains. Every kernel fans rows out
+//! with the portable body). Either HFP8 format may sit on either port
+//! ([`FmaMode::Hfp8`]), so no role mapping needs a transposed operand.
+//! One band loop then runs every float mode over the groups, B panels
+//! outside and A rows inside, 16 or 64 columns per sweep to overlap the
+//! serial FP16 rounding chains. Where the operand formats and chunk length
+//! prove every chunk sum free of underflow and overflow
+//! (`chunk_sums_in_range`), the vector chunk step rounds with 4 ops
+//! instead of 11. Every kernel fans rows out
 //! across threads. The fast path is required to be *bit-exact* against the
 //! scalar reference — same output bits, same [`GemmStats`] — which
 //! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
@@ -167,6 +170,48 @@ pub(crate) fn fp16_round_sum(x: f32) -> f32 {
     let max = f32::from_bits(FP16_MAX);
     let r = if r < max { r } else { max };
     f32::from_bits(r.to_bits() | (bits ^ mag))
+}
+
+/// Whether every chunk sum of a float GEMM in `mode` at `chunk_len` is
+/// provably `±0` or of magnitude in `[2^-30, FP16_MAX]`: the domain where
+/// the chunk step can round with `simd`'s 4-op `round_lanes_ranged`, as
+/// nothing can flush or saturate there.
+///
+/// Only HFP8 ports whose formats pass through the FP9 conversion unchanged
+/// qualify; each port's multiplier values are then multiples of its
+/// quantum (the ulp at its smallest normal). Products, f32 sums and FP16
+/// roundings of multiples of the power of two `Q = quantum_a · quantum_b`
+/// stay multiples of `Q`, so with `Q ≥ 2^-30` a nonzero sum never falls
+/// below the FP16 minimum normal. Each FP16 rounding grows a sum by at most
+/// a factor `1 + 2^-10`, so a chunk of `chunk_len` products of magnitude at
+/// most `max_a · max_b` stays below `chunk_len · max_a · max_b ·
+/// (1 + 2^-10)^chunk_len`. Requiring that to be at most `FP16_MAX/2`
+/// leaves a factor of 2 for the f32 rounding inside each step (at most
+/// `1 + 2^-24` per step, under 2 for any chunk length the growth term
+/// lets through), so no sum or rounding passes `FP16_MAX`. FP16 operands
+/// fail the quantum test (`Q = 2^-78`), as does (1,5,2) × (1,5,2)
+/// (`Q = 2^-32`); the default HFP8 pairs pass at chunk 64.
+fn chunk_sums_in_range(mode: FmaMode, chunk_len: usize) -> bool {
+    if mode == FmaMode::Fp16 {
+        return false;
+    }
+    let fp9 = FpFormat::fp9();
+    // (quantum, max) of one port's multiplier values.
+    let port = |f: FpFormat| {
+        let (min, max) = (f.min_normal(), f.max_value());
+        let unchanged = f.man_bits() <= fp9.man_bits()
+            && fp9.quantize(min) == min
+            && fp9.quantize(max) == max;
+        let quantum = f64::from(min) * 2f64.powi(-(f.man_bits() as i32));
+        unchanged.then_some((quantum, f64::from(max)))
+    };
+    let (fa, fb) = mode.operand_formats();
+    let (Some((qa, ma)), Some((qb, mb))) = (port(fa), port(fb)) else {
+        return false;
+    };
+    let growth = (1.0 + 2f64.powi(-10)).powi(i32::try_from(chunk_len).unwrap_or(i32::MAX));
+    let bound = chunk_len as f64 * ma * mb * growth;
+    qa * qb >= 2f64.powi(-30) && bound <= f64::from(f32::from_bits(FP16_MAX)) / 2.0
 }
 
 /// Statistics of an `m × n` product over `za.len()` k-positions, from
@@ -355,8 +400,9 @@ fn matmul_emulated_fast(
     let use_simd = dispatch::use_simd(simd_mode, (m * n * k) as u64);
     let sa = Staged::rows(a.as_slice(), k, Stager::new(mode, fa, use_simd));
     let sb = Staged::groups(b.as_slice(), k, n, Stager::new(mode, fb, use_simd));
+    let kernel = BandKernel::new(use_simd, mode, chunk_len);
     let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-        staged_band(&sa.vals, &sb, n, row0, chunk_len, use_simd, band);
+        staged_band(&sa.vals, &sb, n, row0, chunk_len, kernel, band);
         GemmStats::default()
     };
     par_rows(out.as_mut_slice(), m, n, k, &work);
@@ -588,6 +634,26 @@ impl Staged {
     }
 }
 
+/// The loop [`staged_band`] runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BandKernel {
+    /// The portable 16-column loop, [`dot_staged_group`].
+    Portable,
+    /// The AVX2 kernel; `ranged` selects its 4-op chunk rounder, which
+    /// [`chunk_sums_in_range`] proves exact for the operand formats.
+    Avx2 { ranged: bool },
+}
+
+impl BandKernel {
+    fn new(use_simd: bool, mode: FmaMode, chunk_len: usize) -> Self {
+        if use_simd {
+            Self::Avx2 { ranged: chunk_sums_in_range(mode, chunk_len) }
+        } else {
+            Self::Portable
+        }
+    }
+}
+
 /// Fills one row band of an `n`-column float GEMM from staged operands:
 /// `av` holds the A rows, `sb` the staged B groups (see [`Staged::groups`]).
 ///
@@ -599,48 +665,56 @@ impl Staged {
 /// it leaves a nonzero chunk register unchanged, and on a zero register it
 /// can only change the sign of that zero, which no output can observe (see
 /// [`dot_staged_group`]).
+///
+/// The B panels are the outer loop and the band's rows the inner one, so
+/// each panel (up to 64 columns × k) is streamed from memory once and
+/// stays cache-resident while every row of the band sweeps it. Each
+/// output's op sequence does not depend on the loop order.
 fn staged_band(
     av: &[f32],
     sb: &Staged,
     n: usize,
     row0: usize,
     chunk_len: usize,
-    use_simd: bool,
+    kernel: BandKernel,
     band: &mut [f32],
 ) {
     let k = sb.zeros.len();
     let gsz = k * simd::GROUP;
     let ngroups = n.div_ceil(simd::GROUP);
-    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-        let arow = &av[(row0 + r) * k..(row0 + r + 1) * k];
-        let mut g = 0;
-        if use_simd {
-            // AVX2: four groups per k sweep (8 independent chains keep the
-            // vector ports busy past the FMA+round latency), single groups
-            // as cleanup.
-            let mut wres = [0.0f32; simd::WIDE];
-            while g + simd::WIDE_GROUPS <= ngroups {
-                let bw = &sb.vals[g * gsz..(g + simd::WIDE_GROUPS) * gsz];
-                simd::dot_fp16_groups_wide(arow, bw, chunk_len, &mut wres);
-                let j = g * simd::GROUP;
-                let lanes = simd::WIDE.min(n - j);
-                orow[j..j + lanes].copy_from_slice(&wres[..lanes]);
-                g += simd::WIDE_GROUPS;
-            }
-        }
-        while g < ngroups {
-            let bg = &sb.vals[g * gsz..(g + 1) * gsz];
-            let mut res = [0.0f32; simd::GROUP];
-            if use_simd {
-                simd::dot_fp16_group16(arow, bg, chunk_len, &mut res);
-            } else {
-                res = dot_staged_group(arow, bg, chunk_len);
-            }
+    let arow = |r: usize| &av[(row0 + r) * k..(row0 + r + 1) * k];
+    let mut g = 0;
+    if let BandKernel::Avx2 { ranged } = kernel {
+        // Four groups per k sweep (8 independent chains keep the vector
+        // ports busy past the FMA+round latency); single groups clean up.
+        let mut wres = [0.0f32; simd::WIDE];
+        while g + simd::WIDE_GROUPS <= ngroups {
+            let bw = &sb.vals[g * gsz..(g + simd::WIDE_GROUPS) * gsz];
             let j = g * simd::GROUP;
-            let lanes = simd::GROUP.min(n - j);
-            orow[j..j + lanes].copy_from_slice(&res[..lanes]);
-            g += 1;
+            let lanes = simd::WIDE.min(n - j);
+            for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+                simd::dot_fp16_groups_wide(arow(r), bw, chunk_len, ranged, &mut wres);
+                orow[j..j + lanes].copy_from_slice(&wres[..lanes]);
+            }
+            g += simd::WIDE_GROUPS;
         }
+    }
+    while g < ngroups {
+        let bg = &sb.vals[g * gsz..(g + 1) * gsz];
+        let j = g * simd::GROUP;
+        let lanes = simd::GROUP.min(n - j);
+        for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+            let res = match kernel {
+                BandKernel::Avx2 { ranged } => {
+                    let mut res = [0.0f32; simd::GROUP];
+                    simd::dot_fp16_group16(arow(r), bg, chunk_len, ranged, &mut res);
+                    res
+                }
+                BandKernel::Portable => dot_staged_group(arow(r), bg, chunk_len),
+            };
+            orow[j..j + lanes].copy_from_slice(&res[..lanes]);
+        }
+        g += 1;
     }
 }
 
@@ -1642,12 +1716,13 @@ fn conv2d_panels_emulated(
     let use_simd = dispatch::use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
     let sw = Staged::rows(weight.as_slice(), kcols, Stager::new(mode, fb, use_simd));
     let col_stager = Stager::new(mode, fa, use_simd);
+    let kernel = BandKernel::new(use_simd, mode, chunk_len);
     let mut stats = GemmStats::default();
     let image_cols = cols.as_slice().chunks_exact(hw * kcols);
     for (band_out, ci) in out.as_mut_slice().chunks_exact_mut(g.co * hw).zip(image_cols) {
         let sc = Staged::groups_from_columns(ci, kcols, col_stager);
         let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-            staged_band(&sw.vals, &sc, hw, row0, chunk_len, use_simd, band);
+            staged_band(&sw.vals, &sc, hw, row0, chunk_len, kernel, band);
             GemmStats::default()
         };
         par_rows(band_out, g.co, hw, kcols, &work);
@@ -1711,6 +1786,7 @@ fn conv2d_panels_int(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::fma::Fp8;
     use crate::format::fp16_round;
     use crate::int::IntFormat;
 
@@ -1806,7 +1882,7 @@ mod tests {
             FmaMode::Fp16,
             FmaMode::hfp8_fwd_default(),
             FmaMode::hfp8_bwd_default(),
-            FmaMode::Hfp8Fwd { bias_a: 7, bias_b: 124 },
+            FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 7 }, b: Fp8::E4m3 { bias: 124 } },
         ] {
             let (_, scalar) = matmul_emulated_scalar(mode, &a, &b, 4);
             assert_eq!(scalar.zero_gated, expect as u64, "{mode:?} reference");
@@ -1986,7 +2062,7 @@ mod tests {
             FmaMode::Fp16,
             FmaMode::hfp8_fwd_default(),
             FmaMode::hfp8_bwd_default(),
-            FmaMode::Hfp8Fwd { bias_a: 5, bias_b: 9 },
+            FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 5 }, b: Fp8::E4m3 { bias: 9 } },
         ] {
             for chunk_len in [1, 3, 35, 64] {
                 let (fast, fs) = matmul_emulated(mode, &a, &b, chunk_len);
@@ -1994,6 +2070,42 @@ mod tests {
                 assert_bits_eq(&fast, &scalar);
                 assert_eq!(fs, ss, "{mode:?} chunk {chunk_len}");
             }
+        }
+    }
+
+    /// The range proof's verdicts. The default HFP8 pairs pass at chunk
+    /// 64 in either port order; FP16 and (1,5,2) × (1,5,2) never do. Each
+    /// condition's edge is pinned: the quantum test between (1,4,3) biases
+    /// 12 and 13 against (1,5,2), and the growth bound between chunks 72
+    /// and 73 (and 2192 and 2193 for (1,4,3) × (1,4,3)). A bias whose
+    /// format the FP9 conversion would change is rejected.
+    #[test]
+    fn chunk_range_proof_verdicts() {
+        let e4 = |bias| Fp8::E4m3 { bias };
+        let hfp8 = |a, b| FmaMode::Hfp8 { a, b };
+        let (fwd, bwd) = (FmaMode::hfp8_fwd_default(), FmaMode::hfp8_bwd_default());
+        let cases = [
+            (fwd, 64, true),
+            (bwd, 64, true),
+            (hfp8(Fp8::E5m2, e4(7)), 64, true),
+            (hfp8(e4(5), e4(9)), 64, true),
+            (hfp8(Fp8::E5m2, Fp8::E5m2), 1, false),
+            (hfp8(Fp8::E5m2, Fp8::E5m2), 64, false),
+            (FmaMode::Fp16, 1, false),
+            (FmaMode::Fp16, 64, false),
+            (hfp8(e4(12), Fp8::E5m2), 1, true),
+            (hfp8(Fp8::E5m2, e4(13)), 1, false),
+            (bwd, 72, true),
+            (hfp8(Fp8::E5m2, e4(7)), 73, false),
+            (fwd, 2192, true),
+            (fwd, 2193, false),
+            (fwd, 4096, false),
+            (fwd, usize::MAX, false),
+            (hfp8(e4(7), e4(124)), 1, false),
+            (hfp8(e4(-111), e4(7)), 1, false),
+        ];
+        for (mode, chunk_len, want) in cases {
+            assert_eq!(chunk_sums_in_range(mode, chunk_len), want, "{mode:?} chunk {chunk_len}");
         }
     }
 

@@ -5,8 +5,13 @@
 //! * [`dot_fp16_groups_wide`] / [`dot_fp16_group16`] — the float MAC loop
 //!   over staged 16-column B groups: broadcast the A value, one
 //!   `vfmadd231ps` adds its products with the contiguous group into the
-//!   chunk registers, and the DLFloat16 chunk rounding runs as the
-//!   magic-constant sequence of `gemm::fp16_round_sum`, 11 lane ops.
+//!   chunk registers, and the chunk step rounds to DLFloat16 with a magic
+//!   constant. The exact rounder, the sequence of `gemm::fp16_round_sum`,
+//!   costs 11 lane ops, almost all for underflow flush, saturation and the
+//!   sign. When `gemm::chunk_sums_in_range` proves that no chunk sum can
+//!   underflow or pass `FP16_MAX` (the default HFP8 pairs at chunk 64),
+//!   the chunk step runs the 4-op signed rounder instead, a const-generic
+//!   choice per call; the epilogue always rounds exactly.
 //!   The same kernel serves every float mode: FP16 runs on lattice
 //!   values, and HFP8 on the **FP9 operand values** both operands are
 //!   converted to when staged — `ProductLut::product(ca, cb)` is exactly
@@ -33,20 +38,24 @@
 //!   the windowed sum equals the plain dot product exactly
 //!   (order-independent integer addition), so the result is bit-identical.
 //!
-//! The wide float kernel is **throughput-bound**: it runs at the same
-//! MAC rate whether B is an L2-resident panel or a multi-megabyte stream,
-//! so the vector ports, not memory, set its speed, and every lane op the
-//! rounder saves is time saved. Each chunk register still advances
+//! The wide float kernel's speed is set by the rounder's lane ops first
+//! and by where B sits second. On a 2-vCPU x86-64 Xeon (2 MB L2 per
+//! core), one thread, chunk 64, best of 3 runs: HFP8 runs 64×768×768 at
+//! 7.7–7.9 GMAC/s and 64×768×3072 at 6.0–6.3 with the 4-op rounder, and
+//! FP16 runs the same shapes at 3.4–4.0 with the exact one. The caller
+//! (`gemm::staged_band`) walks B panels outside and A rows inside, so
+//! each 64-column panel (k × 64 f32, 196 KiB at k = 768) is read from
+//! memory once per row band and from cache by every other row. Each chunk register still advances
 //! serially per k step (the order is the bit-exactness contract, so it
 //! cannot be reassociated), so the `_wide` variants walk [`WIDE_GROUPS`]
 //! column groups per k sweep — 8 independent accumulation chains, enough
 //! to cover the FMA + rounding latency; the 16-column variants clean up
 //! the remainder. k steps whose broadcast A value is exactly zero skip the
-//! whole FMA+round sweep: every product is `±0.0`, and the rounder is
-//! idempotent on its own outputs (a lattice value plus its own magic
+//! whole FMA+round sweep: every product is `±0.0`, and both rounders are
+//! idempotent on their own outputs (a lattice value plus its own magic
 //! constant is exact), so the chunk registers come back unchanged up to
 //! the sign of a zero register, which no output observes (see
-//! `gemm::dot_staged_group`). The integer kernel is throughput-bound too:
+//! `gemm::dot_staged_group`). The integer kernel is throughput-bound:
 //! its accumulators are exact and independent, and one call computes a
 //! whole row band.
 //!
@@ -54,11 +63,13 @@
 //! `vsubps` / `vminps` are IEEE single ops identical to scalar `f32`
 //! arithmetic; an FP9×FP9 or FP16×FP16 product is exact in f32, so the
 //! fused multiply-add rounds once exactly where `vmulps` + `vaddps` would;
-//! and the lane rounder runs the op sequence of the scalar
-//! `fp16_round_sum`. `lane_rounder_matches_the_quantizer_near_every_edge`
-//! pins both rounders to `format::fp16_round` at every edge of their
-//! domain, and the ignored `lane_rounder_matches_the_quantizer_on_every_f32`
-//! on all 2^32 patterns. Chain count never changes results: each column's
+//! and the exact lane rounder runs the op sequence of the scalar
+//! `fp16_round_sum`, while the 4-op one agrees with it wherever the range
+//! proof puts a chunk sum (up to a zero's sign).
+//! `lane_rounder_matches_the_quantizer_near_every_edge` pins all three
+//! rounders to `format::fp16_round` at every edge of their domains, and
+//! the ignored `lane_rounder_matches_the_quantizer_on_every_f32` on all
+//! 2^32 patterns. Chain count never changes results: each column's
 //! accumulation chain is independent in every variant, exactly as in the
 //! scalar reference.
 //!
@@ -108,12 +119,51 @@ mod avx2 {
         _mm256_or_ps(r, _mm256_castsi256_ps(_mm256_xor_si256(bits, mag)))
     }
 
+    /// [`round_lanes`] on the range-proven domain: lanes that are `±0` or
+    /// of magnitude in `[FP16_MIN_NORMAL, FP16_MAX]`, where there is
+    /// nothing to flush or saturate. The magic constant keeps the lane's
+    /// sign, `c = ±2^(E+14)`, so `(x + c) − c` rounds the signed value
+    /// directly: 4 ops instead of 11. Equal to [`round_lanes`] on that
+    /// domain except that `-0.0` comes back `+0.0`, a zero sign no output
+    /// observes (module docs).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    pub(super) unsafe fn round_lanes_ranged(x: __m256) -> __m256 {
+        let sign_exp = _mm256_set1_epi32(0xff80_0000u32 as i32);
+        let c = _mm256_and_si256(_mm256_castps_si256(x), sign_exp);
+        let c = _mm256_castsi256_ps(_mm256_add_epi32(c, _mm256_set1_epi32(ROUND_EXP as i32)));
+        _mm256_sub_ps(_mm256_add_ps(x, c), c)
+    }
+
+    /// The chunk step's rounder: [`round_lanes_ranged`] when `RANGED`
+    /// (the caller proved every chunk sum in its domain), else
+    /// [`round_lanes`].
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn chunk_round<const RANGED: bool>(x: __m256) -> __m256 {
+        if RANGED {
+            round_lanes_ranged(x)
+        } else {
+            round_lanes(x)
+        }
+    }
+
     /// The float MAC loop over `G` staged 16-column groups laid out
     /// back to back in `bgroups` (`G * k * 16` values). `2G` independent
     /// accumulation chains advance per k step; each column's chain
     /// performs exactly the scalar kernel's op sequence, so `G` is
     /// performance-only. Steps with a zero A value are skipped whole —
-    /// bit-exact by rounder idempotence (module docs).
+    /// bit-exact by rounder idempotence (module docs). `RANGED` picks the
+    /// chunk step's rounder ([`chunk_round`]); the epilogue always runs
+    /// the exact one, since the outer sum has no range proof.
     ///
     /// # Safety
     ///
@@ -121,7 +171,7 @@ mod avx2 {
     /// `out.len() == G * GROUP`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn fp16_groups<const G: usize>(
+    unsafe fn fp16_groups<const G: usize, const RANGED: bool>(
         arow: &[f32],
         bgroups: &[f32],
         chunk_len: usize,
@@ -144,8 +194,8 @@ mod avx2 {
                 for t in 0..G {
                     let b0 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP));
                     let b1 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP + 8));
-                    chunk_lo[t] = round_lanes(_mm256_fmadd_ps(xa, b0, chunk_lo[t]));
-                    chunk_hi[t] = round_lanes(_mm256_fmadd_ps(xa, b1, chunk_hi[t]));
+                    chunk_lo[t] = chunk_round::<RANGED>(_mm256_fmadd_ps(xa, b0, chunk_lo[t]));
+                    chunk_hi[t] = chunk_round::<RANGED>(_mm256_fmadd_ps(xa, b1, chunk_hi[t]));
                 }
             }
             in_chunk += 1;
@@ -253,31 +303,48 @@ mod avx2 {
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against [`WIDE_GROUPS`] consecutive staged groups.
+    /// A-row against [`WIDE_GROUPS`] consecutive staged groups. `ranged`
+    /// asserts every chunk sum lies in [`round_lanes_ranged`]'s domain
+    /// (`gemm::chunk_sums_in_range`).
     pub(crate) fn dot_fp16_groups_wide(
         arow: &[f32],
         bgroups: &[f32],
         chunk_len: usize,
+        ranged: bool,
         out: &mut [f32; WIDE],
     ) {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroups.len(), WIDE_GROUPS * arow.len() * GROUP);
         // SAFETY: AVX2 and FMA presence and slice extents asserted above.
-        unsafe { fp16_groups::<WIDE_GROUPS>(arow, bgroups, chunk_len, out) }
+        unsafe {
+            if ranged {
+                fp16_groups::<WIDE_GROUPS, true>(arow, bgroups, chunk_len, out)
+            } else {
+                fp16_groups::<WIDE_GROUPS, false>(arow, bgroups, chunk_len, out)
+            }
+        }
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against a single staged 16-column B group.
+    /// A-row against a single staged 16-column B group (`ranged` as in
+    /// [`dot_fp16_groups_wide`]).
     pub(crate) fn dot_fp16_group16(
         arow: &[f32],
         bgroup: &[f32],
         chunk_len: usize,
+        ranged: bool,
         out: &mut [f32; GROUP],
     ) {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroup.len(), arow.len() * GROUP);
         // SAFETY: AVX2 and FMA presence and slice extents asserted above.
-        unsafe { fp16_groups::<1>(arow, bgroup, chunk_len, out) }
+        unsafe {
+            if ranged {
+                fp16_groups::<1, true>(arow, bgroup, chunk_len, out)
+            } else {
+                fp16_groups::<1, false>(arow, bgroup, chunk_len, out)
+            }
+        }
     }
 
     /// # Safety
@@ -360,6 +427,7 @@ mod fallback {
         _arow: &[f32],
         _bgroups: &[f32],
         _chunk_len: usize,
+        _ranged: bool,
         _out: &mut [f32; WIDE],
     ) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
@@ -370,6 +438,7 @@ mod fallback {
         _arow: &[f32],
         _bgroup: &[f32],
         _chunk_len: usize,
+        _ranged: bool,
         _out: &mut [f32; GROUP],
     ) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
@@ -414,41 +483,54 @@ mod tests {
         }
     }
 
+    /// The exact and the range-proven lane rounder on `xs`.
+    ///
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
-    unsafe fn round_lanes_of(xs: [f32; 8]) -> [f32; 8] {
-        let mut out = [0.0f32; 8];
-        _mm256_storeu_ps(out.as_mut_ptr(), avx2::round_lanes(_mm256_loadu_ps(xs.as_ptr())));
-        out
+    unsafe fn round_lanes_of(xs: [f32; 8]) -> ([f32; 8], [f32; 8]) {
+        let (mut exact, mut ranged) = ([0.0f32; 8], [0.0f32; 8]);
+        let x = _mm256_loadu_ps(xs.as_ptr());
+        _mm256_storeu_ps(exact.as_mut_ptr(), avx2::round_lanes(x));
+        _mm256_storeu_ps(ranged.as_mut_ptr(), avx2::round_lanes_ranged(x));
+        (exact, ranged)
     }
 
     /// Runs the lane rounder and the scalar `fp16_round_sum` over `xs`
-    /// against [`rounded`]. The caller checks `simd_available()`.
+    /// against [`rounded`], and the range-proven lane rounder over the
+    /// `xs` in its domain (`±0` and magnitudes in `[MIN_NORMAL, MAX]`),
+    /// where it must agree too, except that it returns `+0.0` for `-0.0`.
+    /// The caller checks `simd_available()`.
     fn assert_rounders_exact(xs: &[f32]) {
+        let in_range = |x: f32| (FP16_MIN_NORMAL..=FP16_MAX).contains(&(x.to_bits() & 0x7fff_ffff));
         for chunk in xs.chunks(8) {
             let mut lanes = [0.0f32; 8];
             lanes[..chunk.len()].copy_from_slice(chunk);
             // SAFETY: AVX2 presence is the caller's precondition.
-            let got = unsafe { round_lanes_of(lanes) };
-            for (&x, g) in chunk.iter().zip(got) {
+            let (got, ranged) = unsafe { round_lanes_of(lanes) };
+            for ((&x, g), r) in chunk.iter().zip(got).zip(ranged) {
                 let (want, scalar) = (rounded(x), fp16_round_sum(x).to_bits());
                 let bits = x.to_bits();
                 assert_eq!(g.to_bits(), want, "lanes({bits:#010x}) = {:#010x}", g.to_bits());
                 assert_eq!(scalar, want, "scalar({bits:#010x}) = {scalar:#010x}");
+                if x == 0.0 || in_range(x) {
+                    let want = if x == 0.0 { 0 } else { want };
+                    assert_eq!(r.to_bits(), want, "ranged({bits:#010x}) = {:#010x}", r.to_bits());
+                }
             }
         }
     }
 
-    /// Both rounders against the quantizer at every edge of their domain,
-    /// both signs: 4096 f32 ulps either side of every binade edge from
-    /// 2^-40 to 2^40 and of ∞ (the largest finites and NaN payloads), the
-    /// FP16 rounding midpoints nearest each edge (ties both ways, carries
-    /// into the next binade), the flush threshold `HALF_MIN`,
-    /// `MIN_NORMAL`, `MAX` and the saturating tie above it, the binades
-    /// where the magic constant becomes ∞ (`E = 114`) and carries into
-    /// the sign bit (`E = 115`), and the zeros and subnormals.
+    /// All three rounders against the quantizer at every edge of their
+    /// domains, both signs: 4096 f32 ulps either side of every binade edge
+    /// from 2^-40 to 2^40 and of ∞ (the largest finites and NaN payloads),
+    /// the FP16 rounding midpoints nearest each edge (ties both ways,
+    /// carries into the next binade), the flush threshold `HALF_MIN`,
+    /// `MIN_NORMAL`, `MAX` (also the top of the range-proven domain) and
+    /// the saturating tie above it, the binades where the magic
+    /// constant becomes ∞ (`E = 114`) and carries into the sign bit
+    /// (`E = 115`), and the zeros and subnormals.
     #[test]
     fn lane_rounder_matches_the_quantizer_near_every_edge() {
         if !crate::dispatch::simd_available() {
@@ -474,8 +556,9 @@ mod tests {
         assert_rounders_exact(&xs);
     }
 
-    /// Both rounders against the quantizer on all 2^32 f32 bit patterns,
-    /// split across threads. Run with `-- --ignored` in release.
+    /// All three rounders against the quantizer on all 2^32 f32 bit
+    /// patterns (the range-proven one on its domain), split across
+    /// threads. Run with `-- --ignored` in release.
     #[test]
     #[ignore = "exhaustive 2^32 sweep; run in release with --ignored"]
     fn lane_rounder_matches_the_quantizer_on_every_f32() {

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rapid_numerics::accumulate::ChunkAccumulator;
-use rapid_numerics::fma::FmaMode;
+use rapid_numerics::fma::{FmaMode, Fp8};
 use rapid_numerics::format::FpFormat;
 use rapid_fault::FaultPlan;
 use rapid_numerics::gemm::{
@@ -49,8 +49,45 @@ fn mode_from(idx: u8, bias_a: i32, bias_b: i32) -> FmaMode {
     match idx % 4 {
         0 => FmaMode::Fp16,
         1 => FmaMode::hfp8_fwd_default(),
-        2 => FmaMode::Hfp8Fwd { bias_a, bias_b },
-        _ => FmaMode::Hfp8Bwd { bias_a },
+        2 => FmaMode::Hfp8 { a: Fp8::E4m3 { bias: bias_a }, b: Fp8::E4m3 { bias: bias_b } },
+        _ => FmaMode::Hfp8 { a: Fp8::E4m3 { bias: bias_a }, b: Fp8::E5m2 },
+    }
+}
+
+/// One HFP8 port format: (1,4,3) at the default bias, (1,4,3) at `bias`,
+/// or (1,5,2).
+fn fp8_from(idx: u8, bias: i32) -> Fp8 {
+    match idx % 3 {
+        0 => Fp8::E4m3 { bias: 7 },
+        1 => Fp8::E4m3 { bias },
+        _ => Fp8::E5m2,
+    }
+}
+
+/// An operand at an edge of `fmt`: its maximum (480 or 114688 at the
+/// default biases) or a value that saturates to it, the minimum normal or
+/// a value that rounds to it, the format's next value above it (so sums
+/// of products can cancel down to one quantum of the product grid), the
+/// flush edge at half the minimum normal (a tie that flushes to zero), a
+/// mid-range value, or zero; `pick`'s high bit negates it.
+fn extreme_value(fmt: FpFormat, pick: u8) -> f32 {
+    let (max, min) = (fmt.max_value(), fmt.min_normal());
+    let up = |x: f32| f32::from_bits(x.to_bits() + 1);
+    let v = match (pick & 0x7f) % 9 {
+        0 => max,
+        1 => max * 1.5,
+        2 => min,
+        3 => up(min),
+        4 => min * (1.0 + 0.5f32.powi(fmt.man_bits() as i32)),
+        5 => min * 0.5,
+        6 => up(min * 0.5),
+        7 => 1.0,
+        _ => 0.0,
+    };
+    if pick >= 128 {
+        -v
+    } else {
+        v
     }
 }
 
@@ -397,6 +434,83 @@ proptest! {
             assert_bits_eq(&fast, &scalar);
             let ctx = format!("{simd:?} {mode:?} m={m} k={k} n={n}");
             prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+        }
+    }
+
+    /// Float GEMM on operands at the edges of every per-port HFP8 pairing.
+    /// Each port is (1,4,3) at bias 7 or at a bias on either side of a
+    /// range-proof edge, or (1,5,2). The operands follow each of four
+    /// patterns in turn: every element a format maximum, a value that saturates,
+    /// a minimum normal, a flush edge or zero, of either sign; the same
+    /// with each odd k-position repeating the even one's A value against
+    /// the negated B value, so chunk sums cancel exactly to zero; groups of
+    /// four MACs `A'B' − A'B − AB' + AB` (minimum normals and the values
+    /// just above them) that each add one quantum of the product grid, so
+    /// a chunk sum can sit below the FP16 minimum normal; or every operand
+    /// at its maximum, B's rows 24 positive then 8 negative in turn, so
+    /// chunk sums grow as fast as they can and then fall back. Chunk
+    /// lengths 1, 7 and 64 keep the default pairs inside the range proof
+    /// of the 4-op chunk rounder; (1,5,2) × (1,5,2), the far biases and
+    /// chunk 4096 fall outside it and keep the exact rounder. Every
+    /// backend pin must reproduce the scalar reference's bits and
+    /// statistics.
+    #[test]
+    fn float_gemm_extreme_operands_bit_exact(
+        (m, k, n) in (1usize..4, 1usize..300, 1usize..90),
+        (port_a, port_b) in (0u8..3, 0u8..3),
+        (bias_a, bias_b) in (0usize..8, 0usize..8),
+        picks in proptest::collection::vec(0u8..=255, 64),
+        seed in 0u64..1_000_000,
+    ) {
+        // (1,4,3) biases around the proof's edges: 12/13 and 15/16 for
+        // the quantum, -1/-2 and 15/16 for the FP9 range.
+        const BIASES: [i32; 8] = [-2, -1, 3, 12, 13, 15, 16, 124];
+        let (fp8_a, fp8_b) = (fp8_from(port_a, BIASES[bias_a]), fp8_from(port_b, BIASES[bias_b]));
+        let mode = FmaMode::Hfp8 { a: fp8_a, b: fp8_b };
+        let (fa, fb) = mode.operand_formats();
+        let pick = |i: usize| picks[(i as u64 ^ seed) as usize % picks.len()];
+        let next = |f: FpFormat| f.min_normal() * (1.0 + 0.5f32.powi(f.man_bits() as i32));
+        for pattern in 0..4 {
+            let (a, b) = match pattern {
+                2 => {
+                    let (a1, b1) = (next(fa), next(fb));
+                    let (a0, b0) = (fa.min_normal(), fb.min_normal());
+                    let a = Tensor::from_fn(vec![m, k], |i| if i % k % 4 < 2 { a1 } else { a0 });
+                    let b = Tensor::from_fn(vec![k, n], |i| [b1, -b0, -b1, b0][i / n % 4]);
+                    (a, b)
+                }
+                3 => {
+                    let (a1, b1) = (fa.max_value(), fb.max_value());
+                    let b = Tensor::from_fn(vec![k, n], |i| if i / n % 32 < 24 { b1 } else { -b1 });
+                    (Tensor::from_fn(vec![m, k], |_| a1), b)
+                }
+                _ => {
+                    let mut a = Tensor::from_fn(vec![m, k], |i| extreme_value(fa, pick(i)));
+                    let mut b = Tensor::from_fn(vec![k, n], |i| extreme_value(fb, pick(i * 7 + 3)));
+                    if pattern == 1 {
+                        for p in (1..k).step_by(2) {
+                            for i in 0..m {
+                                a.as_mut_slice()[i * k + p] = a.as_slice()[i * k + p - 1];
+                            }
+                            for j in 0..n {
+                                b.as_mut_slice()[p * n + j] = -b.as_slice()[(p - 1) * n + j];
+                            }
+                        }
+                    }
+                    (a, b)
+                }
+            };
+            for chunk_len in [1, 7, 64, 4096] {
+                let (scalar, scalar_stats) = matmul_emulated_scalar(mode, &a, &b, chunk_len);
+                for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+                    let exec = Exec { simd, ..Exec::default() };
+                    let (fast, fast_stats) =
+                        matmul_emulated_with(mode, &a, &b, chunk_len, exec).unwrap();
+                    assert_bits_eq(&fast, &scalar);
+                    let ctx = format!("{simd:?} {mode:?} pattern {pattern} chunk {chunk_len}");
+                    prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+                }
+            }
         }
     }
 

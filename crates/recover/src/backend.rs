@@ -161,8 +161,11 @@ impl Backend for GuardedHfp8Backend {
         match roles {
             (Data, Data) => self.guarded(FmaMode::hfp8_fwd_default(), a, b),
             (Data, Error) | (Error, Error) => self.guarded(FmaMode::hfp8_bwd_default(), a, b),
-            // Same transpose identity as the clean Hfp8Backend: the
-            // pipeline takes (1,4,3) on port A, so C = A×B = (BᵀAᵀ)ᵀ.
+            // (1,5,2) on port B through the transpose identity
+            // C = A×B = (BᵀAᵀ)ᵀ. The clean Hfp8Backend puts it on port A
+            // instead; this path keeps the transposed orientation because
+            // seeded fault plans walk MACs in output order, so reorienting
+            // it would move seeded fault-injection results.
             (Error, Data) => {
                 if a.shape().len() != 2 || b.shape().len() != 2 {
                     return Err(NumericsError::ShapeMismatch {

@@ -32,7 +32,10 @@
 #                                 accumulation rounder sweeps, the
 #                                 refnet and sim tests under =force and
 #                                 =off (the simulator's values come from
-#                                 the dispatched kernels), and a timed
+#                                 the dispatched kernels), the benchmark's
+#                                 fast-vs-scalar BERT test under =force
+#                                 and =off (the end-to-end oracle for the
+#                                 HFP8 backend's role mapping), and a timed
 #                                 kernel_speed smoke (which asserts
 #                                 bit-exactness inline)
 #   scripts/check.sh --serve      serving gate only: clippy on the serve
@@ -143,6 +146,9 @@ simd_gate() {
     echo "== sim tests under RAPID_SIMD=force and =off (tile values come from the kernels) =="
     RAPID_SIMD=force cargo test --release -p rapid-sim -q
     RAPID_SIMD=off cargo test --release -p rapid-sim -q
+    echo "== benchmark BERT fast-vs-scalar test under RAPID_SIMD=force and =off (role mapping) =="
+    RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q bert
+    RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q bert
     smoke kernel_speed --smoke
 }
 
