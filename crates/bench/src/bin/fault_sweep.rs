@@ -3,8 +3,9 @@
 //! bandwidth survives drop/delay faults. Two sweeps:
 //!
 //! 1. **MAC bit-flips vs convergence** — a [`GuardedHfp8Backend`] (the
-//!    same backend the recovery loop drives) splices a seeded fault plan
-//!    into every training GEMM; injected non-finite accumulators are
+//!    same backend the recovery loop drives, here with
+//!    `Protection::None`) splices a seeded fault plan into every
+//!    training GEMM; injected non-finite accumulators are
 //!    saturated (`GuardPolicy::Saturate`) so the run continues through
 //!    the hit, `guard_clamps` counts the damage, and final accuracy tells
 //!    us whether SGD rode it out.
@@ -20,7 +21,7 @@
 use rapid_bench::{compare, run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
 use rapid_numerics::GuardPolicy;
-use rapid_recover::GuardedHfp8Backend;
+use rapid_recover::{GuardedHfp8Backend, Protection};
 use rapid_refnet::backend::Fp32Backend;
 use rapid_refnet::data::gaussian_blobs;
 use rapid_refnet::mlp::{train, Mlp, TrainConfig};
@@ -60,6 +61,7 @@ fn main() -> std::process::ExitCode {
                     ..FaultConfig::default()
                 },
                 GuardPolicy::Saturate,
+                Protection::None,
             );
             let mut mlp = Mlp::new(&[16, 32, 4], 1);
             let acc = train(&mut mlp, &backend, &data, &cfg);

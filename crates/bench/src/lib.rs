@@ -103,10 +103,11 @@ impl Ctx {
     }
 
     /// The experiment's fault seed — `--seed N`, else `RAPID_FAULT_SEED`,
-    /// else `default` — stamped as config `seed`.
+    /// else `default` — stamped over the record's config `fault_seed`, so
+    /// the record and its footer name the seed the run actually used.
     pub fn seed(&mut self, default: u64) -> u64 {
         let seed = self.args.seed.unwrap_or_else(|| FaultConfig::seed_from_env(default));
-        self.rec.config_num("seed", seed as f64);
+        self.rec.stamp_fault_seed(seed);
         seed
     }
 
@@ -436,6 +437,29 @@ mod tests {
             ExitCode::from(2),
             "a flag error exits 2 before the body runs"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_and_footer_carry_the_seed_the_run_used() {
+        let dir = std::env::temp_dir().join(format!("rapid-bench-seed-{}", std::process::id()));
+        let path = dir.join("rec.json");
+        // Above 2^53: the JSON number rounds, the footer stays exact.
+        let seed = 9_564_733_627_140_217_231u64;
+        let argv = ["--seed", &seed.to_string(), "--json", &path.display().to_string()];
+        let code = run_with("unit_test", argv.map(String::from), |ctx| {
+            assert_eq!(ctx.seed(3), seed);
+            let footer = ctx.rec.footer();
+            assert!(footer.ends_with(&format!("fault seed {seed}")), "{footer}");
+            Ok(())
+        });
+        assert_eq!(code, ExitCode::SUCCESS);
+        let text = std::fs::read_to_string(&path).expect("record written");
+        let j = rapid_telemetry::Json::parse(&text).expect("record parses");
+        let config = j.get("config").expect("config");
+        let stamped = config.get("fault_seed").and_then(rapid_telemetry::Json::as_f64);
+        assert_eq!(stamped, Some(seed as f64));
+        assert!(config.get("seed").is_none(), "one seed key, not two: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

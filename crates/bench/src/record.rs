@@ -76,6 +76,9 @@ pub struct BenchRecord {
     registry: MetricsRegistry,
     /// Where [`BenchRecord::finish`] writes the record (the `--json` path).
     json: Option<PathBuf>,
+    /// The seed stamped as config `fault_seed`, kept exact for the footer
+    /// (the JSON number is an f64).
+    fault_seed: u64,
 }
 
 impl BenchRecord {
@@ -95,15 +98,22 @@ impl BenchRecord {
             metrics: Vec::new(),
             registry: MetricsRegistry::new(),
             json,
+            fault_seed: 0,
         };
         r.config_num("threads", crate::num_threads() as f64);
-        r.config_num("fault_seed", FaultConfig::seed_from_env(0) as f64);
+        r.stamp_fault_seed(FaultConfig::seed_from_env(0));
         // Kernel-dispatch provenance: the resolved RAPID_SIMD knob and
         // what the CPU actually offers, so records from different hosts
         // or env settings are distinguishable after the fact.
         r.config_str("simd_mode", rapid_numerics::SimdMode::from_env().as_str());
         r.put_config("simd_detected", Json::Bool(rapid_numerics::dispatch::simd_available()));
         r
+    }
+
+    /// Stamps config `fault_seed`; the footer prints the same seed.
+    pub(crate) fn stamp_fault_seed(&mut self, seed: u64) {
+        self.fault_seed = seed;
+        self.config_num("fault_seed", seed as f64);
     }
 
     /// Adds (or overwrites) a numeric config entry.
@@ -209,15 +219,21 @@ impl BenchRecord {
         }
     }
 
-    /// [`BenchRecord::finish`] returning the failure instead of exiting.
-    pub(crate) fn try_finish(&self) -> Result<(), String> {
-        println!(
-            "\n[{}] wall-clock {:.2}s, {} worker threads, fault seed {}",
+    /// The uniform epilogue line: wall-clock, worker threads and the
+    /// stamped fault seed.
+    pub(crate) fn footer(&self) -> String {
+        format!(
+            "[{}] wall-clock {:.2}s, {} worker threads, fault seed {}",
             self.experiment,
             self.wall_ms() / 1e3,
             crate::num_threads(),
-            FaultConfig::seed_from_env(0),
-        );
+            self.fault_seed,
+        )
+    }
+
+    /// [`BenchRecord::finish`] returning the failure instead of exiting.
+    pub(crate) fn try_finish(&self) -> Result<(), String> {
+        println!("\n{}", self.footer());
         if let Some(path) = self.write_json()? {
             println!("[{}] wrote {}", self.experiment, path.display());
         }

@@ -19,7 +19,7 @@
 //! | [`ring`] | `rapid-ring` | bidirectional ring + MNI multicast simulator |
 //! | [`quant`] | `rapid-quant` | PACT, SaWB, magnitude pruning |
 //! | [`refnet`] | `rapid-refnet` | reference trainer demonstrating HFP8 parity and INT4/INT2 PTQ |
-//! | [`recover`] | `rapid-recover` | end-to-end recovery: checksummed checkpoints, loss-scale rollback, redundant-execution training |
+//! | [`recover`] | `rapid-recover` | end-to-end recovery: checksummed checkpoints, loss-scale rollback, ABFT-protected resilient training |
 //! | [`serve`] | `rapid-serve` | overload-hardened serving runtime: admission control, deadline propagation, precision-tiered shedding, circuit breaking |
 //! | [`telemetry`] | `rapid-telemetry` | unified metrics registry, Chrome-trace cycle tracer, bench JSON schemas |
 //! | [`health`] | `rapid-health` | online core health: known-answer self-test probes, decaying scores, mercurial-core quarantine |

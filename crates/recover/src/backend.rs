@@ -1,18 +1,26 @@
-//! The HFP8 training backend with fault injection and a configurable
-//! guard policy — the backend the resilient training loops drive.
+//! The HFP8 training backend with fault injection, a datapath
+//! [`Protection`] mode and a configurable guard policy — the backend the
+//! resilient training loops drive.
 //!
-//! Under [`GuardPolicy::Saturate`] every corrupted accumulator is clamped
-//! and counted (the run continues, `guard_clamps` reports the damage);
-//! under [`GuardPolicy::Error`] the first corruption surfaces as a
+//! Under [`Protection::Abft`] every GEMM is checksummed and faulty
+//! elements are repaired inside the call, so the guards never see them.
+//! Under [`Protection::None`] the guard policy decides: with
+//! [`GuardPolicy::Saturate`] every corrupted accumulator is clamped and
+//! counted (the run continues, `guard_clamps` reports the damage); with
+//! [`GuardPolicy::Error`] the first corruption surfaces as a
 //! [`NumericsError`] for the recovery loop to catch — skip the step, back
 //! off the loss scale, roll back if it keeps happening.
+//!
+//! Operand roles map to ports exactly as in the clean
+//! [`Hfp8Backend`](rapid_refnet::backend::Hfp8Backend), through the shared
+//! [`hfp8_mode`]: every role pair is one GEMM in its own orientation, so
+//! the two backends agree bit for bit on a fault-free plan.
 
 use rapid_fault::{FaultConfig, FaultCounts, FaultPlan};
 use rapid_numerics::abft::{abft_matmul_emulated, AbftReport};
-use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{matmul_emulated_with, Exec, GemmStats};
 use rapid_numerics::{GuardPolicy, NumericsError, Tensor};
-use rapid_refnet::backend::{Backend, OperandRole};
+use rapid_refnet::backend::{hfp8_mode, Backend, OperandRole};
 use rapid_telemetry::MetricsRegistry;
 use std::cell::RefCell;
 
@@ -23,15 +31,15 @@ pub const BACKEND_METRIC_PREFIX: &str = "recover.gemm";
 /// [`Protection::Abft`] is active.
 pub const ABFT_METRIC_PREFIX: &str = "recover.abft";
 
+/// The MPE accumulation chunk length every GEMM runs with.
+const CHUNK_LEN: usize = 64;
+
 /// How a backend protects its datapath against injected faults.
 ///
-/// The resilient training loop composes with both: `None` relies purely
-/// on guards + skip/rollback, and `Abft` runs every GEMM through the
-/// Huang–Abraham checksum scheme which detects and repairs faulty
-/// elements at O(m+n) extra work per product. Modular redundancy is not
-/// a backend mode: the loop votes over
-/// [`ResilientConfig::redundancy`](crate::ResilientConfig::redundancy)
-/// executions of any backend.
+/// `Abft` is what training recovery runs on: every GEMM goes through the
+/// Huang–Abraham checksum scheme, which detects and repairs faulty
+/// elements at O(m+n) extra work per product. `None` leaves only the
+/// guards, skip and rollback — the setting for studying bare faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
     /// No datapath protection beyond the numeric guards.
@@ -50,7 +58,6 @@ pub enum Protection {
 /// [`GemmStats`] as a thin view over its counters.
 #[derive(Debug)]
 pub struct GuardedHfp8Backend {
-    chunk_len: usize,
     policy: GuardPolicy,
     protection: Protection,
     plan: RefCell<FaultPlan>,
@@ -58,46 +65,19 @@ pub struct GuardedHfp8Backend {
 }
 
 impl GuardedHfp8Backend {
-    /// Creates a backend injecting per `cfg` and guarding per `policy`,
-    /// with the default MPE chunk length of 64.
-    pub fn new(cfg: FaultConfig, policy: GuardPolicy) -> Self {
+    /// Creates a backend injecting per `cfg`, guarding per `policy` and
+    /// protecting per `protection`, with the MPE chunk length of 64.
+    /// Under [`Protection::Abft`] every GEMM runs the
+    /// checksum-protected kernel: faults are repaired inside the call and
+    /// the guard policy only sees what ABFT could not express (shape
+    /// errors).
+    pub fn new(cfg: FaultConfig, policy: GuardPolicy, protection: Protection) -> Self {
         Self {
-            chunk_len: 64,
             policy,
-            protection: Protection::None,
+            protection,
             plan: RefCell::new(FaultPlan::new(cfg)),
             metrics: RefCell::new(MetricsRegistry::new()),
         }
-    }
-
-    /// Selects the datapath protection mode (default [`Protection::None`]).
-    /// Under [`Protection::Abft`] every GEMM runs the checksum-protected
-    /// kernel: faults are repaired inside the call and the guard policy
-    /// only sees what ABFT could not express (shape errors).
-    pub fn with_protection(mut self, protection: Protection) -> Self {
-        self.protection = protection;
-        self
-    }
-
-    /// The datapath protection mode in force.
-    pub fn protection(&self) -> Protection {
-        self.protection
-    }
-
-    /// Overrides the accumulation chunk length.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_len == 0`.
-    pub fn with_chunk_len(mut self, chunk_len: usize) -> Self {
-        assert!(chunk_len > 0, "chunk length must be positive");
-        self.chunk_len = chunk_len;
-        self
-    }
-
-    /// The guard policy in force.
-    pub fn policy(&self) -> GuardPolicy {
-        self.policy
     }
 
     /// Injection totals so far.
@@ -118,35 +98,9 @@ impl GuardedHfp8Backend {
         self.metrics.borrow().clone()
     }
 
-    /// Drains this backend's metrics into an external registry (e.g. a
-    /// bench harness `Telemetry` bundle) and resets the local one.
-    pub fn drain_metrics_into(&self, reg: &mut MetricsRegistry) {
-        let mut mine = self.metrics.borrow_mut();
-        reg.merge(&mine);
-        *mine = MetricsRegistry::new();
-    }
-
     /// Accumulated ABFT observations (zero unless [`Protection::Abft`]).
     pub fn abft_report(&self) -> AbftReport {
         AbftReport::from_registry(&self.metrics.borrow(), ABFT_METRIC_PREFIX)
-    }
-
-    fn guarded(&self, mode: FmaMode, a: &Tensor, b: &Tensor) -> Result<Tensor, NumericsError> {
-        let mut plan = self.plan.borrow_mut();
-        let (c, stats) = if self.protection == Protection::Abft {
-            let (c, stats, report) =
-                abft_matmul_emulated(mode, a, b, self.chunk_len, Some(&mut plan))?;
-            let mut reg = self.metrics.borrow_mut();
-            report.record_into(&mut reg, ABFT_METRIC_PREFIX);
-            (c, stats)
-        } else {
-            let exec = Exec { guard: self.policy, faults: Some(&mut plan), ..Exec::default() };
-            matmul_emulated_with(mode, a, b, self.chunk_len, exec)?
-        };
-        let mut reg = self.metrics.borrow_mut();
-        stats.record_into(&mut reg, BACKEND_METRIC_PREFIX);
-        reg.incr("recover.gemm.calls");
-        Ok(c)
     }
 }
 
@@ -157,26 +111,22 @@ impl Backend for GuardedHfp8Backend {
         b: &Tensor,
         roles: (OperandRole, OperandRole),
     ) -> Result<Tensor, NumericsError> {
-        use OperandRole::{Data, Error};
-        match roles {
-            (Data, Data) => self.guarded(FmaMode::hfp8_fwd_default(), a, b),
-            (Data, Error) | (Error, Error) => self.guarded(FmaMode::hfp8_bwd_default(), a, b),
-            // (1,5,2) on port B through the transpose identity
-            // C = A×B = (BᵀAᵀ)ᵀ. The clean Hfp8Backend puts it on port A
-            // instead; this path keeps the transposed orientation because
-            // seeded fault plans walk MACs in output order, so reorienting
-            // it would move seeded fault-injection results.
-            (Error, Data) => {
-                if a.shape().len() != 2 || b.shape().len() != 2 {
-                    return Err(NumericsError::ShapeMismatch {
-                        expected: "rank-2 operands".to_string(),
-                        actual: format!("a {:?} × b {:?}", a.shape(), b.shape()),
-                    });
-                }
-                self.guarded(FmaMode::hfp8_bwd_default(), &b.transposed(), &a.transposed())
-                    .map(|c| c.transposed())
-            }
-        }
+        let mode = hfp8_mode(roles);
+        let mut plan = self.plan.borrow_mut();
+        let (c, stats) = if self.protection == Protection::Abft {
+            let (c, stats, report) =
+                abft_matmul_emulated(mode, a, b, CHUNK_LEN, Some(&mut plan))?;
+            let mut reg = self.metrics.borrow_mut();
+            report.record_into(&mut reg, ABFT_METRIC_PREFIX);
+            (c, stats)
+        } else {
+            let exec = Exec { guard: self.policy, faults: Some(&mut plan), ..Exec::default() };
+            matmul_emulated_with(mode, a, b, CHUNK_LEN, exec)?
+        };
+        let mut reg = self.metrics.borrow_mut();
+        stats.record_into(&mut reg, BACKEND_METRIC_PREFIX);
+        reg.incr("recover.gemm.calls");
+        Ok(c)
     }
 
     fn name(&self) -> &'static str {
@@ -189,6 +139,11 @@ impl Backend for GuardedHfp8Backend {
 mod tests {
     use super::*;
     use rapid_numerics::gemm::matmul_f32;
+    use rapid_refnet::backend::Hfp8Backend;
+    use OperandRole::{Data, Error};
+
+    const ROLE_PAIRS: [(OperandRole, OperandRole); 4] =
+        [(Data, Data), (Data, Error), (Error, Data), (Error, Error)];
 
     fn mats() -> (Tensor, Tensor) {
         (
@@ -200,13 +155,10 @@ mod tests {
     #[test]
     fn clean_plan_tracks_reference() {
         let (a, b) = mats();
-        let be = GuardedHfp8Backend::new(FaultConfig::default(), GuardPolicy::Error);
+        let be =
+            GuardedHfp8Backend::new(FaultConfig::default(), GuardPolicy::Error, Protection::None);
         let exact = matmul_f32(&a, &b);
-        for roles in [
-            (OperandRole::Data, OperandRole::Data),
-            (OperandRole::Data, OperandRole::Error),
-            (OperandRole::Error, OperandRole::Data),
-        ] {
+        for roles in ROLE_PAIRS {
             let r = be.try_matmul(&a, &b, roles).unwrap();
             assert!(r.max_rel_diff(&exact) < 0.15, "{roles:?}");
         }
@@ -214,16 +166,36 @@ mod tests {
         assert_eq!(be.stats().guard_clamps, 0);
     }
 
+    /// On a fault-free plan the guarded backend is the clean HFP8 backend:
+    /// same per-port formats, same orientation, bit for bit — under both
+    /// protections (ABFT repairs nothing when nothing is wrong).
+    #[test]
+    fn fault_free_plan_is_bit_equal_to_the_clean_backend() {
+        let a = Tensor::random_uniform(vec![9, 70], -2.0, 2.0, 41);
+        let b = Tensor::random_uniform(vec![70, 13], -2.0, 2.0, 42);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for protection in [Protection::None, Protection::Abft] {
+            let be =
+                GuardedHfp8Backend::new(FaultConfig::default(), GuardPolicy::Error, protection);
+            for roles in ROLE_PAIRS {
+                let want = Hfp8Backend::default().try_matmul(&a, &b, roles).unwrap();
+                let got = be.try_matmul(&a, &b, roles).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{protection:?} {roles:?}");
+                assert_eq!(bits(&got), bits(&want), "{protection:?} {roles:?}");
+            }
+        }
+    }
+
     #[test]
     fn error_policy_eventually_trips_and_saturate_counts() {
         let (a, b) = mats();
         let cfg = FaultConfig { seed: 9, mac_acc_rate: 0.05, ..FaultConfig::default() };
-        let error_be = GuardedHfp8Backend::new(cfg, GuardPolicy::Error);
-        let sat_be = GuardedHfp8Backend::new(cfg, GuardPolicy::Saturate);
+        let error_be = GuardedHfp8Backend::new(cfg, GuardPolicy::Error, Protection::None);
+        let sat_be = GuardedHfp8Backend::new(cfg, GuardPolicy::Saturate, Protection::None);
         let mut tripped = false;
         for _ in 0..32 {
-            let r = error_be.try_matmul(&a, &b, (OperandRole::Data, OperandRole::Data));
-            let _ = sat_be.try_matmul(&a, &b, (OperandRole::Data, OperandRole::Data)).unwrap();
+            let r = error_be.try_matmul(&a, &b, (Data, Data));
+            let _ = sat_be.try_matmul(&a, &b, (Data, Data)).unwrap();
             if matches!(r, Err(NumericsError::NonFinite { .. })) {
                 tripped = true;
             }
@@ -244,60 +216,55 @@ mod tests {
 
         let (a, b) = mats();
         let cfg = FaultConfig { seed: 9, mac_acc_rate: 0.05, ..FaultConfig::default() };
-        let be = GuardedHfp8Backend::new(cfg, GuardPolicy::Error)
-            .with_protection(Protection::Abft);
-        let mode = FmaMode::hfp8_fwd_default();
-        let (clean, _) = matmul_emulated(mode, &a, &b, 64);
-        // The FP contract: after ABFT every element is bit-exact clean or
-        // within the checksum detector's rounding envelope of it —
-        // anything larger was flagged and repaired. Non-finites and
-        // exponent upsets can never survive.
-        let (fa, fb) = mode.operand_formats();
-        let (k, n) = (a.shape()[1], b.shape()[1]);
-        let qa: Vec<f64> =
-            a.as_slice().iter().map(|&x| f64::from(fa.quantize(x).abs())).collect();
-        let qb: Vec<f64> =
-            b.as_slice().iter().map(|&x| f64::from(fb.quantize(x).abs())).collect();
-        let tol = fp_tolerance_factor(k, 64);
-        for _ in 0..32 {
-            let r = be
-                .try_matmul(&a, &b, (OperandRole::Data, OperandRole::Data))
-                .expect("ABFT must repair instead of trip");
-            for (i, (row_got, row_clean)) in
-                r.as_slice().chunks(n).zip(clean.as_slice().chunks(n)).enumerate()
-            {
-                let envelope: f64 =
-                    (0..k).map(|p| qa[i * k + p] * (0..n).map(|j| qb[p * n + j]).sum::<f64>()).sum();
-                for (&got, &want) in row_got.iter().zip(row_clean) {
-                    assert!(got.is_finite());
-                    // 2× the detector tolerance: a surviving fault can hide
-                    // behind up to one tolerance of legitimate rounding
-                    // residual on top of its own sub-tolerance magnitude.
-                    assert!(
-                        got.to_bits() == want.to_bits()
-                            || f64::from((got - want).abs()) <= 2.0 * tol * envelope,
-                        "row {i}: got {got}, clean {want}, envelope {envelope}"
-                    );
+        let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+        let tol = fp_tolerance_factor(k, CHUNK_LEN);
+        // Every role pair, so each port format and the (Error, Data) wgrad
+        // orientation are covered.
+        for roles in ROLE_PAIRS {
+            let be = GuardedHfp8Backend::new(cfg, GuardPolicy::Error, Protection::Abft);
+            let mode = hfp8_mode(roles);
+            let (clean, _) = matmul_emulated(mode, &a, &b, CHUNK_LEN);
+            // The FP contract: after ABFT every element is bit-exact clean or
+            // within the checksum detector's rounding envelope of it —
+            // anything larger was flagged and repaired. Non-finites and
+            // exponent upsets can never survive.
+            let (fa, fb) = mode.operand_formats();
+            let qa: Vec<f64> =
+                a.as_slice().iter().map(|&x| f64::from(fa.quantize(x).abs())).collect();
+            let qb: Vec<f64> =
+                b.as_slice().iter().map(|&x| f64::from(fb.quantize(x).abs())).collect();
+            for _ in 0..32 {
+                let r = be.try_matmul(&a, &b, roles).expect("ABFT must repair instead of trip");
+                for (i, (row_got, row_clean)) in
+                    r.as_slice().chunks(n).zip(clean.as_slice().chunks(n)).enumerate()
+                {
+                    let envelope: f64 = (0..k)
+                        .map(|p| qa[i * k + p] * (0..n).map(|j| qb[p * n + j]).sum::<f64>())
+                        .sum();
+                    for (&got, &want) in row_got.iter().zip(row_clean) {
+                        assert!(got.is_finite(), "{roles:?}");
+                        // 2× the detector tolerance: a surviving fault can
+                        // hide behind up to one tolerance of legitimate
+                        // rounding residual on top of its own
+                        // sub-tolerance magnitude.
+                        assert!(
+                            got.to_bits() == want.to_bits()
+                                || f64::from((got - want).abs()) <= 2.0 * tol * envelope,
+                            "{roles:?} row {i}: got {got}, clean {want}, envelope {envelope}"
+                        );
+                    }
                 }
             }
+            let rep = be.abft_report();
+            assert!(rep.corrections > 0, "{roles:?}: 5% flip rate must exercise repair: {rep:?}");
+            // Analytical cap: checksums cost 2(mk+kn+mn) MACs per call and
+            // the union repair recomputes at most every output cell (one
+            // extra base). The 4×8×4 test matrices are tiny, so the checksum
+            // share dominates; real layer shapes amortise to ~1.0x (see the
+            // protection sweep).
+            let cap = 2.0 + 2.0 * ((m * k + k * n + m * n) as f64) / ((m * k * n) as f64);
+            assert!(rep.overhead_ratio() <= cap, "{roles:?}: {} > {cap}", rep.overhead_ratio());
+            assert!(be.metrics().counter("recover.abft.corrections") > 0, "{roles:?}");
         }
-        let rep = be.abft_report();
-        assert!(rep.corrections > 0, "5% flip rate must exercise repair: {rep:?}");
-        // Analytical cap: checksums cost 2(mk+kn+mn) MACs per call and the
-        // union repair recomputes at most every output cell (one extra base).
-        // The 4×8×4 test matrices are tiny, so the checksum share dominates;
-        // real layer shapes amortise to ~1.0x (see the protection sweep).
-        let m = a.shape()[0];
-        let cap = 2.0 + 2.0 * ((m * k + k * n + m * n) as f64) / ((m * k * n) as f64);
-        assert!(rep.overhead_ratio() <= cap, "{} > {cap}", rep.overhead_ratio());
-        assert!(be.metrics().counter("recover.abft.corrections") > 0);
-    }
-
-    #[test]
-    fn protection_modes_report_their_cost_shape() {
-        let be = GuardedHfp8Backend::new(FaultConfig::default(), GuardPolicy::Error);
-        assert_eq!(be.protection(), Protection::None);
-        let be = be.with_protection(Protection::Abft);
-        assert_eq!(be.protection(), Protection::Abft);
     }
 }

@@ -18,13 +18,16 @@
 //!   training checkpoints with generation retention; a corrupted or
 //!   truncated file is detected and the previous generation restored;
 //! * [`backend::GuardedHfp8Backend`] — the HFP8 training backend with a
-//!   seeded fault plan spliced into every GEMM and a configurable guard
-//!   policy, accumulating [`GemmStats`] (including `guard_clamps`) across
-//!   the run;
-//! * [`train`] — resilient variants of the refnet training loops: a failed
-//!   step is rolled back to its pre-step snapshot and skipped, the scale
-//!   backs off, and `K` consecutive failures restore the last good
-//!   checkpoint instead of aborting.
+//!   seeded fault plan spliced into every GEMM, a datapath [`Protection`]
+//!   mode and a configurable guard policy, accumulating [`GemmStats`]
+//!   (including `guard_clamps`) across the run. Recovery runs on
+//!   [`Protection::Abft`]: checksummed GEMMs repair faulty elements in
+//!   the kernel, so faults rarely reach the loop at all;
+//! * [`train`] — resilient variants of the refnet training loops, the
+//!   backstop for what gets through: a failed step is rolled back to its
+//!   pre-step snapshot and skipped, the scale backs off, and `K`
+//!   consecutive failures restore the last good checkpoint instead of
+//!   aborting.
 //!
 //! Ring-side recovery (ack/retransmit all-reduce) lives in
 //! `rapid_ring::reliable`; degraded-core remapping lives in
@@ -36,7 +39,7 @@
 //! ```
 //! use rapid_fault::FaultConfig;
 //! use rapid_numerics::GuardPolicy;
-//! use rapid_recover::backend::GuardedHfp8Backend;
+//! use rapid_recover::backend::{GuardedHfp8Backend, Protection};
 //! use rapid_recover::train::{train_mlp_resilient, ResilientConfig};
 //! use rapid_refnet::data::gaussian_blobs;
 //! use rapid_refnet::mlp::{Mlp, TrainConfig};
@@ -46,6 +49,7 @@
 //! let backend = GuardedHfp8Backend::new(
 //!     FaultConfig { seed: 1, mac_acc_rate: 1e-4, ..FaultConfig::default() },
 //!     GuardPolicy::Error,
+//!     Protection::Abft,
 //! );
 //! let cfg = TrainConfig { epochs: 4, ..TrainConfig::default() };
 //! let (acc, report) = train_mlp_resilient(

@@ -3,30 +3,33 @@
 //! The state machine each step runs through:
 //!
 //! ```text
-//!                ┌────────────────────────────────────────────────┐
-//!                ▼                                                │
-//!          ┌───────────┐ replicas ┌────────────┐ pass ┌─────────┐ │
-//!   batch ─▶ snapshot,  ├─────────▶ vote, then ├──────▶ apply,  ├─┤
-//!          │ attempt ×R │  agree   │ anomaly +  │      │ scaler  │ │
-//!          └─────┬─────┘          │ clip gate  │      │ .grow?, │ │
-//!                │ majority       └─────┬──────┘      │ every   │ │
-//!                │ tripped              │ fail        │ Nth ckpt│ │
-//!                ▼                      ▼             └─────────┘ │
-//!          ┌──────────────┐   < K consecutive                    │
-//!          │ restore      ├──── skip batch ──────────────────────┤
-//!          │ snapshot,    │                                      │
-//!          │ scale backs  │   ≥ K consecutive guard trips        │
-//!          │ off          ├──── roll back to last good ──────────┘
-//!          └──────────────┘     checkpoint
+//!                 ┌─────────────────────────────────────────────────┐
+//!                 ▼                                                 │
+//!           ┌────────────┐  ok   ┌────────────┐ pass ┌──────────┐   │
+//!    batch ─▶ snapshot,  ├───────▶ anomaly +  ├──────▶ apply,   ├───┤
+//!           │ attempt    │       │ clip gate  │      │ scaler   │   │
+//!           └─────┬──────┘       └─────┬──────┘      │ .grow?,  │   │
+//!                 │ guard              │ fail        │ every    │   │
+//!                 │ tripped            │             │ Nth ckpt │   │
+//!                 ▼                    ▼             └──────────┘   │
+//!           ┌──────────────┐   < K consecutive                      │
+//!           │ restore      ├──── skip batch ────────────────────────┤
+//!           │ snapshot,    │                                        │
+//!           │ scale backs  │   ≥ K consecutive guard trips          │
+//!           │ off          ├──── roll back to last good ────────────┘
+//!           └──────────────┘     checkpoint
 //! ```
 //!
 //! Every attempt snapshots the parameters first because the backward pass
 //! applies SGD inline per layer — a mid-backward guard trip leaves the
-//! model partially updated, and the snapshot undoes that. The guards only
-//! see *non-finite* accumulators, so each applied update is defended in
-//! depth against silent (finite) corruption: redundant executions vote
-//! coordinate-wise ([`ResilientConfig::redundancy`]), the update-anomaly
-//! check rejects steps whose magnitude no honest step reaches
+//! model partially updated, and the snapshot undoes that. Datapath faults
+//! are meant to be repaired before they reach the loop: a backend under
+//! [`Protection::Abft`](crate::Protection::Abft) corrects faulty GEMM
+//! elements inside each call, so a protected step neither trips nor
+//! skips. The loop is the backstop for what gets through. The guards
+//! only see *non-finite* accumulators, so each applied update is also
+//! defended against silent (finite) corruption: the update-anomaly check
+//! rejects steps whose magnitude no honest step reaches
 //! ([`ResilientConfig::anomaly_factor`]), and the per-element clip bound
 //! caps whatever slips through ([`ResilientConfig::clip_factor`]). `K`
 //! consecutive guard trips mean skipping isn't working (the fault burst
@@ -82,22 +85,6 @@ pub struct ResilientConfig {
     /// honest components of a corrupted update while bounding each damaged
     /// element to SGD-noise scale. Set to `f64::INFINITY` to disable.
     pub clip_factor: f64,
-    /// Redundant executions per step — modular redundancy, the classic
-    /// accelerator hardening move, applied at step granularity. Injected
-    /// damage is *sparse per replica* (a flip corrupts the coordinates fed
-    /// by its accumulation chunk) and replicas draw independent faults, so
-    /// the elementwise median across three executions recovers the honest
-    /// update at every coordinate corrupted in at most one replica —
-    /// magnitude thresholds cannot do this, because honest-large and
-    /// corrupt-medium updates overlap. At `2` the two executions must
-    /// agree within [`ResilientConfig::verify_ratio`] or the step is
-    /// skipped; at `1` single executions are trusted (guard trips and the
-    /// anomaly check are then the only corruption detectors).
-    pub redundancy: u32,
-    /// Agreement tolerance for two-way redundancy: the pair applies when
-    /// its largest disagreement is at most this fraction of the smaller
-    /// replica's own update magnitude.
-    pub verify_ratio: f64,
 }
 
 /// Applied steps observed before the anomaly check engages — the running
@@ -114,8 +101,6 @@ impl Default for ResilientConfig {
             max_skipped_steps: 100_000,
             anomaly_factor: 64.0,
             clip_factor: 8.0,
-            redundancy: 3,
-            verify_ratio: 0.5,
         }
     }
 }
@@ -135,9 +120,6 @@ pub struct RecoveryReport {
     /// Parameter elements whose per-step delta was clamped to the clip
     /// bound in otherwise-applied steps.
     pub updates_clipped: u64,
-    /// Of the skipped steps, how many were rejected because redundant
-    /// executions disagreed (silent corruption caught by replay).
-    pub verify_rejections: u64,
     /// Rollbacks to the last good checkpoint.
     pub rollbacks: u64,
     /// Applied steps re-lost by rollbacks (progress between the restored
@@ -207,59 +189,6 @@ fn max_abs_delta(before: &TrainState, after: &Params) -> f64 {
         mag = mag.max(f64::from((a - b).abs()));
     }
     mag
-}
-
-/// Largest absolute elementwise disagreement between two captured
-/// parameter sets — under redundant execution this is exactly the
-/// injected damage, since the clean datapath is deterministic.
-fn max_abs_between(a: &Params, b: &Params) -> f64 {
-    let mut mag = 0.0f64;
-    for (la, lb) in a.0.iter().zip(&b.0) {
-        for (&x, &y) in la.w.iter().zip(&lb.w) {
-            mag = mag.max(f64::from((x - y).abs()));
-        }
-        for (&x, &y) in la.b.iter().zip(&lb.b) {
-            mag = mag.max(f64::from((x - y).abs()));
-        }
-    }
-    for (&x, &y) in a.1.iter().zip(&b.1) {
-        mag = mag.max(f64::from((x - y).abs()));
-    }
-    mag
-}
-
-/// Elementwise vote across replica parameter sets: the median for an odd
-/// count (a coordinate corrupted in a minority of replicas recovers its
-/// honest value exactly), the midpoint of the middle pair for an even
-/// count.
-fn vote(replicas: &[Params]) -> Params {
-    let k = replicas.len();
-    let mut scratch = vec![0.0f64; k];
-    let mut median = |pick: &dyn Fn(&Params) -> f32| -> f32 {
-        for (slot, r) in scratch.iter_mut().zip(replicas) {
-            *slot = f64::from(pick(r));
-        }
-        scratch.sort_by(f64::total_cmp);
-        let mid = if k % 2 == 1 {
-            scratch[k / 2]
-        } else {
-            0.5 * (scratch[k / 2 - 1] + scratch[k / 2])
-        };
-        mid as f32
-    };
-    let mut out = replicas[0].clone();
-    for (li, layer) in out.0.iter_mut().enumerate() {
-        for wi in 0..layer.w.len() {
-            layer.w[wi] = median(&|r| r.0[li].w[wi]);
-        }
-        for bi in 0..layer.b.len() {
-            layer.b[bi] = median(&|r| r.0[li].b[bi]);
-        }
-    }
-    for (ai, a) in out.1.iter_mut().enumerate() {
-        *a = median(&|r| r.1[ai]);
-    }
-    out
 }
 
 /// Clamps every parameter delta between `before` and `after` to `±bound`,
@@ -339,51 +268,13 @@ fn run_resilient<M>(
             let snapshot = make_state(capture(model), &scaler, gstep);
             report.steps_run += 1;
             gstep += 1;
-            // Stage 1: produce a candidate update (voted or single).
-            let candidate = if rcfg.redundancy >= 2 {
-                // Modular redundancy: run the batch `redundancy` times
-                // from the same snapshot (independent fault draws) and
-                // vote. A replica that trips a guard is excluded.
-                let mut replicas = Vec::with_capacity(rcfg.redundancy as usize);
-                for _ in 0..rcfg.redundancy {
-                    if attempt(model, &bx, by, scaler.scale()).is_ok() {
-                        replicas.push(capture(model));
-                    }
-                    restore(model, &snapshot);
-                }
-                match replicas.len() {
-                    // A majority of replicas tripped: range evidence.
-                    0 | 1 => Err(true),
-                    // A pair cannot outvote a corrupted member: require
-                    // agreement instead.
-                    2 => {
-                        let mag = max_abs_delta(&snapshot, &replicas[0])
-                            .min(max_abs_delta(&snapshot, &replicas[1]));
-                        if max_abs_between(&replicas[0], &replicas[1])
-                            <= rcfg.verify_ratio * mag
-                        {
-                            Ok(vote(&replicas))
-                        } else {
-                            report.verify_rejections += 1;
-                            Err(false)
-                        }
-                    }
-                    _ => Ok(vote(&replicas)),
-                }
-            } else {
-                match attempt(model, &bx, by, scaler.scale()) {
-                    Ok(()) => Ok(capture(model)),
-                    Err(_guard_trip) => Err(true),
-                }
-            };
-            // Stage 2: gate the candidate through the anomaly check and
-            // the clip bound — voting narrows but cannot close the
-            // silent-corruption window (two replicas can damage the same
-            // coordinate on the same side), so the magnitude backstops
-            // run on every candidate.
-            let verdict = match candidate {
-                Err(guard_trip) => Verdict::Rejected { guard_trip },
-                Ok(mut new_params) => {
+            // Stage 1: attempt the step. Stage 2: gate the candidate
+            // update through the anomaly check and the clip bound — the
+            // magnitude backstops for silent corruption the guards miss.
+            let verdict = match attempt(model, &bx, by, scaler.scale()) {
+                Err(_) => Verdict::Rejected { guard_trip: true },
+                Ok(()) => {
+                    let mut new_params = capture(model);
                     let mag = max_abs_delta(&snapshot, &new_params);
                     let armed = report.steps_applied >= ANOMALY_WARMUP_STEPS
                         && ema_update.is_some_and(|e| e > 0.0);
@@ -400,9 +291,9 @@ fn run_resilient<M>(
                             if clamped > 0 {
                                 report.updates_clipped += clamped;
                                 applied_mag = mag.min(bound);
+                                restore(model, &make_state(new_params.clone(), &scaler, gstep));
                             }
                         }
-                        restore(model, &make_state(new_params.clone(), &scaler, gstep));
                         ema_update = Some(
                             ema_update.map_or(applied_mag, |e| 0.9 * e + 0.1 * applied_mag),
                         );
@@ -591,14 +482,14 @@ pub fn train_qat_resilient(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::backend::GuardedHfp8Backend;
+    use crate::backend::{GuardedHfp8Backend, Protection};
     use rapid_fault::FaultConfig;
     use rapid_numerics::int::IntFormat;
     use rapid_numerics::GuardPolicy;
     use rapid_refnet::data::gaussian_blobs;
     use rapid_refnet::mlp::train;
 
-    fn faulty_backend(seed: u64, rate: f64) -> GuardedHfp8Backend {
+    fn faulty_backend(seed: u64, rate: f64, protection: Protection) -> GuardedHfp8Backend {
         GuardedHfp8Backend::new(
             FaultConfig {
                 seed,
@@ -607,6 +498,7 @@ mod tests {
                 ..FaultConfig::default()
             },
             GuardPolicy::Error,
+            protection,
         )
     }
 
@@ -640,18 +532,17 @@ mod tests {
         let mut clean = Mlp::new(&[16, 32, 4], 1);
         let acc_clean =
             train(&mut clean, &rapid_refnet::backend::Hfp8Backend::default(), &data, &cfg);
-        let backend = faulty_backend(7, 1e-3);
-        let mut model = Mlp::new(&[16, 32, 4], 1);
-        let (acc, report) = train_mlp_resilient(
-            &mut model,
-            &backend,
-            &data,
-            &cfg,
-            &ResilientConfig::default(),
-            None,
-        )
-        .unwrap();
+        let run = |protection| {
+            let backend = faulty_backend(7, 1e-3, protection);
+            let mut model = Mlp::new(&[16, 32, 4], 1);
+            let rcfg = ResilientConfig::default();
+            train_mlp_resilient(&mut model, &backend, &data, &cfg, &rcfg, None).unwrap()
+        };
+        // Unprotected, the flips trip the guards and the loop skips.
+        let (_, report) = run(Protection::None);
         assert!(report.steps_skipped > 0, "1e-3 flips must trip guards: {report:?}");
+        // Under ABFT the same flips are repaired and accuracy holds.
+        let (acc, report) = run(Protection::Abft);
         assert!(
             acc > acc_clean - 0.02,
             "resilient {acc} must stay within 2% of fault-free {acc_clean}: {report:?}"
@@ -664,7 +555,7 @@ mod tests {
         let cfg = TrainConfig { epochs: 6, ..TrainConfig::default() };
         // A rate high enough that rollback_after consecutive failures
         // happen; small rollback_after makes them certain.
-        let backend = faulty_backend(11, 2e-2);
+        let backend = faulty_backend(11, 2e-2, Protection::None);
         let mut model = Mlp::new(&[16, 32, 4], 2);
         let rcfg =
             ResilientConfig { rollback_after: 2, checkpoint_every: 4, ..Default::default() };
@@ -678,7 +569,7 @@ mod tests {
     fn impossible_fault_rate_exhausts_the_skip_budget() {
         let data = gaussian_blobs(64, 4, 16, 0.35, 44);
         let cfg = TrainConfig { epochs: 50, ..TrainConfig::default() };
-        let backend = faulty_backend(13, 0.5);
+        let backend = faulty_backend(13, 0.5, Protection::None);
         let mut model = Mlp::new(&[16, 32, 4], 3);
         let rcfg = ResilientConfig { max_skipped_steps: 10, ..Default::default() };
         let err =

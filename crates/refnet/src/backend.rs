@@ -49,6 +49,17 @@ pub trait Backend {
     fn name(&self) -> &'static str;
 }
 
+/// The HFP8 FMA mode for a GEMM's operand roles: each port takes its own
+/// operand's format — FP8 (1,4,3) with bias 7 for data, FP8 (1,5,2) for
+/// errors. Every HFP8 backend maps roles through this one function.
+pub fn hfp8_mode((ra, rb): (OperandRole, OperandRole)) -> FmaMode {
+    let port = |role| match role {
+        OperandRole::Data => Fp8::E4m3 { bias: 7 },
+        OperandRole::Error => Fp8::E5m2,
+    };
+    FmaMode::Hfp8 { a: port(ra), b: port(rb) }
+}
+
 /// Exact FP32 reference backend.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Fp32Backend;
@@ -117,14 +128,10 @@ impl Backend for Hfp8Backend {
         &self,
         a: &Tensor,
         b: &Tensor,
-        (ra, rb): (OperandRole, OperandRole),
+        roles: (OperandRole, OperandRole),
     ) -> Result<Tensor, NumericsError> {
-        let port = |role| match role {
-            OperandRole::Data => Fp8::E4m3 { bias: 7 },
-            OperandRole::Error => Fp8::E5m2,
-        };
-        let mode = FmaMode::Hfp8 { a: port(ra), b: port(rb) };
-        matmul_emulated_with(mode, a, b, self.chunk_len, Exec::default()).map(|(c, _)| c)
+        matmul_emulated_with(hfp8_mode(roles), a, b, self.chunk_len, Exec::default())
+            .map(|(c, _)| c)
     }
 
     fn name(&self) -> &'static str {

@@ -132,14 +132,14 @@ impl EmulatedSession {
             policy,
             state: Mutex::new(EmState {
                 plan: FaultPlan::new(cfg),
-                backend: GuardedHfp8Backend::new(cfg, policy).with_protection(protection),
+                backend: GuardedHfp8Backend::new(cfg, policy, protection),
                 mats: BTreeMap::new(),
             }),
         }
     }
 
     /// A clean session: no fault injection, abort-on-corruption guards,
-    /// no redundant protection.
+    /// no datapath protection.
     pub fn clean() -> Self {
         Self::new(FaultConfig::default(), GuardPolicy::Error, Protection::None)
     }

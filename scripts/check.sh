@@ -8,10 +8,11 @@
 #
 #   scripts/check.sh              full gate (build, tests, clippy, smokes)
 #   scripts/check.sh --recovery   recovery gate only: clippy on the recover
-#                                 crate (unwrap/expect denied), the
-#                                 external-bytes parser proptests
-#                                 (checkpoint decode among them) + a timed
-#                                 recovery_sweep smoke
+#                                 crate (unwrap/expect denied), the recover
+#                                 crate's tests, the recovery integration
+#                                 tests, the external-bytes parser
+#                                 proptests (checkpoint decode among them)
+#                                 + a timed recovery_sweep smoke
 #   scripts/check.sh --telemetry  telemetry gate only: clippy on the
 #                                 telemetry crate (unwrap/expect denied),
 #                                 the external-bytes parser proptests
@@ -99,6 +100,9 @@ parser_proptests() {
 recovery_gate() {
     echo "== cargo clippy -p rapid-recover (deny warnings; the crate denies unwrap/expect) =="
     cargo clippy -p rapid-recover --all-targets -- -D warnings
+    echo "== recover crate tests + recovery integration tests (ABFT recovery, checkpoints, ring, degraded core) =="
+    cargo test --release -p rapid-recover -q
+    cargo test --release -p rapid --test recovery -q
     parser_proptests
     smoke recovery_sweep --smoke
 }

@@ -2,10 +2,10 @@
 //! DESIGN.md §7 exercised together through the `rapid` facade.
 //!
 //! - **Training rides out datapath faults.** Under a seeded 1e-3 MAC
-//!   bit-flip rate, HFP8 QAT through the recovery loop (skip / back-off /
-//!   redundant-execution voting / rollback) finishes within 2% of the
-//!   fault-free run — while the same configuration without the recovery
-//!   layer surfaces a guard error and aborts.
+//!   bit-flip rate, HFP8 QAT on ABFT-protected GEMMs through the recovery
+//!   loop (skip / back-off / rollback) finishes within 2% of the
+//!   fault-free run — while the same faults without protection or the
+//!   recovery layer surface a guard error and abort.
 //! - **Checkpoints survive corruption.** A flipped byte in the newest
 //!   generation fails its CRC32 and the previous generation loads.
 //! - **The reliable allreduce is exact.** Under drop + duplicate + delay
@@ -22,8 +22,8 @@ use rapid::model::{degraded_throughput, ModelConfig};
 use rapid::numerics::int::IntFormat;
 use rapid::numerics::GuardPolicy;
 use rapid::recover::{
-    train_qat_resilient, CheckpointStore, GuardedHfp8Backend, LayerState, ResilientConfig,
-    TrainState,
+    train_qat_resilient, CheckpointStore, GuardedHfp8Backend, LayerState, Protection,
+    ResilientConfig, TrainState,
 };
 use rapid::refnet::data::gaussian_blobs;
 use rapid::refnet::qat::{train_qat, QatConfig, QatMlp};
@@ -34,7 +34,7 @@ use rapid::ring::{reliable_allreduce, ReliableConfig};
 use rapid::sim::{try_run_chip_gemm_with, ChipGemmJob};
 use rapid::workloads::suite::benchmark;
 
-fn faulty_backend(seed: u64, rate: f64) -> GuardedHfp8Backend {
+fn faulty_backend(seed: u64, rate: f64, protection: Protection) -> GuardedHfp8Backend {
     GuardedHfp8Backend::new(
         FaultConfig {
             seed,
@@ -43,12 +43,14 @@ fn faulty_backend(seed: u64, rate: f64) -> GuardedHfp8Backend {
             ..FaultConfig::default()
         },
         GuardPolicy::Error,
+        protection,
     )
 }
 
-/// (a) Recovery completes QAT within 2% of fault-free under a 1e-3 MAC
-/// flip rate; the identical configuration without the recovery loop
-/// aborts on the first unguarded trip.
+/// (a) ABFT-protected recovery completes QAT within 2% of fault-free
+/// under a 1e-3 MAC flip rate, repairing faults as it goes; the same
+/// faults without protection or the recovery loop abort on the first
+/// unguarded trip.
 #[test]
 fn qat_under_flips_recovers_while_unprotected_run_aborts() {
     let data = gaussian_blobs(256, 4, 16, 0.35, 42);
@@ -59,7 +61,7 @@ fn qat_under_flips_recovers_while_unprotected_run_aborts() {
     let seed = derive_seed(7, "recovery/qat");
     // Without the recovery layer the same schedule surfaces a guard
     // error: the caller has nothing to do but abort.
-    let unprotected = faulty_backend(seed, 1e-3);
+    let unprotected = faulty_backend(seed, 1e-3, Protection::None);
     let mut doomed = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 1);
     let mut aborted = false;
     'outer: for _ in 0..cfg.epochs {
@@ -76,7 +78,7 @@ fn qat_under_flips_recovers_while_unprotected_run_aborts() {
     }
     assert!(aborted, "1e-3 flips must trip the Error guard without recovery");
 
-    let backend = faulty_backend(seed, 1e-3);
+    let backend = faulty_backend(seed, 1e-3, Protection::Abft);
     let mut model = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 1);
     let (acc, report) = train_qat_resilient(
         &mut model,
@@ -87,7 +89,8 @@ fn qat_under_flips_recovers_while_unprotected_run_aborts() {
         None,
     )
     .expect("recovery absorbs a 1e-3 flip rate");
-    assert!(report.steps_skipped > 0, "faults must force skips: {report:?}");
+    let abft = backend.abft_report();
+    assert!(abft.corrections > 0, "ABFT must repair the injected faults: {abft:?}");
     assert!(
         acc > acc_clean - 0.02,
         "resilient {acc} within 2% of fault-free {acc_clean}: {report:?}"
