@@ -149,11 +149,6 @@ impl CoreConfig {
         u64::from(self.corelets) * self.corelet.macs_per_cycle(p)
     }
 
-    /// Ops (multiply + add counted separately) per cycle for the core.
-    pub fn ops_per_cycle(&self, p: Precision) -> u64 {
-        2 * self.macs_per_cycle(p)
-    }
-
     /// FP16 SFU ops per cycle for the whole core.
     pub fn sfu_ops_per_cycle(&self) -> u64 {
         u64::from(self.corelets) * u64::from(self.corelet.sfu_lanes)
@@ -258,11 +253,6 @@ impl SystemConfig {
     /// 1.5 GHz with 128 GBps links.
     pub fn training_4x32() -> Self {
         Self { chips: 4, chip: ChipConfig::rapid_32core(), link_bw_gbps: 128.0 }
-    }
-
-    /// The single-chip inference system.
-    pub fn inference_1x4() -> Self {
-        Self { chips: 1, chip: ChipConfig::rapid_4core(), link_bw_gbps: 0.0 }
     }
 
     /// A copy with a different chip count (scaling studies, Fig 18b).

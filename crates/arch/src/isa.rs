@@ -240,21 +240,21 @@ pub enum SeqInstr {
     /// Read `len` elements from scratchpad starting at `addr` with the
     /// given element `stride`, pushing them onto the outgoing link.
     Read {
-        /// Start address (bytes).
+        /// Start address (element index into the scratchpad).
         addr: u32,
         /// Element count.
         len: u32,
-        /// Stride between elements (bytes).
+        /// Stride between elements (in elements).
         stride: u32,
     },
     /// Pop `len` elements from the incoming link and write them starting
     /// at `addr` with `stride`.
     Write {
-        /// Start address (bytes).
+        /// Start address (element index into the scratchpad).
         addr: u32,
         /// Element count.
         len: u32,
-        /// Stride between elements (bytes).
+        /// Stride between elements (in elements).
         stride: u32,
     },
     /// Block until token `token` has been signalled at least `count` times,

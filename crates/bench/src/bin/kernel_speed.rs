@@ -17,8 +17,8 @@ use rapid_bench::{compare, run, section, BenchRecord};
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{
     conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int_scalar, conv2d_int_with_simd,
-    matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar, matmul_int_with, ConvScratch,
-    ConvSpec, Exec, GemmStats,
+    matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar, matmul_int_with, ConvSpec,
+    Exec, GemmStats,
 };
 use rapid_numerics::int::Signedness;
 use rapid_numerics::{kernel_matrix_at, GuardPolicy, IntFormat, QuantParams, SimdMode, Tensor};
@@ -213,12 +213,10 @@ fn main() -> std::process::ExitCode {
                 let (reference, scalar_ms) =
                     best_ms(reps, || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK));
                 let (tiled, tiled_ms) = best_ms(reps, || {
-                    let mut s = ConvScratch::default();
-                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Off)
+                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off)
                 });
                 let (simd, simd_ms) = best_ms(reps, || {
-                    let mut s = ConvScratch::default();
-                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, &mut s, SimdMode::Force)
+                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force)
                 });
                 assert_bitexact("conv_hfp8", "tiled", &tiled?, &reference);
                 assert_bitexact("conv_hfp8", "simd", &simd?, &reference);
@@ -229,12 +227,10 @@ fn main() -> std::process::ExitCode {
                 let (reference, scalar_ms) =
                     best_ms(reps, || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK));
                 let (tiled, tiled_ms) = best_ms(reps, || {
-                    let mut s = ConvScratch::default();
-                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Off)
+                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Off)
                 });
                 let (simd, simd_ms) = best_ms(reps, || {
-                    let mut s = ConvScratch::default();
-                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, &mut s, SimdMode::Force)
+                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Force)
                 });
                 assert_bitexact("conv_int4", "tiled", &tiled?, &reference);
                 assert_bitexact("conv_int4", "simd", &simd?, &reference);

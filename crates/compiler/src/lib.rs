@@ -33,13 +33,11 @@
 //! ```
 
 pub mod dse;
-pub mod lower;
 pub mod mapping;
 pub mod passes;
 pub mod plan;
 
 pub use dse::{mixed_precision_frontier, FrontierPoint};
-pub use lower::{lower_gemm, LoweredGemm};
 pub use mapping::{map_layer, MappingCost, Split};
 pub use passes::{compile, CompileOptions};
 pub use plan::{LayerPlan, NetworkPlan, QuantCost};

@@ -541,13 +541,6 @@ impl FaultPlan {
         self.in_burst
     }
 
-    /// Whether the ring injectors can fire.
-    pub fn ring_enabled(&self) -> bool {
-        self.cfg.ring_drop_rate > 0.0
-            || self.cfg.ring_dup_rate > 0.0
-            || self.cfg.ring_delay_rate > 0.0
-    }
-
     /// Whether the sequencer-stall injector can fire.
     pub fn seq_enabled(&self) -> bool {
         self.cfg.seq_stall_rate > 0.0
@@ -558,21 +551,9 @@ impl FaultPlan {
         self.cfg.spad_flip_rate > 0.0
     }
 
-    /// Whether the ring payload-corruption injector can fire.
-    pub fn ring_corrupt_enabled(&self) -> bool {
-        self.cfg.ring_corrupt_rate > 0.0
-    }
-
     /// Whether the serving transient-failure injector can fire.
     pub fn serve_enabled(&self) -> bool {
         self.cfg.serve_transient_rate > 0.0
-    }
-
-    /// Whether any node-level injector can fire.
-    pub fn node_enabled(&self) -> bool {
-        self.cfg.node_crash_rate > 0.0
-            || self.cfg.node_hang_rate > 0.0
-            || self.cfg.node_slow_rate > 0.0
     }
 
     /// Whether core `i` is marked permanently failed by this plan.

@@ -115,13 +115,6 @@ impl ChunkAccumulator {
         self.flush_chunk();
         FpFormat::fp16().quantize(self.outer_acc)
     }
-
-    /// Like [`ChunkAccumulator::finish`] but keeps the full FP32 sum
-    /// (the SFU can retain FP32 for selected operations).
-    pub fn finish_fp32(mut self) -> f32 {
-        self.flush_chunk();
-        self.outer_acc
-    }
 }
 
 /// Accumulates a dot product *without* chunking: a single FP16 register,

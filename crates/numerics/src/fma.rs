@@ -85,14 +85,6 @@ impl FmaMode {
             FmaMode::Hfp8 { a, b } => (a.format(), b.format()),
         }
     }
-
-    /// Storage bytes per element of each operand `(a, b)`.
-    pub fn operand_bytes(&self) -> (usize, usize) {
-        match self {
-            FmaMode::Fp16 => (2, 2),
-            FmaMode::Hfp8 { .. } => (1, 1),
-        }
-    }
 }
 
 /// Result of one FMA issue: the new accumulator value plus whether the
@@ -163,26 +155,6 @@ pub fn fma_prequantized(mode: FmaMode, acc: f32, qa: f32, qb: f32) -> FmaResult 
 /// so the model has a single rounding at the adder like the hardware.
 fn f64_add_round_fp16(x: f32, y: f32) -> f32 {
     (f64::from(x) + f64::from(y)) as f32
-}
-
-/// Applies one FMA per element over slices, returning the number of
-/// zero-gated lanes (consumed by the power model).
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn fma_simd(mode: FmaMode, acc: &mut [f32], a: &[f32], b: &[f32]) -> usize {
-    assert_eq!(acc.len(), a.len());
-    assert_eq!(acc.len(), b.len());
-    let mut gated = 0;
-    for i in 0..acc.len() {
-        let r = fma(mode, acc[i], a[i], b[i]);
-        acc[i] = r.acc;
-        if r.zero_gated {
-            gated += 1;
-        }
-    }
-    gated
 }
 
 #[cfg(test)]
@@ -257,16 +229,6 @@ mod tests {
             acc = r.acc;
             assert!(fp16.is_representable(acc), "{acc} not fp16");
         }
-    }
-
-    #[test]
-    fn fma_simd_counts_gated_lanes() {
-        let mut acc = vec![0.0; 4];
-        let a = [1.0, 0.0, 2.0, 0.0];
-        let b = [1.0, 1.0, 0.0, 0.0];
-        let gated = fma_simd(FmaMode::Fp16, &mut acc, &a, &b);
-        assert_eq!(gated, 3);
-        assert_eq!(acc, vec![1.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -641,6 +641,36 @@ mod tests {
         }
     }
 
+    /// The paper's on-the-fly conversion claim: (1,5,3) can hold any
+    /// (1,4,3)-default-bias or (1,5,2) value exactly — that is why a single
+    /// FP9 datapath suffices for both HFP8 operand flavours.
+    #[test]
+    fn fp9_exactly_contains_both_fp8_formats() {
+        let fp9 = FpFormat::fp9();
+        for v in FpFormat::fp8_e4m3().positive_values() {
+            assert_eq!(fp9.quantize(v), v, "e4m3 value {v} not exact in fp9");
+        }
+        for v in FpFormat::fp8_e5m2().positive_values() {
+            assert_eq!(fp9.quantize(v), v, "e5m2 value {v} not exact in fp9");
+        }
+    }
+
+    /// Programmable bias shifts the e4m3 value set by powers of two; FP9
+    /// with its wider exponent absorbs biases near the default exactly.
+    #[test]
+    fn fp9_contains_biased_e4m3_within_exponent_budget() {
+        for bias in 4..=10 {
+            let fmt = FpFormat::fp8_e4m3_with_bias(bias).unwrap();
+            let fp9 = FpFormat::fp9();
+            let vals = fmt.positive_values();
+            let contained = vals.iter().filter(|&&v| fp9.quantize(v) == v).count();
+            // All values inside FP9's range are exact; extreme biases push
+            // part of the range outside, which the hardware handles by
+            // configuring the accumulation scaling.
+            assert!(contained as f32 / vals.len() as f32 > 0.9, "bias {bias}");
+        }
+    }
+
     #[test]
     fn display_formats() {
         assert_eq!(FpFormat::fp8_e4m3().to_string(), "fp8(1,4,3)b7");

@@ -659,9 +659,8 @@ impl BandKernel {
 ///
 /// Every output column runs the scalar reference's chunk-accumulation
 /// chain in k order. The operands are the exact factors the datapath
-/// multiplies, so `x * y` reproduces each FP9 product table entry
-/// (`ProductLut::product(ca, cb) == a_operands[ca] * b_operands[cb]`) and
-/// each FP16 lattice product. A zero product is added like any other:
+/// multiplies, so `x * y` is the exact product of two FP9 operands (or of
+/// two FP16 lattice values). A zero product is added like any other:
 /// it leaves a nonzero chunk register unchanged, and on a zero register it
 /// can only change the sign of that zero, which no output can observe (see
 /// [`dot_staged_group`]).
@@ -1389,61 +1388,6 @@ impl Lowering {
     }
 }
 
-/// Cache key for one im2col buffer: the full input geometry. Two layers
-/// with different shapes hash to different slots, so alternating layers in
-/// a network no longer thrash a single buffer's reallocation path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct ConvKey {
-    in_shape: [usize; 4],
-    kh: usize,
-    kw: usize,
-    stride: usize,
-    pad: usize,
-}
-
-/// Reusable scratch buffers for the convolution kernels: holds im2col
-/// matrices keyed by input geometry so repeated forward passes (training
-/// loops, sweeps, networks with alternating layer shapes) stop paying a
-/// fresh allocation per call.
-#[derive(Debug, Default, Clone)]
-pub struct ConvScratch {
-    /// MRU-ordered `(key, buffer)` slots, at most [`Self::MAX_SLOTS`].
-    slots: Vec<(ConvKey, Tensor)>,
-}
-
-impl ConvScratch {
-    /// Distinct geometries cached before the least-recently-used buffer is
-    /// evicted; generously above any real network's distinct layer shapes.
-    const MAX_SLOTS: usize = 16;
-
-    /// Number of distinct conv geometries currently cached.
-    pub fn cached_shapes(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The im2col buffer for this geometry, moved to the front (MRU). A
-    /// new, empty slot is created on first sight; beyond
-    /// [`Self::MAX_SLOTS`] the least-recently-used buffer is evicted.
-    fn cols_slot(&mut self, input: &Tensor, kh: usize, kw: usize, spec: ConvSpec) -> &mut Tensor {
-        let s = input.shape();
-        let key = ConvKey {
-            in_shape: [s[0], s[1], s[2], s[3]],
-            kh,
-            kw,
-            stride: spec.stride,
-            pad: spec.pad,
-        };
-        if let Some(pos) = self.slots.iter().position(|(k, _)| *k == key) {
-            let slot = self.slots.remove(pos);
-            self.slots.insert(0, slot);
-        } else {
-            self.slots.insert(0, (key, Tensor::default()));
-            self.slots.truncate(Self::MAX_SLOTS);
-        }
-        &mut self.slots[0].1
-    }
-}
-
 /// Validated conv operand geometry.
 #[derive(Debug, Clone, Copy)]
 struct ConvGeom {
@@ -1485,7 +1429,7 @@ fn check_conv_shapes(input: &Tensor, weight: &Tensor) -> Result<ConvGeom, Numeri
 /// Panics if the operand ranks or channel counts are inconsistent.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
-    conv2d_via_gemm(input, weight, spec, &mut ConvScratch::default(), |cols, wmat| {
+    conv2d_via_gemm(input, weight, spec, |cols, wmat| {
         Ok((matmul_f32(cols, wmat), GemmStats::default()))
     })
     .expect("inconsistent conv operand shapes")
@@ -1506,13 +1450,12 @@ pub fn conv2d_emulated(
     mode: FmaMode,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    let scratch = &mut ConvScratch::default();
-    conv2d_emulated_with_simd(input, weight, spec, mode, chunk_len, scratch, SimdMode::from_env())
+    conv2d_emulated_with_simd(input, weight, spec, mode, chunk_len, SimdMode::from_env())
         .expect("inconsistent conv operand shapes")
 }
 
-/// [`conv2d_emulated`] reusing caller-provided scratch buffers, under an
-/// explicit vectorization policy — the single fallible conv entry point.
+/// [`conv2d_emulated`] under an explicit vectorization policy — the
+/// single fallible conv entry point.
 /// In the SIMD regime the convolution runs panel-packed: the GEMM is
 /// restated per image as `weights [co, ci·kh·kw] × im2col-rowsᵀ`, whose
 /// Bᵀ k-panels *are* the im2col rows, and output panels land directly in
@@ -1529,23 +1472,21 @@ pub fn conv2d_emulated(
 /// # Panics
 ///
 /// Panics if `chunk_len == 0` (a configuration bug, not a data error).
-#[allow(clippy::too_many_arguments)]
 pub fn conv2d_emulated_with_simd(
     input: &Tensor,
     weight: &Tensor,
     spec: ConvSpec,
     mode: FmaMode,
     chunk_len: usize,
-    scratch: &mut ConvScratch,
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
     let hw = spec.out_dim(g.h, g.kh) * spec.out_dim(g.w, g.kw);
     let macs = (g.n * hw * g.co * g.ci * g.kh * g.kw) as u64;
     if dispatch::use_simd(simd_mode, macs) {
-        conv2d_panels_emulated(input, weight, spec, mode, chunk_len, scratch, simd_mode)
+        conv2d_panels_emulated(input, weight, spec, mode, chunk_len, simd_mode)
     } else {
-        conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
+        conv2d_via_gemm(input, weight, spec, |cols, wmat| {
             matmul_emulated_fast(mode, cols, wmat, chunk_len, simd_mode)
         })
     }
@@ -1561,7 +1502,7 @@ pub fn conv2d_emulated_scalar(
     mode: FmaMode,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    conv2d_via_gemm(input, weight, spec, &mut ConvScratch::default(), |cols, wmat| {
+    conv2d_via_gemm(input, weight, spec, |cols, wmat| {
         Ok(matmul_emulated_scalar(mode, cols, wmat, chunk_len))
     })
     .expect("inconsistent conv operand shapes")
@@ -1582,19 +1523,17 @@ pub fn conv2d_int(
     qw: QuantParams,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    let scratch = &mut ConvScratch::default();
-    conv2d_int_with_simd(input, weight, spec, qa, qw, chunk_len, scratch, SimdMode::from_env())
+    conv2d_int_with_simd(input, weight, spec, qa, qw, chunk_len, SimdMode::from_env())
         .expect("inconsistent conv operand shapes")
 }
 
-/// [`conv2d_int`] reusing caller-provided scratch buffers, under an
-/// explicit vectorization policy — the single fallible conv entry point,
-/// panel-packed in the SIMD regime like [`conv2d_emulated_with_simd`],
-/// where the input is quantized once and its codes are lowered into the
-/// kernel operand (the scratch buffers serve the flat path's f32
-/// im2col). Falls back to the flat GEMM path whenever the chunk guard
-/// makes INT16 saturation possible (the saturating accumulator must then
-/// be modeled).
+/// [`conv2d_int`] under an explicit vectorization policy — the single
+/// fallible conv entry point, panel-packed in the SIMD regime like
+/// [`conv2d_emulated_with_simd`], where the input is quantized once and
+/// its codes are lowered into the kernel operand (only the flat path
+/// builds an f32 im2col matrix). Falls back to the flat GEMM path
+/// whenever the chunk guard makes INT16 saturation possible (the
+/// saturating accumulator must then be modeled).
 ///
 /// # Errors
 ///
@@ -1611,7 +1550,6 @@ pub fn conv2d_int_with_simd(
     qa: QuantParams,
     qw: QuantParams,
     chunk_len: usize,
-    scratch: &mut ConvScratch,
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
@@ -1623,7 +1561,7 @@ pub fn conv2d_int_with_simd(
     {
         return conv2d_panels_int(input, weight, spec, qa, qw);
     }
-    conv2d_via_gemm(input, weight, spec, scratch, |cols, wmat| {
+    conv2d_via_gemm(input, weight, spec, |cols, wmat| {
         matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
     })
 }
@@ -1638,7 +1576,7 @@ pub fn conv2d_int_scalar(
     qw: QuantParams,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    conv2d_via_gemm(input, weight, spec, &mut ConvScratch::default(), |cols, wmat| {
+    conv2d_via_gemm(input, weight, spec, |cols, wmat| {
         Ok(matmul_int_scalar(cols, wmat, qa, qw, chunk_len))
     })
     .expect("inconsistent conv operand shapes")
@@ -1648,22 +1586,20 @@ fn conv2d_via_gemm(
     input: &Tensor,
     weight: &Tensor,
     spec: ConvSpec,
-    scratch: &mut ConvScratch,
     mm: impl Fn(&Tensor, &Tensor) -> Result<(Tensor, GemmStats), NumericsError>,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let g = check_conv_shapes(input, weight)?;
     let (n, ci, co, kh, kw) = (g.n, g.ci, g.co, g.kh, g.kw);
     let ho = spec.out_dim(g.h, kh);
     let wo = spec.out_dim(g.w, kw);
-    let cols = scratch.cols_slot(input, kh, kw, spec);
-    im2col_into(input, kh, kw, spec, cols);
+    let cols = im2col(input, kh, kw, spec);
     #[allow(clippy::expect_used)] // reshape cannot fail: same element count
     let wmat = weight
         .clone()
         .reshape(vec![co, ci * kh * kw])
         .expect("weight reshape is size-preserving")
         .transposed();
-    let (flat, stats) = mm(cols, &wmat)?; // [n*ho*wo, co]
+    let (flat, stats) = mm(&cols, &wmat)?; // [n*ho*wo, co]
     // Rearrange [n*ho*wo, co] -> [n, co, ho, wo] with flat indexing.
     let mut out = Tensor::zeros(vec![n, co, ho, wo]);
     let od = out.as_mut_slice();
@@ -1697,7 +1633,6 @@ fn conv2d_panels_emulated(
     spec: ConvSpec,
     mode: FmaMode,
     chunk_len: usize,
-    scratch: &mut ConvScratch,
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     assert!(chunk_len > 0, "chunk length must be positive");
@@ -1706,8 +1641,7 @@ fn conv2d_panels_emulated(
     let wo = spec.out_dim(g.w, g.kw);
     let hw = ho * wo;
     let kcols = g.ci * g.kh * g.kw;
-    let cols = scratch.cols_slot(input, g.kh, g.kw, spec);
-    im2col_into(input, g.kh, g.kw, spec, cols);
+    let cols = im2col(input, g.kh, g.kw, spec);
     let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
     if out.as_slice().is_empty() || kcols == 0 {
         return Ok((out, GemmStats::default()));
@@ -1907,12 +1841,10 @@ mod tests {
             assert_eq!(fs, ss);
         }
         let (input, weight) = (Tensor::zeros(vec![1, 0, 4, 4]), Tensor::zeros(vec![2, 0, 1, 1]));
-        let mut scratch = ConvScratch::default();
         let mode = FmaMode::hfp8_fwd_default();
-        let (fast, fs) = conv2d_emulated_with_simd(
-            &input, &weight, ConvSpec::unit(), mode, 4, &mut scratch, SimdMode::Force,
-        )
-        .unwrap();
+        let (fast, fs) =
+            conv2d_emulated_with_simd(&input, &weight, ConvSpec::unit(), mode, 4, SimdMode::Force)
+                .unwrap();
         let (scalar, ss) = conv2d_emulated_scalar(&input, &weight, ConvSpec::unit(), mode, 4);
         assert_bits_eq(&fast, &scalar);
         assert_eq!(fs, ss);
@@ -2027,22 +1959,19 @@ mod tests {
                 }
             }
         }
-        // Exhaustively over the 256 codes, the staged FP9 operands are the
-        // factors of the HFP8 product table.
-        for f in &formats[..formats.len() - 1] {
-            let lut = crate::lut::ProductLut::new(*f, FpFormat::fp8_e5m2());
+        // Exhaustively over the 256 codes of every 8-bit format, the staged
+        // operand is the code's FP9 conversion: the exact factor the HFP8
+        // multiply takes.
+        for &fmt in &formats[..formats.len() - 1] {
             for &simd in bodies {
-                let check = |fmt: FpFormat, want: &[f32; 256]| {
-                    let codes: Vec<f32> = (0..256).map(|c| fmt.decode(c)).collect();
-                    let mut ops = vec![0.0f32; 256];
-                    let st = Stager::new(FmaMode::hfp8_fwd_default(), fmt, simd);
-                    st.run::<true>(&codes, &mut ops, &mut [0; 256]);
-                    for (c, (o, w)) in ops.iter().zip(want).enumerate() {
-                        assert_eq!(o.to_bits(), w.to_bits(), "{fmt} code {c:#04x} simd={simd}");
-                    }
-                };
-                check(*f, lut.a_operands());
-                check(FpFormat::fp8_e5m2(), lut.b_operands());
+                let codes: Vec<f32> = (0..256).map(|c| fmt.decode(c)).collect();
+                let mut ops = vec![0.0f32; 256];
+                let st = Stager::new(FmaMode::hfp8_fwd_default(), fmt, simd);
+                st.run::<true>(&codes, &mut ops, &mut [0; 256]);
+                for (c, (o, &x)) in ops.iter().zip(&codes).enumerate() {
+                    let want = fp9.quantize(x);
+                    assert_eq!(o.to_bits(), want.to_bits(), "{fmt} code {c:#04x} simd={simd}");
+                }
             }
         }
     }
@@ -2188,56 +2117,6 @@ mod tests {
         assert_eq!(stats.saturations, 0);
         let exact = conv2d_f32(&input, &weight, ConvSpec::unit());
         assert!(out.max_rel_diff(&exact) < 0.3);
-    }
-
-    #[test]
-    fn conv_scratch_reuse_is_bit_exact() {
-        let input = Tensor::random_uniform(vec![2, 3, 7, 7], -1.0, 1.0, 40);
-        let weight = Tensor::random_uniform(vec![5, 3, 3, 3], -0.5, 0.5, 41);
-        let spec = ConvSpec { stride: 2, pad: 1 };
-        let mode = FmaMode::hfp8_fwd_default();
-        let (fresh, fresh_stats) = conv2d_emulated(&input, &weight, spec, mode, 64);
-        let mut scratch = ConvScratch::default();
-        // Dirty the scratch with a differently-shaped problem first.
-        let small = Tensor::random_uniform(vec![1, 3, 4, 4], -1.0, 1.0, 42);
-        let simd = SimdMode::from_env();
-        let unit = ConvSpec::unit();
-        let _ =
-            conv2d_emulated_with_simd(&small, &weight, unit, mode, 64, &mut scratch, simd).unwrap();
-        let (reused, reused_stats) =
-            conv2d_emulated_with_simd(&input, &weight, spec, mode, 64, &mut scratch, simd).unwrap();
-        assert_bits_eq(&fresh, &reused);
-        assert_eq!(fresh_stats, reused_stats);
-    }
-
-    /// Alternating layer geometries each keep their own im2col slot (no
-    /// reallocation thrash), and the slot count is bounded by the LRU cap.
-    #[test]
-    fn conv_scratch_caches_per_shape_and_evicts_lru() {
-        let weight = Tensor::random_uniform(vec![2, 3, 3, 3], -0.5, 0.5, 60);
-        let mode = FmaMode::Fp16;
-        let mut scratch = ConvScratch::default();
-        let conv = |input: &Tensor, spec: ConvSpec, scratch: &mut ConvScratch| {
-            conv2d_emulated_with_simd(input, &weight, spec, mode, 64, scratch, SimdMode::from_env())
-                .unwrap()
-        };
-        let big = Tensor::random_uniform(vec![1, 3, 8, 8], -1.0, 1.0, 61);
-        let small = Tensor::random_uniform(vec![1, 3, 5, 5], -1.0, 1.0, 62);
-        for _ in 0..3 {
-            let _ = conv(&big, ConvSpec::unit(), &mut scratch);
-            let _ = conv(&small, ConvSpec::unit(), &mut scratch);
-        }
-        // Two geometries, two slots — revisits hit their cached buffers.
-        assert_eq!(scratch.cached_shapes(), 2);
-        // A distinct pad makes a distinct key even at the same input shape.
-        let _ = conv(&small, ConvSpec { stride: 1, pad: 1 }, &mut scratch);
-        assert_eq!(scratch.cached_shapes(), 3);
-        // Flooding with fresh geometries caps the cache at the LRU bound.
-        for h in 0..24 {
-            let input = Tensor::random_uniform(vec![1, 3, 9 + h, 9], -1.0, 1.0, 63);
-            let _ = conv(&input, ConvSpec::unit(), &mut scratch);
-        }
-        assert_eq!(scratch.cached_shapes(), ConvScratch::MAX_SLOTS);
     }
 
     #[test]

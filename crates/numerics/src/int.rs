@@ -42,11 +42,6 @@ impl IntFormat {
             IntFormat::Int2 => (0, 3),
         }
     }
-
-    /// Number of elements packed per byte.
-    pub fn per_byte(&self) -> usize {
-        (8 / self.bits()) as usize
-    }
 }
 
 impl std::fmt::Display for IntFormat {
@@ -329,48 +324,6 @@ impl IntAccumulator {
     }
 }
 
-/// Packs integer codes into bytes at the format's density (storage /
-/// bandwidth modeling; the layout matches the 32-bit West-link operand
-/// bundles of §III-A).
-pub fn pack_codes(format: IntFormat, codes: &[i8]) -> Vec<u8> {
-    let per = format.per_byte();
-    let bits = format.bits();
-    let mask = (1u16 << bits) - 1;
-    let mut out = Vec::with_capacity(codes.len().div_ceil(per));
-    for chunk in codes.chunks(per) {
-        let mut byte = 0u16;
-        for (i, &c) in chunk.iter().enumerate() {
-            byte |= ((c as u16) & mask) << (i as u32 * bits);
-        }
-        out.push(byte as u8);
-    }
-    out
-}
-
-/// Unpacks bytes produced by [`pack_codes`] back into sign-extended codes.
-pub fn unpack_codes(format: IntFormat, bytes: &[u8], len: usize) -> Vec<i8> {
-    let per = format.per_byte();
-    let bits = format.bits();
-    let mask = (1u8 << bits) - 1;
-    let sign_bit = 1u8 << (bits - 1);
-    let mut out = Vec::with_capacity(len);
-    'outer: for &b in bytes {
-        for i in 0..per {
-            if out.len() == len {
-                break 'outer;
-            }
-            let raw = (b >> (i as u32 * bits)) & mask;
-            let val = if raw & sign_bit != 0 {
-                (raw as i8) | !(mask as i8)
-            } else {
-                raw as i8
-            };
-            out.push(val);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -380,8 +333,6 @@ mod tests {
     fn int4_ranges() {
         assert_eq!(IntFormat::Int4.signed_range(), (-7, 7));
         assert_eq!(IntFormat::Int4.unsigned_range(), (0, 15));
-        assert_eq!(IntFormat::Int4.per_byte(), 2);
-        assert_eq!(IntFormat::Int2.per_byte(), 4);
     }
 
     #[test]
@@ -438,24 +389,6 @@ mod tests {
         acc.mac(2, 2);
         assert_eq!(acc.zero_gated(), 2);
         assert_eq!(acc.finish(), 4);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_int4() {
-        let codes: Vec<i8> = (-7..=7).collect();
-        let packed = pack_codes(IntFormat::Int4, &codes);
-        assert_eq!(packed.len(), 8); // 15 codes -> 8 bytes
-        let unpacked = unpack_codes(IntFormat::Int4, &packed, codes.len());
-        assert_eq!(unpacked, codes);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip_int2() {
-        let codes: Vec<i8> = vec![-1, 0, 1, 1, -1, -1, 0];
-        let packed = pack_codes(IntFormat::Int2, &codes);
-        assert_eq!(packed.len(), 2);
-        let unpacked = unpack_codes(IntFormat::Int2, &packed, codes.len());
-        assert_eq!(unpacked, codes);
     }
 
     #[test]

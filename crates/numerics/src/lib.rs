@@ -12,8 +12,6 @@
 //! * [`format::FpFormat`] — a runtime description of a (sign, exponent,
 //!   mantissa) float format with round-to-nearest-even quantization,
 //!   saturation, and raw-bit encode/decode.
-//! * [`types`] — newtypes for the concrete formats ([`Fp16`], [`Fp8E4M3`],
-//!   [`Fp8E5M2`], [`Fp9`]) storing raw bits.
 //! * [`fma`] — the MPE's FPU pipeline: on-the-fly conversion of both HFP8
 //!   operand formats to the internal FP9 (1,5,3) representation, fused
 //!   multiply-add with an FP16 accumulator, and zero-gating semantics.
@@ -21,11 +19,6 @@
 //!   ICLR'19), which RaPiD uses to preserve fidelity of partial sums.
 //! * [`int`] — INT4/INT2 quantized types with INT16-per-chunk/INT32
 //!   accumulation, and per-tensor scale quantization parameters.
-//! * [`lut`] — exhaustive decode and FP8×FP8 product lookup tables that
-//!   collapse the per-FMA format conversions of the HFP8 pipeline into a
-//!   single table load (fast GEMM path).
-//! * [`qtensor`] — quantize-once tensor representation carrying lattice
-//!   values and (for 8-bit formats) raw operand codes.
 //! * [`sfu`] — the Special Function Unit's fast/accurate approximations
 //!   of `sqrt`, `exp`, `ln`, `sigmoid`, `tanh` and `reciprocal`
 //!   (paper §III-B).
@@ -69,12 +62,9 @@ pub mod format;
 pub mod gemm;
 pub mod guard;
 pub mod int;
-pub mod lut;
-pub mod qtensor;
 pub mod sfu;
 pub(crate) mod simd;
 pub mod tensor;
-pub mod types;
 
 pub use abft::{abft_matmul_emulated, abft_matmul_int, AbftReport};
 pub use dispatch::{kernel_matrix, kernel_matrix_at, KernelBackend, KernelChoice, SimdMode};
@@ -82,6 +72,4 @@ pub use error::NumericsError;
 pub use format::FpFormat;
 pub use guard::GuardPolicy;
 pub use int::{IntFormat, QuantParams};
-pub use qtensor::QTensor;
 pub use tensor::Tensor;
-pub use types::{Fp16, Fp8E4M3, Fp8E5M2, Fp9};

@@ -14,12 +14,10 @@
 //!   choice per call; the epilogue always rounds exactly.
 //!   The same kernel serves every float mode: FP16 runs on lattice
 //!   values, and HFP8 on the **FP9 operand values** both operands are
-//!   converted to when staged — `ProductLut::product(ca, cb)` is exactly
-//!   `a_operands[ca] * b_operands[cb]` (the table entry *is* that f32
-//!   multiply), so the multiply replaces a `vpgatherdps` from the 64K
-//!   table. A gather variant was tried first; at ~3 cycles per 8-lane
-//!   gather (the per-step index row is only 1 KiB, L1-resident) it was
-//!   strictly slower than the multiply it replaces.
+//!   converted to when staged: the product of two FP9 values is exact in
+//!   f32, so one multiply is the HFP8 product. A variant that gathered
+//!   products from a 64K-entry table (`vpgatherdps`) was tried first; at
+//!   ~3 cycles per 8-lane gather it was strictly slower than the multiply.
 //! * [`int_tiles`] — the expanding integer kernel, RaPiD's INT4 engine
 //!   on the host: 4-bit codes multiply into 16-bit pair sums that widen
 //!   into 32-bit accumulators. The column operand is packed in 4-deep

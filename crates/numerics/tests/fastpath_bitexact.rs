@@ -15,8 +15,7 @@ use rapid_fault::FaultPlan;
 use rapid_numerics::gemm::{
     conv2d_emulated, conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int,
     conv2d_int_scalar, conv2d_int_with_simd, matmul_emulated, matmul_emulated_scalar,
-    matmul_emulated_with, matmul_int, matmul_int_scalar, matmul_int_with, ConvScratch, ConvSpec,
-    Exec,
+    matmul_emulated_with, matmul_int, matmul_int_scalar, matmul_int_with, ConvSpec, Exec,
 };
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid_numerics::{GuardPolicy, NumericsError, SimdMode, Tensor};
@@ -590,25 +589,22 @@ proptest! {
         let qw = int_params_from(fmt_w, weight.max_abs());
         let (iscalar, iscalar_stats) = conv2d_int_scalar(&input, &weight, spec, qa, qw, 16);
         for simd in [SimdMode::Force, SimdMode::Off] {
-            let mut scratch = ConvScratch::default();
             let (fast, fast_stats) =
-                conv2d_emulated_with_simd(&input, &weight, spec, mode, 16, &mut scratch, simd)
-                    .unwrap();
+                conv2d_emulated_with_simd(&input, &weight, spec, mode, 16, simd).unwrap();
             assert_bits_eq(&fast, &scalar);
             prop_assert_eq!(fast_stats, scalar_stats, "{:?}", simd);
             let (ifast, ifast_stats) =
-                conv2d_int_with_simd(&input, &weight, spec, qa, qw, 16, &mut scratch, simd)
-                    .unwrap();
+                conv2d_int_with_simd(&input, &weight, spec, qa, qw, 16, simd).unwrap();
             assert_bits_eq(&ifast, &iscalar);
             prop_assert_eq!(ifast_stats, iscalar_stats, "{:?}", simd);
         }
     }
 
-    /// Convolution: the default dispatch (im2col scratch reuse + fast
-    /// GEMM, or the panel-packed kernels from 4096 MACs up) is bit-exact
-    /// against the scalar convolution for random geometries, float and
-    /// int, with the INT formats drawn independently and the same
-    /// channel, depth and ReLU ranges as the pinned-backend test.
+    /// Convolution: the default dispatch (im2col + fast GEMM, or the
+    /// panel-packed kernels from 4096 MACs up) is bit-exact against the
+    /// scalar convolution for random geometries, float and int, with the
+    /// INT formats drawn independently and the same channel, depth and
+    /// ReLU ranges as the pinned-backend test.
     #[test]
     fn conv_bit_exact(
         (ni, ci, co) in (1usize..3, 1usize..9, 1usize..13),

@@ -55,12 +55,6 @@ impl Pact {
         x.map(|v| q.fake_quantize(v.clamp(0.0, self.alpha)))
     }
 
-    /// Forward without quantization (the pure clipped activation used at
-    /// full precision during early training).
-    pub fn forward_clip_only(&self, x: &Tensor) -> Tensor {
-        x.map(|v| v.clamp(0.0, self.alpha))
-    }
-
     /// Backward: returns `(dx, dalpha)` given the upstream gradient and the
     /// forward input. STE inside the window; the clipped region's gradient
     /// accumulates into α.

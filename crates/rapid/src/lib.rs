@@ -56,3 +56,9 @@ pub use rapid_serve as serve;
 pub use rapid_sim as sim;
 pub use rapid_telemetry as telemetry;
 pub use rapid_workloads as workloads;
+
+/// The Rust examples in the repository README, compiled and run as
+/// doctests so a stale call there fails the test suite.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;

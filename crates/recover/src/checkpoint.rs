@@ -26,7 +26,7 @@
 
 use crate::crc::crc32;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// File magic.
@@ -401,18 +401,6 @@ impl CheckpointStore {
         }
         Ok(None)
     }
-}
-
-/// Reads one checkpoint file directly (no store).
-///
-/// # Errors
-///
-/// Propagates I/O failures and every validation failure of
-/// [`decode`].
-pub fn read_checkpoint(path: impl AsRef<Path>) -> Result<TrainState, CheckpointError> {
-    let mut bytes = Vec::new();
-    fs::File::open(path)?.read_to_end(&mut bytes)?;
-    decode(&bytes)
 }
 
 #[cfg(test)]

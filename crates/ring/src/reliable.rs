@@ -109,14 +109,6 @@ pub struct RingHealth {
 }
 
 impl RingHealth {
-    /// Delivered payload bytes per cycle under faults.
-    pub fn effective_bandwidth(&self, payload_bytes: f64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        payload_bytes / self.cycles as f64
-    }
-
     /// Fraction of the fault-free bandwidth the exchange retained.
     pub fn bandwidth_retention(&self) -> f64 {
         if self.cycles == 0 {

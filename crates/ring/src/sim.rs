@@ -138,11 +138,6 @@ impl RingSim {
         self.faults.take()
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Installs a trace sink: subsequent cycles emit per-node flit events
     /// (`send`, `deliver`, `retransmit`, `duplicate`) on the
     /// [`RING_TRACE_PID`] track group, one thread track per ring node.
@@ -230,19 +225,6 @@ impl RingSim {
     /// link-utilization statistic multicast is meant to reduce.
     pub fn link_hops(&self) -> (u64, u64) {
         (self.cw.hops, self.ccw.hops)
-    }
-
-    /// Debug snapshot: per-slot (cw, ccw) occupancy as (tag, dests) pairs.
-    #[allow(clippy::type_complexity)]
-    pub fn debug_channels(&self) -> Vec<(Option<(u16, u64)>, Option<(u16, u64)>)> {
-        (0..self.nodes.len())
-            .map(|i| {
-                (
-                    self.cw.at(i).map(|f| (f.tag, f.dests)),
-                    self.ccw.at(i).map(|f| (f.tag, f.dests)),
-                )
-            })
-            .collect()
     }
 
     /// Whether all programs drained and the ring is empty.

@@ -135,13 +135,6 @@ pub enum Outcome {
     TimedOut(TimeoutStage),
 }
 
-impl Outcome {
-    /// Whether this outcome counts toward goodput.
-    pub fn is_completed(&self) -> bool {
-        matches!(self, Outcome::Completed { .. })
-    }
-}
-
 /// A terminal response delivered back to the submitting client.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {

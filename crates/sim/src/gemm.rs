@@ -71,24 +71,13 @@ pub struct SimResult {
 pub struct CoreSim {
     cfg: CoreConfig,
     core_id: u32,
-    spad_ecc: bool,
 }
 
 impl CoreSim {
     /// Creates a simulator for a core configuration. Scratchpads are
-    /// SECDED-protected by default (the RaPiD L1 arrays carry ECC).
+    /// SECDED-protected (the RaPiD L1 arrays carry ECC).
     pub fn new(cfg: CoreConfig) -> Self {
-        Self { cfg, core_id: 0, spad_ecc: true }
-    }
-
-    /// Enables or disables scratchpad SECDED. With ECC off, injected
-    /// scratchpad bit flips ([`rapid_fault::FaultConfig::spad_flip_rate`])
-    /// corrupt streamed operands silently — the unprotected baseline the
-    /// protection sweep measures against. On clean data both settings are
-    /// bit-identical.
-    pub fn with_spad_ecc(mut self, on: bool) -> Self {
-        self.spad_ecc = on;
-        self
+        Self { cfg, core_id: 0 }
     }
 
     /// Sets the core id used to label this core's telemetry (metric name
@@ -277,12 +266,9 @@ impl CoreSim {
 
         // Scratchpad image: the whole A at 0, B at b_off
         // (element-addressed); this corelet reads rows [row0, row0+m).
-        let mut spad = Scratchpad::new((total_m * k + k * n) as usize);
+        let mut spad = Scratchpad::new((total_m * k + k * n) as usize).with_ecc();
         spad.store_slice(0, a.as_slice());
         spad.store_slice(b_off, b.as_slice());
-        if self.spad_ecc {
-            spad = spad.with_ecc();
-        }
 
         // Weight program: wait for the LRF to be free, then stream the
         // stationary block row by row (ci-major within the block).
@@ -536,8 +522,7 @@ fn seq_cycle_label(seq: &Sequencer, stalls_before: u64, elems_before: u64) -> Op
 
 /// Accumulates one corelet's end-of-run (or failure-cycle) counters into
 /// the registry under `sim.core<id>.c<corelet>.*`, plus the chip-wide
-/// `sim.ecc.{sec,ded}` protection counters when the scratchpad is
-/// SECDED-protected.
+/// `sim.ecc.{sec,ded}` protection counters.
 #[allow(clippy::too_many_arguments)]
 fn record_corelet_counters(
     reg: &mut MetricsRegistry,
@@ -549,10 +534,8 @@ fn record_corelet_counters(
     iseq: &Sequencer,
     spad: &Scratchpad,
 ) {
-    if spad.ecc_enabled() {
-        reg.add("sim.ecc.sec", spad.ecc_sec());
-        reg.add("sim.ecc.ded", spad.ecc_ded());
-    }
+    reg.add("sim.ecc.sec", spad.ecc_sec());
+    reg.add("sim.ecc.ded", spad.ecc_ded());
     let p = format!("sim.core{core_id}.c{corelet_idx}");
     reg.add(&format!("{p}.cycles"), cycles);
     for (label, v) in
@@ -569,7 +552,7 @@ fn record_corelet_counters(
 }
 
 /// Quantizes the operands for storage and picks the array datapath.
-/// Float values are [`FpFormat::quantize`]'s, as in a `QTensor`; INT codes
+/// Float values are [`FpFormat::quantize`]'s; INT codes
 /// come from the vector quantizer, element-wise identical to
 /// [`QuantParams::fake_quantize`]'s once dequantized.
 ///
@@ -728,30 +711,6 @@ mod tests {
     }
 
     #[test]
-    fn without_ecc_spad_flips_corrupt_results_silently() {
-        use rapid_fault::{FaultConfig, FaultPlan};
-        let core = CoreSim::rapid().with_spad_ecc(false);
-        let j = job(8, 128, 64, Precision::Fp16, 71);
-        let clean = core.run_gemm(&j);
-        // A flip lands every cycle, but only flips that strike a word
-        // before its (early) streaming read show up in the output — scan
-        // a few deterministic seeds for one that does.
-        let corrupted = (0..16u64).any(|seed| {
-            let mut plan = FaultPlan::new(FaultConfig {
-                spad_flip_rate: 1.0,
-                seed,
-                ..FaultConfig::default()
-            });
-            let faulty = core
-                .try_run_gemm(&j, Some(&mut plan), None)
-                .expect("unprotected flips are silent, not errors");
-            assert!(plan.counts().spad_flips > 0, "injector must have fired");
-            faulty.c != clean.c
-        });
-        assert!(corrupted, "no seed's flips reached the streamed operands");
-    }
-
-    #[test]
     fn double_spad_flips_escalate_to_a_structured_error() {
         use rapid_fault::{FaultConfig, FaultPlan};
         let core = CoreSim::rapid();
@@ -852,7 +811,6 @@ mod tests {
 
     #[test]
     fn prepare_operands_matches_qtensor_and_fake_quantize_bitwise() {
-        use rapid_numerics::QTensor;
         // 287 and 205 elements: the vector quantizer's 8-lane body and tail.
         let (m, k, n) = (7, 41, 5);
         for p in [Precision::Fp16, Precision::Hfp8, Precision::Int4, Precision::Int2] {
@@ -872,10 +830,7 @@ mod tests {
                 let (expect_a, expect_b) = match (p, datapath) {
                     (Precision::Fp16 | Precision::Hfp8, Datapath::Float { mode }) => {
                         let (fa, fb) = mode.operand_formats();
-                        (
-                            QTensor::quantize(&job.a, fa).into_values(),
-                            QTensor::quantize(&job.b, fb).into_values(),
-                        )
+                        (job.a.map(|v| fa.quantize(v)), job.b.map(|v| fb.quantize(v)))
                     }
                     (Precision::Int4 | Precision::Int2, Datapath::Int { qa, qb }) => {
                         assert_eq!(qa.scale(), 1.0);

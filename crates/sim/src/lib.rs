@@ -46,7 +46,6 @@
 
 pub mod array;
 pub mod chip;
-pub mod conv;
 pub mod ecc;
 pub mod error;
 pub mod gemm;
@@ -59,7 +58,6 @@ pub use array::{ArrayJob, Datapath, MpeArray, TOKEN_BLOCK_FREE};
 pub use chip::{
     try_run_chip_gemm, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult, SFU_TRACE_PID,
 };
-pub use conv::{try_run_conv, ConvJob, ConvSimResult};
 pub use error::{SeqSnapshot, SimError};
 pub use gemm::{precision_label, CoreSim, CoreletReport, GemmJob, SimResult};
 pub use sfu::{SfuStage, SfuUnit};

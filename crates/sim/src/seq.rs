@@ -57,11 +57,6 @@ impl Scratchpad {
         self
     }
 
-    /// Whether SECDED protection is on.
-    pub fn ecc_enabled(&self) -> bool {
-        self.ecc.is_some()
-    }
-
     /// Single-bit errors corrected on read so far.
     pub fn ecc_sec(&self) -> u64 {
         self.ecc.as_ref().map_or(0, |e| e.sec.get())
@@ -161,12 +156,6 @@ impl Scratchpad {
         if let Some(e) = &mut self.ecc {
             e.upsets.retain(|a, _| !(addr..addr + values.len()).contains(a));
         }
-    }
-
-    /// Bulk-loads `len` elements starting at `addr` (result readout),
-    /// through the correcting read path.
-    pub fn load_slice(&self, addr: usize, len: usize) -> Vec<f32> {
-        (addr..addr + len).map(|a| self.read(a)).collect()
     }
 }
 

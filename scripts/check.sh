@@ -64,7 +64,9 @@
 #                                 quarantine, replay)
 #   scripts/check.sh --doc        doc gate only: rustdoc over the whole
 #                                 workspace with warnings denied, so a doc
-#                                 link to a deleted or private item fails
+#                                 link to a deleted or private item fails,
+#                                 and the facade crate's doctests, which
+#                                 compile and run README.md's Rust examples
 #   scripts/check.sh --all        every named gate (recovery, telemetry,
 #                                 protection, simd, serve, elastic, obs,
 #                                 health, doc) without the full build/test/
@@ -198,6 +200,8 @@ health_gate() {
 doc_gate() {
     echo "== cargo doc --workspace (deny warnings: broken or private intra-doc links) =="
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+    echo "== cargo test -p rapid --doc (README.md's Rust examples) =="
+    cargo test -p rapid --doc -q
 }
 
 case "${1:-}" in

@@ -9,7 +9,7 @@ use rapid::arch::power::ThrottleModel;
 use rapid::arch::precision::Precision;
 use rapid::compiler::mapping::map_layer;
 use rapid::numerics::format::FpFormat;
-use rapid::numerics::int::{pack_codes, unpack_codes, IntFormat, QuantParams, Signedness};
+use rapid::numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid::ring::sim::{unicast, RingSim};
 use rapid::workloads::graph::Op;
 
@@ -56,13 +56,6 @@ proptest! {
         let lhs = base.quantize(x) * scale;
         let rhs = shifted.quantize(x * scale);
         prop_assert_eq!(lhs, rhs);
-    }
-
-    /// INT4/INT2 pack→unpack round-trips arbitrary in-range codes.
-    #[test]
-    fn int_pack_roundtrip(codes in proptest::collection::vec(-7i8..=7, 0..64)) {
-        let packed = pack_codes(IntFormat::Int4, &codes);
-        prop_assert_eq!(unpack_codes(IntFormat::Int4, &packed, codes.len()), codes);
     }
 
     /// Integer quantization round-trips every code and clamps the rest.
