@@ -184,8 +184,10 @@ fn main() -> std::process::ExitCode {
             g.report(&mut ctx.rec);
         }
 
-        // The m = 1 regime at the ResNet50 FC shape: per-call B staging, not
-        // MACs, dominates here, so it gets its own isolated number.
+        // The m = 1 regime at the ResNet50 FC shape runs the row-streamed
+        // GEMV: no B groups, each B row staged once into a row buffer and
+        // used once. Staging B still costs more than the MACs here, so
+        // this shape gets its own isolated number.
         let (gk, gn) = (2048, 1000);
         section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} (best of {reps})"));
         let x = filled(vec![1, gk], 0x2545_F491);

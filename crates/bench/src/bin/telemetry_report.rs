@@ -162,7 +162,7 @@ fn main() -> ExitCode {
 
     println!("telemetry report — {path} ({} experiments)\n", records.len());
     println!(
-        "{:<24} {:>10} {:>8} {:>12} {:>8}",
+        "{:<24} {:>10} {:>8} {:>20} {:>8}",
         "experiment", "wall ms", "threads", "fault seed", "metrics"
     );
     let mut total_ms = 0.0;
@@ -175,12 +175,14 @@ fn main() -> ExitCode {
             .and_then(|c| c.get("threads"))
             .and_then(Json::as_f64)
             .unwrap_or(0.0);
-        let seed = config
-            .and_then(|c| c.get("fault_seed"))
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0);
+        // Verbatim: a decimal string (exact) or an older record's number.
+        let seed = match config.and_then(|c| c.get("fault_seed")) {
+            Some(Json::Str(s)) => s.clone(),
+            Some(v) => v.render(),
+            None => "?".to_string(),
+        };
         let n_metrics = r.get("metrics").and_then(Json::as_obj).map_or(0, <[_]>::len);
-        println!("{name:<24} {wall:>10.1} {threads:>8.0} {seed:>12.0} {n_metrics:>8}");
+        println!("{name:<24} {wall:>10.1} {threads:>8.0} {seed:>20} {n_metrics:>8}");
     }
     println!("\ncumulative experiment wall-clock: {:.2}s", total_ms / 1e3);
 

@@ -444,8 +444,8 @@ mod tests {
     fn record_and_footer_carry_the_seed_the_run_used() {
         let dir = std::env::temp_dir().join(format!("rapid-bench-seed-{}", std::process::id()));
         let path = dir.join("rec.json");
-        // Above 2^53: the JSON number rounds, the footer stays exact.
-        let seed = 9_564_733_627_140_217_231u64;
+        // Above 2^53, where an f64 would drop the low bits.
+        let seed = 5_388_115_659_948_436_559u64;
         let argv = ["--seed", &seed.to_string(), "--json", &path.display().to_string()];
         let code = run_with("unit_test", argv.map(String::from), |ctx| {
             assert_eq!(ctx.seed(3), seed);
@@ -457,8 +457,8 @@ mod tests {
         let text = std::fs::read_to_string(&path).expect("record written");
         let j = rapid_telemetry::Json::parse(&text).expect("record parses");
         let config = j.get("config").expect("config");
-        let stamped = config.get("fault_seed").and_then(rapid_telemetry::Json::as_f64);
-        assert_eq!(stamped, Some(seed as f64));
+        let stamped = config.get("fault_seed").and_then(rapid_telemetry::Json::as_str);
+        assert_eq!(stamped, Some("5388115659948436559"));
         assert!(config.get("seed").is_none(), "one seed key, not two: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }

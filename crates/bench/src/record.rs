@@ -11,7 +11,7 @@
 //! {
 //!   "schema": "rapid-bench-v1",
 //!   "experiment": "fig13_inference",
-//!   "config": { "threads": 8, "fault_seed": 7, ... },
+//!   "config": { "threads": 8, "fault_seed": "7", ... },
 //!   "metrics": { "resnet50.int4.speedup_vs_fp16": 5.1, ... },
 //!   "wall_ms": 412.6
 //! }
@@ -76,8 +76,7 @@ pub struct BenchRecord {
     registry: MetricsRegistry,
     /// Where [`BenchRecord::finish`] writes the record (the `--json` path).
     json: Option<PathBuf>,
-    /// The seed stamped as config `fault_seed`, kept exact for the footer
-    /// (the JSON number is an f64).
+    /// The seed stamped as config `fault_seed`, for the footer.
     fault_seed: u64,
 }
 
@@ -110,10 +109,11 @@ impl BenchRecord {
         r
     }
 
-    /// Stamps config `fault_seed`; the footer prints the same seed.
+    /// Stamps config `fault_seed` as a decimal string, exact for every
+    /// u64 (a JSON number here is an f64); the footer prints the same seed.
     pub(crate) fn stamp_fault_seed(&mut self, seed: u64) {
         self.fault_seed = seed;
-        self.config_num("fault_seed", seed as f64);
+        self.config_str("fault_seed", &seed.to_string());
     }
 
     /// Adds (or overwrites) a numeric config entry.

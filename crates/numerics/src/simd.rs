@@ -1,6 +1,6 @@
 //! AVX2 vector kernels for the emulated GEMM fast paths.
 //!
-//! Two inner-loop families, selected by [`crate::dispatch`]:
+//! Three inner-loop families, selected by [`crate::dispatch`]:
 //!
 //! * [`dot_fp16_groups_wide`] / [`dot_fp16_group16`] — the float MAC loop
 //!   over staged 16-column B groups: broadcast the A value, one
@@ -18,6 +18,14 @@
 //!   f32, so one multiply is the HFP8 product. A variant that gathered
 //!   products from a 64K-entry table (`vpgatherdps`) was tried first; at
 //!   ~3 cycles per 8-lane gather it was strictly slower than the multiply.
+//! * [`axpy_fp16`] — the row-streamed GEMV's chunk step (`gemm::gemv`,
+//!   every float GEMM with m = 1). B is not staged into groups there:
+//!   each B element is used exactly once, so the GEMV stages one B row at
+//!   a time into an n-wide buffer and this kernel adds `x·b[j]` into
+//!   per-column chunk registers held in an n-wide array, rounding each
+//!   with the same `chunk_round::<RANGED>` under the same range proof as
+//!   the group kernels. It is one k step of their op sequence, applied
+//!   to a whole row; the portable twin is a `fp16_round_sum` loop.
 //! * [`int_tiles`] — the expanding integer kernel, RaPiD's INT4 engine
 //!   on the host: 4-bit codes multiply into 16-bit pair sums that widen
 //!   into 32-bit accumulators. The column operand is packed in 4-deep
@@ -53,7 +61,12 @@
 //! idempotent on their own outputs (a lattice value plus its own magic
 //! constant is exact), so the chunk registers come back unchanged up to
 //! the sign of a zero register, which no output observes (see
-//! `gemm::dot_staged_group`). The integer kernel is throughput-bound:
+//! `gemm::dot_staged_group`); the GEMV skips a zero A value's row the
+//! same way. The GEMV kernel needs no interleaving: its n chunk registers
+//! are n independent chains, so it is throughput-bound. Staging each B
+//! row (quantizing it to the operand format) costs more than the MAC step
+//! itself: 0.12 against 0.08 ms for a 256×1024 FP16 B, best of 30, on the
+//! host above. The integer kernel is throughput-bound:
 //! its accumulators are exact and independent, and one call computes a
 //! whole row band.
 //!
@@ -217,6 +230,26 @@ mod avx2 {
         }
     }
 
+    /// The GEMV's chunk step over one staged B row (`gemm::gemv`):
+    /// `chunk[j] = chunk_round(x·b[j] + chunk[j])` for every column, 8
+    /// lanes per step. Each column's op sequence is [`fp16_groups`]'s for
+    /// one k step; the columns are independent chains, so the loop is
+    /// throughput-bound and needs no interleaving.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA; `b.len() == chunk.len()`, a multiple of 8.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    unsafe fn axpy<const RANGED: bool>(x: f32, b: &[f32], chunk: &mut [f32]) {
+        let xa = _mm256_set1_ps(x);
+        let (b, c) = (b.as_ptr(), chunk.as_mut_ptr());
+        for j in (0..chunk.len()).step_by(8) {
+            let v = _mm256_fmadd_ps(xa, _mm256_loadu_ps(b.add(j)), _mm256_loadu_ps(c.add(j)));
+            _mm256_storeu_ps(c.add(j), chunk_round::<RANGED>(v));
+        }
+    }
+
     /// One band of the expanding integer kernel for `R` A rows: every
     /// 16-column tile of `cols` accumulates in `2R` registers of eight i32
     /// lanes (see the module docs), then each lane is corrected, converted
@@ -345,6 +378,23 @@ mod avx2 {
         }
     }
 
+    /// Safe wrapper: the GEMV's chunk step, `x` times one staged B row
+    /// `b` added into the chunk registers `chunk` and rounded (`ranged` as
+    /// in [`dot_fp16_groups_wide`]). Both slices are padded to whole
+    /// vectors.
+    pub(crate) fn axpy_fp16(x: f32, b: &[f32], chunk: &mut [f32], ranged: bool) {
+        assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
+        assert!(b.len() == chunk.len() && chunk.len().is_multiple_of(8));
+        // SAFETY: AVX2 and FMA presence and slice extents asserted above.
+        unsafe {
+            if ranged {
+                axpy::<true>(x, b, chunk)
+            } else {
+                axpy::<false>(x, b, chunk)
+            }
+        }
+    }
+
     /// # Safety
     ///
     /// Requires AVX2 and the extents [`pack_int_cols`] asserts.
@@ -413,7 +463,9 @@ mod avx2 {
 }
 
 #[cfg(target_arch = "x86_64")]
-pub(crate) use avx2::{dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols};
+pub(crate) use avx2::{
+    axpy_fp16, dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols,
+};
 
 #[cfg(not(target_arch = "x86_64"))]
 mod fallback {
@@ -443,6 +495,11 @@ mod fallback {
     }
 
     /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
+    pub(crate) fn axpy_fp16(_x: f32, _b: &[f32], _chunk: &mut [f32], _ranged: bool) {
+        unreachable!("SIMD kernel selected on a non-x86_64 target");
+    }
+
+    /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
     pub(crate) fn int_tiles(
         _a: &[i8],
         _k4: usize,
@@ -462,7 +519,9 @@ mod fallback {
 }
 
 #[cfg(not(target_arch = "x86_64"))]
-pub(crate) use fallback::{dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols};
+pub(crate) use fallback::{
+    axpy_fp16, dot_fp16_group16, dot_fp16_groups_wide, int_tiles, pack_int_cols,
+};
 
 #[cfg(all(test, target_arch = "x86_64"))]
 mod tests {

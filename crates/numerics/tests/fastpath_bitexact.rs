@@ -436,9 +436,11 @@ proptest! {
         }
     }
 
-    /// Float GEMM on operands at the edges of every per-port HFP8 pairing.
-    /// Each port is (1,4,3) at bias 7 or at a bias on either side of a
-    /// range-proof edge, or (1,5,2). The operands follow each of four
+    /// Float GEMM on operands at the edges of FP16 and of every per-port
+    /// HFP8 pairing. Each HFP8 port is (1,4,3) at bias 7 or at a bias on
+    /// either side of a range-proof edge, or (1,5,2); FP16 runs in a
+    /// quarter of the cases, where products of its extremes flush below
+    /// and saturate above the accumulator's range. The operands follow each of four
     /// patterns in turn: every element a format maximum, a value that saturates,
     /// a minimum normal, a flush edge or zero, of either sign; the same
     /// with each odd k-position repeating the even one's A value against
@@ -450,13 +452,14 @@ proptest! {
     /// chunk sums grow as fast as they can and then fall back. Chunk
     /// lengths 1, 7 and 64 keep the default pairs inside the range proof
     /// of the 4-op chunk rounder; (1,5,2) × (1,5,2), the far biases and
-    /// chunk 4096 fall outside it and keep the exact rounder. Every
-    /// backend pin must reproduce the scalar reference's bits and
-    /// statistics.
+    /// chunk 4096 fall outside it and keep the exact rounder, as FP16
+    /// always does. `m = 1` runs the row-streamed GEMV and `m` = 2–3 the
+    /// blocked B stager. Every backend pin must reproduce the scalar
+    /// reference's bits and statistics.
     #[test]
     fn float_gemm_extreme_operands_bit_exact(
         (m, k, n) in (1usize..4, 1usize..300, 1usize..90),
-        (port_a, port_b) in (0u8..3, 0u8..3),
+        (port_a, port_b) in (0u8..4, 0u8..3),
         (bias_a, bias_b) in (0usize..8, 0usize..8),
         picks in proptest::collection::vec(0u8..=255, 64),
         seed in 0u64..1_000_000,
@@ -464,8 +467,12 @@ proptest! {
         // (1,4,3) biases around the proof's edges: 12/13 and 15/16 for
         // the quantum, -1/-2 and 15/16 for the FP9 range.
         const BIASES: [i32; 8] = [-2, -1, 3, 12, 13, 15, 16, 124];
-        let (fp8_a, fp8_b) = (fp8_from(port_a, BIASES[bias_a]), fp8_from(port_b, BIASES[bias_b]));
-        let mode = FmaMode::Hfp8 { a: fp8_a, b: fp8_b };
+        let mode = if port_a == 3 {
+            FmaMode::Fp16
+        } else {
+            let (a, b) = (fp8_from(port_a, BIASES[bias_a]), fp8_from(port_b, BIASES[bias_b]));
+            FmaMode::Hfp8 { a, b }
+        };
         let (fa, fb) = mode.operand_formats();
         let pick = |i: usize| picks[(i as u64 ^ seed) as usize % picks.len()];
         let next = |f: FpFormat| f.min_normal() * (1.0 + 0.5f32.powi(f.man_bits() as i32));

@@ -6,7 +6,7 @@
 //! {
 //!   "schema": "rapid-bench-v1",
 //!   "experiment": "fig13_inference",
-//!   "config": { "threads": 8, "fault_seed": 3735928559, ... },
+//!   "config": { "threads": 8, "fault_seed": "3735928559", ... },
 //!   "metrics": { "sim.core0.macs": 123456, ... },
 //!   "wall_ms": 41.7
 //! }
@@ -17,6 +17,10 @@
 //! ```json
 //! { "schema": "rapid-bench-aggregate-v1", "records": [ ...bench records... ] }
 //! ```
+//!
+//! `fault_seed` is a u64, so it is written as a decimal string: a JSON
+//! number is an f64 here and would drop the low bits of any seed above
+//! 2^53. Records that carry it as a number still validate.
 //!
 //! [`validate_bench_record`] / [`validate_aggregate`] are the tiny no-deps
 //! validators the `scripts/check.sh --telemetry` gate runs against emitted
@@ -64,9 +68,10 @@ pub fn validate_bench_record(record: &Json) -> Result<(), String> {
     let config = field(record, "config", &ctx)?;
     let config_fields =
         config.as_obj().ok_or_else(|| format!("{ctx}: 'config' must be an object"))?;
-    for key in ["threads", "fault_seed"] {
-        let v = field(config, key, &ctx)?;
-        expect_number(v, &format!("{ctx}: config.{key}"))?;
+    expect_number(field(config, "threads", &ctx)?, &format!("{ctx}: config.threads"))?;
+    let seed = field(config, "fault_seed", &ctx)?;
+    if seed.as_f64().is_none() && seed.as_str().and_then(|s| s.parse::<u64>().ok()).is_none() {
+        return Err(format!("{ctx}: config.fault_seed must be a number or a decimal u64 string"));
     }
     for (k, v) in config_fields {
         if v.as_f64().is_none() && v.as_str().is_none() && !matches!(v, Json::Bool(_)) {
@@ -164,6 +169,24 @@ mod tests {
         .unwrap();
         let err = validate_bench_record(&r).unwrap_err();
         assert!(err.contains("fault_seed"));
+    }
+
+    #[test]
+    fn fault_seed_is_a_number_or_a_decimal_u64_string() {
+        let with_seed = |seed: &str| {
+            Json::parse(&format!(
+                r#"{{"schema":"rapid-bench-v1","experiment":"x",
+                    "config":{{"threads":1,"fault_seed":{seed}}},"metrics":{{}},"wall_ms":0}}"#
+            ))
+            .unwrap()
+        };
+        for good in ["7", r#""5388115659948436559""#, r#""18446744073709551615""#] {
+            assert_eq!(validate_bench_record(&with_seed(good)), Ok(()), "{good}");
+        }
+        for bad in [r#""""#, r#""-1""#, r#""0x10""#, r#""18446744073709551616""#, "true"] {
+            let err = validate_bench_record(&with_seed(bad)).unwrap_err();
+            assert!(err.contains("fault_seed"), "{bad}: {err}");
+        }
     }
 
     #[test]

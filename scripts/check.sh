@@ -34,9 +34,10 @@
 #                                 refnet and sim tests under =force and
 #                                 =off (the simulator's values come from
 #                                 the dispatched kernels), the benchmark's
-#                                 fast-vs-scalar BERT test under =force
-#                                 and =off (the end-to-end oracle for the
-#                                 HFP8 backend's role mapping), and a timed
+#                                 fast-vs-scalar BERT and LSTM tests under
+#                                 =force and =off (the end-to-end oracles
+#                                 for the HFP8 backend's role mapping and
+#                                 for both GEMV kernels), and a timed
 #                                 kernel_speed smoke (which asserts
 #                                 bit-exactness inline)
 #   scripts/check.sh --serve      serving gate only: clippy on the serve
@@ -155,6 +156,9 @@ simd_gate() {
     echo "== benchmark BERT fast-vs-scalar test under RAPID_SIMD=force and =off (role mapping) =="
     RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q bert
     RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q bert
+    echo "== benchmark LSTM fast-vs-scalar test under RAPID_SIMD=force and =off (m = 1 GEMVs) =="
+    RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q lstm
+    RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q lstm
     smoke kernel_speed --smoke
 }
 
