@@ -6,10 +6,8 @@
 //! the FP16 pipeline — which is what made *doubling* the INT4/INT2 engines
 //! inside the FXU affordable (the "double pumping" of §III-A).
 
-use serde::{Deserialize, Serialize};
-
 /// Relative area/power accounting for one MPE (FP16 pipeline ≡ 1.0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MpeAreaModel {
     /// FPU (FP16 + HFP8) pipeline area, the reference.
     pub fpu_area: f64,
@@ -42,7 +40,7 @@ impl MpeAreaModel {
 }
 
 /// Chip floorplan facts (Fig 10).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipFloorplan {
     /// Die edge in millimetres (6 × 6).
     pub edge_mm: f64,

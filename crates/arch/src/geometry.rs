@@ -7,11 +7,10 @@
 //! chip-to-chip links for the training system.
 
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// One Mixed-Precision Processing Element (Fig 4a): an 8-way SIMD FPU plus
 /// an 8-way (double-pumped) FXU and a local register file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MpeConfig {
     /// SIMD lanes per pipeline (8 in RaPiD).
     pub simd_lanes: u32,
@@ -47,7 +46,7 @@ impl MpeConfig {
 
 /// One corelet: an 8×8 systolic MPE array, the (doubled) SFU arrays and an
 /// L0 scratchpad (Fig 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreletConfig {
     /// MPE array rows (input channels map here).
     pub rows: u32,
@@ -120,7 +119,7 @@ impl CoreletConfig {
 
 /// One AI core: two corelets sharing a 2 MB L1 scratchpad, with an MNI to
 /// the ring (Fig 7).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreConfig {
     /// Corelets per core (2 in RaPiD).
     pub corelets: u32,
@@ -157,7 +156,7 @@ impl CoreConfig {
 
 /// A RaPiD chip: cores on a bidirectional ring, a chip-management unit and
 /// an external memory interface (Fig 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChipConfig {
     /// Number of cores (4 fabricated; 32 in the scaled training chip).
     pub cores: u32,
@@ -238,7 +237,7 @@ impl ChipConfig {
 }
 
 /// A multi-chip system (Fig 11: 4 × 32-core chips for training).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemConfig {
     /// Number of chips.
     pub chips: u32,

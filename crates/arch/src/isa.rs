@@ -8,13 +8,12 @@
 //! instructions; the cycle simulator (`rapid-sim`) executes them.
 
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Identifies a synchronization token counter (hardware semaphore).
 pub type TokenId = u8;
 
 /// Source of an FMMA multiplicand (Fig 4a: North/West neighbors or LRF).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperandSrc {
     /// Operand streams in from the West link (row broadcast).
     West,
@@ -29,7 +28,7 @@ pub enum OperandSrc {
 /// Within a program the operand precision is fixed and held in registers so
 /// the hardware can data-gate operand widths (paper §III-A); the simulator
 /// enforces the same invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MpeInstr {
     /// Fused multiply-multiply-accumulate across the SIMD lanes: multiply
     /// the streaming operand by `vecs` stationary LRF vectors and
@@ -158,7 +157,7 @@ fn decode_src(c: u32) -> Option<OperandSrc> {
 
 /// Special Function Unit operation kinds (paper §III-B: accurate and fast
 /// variants of a broad set of non-linear and data-movement functions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SfuOpKind {
     /// Rectified linear unit (forward or backward).
     Relu,
@@ -235,7 +234,7 @@ impl SfuOpKind {
 
 /// A data-sequencing instruction for the programmable load/store units at
 /// the end points of each link (paper §II-A, access–execute style).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SeqInstr {
     /// Read `len` elements from scratchpad starting at `addr` with the
     /// given element `stride`, pushing them onto the outgoing link.
@@ -332,7 +331,7 @@ impl SeqInstr {
 }
 
 /// MNI (memory/neighbor interface) primitives (paper §III-E, Fig 8).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MniInstr {
     /// Post a receive for `bytes` tagged `tag`, to be written at `local_addr`.
     /// `consumers` is the number of participating consumers for multi-cast

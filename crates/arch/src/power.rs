@@ -24,10 +24,9 @@
 
 use crate::geometry::ChipConfig;
 use crate::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Linear voltage/frequency operating curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VfCurve {
     /// Frequency at the low-voltage end (GHz).
     pub f_min_ghz: f64,
@@ -56,7 +55,7 @@ impl VfCurve {
 
 /// Per-operation / per-byte effective energies at the reference voltage,
 /// in picojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyTable {
     /// MPE op energy (pJ) at FP16. A MAC counts as 2 ops.
     pub mpe_fp16_op_pj: f64,
@@ -122,7 +121,7 @@ impl EnergyTable {
 }
 
 /// The chip-level power model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Voltage/frequency operating curve.
     pub vf: VfCurve,
@@ -183,7 +182,7 @@ impl PowerModel {
 /// budget. Zero-gating makes per-cycle compute energy fall with weight
 /// sparsity, so the compiler can program a lower stall rate for sparse
 /// layers — re-investing the saved power as effective frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThrottleModel {
     /// Maximum (un-throttled) clock frequency (GHz).
     pub f_max_ghz: f64,

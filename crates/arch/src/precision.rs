@@ -6,11 +6,10 @@
 //! `rapid-numerics`.
 
 use rapid_numerics::fma::FmaMode;
-use serde::{Deserialize, Serialize};
 
 /// Which MPE pipeline a precision executes on (paper §III-A separates the
 /// FPU and FXU pipelines to decouple their circuit optimization).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pipeline {
     /// Floating-point pipeline (FP16 and HFP8 share the 128-bit datapath).
     Fpu,
@@ -26,7 +25,7 @@ pub enum Pipeline {
 /// compare from highest precision (`Fp32`) down to lowest (`Int2`), so
 /// `a < b` means `a` is the higher-quality tier — the ordering the
 /// precision-tiered load shedder walks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Precision {
     /// 32-bit IEEE floating point (SFU only; selected ops).
     Fp32,

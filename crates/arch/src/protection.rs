@@ -19,10 +19,8 @@
 //! O(mkn) base work) — the reason it beats modular redundancy for GEMM —
 //! while SECDED and CRC are flat rates on capacity and bandwidth.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the protection machinery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtectionParams {
     /// Extra scratchpad bits per data bit for SECDED(39,32): 7/32.
     pub secded_storage_overhead: f64,

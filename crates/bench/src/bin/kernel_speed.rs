@@ -7,6 +7,12 @@
 //! `<group>.speedup_vs_scalar` — the ratios `repro_all` gates against
 //! regressions between runs.
 //!
+//! The three backends of a group are timed in paired rounds: each round
+//! runs scalar, tiled and simd back to back, so a change in host load
+//! hits all three alike. The recorded speedup is the median of the
+//! per-round scalar/simd ratios, and `<group>.speedup_iqr` is their
+//! interquartile range.
+//!
 //! Runs single-threaded by default (set `RAPID_THREADS` to override):
 //! the metric is per-kernel speedup, not machine throughput, and thread
 //! fan-out would only add variance to the ratio.
@@ -21,10 +27,15 @@ use rapid_numerics::gemm::{
     Exec, GemmStats,
 };
 use rapid_numerics::int::Signedness;
-use rapid_numerics::{kernel_matrix_at, GuardPolicy, IntFormat, QuantParams, SimdMode, Tensor};
+use rapid_numerics::{
+    kernel_matrix_at, GuardPolicy, IntFormat, NumericsError, QuantParams, SimdMode, Tensor,
+};
+use std::hint::black_box;
 use std::time::Instant;
 
 const CHUNK: usize = 64;
+
+type Output = (Tensor, GemmStats);
 
 /// Deterministic pseudo-random tensor in [-1, 1] with ~20% exact zeros so
 /// the zero-gating stats paths are exercised by the bit-exact checks.
@@ -46,21 +57,20 @@ fn filled(shape: Vec<usize>, seed: u64) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-/// Best-of-`reps` wall time in milliseconds, plus the (last) output for
-/// the bit-exactness check. One untimed warmup call precedes the reps.
-fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    let mut out = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        out = f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (out, best)
+/// First quartile, median and third quartile, by linear interpolation
+/// between order statistics.
+fn quartiles(mut v: Vec<f64>) -> [f64; 3] {
+    v.sort_by(f64::total_cmp);
+    let at = |p: f64| {
+        let pos = p * (v.len() - 1) as f64;
+        let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+        v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+    };
+    [at(0.25), at(0.5), at(0.75)]
 }
 
 /// Asserts two kernel results agree bit-for-bit (values and stats).
-fn assert_bitexact(group: &str, backend: &str, r: &(Tensor, GemmStats), s: &(Tensor, GemmStats)) {
+fn assert_bitexact(group: &str, backend: &str, r: &Output, s: &Output) {
     assert_eq!(r.0.shape(), s.0.shape(), "{group}/{backend}: shape mismatch");
     for (i, (a, b)) in r.0.as_slice().iter().zip(s.0.as_slice()).enumerate() {
         assert_eq!(
@@ -72,37 +82,74 @@ fn assert_bitexact(group: &str, backend: &str, r: &(Tensor, GemmStats), s: &(Ten
     assert_eq!(r.1, s.1, "{group}/{backend}: stats mismatch");
 }
 
+/// One group's per-round wall times in milliseconds: scalar, tiled, simd.
 struct GroupResult {
     name: &'static str,
-    scalar_ms: f64,
-    tiled_ms: f64,
-    simd_ms: f64,
+    rounds: Vec<[f64; 3]>,
 }
 
 impl GroupResult {
-    fn speedup_vs_scalar(&self) -> f64 {
-        self.scalar_ms / self.simd_ms
-    }
-
     fn report(&self, rec: &mut BenchRecord) {
+        let over_rounds = |f: fn(&[f64; 3]) -> f64| quartiles(self.rounds.iter().map(f).collect());
+        let [_, scalar_ms, _] = over_rounds(|t| t[0]);
+        let [_, tiled_ms, _] = over_rounds(|t| t[1]);
+        let [_, simd_ms, _] = over_rounds(|t| t[2]);
+        let [q1, vs_scalar, q3] = over_rounds(|t| t[0] / t[2]);
+        let [_, vs_tiled, _] = over_rounds(|t| t[1] / t[2]);
         compare(
             &format!("{} scalar / tiled / simd", self.name),
             format!(
-                "{:.2} / {:.2} / {:.3} ms → {:.1}× vs scalar, {:.1}× vs tiled",
-                self.scalar_ms,
-                self.tiled_ms,
-                self.simd_ms,
-                self.speedup_vs_scalar(),
-                self.tiled_ms / self.simd_ms
+                "{scalar_ms:.2} / {tiled_ms:.2} / {simd_ms:.3} ms → {vs_scalar:.1}× \
+                 (IQR {:.1}) vs scalar, {vs_tiled:.1}× vs tiled",
+                q3 - q1
             ),
             "bit-exact across all three",
         );
-        rec.metric(&format!("{}.scalar_ms", self.name), self.scalar_ms);
-        rec.metric(&format!("{}.tiled_ms", self.name), self.tiled_ms);
-        rec.metric(&format!("{}.simd_ms", self.name), self.simd_ms);
-        rec.metric(&format!("{}.speedup_vs_scalar", self.name), self.speedup_vs_scalar());
-        rec.metric(&format!("{}.speedup_vs_tiled", self.name), self.tiled_ms / self.simd_ms);
+        rec.metric(&format!("{}.scalar_ms", self.name), scalar_ms);
+        rec.metric(&format!("{}.tiled_ms", self.name), tiled_ms);
+        rec.metric(&format!("{}.simd_ms", self.name), simd_ms);
+        rec.metric(&format!("{}.speedup_vs_scalar", self.name), vs_scalar);
+        rec.metric(&format!("{}.speedup_iqr", self.name), q3 - q1);
+        rec.metric(&format!("{}.speedup_vs_tiled", self.name), vs_tiled);
     }
+}
+
+/// Times one group's scalar reference, tiled (`off`) and vector
+/// (`force`) backends in `rounds` paired rounds, after checking both
+/// fast outputs against the reference bit-for-bit. Each round runs all
+/// three back to back, starting one backend later than the round before.
+fn time_group(
+    name: &'static str,
+    rounds: usize,
+    mut scalar: impl FnMut() -> Output,
+    mut tiled: impl FnMut() -> Result<Output, NumericsError>,
+    mut simd: impl FnMut() -> Result<Output, NumericsError>,
+) -> Result<GroupResult, NumericsError> {
+    let reference = scalar();
+    assert_bitexact(name, "tiled", &tiled()?, &reference);
+    assert_bitexact(name, "simd", &simd()?, &reference);
+    let mut times = Vec::with_capacity(rounds);
+    for r in 0..rounds {
+        let mut t = [0.0; 3];
+        for i in 0..3 {
+            let backend = (r + i) % 3;
+            let start = Instant::now();
+            match backend {
+                0 => {
+                    black_box(scalar());
+                }
+                1 => {
+                    black_box(tiled()?);
+                }
+                _ => {
+                    black_box(simd()?);
+                }
+            }
+            t[backend] = start.elapsed().as_secs_f64() * 1e3;
+        }
+        times.push(t);
+    }
+    Ok(GroupResult { name, rounds: times })
 }
 
 /// Execution options pinning one backend, unguarded and fault-free.
@@ -110,43 +157,40 @@ fn pinned(simd: SimdMode) -> Exec<'static> {
     Exec { simd, guard: GuardPolicy::Propagate, faults: None }
 }
 
-/// Times one float GEMM group: scalar reference, tiled (`off`), vector
-/// (`force`); the fast results must match the reference bit-for-bit.
+/// Times one float GEMM group.
 fn float_group(
     name: &'static str,
     mode: FmaMode,
     a: &Tensor,
     b: &Tensor,
-    reps: usize,
-) -> Result<GroupResult, Box<dyn std::error::Error>> {
-    let (reference, scalar_ms) = best_ms(reps, || matmul_emulated_scalar(mode, a, b, CHUNK));
-    let (tiled, tiled_ms) =
-        best_ms(reps, || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Off)));
-    let (simd, simd_ms) =
-        best_ms(reps, || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Force)));
-    assert_bitexact(name, "tiled", &tiled?, &reference);
-    assert_bitexact(name, "simd", &simd?, &reference);
-    Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
+    rounds: usize,
+) -> Result<GroupResult, NumericsError> {
+    time_group(
+        name,
+        rounds,
+        || matmul_emulated_scalar(mode, a, b, CHUNK),
+        || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Off)),
+        || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Force)),
+    )
 }
 
-/// Times one integer GEMM group: scalar reference, tiled (`off`), the
-/// expanding kernel (`force`) that INT4 and INT2 share.
+/// Times one integer GEMM group; `force` runs the expanding kernel that
+/// INT4 and INT2 share.
 fn int_group(
     name: &'static str,
     fmt: IntFormat,
     a: &Tensor,
     b: &Tensor,
-    reps: usize,
-) -> Result<GroupResult, Box<dyn std::error::Error>> {
+    rounds: usize,
+) -> Result<GroupResult, NumericsError> {
     let q = QuantParams::from_abs_max(fmt, Signedness::Signed, 1.0);
-    let (reference, scalar_ms) = best_ms(reps, || matmul_int_scalar(a, b, q, q, CHUNK));
-    let (tiled, tiled_ms) =
-        best_ms(reps, || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Off)));
-    let (simd, simd_ms) =
-        best_ms(reps, || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Force)));
-    assert_bitexact(name, "tiled", &tiled?, &reference);
-    assert_bitexact(name, "simd", &simd?, &reference);
-    Ok(GroupResult { name, scalar_ms, tiled_ms, simd_ms })
+    time_group(
+        name,
+        rounds,
+        || matmul_int_scalar(a, b, q, q, CHUNK),
+        || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Off)),
+        || matmul_int_with(a, b, q, q, CHUNK, pinned(SimdMode::Force)),
+    )
 }
 
 fn main() -> std::process::ExitCode {
@@ -158,7 +202,7 @@ fn main() -> std::process::ExitCode {
     }
     run("kernel_speed", |ctx| {
         let smoke = ctx.smoke();
-        let (dim, reps) = if smoke { (64, 2) } else { (128, 5) };
+        let (dim, rounds) = if smoke { (64, 3) } else { (128, 15) };
         ctx.rec.config_num("dim", dim as f64);
         ctx.rec.config_num("chunk_len", CHUNK as f64);
         ctx.rec.config_str("simd", SimdMode::from_env().as_str());
@@ -170,15 +214,15 @@ fn main() -> std::process::ExitCode {
             ctx.rec.config_str(&format!("kernel.{}", c.format), &choice);
         }
 
-        section(&format!("GEMM {dim}×{dim}×{dim}, chunk {CHUNK} (best of {reps})"));
+        section(&format!("GEMM {dim}×{dim}×{dim}, chunk {CHUNK} ({rounds} paired rounds)"));
         let a = filled(vec![dim, dim], 0x9E37_79B9);
         let b = filled(vec![dim, dim], 0xC2B2_AE35);
         let groups = [
-            float_group("gemm_fp16", FmaMode::Fp16, &a, &b, reps)?,
-            float_group("gemm_hfp8_fwd", FmaMode::hfp8_fwd_default(), &a, &b, reps)?,
-            float_group("gemm_hfp8_bwd", FmaMode::hfp8_bwd_default(), &a, &b, reps)?,
-            int_group("gemm_int4", IntFormat::Int4, &a, &b, reps)?,
-            int_group("gemm_int2", IntFormat::Int2, &a, &b, reps)?,
+            float_group("gemm_fp16", FmaMode::Fp16, &a, &b, rounds)?,
+            float_group("gemm_hfp8_fwd", FmaMode::hfp8_fwd_default(), &a, &b, rounds)?,
+            float_group("gemm_hfp8_bwd", FmaMode::hfp8_bwd_default(), &a, &b, rounds)?,
+            int_group("gemm_int4", IntFormat::Int4, &a, &b, rounds)?,
+            int_group("gemm_int2", IntFormat::Int2, &a, &b, rounds)?,
         ];
         for g in &groups {
             g.report(&mut ctx.rec);
@@ -189,12 +233,12 @@ fn main() -> std::process::ExitCode {
         // used once. Staging B still costs more than the MACs here, so
         // this shape gets its own isolated number.
         let (gk, gn) = (2048, 1000);
-        section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} (best of {reps})"));
+        section(&format!("GEMV 1×{gk}×{gn} (ResNet50 FC), chunk {CHUNK} ({rounds} paired rounds)"));
         let x = filled(vec![1, gk], 0x2545_F491);
         let w = filled(vec![gk, gn], 0x6A09_E667);
         let gemv_groups = [
-            float_group("gemv_fp16", FmaMode::Fp16, &x, &w, reps)?,
-            float_group("gemv_hfp8_fwd", FmaMode::hfp8_fwd_default(), &x, &w, reps)?,
+            float_group("gemv_fp16", FmaMode::Fp16, &x, &w, rounds)?,
+            float_group("gemv_hfp8_fwd", FmaMode::hfp8_fwd_default(), &x, &w, rounds)?,
         ];
         for g in &gemv_groups {
             g.report(&mut ctx.rec);
@@ -205,39 +249,27 @@ fn main() -> std::process::ExitCode {
         let (n, ci, hw_in, co) = if smoke { (2, 4, 14, 8) } else { (4, 8, 28, 16) };
         let spec = ConvSpec { stride: 1, pad: 1 };
         section(&format!(
-            "conv {n}×{ci}×{hw_in}×{hw_in} · {co}×{ci}×3×3 stride 1 pad 1 (best of {reps})"
+            "conv {n}×{ci}×{hw_in}×{hw_in} · {co}×{ci}×3×3 stride 1 pad 1 ({rounds} paired rounds)"
         ));
         let input = filled(vec![n, ci, hw_in, hw_in], 0x1234_5678);
         let weight = filled(vec![co, ci, 3, 3], 0x8765_4321);
+        let m = FmaMode::hfp8_fwd_default();
+        let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
         let conv_groups = [
-            {
-                let m = FmaMode::hfp8_fwd_default();
-                let (reference, scalar_ms) =
-                    best_ms(reps, || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK));
-                let (tiled, tiled_ms) = best_ms(reps, || {
-                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off)
-                });
-                let (simd, simd_ms) = best_ms(reps, || {
-                    conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force)
-                });
-                assert_bitexact("conv_hfp8", "tiled", &tiled?, &reference);
-                assert_bitexact("conv_hfp8", "simd", &simd?, &reference);
-                GroupResult { name: "conv_hfp8", scalar_ms, tiled_ms, simd_ms }
-            },
-            {
-                let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
-                let (reference, scalar_ms) =
-                    best_ms(reps, || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK));
-                let (tiled, tiled_ms) = best_ms(reps, || {
-                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Off)
-                });
-                let (simd, simd_ms) = best_ms(reps, || {
-                    conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Force)
-                });
-                assert_bitexact("conv_int4", "tiled", &tiled?, &reference);
-                assert_bitexact("conv_int4", "simd", &simd?, &reference);
-                GroupResult { name: "conv_int4", scalar_ms, tiled_ms, simd_ms }
-            },
+            time_group(
+                "conv_hfp8",
+                rounds,
+                || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK),
+                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off),
+                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force),
+            )?,
+            time_group(
+                "conv_int4",
+                rounds,
+                || conv2d_int_scalar(&input, &weight, spec, q, q, CHUNK),
+                || conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Off),
+                || conv2d_int_with_simd(&input, &weight, spec, q, q, CHUNK, SimdMode::Force),
+            )?,
         ];
         for g in &conv_groups {
             g.report(&mut ctx.rec);

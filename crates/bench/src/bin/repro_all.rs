@@ -18,9 +18,9 @@
 //! The aggregate also carries a kernel-speed regression gate: every
 //! `*.speedup_vs_scalar` metric in the previous `BENCH_repro.json` is
 //! compared against the fresh run, and any ratio that fell more than 20%
-//! below its recorded value fails the run loudly. Ratios compare a
-//! kernel against its scalar reference measured in the same process, so
-//! machine load cancels out of the comparison.
+//! below its recorded value fails the run loudly. Each ratio is the
+//! median over rounds that time a kernel and its scalar reference back
+//! to back, so a change in machine load lands on both sides of it.
 
 use rapid_bench::{json_path_from_args, num_threads, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig};

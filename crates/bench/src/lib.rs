@@ -1,9 +1,9 @@
 //! # rapid-bench
 //!
 //! The experiment harness: one binary per table/figure in the paper's
-//! evaluation (run `cargo run -p rapid-bench --bin <name> --release`), plus
-//! Criterion benches under `benches/`. `repro_all` runs every experiment
-//! in sequence — its output is the source of EXPERIMENTS.md.
+//! evaluation (run `cargo run -p rapid-bench --bin <name> --release`).
+//! Host kernel timing lives in `kernel_speed`; `repro_all` runs every
+//! experiment in sequence — its output is the source of EXPERIMENTS.md.
 //!
 //! Every experiment binary is one [`run`] call, and its exit status is
 //! its contract: 0 means every invariant it checks held.
@@ -48,6 +48,7 @@ use rapid_workloads::graph::Network;
 use rapid_workloads::suite::benchmark_suite;
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::sync::{Mutex, PoisonError};
 
 /// Environment variable naming an experiment binary that [`run`] fails
 /// before its body runs — the hook proving `repro_all` degrades
@@ -264,24 +265,22 @@ pub fn try_par_map<T: Sync, U: Send>(
         return items.iter().map(attempt).collect();
     }
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let results = parking_lot::Mutex::new(Vec::with_capacity(items.len()));
-    crossbeam::scope(|s| {
+    let results = Mutex::new(Vec::with_capacity(items.len()));
+    // Workers catch panics from `f`, so the scope never re-raises one and
+    // the lock is never poisoned by `f`.
+    std::thread::scope(|s| {
         for _ in 0..workers {
-            let next = &next;
-            let results = &results;
-            let attempt = &attempt;
-            s.spawn(move |_| loop {
+            s.spawn(|| loop {
                 let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                 if i >= items.len() {
                     break;
                 }
                 let r = attempt(&items[i]);
-                results.lock().push((i, r));
+                results.lock().unwrap_or_else(PoisonError::into_inner).push((i, r));
             });
         }
-    })
-    .unwrap_or_else(|_| unreachable!("pool workers catch panics; the scope itself cannot fail"));
-    let mut v = results.into_inner();
+    });
+    let mut v = results.into_inner().unwrap_or_else(PoisonError::into_inner);
     v.sort_by_key(|&(i, _)| i);
     v.into_iter().map(|(_, r)| r).collect()
 }

@@ -16,10 +16,9 @@ use crate::plan::{NetworkPlan, QuantCost};
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
 use rapid_workloads::graph::{Network, PrecisionClass};
-use serde::{Deserialize, Serialize};
 
 /// One point on the mixed-precision frontier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     /// Fraction of quantizable MACs actually executed at the target
     /// precision (0.0 = all-FP16 baseline, 1.0 = the full plan).

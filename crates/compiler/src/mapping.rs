@@ -13,10 +13,9 @@
 use rapid_arch::geometry::CoreletConfig;
 use rapid_arch::precision::Precision;
 use rapid_workloads::graph::Op;
-use serde::{Deserialize, Serialize};
 
 /// How a compute layer's work is split across corelets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Split {
     /// Each corelet owns a share of the output-channel tiles.
     OutputChannels,
@@ -27,7 +26,7 @@ pub enum Split {
 
 /// Cycle cost of one compute layer mapped onto `n_corelets` corelets.
 /// All counts are cycles *of the slowest corelet* (imbalance included).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MappingCost {
     /// The split that was selected.
     pub split: Split,

@@ -1,10 +1,9 @@
 //! Compilation output: per-layer execution plans.
 
 use rapid_arch::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// How a quantized layer's activations convert at its boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QuantCost {
     /// No conversion (layer runs at FP16, the result precision).
     None,
@@ -30,7 +29,7 @@ impl QuantCost {
 }
 
 /// Execution plan for one layer.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerPlan {
     /// Index into the network's layer list.
     pub layer_idx: usize,
@@ -47,7 +46,7 @@ pub struct LayerPlan {
 }
 
 /// A compiled network: one plan per layer plus global settings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetworkPlan {
     /// Benchmark name.
     pub network: String,

@@ -3,10 +3,9 @@
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::power::PowerModel;
 use rapid_arch::precision::Precision;
-use serde::{Deserialize, Serialize};
 
 /// Model-level knobs that are not part of the silicon characterization.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelConfig {
     /// Silicon power characterization.
     pub power: PowerModel,
@@ -47,7 +46,7 @@ impl Default for ModelConfig {
 }
 
 /// Compute-cycle breakdown in the paper's four categories (Fig 17).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleBreakdown {
     /// Conv/GEMM cycles at the MAC-rate lower bound (includes layers kept
     /// at FP16).
@@ -86,7 +85,7 @@ impl CycleBreakdown {
 }
 
 /// Energy ledger for one evaluation, in joules per component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyLedger {
     /// MPE dynamic energy (useful MACs).
     pub mpe_j: f64,

@@ -12,10 +12,9 @@ use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// Result of one inference evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InferenceResult {
     /// Benchmark name.
     pub network: String,

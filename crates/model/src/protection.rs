@@ -10,10 +10,9 @@
 
 use rapid_arch::protection::ProtectionParams;
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate protection overheads for one network at one batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProtectionTax {
     /// Unprotected MACs across all compute layers (×batch ×repeat).
     pub base_macs: f64,

@@ -8,7 +8,6 @@ use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// Roofline placement of one layer: where it sits relative to the
 /// machine's compute roof and memory-bandwidth slope, plus how its
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Ops are counted as 2 × MACs (multiply and add separately), matching
 /// [`ChipConfig::peak_ops_per_cycle`]. Intensities are ops per DRAM
 /// byte; a layer whose working set stays on chip has infinite intensity.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak throughput at the layer's precision and effective frequency.
     pub peak_tops: f64,
@@ -67,7 +66,7 @@ impl Roofline {
 }
 
 /// Cost report for one layer of a compiled plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// Layer name.
     pub name: String,

@@ -7,10 +7,9 @@ use rapid_arch::geometry::{ChipConfig, SystemConfig};
 use rapid_arch::precision::Precision;
 use rapid_compiler::passes::{compile, CompileOptions};
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// One point of a scaling sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalePoint {
     /// Scaled resource count (cores or chips).
     pub count: u32,
@@ -42,7 +41,7 @@ pub fn inference_core_scaling(net: &Network, counts: &[u32], cfg: &ModelConfig) 
 
 /// One point of a degraded-core sweep: the chip running on `survivors` of
 /// its cores after failures, relative to the healthy configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradedPoint {
     /// Cores still alive.
     pub survivors: u32,
@@ -107,7 +106,7 @@ pub fn quarantine_retention(world: u32, quarantined: u32) -> f64 {
 
 /// One point of an elastic N-chip training curve: the system running on
 /// `survivors` of its `world` chips after node losses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticPoint {
     /// Chips the run started with.
     pub world: u32,

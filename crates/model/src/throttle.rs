@@ -13,10 +13,9 @@ use rapid_arch::power::ThrottleModel;
 use rapid_arch::precision::Precision;
 use rapid_compiler::passes::{compile, CompileOptions};
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// Outcome of the throttling study for one pruned benchmark.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThrottleStudy {
     /// Benchmark name.
     pub network: String,

@@ -13,10 +13,9 @@ use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
 use rapid_compiler::passes::{compile, CompileOptions};
 use rapid_workloads::graph::Network;
-use serde::{Deserialize, Serialize};
 
 /// Result of one training-step evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingResult {
     /// Benchmark name.
     pub network: String,

@@ -21,8 +21,8 @@
 //! *skipping* any file the checksum or header rejects, so a corrupted
 //! newest generation falls back to the one before it.
 //!
-//! The external `serde` stub in this workspace is a no-op marker (no
-//! crates.io access), so the codec is hand-rolled here.
+//! The workspace has no serialization dependency, so the codec is
+//! hand-rolled here.
 
 use crate::crc::crc32;
 use std::fs;

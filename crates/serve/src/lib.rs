@@ -19,7 +19,7 @@
 //!
 //! - [`engine::ServeEngine`] — the clock-explicit deterministic state
 //!   machine every front-end shares.
-//! - [`server::Server`] — the real threaded runtime (crossbeam scoped
+//! - [`server::Server`] — the real threaded runtime (`std::thread::scope`
 //!   workers, no async runtime).
 //! - [`sweep`] — virtual-time open-loop load generator for
 //!   bit-reproducible chaos tests and overload curves (EXPERIMENTS.md

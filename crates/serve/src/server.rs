@@ -1,5 +1,6 @@
-//! The real threaded serving runtime: crossbeam scoped workers around
-//! the same [`ServeEngine`] the virtual-time sweeps exercise.
+//! The real threaded serving runtime: scoped worker threads
+//! (`std::thread::scope`) around the same [`ServeEngine`] the
+//! virtual-time sweeps exercise.
 //!
 //! No async runtime — workers are plain threads sharing the engine
 //! under a `std::sync::Mutex` + `Condvar`, with inference executed
@@ -125,9 +126,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if a worker thread panicked (engine invariants would be
-    /// unverifiable).
-    #[allow(clippy::expect_used)] // worker panics are unrecoverable here
+    /// Re-raises a worker thread's panic once the remaining workers have
+    /// stopped (engine invariants would be unverifiable).
     pub fn run<S, F, R>(cfg: ServeConfig, table: LatencyTable, session: &S, f: F) -> ServerReport<R>
     where
         S: InferenceSession,
@@ -143,12 +143,10 @@ impl Server {
         });
         let cv = Condvar::new();
 
-        let result = crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                let state = &state;
-                let cv = &cv;
-                scope.spawn(move |_| worker_loop(state, cv, epoch, wait, session));
-            }
+        let result = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| scope.spawn(|| worker_loop(&state, &cv, epoch, wait, session)))
+                .collect();
 
             let handle = ServerHandle { state: &state, cv: &cv, epoch };
             let out = f(&handle);
@@ -159,6 +157,12 @@ impl Server {
             let deadline = Instant::now() + drain_timeout;
             let mut hard_stopped = false;
             loop {
+                // With every worker gone nothing can finish in-flight work:
+                // a worker that panicked leaves its batch in flight, and
+                // the scope re-raises that panic once this loop ends.
+                if handles.iter().all(|h| h.is_finished()) {
+                    break;
+                }
                 {
                     let mut st = lock(&state);
                     if !hard_stopped && st.engine.idle() {
@@ -182,8 +186,7 @@ impl Server {
             lock(&state).hard_stop = true;
             cv.notify_all();
             out
-        })
-        .expect("serving worker thread panicked");
+        });
 
         let mut st = lock(&state);
         let counters = st.engine.counters();
@@ -238,8 +241,9 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::engine::ServeConfig;
-    use crate::session::{EmulatedSession, OkSession};
+    use crate::session::{EmulatedSession, OkSession, SessionError, SessionReport};
     use crate::sweep::synthetic_table;
+    use std::sync::mpsc;
 
     #[test]
     fn threaded_server_serves_and_conserves() {
@@ -303,5 +307,41 @@ mod tests {
         });
         assert_eq!(report.counters.lost(), 0);
         assert_eq!(report.counters.completed, 20, "clean session completes everything");
+    }
+
+    struct PanicSession;
+
+    impl InferenceSession for PanicSession {
+        fn name(&self) -> &'static str {
+            "panic"
+        }
+
+        fn infer(&self, _: &str, _: Tier, _: usize) -> Result<SessionReport, SessionError> {
+            panic!("session failure");
+        }
+    }
+
+    #[test]
+    fn panicking_worker_panics_run_instead_of_hanging_it() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let table = synthetic_table(&["m"], 100.0, 50.0);
+                let cfg = ServeConfig {
+                    workers: 2,
+                    batch_window_us: 500,
+                    drain_timeout_us: 50_000,
+                    ..ServeConfig::hardened()
+                };
+                Server::run(cfg, table, &PanicSession, |h| {
+                    h.submit("m", Tier::Fp16, QosClass::Standard, 1_000_000);
+                })
+            });
+            let _ = tx.send(run.is_err());
+        });
+        // A regression hangs the helper thread; the bounded wait turns
+        // that into a failure instead of a hung test run.
+        let panicked = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(panicked, Ok(true), "Server::run must re-raise the worker panic");
     }
 }

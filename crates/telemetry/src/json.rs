@@ -1,7 +1,7 @@
 //! A minimal JSON value type with a writer and a recursive-descent parser.
 //!
-//! The workspace's `serde` is an offline no-op stub (see `vendor/serde`),
-//! so machine-readable output is emitted through this module instead: a
+//! The workspace has no serialization dependency, so machine-readable
+//! output is emitted through this module: a
 //! [`Json`] tree is built by hand, rendered with [`Json::render`], and — for
 //! round-trip tests and schema validation — parsed back with
 //! [`Json::parse`]. Object keys keep insertion order so rendered output is

@@ -31,7 +31,7 @@
 //! - [`schema`] — the `rapid-bench-v1` record and aggregate validators
 //!   used by `--json` bench output and `scripts/check.sh --telemetry`.
 //! - [`Json`] — a minimal hand-rolled JSON value/renderer/parser (the
-//!   workspace's serde is an offline no-op stub, so serialization is done
+//!   workspace has no serialization dependency, so serialization is done
 //!   here).
 
 // unwrap/expect denial comes from [workspace.lints] in the root manifest.

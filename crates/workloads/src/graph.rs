@@ -6,11 +6,9 @@
 //! attention GEMMs). Costs are *per input sample*; batching is applied by
 //! the performance model.
 
-use serde::{Deserialize, Serialize};
-
 /// Auxiliary (SFU-executed) operation kinds with their per-element cost in
 /// FP16 SFU lane-cycles (fast approximations, paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuxKind {
     /// ReLU / ReLU backward.
     Relu,
@@ -59,7 +57,7 @@ impl AuxKind {
 }
 
 /// One operator. Dimensions are per input sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// Dense convolution `[ci, h, w] → [co, ho, wo]`.
     Conv {
@@ -209,7 +207,7 @@ impl Op {
 
 /// Precision assignment class (paper §I feature 1: most layers quantize,
 /// but first/last layers and shortcut paths must stay high precision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrecisionClass {
     /// May execute at the network's quantized precision.
     Quantizable,
@@ -218,7 +216,7 @@ pub enum PrecisionClass {
 }
 
 /// One layer of a network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Layer {
     /// Layer name for reports.
     pub name: String,
@@ -269,7 +267,7 @@ impl Layer {
 }
 
 /// Application domain (Table in §V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Domain {
     /// ImageNet classification.
     ImageClassification,
@@ -282,7 +280,7 @@ pub enum Domain {
 }
 
 /// A benchmark network.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     /// Benchmark name (paper's label, e.g. "resnet50").
     pub name: String,

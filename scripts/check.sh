@@ -250,8 +250,9 @@ case "${1:-}" in
     ;;
 esac
 
-echo "== cargo build --workspace --release =="
-cargo build --workspace --release
+# --locked: a dependency edit that leaves Cargo.lock stale fails here.
+echo "== cargo build --workspace --release --locked =="
+cargo build --workspace --release --locked
 
 echo "== cargo test --workspace (quiet) =="
 cargo test --workspace -q
