@@ -11,7 +11,10 @@
 //! runs scalar, tiled and simd back to back, so a change in host load
 //! hits all three alike. The recorded speedup is the median of the
 //! per-round scalar/simd ratios, and `<group>.speedup_iqr` is their
-//! interquartile range.
+//! interquartile range. Float groups also print the chunks their simd
+//! kernel replayed per call (`<group>.replays_per_call`), and the run
+//! records `gemm_fp16.simd_vs_hfp8`, the ratio of the two GEMMs' median
+//! simd times in this process.
 //!
 //! Runs single-threaded by default (set `RAPID_THREADS` to override):
 //! the metric is per-kernel speedup, not machine throughput, and thread
@@ -22,9 +25,9 @@
 use rapid_bench::{compare, run, section, BenchRecord};
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::{
-    conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int_scalar, conv2d_int_with_simd,
-    matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar, matmul_int_with, ConvSpec,
-    Exec, GemmStats,
+    chunk_replays, conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int_scalar,
+    conv2d_int_with_simd, matmul_emulated_scalar, matmul_emulated_with, matmul_int_scalar,
+    matmul_int_with, ConvSpec, Exec, GemmStats,
 };
 use rapid_numerics::int::Signedness;
 use rapid_numerics::{
@@ -82,18 +85,25 @@ fn assert_bitexact(group: &str, backend: &str, r: &Output, s: &Output) {
     assert_eq!(r.1, s.1, "{group}/{backend}: stats mismatch");
 }
 
-/// One group's per-round wall times in milliseconds: scalar, tiled, simd.
+/// One group's per-round wall times in milliseconds: scalar, tiled, simd;
+/// for a float group, also the chunks its simd kernel replayed per call.
 struct GroupResult {
     name: &'static str,
     rounds: Vec<[f64; 3]>,
+    replays_per_call: Option<f64>,
 }
 
 impl GroupResult {
+    /// Median simd time over the rounds, in milliseconds.
+    fn simd_ms(&self) -> f64 {
+        quartiles(self.rounds.iter().map(|t| t[2]).collect())[1]
+    }
+
     fn report(&self, rec: &mut BenchRecord) {
         let over_rounds = |f: fn(&[f64; 3]) -> f64| quartiles(self.rounds.iter().map(f).collect());
         let [_, scalar_ms, _] = over_rounds(|t| t[0]);
         let [_, tiled_ms, _] = over_rounds(|t| t[1]);
-        let [_, simd_ms, _] = over_rounds(|t| t[2]);
+        let simd_ms = self.simd_ms();
         let [q1, vs_scalar, q3] = over_rounds(|t| t[0] / t[2]);
         let [_, vs_tiled, _] = over_rounds(|t| t[1] / t[2]);
         compare(
@@ -111,6 +121,14 @@ impl GroupResult {
         rec.metric(&format!("{}.speedup_vs_scalar", self.name), vs_scalar);
         rec.metric(&format!("{}.speedup_iqr", self.name), q3 - q1);
         rec.metric(&format!("{}.speedup_vs_tiled", self.name), vs_tiled);
+        if let Some(replays) = self.replays_per_call {
+            compare(
+                &format!("{} simd chunk replays per call", self.name),
+                format!("{replays:.1}"),
+                "exact replays of chunks that left the 4-op rounder's domain",
+            );
+            rec.metric(&format!("{}.replays_per_call", self.name), replays);
+        }
     }
 }
 
@@ -149,12 +167,25 @@ fn time_group(
         }
         times.push(t);
     }
-    Ok(GroupResult { name, rounds: times })
+    Ok(GroupResult { name, rounds: times, replays_per_call: None })
 }
 
 /// Execution options pinning one backend, unguarded and fault-free.
 fn pinned(simd: SimdMode) -> Exec<'static> {
     Exec { simd, guard: GuardPolicy::Propagate, faults: None }
+}
+
+/// Runs `time`, a float group's [`time_group`] over `rounds` rounds, and
+/// counts the chunks its simd calls replayed (the tiled backend never
+/// replays; the bit-exactness check runs simd once more than the rounds).
+fn counting_replays(
+    rounds: usize,
+    time: impl FnOnce() -> Result<GroupResult, NumericsError>,
+) -> Result<GroupResult, NumericsError> {
+    let replays = chunk_replays();
+    let mut group = time()?;
+    group.replays_per_call = Some((chunk_replays() - replays) as f64 / (rounds + 1) as f64);
+    Ok(group)
 }
 
 /// Times one float GEMM group.
@@ -165,13 +196,15 @@ fn float_group(
     b: &Tensor,
     rounds: usize,
 ) -> Result<GroupResult, NumericsError> {
-    time_group(
-        name,
-        rounds,
-        || matmul_emulated_scalar(mode, a, b, CHUNK),
-        || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Off)),
-        || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Force)),
-    )
+    counting_replays(rounds, || {
+        time_group(
+            name,
+            rounds,
+            || matmul_emulated_scalar(mode, a, b, CHUNK),
+            || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Off)),
+            || matmul_emulated_with(mode, a, b, CHUNK, pinned(SimdMode::Force)),
+        )
+    })
 }
 
 /// Times one integer GEMM group; `force` runs the expanding kernel that
@@ -227,6 +260,13 @@ fn main() -> std::process::ExitCode {
         for g in &groups {
             g.report(&mut ctx.rec);
         }
+        let fp16_vs_hfp8 = groups[0].simd_ms() / groups[1].simd_ms();
+        compare(
+            "gemm_fp16 simd / gemm_hfp8_fwd simd",
+            format!("{fp16_vs_hfp8:.2}×"),
+            "same process, median simd times",
+        );
+        ctx.rec.metric("gemm_fp16.simd_vs_hfp8", fp16_vs_hfp8);
 
         // The m = 1 regime at the ResNet50 FC shape runs the row-streamed
         // GEMV: no B groups, each B row staged once into a row buffer and
@@ -256,13 +296,15 @@ fn main() -> std::process::ExitCode {
         let m = FmaMode::hfp8_fwd_default();
         let q = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
         let conv_groups = [
-            time_group(
-                "conv_hfp8",
-                rounds,
-                || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK),
-                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off),
-                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force),
-            )?,
+            counting_replays(rounds, || {
+                time_group(
+                    "conv_hfp8",
+                    rounds,
+                    || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK),
+                    || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off),
+                    || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force),
+                )
+            })?,
             time_group(
                 "conv_int4",
                 rounds,

@@ -30,10 +30,16 @@
 //! ([`FmaMode::Hfp8`]), so no role mapping needs a transposed operand.
 //! One band loop then runs every other float GEMM over the groups, B panels
 //! outside and A rows inside, 16 or 64 columns per sweep to overlap the
-//! serial FP16 rounding chains. Where the operand formats and chunk length
-//! prove every chunk sum free of underflow and overflow
-//! (`chunk_sums_in_range`), the vector chunk step rounds with 4 ops
-//! instead of 11. Every kernel fans rows out
+//! serial FP16 rounding chains. The vector chunk step rounds with 4 ops
+//! instead of the exact rounder's 11. Where the operand formats and chunk
+//! length prove every chunk sum free of underflow and overflow
+//! (`chunk_sums_in_range`), that is all it does. Everywhere else (FP16,
+//! (1,5,2) × (1,5,2), long chunks) it also keeps a sticky per-lane test
+//! of the rounder's domain, and a chunk in which a register left it is
+//! replayed with the exact rounder (`simd` module docs; counted by
+//! [`chunk_replays`]); the band loop proves the overflow half of that test
+//! unneeded per B panel from the operands' largest magnitudes, so most
+//! calls test underflow only. Every kernel fans rows out
 //! across threads. The fast path is required to be *bit-exact* against the
 //! scalar reference — same output bits, same [`GemmStats`] — which
 //! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
@@ -45,11 +51,12 @@ use crate::fma::FmaMode;
 use crate::format::FpFormat;
 use crate::guard::{saturate_f32, GuardPolicy};
 use crate::int::{IntAccumulator, QuantParams, Signedness};
-use crate::simd;
+use crate::simd::{self, ChunkStep};
 use crate::tensor::Tensor;
 use crate::NumericsError;
 use rapid_fault::FaultPlan;
 use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Datapath statistics gathered while executing an emulated kernel.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -176,8 +183,10 @@ pub(crate) fn fp16_round_sum(x: f32) -> f32 {
 
 /// Whether every chunk sum of a float GEMM in `mode` at `chunk_len` is
 /// provably `±0` or of magnitude in `[2^-30, FP16_MAX]`: the domain where
-/// the chunk step can round with `simd`'s 4-op `round_lanes_ranged`, as
-/// nothing can flush or saturate there.
+/// `simd`'s 4-op `round_lanes_ranged` equals the exact rounder, as
+/// nothing can flush or saturate there. When it holds the chunk step runs
+/// that rounder alone ([`ChunkStep::Ranged`]); otherwise it runs it under
+/// a domain test with exact replay ([`ChunkStep::Checked`]).
 ///
 /// Only HFP8 ports whose formats pass through the FP9 conversion unchanged
 /// qualify; each port's multiplier values are then multiples of its
@@ -211,9 +220,44 @@ fn chunk_sums_in_range(mode: FmaMode, chunk_len: usize) -> bool {
     let (Some((qa, ma)), Some((qb, mb))) = (port(fa), port(fb)) else {
         return false;
     };
+    qa * qb >= 2f64.powi(-30) && chunk_sums_below_max(chunk_len, ma, mb)
+}
+
+/// Whether no chunk sum of `chunk_len` products of magnitude at most
+/// `max_a · max_b` can pass `FP16_MAX`: the growth bound of
+/// [`chunk_sums_in_range`], `chunk_len · max_a · max_b · (1 + 2^-10)^chunk_len
+/// ≤ FP16_MAX/2`. False for a NaN or infinite bound.
+fn chunk_sums_below_max(chunk_len: usize, max_a: f64, max_b: f64) -> bool {
     let growth = (1.0 + 2f64.powi(-10)).powi(i32::try_from(chunk_len).unwrap_or(i32::MAX));
-    let bound = chunk_len as f64 * ma * mb * growth;
-    qa * qb >= 2f64.powi(-30) && bound <= f64::from(f32::from_bits(FP16_MAX)) / 2.0
+    let bound = chunk_len as f64 * max_a * max_b * growth;
+    bound <= f64::from(f32::from_bits(FP16_MAX)) / 2.0
+}
+
+/// The largest magnitude in `v`, NaN if `v` holds one: the maximum is
+/// taken over the magnitude bits, where every NaN sorts above ∞ (a float
+/// `max` would drop it).
+fn max_magnitude(v: &[f32]) -> f64 {
+    f64::from(f32::from_bits(v.iter().fold(0, |m, x| m.max(x.to_bits() & 0x7fff_ffff))))
+}
+
+/// Chunks the AVX2 kernels replayed with the exact rounder since the
+/// process started ([`chunk_replays`]).
+static CHUNK_REPLAYS: AtomicU64 = AtomicU64::new(0);
+
+/// Counts one replayed chunk (`simd`'s checked chunk step).
+pub(crate) fn note_replay() {
+    CHUNK_REPLAYS.fetch_add(1, Ordering::Relaxed);
+}
+
+/// How many chunks the float kernels have replayed with the exact
+/// rounder since the process started, over all threads. A chunk step
+/// without a static range proof (FP16, (1,5,2) × (1,5,2), long chunks)
+/// rounds with the 4-op rounder under a domain test, and a chunk in which
+/// some register left that rounder's domain (an underflow, a sum past
+/// `FP16_MAX`, a NaN) is recomputed exactly: the count shows how often a
+/// workload pays for that. Outputs and [`GemmStats`] do not depend on it.
+pub fn chunk_replays() -> u64 {
+    CHUNK_REPLAYS.load(Ordering::Relaxed)
 }
 
 /// Statistics of an `m × n` product over `za.len()` k-positions, from
@@ -710,19 +754,35 @@ impl Staged {
 /// The loops [`staged_band`] and [`gemv`] run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum BandKernel {
-    /// The portable loops, [`dot_staged_group`] and its GEMV twin.
+    /// The portable loops, [`dot_staged_group`] and [`axpy_exact`].
     Portable,
-    /// The AVX2 kernels; `ranged` selects their 4-op chunk rounder, which
-    /// [`chunk_sums_in_range`] proves exact for the operand formats.
-    Avx2 { ranged: bool },
+    /// The AVX2 kernels with their chunk step: the 4-op rounder where
+    /// [`chunk_sums_in_range`] proves it exact for the operand formats,
+    /// else the 4-op rounder under a domain test with exact replay.
+    Avx2 { step: ChunkStep },
 }
 
 impl BandKernel {
     fn new(use_simd: bool, mode: FmaMode, chunk_len: usize) -> Self {
-        if use_simd {
-            Self::Avx2 { ranged: chunk_sums_in_range(mode, chunk_len) }
-        } else {
+        if !use_simd {
             Self::Portable
+        } else if chunk_sums_in_range(mode, chunk_len) {
+            Self::Avx2 { step: ChunkStep::Ranged }
+        } else {
+            Self::Avx2 { step: ChunkStep::Checked { below_only: false } }
+        }
+    }
+
+    /// The chunk step for a B panel: a checked step tests only the
+    /// underflow edge when the panel's and the A rows' largest magnitudes
+    /// (`a_max`, NaN-propagating) prove that no chunk sum passes
+    /// `FP16_MAX` ([`chunk_sums_below_max`]).
+    fn step_for(step: ChunkStep, chunk_len: usize, a_max: f64, panel: &[f32]) -> ChunkStep {
+        match step {
+            ChunkStep::Checked { .. } => ChunkStep::Checked {
+                below_only: chunk_sums_below_max(chunk_len, a_max, max_magnitude(panel)),
+            },
+            step => step,
         }
     }
 }
@@ -741,7 +801,8 @@ impl BandKernel {
 /// The B panels are the outer loop and the band's rows the inner one, so
 /// each panel (up to 64 columns × k) is streamed from memory once and
 /// stays cache-resident while every row of the band sweeps it. Each
-/// output's op sequence does not depend on the loop order.
+/// output's op sequence does not depend on the loop order. A checked
+/// chunk step gets its overflow proof per panel ([`BandKernel::step_for`]).
 fn staged_band(
     av: &[f32],
     sb: &Staged,
@@ -756,34 +817,43 @@ fn staged_band(
     let ngroups = n.div_ceil(simd::GROUP);
     let arow = |r: usize| &av[(row0 + r) * k..(row0 + r + 1) * k];
     let mut g = 0;
-    if let BandKernel::Avx2 { ranged } = kernel {
+    if let BandKernel::Avx2 { step } = kernel {
+        let a_band = &av[row0 * k..(row0 + band.len() / n) * k];
+        let a_max = if step == ChunkStep::Ranged { 0.0 } else { max_magnitude(a_band) };
         // Four groups per k sweep (8 independent chains keep the vector
         // ports busy past the FMA+round latency); single groups clean up.
         let mut wres = [0.0f32; simd::WIDE];
         while g + simd::WIDE_GROUPS <= ngroups {
             let bw = &sb.vals[g * gsz..(g + simd::WIDE_GROUPS) * gsz];
+            let step = BandKernel::step_for(step, chunk_len, a_max, bw);
             let j = g * simd::GROUP;
             let lanes = simd::WIDE.min(n - j);
             for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-                simd::dot_fp16_groups_wide(arow(r), bw, chunk_len, ranged, &mut wres);
+                simd::dot_fp16_groups_wide(arow(r), bw, chunk_len, step, &mut wres);
                 orow[j..j + lanes].copy_from_slice(&wres[..lanes]);
             }
             g += simd::WIDE_GROUPS;
         }
+        while g < ngroups {
+            let bg = &sb.vals[g * gsz..(g + 1) * gsz];
+            let step = BandKernel::step_for(step, chunk_len, a_max, bg);
+            let j = g * simd::GROUP;
+            let lanes = simd::GROUP.min(n - j);
+            let mut res = [0.0f32; simd::GROUP];
+            for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+                simd::dot_fp16_group16(arow(r), bg, chunk_len, step, &mut res);
+                orow[j..j + lanes].copy_from_slice(&res[..lanes]);
+            }
+            g += 1;
+        }
+        return;
     }
     while g < ngroups {
         let bg = &sb.vals[g * gsz..(g + 1) * gsz];
         let j = g * simd::GROUP;
         let lanes = simd::GROUP.min(n - j);
         for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-            let res = match kernel {
-                BandKernel::Avx2 { ranged } => {
-                    let mut res = [0.0f32; simd::GROUP];
-                    simd::dot_fp16_group16(arow(r), bg, chunk_len, ranged, &mut res);
-                    res
-                }
-                BandKernel::Portable => dot_staged_group(arow(r), bg, chunk_len),
-            };
+            let res = dot_staged_group(arow(r), bg, chunk_len);
             orow[j..j + lanes].copy_from_slice(&res[..lanes]);
         }
         g += 1;
@@ -842,6 +912,8 @@ fn dot_staged_group(arow: &[f32], group: &[f32], chunk_len: usize) -> [f32; simd
 /// (`simd::axpy_fp16`, or its portable twin below); chunk boundaries and
 /// the epilogue follow. Each column thus runs [`staged_band`]'s op
 /// sequence, zero-step skip included, so the results are bit-identical.
+/// A checked chunk step that left its domain in any column replays the
+/// chunk's rows ([`replay_gemv_chunk`]) before the chunk is added out.
 fn gemv(
     sa: &Staged,
     b: &[f32],
@@ -854,22 +926,25 @@ fn gemv(
     // Whole vectors: the padded lanes stay zero and are never read back.
     let width = n.next_multiple_of(simd::GROUP);
     let (mut brow, mut chunk) = (vec![0.0f32; width], vec![0.0f32; width]);
-    let mut zeros = vec![0u64; sa.zeros.len()];
+    let k = sa.zeros.len();
+    let mut zeros = vec![0u64; k];
     let mut in_chunk = 0usize;
-    for ((row, z), &x) in b.chunks_exact(n).zip(&mut zeros).zip(&sa.vals) {
+    let mut left = false;
+    for (p, ((row, z), &x)) in b.chunks_exact(n).zip(&mut zeros).zip(&sa.vals).enumerate() {
         *z = st.row(row, &mut brow[..n]);
         if x != 0.0 {
             match kernel {
-                BandKernel::Avx2 { ranged } => simd::axpy_fp16(x, &brow, &mut chunk, ranged),
-                BandKernel::Portable => {
-                    for (c, &y) in chunk.iter_mut().zip(&brow) {
-                        *c = fp16_round_sum(*c + x * y);
-                    }
-                }
+                BandKernel::Avx2 { step } => left |= simd::axpy_fp16(x, &brow, &mut chunk, step),
+                BandKernel::Portable => axpy_exact(x, &brow, &mut chunk),
             }
         }
         in_chunk += 1;
         if in_chunk == chunk_len {
+            if std::mem::take(&mut left) {
+                let p0 = p + 1 - chunk_len;
+                let (xs, rows) = (&sa.vals[p0..=p], &b[p0 * n..(p + 1) * n]);
+                replay_gemv_chunk(xs, rows, st, &mut brow, &mut chunk);
+            }
             for (o, c) in out.iter_mut().zip(&mut chunk) {
                 *o += *c;
                 *c = 0.0;
@@ -877,10 +952,38 @@ fn gemv(
             in_chunk = 0;
         }
     }
+    if left {
+        let p0 = k - in_chunk;
+        replay_gemv_chunk(&sa.vals[p0..], &b[p0 * n..], st, &mut brow, &mut chunk);
+    }
     for (o, &c) in out.iter_mut().zip(&chunk) {
         *o = fp16_round_sum(*o + c);
     }
     zeros
+}
+
+/// The portable GEMV chunk step, `chunk[j] = fp16_round_sum(chunk[j] +
+/// x·b[j])`: `simd::axpy_fp16`'s op sequence with the exact rounder.
+fn axpy_exact(x: f32, b: &[f32], chunk: &mut [f32]) {
+    for (c, &y) in chunk.iter_mut().zip(b) {
+        *c = fp16_round_sum(*c + x * y);
+    }
+}
+
+/// Recomputes one GEMV chunk with the exact rounder, from `+0` as every
+/// chunk starts: `xs` are its A operands and `rows` its B rows, re-staged
+/// one at a time into `brow` (their zeros were counted the first time).
+#[cold]
+fn replay_gemv_chunk(xs: &[f32], rows: &[f32], st: Stager, brow: &mut [f32], chunk: &mut [f32]) {
+    note_replay();
+    chunk.fill(0.0);
+    let n = rows.len() / xs.len();
+    for (row, &x) in rows.chunks_exact(n).zip(xs) {
+        if x != 0.0 {
+            st.row(row, &mut brow[..n]);
+            axpy_exact(x, brow, chunk);
+        }
+    }
 }
 
 /// Scalar reference for [`matmul_emulated`]: drives a [`ChunkAccumulator`]
@@ -2128,12 +2231,14 @@ mod tests {
         }
     }
 
-    /// The range proof's verdicts. The default HFP8 pairs pass at chunk
-    /// 64 in either port order; FP16 and (1,5,2) × (1,5,2) never do. Each
-    /// condition's edge is pinned: the quantum test between (1,4,3) biases
-    /// 12 and 13 against (1,5,2), and the growth bound between chunks 72
-    /// and 73 (and 2192 and 2193 for (1,4,3) × (1,4,3)). A bias whose
-    /// format the FP9 conversion would change is rejected.
+    /// The range proof's verdicts, and the chunk step each one selects:
+    /// the 4-op rounder where the proof holds, else the checked step,
+    /// which starts out testing both domain edges. The default HFP8 pairs
+    /// pass at chunk 64 in either port order; FP16 and (1,5,2) × (1,5,2)
+    /// never do. Each condition's edge is pinned: the quantum test between
+    /// (1,4,3) biases 12 and 13 against (1,5,2), and the growth bound
+    /// between chunks 72 and 73 (and 2192 and 2193 for (1,4,3) × (1,4,3)).
+    /// A bias whose format the FP9 conversion would change is rejected.
     #[test]
     fn chunk_range_proof_verdicts() {
         let e4 = |bias| Fp8::E4m3 { bias };
@@ -2161,7 +2266,39 @@ mod tests {
         ];
         for (mode, chunk_len, want) in cases {
             assert_eq!(chunk_sums_in_range(mode, chunk_len), want, "{mode:?} chunk {chunk_len}");
+            let step =
+                if want { ChunkStep::Ranged } else { ChunkStep::Checked { below_only: false } };
+            assert_eq!(BandKernel::new(true, mode, chunk_len), BandKernel::Avx2 { step });
+            assert_eq!(BandKernel::new(false, mode, chunk_len), BandKernel::Portable);
         }
+    }
+
+    /// The per-panel overflow proof of the checked step: it holds up to
+    /// `chunk_len · max_a · max_b · (1 + 2^-10)^chunk_len = FP16_MAX/2`
+    /// and fails past it, and a NaN or infinite operand (whose magnitude
+    /// a float `max` would drop or keep) always fails it, so the step
+    /// keeps the overflow half of its test. A proven step stays as it is.
+    #[test]
+    fn checked_step_overflow_proof() {
+        let checked = |below_only| ChunkStep::Checked { below_only };
+        let step = |a: &[f32], b: &[f32], chunk_len| {
+            BandKernel::step_for(checked(false), chunk_len, max_magnitude(a), b)
+        };
+        let half_max = f64::from(f32::from_bits(FP16_MAX)) / 2.0;
+        let edge = (half_max / (64.0 * (1.0 + 2f64.powi(-10)).powi(64))).sqrt() as f32;
+        let (below, above) = (edge * (1.0 - 1e-6), edge * (1.0 + 1e-6));
+        assert_eq!(step(&[0.0, -below], &[below, 1.0], 64), checked(true));
+        assert_eq!(step(&[-above, 0.0], &[above], 64), checked(false));
+        assert_eq!(step(&[1.0, -4.0], &[2.0, 0.5], 64), checked(true));
+        assert_eq!(step(&[1.0], &[2.0, 0.5], 1 << 20), checked(false));
+        for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            assert_eq!(step(&[1.0, bad, 0.0], &[1.0], 64), checked(false), "{bad}");
+            assert_eq!(step(&[1.0], &[bad, 2.0], 64), checked(false), "{bad}");
+        }
+        assert!(max_magnitude(&[1.0, f32::NAN, f32::INFINITY]).is_nan());
+        assert_eq!(max_magnitude(&[]), 0.0);
+        let ranged = BandKernel::step_for(ChunkStep::Ranged, 64, f64::NAN, &[f32::NAN]);
+        assert_eq!(ranged, ChunkStep::Ranged);
     }
 
     #[test]

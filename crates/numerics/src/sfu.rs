@@ -69,6 +69,13 @@ pub fn sqrt(x: f32, acc: SfuAccuracy) -> f32 {
 /// Exponential via range reduction `x = k·ln2 + r` and a short polynomial
 /// in `r ∈ [−ln2/2, ln2/2]`.
 pub fn exp(x: f32, acc: SfuAccuracy) -> f32 {
+    let (p, k) = exp_reduced(x, acc);
+    to_fp16(p * pow2(k))
+}
+
+/// The two factors of [`exp`]: `e^r` by its polynomial and the integer
+/// `k` of `2^k`, `k ∈ [−24, 24]` (NaN for a NaN `x`).
+fn exp_reduced(x: f32, acc: SfuAccuracy) -> (f32, f32) {
     const LN2: f32 = std::f32::consts::LN_2;
     // Clamp to the FP16-representable exponent range.
     let x = x.clamp(-24.0 * LN2, 24.0 * LN2);
@@ -83,7 +90,14 @@ pub fn exp(x: f32, acc: SfuAccuracy) -> f32 {
                     + r * (0.5 + r * (1.0 / 6.0 + r * (1.0 / 24.0 + r * (1.0 / 120.0)))))
         }
     };
-    to_fp16(p * (k).exp2())
+    (p, k)
+}
+
+/// `2^k` for an integral `k ∈ [−24, 24]`, written straight into the
+/// exponent field: the value `k.exp2()` returns, without the libm call.
+/// A NaN `k` gives 1, and the NaN `p` beside it still makes [`exp`] NaN.
+fn pow2(k: f32) -> f32 {
+    f32::from_bits(((k as i32 + 127) as u32) << 23)
 }
 
 /// Natural logarithm via the exponent split `x = 2^e · m, m ∈ [1, 2)` and
@@ -185,6 +199,62 @@ mod tests {
         let accu = max_rel_err(|x| exp(x, SfuAccuracy::Accurate), |x| x.exp(), &xs);
         assert!(fast < 0.01, "fast exp err {fast}");
         assert!(accu < 0.002, "accurate exp err {accu}");
+    }
+
+    /// [`exp`] against its libm form `to_fp16(p * k.exp2())`, bit for
+    /// bit: 64 f32 ulps either side of every rounding boundary of `k`,
+    /// `(k ± ½)·ln2` for `k` across the clamp range, of the clamp edges and
+    /// of zero, both accuracies, plus NaN and the infinities.
+    #[test]
+    fn exp_matches_the_libm_form_at_every_k_boundary() {
+        let ln2 = std::f32::consts::LN_2;
+        let mut edges: Vec<f32> = (-25..=24).map(|k| (k as f32 + 0.5) * ln2).collect();
+        edges.extend([-24.0 * ln2, 24.0 * ln2, 0.0]);
+        let mut xs = vec![f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for e in edges {
+            let near = |d: u32| f32::from_bits(e.to_bits().wrapping_add(d).wrapping_sub(64));
+            xs.extend((0..=128u32).map(near));
+        }
+        assert_exp_matches_libm_form(&xs);
+    }
+
+    /// The same over every f32 in the clamp range `[−24·ln2, 24·ln2]`.
+    /// Run with `-- --ignored` in release.
+    #[test]
+    #[ignore = "exhaustive sweep of the clamp range; run in release with --ignored"]
+    fn exp_matches_the_libm_form_on_the_whole_clamp_range() {
+        let top = (24.0 * std::f32::consts::LN_2).to_bits();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get()) as u32;
+        std::thread::scope(|s| {
+            for t in 0..threads {
+                s.spawn(move || {
+                    let mut xs = Vec::with_capacity(1 << 16);
+                    for bits in (t..=top).step_by(threads as usize) {
+                        let x = f32::from_bits(bits);
+                        xs.extend([x, -x]);
+                        if xs.len() >= 1 << 16 {
+                            assert_exp_matches_libm_form(&xs);
+                            xs.clear();
+                        }
+                    }
+                    assert_exp_matches_libm_form(&xs);
+                });
+            }
+        });
+    }
+
+    fn assert_exp_matches_libm_form(xs: &[f32]) {
+        for &x in xs {
+            for acc in [SfuAccuracy::Fast, SfuAccuracy::Accurate] {
+                let (p, k) = exp_reduced(x, acc);
+                let (got, want) = (exp(x, acc), to_fp16(p * k.exp2()));
+                let bits = x.to_bits();
+                assert!(
+                    got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan()),
+                    "exp({bits:#010x}, {acc:?}) = {got:e}, libm form {want:e}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,14 +8,31 @@
 //!   chunk registers, and the chunk step rounds to DLFloat16 with a magic
 //!   constant. The exact rounder, the sequence of `gemm::fp16_round_sum`,
 //!   costs 11 lane ops, almost all for underflow flush, saturation and the
-//!   sign. When `gemm::chunk_sums_in_range` proves that no chunk sum can
-//!   underflow or pass `FP16_MAX` (the default HFP8 pairs at chunk 64),
-//!   the chunk step runs the 4-op signed rounder instead, a const-generic
-//!   choice per call; the epilogue always rounds exactly.
-//!   The same kernel serves every float mode: FP16 runs on lattice
-//!   values, and HFP8 on the **FP9 operand values** both operands are
-//!   converted to when staged: the product of two FP9 values is exact in
-//!   f32, so one multiply is the HFP8 product. A variant that gathered
+//!   sign. The 4-op signed rounder agrees with it on its domain, `±0` and
+//!   magnitudes in `[FP16_MIN_NORMAL, FP16_MAX]`, and every chunk step
+//!   runs it ([`ChunkStep`], a const-generic choice per call):
+//!   - *Ranged*: `gemm::chunk_sums_in_range` proves that no chunk sum can
+//!     leave the domain (the default HFP8 pairs at chunk 64).
+//!   - *Checked*: everything else — FP16, (1,5,2) × (1,5,2), long chunks.
+//!     Each rounded register also feeds a sticky per-lane test, "is it
+//!     `+0` or of magnitude in `[MIN_NORMAL, MAX]`?" (the 4-op rounder
+//!     never returns `-0.0`). At each chunk boundary and at the epilogue
+//!     a set test replays that chunk with the exact rounder. Chunk
+//!     registers restart at `+0` at every boundary, so the replay reruns
+//!     only that chunk's k range and needs no saved state. Testing the
+//!     rounded register suffices: a sum outside the domain either rounds
+//!     to a value the test flags, or to the exact rounder's result
+//!     (`MIN_NORMAL` from just below, `MAX` from just above), and a NaN
+//!     stays NaN. The test costs 4 ops per vector (abs, −1, unsigned min
+//!     for the underflow edge, signed max for the overflow edge); the band
+//!     loop drops the max when the panel's operands prove the overflow
+//!     edge unreachable (`gemm::BandKernel::step_for`), leaving 3.
+//!
+//!   The epilogue always rounds exactly. The same kernel serves every
+//!   float mode: FP16 runs on lattice values, and HFP8 on the **FP9
+//!   operand values** both operands are converted to when staged: the
+//!   product of two FP9 values is exact in f32, so one multiply is the
+//!   HFP8 product. A variant that gathered
 //!   products from a 64K-entry table (`vpgatherdps`) was tried first; at
 //!   ~3 cycles per 8-lane gather it was strictly slower than the multiply.
 //! * [`axpy_fp16`] — the row-streamed GEMV's chunk step (`gemm::gemv`,
@@ -23,9 +40,10 @@
 //!   each B element is used exactly once, so the GEMV stages one B row at
 //!   a time into an n-wide buffer and this kernel adds `x·b[j]` into
 //!   per-column chunk registers held in an n-wide array, rounding each
-//!   with the same `chunk_round::<RANGED>` under the same range proof as
-//!   the group kernels. It is one k step of their op sequence, applied
-//!   to a whole row; the portable twin is a `fp16_round_sum` loop.
+//!   with the group kernels' chunk step. It is one k step of their op
+//!   sequence, applied to a whole row; a checked step reports whether any
+//!   column left the domain, and the GEMV then re-stages the chunk's B
+//!   rows and replays it with the portable twin, a `fp16_round_sum` loop.
 //! * [`int_tiles`] — the expanding integer kernel, RaPiD's INT4 engine
 //!   on the host: 4-bit codes multiply into 16-bit pair sums that widen
 //!   into 32-bit accumulators. The column operand is packed in 4-deep
@@ -46,9 +64,15 @@
 //!
 //! The wide float kernel's speed is set by the rounder's lane ops first
 //! and by where B sits second. On a 2-vCPU x86-64 Xeon (2 MB L2 per
-//! core), one thread, chunk 64, best of 3 runs: HFP8 runs 64×768×768 at
-//! 7.7–7.9 GMAC/s and 64×768×3072 at 6.0–6.3 with the 4-op rounder, and
-//! FP16 runs the same shapes at 3.4–4.0 with the exact one. The caller
+//! core), one thread, chunk 64, median of 21 paired rounds in one
+//! process, FP16 at 64×768×768 took 1.31–1.36× HFP8's time with the 3-op
+//! checked step, against 1.52–1.74× with the exact rounder (HFP8 itself
+//! ran at 7–9 GMAC/s). A replay hands its registers back by value, so the
+//! chunk registers never have their address taken and stay in vector
+//! registers, and a checked step keeps its outer sums in `out`, which
+//! leaves the 16 vector registers to the chunk registers, constants and
+//! test; with the outer sums in registers the ratio read 1.40–1.43. The
+//! caller
 //! (`gemm::staged_band`) walks B panels outside and A rows inside, so
 //! each 64-column panel (k × 64 f32, 196 KiB at k = 768) is read from
 //! memory once per row band and from cache by every other row. Each chunk register still advances
@@ -75,8 +99,9 @@
 //! arithmetic; an FP9×FP9 or FP16×FP16 product is exact in f32, so the
 //! fused multiply-add rounds once exactly where `vmulps` + `vaddps` would;
 //! and the exact lane rounder runs the op sequence of the scalar
-//! `fp16_round_sum`, while the 4-op one agrees with it wherever the range
-//! proof puts a chunk sum (up to a zero's sign).
+//! `fp16_round_sum`, while the 4-op one agrees with it on its domain (up
+//! to a zero's sign), where the range proof puts every chunk sum and
+//! outside of which the checked step replays the chunk exactly.
 //! `lane_rounder_matches_the_quantizer_near_every_edge` pins all three
 //! rounders to `format::fp16_round` at every edge of their domains, and
 //! the ignored `lane_rounder_matches_the_quantizer_on_every_f32` on all
@@ -102,9 +127,22 @@ pub(crate) const WIDE: usize = GROUP * WIDE_GROUPS;
 /// blocks of 4-code quads, 64 bytes per k-quad.
 pub(crate) const INT_TILE: usize = 16;
 
+/// How the AVX2 float kernels round their chunk step (module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ChunkStep {
+    /// The 4-op rounder, where `gemm::chunk_sums_in_range` proves every
+    /// chunk sum in its domain.
+    Ranged,
+    /// The 4-op rounder under a sticky per-lane domain test; a chunk that
+    /// left the domain is replayed with the exact rounder. `below_only`
+    /// when the caller proved that no chunk sum passes `FP16_MAX`, so only
+    /// the underflow edge is tested.
+    Checked { below_only: bool },
+}
+
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{GROUP, INT_TILE, WIDE, WIDE_GROUPS};
+    use super::{ChunkStep, GROUP, INT_TILE, WIDE, WIDE_GROUPS};
     use crate::gemm::{FP16_MAX, FP16_MIN_NORMAL, ROUND_EXP, TINY_C};
     use std::arch::x86_64::*;
 
@@ -150,21 +188,155 @@ mod avx2 {
         _mm256_sub_ps(_mm256_add_ps(x, c), c)
     }
 
-    /// The chunk step's rounder: [`round_lanes_ranged`] when `RANGED`
-    /// (the caller proved every chunk sum in its domain), else
-    /// [`round_lanes`].
+    /// [`ChunkStep`] as the kernels' const parameter, plus the exact
+    /// rounder that replays run.
+    const EXACT: u8 = 0;
+    const RANGED: u8 = 1;
+    const CHECKED: u8 = 2;
+    const CHECKED_BELOW: u8 = 3;
+
+    const fn checked(step: u8) -> bool {
+        step == CHECKED || step == CHECKED_BELOW
+    }
+
+    /// The chunk step's rounder: [`round_lanes`] for `EXACT`, else
+    /// [`round_lanes_ranged`].
     ///
     /// # Safety
     ///
     /// Requires AVX2.
     #[target_feature(enable = "avx2")]
     #[inline]
-    unsafe fn chunk_round<const RANGED: bool>(x: __m256) -> __m256 {
-        if RANGED {
-            round_lanes_ranged(x)
-        } else {
+    unsafe fn chunk_round<const STEP: u8>(x: __m256) -> __m256 {
+        if STEP == EXACT {
             round_lanes(x)
+        } else {
+            round_lanes_ranged(x)
         }
+    }
+
+    /// The sticky domain test of the checked chunk step: whether any
+    /// rounded chunk register since the last [`Sticky::new`] left
+    /// [`round_lanes_ranged`]'s domain, `+0` or a magnitude in
+    /// `[FP16_MIN_NORMAL, FP16_MAX]` (the rounder never returns `-0.0`).
+    /// `below` keeps the lane-wise unsigned minimum of `|r| − 1`, which
+    /// wraps to `u32::MAX` for `+0`, so a nonzero magnitude under the
+    /// minimum normal shows as a value under `FP16_MIN_NORMAL − 1`; `above`
+    /// keeps the lane-wise maximum of `|r|`, which NaN and ∞ also pass.
+    #[derive(Clone, Copy)]
+    struct Sticky {
+        below: __m256i,
+        above: __m256i,
+    }
+
+    impl Sticky {
+        /// # Safety
+        ///
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn new() -> Self {
+            Self { below: _mm256_set1_epi32(-1), above: _mm256_setzero_si256() }
+        }
+
+        /// Folds one vector of rounded registers into the test: 3 ops for
+        /// the underflow edge, plus 1 for the overflow edge unless
+        /// `STEP == CHECKED_BELOW`; nothing unless the step is checked.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn note<const STEP: u8>(&mut self, r: __m256) {
+            if checked(STEP) {
+                let mag = _mm256_and_si256(_mm256_castps_si256(r), _mm256_set1_epi32(0x7fff_ffff));
+                let less = _mm256_sub_epi32(mag, _mm256_set1_epi32(1));
+                self.below = _mm256_min_epu32(self.below, less);
+                if STEP == CHECKED {
+                    self.above = _mm256_max_epi32(self.above, mag);
+                }
+            }
+        }
+
+        /// Whether any lane left the domain; always false unless the
+        /// step is checked.
+        ///
+        /// # Safety
+        ///
+        /// Requires AVX2.
+        #[target_feature(enable = "avx2")]
+        #[inline]
+        unsafe fn left<const STEP: u8>(self) -> bool {
+            if !checked(STEP) {
+                return false;
+            }
+            let limit = _mm256_set1_epi32((FP16_MIN_NORMAL - 2) as i32);
+            let low = _mm256_cmpeq_epi32(_mm256_min_epu32(self.below, limit), self.below);
+            let high = _mm256_cmpgt_epi32(self.above, _mm256_set1_epi32(FP16_MAX as i32));
+            _mm256_movemask_epi8(_mm256_or_si256(low, high)) != 0
+        }
+    }
+
+    /// One k step of [`fp16_groups`]: `x` times row `p` of each of the `G`
+    /// groups added into the chunk registers and rounded.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2 and FMA; `bgroups` holds `G` groups of `gsz` values
+    /// with `p * GROUP + GROUP <= gsz`.
+    #[target_feature(enable = "avx2,fma")]
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn group_step<const G: usize, const STEP: u8>(
+        x: f32,
+        bgroups: &[f32],
+        gsz: usize,
+        p: usize,
+        lo: &mut [__m256; G],
+        hi: &mut [__m256; G],
+        sticky: &mut Sticky,
+    ) {
+        let xa = _mm256_set1_ps(x);
+        for t in 0..G {
+            let b0 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP));
+            let b1 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP + 8));
+            lo[t] = chunk_round::<STEP>(_mm256_fmadd_ps(xa, b0, lo[t]));
+            hi[t] = chunk_round::<STEP>(_mm256_fmadd_ps(xa, b1, hi[t]));
+            sticky.note::<STEP>(lo[t]);
+            sticky.note::<STEP>(hi[t]);
+        }
+    }
+
+    /// The chunk registers of the chunk over `arow[p0..p1]`, recomputed
+    /// with the exact rounder from `+0` as every chunk starts: the replay
+    /// of a checked chunk that left the domain. The zero-step skip is
+    /// [`fp16_groups`]'s, so the op sequence is the exact kernel's. The
+    /// registers come back by value, so the caller's never have their
+    /// address taken and stay in vector registers.
+    ///
+    /// # Safety
+    ///
+    /// As [`group_step`], for every `p` in `p0..p1`.
+    #[target_feature(enable = "avx2,fma")]
+    #[cold]
+    #[inline(never)]
+    unsafe fn replay_groups<const G: usize>(
+        arow: &[f32],
+        bgroups: &[f32],
+        (p0, p1): (usize, usize),
+    ) -> ([__m256; G], [__m256; G]) {
+        crate::gemm::note_replay();
+        let gsz = arow.len() * GROUP;
+        let mut lo = [_mm256_setzero_ps(); G];
+        let mut hi = [_mm256_setzero_ps(); G];
+        let mut unused = Sticky::new();
+        for (p, &x) in arow.iter().enumerate().take(p1).skip(p0) {
+            if x != 0.0 {
+                group_step::<G, EXACT>(x, bgroups, gsz, p, &mut lo, &mut hi, &mut unused);
+            }
+        }
+        (lo, hi)
     }
 
     /// The float MAC loop over `G` staged 16-column groups laid out
@@ -172,9 +344,11 @@ mod avx2 {
     /// accumulation chains advance per k step; each column's chain
     /// performs exactly the scalar kernel's op sequence, so `G` is
     /// performance-only. Steps with a zero A value are skipped whole —
-    /// bit-exact by rounder idempotence (module docs). `RANGED` picks the
-    /// chunk step's rounder ([`chunk_round`]); the epilogue always runs
-    /// the exact one, since the outer sum has no range proof.
+    /// bit-exact by rounder idempotence (module docs). `STEP` picks the
+    /// chunk step's rounder and domain test ([`ChunkStep`]); a checked
+    /// chunk that left the domain is replayed exactly at its boundary
+    /// ([`replay_groups`]). The epilogue always runs the exact rounder,
+    /// since the outer sum has no range proof.
     ///
     /// # Safety
     ///
@@ -182,7 +356,7 @@ mod avx2 {
     /// `out.len() == G * GROUP`.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn fp16_groups<const G: usize, const RANGED: bool>(
+    unsafe fn fp16_groups<const G: usize, const STEP: u8>(
         arow: &[f32],
         bgroups: &[f32],
         chunk_len: usize,
@@ -190,10 +364,19 @@ mod avx2 {
     ) {
         let gsz = arow.len() * GROUP;
         let zero = _mm256_setzero_ps();
+        // A checked step keeps the outer sums in `out`, not in registers:
+        // they change once per chunk, and the domain test needs the room.
+        let out = out.as_mut_ptr();
         let mut outer_lo = [zero; G];
         let mut outer_hi = [zero; G];
+        if checked(STEP) {
+            for t in 0..2 * G {
+                _mm256_storeu_ps(out.add(8 * t), zero);
+            }
+        }
         let mut chunk_lo = [zero; G];
         let mut chunk_hi = [zero; G];
+        let mut sticky = Sticky::new();
         let mut in_chunk = 0usize;
         for (p, &x) in arow.iter().enumerate() {
             // A zero broadcast value makes every product ±0 and
@@ -201,32 +384,42 @@ mod avx2 {
             // zero, so the whole sweep is skipped; only the chunk-boundary
             // bookkeeping below still runs.
             if x != 0.0 {
-                let xa = _mm256_set1_ps(x);
-                for t in 0..G {
-                    let b0 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP));
-                    let b1 = _mm256_loadu_ps(bgroups.as_ptr().add(t * gsz + p * GROUP + 8));
-                    chunk_lo[t] = chunk_round::<RANGED>(_mm256_fmadd_ps(xa, b0, chunk_lo[t]));
-                    chunk_hi[t] = chunk_round::<RANGED>(_mm256_fmadd_ps(xa, b1, chunk_hi[t]));
-                }
+                let (lo, hi) = (&mut chunk_lo, &mut chunk_hi);
+                group_step::<G, STEP>(x, bgroups, gsz, p, lo, hi, &mut sticky);
             }
             in_chunk += 1;
             if in_chunk == chunk_len {
+                if sticky.left::<STEP>() {
+                    (chunk_lo, chunk_hi) = replay_groups(arow, bgroups, (p + 1 - chunk_len, p + 1));
+                    sticky = Sticky::new();
+                }
                 for t in 0..G {
-                    outer_lo[t] = _mm256_add_ps(outer_lo[t], chunk_lo[t]);
-                    outer_hi[t] = _mm256_add_ps(outer_hi[t], chunk_hi[t]);
+                    if checked(STEP) {
+                        let (lo, hi) = (out.add(t * GROUP), out.add(t * GROUP + 8));
+                        _mm256_storeu_ps(lo, _mm256_add_ps(_mm256_loadu_ps(lo), chunk_lo[t]));
+                        _mm256_storeu_ps(hi, _mm256_add_ps(_mm256_loadu_ps(hi), chunk_hi[t]));
+                    } else {
+                        outer_lo[t] = _mm256_add_ps(outer_lo[t], chunk_lo[t]);
+                        outer_hi[t] = _mm256_add_ps(outer_hi[t], chunk_hi[t]);
+                    }
                     chunk_lo[t] = zero;
                     chunk_hi[t] = zero;
                 }
                 in_chunk = 0;
             }
         }
+        if sticky.left::<STEP>() {
+            let k = arow.len();
+            (chunk_lo, chunk_hi) = replay_groups(arow, bgroups, (k - in_chunk, k));
+        }
         // The epilogue: `fp16_round_sum(outer + chunk)` per lane.
-        let out = out.as_mut_ptr();
         for t in 0..G {
-            let lo = round_lanes(_mm256_add_ps(outer_lo[t], chunk_lo[t]));
-            let hi = round_lanes(_mm256_add_ps(outer_hi[t], chunk_hi[t]));
-            _mm256_storeu_ps(out.add(t * GROUP), lo);
-            _mm256_storeu_ps(out.add(t * GROUP + 8), hi);
+            let (lo, hi) = (out.add(t * GROUP), out.add(t * GROUP + 8));
+            if checked(STEP) {
+                (outer_lo[t], outer_hi[t]) = (_mm256_loadu_ps(lo), _mm256_loadu_ps(hi));
+            }
+            _mm256_storeu_ps(lo, round_lanes(_mm256_add_ps(outer_lo[t], chunk_lo[t])));
+            _mm256_storeu_ps(hi, round_lanes(_mm256_add_ps(outer_hi[t], chunk_hi[t])));
         }
     }
 
@@ -234,20 +427,25 @@ mod avx2 {
     /// `chunk[j] = chunk_round(x·b[j] + chunk[j])` for every column, 8
     /// lanes per step. Each column's op sequence is [`fp16_groups`]'s for
     /// one k step; the columns are independent chains, so the loop is
-    /// throughput-bound and needs no interleaving.
+    /// throughput-bound and needs no interleaving. Returns whether a
+    /// checked step left the domain in any column.
     ///
     /// # Safety
     ///
     /// Requires AVX2 and FMA; `b.len() == chunk.len()`, a multiple of 8.
     #[target_feature(enable = "avx2,fma")]
     #[inline]
-    unsafe fn axpy<const RANGED: bool>(x: f32, b: &[f32], chunk: &mut [f32]) {
+    unsafe fn axpy<const STEP: u8>(x: f32, b: &[f32], chunk: &mut [f32]) -> bool {
         let xa = _mm256_set1_ps(x);
+        let mut sticky = Sticky::new();
         let (b, c) = (b.as_ptr(), chunk.as_mut_ptr());
         for j in (0..chunk.len()).step_by(8) {
             let v = _mm256_fmadd_ps(xa, _mm256_loadu_ps(b.add(j)), _mm256_loadu_ps(c.add(j)));
-            _mm256_storeu_ps(c.add(j), chunk_round::<RANGED>(v));
+            let r = chunk_round::<STEP>(v);
+            sticky.note::<STEP>(r);
+            _mm256_storeu_ps(c.add(j), r);
         }
+        sticky.left::<STEP>()
     }
 
     /// One band of the expanding integer kernel for `R` A rows: every
@@ -334,63 +532,73 @@ mod avx2 {
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against [`WIDE_GROUPS`] consecutive staged groups. `ranged`
-    /// asserts every chunk sum lies in [`round_lanes_ranged`]'s domain
-    /// (`gemm::chunk_sums_in_range`).
+    /// A-row against [`WIDE_GROUPS`] consecutive staged groups, the chunk
+    /// step rounded as `step` says.
     pub(crate) fn dot_fp16_groups_wide(
         arow: &[f32],
         bgroups: &[f32],
         chunk_len: usize,
-        ranged: bool,
+        step: ChunkStep,
         out: &mut [f32; WIDE],
     ) {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroups.len(), WIDE_GROUPS * arow.len() * GROUP);
         // SAFETY: AVX2 and FMA presence and slice extents asserted above.
         unsafe {
-            if ranged {
-                fp16_groups::<WIDE_GROUPS, true>(arow, bgroups, chunk_len, out)
-            } else {
-                fp16_groups::<WIDE_GROUPS, false>(arow, bgroups, chunk_len, out)
+            match step {
+                ChunkStep::Ranged => {
+                    fp16_groups::<WIDE_GROUPS, RANGED>(arow, bgroups, chunk_len, out)
+                }
+                ChunkStep::Checked { below_only: false } => {
+                    fp16_groups::<WIDE_GROUPS, CHECKED>(arow, bgroups, chunk_len, out)
+                }
+                ChunkStep::Checked { below_only: true } => {
+                    fp16_groups::<WIDE_GROUPS, CHECKED_BELOW>(arow, bgroups, chunk_len, out)
+                }
             }
         }
     }
 
     /// Safe wrapper: chunk-accumulated FP16 lattice dot products of one
-    /// A-row against a single staged 16-column B group (`ranged` as in
+    /// A-row against a single staged 16-column B group (`step` as in
     /// [`dot_fp16_groups_wide`]).
     pub(crate) fn dot_fp16_group16(
         arow: &[f32],
         bgroup: &[f32],
         chunk_len: usize,
-        ranged: bool,
+        step: ChunkStep,
         out: &mut [f32; GROUP],
     ) {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert_eq!(bgroup.len(), arow.len() * GROUP);
         // SAFETY: AVX2 and FMA presence and slice extents asserted above.
         unsafe {
-            if ranged {
-                fp16_groups::<1, true>(arow, bgroup, chunk_len, out)
-            } else {
-                fp16_groups::<1, false>(arow, bgroup, chunk_len, out)
+            match step {
+                ChunkStep::Ranged => fp16_groups::<1, RANGED>(arow, bgroup, chunk_len, out),
+                ChunkStep::Checked { below_only: false } => {
+                    fp16_groups::<1, CHECKED>(arow, bgroup, chunk_len, out)
+                }
+                ChunkStep::Checked { below_only: true } => {
+                    fp16_groups::<1, CHECKED_BELOW>(arow, bgroup, chunk_len, out)
+                }
             }
         }
     }
 
     /// Safe wrapper: the GEMV's chunk step, `x` times one staged B row
-    /// `b` added into the chunk registers `chunk` and rounded (`ranged` as
-    /// in [`dot_fp16_groups_wide`]). Both slices are padded to whole
-    /// vectors.
-    pub(crate) fn axpy_fp16(x: f32, b: &[f32], chunk: &mut [f32], ranged: bool) {
+    /// `b` added into the chunk registers `chunk` and rounded as `step`
+    /// says; returns whether a checked step left the domain, in which
+    /// case the caller replays the chunk with the portable exact step.
+    /// Both slices are padded to whole vectors.
+    pub(crate) fn axpy_fp16(x: f32, b: &[f32], chunk: &mut [f32], step: ChunkStep) -> bool {
         assert!(crate::dispatch::simd_available(), "SIMD kernel selected without AVX2/FMA");
         assert!(b.len() == chunk.len() && chunk.len().is_multiple_of(8));
         // SAFETY: AVX2 and FMA presence and slice extents asserted above.
         unsafe {
-            if ranged {
-                axpy::<true>(x, b, chunk)
-            } else {
-                axpy::<false>(x, b, chunk)
+            match step {
+                ChunkStep::Ranged => axpy::<RANGED>(x, b, chunk),
+                ChunkStep::Checked { below_only: false } => axpy::<CHECKED>(x, b, chunk),
+                ChunkStep::Checked { below_only: true } => axpy::<CHECKED_BELOW>(x, b, chunk),
             }
         }
     }
@@ -469,7 +677,7 @@ pub(crate) use avx2::{
 
 #[cfg(not(target_arch = "x86_64"))]
 mod fallback {
-    use super::{GROUP, WIDE};
+    use super::{ChunkStep, GROUP, WIDE};
 
     /// Unreachable on this target: the dispatcher reports
     /// `simd_available() == false` and never selects the AVX2 kernels.
@@ -477,7 +685,7 @@ mod fallback {
         _arow: &[f32],
         _bgroups: &[f32],
         _chunk_len: usize,
-        _ranged: bool,
+        _step: ChunkStep,
         _out: &mut [f32; WIDE],
     ) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
@@ -488,14 +696,14 @@ mod fallback {
         _arow: &[f32],
         _bgroup: &[f32],
         _chunk_len: usize,
-        _ranged: bool,
+        _step: ChunkStep,
         _out: &mut [f32; GROUP],
     ) {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
     }
 
     /// Unreachable on this target (see [`dot_fp16_groups_wide`]).
-    pub(crate) fn axpy_fp16(_x: f32, _b: &[f32], _chunk: &mut [f32], _ranged: bool) {
+    pub(crate) fn axpy_fp16(_x: f32, _b: &[f32], _chunk: &mut [f32], _step: ChunkStep) -> bool {
         unreachable!("SIMD kernel selected on a non-x86_64 target");
     }
 

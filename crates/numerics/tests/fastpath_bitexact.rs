@@ -13,9 +13,10 @@ use rapid_numerics::fma::{FmaMode, Fp8};
 use rapid_numerics::format::FpFormat;
 use rapid_fault::FaultPlan;
 use rapid_numerics::gemm::{
-    conv2d_emulated, conv2d_emulated_scalar, conv2d_emulated_with_simd, conv2d_int,
-    conv2d_int_scalar, conv2d_int_with_simd, matmul_emulated, matmul_emulated_scalar,
+    chunk_replays, conv2d_emulated, conv2d_emulated_scalar, conv2d_emulated_with_simd,
+    conv2d_int, conv2d_int_scalar, conv2d_int_with_simd, matmul_emulated, matmul_emulated_scalar,
     matmul_emulated_with, matmul_int, matmul_int_scalar, matmul_int_with, ConvSpec, Exec,
+    GemmStats,
 };
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid_numerics::{GuardPolicy, NumericsError, SimdMode, Tensor};
@@ -259,6 +260,133 @@ fn negative_zero_chunk_register_is_unobservable() {
         assert_bits_eq(&fast, &scalar);
         assert_eq!(fast_stats, scalar_stats, "{simd:?}");
     }
+}
+
+/// Chunk length and depth of the replay tests: three full chunks and a
+/// partial one of 3 in the epilogue.
+const REPLAY_CHUNK: usize = 8;
+const REPLAY_K: usize = 3 * REPLAY_CHUNK + 3;
+/// 12 groups for the 64-column wide kernel, one full and one ragged
+/// 16-column tail group; every column pattern lands in each.
+const REPLAY_N: usize = 213;
+
+/// `a × b` in FP16 at [`REPLAY_CHUNK`] as a GEMM, as one GEMV per A row
+/// and as the 1×1 convolution of `b` (as `[1, k, 1, n]`) by `a` (as
+/// `[m, k, 1, 1]`), each under `Auto`, `Force` and `Off`. Every run must
+/// match the scalar reference's statistics, and its output bits (or,
+/// with `against_portable`, those of the portable kernels, which round
+/// every chunk step exactly). Under `Force` with AVX2 each kernel must
+/// have replayed a chunk.
+fn assert_fp16_chunk_replays_exact(a: &Tensor, b: &Tensor, against_portable: bool) {
+    let (m, k, n) = (a.shape()[0], a.shape()[1], b.shape()[1]);
+    let mode = FmaMode::Fp16;
+    let gemm = |a: &Tensor, simd| {
+        matmul_emulated_with(mode, a, b, REPLAY_CHUNK, Exec { simd, ..Exec::default() }).unwrap()
+    };
+    type Run<'r> = &'r dyn Fn(SimdMode) -> (Tensor, GemmStats);
+    let check = |name: &str, run: Run<'_>, scalar: (Tensor, GemmStats)| {
+        let portable = run(SimdMode::Off).0;
+        let want = if against_portable { &portable } else { &scalar.0 };
+        for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+            let before = chunk_replays();
+            let (fast, fast_stats) = run(simd);
+            assert_bits_eq(&fast, want);
+            assert_eq!(fast_stats, scalar.1, "{name} {simd:?}");
+            if simd == SimdMode::Force && rapid_numerics::dispatch::simd_available() {
+                assert!(chunk_replays() > before, "{name}: no chunk was replayed");
+            }
+        }
+    };
+    check("gemm", &|simd| gemm(a, simd), matmul_emulated_scalar(mode, a, b, REPLAY_CHUNK));
+    for (i, row) in a.as_slice().chunks_exact(k).enumerate() {
+        let row = Tensor::from_vec(vec![1, k], row.to_vec());
+        let scalar = matmul_emulated_scalar(mode, &row, b, REPLAY_CHUNK);
+        check(&format!("gemv row {i}"), &|simd| gemm(&row, simd), scalar);
+    }
+    let input = b.clone().reshape(vec![1, k, 1, n]).unwrap();
+    let weight = a.clone().reshape(vec![m, k, 1, 1]).unwrap();
+    let spec = ConvSpec { stride: 1, pad: 0 };
+    let conv = |simd| {
+        conv2d_emulated_with_simd(&input, &weight, spec, mode, REPLAY_CHUNK, simd).unwrap()
+    };
+    check("conv", &conv, conv2d_emulated_scalar(&input, &weight, spec, mode, REPLAY_CHUNK));
+}
+
+/// B columns cycling through `patterns`, each a list of `(k, value)`
+/// entries (the rest zero).
+fn pattern_columns(patterns: &[&[(usize, f32)]]) -> Tensor {
+    let mut b = Tensor::zeros(vec![REPLAY_K, REPLAY_N]);
+    for j in 0..REPLAY_N {
+        for &(p, v) in patterns[j % patterns.len()] {
+            b.as_mut_slice()[p * REPLAY_N + j] = v;
+        }
+    }
+    b
+}
+
+/// Chunk registers that underflow, where the exact rounder flushes a sum
+/// below `2^-30` to `{0, 2^-30}` and the 4-op rounder keeps it: row 0's
+/// products `1.5·2^-31` round to `2^-30`, and `2^-32` to zero. Column
+/// patterns: three such products in the middle of chunk 1, which climb
+/// back above the minimum normal by its end (only a sticky test sees
+/// them); one at chunk 1's last element after a normal chunk 0; two in
+/// the epilogue's partial chunk only; five `2^-32` products that the
+/// exact rounder flushes one by one; and a normal column. Row 1 negates
+/// row 0, and row 2 doubles it, so its products stay normal. The
+/// operands are small, so the band kernels test only the underflow edge.
+#[test]
+fn chunk_registers_that_underflow_replay_exactly() {
+    let (t, u) = (1.5 * 2f32.powi(-15), 2f32.powi(-16));
+    let b = pattern_columns(&[
+        &[(9, t), (10, t), (11, t)],
+        &[(3, 2f32.powi(-12)), (15, t)],
+        &[(25, t), (26, t)],
+        &[(17, u), (18, u), (19, u), (20, u), (21, u)],
+        &[(0, 0.25), (5, -0.5), (12, 0.75), (24, 1.0)],
+    ]);
+    let a = Tensor::from_fn(vec![3, REPLAY_K], |i| [u, -u, 2.0 * u][i / REPLAY_K]);
+    assert_fp16_chunk_replays_exact(&a, &b, false);
+}
+
+/// Chunk registers that pass `FP16_MAX` (about `2^33`) and come back:
+/// the exact rounder saturates `2^34` to `MAX`, the 4-op one keeps it.
+/// Column patterns: `+2^34` then `−2^34` in the middle of chunk 0 (the
+/// register ends at exactly zero, inside the domain); `+2^34` at chunk
+/// 0's last element and `−2^33` at chunk 1's first; the same pair in the
+/// epilogue's partial chunk; and a large column that stays in range.
+/// Row 1 negates row 0.
+#[test]
+fn chunk_registers_past_max_replay_exactly() {
+    let (big, half) = (2f32.powi(17), 2f32.powi(16));
+    let b = pattern_columns(&[
+        &[(2, big), (3, -big)],
+        &[(7, big), (8, -half)],
+        &[(25, big), (26, -half)],
+        &[(0, 1024.0), (9, -512.0), (20, 2048.0), (26, 4096.0)],
+    ]);
+    let a = Tensor::from_fn(vec![2, REPLAY_K], |i| if i < REPLAY_K { big } else { -big });
+    assert_fp16_chunk_replays_exact(&a, &b, false);
+}
+
+/// NaN operands, in an A row and in two B columns. The 4-op rounder
+/// passes NaN through, so the domain test flags it and the chunk
+/// replays: every backend must reproduce the portable kernels' bits,
+/// where the exact rounder saturates a NaN sum to `MAX` and the next
+/// product (`−2^31` times A) pulls the register back below it; a NaN
+/// left in the register would reach the output as `MAX`. The scalar
+/// reference keeps the NaN, so only its statistics are compared. No
+/// operand is zero: a zero A value skips its k step, so `NaN × 0` is
+/// added in one operand order and not in the other, and the
+/// convolution's backends use both.
+#[test]
+fn nan_operands_replay_exactly() {
+    let mut a = Tensor::from_fn(vec![2, REPLAY_K], |i| 0.5 + (i % 5) as f32);
+    a.as_mut_slice()[REPLAY_K + 5] = f32::NAN;
+    let mut b = Tensor::from_fn(vec![REPLAY_K, REPLAY_N], |i| 0.25 * (i % 7) as f32 - 0.875);
+    b.as_mut_slice()[12 * REPLAY_N + 70] = f32::NAN;
+    b.as_mut_slice()[13 * REPLAY_N + 70] = -(2f32.powi(31));
+    b.as_mut_slice()[26 * REPLAY_N + 200] = f32::NAN;
+    assert_fp16_chunk_replays_exact(&a, &b, true);
 }
 
 proptest! {

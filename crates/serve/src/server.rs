@@ -126,8 +126,8 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Re-raises a worker thread's panic once the remaining workers have
-    /// stopped (engine invariants would be unverifiable).
+    /// Re-raises a panic of `f` or of a worker thread once the remaining
+    /// workers have stopped (engine invariants would be unverifiable).
     pub fn run<S, F, R>(cfg: ServeConfig, table: LatencyTable, session: &S, f: F) -> ServerReport<R>
     where
         S: InferenceSession,
@@ -148,6 +148,9 @@ impl Server {
                 .map(|_| scope.spawn(|| worker_loop(&state, &cv, epoch, wait, session)))
                 .collect();
 
+            // Stops the workers when this closure ends, also by a panic in
+            // `f`: the scope joins them before it re-raises that panic.
+            let _stop = StopOnDrop { state: &state, cv: &cv };
             let handle = ServerHandle { state: &state, cv: &cv, epoch };
             let out = f(&handle);
 
@@ -183,8 +186,6 @@ impl Server {
                 cv.notify_all();
                 std::thread::sleep(Duration::from_millis(1));
             }
-            lock(&state).hard_stop = true;
-            cv.notify_all();
             out
         });
 
@@ -196,6 +197,19 @@ impl Server {
         let slo = st.engine.slo_report();
         let spans = st.engine.take_spans().map(|s| s.spans().to_vec()).unwrap_or_default();
         ServerReport { result, counters, responses, registry, spans, slo }
+    }
+}
+
+/// Sets `hard_stop` and wakes every worker when dropped.
+struct StopOnDrop<'a> {
+    state: &'a Mutex<State>,
+    cv: &'a Condvar,
+}
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        lock(self.state).hard_stop = true;
+        self.cv.notify_all();
     }
 }
 
@@ -343,5 +357,25 @@ mod tests {
         // that into a failure instead of a hung test run.
         let panicked = rx.recv_timeout(Duration::from_secs(10));
         assert_eq!(panicked, Ok(true), "Server::run must re-raise the worker panic");
+    }
+
+    #[test]
+    fn panicking_callback_panics_run_instead_of_hanging_it() {
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let run = std::panic::catch_unwind(|| {
+                let table = synthetic_table(&["m"], 100.0, 50.0);
+                let cfg = ServeConfig { workers: 2, ..ServeConfig::hardened() };
+                Server::run(cfg, table, &OkSession, |h| {
+                    h.submit("m", Tier::Fp16, QosClass::Standard, 1_000_000);
+                    panic!("callback failure");
+                })
+            });
+            let _ = tx.send(run.is_err());
+        });
+        // A regression hangs the helper thread on workers that never
+        // stop; the bounded wait turns that into a failure.
+        let panicked = rx.recv_timeout(Duration::from_secs(10));
+        assert_eq!(panicked, Ok(true), "Server::run must re-raise the callback's panic");
     }
 }
