@@ -284,8 +284,9 @@ fn main() -> std::process::ExitCode {
             g.report(&mut ctx.rec);
         }
 
-        // A convolution exercises the panel-packed path (im2col rows consumed
-        // in place, output written straight into [n, co, ho, wo]).
+        // A convolution runs the GEMM's product core per image: each image
+        // lowered into [ci·kh·kw, ho·wo] rows, the weights as A, the output
+        // written straight into [n, co, ho, wo].
         let (n, ci, hw_in, co) = if smoke { (2, 4, 14, 8) } else { (4, 8, 28, 16) };
         let spec = ConvSpec { stride: 1, pad: 1 };
         section(&format!(

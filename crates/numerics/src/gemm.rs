@@ -15,8 +15,8 @@
 //! is quantized to its format and converted to the multiplier operand (the
 //! FP16 lattice value, or the FP9 value HFP8 converts to on the fly). A
 //! keeps its row-major layout; B is read in its native `[k, n]` layout
-//! (the convolution's im2col rows are already Bᵀ) and written into
-//! 16-column groups, the last one zero-padded, one 16×16 tile at a time.
+//! and written into 16-column groups, the last one zero-padded, one
+//! 16×16 tile at a time.
 //! A GEMV (m = 1) stages no groups: it streams B's rows once each through
 //! an n-wide buffer into per-column chunk registers. The same pass counts the
 //! quantized zeros at each k-position, so zero-gating statistics are a
@@ -40,10 +40,18 @@
 //! [`chunk_replays`]); the band loop proves the overflow half of that test
 //! unneeded per B panel from the operands' largest magnitudes, so most
 //! calls test underflow only. Every kernel fans rows out
-//! across threads. The fast path is required to be *bit-exact* against the
-//! scalar reference — same output bits, same [`GemmStats`] — which
+//! across threads. A convolution runs the same product core per image,
+//! with the weights as A and the image lowered into `[ci·kh·kw, ho·wo]`
+//! B rows; only the references build an im2col matrix.
+//!
+//! The fast path is required to be *bit-exact* against the scalar
+//! reference — same output bits, same [`GemmStats`] — which
 //! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
-//! per-band statistics is deterministic regardless of thread count.
+//! per-band statistics is deterministic regardless of thread count. NaN
+//! operands are the exception: the fast loops add `NaN × 0` where the
+//! reference gates it, and round a NaN chunk sum to `MAX` where the
+//! reference keeps NaN. The fast backends still agree with each other,
+//! and with the reference's statistics.
 
 use crate::accumulate::ChunkAccumulator;
 use crate::dispatch::{self, SimdMode};
@@ -427,37 +435,33 @@ pub fn matmul_emulated(mode: FmaMode, a: &Tensor, b: &Tensor, chunk_len: usize) 
         .expect("incompatible matmul shapes")
 }
 
-/// The bit-exact fast path of [`matmul_emulated_with`] under an explicit
-/// vectorization policy.
-fn matmul_emulated_fast(
-    mode: FmaMode,
-    a: &Tensor,
-    b: &Tensor,
+/// The float GEMM's product core: staged A rows `sa` (`k > 0`) times
+/// row-major `[k, n]` B, staged with `st`, into the row-major `[m, n]`
+/// `out` (`+0.0`). The GEMM and every image of a convolution run it. A
+/// single A row takes the row-streamed [`gemv`]; more take B's staged
+/// groups through [`staged_band`], row bands in parallel.
+fn staged_product(
+    sa: &Staged,
+    b: &[f32],
+    n: usize,
     chunk_len: usize,
-    simd_mode: SimdMode,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    let (m, k, n) = check_matmul_shapes(a, b)?;
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let mut out = Tensor::zeros(vec![m, n]);
-    if m == 0 || n == 0 || k == 0 {
-        return Ok((out, GemmStats::default()));
-    }
-    let (fa, fb) = mode.operand_formats();
-    let use_simd = dispatch::use_simd(simd_mode, (m * n * k) as u64);
-    let sa = Staged::rows(a.as_slice(), k, Stager::new(mode, fa, use_simd));
-    let stager_b = Stager::new(mode, fb, use_simd);
-    let kernel = BandKernel::new(use_simd, mode, chunk_len);
+    st: Stager,
+    kernel: BandKernel,
+    out: &mut [f32],
+) -> GemmStats {
+    let k = sa.zeros.len();
+    let m = sa.vals.len() / k;
     if m == 1 {
-        let zb = gemv(&sa, b.as_slice(), n, chunk_len, stager_b, kernel, out.as_mut_slice());
-        return Ok((out, gated_stats(&sa.zeros, &zb, m, n)));
+        let zb = gemv(sa, b, n, chunk_len, st, kernel, out);
+        return gated_stats(&sa.zeros, &zb, m, n);
     }
-    let sb = Staged::groups(b.as_slice(), k, n, stager_b);
+    let sb = Staged::groups(b, k, n, st);
     let work = |row0: usize, band: &mut [f32]| -> GemmStats {
         staged_band(&sa.vals, &sb, n, row0, chunk_len, kernel, band);
         GemmStats::default()
     };
-    par_rows(out.as_mut_slice(), m, n, k, &work);
-    Ok((out, gated_stats(&sa.zeros, &sb.zeros, m, n)))
+    par_rows(out, m, n, k, &work);
+    gated_stats(&sa.zeros, &sb.zeros, m, n)
 }
 
 /// Branch-free quantizer for one saturating, subnormal-free format (every
@@ -726,29 +730,6 @@ impl Staged {
         }
         Self { vals, zeros }
     }
-
-    /// [`Self::groups`] from Bᵀ: `bt` holds the `n` columns of B, each `k`
-    /// long — the layout the convolution's im2col rows already have.
-    fn groups_from_columns(bt: &[f32], k: usize, st: Stager) -> Self {
-        let n = bt.len() / k;
-        let gsz = k * simd::GROUP;
-        let mut vals = vec![0.0f32; n.div_ceil(simd::GROUP) * gsz];
-        let mut zeros = vec![0u64; k];
-        let mut counts = vec![0u32; k];
-        let mut col_ops = vec![0.0f32; k];
-        for (j, col) in bt.chunks_exact(k).enumerate() {
-            st.run::<true>(col, &mut col_ops, &mut counts);
-            if j % FOLD == FOLD - 1 {
-                fold_zeros(&mut zeros, &mut counts);
-            }
-            let lane = vals[(j / simd::GROUP) * gsz + j % simd::GROUP..].iter_mut();
-            for (d, &v) in lane.step_by(simd::GROUP).zip(&col_ops) {
-                *d = v;
-            }
-        }
-        fold_zeros(&mut zeros, &mut counts);
-        Self { vals, zeros }
-    }
 }
 
 /// The loops [`staged_band`] and [`gemv`] run.
@@ -996,25 +977,68 @@ pub fn matmul_emulated_scalar(
     b: &Tensor,
     chunk_len: usize,
 ) -> (Tensor, GemmStats) {
-    let (m, k, n) = check_matmul_shapes(a, b).expect("incompatible matmul shapes");
+    float_datapath(mode, a, b, chunk_len, GuardPolicy::Propagate, None)
+        .expect("incompatible matmul shapes")
+}
+
+/// The float datapath model: a [`ChunkAccumulator`] per output, driven
+/// one FMA at a time. With a `plan`, each quantized operand and then the
+/// chunk register pass through it; a checking `policy` applies whenever
+/// the chunk register or an output goes non-finite. Under
+/// [`GuardPolicy::Propagate`] without a plan this is the scalar reference.
+fn float_datapath(
+    mode: FmaMode,
+    a: &Tensor,
+    b: &Tensor,
+    chunk_len: usize,
+    policy: GuardPolicy,
+    mut plan: Option<&mut FaultPlan>,
+) -> Result<(Tensor, GemmStats), NumericsError> {
+    let (m, k, n) = check_matmul_shapes(a, b)?;
+    assert!(chunk_len > 0, "chunk length must be positive");
     let (fa, fb) = mode.operand_formats();
     let qa: Vec<f32> = a.as_slice().iter().map(|&x| fa.quantize(x)).collect();
     let qb: Vec<f32> = b.as_slice().iter().map(|&x| fb.quantize(x)).collect();
     let mut out = Tensor::zeros(vec![m, n]);
     let od = out.as_mut_slice();
     let mut stats = GemmStats::default();
+    // A non-finite `v` at output (row, col): clamped and counted under
+    // `Saturate`, reported under `Error`.
+    let guard = |v: f32, row: usize, col: usize, stats: &mut GemmStats| match policy {
+        GuardPolicy::Saturate => {
+            stats.guard_clamps += 1;
+            Ok(saturate_f32(v))
+        }
+        _ => Err(NumericsError::NonFinite { row, col, bits: v.to_bits() }),
+    };
     for i in 0..m {
         for j in 0..n {
             let mut acc = ChunkAccumulator::new(mode, chunk_len);
             for p in 0..k {
-                acc.mac(qa[i * k + p], qb[p * n + j]);
+                let (mut x, mut y) = (qa[i * k + p], qb[p * n + j]);
+                if let Some(plan) = plan.as_deref_mut() {
+                    x = plan.mac_operand(x);
+                    y = plan.mac_operand(y);
+                }
+                acc.mac(x, y);
+                if let Some(plan) = plan.as_deref_mut() {
+                    acc.corrupt_chunk(|v| plan.mac_accumulator(v));
+                }
+                if policy.checks() && !acc.chunk_value().is_finite() {
+                    let v = guard(acc.chunk_value(), i, j, &mut stats)?;
+                    acc.corrupt_chunk(|_| v);
+                }
             }
             stats.macs += acc.macs();
             stats.zero_gated += acc.zero_gated();
-            od[i * n + j] = acc.finish();
+            let mut v = acc.finish();
+            if policy.checks() && !v.is_finite() {
+                v = guard(v, i, j, &mut stats)?;
+            }
+            od[i * n + j] = v;
         }
     }
-    (out, stats)
+    Ok((out, stats))
 }
 
 /// [`matmul_emulated`] under explicit execution options: the single
@@ -1044,76 +1068,34 @@ pub fn matmul_emulated_with(
     exec: Exec<'_>,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
     let Exec { simd, guard: policy, faults } = exec;
-    let Some(plan) = faults.filter(|p| p.mac_enabled()) else {
-        let (out, stats) = matmul_emulated_fast(mode, a, b, chunk_len, simd)?;
-        // The clean kernels saturate at FP16 write-back and cannot emit
-        // non-finite values; the scan is defense in depth for checking
-        // policies and costs O(m·n) only when asked for.
-        if policy.checks() {
-            let n = out.shape()[1];
-            for (idx, &v) in out.as_slice().iter().enumerate() {
-                if !v.is_finite() {
-                    return Err(NumericsError::NonFinite {
-                        row: idx / n,
-                        col: idx % n,
-                        bits: v.to_bits(),
-                    });
-                }
-            }
-        }
-        return Ok((out, stats));
-    };
+    if let Some(plan) = faults.filter(|p| p.mac_enabled()) {
+        return float_datapath(mode, a, b, chunk_len, policy, Some(plan));
+    }
     let (m, k, n) = check_matmul_shapes(a, b)?;
     assert!(chunk_len > 0, "chunk length must be positive");
-    let (fa, fb) = mode.operand_formats();
-    let qa: Vec<f32> = a.as_slice().iter().map(|&x| fa.quantize(x)).collect();
-    let qb: Vec<f32> = b.as_slice().iter().map(|&x| fb.quantize(x)).collect();
     let mut out = Tensor::zeros(vec![m, n]);
+    if m == 0 || n == 0 || k == 0 {
+        return Ok((out, GemmStats::default()));
+    }
+    let (fa, fb) = mode.operand_formats();
+    let use_simd = dispatch::use_simd(simd, (m * n * k) as u64);
+    let sa = Staged::rows(a.as_slice(), k, Stager::new(mode, fa, use_simd));
+    let stager_b = Stager::new(mode, fb, use_simd);
+    let kernel = BandKernel::new(use_simd, mode, chunk_len);
     let od = out.as_mut_slice();
-    let mut stats = GemmStats::default();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = ChunkAccumulator::new(mode, chunk_len);
-            for p in 0..k {
-                let x = plan.mac_operand(qa[i * k + p]);
-                let y = plan.mac_operand(qb[p * n + j]);
-                acc.mac(x, y);
-                acc.corrupt_chunk(|v| plan.mac_accumulator(v));
-                if policy.checks() && !acc.chunk_value().is_finite() {
-                    match policy {
-                        GuardPolicy::Saturate => {
-                            stats.guard_clamps += 1;
-                            acc.corrupt_chunk(saturate_f32);
-                        }
-                        _ => {
-                            return Err(NumericsError::NonFinite {
-                                row: i,
-                                col: j,
-                                bits: acc.chunk_value().to_bits(),
-                            })
-                        }
-                    }
-                }
+    let stats = staged_product(&sa, b.as_slice(), n, chunk_len, stager_b, kernel, od);
+    // The clean kernels saturate at FP16 write-back and cannot emit
+    // non-finite values; the scan is defense in depth for checking
+    // policies and costs O(m·n) only when asked for.
+    if policy.checks() {
+        for (idx, &v) in out.as_slice().iter().enumerate() {
+            if !v.is_finite() {
+                return Err(NumericsError::NonFinite {
+                    row: idx / n,
+                    col: idx % n,
+                    bits: v.to_bits(),
+                });
             }
-            stats.macs += acc.macs();
-            stats.zero_gated += acc.zero_gated();
-            let mut v = acc.finish();
-            if policy.checks() && !v.is_finite() {
-                match policy {
-                    GuardPolicy::Saturate => {
-                        stats.guard_clamps += 1;
-                        v = saturate_f32(v);
-                    }
-                    _ => {
-                        return Err(NumericsError::NonFinite {
-                            row: i,
-                            col: j,
-                            bits: v.to_bits(),
-                        })
-                    }
-                }
-            }
-            od[i * n + j] = v;
         }
     }
     Ok((out, stats))
@@ -1165,68 +1147,107 @@ fn int_chunk_bound(qa: QuantParams, qb: QuantParams, k: usize, chunk_len: usize)
     window * worst(qa) * worst(qb)
 }
 
-/// The fast path of [`matmul_int_with`] under an explicit vectorization
-/// policy (still modeling INT16 saturation exactly when it is possible).
-fn matmul_int_fast(
-    a: &Tensor,
-    b: &Tensor,
-    qa: QuantParams,
-    qb: QuantParams,
+/// The integer GEMM's product core over quantized codes: row-major
+/// `[m, k]` A codes in `qa` times row-major `[k, n]` B codes in `qb`. Built
+/// once per call (the kernel choice, A's zeros per k-position, and the
+/// expanding kernel's A rows and reused B operand), then run for each B
+/// operand: the GEMM's one, or one per image of a convolution.
+struct IntProduct<'a> {
+    ca: &'a [i8],
+    dims: [usize; 3],
+    q: (QuantParams, QuantParams),
     chunk_len: usize,
-    simd_mode: SimdMode,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    let (m, k, n) = check_matmul_shapes(a, b)?;
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let mut ca = Vec::new();
-    let mut cb = Vec::new();
-    qa.quantize_slice_into(a.as_slice(), &mut ca);
-    qb.quantize_slice_into(b.as_slice(), &mut cb);
-    let out_scale = qa.scale() * qb.scale();
-    let mut out = Tensor::zeros(vec![m, n]);
-    if m == 0 || n == 0 {
-        return Ok((out, GemmStats::default()));
+    /// A's zero codes per k-position; empty on the saturating path, whose
+    /// datapath counts its own statistics.
+    zeros: Vec<u64>,
+    kernel: IntPath<'a>,
+}
+
+/// The kernel an [`IntProduct`] runs.
+enum IntPath<'a> {
+    /// INT16 saturation is possible for the chunk length, so the
+    /// saturating accumulator is modeled ([`int_datapath`]).
+    Saturating,
+    /// Portable windowed dot products ([`dot_int_windows`]).
+    Tiled,
+    /// The AVX2 expanding kernel over A's packed rows, with the B
+    /// operand's pack reused across runs.
+    Expanding(IntRows<'a>, IntCols),
+}
+
+impl<'a> IntProduct<'a> {
+    /// Chooses the kernel for a call of `macs` MACs under `simd_mode`. The
+    /// windowed and expanding kernels sum exactly, which equals the
+    /// chunked sum only when no chunk register can saturate.
+    fn new(
+        ca: &'a [i8],
+        [m, k, n]: [usize; 3],
+        (qa, qb): (QuantParams, QuantParams),
+        chunk_len: usize,
+        simd_mode: SimdMode,
+        macs: u64,
+    ) -> Self {
+        let kernel = if int_saturation_possible(qa, qb, k, chunk_len) {
+            IntPath::Saturating
+        } else {
+            match dispatch::int_kernel(simd_mode, macs, k) {
+                dispatch::IntKernel::Tiled => IntPath::Tiled,
+                dispatch::IntKernel::Expanding => IntPath::Expanding(
+                    IntRows::pack(ca, m, k, IntCols::bias(qb)),
+                    IntCols::new(k, n),
+                ),
+            }
+        };
+        let zeros = match kernel {
+            IntPath::Saturating => Vec::new(),
+            _ => column_zeros(ca, k),
+        };
+        Self { ca, dims: [m, k, n], q: (qa, qb), chunk_len, zeros, kernel }
     }
-    // The INT16 chunk register cannot saturate when the worst-case chunk
-    // magnitude fits; then exact integer sums are bit-exact and the fast
-    // paths apply. Otherwise (illegally long chunks) fall back to the
-    // saturating scalar accumulator.
-    if int_saturation_possible(qa, qb, k, chunk_len) {
-        let stats =
-            matmul_int_codes_scalar(&ca, &cb, m, k, n, chunk_len, out_scale, out.as_mut_slice());
-        return Ok((out, stats));
-    }
-    let macs = (m * n * k) as u64;
-    let od = out.as_mut_slice();
-    match dispatch::int_kernel(simd_mode, macs, k) {
-        dispatch::IntKernel::Tiled => {
-            // The i32 window sums cannot overflow (the guard above), and a
-            // gated MAC contributes a zero product, so only the statistics
-            // need the gate: `gated_stats` counts those per k-position.
-            let cbt = transposed_panels(&cb, k, n);
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                for (r, orow) in band.chunks_exact_mut(n).enumerate() {
-                    let arow = &ca[(row0 + r) * k..(row0 + r + 1) * k];
-                    for (j, o) in orow.iter_mut().enumerate() {
-                        let dot = dot_int_windows(arow, &cbt[j * k..(j + 1) * k], chunk_len);
-                        *o = dot as f32 * out_scale;
+
+    /// Fills the row-major `[m, n]` `out` (zeroed) with A × `cb`.
+    fn run(&mut self, cb: &[i8], out: &mut [f32]) -> GemmStats {
+        let Self { ca, dims: [m, k, n], q: (qa, qb), chunk_len, ref zeros, ref mut kernel } = *self;
+        if out.is_empty() || k == 0 {
+            return GemmStats::default();
+        }
+        let out_scale = qa.scale() * qb.scale();
+        match kernel {
+            IntPath::Saturating => {
+                let plain = (GuardPolicy::Propagate, None);
+                #[allow(clippy::expect_used)] // an unchecked, fault-free loop cannot fail
+                return int_datapath(ca, cb, [m, k, n], (qa, qb), chunk_len, plain, out)
+                    .expect("the plain datapath reports no error");
+            }
+            IntPath::Tiled => {
+                // The i32 window sums cannot overflow (no saturation), and a
+                // gated MAC contributes a zero product, so only the statistics
+                // need the gate: `gated_stats` counts those per k-position.
+                let cbt = transposed_panels(cb, k, n);
+                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+                    for (r, orow) in band.chunks_exact_mut(n).enumerate() {
+                        let arow = &ca[(row0 + r) * k..(row0 + r + 1) * k];
+                        for (j, o) in orow.iter_mut().enumerate() {
+                            let dot = dot_int_windows(arow, &cbt[j * k..(j + 1) * k], chunk_len);
+                            *o = dot as f32 * out_scale;
+                        }
                     }
-                }
-                GemmStats::default()
-            };
-            par_rows(od, m, n, k, &work);
+                    GemmStats::default()
+                };
+                par_rows(out, m, n, k, &work);
+            }
+            IntPath::Expanding(pa, pb) => {
+                pb.pack(cb, qb);
+                let (pa, pb) = (&*pa, &*pb);
+                let work = |row0: usize, band: &mut [f32]| -> GemmStats {
+                    pa.band(pb, row0, out_scale, band);
+                    GemmStats::default()
+                };
+                par_rows(out, m, n, k, &work);
+            }
         }
-        dispatch::IntKernel::Expanding => {
-            let pa = IntRows::pack(&ca, m, k, IntCols::bias(qb));
-            let mut pb = IntCols::new(k, n);
-            pb.pack(&cb, qb);
-            let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-                pa.band(&pb, row0, out_scale, band);
-                GemmStats::default()
-            };
-            par_rows(od, m, n, k, &work);
-        }
+        gated_stats(zeros, &row_zeros(cb, n), m, n)
     }
-    Ok((out, gated_stats(&column_zeros(&ca, k), &row_zeros(&cb, n), m, n)))
 }
 
 /// Scalar reference for [`matmul_int`]: drives an [`IntAccumulator`] per
@@ -1243,8 +1264,9 @@ pub fn matmul_int_scalar(
     let ca: Vec<i8> = a.as_slice().iter().map(|&x| qa.quantize(x)).collect();
     let cb: Vec<i8> = b.as_slice().iter().map(|&x| qb.quantize(x)).collect();
     let mut out = Tensor::zeros(vec![m, n]);
-    let out_scale = qa.scale() * qb.scale();
-    let stats = matmul_int_codes_scalar(&ca, &cb, m, k, n, chunk_len, out_scale, out.as_mut_slice());
+    let plain = (GuardPolicy::Propagate, None);
+    let stats = int_datapath(&ca, &cb, [m, k, n], (qa, qb), chunk_len, plain, out.as_mut_slice())
+        .expect("the plain datapath reports no error");
     (out, stats)
 }
 
@@ -1279,19 +1301,41 @@ pub fn matmul_int_with(
     let Exec { simd, guard: policy, faults } = exec;
     let (m, k, n) = check_matmul_shapes(a, b)?;
     assert!(chunk_len > 0, "chunk length must be positive");
-    let legal_bound = int_chunk_bound(qa, qb, k, chunk_len);
-    let mut plan = faults.filter(|p| p.mac_enabled());
-    let saturation_possible = legal_bound > i64::from(i16::MAX);
-    if plan.is_none() && !(policy == GuardPolicy::Error && saturation_possible) {
-        return matmul_int_fast(a, b, qa, qb, chunk_len, simd);
-    }
-    let ca: Vec<i8> = a.as_slice().iter().map(|&x| qa.quantize(x)).collect();
-    let cb: Vec<i8> = b.as_slice().iter().map(|&x| qb.quantize(x)).collect();
-    let out_scale = qa.scale() * qb.scale();
-    let bound = legal_bound.min(i64::from(i16::MAX)) as i16;
-    let (bits_a, bits_b) = (qa.format().bits(), qb.format().bits());
+    let (mut ca, mut cb) = (Vec::new(), Vec::new());
+    qa.quantize_slice_into(a.as_slice(), &mut ca);
+    qb.quantize_slice_into(b.as_slice(), &mut cb);
     let mut out = Tensor::zeros(vec![m, n]);
     let od = out.as_mut_slice();
+    let plan = faults.filter(|p| p.mac_enabled());
+    let stats = if plan.is_some()
+        || (policy == GuardPolicy::Error && int_saturation_possible(qa, qb, k, chunk_len))
+    {
+        int_datapath(&ca, &cb, [m, k, n], (qa, qb), chunk_len, (policy, plan), od)?
+    } else {
+        let macs = (m * n * k) as u64;
+        IntProduct::new(&ca, [m, k, n], (qa, qb), chunk_len, simd, macs).run(&cb, od)
+    };
+    Ok((out, stats))
+}
+
+/// The integer datapath model: an [`IntAccumulator`] per output of
+/// row-major `[m, k]` codes `ca` times `[k, n]` codes `cb`, written to
+/// `od`. With a plan, each code and then the chunk register pass through
+/// it; a checking policy applies when the chunk register saturates or
+/// leaves the legal worst-case bound. Under [`GuardPolicy::Propagate`]
+/// without a plan this is the scalar reference.
+fn int_datapath(
+    ca: &[i8],
+    cb: &[i8],
+    [m, k, n]: [usize; 3],
+    (qa, qb): (QuantParams, QuantParams),
+    chunk_len: usize,
+    (policy, mut plan): (GuardPolicy, Option<&mut FaultPlan>),
+    od: &mut [f32],
+) -> Result<GemmStats, NumericsError> {
+    let out_scale = qa.scale() * qb.scale();
+    let bound = int_chunk_bound(qa, qb, k, chunk_len).min(i64::from(i16::MAX)) as i16;
+    let (bits_a, bits_b) = (qa.format().bits(), qb.format().bits());
     let mut stats = GemmStats::default();
     for i in 0..m {
         for j in 0..n {
@@ -1334,34 +1378,7 @@ pub fn matmul_int_with(
             od[i * n + j] = acc.finish() as f32 * out_scale;
         }
     }
-    Ok((out, stats))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn matmul_int_codes_scalar(
-    ca: &[i8],
-    cb: &[i8],
-    m: usize,
-    k: usize,
-    n: usize,
-    chunk_len: usize,
-    out_scale: f32,
-    od: &mut [f32],
-) -> GemmStats {
-    let mut stats = GemmStats::default();
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = IntAccumulator::new(chunk_len);
-            for p in 0..k {
-                acc.mac(ca[i * k + p], cb[p * n + j]);
-            }
-            stats.macs += acc.macs();
-            stats.zero_gated += acc.zero_gated();
-            stats.saturations += acc.saturations();
-            od[i * n + j] = acc.finish() as f32 * out_scale;
-        }
-    }
-    stats
+    Ok(stats)
 }
 
 /// The A operand of the expanding integer kernel ([`simd::int_tiles`]):
@@ -1520,8 +1537,8 @@ pub fn im2col_into(input: &Tensor, kh: usize, kw: usize, spec: ConvSpec, out: &m
 }
 
 /// The im2col index walk of one convolution geometry, shared by
-/// [`im2col_into`] and the integer convolution's operand packer so the
-/// index math exists once.
+/// [`im2col_into`] and both fast convolutions so the index math exists
+/// once.
 #[derive(Debug, Clone, Copy)]
 struct Lowering {
     c: usize,
@@ -1615,39 +1632,44 @@ impl Lowering {
             }
         });
     }
+
+    /// Runs a convolution image by image over the `n` images of `data`:
+    /// `product(rows, band)` gets one image lowered by [`Self::cols_into`]
+    /// into a reused buffer (padding zero) and that image's share of the
+    /// nonempty `[n, co, ho, wo]` `out`. Returns the merged statistics.
+    fn per_image<T: Copy + Default>(
+        &self,
+        data: &[T],
+        n: usize,
+        out: &mut [f32],
+        mut product: impl FnMut(&[T], &mut [f32]) -> GemmStats,
+    ) -> GemmStats {
+        let mut rows = vec![T::default(); self.cols() * self.ho * self.wo];
+        let mut stats = GemmStats::default();
+        for (img, band) in self.images(data, n).zip(out.chunks_exact_mut(out.len() / n)) {
+            rows.fill(T::default());
+            self.cols_into(img, &mut rows);
+            stats.merge(product(&rows, band));
+        }
+        stats
+    }
 }
 
-/// Validated conv operand geometry.
-#[derive(Debug, Clone, Copy)]
-struct ConvGeom {
-    n: usize,
-    ci: usize,
-    h: usize,
-    w: usize,
-    co: usize,
-    kh: usize,
-    kw: usize,
-}
-
-fn check_conv_shapes(input: &Tensor, weight: &Tensor) -> Result<ConvGeom, NumericsError> {
-    if input.shape().len() != 4
-        || weight.shape().len() != 4
-        || input.shape()[1] != weight.shape()[1]
-    {
+/// Validates conv operands: `(n, co, lowering)` of an `[n, ci, h, w]`
+/// input and a `[co, ci, kh, kw]` weight.
+fn check_conv_shapes(
+    input: &Tensor,
+    weight: &Tensor,
+    spec: ConvSpec,
+) -> Result<(usize, usize, Lowering), NumericsError> {
+    let (s, ws) = (input.shape(), weight.shape());
+    if s.len() != 4 || ws.len() != 4 || s[1] != ws[1] {
         return Err(NumericsError::ShapeMismatch {
             expected: "input [n,ci,h,w] × weight [co,ci,kh,kw]".to_string(),
-            actual: format!("input {:?} × weight {:?}", input.shape(), weight.shape()),
+            actual: format!("input {s:?} × weight {ws:?}"),
         });
     }
-    Ok(ConvGeom {
-        n: input.shape()[0],
-        ci: input.shape()[1],
-        h: input.shape()[2],
-        w: input.shape()[3],
-        co: weight.shape()[0],
-        kh: weight.shape()[2],
-        kw: weight.shape()[3],
-    })
+    Ok((s[0], ws[0], Lowering::new([s[1], s[2], s[3]], ws[2], ws[3], spec)))
 }
 
 /// Reference FP32 convolution: input `[n, ci, h, w]`, weight
@@ -1669,8 +1691,9 @@ pub fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if the operand ranks or channel counts are inconsistent. Use
-/// [`conv2d_emulated_with_simd`] for a structured error.
+/// Panics if the operand ranks or channel counts are inconsistent or
+/// `chunk_len == 0`. Use [`conv2d_emulated_with_simd`] for a structured
+/// error.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn conv2d_emulated(
     input: &Tensor,
@@ -1685,14 +1708,18 @@ pub fn conv2d_emulated(
 
 /// [`conv2d_emulated`] under an explicit vectorization policy — the
 /// single fallible conv entry point.
-/// In the SIMD regime the convolution runs panel-packed: the GEMM is
-/// restated per image as `weights [co, ci·kh·kw] × im2col-rowsᵀ`, whose
-/// Bᵀ k-panels *are* the im2col rows, and output panels land directly in
-/// the `[n, co, ho, wo]` layout — no weight transpose, no output
-/// rearrange pass. Operand order commutes bit-exactly (FP9 and lattice
-/// products are exact f32 values, and the chunked accumulation walks the
-/// same k order), which the `fastpath_bitexact` proptests pin against the
-/// scalar reference.
+///
+/// Each image runs the float GEMM's product core with the weights as A:
+/// `weights [co, ci·kh·kw] × rows`, where `rows` is the image lowered
+/// straight into `[ci·kh·kw, ho·wo]` (the im2col matrix transposed), so
+/// the product is the image's `[co, ho, wo]` output as it stands. The
+/// weights are staged once per call, in the format the scalar reference
+/// gives them (its B port), and each image's rows in the other. FP9 and
+/// lattice products are exact and commute, the chunked accumulation walks
+/// the same k order and the gating count is symmetric, so every backend
+/// (`simd_mode` picks the AVX2 or the portable kernels, as for the GEMM)
+/// reproduces the scalar convolution bit for bit; NaN operands are the
+/// exception the module docs describe.
 ///
 /// # Errors
 ///
@@ -1709,16 +1736,22 @@ pub fn conv2d_emulated_with_simd(
     chunk_len: usize,
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
-    let g = check_conv_shapes(input, weight)?;
-    let hw = spec.out_dim(g.h, g.kh) * spec.out_dim(g.w, g.kw);
-    let macs = (g.n * hw * g.co * g.ci * g.kh * g.kw) as u64;
-    if dispatch::use_simd(simd_mode, macs) {
-        conv2d_panels_emulated(input, weight, spec, mode, chunk_len, simd_mode)
-    } else {
-        conv2d_via_gemm(input, weight, spec, |cols, wmat| {
-            matmul_emulated_fast(mode, cols, wmat, chunk_len, simd_mode)
-        })
+    assert!(chunk_len > 0, "chunk length must be positive");
+    let (n, co, lw) = check_conv_shapes(input, weight, spec)?;
+    let (hw, k) = (lw.ho * lw.wo, lw.cols());
+    let mut out = Tensor::zeros(vec![n, co, lw.ho, lw.wo]);
+    if out.as_slice().is_empty() || k == 0 {
+        return Ok((out, GemmStats::default()));
     }
+    let (fa, fb) = mode.operand_formats();
+    let use_simd = dispatch::use_simd(simd_mode, (n * co * hw * k) as u64);
+    let sw = Staged::rows(weight.as_slice(), k, Stager::new(mode, fb, use_simd));
+    let stager = Stager::new(mode, fa, use_simd);
+    let kernel = BandKernel::new(use_simd, mode, chunk_len);
+    let stats = lw.per_image(input.as_slice(), n, out.as_mut_slice(), |rows, band| {
+        staged_product(&sw, rows, hw, chunk_len, stager, kernel, band)
+    });
+    Ok((out, stats))
 }
 
 /// Scalar reference for [`conv2d_emulated`] (scalar GEMM underneath); the
@@ -1741,8 +1774,8 @@ pub fn conv2d_emulated_scalar(
 ///
 /// # Panics
 ///
-/// Panics if the operand ranks or channel counts are inconsistent. Use
-/// [`conv2d_int_with_simd`] for a structured error.
+/// Panics if the operand ranks or channel counts are inconsistent or
+/// `chunk_len == 0`. Use [`conv2d_int_with_simd`] for a structured error.
 #[allow(clippy::expect_used)] // documented panic on bad shapes
 pub fn conv2d_int(
     input: &Tensor,
@@ -1757,12 +1790,18 @@ pub fn conv2d_int(
 }
 
 /// [`conv2d_int`] under an explicit vectorization policy — the single
-/// fallible conv entry point, panel-packed in the SIMD regime like
-/// [`conv2d_emulated_with_simd`], where the input is quantized once and
-/// its codes are lowered into the kernel operand (only the flat path
-/// builds an f32 im2col matrix). Falls back to the flat GEMM path
-/// whenever the chunk guard makes INT16 saturation possible (the
-/// saturating accumulator must then be modeled).
+/// fallible conv entry point.
+///
+/// The weights and the input are quantized once per call, and each
+/// image's codes are lowered straight into `[ci·kh·kw, ho·wo]` code rows
+/// (padding is code 0, which `quantize(0.0)` gives in every format) for
+/// the integer GEMM's product core, with the weights as A as in
+/// [`conv2d_emulated_with_simd`]. The core picks its kernel once per call:
+/// the saturating accumulator when the chunk length makes INT16
+/// saturation possible, else the windowed or the expanding kernel.
+/// Integer products, the saturating accumulator and the gating count are
+/// symmetric in the operands, so every backend reproduces the scalar
+/// convolution bit for bit.
 ///
 /// # Errors
 ///
@@ -1781,18 +1820,20 @@ pub fn conv2d_int_with_simd(
     chunk_len: usize,
     simd_mode: SimdMode,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
-    let g = check_conv_shapes(input, weight)?;
-    let hw = spec.out_dim(g.h, g.kh) * spec.out_dim(g.w, g.kw);
-    let kcols = g.ci * g.kh * g.kw;
-    let macs = (g.n * hw * g.co * kcols) as u64;
-    if !int_saturation_possible(qa, qw, kcols, chunk_len)
-        && dispatch::int_kernel(simd_mode, macs, kcols) == dispatch::IntKernel::Expanding
-    {
-        return conv2d_panels_int(input, weight, spec, qa, qw);
+    assert!(chunk_len > 0, "chunk length must be positive");
+    let (n, co, lw) = check_conv_shapes(input, weight, spec)?;
+    let (hw, k) = (lw.ho * lw.wo, lw.cols());
+    let mut out = Tensor::zeros(vec![n, co, lw.ho, lw.wo]);
+    if out.as_slice().is_empty() {
+        return Ok((out, GemmStats::default()));
     }
-    conv2d_via_gemm(input, weight, spec, |cols, wmat| {
-        matmul_int_fast(cols, wmat, qa, qw, chunk_len, simd_mode)
-    })
+    let (mut cw, mut cx) = (Vec::new(), Vec::new());
+    qw.quantize_slice_into(weight.as_slice(), &mut cw);
+    qa.quantize_slice_into(input.as_slice(), &mut cx);
+    let macs = (n * co * hw * k) as u64;
+    let mut core = IntProduct::new(&cw, [co, k, hw], (qw, qa), chunk_len, simd_mode, macs);
+    let stats = lw.per_image(&cx, n, out.as_mut_slice(), |rows, band| core.run(rows, band));
+    Ok((out, stats))
 }
 
 /// Scalar reference for [`conv2d_int`] (scalar GEMM underneath).
@@ -1811,29 +1852,28 @@ pub fn conv2d_int_scalar(
     .expect("inconsistent conv operand shapes")
 }
 
+/// The reference convolutions' lowering: `mm(im2col, weightsᵀ)` as one
+/// `[n·ho·wo, co]` GEMM, rearranged into `[n, co, ho, wo]`.
 fn conv2d_via_gemm(
     input: &Tensor,
     weight: &Tensor,
     spec: ConvSpec,
     mm: impl Fn(&Tensor, &Tensor) -> Result<(Tensor, GemmStats), NumericsError>,
 ) -> Result<(Tensor, GemmStats), NumericsError> {
-    let g = check_conv_shapes(input, weight)?;
-    let (n, ci, co, kh, kw) = (g.n, g.ci, g.co, g.kh, g.kw);
-    let ho = spec.out_dim(g.h, kh);
-    let wo = spec.out_dim(g.w, kw);
-    let cols = im2col(input, kh, kw, spec);
+    let (n, co, lw) = check_conv_shapes(input, weight, spec)?;
+    let cols = im2col(input, lw.kh, lw.kw, spec);
     #[allow(clippy::expect_used)] // reshape cannot fail: same element count
     let wmat = weight
         .clone()
-        .reshape(vec![co, ci * kh * kw])
+        .reshape(vec![co, lw.cols()])
         .expect("weight reshape is size-preserving")
         .transposed();
     let (flat, stats) = mm(&cols, &wmat)?; // [n*ho*wo, co]
     // Rearrange [n*ho*wo, co] -> [n, co, ho, wo] with flat indexing.
-    let mut out = Tensor::zeros(vec![n, co, ho, wo]);
+    let mut out = Tensor::zeros(vec![n, co, lw.ho, lw.wo]);
     let od = out.as_mut_slice();
     let fd = flat.as_slice();
-    let hw = ho * wo;
+    let hw = lw.ho * lw.wo;
     for ni in 0..n {
         for c in 0..co {
             let dst = (ni * co + c) * hw;
@@ -1842,105 +1882,6 @@ fn conv2d_via_gemm(
                 od[dst + s] = fd[(src + s) * co + c];
             }
         }
-    }
-    Ok((out, stats))
-}
-
-/// Panel-packed emulated float convolution (see
-/// [`conv2d_emulated_with_simd`]): per image `i`,
-/// `out[i] = weights [co, K'] × cols_rows(i)ᵀ` computed band-parallel over
-/// output channels, writing straight into the `[n, co, ho, wo]` buffer.
-/// The weights are staged once as the A rows (in the flat GEMM's B
-/// format) and each image's im2col rows as the B groups (in its A
-/// format); FP9 and lattice products commute exactly, and the gating
-/// count is symmetric, so the result is bit-identical to the flat-GEMM
-/// orientation.
-#[allow(clippy::too_many_arguments)]
-fn conv2d_panels_emulated(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-    mode: FmaMode,
-    chunk_len: usize,
-    simd_mode: SimdMode,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    assert!(chunk_len > 0, "chunk length must be positive");
-    let g = check_conv_shapes(input, weight)?;
-    let ho = spec.out_dim(g.h, g.kh);
-    let wo = spec.out_dim(g.w, g.kw);
-    let hw = ho * wo;
-    let kcols = g.ci * g.kh * g.kw;
-    let cols = im2col(input, g.kh, g.kw, spec);
-    let mut out = Tensor::zeros(vec![g.n, g.co, ho, wo]);
-    if out.as_slice().is_empty() || kcols == 0 {
-        return Ok((out, GemmStats::default()));
-    }
-    let (fa, fb) = mode.operand_formats();
-    let use_simd = dispatch::use_simd(simd_mode, (g.n * hw * g.co * kcols) as u64);
-    let sw = Staged::rows(weight.as_slice(), kcols, Stager::new(mode, fb, use_simd));
-    let col_stager = Stager::new(mode, fa, use_simd);
-    let kernel = BandKernel::new(use_simd, mode, chunk_len);
-    let mut stats = GemmStats::default();
-    let image_cols = cols.as_slice().chunks_exact(hw * kcols);
-    for (band_out, ci) in out.as_mut_slice().chunks_exact_mut(g.co * hw).zip(image_cols) {
-        let sc = Staged::groups_from_columns(ci, kcols, col_stager);
-        let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-            staged_band(&sw.vals, &sc, hw, row0, chunk_len, kernel, band);
-            GemmStats::default()
-        };
-        par_rows(band_out, g.co, hw, kcols, &work);
-        stats.merge(gated_stats(&sw.zeros, &sc.zeros, g.co, hw));
-    }
-    Ok((out, stats))
-}
-
-/// Panel-packed integer convolution: same orientation as
-/// [`conv2d_panels_emulated`], with the expanding kernel. Only called
-/// when the chunk guard rules out INT16 saturation.
-///
-/// The input is quantized once and each image's codes are lowered by the
-/// im2col walk into `[k, ho·wo]` code rows, the same layout the GEMM
-/// packs B from: no f32 im2col matrix is built and no quantize pass runs
-/// over one. Padding stays code 0, which is what `quantize(0.0)` gives in
-/// every format.
-fn conv2d_panels_int(
-    input: &Tensor,
-    weight: &Tensor,
-    spec: ConvSpec,
-    qa: QuantParams,
-    qw: QuantParams,
-) -> Result<(Tensor, GemmStats), NumericsError> {
-    let g = check_conv_shapes(input, weight)?;
-    let lw = Lowering::new([g.ci, g.h, g.w], g.kh, g.kw, spec);
-    let (hw, kcols) = (lw.ho * lw.wo, lw.cols());
-    let mut out = Tensor::zeros(vec![g.n, g.co, lw.ho, lw.wo]);
-    if out.as_slice().is_empty() {
-        return Ok((out, GemmStats::default()));
-    }
-    // Weight is already [co][ci·kh·kw] row-major.
-    let mut cw = Vec::new();
-    let mut cx = Vec::new();
-    qw.quantize_slice_into(weight.as_slice(), &mut cw);
-    qa.quantize_slice_into(input.as_slice(), &mut cx);
-    let zw = column_zeros(&cw, kcols);
-    // Same expression (and f32 rounding) as the flat path's
-    // `qa.scale() * qb.scale()` with A = cols, B = weights.
-    let out_scale = qa.scale() * qw.scale();
-    let mut stats = GemmStats::default();
-    let bands = out.as_mut_slice().chunks_exact_mut(g.co * hw);
-    let pw = IntRows::pack(&cw, g.co, kcols, IntCols::bias(qa));
-    let mut rows = vec![0i8; kcols * hw];
-    let mut cols = IntCols::new(kcols, hw);
-    for (img, band_out) in lw.images(&cx, g.n).zip(bands) {
-        rows.fill(0);
-        lw.cols_into(img, &mut rows);
-        cols.pack(&rows, qa);
-        let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-            pw.band(&cols, row0, out_scale, band);
-            GemmStats::default()
-        };
-        par_rows(band_out, g.co, hw, kcols, &work);
-        stats.merge(gated_stats(&zw, &row_zeros(&rows, hw), g.co, hw));
     }
     Ok((out, stats))
 }

@@ -376,8 +376,9 @@ fn chunk_registers_past_max_replay_exactly() {
 /// left in the register would reach the output as `MAX`. The scalar
 /// reference keeps the NaN, so only its statistics are compared. No
 /// operand is zero: a zero A value skips its k step, so `NaN × 0` is
-/// added in one operand order and not in the other, and the
-/// convolution's backends use both.
+/// added in one operand order and not in the other (the convolution
+/// puts its weights on the A port, see
+/// `nan_weight_conv_agrees_across_backends`).
 #[test]
 fn nan_operands_replay_exactly() {
     let mut a = Tensor::from_fn(vec![2, REPLAY_K], |i| 0.5 + (i % 5) as f32);
@@ -387,6 +388,87 @@ fn nan_operands_replay_exactly() {
     b.as_mut_slice()[13 * REPLAY_N + 70] = -(2f32.powi(31));
     b.as_mut_slice()[26 * REPLAY_N + 200] = f32::NAN;
     assert_fp16_chunk_replays_exact(&a, &b, true);
+}
+
+/// Every backend of the FP16 convolution gives the same bits for a NaN
+/// weight against an all-zero input channel. The scalar reference gates
+/// `NaN × 0` and the fast kernels add it (see `nan_operands_replay_exactly`),
+/// so a backend with the input on the A port would skip the zero and
+/// disagree with one that has the weights there. A 64 → 4 1×1 conv at 8²
+/// (16384 MACs, so `Auto` takes the AVX2 kernels).
+#[test]
+fn nan_weight_conv_agrees_across_backends() {
+    let mut input = Tensor::from_fn(vec![1, 64, 8, 8], |i| 0.25 * (i % 7) as f32 - 0.75);
+    input.as_mut_slice()[5 * 64..6 * 64].fill(0.0);
+    let mut weight = Tensor::from_fn(vec![4, 64, 1, 1], |i| 0.125 * (i % 5) as f32 - 0.25);
+    weight.as_mut_slice()[64 + 5] = f32::NAN;
+    let spec = ConvSpec { stride: 1, pad: 0 };
+    let conv = |simd| {
+        conv2d_emulated_with_simd(&input, &weight, spec, FmaMode::Fp16, 16, simd).unwrap()
+    };
+    let (portable, portable_stats) = conv(SimdMode::Off);
+    let (_, scalar_stats) = conv2d_emulated_scalar(&input, &weight, spec, FmaMode::Fp16, 16);
+    assert_eq!(portable_stats, scalar_stats);
+    for simd in [SimdMode::Auto, SimdMode::Force] {
+        let (fast, fast_stats) = conv(simd);
+        assert_bits_eq(&fast, &portable);
+        assert_eq!(fast_stats, portable_stats, "{simd:?}");
+    }
+}
+
+/// `chunk_len == 0` is a configuration bug: both convolutions panic on it
+/// under every backend pin, before any kernel is chosen. An 8 → 8 3×3
+/// conv at 8², large enough that `Auto` picks the AVX2 kernels.
+#[test]
+fn zero_chunk_length_panics_in_every_conv_backend() {
+    let input = Tensor::random_uniform(vec![1, 8, 8, 8], 0.0, 1.0, 80);
+    let weight = Tensor::random_uniform(vec![8, 8, 3, 3], -0.5, 0.5, 81);
+    let spec = ConvSpec { stride: 1, pad: 1 };
+    let qa = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Unsigned, 1.0);
+    let qw = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 0.5);
+    let mode = FmaMode::hfp8_fwd_default();
+    for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+        let runs: [(&str, &dyn Fn()); 2] = [
+            ("float", &|| drop(conv2d_emulated_with_simd(&input, &weight, spec, mode, 0, simd))),
+            ("int", &|| drop(conv2d_int_with_simd(&input, &weight, spec, qa, qw, 0, simd))),
+        ];
+        for (name, run) in runs {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err(&format!("{name} conv under {simd:?} returned at chunk 0"));
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(msg, "chunk length must be positive", "{name} {simd:?}");
+        }
+    }
+}
+
+/// The integer convolution where the chunk length makes INT16 saturation
+/// possible (depth 432 = 48·3·3 in one chunk; unsigned INT4 inputs up to
+/// 15 times weights up to ±7) and real: interior outputs sum more than
+/// `i16::MAX`, one channel upward, one downward, one mixed. Two images,
+/// stride 2, pad 1, so border outputs see padding. Every backend pin must
+/// reproduce the scalar convolution's bits and statistics.
+#[test]
+fn saturating_int_conv_matches_scalar() {
+    let input = Tensor::random_uniform(vec![2, 48, 6, 6], 0.7, 1.0, 82);
+    let mut weight = Tensor::random_uniform(vec![3, 48, 3, 3], 0.4, 0.5, 83);
+    for (i, w) in weight.as_mut_slice().iter_mut().enumerate() {
+        let (channel, p) = (i / 432, i % 432);
+        if channel == 1 || (channel == 2 && p % 3 == 0) {
+            *w = -*w;
+        }
+    }
+    let spec = ConvSpec { stride: 2, pad: 1 };
+    let qa = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Unsigned, 1.0);
+    let qw = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 0.5);
+    let chunk_len = 432;
+    let (scalar, scalar_stats) = conv2d_int_scalar(&input, &weight, spec, qa, qw, chunk_len);
+    assert!(scalar_stats.saturations > 0, "the test must saturate: {scalar_stats:?}");
+    for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+        let (fast, fast_stats) =
+            conv2d_int_with_simd(&input, &weight, spec, qa, qw, chunk_len, simd).unwrap();
+        assert_bits_eq(&fast, &scalar);
+        assert_eq!(fast_stats, scalar_stats, "{simd:?}");
+    }
 }
 
 proptest! {
@@ -696,15 +778,15 @@ proptest! {
         }
     }
 
-    /// Convolution under every explicit backend pin: the panel-packed
-    /// float and integer convolutions (spatial sizes crossing the 16- and
-    /// 64-column kernel widths) match the scalar convolution bit-for-bit
-    /// with SIMD forced and with it pinned off. Activation and weight
-    /// formats are drawn independently (unsigned INT4 × signed INT4 is
-    /// the benchmark's pair); `co` up to 12 fills a 4-row tile plus a
-    /// tail, `ci` up to 8 with 3×3 kernels gives depths up to 72 with
-    /// ragged k-quads, and ReLU inputs put runs of zero codes in the
-    /// gating counts.
+    /// Convolution under every explicit backend pin: the float and
+    /// integer convolutions (the GEMM's product core per image, spatial
+    /// sizes crossing the 16- and 64-column kernel widths) match the
+    /// scalar convolution bit-for-bit with SIMD forced and with it pinned
+    /// off. Activation and weight formats are drawn independently
+    /// (unsigned INT4 × signed INT4 is the benchmark's pair); `co` up to
+    /// 12 fills a 4-row tile plus a tail, `ci` up to 8 with 3×3 kernels
+    /// gives depths up to 72 with ragged k-quads, and ReLU inputs put
+    /// runs of zero codes in the gating counts.
     #[test]
     fn conv_bit_exact_across_backends(
         (ni, ci, co) in (1usize..3, 1usize..9, 1usize..13),
@@ -735,11 +817,12 @@ proptest! {
         }
     }
 
-    /// Convolution: the default dispatch (im2col + fast GEMM, or the
-    /// panel-packed kernels from 4096 MACs up) is bit-exact against the
-    /// scalar convolution for random geometries, float and int, with the
-    /// INT formats drawn independently and the same channel, depth and
-    /// ReLU ranges as the pinned-backend test.
+    /// Convolution: the default dispatch (the GEMM's product core per
+    /// image, on the AVX2 kernels from 4096 MACs up and the portable ones
+    /// below) is bit-exact against the scalar convolution for random
+    /// geometries, float and int, with the INT formats drawn independently
+    /// and the same channel, depth and ReLU ranges as the pinned-backend
+    /// test.
     #[test]
     fn conv_bit_exact(
         (ni, ci, co) in (1usize..3, 1usize..9, 1usize..13),

@@ -34,10 +34,14 @@
 #                                 refnet and sim tests under =force and
 #                                 =off (the simulator's values come from
 #                                 the dispatched kernels), the benchmark's
-#                                 fast-vs-scalar BERT and LSTM tests under
-#                                 =force and =off (the end-to-end oracles
-#                                 for the HFP8 backend's role mapping and
-#                                 for both GEMV kernels), and a timed
+#                                 fast-vs-scalar BERT and LSTM tests, its
+#                                 CNN tests and its all-workload smoke
+#                                 test under =force and =off (the
+#                                 end-to-end oracles for the HFP8
+#                                 backend's role mapping, for both GEMV
+#                                 kernels, for batch-stacked convolutions
+#                                 and for resnet50_int4's scalar-vs-fast
+#                                 copy), and a timed
 #                                 kernel_speed smoke (which asserts
 #                                 bit-exactness inline)
 #   scripts/check.sh --serve      serving gate only: clippy on the serve
@@ -159,6 +163,11 @@ simd_gate() {
     echo "== benchmark LSTM fast-vs-scalar test under RAPID_SIMD=force and =off (m = 1 GEMVs) =="
     RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q lstm
     RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q lstm
+    echo "== benchmark CNN and smoke tests under RAPID_SIMD=force and =off (batch-stacked convs) =="
+    RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q cnn
+    RAPID_SIMD=force cargo test --release -p rapid-bench --bin benchmark -q smoke_runs_every_workload_correctly
+    RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q cnn
+    RAPID_SIMD=off cargo test --release -p rapid-bench --bin benchmark -q smoke_runs_every_workload_correctly
     smoke kernel_speed --smoke
 }
 
