@@ -55,9 +55,9 @@ struct RunOut {
 /// — the unit the bit-identity assertions compare.
 fn weights_of(mlp: &Mlp) -> Vec<f32> {
     let mut out = Vec::new();
-    for i in 0..mlp.depth() {
-        out.extend_from_slice(mlp.weights(i).as_slice());
-        out.extend_from_slice(mlp.biases(i));
+    for i in 0..mlp.layers().depth() {
+        out.extend_from_slice(mlp.layers().weights(i).as_slice());
+        out.extend_from_slice(mlp.layers().biases(i));
     }
     out
 }

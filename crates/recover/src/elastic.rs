@@ -32,11 +32,15 @@
 //!   fixed cycle charges inside the elastic exchange; no path in this
 //!   loop can hang.
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, LayerState, TrainState};
+use crate::checkpoint::{
+    capture_layers, restore_layers, CheckpointError, CheckpointStore, TrainState,
+};
 use rapid_fault::FaultPlan;
+use rapid_numerics::Tensor;
 use rapid_refnet::backend::{Backend, Fp32Backend};
 use rapid_refnet::data::Dataset;
 use rapid_refnet::mlp::{softmax_cross_entropy, Mlp};
+use rapid_refnet::DenseStack;
 use rapid_ring::elastic::{
     elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, Membership,
 };
@@ -183,56 +187,25 @@ impl From<rapid_numerics::NumericsError> for ElasticTrainError {
     }
 }
 
-/// Flattens the model's parameters (layer weights, then biases, in layer
+/// Flattens the stack's parameters (layer weights, then biases, in layer
 /// order) into one vector — the unit the collective reduces.
-fn flatten(mlp: &Mlp) -> Vec<f32> {
-    let mut out = Vec::new();
-    for i in 0..mlp.depth() {
-        out.extend_from_slice(mlp.weights(i).as_slice());
-        out.extend_from_slice(mlp.biases(i));
-    }
-    out
+fn flatten(stack: &DenseStack) -> Vec<f32> {
+    (0..stack.depth())
+        .flat_map(|i| stack.weights(i).as_slice().iter().chain(stack.biases(i)))
+        .copied()
+        .collect()
 }
 
 /// Writes a flat parameter vector (the [`flatten`] layout) back into the
-/// model.
-fn unflatten(mlp: &mut Mlp, flat: &[f32]) {
+/// stack.
+fn unflatten(stack: &mut DenseStack, flat: &[f32]) {
     let mut at = 0usize;
-    for i in 0..mlp.depth() {
-        let shape = mlp.weights(i).shape().to_vec();
-        let wlen = shape[0] * shape[1];
-        let w = flat[at..at + wlen].to_vec();
-        at += wlen;
-        let blen = mlp.biases(i).len();
-        let b = flat[at..at + blen].to_vec();
-        at += blen;
-        mlp.set_weights(i, rapid_numerics::Tensor::from_vec(shape, w));
-        mlp.set_biases(i, b);
-    }
-}
-
-/// Snapshot of the model as a checkpointable [`TrainState`].
-fn state_of(mlp: &Mlp, step: u64) -> TrainState {
-    let layers = (0..mlp.depth())
-        .map(|i| {
-            let w = mlp.weights(i);
-            LayerState {
-                rows: w.shape()[0] as u64,
-                cols: w.shape()[1] as u64,
-                w: w.as_slice().to_vec(),
-                b: mlp.biases(i).to_vec(),
-            }
-        })
-        .collect();
-    TrainState { step, rng_state: 0, scale: 1.0, scaler_good_steps: 0, layers, alphas: Vec::new() }
-}
-
-/// Restores a checkpointed [`TrainState`] into the model.
-fn restore_state(mlp: &mut Mlp, state: &TrainState) {
-    for (i, layer) in state.layers.iter().enumerate() {
-        let shape = vec![layer.rows as usize, layer.cols as usize];
-        mlp.set_weights(i, rapid_numerics::Tensor::from_vec(shape, layer.w.clone()));
-        mlp.set_biases(i, layer.b.clone());
+    for i in 0..stack.depth() {
+        let shape = stack.weights(i).shape().to_vec();
+        let (wlen, blen) = (shape[0] * shape[1], stack.biases(i).len());
+        stack.set_weights(i, Tensor::from_vec(shape, flat[at..at + wlen].to_vec()));
+        stack.set_biases(i, flat[at + wlen..at + wlen + blen].to_vec());
+        at += wlen + blen;
     }
 }
 
@@ -296,7 +269,7 @@ pub fn train_elastic(
     // (epochs_before_store + g) — with a fresh loop per store, epoch g.
     if let Some(st) = store.as_deref_mut() {
         if let Some((gen, state)) = st.load_latest()? {
-            restore_state(mlp, &state);
+            restore_layers(mlp.layers_mut(), &state.layers);
             gstep = state.step;
             start_epoch = (gen + 1) as usize;
             report.epochs_resumed = gen + 1;
@@ -314,7 +287,7 @@ pub fn train_elastic(
                     min: cfg.ring.min_world.max(1),
                 }));
             }
-            let snapshot = flatten(mlp);
+            let snapshot = flatten(mlp.layers());
             // Per-node deltas: each member trains its shard of the batch
             // from the shared snapshot. delta = post-step − snapshot =
             // −lr·grad(shard), so averaging deltas over contributors is
@@ -328,10 +301,10 @@ pub fn train_elastic(
                     let (_, grad) = softmax_cross_entropy(&logits, by);
                     mlp.try_backward_sgd(backend, &grad, cfg.lr)?;
                 }
-                let new = flatten(mlp);
+                let new = flatten(mlp.layers());
                 deltas[node as usize] =
                     new.iter().zip(&snapshot).map(|(n, s)| n - s).collect();
-                unflatten(mlp, &snapshot);
+                unflatten(mlp.layers_mut(), &snapshot);
             }
             // Elastic exchange: heals crashes/hangs, bounds stragglers.
             let out = elastic_allreduce(
@@ -358,12 +331,13 @@ pub fn train_elastic(
                 .zip(&out.reduced)
                 .map(|(s, r)| s + r / k)
                 .collect();
-            unflatten(mlp, &applied);
+            unflatten(mlp.layers_mut(), &applied);
             at = end;
         }
         // Coordinated barrier: one checkpoint generation per epoch.
         if let Some(st) = store.as_deref_mut() {
-            st.save(&state_of(mlp, gstep))?;
+            let layers = capture_layers(mlp.layers());
+            st.save(&TrainState { step: gstep, scale: 1.0, layers, ..TrainState::default() })?;
             report.barriers += 1;
         }
         // Rejoin-with-catchup: spliced nodes come back at the barrier,
@@ -496,7 +470,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            (flatten(&mlp), acc, report)
+            (flatten(mlp.layers()), acc, report)
         };
         let (w1, a1, r1) = run();
         let (w2, a2, r2) = run();
@@ -561,8 +535,8 @@ mod tests {
         .unwrap();
         assert_eq!(report.epochs_resumed, 4, "{report:?}");
         assert_eq!(
-            flatten(&rejoined),
-            flatten(&full),
+            flatten(rejoined.layers()),
+            flatten(full.layers()),
             "catch-up from generation N-1 must be bit-identical at the next barrier"
         );
         let _ = std::fs::remove_dir_all(&dir);

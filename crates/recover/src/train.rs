@@ -41,7 +41,9 @@
 //! Final accuracy is evaluated on the clean FP32 reference path: the
 //! faulty backend is a training-time hazard model, not an eval harness.
 
-use crate::checkpoint::{CheckpointError, CheckpointStore, LayerState, TrainState};
+use crate::checkpoint::{
+    capture_layers, restore_layers, CheckpointError, CheckpointStore, LayerState, TrainState,
+};
 use crate::scaler::DynamicLossScaler;
 use rapid_numerics::{NumericsError, Tensor};
 use rapid_refnet::backend::{Backend, Fp32Backend};
@@ -173,47 +175,24 @@ impl From<CheckpointError> for RecoverError {
 /// (empty for models without learned clipping).
 type Params = (Vec<LayerState>, Vec<f32>);
 
-/// Largest absolute parameter change between a snapshot and freshly
-/// captured parameters — the signal the anomaly check thresholds.
-fn max_abs_delta(before: &TrainState, after: &Params) -> f64 {
-    let mut mag = 0.0f64;
-    for (old, new) in before.layers.iter().zip(&after.0) {
-        for (&a, &b) in old.w.iter().zip(&new.w) {
-            mag = mag.max(f64::from((a - b).abs()));
-        }
-        for (&a, &b) in old.b.iter().zip(&new.b) {
-            mag = mag.max(f64::from((a - b).abs()));
-        }
-    }
-    for (&a, &b) in before.alphas.iter().zip(&after.1) {
-        mag = mag.max(f64::from((a - b).abs()));
-    }
-    mag
-}
-
-/// Clamps every parameter delta between `before` and `after` to `±bound`,
-/// in place. Returns the number of clamped elements.
-fn clip_update(before: &TrainState, after: &mut Params, bound: f64) -> u64 {
-    let mut clamped = 0u64;
-    let mut clip = |old: f32, new: &mut f32| {
+/// Measures and bounds a candidate update in one pass: returns the largest
+/// absolute parameter change between a snapshot and freshly captured
+/// parameters — the signal the anomaly check thresholds — and clamps
+/// every delta to `±bound` in place, counting the clamped elements.
+fn measure_and_clip(before: &TrainState, after: &mut Params, bound: f64) -> (f64, u64) {
+    let layers = before.layers.iter().zip(&mut after.0).flat_map(|(old, new)| {
+        old.w.iter().zip(&mut new.w).chain(old.b.iter().zip(&mut new.b))
+    });
+    let (mut mag, mut clamped) = (0.0f64, 0u64);
+    for (&old, new) in layers.chain(before.alphas.iter().zip(&mut after.1)) {
         let delta = f64::from(*new) - f64::from(old);
+        mag = mag.max(f64::from((old - *new).abs()));
         if delta.abs() > bound {
             *new = (f64::from(old) + delta.signum() * bound) as f32;
             clamped += 1;
         }
-    };
-    for (old, new) in before.layers.iter().zip(&mut after.0) {
-        for (&a, b) in old.w.iter().zip(&mut new.w) {
-            clip(a, b);
-        }
-        for (&a, b) in old.b.iter().zip(&mut new.b) {
-            clip(a, b);
-        }
     }
-    for (&a, b) in before.alphas.iter().zip(&mut after.1) {
-        clip(a, b);
-    }
-    clamped
+    (mag, clamped)
 }
 
 /// How one attempted step resolved.
@@ -275,9 +254,15 @@ fn run_resilient<M>(
                 Err(_) => Verdict::Rejected { guard_trip: true },
                 Ok(()) => {
                     let mut new_params = capture(model);
-                    let mag = max_abs_delta(&snapshot, &new_params);
                     let armed = report.steps_applied >= ANOMALY_WARMUP_STEPS
                         && ema_update.is_some_and(|e| e > 0.0);
+                    let bound = match ema_update {
+                        Some(ema) if armed && rcfg.clip_factor.is_finite() => {
+                            rcfg.clip_factor * ema
+                        }
+                        _ => f64::INFINITY,
+                    };
+                    let (mag, clamped) = measure_and_clip(&snapshot, &mut new_params, bound);
                     let ema = ema_update.unwrap_or(mag);
                     if armed && mag > rcfg.anomaly_factor * ema {
                         // Too corrupted to salvage even element-wise.
@@ -285,14 +270,10 @@ fn run_resilient<M>(
                         Verdict::Rejected { guard_trip: false }
                     } else {
                         let mut applied_mag = mag;
-                        if armed && rcfg.clip_factor.is_finite() {
-                            let bound = rcfg.clip_factor * ema;
-                            let clamped = clip_update(&snapshot, &mut new_params, bound);
-                            if clamped > 0 {
-                                report.updates_clipped += clamped;
-                                applied_mag = mag.min(bound);
-                                restore(model, &make_state(new_params.clone(), &scaler, gstep));
-                            }
+                        if clamped > 0 {
+                            report.updates_clipped += clamped;
+                            applied_mag = mag.min(bound);
+                            restore(model, &make_state(new_params.clone(), &scaler, gstep));
                         }
                         ema_update = Some(
                             ema_update.map_or(applied_mag, |e| 0.9 * e + 0.1 * applied_mag),
@@ -359,29 +340,6 @@ fn run_resilient<M>(
 
 // ---- MLP ---------------------------------------------------------------
 
-fn capture_mlp(mlp: &Mlp) -> Params {
-    let layers = (0..mlp.depth())
-        .map(|i| {
-            let w = mlp.weights(i);
-            LayerState {
-                rows: w.shape()[0] as u64,
-                cols: w.shape()[1] as u64,
-                w: w.as_slice().to_vec(),
-                b: mlp.biases(i).to_vec(),
-            }
-        })
-        .collect();
-    (layers, Vec::new())
-}
-
-fn restore_mlp(mlp: &mut Mlp, state: &TrainState) {
-    for (i, layer) in state.layers.iter().enumerate() {
-        let shape = vec![layer.rows as usize, layer.cols as usize];
-        mlp.set_weights(i, Tensor::from_vec(shape, layer.w.clone()));
-        mlp.set_biases(i, layer.b.clone());
-    }
-}
-
 /// [`rapid_refnet::mlp::train`] with the recovery loop wrapped around
 /// every step. Returns the final training accuracy — evaluated on the
 /// clean FP32 path — and the [`RecoveryReport`].
@@ -406,8 +364,8 @@ pub fn train_mlp_resilient(
         cfg.batch,
         rcfg,
         store,
-        capture_mlp,
-        restore_mlp,
+        |m| (capture_layers(m.layers()), Vec::new()),
+        |m, s| restore_layers(m.layers_mut(), &s.layers),
         |m, bx, by, scale| {
             let logits = m.try_forward(backend, bx)?;
             let (_, grad) = softmax_cross_entropy(&logits, by);
@@ -421,30 +379,6 @@ pub fn train_mlp_resilient(
 }
 
 // ---- QAT ---------------------------------------------------------------
-
-fn capture_qat(qat: &QatMlp) -> Params {
-    let layers = (0..qat.depth())
-        .map(|i| {
-            let w = qat.weights(i);
-            LayerState {
-                rows: w.shape()[0] as u64,
-                cols: w.shape()[1] as u64,
-                w: w.as_slice().to_vec(),
-                b: qat.biases(i).to_vec(),
-            }
-        })
-        .collect();
-    (layers, qat.alphas())
-}
-
-fn restore_qat(qat: &mut QatMlp, state: &TrainState) {
-    for (i, layer) in state.layers.iter().enumerate() {
-        let shape = vec![layer.rows as usize, layer.cols as usize];
-        qat.set_weights(i, Tensor::from_vec(shape, layer.w.clone()));
-        qat.set_biases(i, layer.b.clone());
-    }
-    qat.set_alphas(&state.alphas);
-}
 
 /// [`rapid_refnet::qat::train_qat`] through an arbitrary (typically
 /// guarded HFP8) backend with the recovery loop wrapped around every
@@ -471,8 +405,11 @@ pub fn train_qat_resilient(
         cfg.batch,
         rcfg,
         store,
-        capture_qat,
-        restore_qat,
+        |m| (capture_layers(m.layers()), m.alphas()),
+        |m, s| {
+            restore_layers(m.layers_mut(), &s.layers);
+            m.set_alphas(&s.alphas);
+        },
         |m, bx, by, scale| m.try_step_with(backend, bx, by, &qcfg, scale),
     )?;
     Ok((qat.accuracy(data), report))
@@ -602,7 +539,7 @@ mod tests {
         assert_eq!(state.layers.len(), 2);
         assert_eq!(state.alphas.len(), 1);
         // The checkpointed parameters are the live ones.
-        assert_eq!(state.layers[0].w, model.weights(0).as_slice().to_vec());
+        assert_eq!(state.layers[0].w, model.layers().weights(0).as_slice().to_vec());
         assert_eq!(state.alphas, model.alphas());
         let _ = std::fs::remove_dir_all(&dir);
     }

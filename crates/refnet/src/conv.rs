@@ -3,6 +3,7 @@
 //! lowering the accelerator's dataflow performs (Fig 5).
 
 use crate::backend::{Backend, OperandRole};
+use crate::dense::{add_bias, argmax_accuracy, he_normal};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rapid_numerics::gemm::{im2col_into, ConvSpec};
 use rapid_numerics::Tensor;
@@ -26,14 +27,8 @@ impl Conv2d {
     /// He-initialized convolution.
     pub fn new(ci: usize, co: usize, k: usize, spec: ConvSpec, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let scale = (2.0 / (ci * k * k) as f32).sqrt();
-        let w = Tensor::from_fn(vec![co, ci, k, k], |_| {
-            let u1: f32 = rng.gen_range(1e-6f32..1.0);
-            let u2: f32 = rng.gen_range(0.0f32..1.0);
-            scale * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-        });
         Self {
-            w,
+            w: he_normal(vec![co, ci, k, k], ci * k * k, &mut rng),
             bias: vec![0.0; co],
             spec,
             k,
@@ -218,12 +213,7 @@ impl TinyCnn {
         self.pooled = pooled.clone();
         let mut logits =
             backend.matmul(&pooled, &self.head_w, (OperandRole::Data, OperandRole::Data));
-        for r in 0..n {
-            for c in 0..self.head_b.len() {
-                let v = logits.get(&[r, c]) + self.head_b[c];
-                logits.set(&[r, c], v);
-            }
-        }
+        add_bias(&mut logits, &self.head_b);
         logits
     }
 
@@ -281,20 +271,7 @@ impl TinyCnn {
     /// Classification accuracy on image data `[n, ci, h, w]` with labels.
     pub fn accuracy(&mut self, backend: &dyn Backend, x: &Tensor, y: &[usize]) -> f64 {
         let logits = self.forward(backend, x);
-        let classes = self.head_b.len();
-        let mut correct = 0;
-        for (i, &label) in y.iter().enumerate() {
-            let mut best = 0;
-            for c in 1..classes {
-                if logits.get(&[i, c]) > logits.get(&[i, best]) {
-                    best = c;
-                }
-            }
-            if best == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / y.len().max(1) as f64
+        argmax_accuracy(&logits, self.head_b.len(), y)
     }
 }
 

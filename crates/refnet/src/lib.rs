@@ -33,6 +33,7 @@
 pub mod backend;
 pub mod conv;
 pub mod data;
+pub mod dense;
 pub mod lstm;
 pub mod mlp;
 pub mod qat;
@@ -40,6 +41,7 @@ pub mod quantized;
 
 pub use backend::{Backend, Fp16Backend, Fp32Backend, Hfp8Backend, OperandRole};
 pub use data::{gaussian_blobs, two_spirals, Dataset};
+pub use dense::DenseStack;
 pub use mlp::{softmax_cross_entropy, train, Mlp, TrainConfig};
 pub use conv::{pattern_images, Conv2d, TinyCnn};
 pub use lstm::{parity_sequences, GateMath, LstmNet};

@@ -5,6 +5,7 @@
 //! benchmarks represent.
 
 use crate::backend::{Backend, OperandRole};
+use crate::dense::{add_bias, argmax_accuracy};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use rapid_numerics::sfu::{self, SfuAccuracy};
 use rapid_numerics::Tensor;
@@ -97,12 +98,7 @@ impl LstmNet {
                 }
             }
             let mut z = backend.matmul(&xin, &self.w, (OperandRole::Data, OperandRole::Data));
-            for r in 0..n {
-                for c2 in 0..4 * h {
-                    let v = z.get(&[r, c2]) + self.b[c2];
-                    z.set(&[r, c2], v);
-                }
-            }
+            add_bias(&mut z, &self.b);
             // Gates.
             let mut ht = Tensor::zeros(vec![n, h]);
             let mut ct = Tensor::zeros(vec![n, h]);
@@ -138,14 +134,7 @@ impl LstmNet {
     /// Classification accuracy on sequences with parity labels.
     pub fn accuracy(&self, backend: &dyn Backend, seqs: &[Vec<f32>], labels: &[usize]) -> f64 {
         let (logits, ..) = self.forward(backend, seqs);
-        let mut correct = 0;
-        for (i, &l) in labels.iter().enumerate() {
-            let pred = usize::from(logits.get(&[i, 1]) > logits.get(&[i, 0]));
-            if pred == l {
-                correct += 1;
-            }
-        }
-        correct as f64 / labels.len().max(1) as f64
+        argmax_accuracy(&logits, 2, labels)
     }
 
     /// One BPTT + SGD step over a batch. Gate derivatives use the exact

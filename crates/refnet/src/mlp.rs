@@ -4,22 +4,15 @@
 
 use crate::backend::{Backend, OperandRole};
 use crate::data::Dataset;
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use crate::dense::{argmax_accuracy, relu, DenseStack, Trace};
 use rapid_numerics::{NumericsError, Tensor};
 
-/// One dense layer's parameters and cached forward state.
-#[derive(Debug, Clone)]
-struct Dense {
-    w: Tensor, // [in, out], FP32 master copy
-    b: Vec<f32>,
-    input: Tensor,     // cached for backward
-    pre_act: Tensor,   // cached pre-activation
-}
-
-/// A ReLU MLP classifier.
+/// A ReLU MLP classifier: a [`DenseStack`] plus the forward caches its
+/// backward pass reads.
 #[derive(Debug, Clone)]
 pub struct Mlp {
-    layers: Vec<Dense>,
+    layers: DenseStack,
+    trace: Trace,
 }
 
 /// Training hyper-parameters.
@@ -42,66 +35,24 @@ impl Default for TrainConfig {
 impl Mlp {
     /// Builds an MLP with the given layer widths, e.g. `[16, 32, 4]` for a
     /// 16-feature input, one 32-unit hidden layer and 4 classes.
-    /// He-initialized from the seed.
+    /// He-initialized from the seed ([`DenseStack::new`]).
     ///
     /// # Panics
     ///
     /// Panics if fewer than two widths are given.
     pub fn new(widths: &[usize], seed: u64) -> Self {
-        assert!(widths.len() >= 2, "need at least input and output widths");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut layers = Vec::new();
-        for win in widths.windows(2) {
-            let (fan_in, fan_out) = (win[0], win[1]);
-            let scale = (2.0 / fan_in as f32).sqrt();
-            let w = Tensor::from_fn(vec![fan_in, fan_out], |_| {
-                let u1: f32 = rng.gen_range(1e-6f32..1.0);
-                let u2: f32 = rng.gen_range(0.0f32..1.0);
-                scale * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            });
-            layers.push(Dense {
-                w,
-                b: vec![0.0; fan_out],
-                input: Tensor::default(),
-                pre_act: Tensor::default(),
-            });
-        }
-        Self { layers }
+        Self { layers: DenseStack::new(widths, seed), trace: Vec::new() }
     }
 
-    /// Number of dense layers.
-    pub fn depth(&self) -> usize {
-        self.layers.len()
+    /// The FP32 master weights and biases.
+    pub fn layers(&self) -> &DenseStack {
+        &self.layers
     }
 
-    /// Immutable access to a layer's weight matrix `[in, out]`.
-    pub fn weights(&self, layer: usize) -> &Tensor {
-        &self.layers[layer].w
-    }
-
-    /// Replaces a layer's weights (used by post-training quantization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape differs.
-    pub fn set_weights(&mut self, layer: usize, w: Tensor) {
-        assert_eq!(self.layers[layer].w.shape(), w.shape(), "weight shape mismatch");
-        self.layers[layer].w = w;
-    }
-
-    /// Immutable access to a layer's bias vector.
-    pub fn biases(&self, layer: usize) -> &[f32] {
-        &self.layers[layer].b
-    }
-
-    /// Replaces a layer's biases (used by checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs.
-    pub fn set_biases(&mut self, layer: usize, b: Vec<f32>) {
-        assert_eq!(self.layers[layer].b.len(), b.len(), "bias length mismatch");
-        self.layers[layer].b = b;
+    /// Mutable access to the master weights and biases (checkpoint
+    /// restore, parameter averaging).
+    pub fn layers_mut(&mut self) -> &mut DenseStack {
+        &mut self.layers
     }
 
     /// Forward pass producing logits `[n, classes]`; caches activations
@@ -131,40 +82,18 @@ impl Mlp {
         backend: &dyn Backend,
         x: &Tensor,
     ) -> Result<Tensor, NumericsError> {
-        let depth = self.layers.len();
-        let mut cur = x.clone();
-        for (i, layer) in self.layers.iter_mut().enumerate() {
-            layer.input = cur.clone();
-            let mut z = backend.try_matmul(&cur, &layer.w, (OperandRole::Data, OperandRole::Data))?;
-            let out = z.shape()[1];
-            for r in 0..z.shape()[0] {
-                for c in 0..out {
-                    let v = z.get(&[r, c]) + layer.b[c];
-                    z.set(&[r, c], v);
-                }
-            }
-            layer.pre_act = z.clone();
-            cur = if i + 1 < depth { z.map(|v| v.max(0.0)) } else { z };
-        }
-        Ok(cur)
+        self.trace.clear();
+        run(&self.layers, backend, x, Some(&mut self.trace))
     }
 
     /// Forward pass without caching (inference).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a backend GEMM fails.
     pub fn infer(&self, backend: &dyn Backend, x: &Tensor) -> Tensor {
-        let depth = self.layers.len();
-        let mut cur = x.clone();
-        for (i, layer) in self.layers.iter().enumerate() {
-            let mut z = backend.matmul(&cur, &layer.w, (OperandRole::Data, OperandRole::Data));
-            let out = z.shape()[1];
-            for r in 0..z.shape()[0] {
-                for c in 0..out {
-                    let v = z.get(&[r, c]) + layer.b[c];
-                    z.set(&[r, c], v);
-                }
-            }
-            cur = if i + 1 < depth { z.map(|v| v.max(0.0)) } else { z };
-        }
-        cur
+        #[allow(clippy::expect_used)]
+        run(&self.layers, backend, x, None).expect("forward GEMM failed")
     }
 
     /// Backward pass from the loss gradient w.r.t. the logits; applies SGD
@@ -196,11 +125,11 @@ impl Mlp {
         lr: f32,
     ) -> Result<(), NumericsError> {
         let mut grad = grad_logits.clone();
-        for i in (0..self.layers.len()).rev() {
-            let is_output = i + 1 == self.layers.len();
-            if !is_output {
+        let depth = self.layers.depth();
+        for i in (0..depth).rev() {
+            let (input, pre) = &self.trace[i];
+            if i + 1 < depth {
                 // ReLU backward through the cached pre-activation.
-                let pre = &self.layers[i].pre_act;
                 grad = Tensor::from_fn(grad.shape().to_vec(), |j| {
                     if pre.as_slice()[j] > 0.0 {
                         grad.as_slice()[j]
@@ -210,24 +139,19 @@ impl Mlp {
                 });
             }
             // dW = Xᵀ (Data) × dY (Error); dX = dY (Error) × Wᵀ (Data).
-            let xt = self.layers[i].input.transposed();
-            let dw = backend.try_matmul(&xt, &grad, (OperandRole::Data, OperandRole::Error))?;
+            let dw = backend.try_matmul(
+                &input.transposed(),
+                &grad,
+                (OperandRole::Data, OperandRole::Error),
+            )?;
             let dx = backend.try_matmul(
                 &grad,
-                &self.layers[i].w.transposed(),
+                &self.layers.w[i].transposed(),
                 (OperandRole::Error, OperandRole::Data),
             )?;
+            // SGD on the batch-mean gradient, in FP32.
             let n = grad.shape()[0] as f32;
-            // Bias gradient (column sums) and SGD update in FP32.
-            let out = self.layers[i].w.shape()[1];
-            for c in 0..out {
-                let db: f32 = (0..grad.shape()[0]).map(|r| grad.get(&[r, c])).sum();
-                self.layers[i].b[c] -= lr * db / n;
-            }
-            let w = &mut self.layers[i].w;
-            for (wv, &g) in w.as_mut_slice().iter_mut().zip(dw.as_slice()) {
-                *wv -= lr * g / n;
-            }
+            self.layers.sgd(i, &dw, &grad, |g| lr * g / n);
             grad = dx;
         }
         Ok(())
@@ -235,22 +159,20 @@ impl Mlp {
 
     /// Classification accuracy on a dataset.
     pub fn accuracy(&self, backend: &dyn Backend, data: &Dataset) -> f64 {
-        let logits = self.infer(backend, &data.x);
-        let classes = data.classes;
-        let mut correct = 0usize;
-        for (i, &label) in data.y.iter().enumerate() {
-            let mut best = 0usize;
-            for c in 1..classes {
-                if logits.get(&[i, c]) > logits.get(&[i, best]) {
-                    best = c;
-                }
-            }
-            if best == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / data.len().max(1) as f64
+        argmax_accuracy(&self.infer(backend, &data.x), data.classes, &data.y)
     }
+}
+
+/// The MLP's forward body: the stack's GEMMs through `backend`, ReLU
+/// between layers.
+fn run(
+    layers: &DenseStack,
+    backend: &dyn Backend,
+    x: &Tensor,
+    trace: Option<&mut Trace>,
+) -> Result<Tensor, NumericsError> {
+    let roles = (OperandRole::Data, OperandRole::Data);
+    layers.forward(x, |_, a, w| backend.try_matmul(a, w, roles), relu, trace)
 }
 
 /// Softmax cross-entropy: returns `(mean loss, gradient w.r.t. logits)`.
@@ -334,6 +256,23 @@ mod tests {
         assert!(a16 > 0.93, "fp16 accuracy {a16}");
     }
 
+    /// The caching and the inference forward are one body: same logits,
+    /// bit for bit, with trained (nonzero) biases.
+    #[test]
+    fn forward_and_infer_give_bit_equal_logits() {
+        let data = gaussian_blobs(64, 4, 16, 0.35, 5);
+        let mut mlp = Mlp::new(&[16, 32, 8, 4], 3);
+        let cfg = TrainConfig { epochs: 2, ..TrainConfig::default() };
+        let _ = train(&mut mlp, &Fp32Backend, &data, &cfg);
+        assert!(mlp.layers().biases(2).iter().any(|&b| b != 0.0));
+        for be in [&Fp32Backend as &dyn Backend, &Hfp8Backend::default()] {
+            let cached = mlp.forward(be, &data.x);
+            let inferred = mlp.infer(be, &data.x);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&cached), bits(&inferred), "{}", be.name());
+        }
+    }
+
     #[test]
     fn softmax_ce_gradient_sums_to_zero_per_row() {
         let logits = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 0.5, -1.0, 0.0, 1.0]);
@@ -354,15 +293,15 @@ mod tests {
         // Analytic gradient of W0[0,0]: replicate backward_sgd's dW but
         // without the update, via a unit learning rate trick on a clone.
         let loss_at = |m: &mut Mlp, delta: f32| {
-            let mut w = m.weights(0).clone();
+            let mut w = m.layers().weights(0).clone();
             let orig = w.as_slice()[0];
             w.as_mut_slice()[0] = orig + delta;
-            m.set_weights(0, w);
+            m.layers_mut().set_weights(0, w);
             let logits = m.forward(&Fp32Backend, &data.x);
             let (l, _) = softmax_cross_entropy(&logits, &data.y);
-            let mut w = m.weights(0).clone();
+            let mut w = m.layers().weights(0).clone();
             w.as_mut_slice()[0] = orig;
-            m.set_weights(0, w);
+            m.layers_mut().set_weights(0, w);
             l
         };
         let lp = loss_at(&mut mlp, eps);
@@ -372,9 +311,9 @@ mod tests {
         let mut probe = mlp.clone();
         let logits = probe.forward(&Fp32Backend, &data.x);
         let (_, grad) = softmax_cross_entropy(&logits, &data.y);
-        let before = probe.weights(0).as_slice()[0];
+        let before = probe.layers().weights(0).as_slice()[0];
         probe.backward_sgd(&Fp32Backend, &grad, 1.0);
-        let analytic = before - probe.weights(0).as_slice()[0];
+        let analytic = before - probe.layers().weights(0).as_slice()[0];
         assert!(
             (numeric - analytic).abs() < 2e-3,
             "numeric {numeric} vs analytic {analytic}"

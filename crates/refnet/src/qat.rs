@@ -7,8 +7,8 @@
 
 use crate::backend::{Backend, Fp32Backend, OperandRole};
 use crate::data::Dataset;
+use crate::dense::{argmax_accuracy, DenseStack, Trace};
 use crate::mlp::softmax_cross_entropy;
-use rand::{rngs::StdRng, Rng, SeedableRng};
 use rapid_numerics::int::IntFormat;
 use rapid_numerics::{NumericsError, Tensor};
 use rapid_quant::pact::Pact;
@@ -35,38 +35,28 @@ impl Default for QatConfig {
     }
 }
 
-/// A quantization-aware MLP: FP32 master weights, SaWB-fake-quantized
-/// forward weights and PACT hidden activations at the target format.
+/// A quantization-aware MLP: a [`DenseStack`] of FP32 master weights,
+/// SaWB-fake-quantized in the forward GEMMs, and PACT hidden activations
+/// at the target format.
 #[derive(Debug, Clone)]
 pub struct QatMlp {
-    ws: Vec<Tensor>, // [in, out] master weights
-    bs: Vec<Vec<f32>>,
+    layers: DenseStack,
     pacts: Vec<Pact>, // one per hidden layer
     format: IntFormat,
 }
 
 impl QatMlp {
-    /// Builds a QAT model with the given layer widths.
+    /// Builds a QAT model with the given layer widths; the master weights
+    /// are [`DenseStack::new`]'s, as an [`Mlp`](crate::mlp::Mlp)'s of the
+    /// same widths and seed.
     ///
     /// # Panics
     ///
     /// Panics if fewer than two widths are given.
     pub fn new(widths: &[usize], format: IntFormat, seed: u64) -> Self {
-        assert!(widths.len() >= 2, "need at least input and output widths");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut ws = Vec::new();
-        let mut bs = Vec::new();
-        for win in widths.windows(2) {
-            let scale = (2.0 / win[0] as f32).sqrt();
-            ws.push(Tensor::from_fn(vec![win[0], win[1]], |_| {
-                let u1: f32 = rng.gen_range(1e-6f32..1.0);
-                let u2: f32 = rng.gen_range(0.0f32..1.0);
-                scale * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-            }));
-            bs.push(vec![0.0; win[1]]);
-        }
+        let layers = DenseStack::new(widths, seed);
         let pacts = (0..widths.len() - 2).map(|_| Pact::new(4.0, format)).collect();
-        Self { ws, bs, pacts, format }
+        Self { layers, pacts, format }
     }
 
     /// Learned PACT clipping levels, one per hidden layer.
@@ -86,39 +76,15 @@ impl QatMlp {
         }
     }
 
-    /// Number of dense layers.
-    pub fn depth(&self) -> usize {
-        self.ws.len()
+    /// The FP32 master weights and biases.
+    pub fn layers(&self) -> &DenseStack {
+        &self.layers
     }
 
-    /// Immutable access to a layer's FP32 master weights `[in, out]`.
-    pub fn weights(&self, layer: usize) -> &Tensor {
-        &self.ws[layer]
-    }
-
-    /// Replaces a layer's master weights (used by checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shape differs.
-    pub fn set_weights(&mut self, layer: usize, w: Tensor) {
-        assert_eq!(self.ws[layer].shape(), w.shape(), "weight shape mismatch");
-        self.ws[layer] = w;
-    }
-
-    /// Immutable access to a layer's bias vector.
-    pub fn biases(&self, layer: usize) -> &[f32] {
-        &self.bs[layer]
-    }
-
-    /// Replaces a layer's biases (used by checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length differs.
-    pub fn set_biases(&mut self, layer: usize, b: Vec<f32>) {
-        assert_eq!(self.bs[layer].len(), b.len(), "bias length mismatch");
-        self.bs[layer] = b;
+    /// Mutable access to the master weights and biases (checkpoint
+    /// restore).
+    pub fn layers_mut(&mut self) -> &mut DenseStack {
+        &mut self.layers
     }
 
     /// The quantization format.
@@ -126,68 +92,35 @@ impl QatMlp {
         self.format
     }
 
-    /// Quantized forward pass (what the deployed INT model computes).
+    /// Quantized forward pass to logits (what the deployed INT model
+    /// computes).
     ///
     /// # Panics
     ///
     /// Panics if a GEMM fails (cannot happen with the FP32 backend and
     /// conformable shapes).
-    pub fn forward(&self, x: &Tensor) -> (Tensor, Vec<Tensor>, Vec<Tensor>) {
+    pub fn forward(&self, x: &Tensor) -> Tensor {
         #[allow(clippy::expect_used)]
-        self.try_forward_with(&Fp32Backend, x).expect("QAT forward GEMM failed")
+        self.run(&Fp32Backend, x, None).expect("QAT forward GEMM failed")
     }
 
-    /// [`QatMlp::forward`] through an arbitrary numeric backend — the HFP8
-    /// emulated pipeline, or a guarded backend under fault injection —
-    /// surfacing GEMM failures instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failing GEMM's [`NumericsError`].
-    #[allow(clippy::type_complexity)]
-    pub fn try_forward_with(
+    /// The quantized forward body through `be`: SaWB-quantized weights in
+    /// every GEMM, PACT between layers.
+    fn run(
         &self,
         be: &dyn Backend,
         x: &Tensor,
-    ) -> Result<(Tensor, Vec<Tensor>, Vec<Tensor>), NumericsError> {
-        let depth = self.ws.len();
-        let mut pre = Vec::new(); // pre-activations per layer
-        let mut acts = vec![x.clone()]; // layer inputs
-        let mut cur = x.clone();
-        for i in 0..depth {
-            let qw = sawb_quantize(&self.ws[i], self.format);
-            let mut z = be.try_matmul(&cur, &qw, (OperandRole::Data, OperandRole::Data))?;
-            for r in 0..z.shape()[0] {
-                for c in 0..self.bs[i].len() {
-                    let v = z.get(&[r, c]) + self.bs[i][c];
-                    z.set(&[r, c], v);
-                }
-            }
-            pre.push(z.clone());
-            cur = if i + 1 < depth { self.pacts[i].forward(&z) } else { z };
-            if i + 1 < depth {
-                acts.push(cur.clone());
-            }
-        }
-        Ok((cur, pre, acts))
+        trace: Option<&mut Trace>,
+    ) -> Result<Tensor, NumericsError> {
+        let gemm = |_, a: &Tensor, w: &Tensor| {
+            be.try_matmul(a, &sawb_quantize(w, self.format), (OperandRole::Data, OperandRole::Data))
+        };
+        self.layers.forward(x, gemm, |i, z| self.pacts[i].forward(z), trace)
     }
 
     /// Classification accuracy of the quantized forward pass.
     pub fn accuracy(&self, data: &Dataset) -> f64 {
-        let (logits, _, _) = self.forward(&data.x);
-        let mut correct = 0usize;
-        for (i, &label) in data.y.iter().enumerate() {
-            let mut best = 0;
-            for c in 1..data.classes {
-                if logits.get(&[i, c]) > logits.get(&[i, best]) {
-                    best = c;
-                }
-            }
-            if best == label {
-                correct += 1;
-            }
-        }
-        correct as f64 / data.len().max(1) as f64
+        argmax_accuracy(&self.forward(&data.x), data.classes, &data.y)
     }
 
     /// One QAT step on a batch — STE through the quantizers, SGD on the
@@ -211,34 +144,29 @@ impl QatMlp {
         cfg: &QatConfig,
         loss_scale: f32,
     ) -> Result<(), NumericsError> {
-        let (logits, pre, acts) = self.try_forward_with(be, bx)?;
+        let mut trace = Vec::new();
+        let logits = self.run(be, bx, Some(&mut trace))?;
         let (_, grad0) = softmax_cross_entropy(&logits, by);
         let n = bx.shape()[0] as f32;
         let lr = cfg.lr / loss_scale;
         let mut grad = grad0.map(|v| v * loss_scale / n);
-        for i in (0..self.ws.len()).rev() {
-            let is_output = i + 1 == self.ws.len();
-            if !is_output {
+        for (i, (input, pre)) in trace.iter().enumerate().rev() {
+            if i + 1 < trace.len() {
                 // PACT backward: STE inside the clip window, α gradient
                 // from the clipped region.
-                let (dx, dalpha) = self.pacts[i].backward(&pre[i], &grad);
+                let (dx, dalpha) = self.pacts[i].backward(pre, &grad);
                 self.pacts[i].update_alpha(dalpha / loss_scale, cfg.alpha_lr, cfg.alpha_decay);
                 grad = dx;
             }
             // STE for SaWB weights: gradient w.r.t. the master equals the
             // gradient w.r.t. the quantized weights.
             let dw =
-                be.try_matmul(&acts[i].transposed(), &grad, (OperandRole::Data, OperandRole::Error))?;
-            let qw = sawb_quantize(&self.ws[i], self.format);
+                be.try_matmul(&input.transposed(), &grad, (OperandRole::Data, OperandRole::Error))?;
+            let qw = sawb_quantize(&self.layers.w[i], self.format);
             let dx =
                 be.try_matmul(&grad, &qw.transposed(), (OperandRole::Error, OperandRole::Data))?;
-            for c in 0..self.bs[i].len() {
-                let db: f32 = (0..grad.shape()[0]).map(|r| grad.get(&[r, c])).sum();
-                self.bs[i][c] -= lr * db;
-            }
-            for (wv, g) in self.ws[i].as_mut_slice().iter_mut().zip(dw.as_slice()) {
-                *wv -= lr * g;
-            }
+            // The gradient was pre-scaled by 1/n above.
+            self.layers.sgd(i, &dw, &grad, |g| lr * g);
             grad = dx;
         }
         Ok(())
@@ -312,6 +240,20 @@ mod tests {
             "int2 qat {qat_acc} should not lose to ptq {ptq}"
         );
         assert!(qat_acc > 0.8, "int2 qat {qat_acc} should be strong");
+    }
+
+    /// QAT and FP32 training start from the same master weights.
+    #[test]
+    fn qat_masters_start_bit_equal_to_mlp() {
+        for (widths, seed) in [(&[16, 32, 4][..], 1), (&[3, 8, 8, 2][..], 9)] {
+            let mlp = Mlp::new(widths, seed);
+            let qat = QatMlp::new(widths, IntFormat::Int2, seed);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for i in 0..widths.len() - 1 {
+                assert_eq!(bits(qat.layers().weights(i)), bits(mlp.layers().weights(i)));
+                assert_eq!(qat.layers().biases(i), mlp.layers().biases(i));
+            }
+        }
     }
 
     #[test]

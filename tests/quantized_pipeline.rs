@@ -24,7 +24,7 @@ fn simulated_fxu_matches_emulated_int_gemm_on_trained_weights() {
     let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 20, ..Default::default() });
     assert!(acc > 0.9, "training must converge first ({acc})");
 
-    let w = mlp.weights(0).clone(); // [16, 32]
+    let w = mlp.layers().weights(0).clone(); // [16, 32]
     let x = Tensor::random_uniform(vec![8, 16], -1.0, 1.0, 78);
     let qw = sawb_params(&w, IntFormat::Int4);
     let qx = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, x.max_abs());

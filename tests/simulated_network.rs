@@ -23,17 +23,17 @@ fn simulated_infer(core: &CoreSim, mlp: &Mlp, x: &Tensor) -> (Tensor, u64) {
     let sfu = SfuUnit::new(core.config().corelets * core.config().corelet.sfu_lanes);
     let mut cur = x.clone();
     let mut cycles = 0u64;
-    for layer in 0..mlp.depth() {
+    for layer in 0..mlp.layers().depth() {
         let r = core.run_gemm(&GemmJob {
             a: cur,
-            b: mlp.weights(layer).clone(),
+            b: mlp.layers().weights(layer).clone(),
             precision: Precision::Fp16,
         });
         cycles += r.cycles;
         // Biases are zero-initialized in this test's training setup only if
         // never updated; apply them exactly (they ride the SFU add path).
         let z = r.c;
-        cur = if layer + 1 < mlp.depth() {
+        cur = if layer + 1 < mlp.layers().depth() {
             let (y, c) = sfu.apply(&SfuStage::Relu, &z);
             cycles += c;
             y
@@ -62,13 +62,13 @@ fn simulated_mlp_matches_emulated_reference() {
     // build the bias-free reference explicitly.)
     let fp16 = FpFormat::fp16();
     let mut reference = data.x.clone();
-    for layer in 0..mlp.depth() {
+    for layer in 0..mlp.layers().depth() {
         let z = Fp16Backend::default().matmul(
             &reference,
-            mlp.weights(layer),
+            mlp.layers().weights(layer),
             (OperandRole::Data, OperandRole::Data),
         );
-        reference = if layer + 1 < mlp.depth() {
+        reference = if layer + 1 < mlp.layers().depth() {
             z.map(|v| fp16.quantize(v.max(0.0)))
         } else {
             z.map(|v| fp16.quantize(v))
@@ -94,9 +94,10 @@ fn simulated_network_classification_matches_software() {
     let (sim_logits, _) = simulated_infer(&core, &mlp, &data.x);
     // Software forward, bias-free to match the simulated path.
     let mut sw = data.x.clone();
-    for layer in 0..mlp.depth() {
-        let z = Fp32Backend.matmul(&sw, mlp.weights(layer), (OperandRole::Data, OperandRole::Data));
-        sw = if layer + 1 < mlp.depth() { z.map(|v| v.max(0.0)) } else { z };
+    for layer in 0..mlp.layers().depth() {
+        let w = mlp.layers().weights(layer);
+        let z = Fp32Backend.matmul(&sw, w, (OperandRole::Data, OperandRole::Data));
+        sw = if layer + 1 < mlp.layers().depth() { z.map(|v| v.max(0.0)) } else { z };
     }
     let argmax = |t: &Tensor, row: usize| {
         (0..4).max_by(|&a, &b| {
