@@ -1497,9 +1497,13 @@ impl ConvSpec {
         Self { stride: 1, pad: 0 }
     }
 
-    /// Output spatial size for an input of size `h` and kernel `k`.
+    /// Output spatial size for an input of size `h` and kernel `k`: 0 when
+    /// the kernel does not fit the padded input or the stride is 0.
     pub fn out_dim(&self, h: usize, k: usize) -> usize {
-        (h + 2 * self.pad).saturating_sub(k) / self.stride + 1
+        (h + 2 * self.pad)
+            .checked_sub(k)
+            .and_then(|span| span.checked_div(self.stride))
+            .map_or(0, |steps| steps + 1)
     }
 }
 
@@ -1663,10 +1667,18 @@ fn check_conv_shapes(
     spec: ConvSpec,
 ) -> Result<(usize, usize, Lowering), NumericsError> {
     let (s, ws) = (input.shape(), weight.shape());
-    if s.len() != 4 || ws.len() != 4 || s[1] != ws[1] {
+    if s.len() != 4
+        || ws.len() != 4
+        || s[1] != ws[1]
+        || spec.stride == 0
+        || ws[2] > s[2] + 2 * spec.pad
+        || ws[3] > s[3] + 2 * spec.pad
+    {
         return Err(NumericsError::ShapeMismatch {
-            expected: "input [n,ci,h,w] × weight [co,ci,kh,kw]".to_string(),
-            actual: format!("input {s:?} × weight {ws:?}"),
+            expected: "input [n,ci,h,w] × weight [co,ci,kh,kw], the kernel within the padded \
+                       input and stride > 0"
+                .to_string(),
+            actual: format!("input {s:?} × weight {ws:?}, {spec:?}"),
         });
     }
     Ok((s[0], ws[0], Lowering::new([s[1], s[2], s[3]], ws[2], ws[3], spec)))
@@ -2289,6 +2301,47 @@ mod tests {
         assert_eq!(out.get(&[0, 0, 0, 1]), 2.0 + 6.0);
         assert_eq!(out.get(&[0, 0, 1, 0]), 4.0 + 8.0);
         assert_eq!(out.get(&[0, 0, 1, 1]), 5.0 + 9.0);
+    }
+
+    /// A kernel larger than the padded input, or a zero stride, has no
+    /// output positions: `out_dim` says 0, every fallible conv entry point
+    /// returns `ShapeMismatch` and every panicking one panics, instead of
+    /// computing a phantom output from the in-bounds taps.
+    #[test]
+    fn conv_rejects_unfitting_kernel_and_zero_stride() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        assert_eq!(ConvSpec::unit().out_dim(2, 3), 0);
+        assert_eq!(ConvSpec { stride: 1, pad: 1 }.out_dim(2, 3), 2);
+        assert_eq!(ConvSpec { stride: 0, pad: 0 }.out_dim(4, 3), 0);
+        let input = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
+        let (qa, qw) = (
+            QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 4.0),
+            QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0),
+        );
+        let cases = [
+            (Tensor::from_fn(vec![1, 1, 3, 3], |_| 1.0), ConvSpec::unit()),
+            (Tensor::from_fn(vec![1, 1, 1, 3], |_| 1.0), ConvSpec::unit()),
+            (Tensor::from_fn(vec![1, 1, 1, 1], |_| 1.0), ConvSpec { stride: 0, pad: 0 }),
+        ];
+        for (weight, spec) in &cases {
+            for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+                let fp = conv2d_emulated_with_simd(&input, weight, *spec, FmaMode::Fp16, 64, simd);
+                assert!(matches!(fp, Err(NumericsError::ShapeMismatch { .. })), "{spec:?}");
+                let int = conv2d_int_with_simd(&input, weight, *spec, qa, qw, 64, simd);
+                assert!(matches!(int, Err(NumericsError::ShapeMismatch { .. })), "{spec:?}");
+            }
+            let (w, s) = (weight, *spec);
+            let panicking: [&dyn Fn(); 5] = [
+                &|| drop(conv2d_f32(&input, w, s)),
+                &|| drop(conv2d_emulated(&input, w, s, FmaMode::Fp16, 64)),
+                &|| drop(conv2d_emulated_scalar(&input, w, s, FmaMode::Fp16, 64)),
+                &|| drop(conv2d_int(&input, w, s, qa, qw, 64)),
+                &|| drop(conv2d_int_scalar(&input, w, s, qa, qw, 64)),
+            ];
+            for (i, conv) in panicking.iter().enumerate() {
+                assert!(catch_unwind(AssertUnwindSafe(conv)).is_err(), "entry {i}, {spec:?}");
+            }
+        }
     }
 
     #[test]
