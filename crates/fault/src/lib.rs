@@ -224,12 +224,6 @@ pub struct FaultConfig {
     /// plan injects; draws past the budget never fire. `1` is the E22
     /// "exactly one crash per run" cell; the default is unlimited.
     pub node_fault_budget: u64,
-    /// Bitmask of permanently failed cores (bit `i` set ⇒ core `i` is
-    /// dead). A failed core takes no work: the chip-level simulators remap
-    /// its partition across the survivors and the analytical model charges
-    /// the resulting slowdown. Unlike the transient injectors this is a
-    /// *static* fault — it does not draw from any RNG stream.
-    pub core_failed_mask: u64,
     /// Cap on recorded trace events (counters keep counting past it).
     pub max_trace_events: usize,
 }
@@ -258,7 +252,6 @@ impl Default for FaultConfig {
             node_slow_rate: 0.0,
             node_slow_factor: 4.0,
             node_fault_budget: u64::MAX,
-            core_failed_mask: 0,
             max_trace_events: 4096,
         }
     }
@@ -290,17 +283,6 @@ impl FaultConfig {
             || self.node_crash_rate > 0.0
             || self.node_hang_rate > 0.0
             || self.node_slow_rate > 0.0
-            || self.core_failed_mask != 0
-    }
-
-    /// Whether core `i` is marked permanently failed.
-    pub fn core_failed(&self, core: usize) -> bool {
-        core < 64 && self.core_failed_mask & (1 << core) != 0
-    }
-
-    /// The failed cores among the first `n`, in ascending order.
-    pub fn failed_cores(&self, n: usize) -> Vec<usize> {
-        (0..n.min(64)).filter(|&i| self.core_failed(i)).collect()
     }
 }
 
@@ -554,16 +536,6 @@ impl FaultPlan {
     /// Whether the serving transient-failure injector can fire.
     pub fn serve_enabled(&self) -> bool {
         self.cfg.serve_transient_rate > 0.0
-    }
-
-    /// Whether core `i` is marked permanently failed by this plan.
-    pub fn core_failed(&self, core: usize) -> bool {
-        self.cfg.core_failed(core)
-    }
-
-    /// The failed cores among the first `n`, in ascending order.
-    pub fn failed_cores(&self, n: usize) -> Vec<usize> {
-        self.cfg.failed_cores(n)
     }
 
     /// Recorded events, in draw order (capped at
@@ -962,18 +934,6 @@ mod tests {
         let a = XorShift64::new(derive_seed(1, "a")).next_u64();
         let b = XorShift64::new(derive_seed(1, "b")).next_u64();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn failed_core_mask_is_static_and_reported() {
-        let cfg = FaultConfig { core_failed_mask: 0b0101, ..FaultConfig::default() };
-        assert!(cfg.enabled(), "a dead core counts as a fault");
-        let plan = FaultPlan::new(cfg);
-        assert!(plan.core_failed(0));
-        assert!(!plan.core_failed(1));
-        assert_eq!(plan.failed_cores(4), vec![0, 2]);
-        assert_eq!(plan.failed_cores(2), vec![0]);
-        assert!(!FaultPlan::disabled().core_failed(0));
     }
 
     #[test]

@@ -72,8 +72,7 @@ pub fn try_run_chip_gemm(
 /// full entry point of the chip simulation.
 ///
 /// * `failed_mask` — bit `i` marks core `i` out of service: permanently
-///   dead (the mask a [`rapid_fault::FaultConfig::core_failed_mask`]
-///   carries) or quarantined by the health monitor (pass a
+///   dead or quarantined by the health monitor (pass a
 ///   `rapid_health::CoreMap`'s `cores()` and `failed_mask()`, consulted
 ///   between batches). Masked cores take no work — their column partitions
 ///   are remapped across the survivors — while the ring keeps its full
