@@ -349,6 +349,7 @@ impl CoreSim {
             None
         };
 
+        let mut failure = None;
         while !array.is_done() {
             if let Some(plan) = faults.as_deref_mut().filter(|p| p.seq_enabled()) {
                 if wstall == 0 {
@@ -409,28 +410,8 @@ impl CoreSim {
             // it but the delivered word was corrupt. Escalate instead of
             // computing on poisoned data.
             if let Some(addr) = spad.take_uncorrectable() {
-                if let Some(t) = tele {
-                    t.registry.incr("sim.ecc.uncorrectable");
-                    record_corelet_counters(
-                        &mut t.registry,
-                        self.core_id,
-                        corelet_idx,
-                        cycles,
-                        &array,
-                        &wseq,
-                        &iseq,
-                        &spad,
-                    );
-                    if let (Some((mut wsc, mut isc, mut asc)), Some(sink)) =
-                        (spans.take(), t.trace.as_mut())
-                    {
-                        wsc.finish(sink, cycles);
-                        isc.finish(sink, cycles);
-                        asc.finish(sink, cycles);
-                        sink.instant(pid, tid + 2, "array", "ecc_uncorrectable", cycles);
-                    }
-                }
-                return Err(SimError::EccUncorrectable { cycle: cycles, addr });
+                failure = Some(SimError::EccUncorrectable { cycle: cycles, addr });
+                break;
             }
             let marker = array
                 .progress_marker()
@@ -439,31 +420,7 @@ impl CoreSim {
                 .wrapping_add(wseq.pc() as u64)
                 .wrapping_add(iseq.pc() as u64);
             if dog.observe(cycles, marker) {
-                // Flush partial telemetry so the deadlock diagnosis carries
-                // the counter snapshot at the failure cycle.
-                if let Some(t) = tele {
-                    t.registry.incr("sim.watchdog.deadlocks");
-                    t.registry.counter_max("sim.watchdog.deadlock_cycle", cycles);
-                    record_corelet_counters(
-                        &mut t.registry,
-                        self.core_id,
-                        corelet_idx,
-                        cycles,
-                        &array,
-                        &wseq,
-                        &iseq,
-                        &spad,
-                    );
-                    if let (Some((mut wsc, mut isc, mut asc)), Some(sink)) =
-                        (spans.take(), t.trace.as_mut())
-                    {
-                        wsc.finish(sink, cycles);
-                        isc.finish(sink, cycles);
-                        asc.finish(sink, cycles);
-                        sink.instant(pid, tid + 2, "array", "deadlock", cycles);
-                    }
-                }
-                return Err(SimError::Deadlock {
+                failure = Some(SimError::Deadlock {
                     cycle: cycles,
                     sequencer_states: vec![
                         wseq.snapshot("weights".to_string()),
@@ -471,9 +428,25 @@ impl CoreSim {
                     ],
                     waiting_tokens: tokens.snapshot(),
                 });
+                break;
             }
         }
+        // The one exit: every run, failed or not, flushes the corelet's
+        // counters and closes its three trace tracks at the last cycle, so
+        // a failure's diagnosis carries the counter snapshot it died with.
         if let Some(t) = tele {
+            let event = match &failure {
+                Some(SimError::EccUncorrectable { .. }) => {
+                    t.registry.incr("sim.ecc.uncorrectable");
+                    Some("ecc_uncorrectable")
+                }
+                Some(SimError::Deadlock { .. }) => {
+                    t.registry.incr("sim.watchdog.deadlocks");
+                    t.registry.counter_max("sim.watchdog.deadlock_cycle", cycles);
+                    Some("deadlock")
+                }
+                _ => None,
+            };
             record_corelet_counters(
                 &mut t.registry,
                 self.core_id,
@@ -490,7 +463,13 @@ impl CoreSim {
                 wsc.finish(sink, cycles);
                 isc.finish(sink, cycles);
                 asc.finish(sink, cycles);
+                if let Some(name) = event {
+                    sink.instant(pid, tid + 2, "array", name, cycles);
+                }
             }
+        }
+        if let Some(e) = failure {
+            return Err(e);
         }
         let report = CoreletReport {
             cycles,
