@@ -9,7 +9,9 @@
 #   scripts/check.sh              full gate (build, tests, clippy, smokes)
 #   scripts/check.sh --recovery   recovery gate only: clippy on the recover
 #                                 crate (unwrap/expect denied), the recover
-#                                 crate's tests, the recovery integration
+#                                 crate's tests, the refnet crate's tests
+#                                 (the snapshots read refnet's layer
+#                                 stack), the recovery integration
 #                                 tests, the external-bytes parser
 #                                 proptests (checkpoint decode among them)
 #                                 + a timed recovery_sweep smoke
@@ -107,8 +109,9 @@ parser_proptests() {
 recovery_gate() {
     echo "== cargo clippy -p rapid-recover (deny warnings; the crate denies unwrap/expect) =="
     cargo clippy -p rapid-recover --all-targets -- -D warnings
-    echo "== recover crate tests + recovery integration tests (ABFT recovery, checkpoints, ring, degraded core) =="
+    echo "== recover + refnet crate tests + recovery integration tests (ABFT recovery, checkpoints, ring, degraded core) =="
     cargo test --release -p rapid-recover -q
+    cargo test --release -p rapid-refnet -q
     cargo test --release -p rapid --test recovery -q
     parser_proptests
     smoke recovery_sweep --smoke
