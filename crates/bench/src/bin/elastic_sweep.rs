@@ -27,7 +27,7 @@
 
 use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid_model::{elastic_training_curve, ModelConfig};
+use rapid_model::{chip_sweep, ModelConfig};
 use rapid_recover::{train_elastic, CheckpointStore, ElasticReport, ElasticTrainConfig};
 use rapid_refnet::backend::Hfp8Backend;
 use rapid_refnet::data::{gaussian_blobs, Dataset};
@@ -49,17 +49,6 @@ struct RunOut {
     report: ElasticReport,
     weights: Vec<f32>,
     tele: Telemetry,
-}
-
-/// The model's parameters in reduction order (layer weights then biases)
-/// — the unit the bit-identity assertions compare.
-fn weights_of(mlp: &Mlp) -> Vec<f32> {
-    let mut out = Vec::new();
-    for i in 0..mlp.layers().depth() {
-        out.extend_from_slice(mlp.layers().weights(i).as_slice());
-        out.extend_from_slice(mlp.layers().biases(i));
-    }
-    out
 }
 
 /// One elastic HFP8 training run from the shared initialization.
@@ -85,7 +74,7 @@ fn run_once(
         Some(&mut tele),
     )
     .map_err(|e| e.to_string())?;
-    Ok(RunOut { acc, report, weights: weights_of(&mlp), tele })
+    Ok(RunOut { acc, report, weights: mlp.layers().flatten(), tele })
 }
 
 /// Runs a faulty cell, probing derived child seeds until `fired` accepts
@@ -399,7 +388,7 @@ fn main() -> std::process::ExitCode {
                 acc = a;
             }
             tele.merge(cell_tele);
-            Ok((steps_to, acc, weights_of(&mlp)))
+            Ok((steps_to, acc, mlp.layers().flatten()))
         };
         let (st_clean, acc_resumed_clean, w_resumed_clean) = resume_cell("clean", None)?;
         let (st_crash, acc_resumed_crash, w_resumed_crash) = resume_cell("crash1", Some(chosen))?;
@@ -435,14 +424,16 @@ fn main() -> std::process::ExitCode {
             "{:<10} {:>10} {:>14} {:>11}",
             "world", "survivors", "inputs/s", "retention"
         );
-        for p in elastic_training_curve(&net, world_m, floor, 512, &ModelConfig::default()) {
-            ctx.rec.metric(&format!("model.survivors{}.retention", p.survivors), p.retention);
+        let pts = chip_sweep(&net, (floor..=world_m).rev(), 512, &ModelConfig::default());
+        for p in &pts {
+            let retention = p.throughput / pts[0].throughput;
+            ctx.rec.metric(&format!("model.survivors{}.retention", p.count), retention);
             println!(
                 "{:<10} {:>10} {:>14.0} {:>10.1}%",
-                p.world,
-                p.survivors,
+                world_m,
+                p.count,
                 p.throughput,
-                p.retention * 100.0
+                retention * 100.0
             );
         }
         println!("\nthe post-heal steady state: survivors carry the full minibatch over a");

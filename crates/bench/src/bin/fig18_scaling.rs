@@ -3,8 +3,9 @@
 //! 1→32 at fixed minibatch and link bandwidth.
 
 use rapid_bench::{run, section};
+use rapid_arch::precision::Precision;
 use rapid_model::cost::ModelConfig;
-use rapid_model::scaling::{inference_core_scaling, training_chip_scaling};
+use rapid_model::scaling::{chip_sweep, core_sweep};
 use rapid_workloads::suite::benchmark_suite;
 
 fn main() -> std::process::ExitCode {
@@ -19,13 +20,14 @@ fn main() -> std::process::ExitCode {
         }
         println!();
         for net in benchmark_suite() {
-            let pts = inference_core_scaling(&net, &counts, &cfg);
+            let pts = core_sweep(&net, counts, Precision::Int4, &cfg);
+            let speedups: Vec<f64> = pts.iter().map(|p| pts[0].latency_s / p.latency_s).collect();
             print!("{:<12}", net.name);
-            for p in &pts {
-                print!(" {:>7.2}x", p.speedup);
+            for s in &speedups {
+                print!(" {s:>7.2}x");
             }
-            if let Some(last) = pts.last() {
-                ctx.rec.metric(&format!("{}.inference_speedup_32core", net.name), last.speedup);
+            if let Some(last) = speedups.last() {
+                ctx.rec.metric(&format!("{}.inference_speedup_32core", net.name), *last);
             }
             println!();
         }
@@ -39,13 +41,14 @@ fn main() -> std::process::ExitCode {
         }
         println!();
         for net in benchmark_suite() {
-            let pts = training_chip_scaling(&net, &counts, 512, &cfg);
+            let pts = chip_sweep(&net, counts, 512, &cfg);
+            let speedups: Vec<f64> = pts.iter().map(|p| p.throughput / pts[0].throughput).collect();
             print!("{:<12}", net.name);
-            for p in &pts {
-                print!(" {:>7.2}x", p.speedup);
+            for s in &speedups {
+                print!(" {s:>7.2}x");
             }
-            if let Some(last) = pts.last() {
-                ctx.rec.metric(&format!("{}.training_speedup_32chip", net.name), last.speedup);
+            if let Some(last) = speedups.last() {
+                ctx.rec.metric(&format!("{}.training_speedup_32chip", net.name), *last);
             }
             println!();
         }

@@ -24,7 +24,7 @@
 use rapid_arch::precision::Precision;
 use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid_model::{degraded_throughput, ModelConfig};
+use rapid_model::{core_sweep, ModelConfig};
 use rapid_numerics::int::IntFormat;
 use rapid_numerics::GuardPolicy;
 use rapid_recover::{train_qat_resilient, GuardedHfp8Backend, Protection, ResilientConfig};
@@ -181,14 +181,16 @@ fn main() -> std::process::ExitCode {
         let nets = if smoke { vec!["resnet50"] } else { vec!["resnet50", "bert"] };
         for name in nets {
             let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-            for p in degraded_throughput(&net, 4, floor, Precision::Int4, &ModelConfig::default()) {
-                ctx.rec.metric(&format!("{name}.survivors{}.slowdown", p.survivors), p.slowdown);
+            let pts = core_sweep(&net, (floor..=4).rev(), Precision::Int4, &ModelConfig::default());
+            for p in &pts {
+                let slowdown = p.latency_s / pts[0].latency_s;
+                ctx.rec.metric(&format!("{name}.survivors{}.slowdown", p.count), slowdown);
                 println!(
                     "{:<12} {:>10} {:>12.3} {:>9.2}x {:>14.0}",
                     name,
-                    p.survivors,
+                    p.count,
                     p.latency_s * 1e3,
-                    p.slowdown,
+                    slowdown,
                     p.throughput
                 );
             }

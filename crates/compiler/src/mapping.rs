@@ -75,13 +75,13 @@ struct GemmView {
 fn view_of(op: &Op, batch: u64) -> Option<GemmView> {
     match *op {
         Op::Conv { ci, co, h, w, kh, kw, stride, pad_h, pad_w } => {
-            let ho = (h + 2 * pad_h).saturating_sub(kh) / stride + 1;
-            let wo = (w + 2 * pad_w).saturating_sub(kw) / stride + 1;
+            let ho = Op::conv_out(h, kh, stride, pad_h);
+            let wo = Op::conv_out(w, kw, stride, pad_w);
             Some(GemmView { stream: batch * ho * wo, reduction: ci, outputs: co, kernel: kh * kw })
         }
         Op::DepthwiseConv { c, h, w, k, stride, pad } => {
-            let ho = (h + 2 * pad).saturating_sub(k) / stride + 1;
-            let wo = (w + 2 * pad).saturating_sub(k) / stride + 1;
+            let ho = Op::conv_out(h, k, stride, pad);
+            let wo = Op::conv_out(w, k, stride, pad);
             // No cross-channel reduction: channels map to the output axis
             // and the k×k window is the only reduction available to the
             // rows — the structural reason depthwise layers underuse the

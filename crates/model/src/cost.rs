@@ -1,8 +1,11 @@
-//! Shared cost structures: cycle breakdown and energy accounting.
+//! Shared cost structures: cycle breakdown, energy accounting, and the
+//! per-layer pricing every inference view folds over.
 
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::power::PowerModel;
-use rapid_arch::precision::Precision;
+use rapid_compiler::mapping::{map_layer, MappingCost};
+use rapid_compiler::plan::LayerPlan;
+use rapid_workloads::graph::Layer;
 
 /// Model-level knobs that are not part of the silicon characterization.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -45,6 +48,18 @@ impl Default for ModelConfig {
     }
 }
 
+impl ModelConfig {
+    /// MPE cycles on the critical path of one mapped layer instance.
+    /// Block-loads partially overlap with the previous tile's drain and
+    /// pipeline fills chain across consecutive blocks, so only a fraction
+    /// of each is exposed.
+    pub(crate) fn exposed_cycles(&self, m: &MappingCost) -> f64 {
+        m.compute_cycles
+            + self.blockload_exposure * m.blockload_cycles
+            + self.fill_exposure * m.fill_cycles
+    }
+}
+
 /// Compute-cycle breakdown in the paper's four categories (Fig 17).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CycleBreakdown {
@@ -73,14 +88,6 @@ impl CycleBreakdown {
             return [0.0; 4];
         }
         [self.conv_ideal / t, self.conv_overhead / t, self.quant / t, self.aux / t]
-    }
-
-    /// Accumulates another breakdown.
-    pub fn add(&mut self, other: &CycleBreakdown) {
-        self.conv_ideal += other.conv_ideal;
-        self.conv_overhead += other.conv_overhead;
-        self.quant += other.quant;
-        self.aux += other.aux;
     }
 }
 
@@ -114,17 +121,6 @@ impl EnergyLedger {
             + self.interconnect_j
             + self.static_j
     }
-
-    /// Accumulates another ledger.
-    pub fn add(&mut self, other: &EnergyLedger) {
-        self.mpe_j += other.mpe_j;
-        self.mpe_idle_j += other.mpe_idle_j;
-        self.sfu_j += other.sfu_j;
-        self.sram_j += other.sram_j;
-        self.dram_j += other.dram_j;
-        self.interconnect_j += other.interconnect_j;
-        self.static_j += other.static_j;
-    }
 }
 
 /// Total SFU lanes across a chip.
@@ -137,9 +133,114 @@ pub fn total_corelets(chip: &ChipConfig) -> u32 {
     chip.cores * chip.core.corelets
 }
 
-/// Storage bytes of an activation/weight element at a precision.
-pub fn elem_bytes(p: Precision) -> f64 {
-    p.bytes()
+/// Modelled cost of one layer of a compiled plan at a batch (repeats
+/// included): the one source of every per-layer number that
+/// [`evaluate_inference`](crate::inference::evaluate_inference) folds and
+/// [`layer_reports`](crate::report::layer_reports) reports.
+pub(crate) struct LayerCost {
+    /// MPE cycles at the MAC-rate bound.
+    pub ideal: f64,
+    /// MPE overhead cycles (residue + exposed block-loads/fills + fixed).
+    pub overhead: f64,
+    /// SFU lane-ops: output quantization on a compute layer, the op itself
+    /// on an auxiliary layer.
+    pub lane_ops: f64,
+    /// Quantization cycles on the SFU.
+    pub quant: f64,
+    /// Auxiliary cycles on the SFU.
+    pub aux: f64,
+    /// Weight bytes streamed from external memory.
+    pub weight_bytes: f64,
+    /// Activation bytes spilled to external memory.
+    pub act_bytes: f64,
+    /// External-memory transfer time, seconds.
+    pub mem_s: f64,
+    /// On-chip (MPE + SFU) time, seconds.
+    pub onchip_s: f64,
+    /// MPE-array utilization of the mapping (0 for auxiliary layers).
+    pub utilization: f64,
+}
+
+impl LayerCost {
+    /// External-memory bytes moved for the layer.
+    pub(crate) fn dram_bytes(&self) -> f64 {
+        self.weight_bytes + self.act_bytes
+    }
+
+    /// Wall time: double-buffered transfers hide behind on-chip work, so
+    /// the slower of the two sets the layer's time.
+    pub(crate) fn wall_s(&self) -> f64 {
+        self.onchip_s.max(self.mem_s)
+    }
+}
+
+/// Prices one layer of a compiled plan on `chip` at `batch`.
+pub(crate) fn price_layer(
+    layer: &Layer,
+    lp: &LayerPlan,
+    chip: &ChipConfig,
+    batch: u64,
+    cfg: &ModelConfig,
+) -> LayerCost {
+    let lanes = sfu_lanes(chip);
+    let f_hz = lp.effective_ghz * 1e9;
+    let rep = layer.repeat as f64;
+    if !layer.op.is_compute() {
+        // Auxiliary layer on the SFU (plus a fixed program/sync cost —
+        // small tensors cannot amortize it, which is part of why
+        // aux-dominated networks stop scaling in Fig 18a).
+        let lane_ops = layer.aux_lane_cycles() * batch as f64;
+        let aux = lane_ops / lanes + 0.5 * cfg.per_layer_overhead_cycles * rep;
+        return LayerCost {
+            ideal: 0.0,
+            overhead: 0.0,
+            lane_ops,
+            quant: 0.0,
+            aux,
+            weight_bytes: 0.0,
+            act_bytes: 0.0,
+            mem_s: 0.0,
+            onchip_s: aux / f_hz,
+            utilization: 0.0,
+        };
+    }
+
+    // MPE mapping cost (per instance; repeats run back to back).
+    let m = map_layer(&layer.op, lp.precision, batch, &chip.core.corelet, total_corelets(chip));
+    let ideal = m.ideal_cycles * rep;
+    let overhead = (cfg.exposed_cycles(&m) - m.ideal_cycles).max(0.0) * rep
+        + cfg.per_layer_overhead_cycles * rep;
+
+    // Quantization / conversion of the layer's output activations.
+    let out_elems = layer.op.output_elems() as f64 * rep * batch as f64;
+    let lane_ops = lp.quant.lane_cycles_per_elem() * out_elems;
+    let quant = lane_ops / lanes;
+
+    // External memory traffic: weights stream in once per layer — or once
+    // per repeat when one instance's weights exceed the on-chip budget
+    // (recurrent weights stay resident in L1 across timesteps when they
+    // fit). Boundary activations spill when they don't fit.
+    let elem_bytes = lp.precision.bytes();
+    let w1 = layer.op.weight_elems() as f64 * elem_bytes;
+    let l1_budget = 0.5 * f64::from(chip.cores) * chip.core.l1_bytes as f64;
+    let weight_bytes = if w1 > l1_budget { w1 * rep } else { w1 };
+    let act_bytes = if lp.spill_activations {
+        (layer.op.input_elems() + layer.op.output_elems()) as f64 * rep * batch as f64 * elem_bytes
+    } else {
+        0.0
+    };
+    LayerCost {
+        ideal,
+        overhead,
+        lane_ops,
+        quant,
+        aux: 0.0,
+        weight_bytes,
+        act_bytes,
+        mem_s: (weight_bytes + act_bytes) / (chip.mem_bw_gbps * 1e9),
+        onchip_s: (ideal + overhead + quant) / f_hz,
+        utilization: m.utilization(),
+    }
 }
 
 #[cfg(test)]
@@ -162,9 +263,7 @@ mod tests {
 
     #[test]
     fn ledger_totals() {
-        let mut a = EnergyLedger { mpe_j: 1.0, ..Default::default() };
-        let b = EnergyLedger { sfu_j: 2.0, static_j: 3.0, ..Default::default() };
-        a.add(&b);
+        let a = EnergyLedger { mpe_j: 1.0, sfu_j: 2.0, static_j: 3.0, ..Default::default() };
         assert_eq!(a.total(), 6.0);
     }
 

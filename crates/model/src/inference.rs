@@ -1,15 +1,16 @@
 //! End-to-end inference evaluation (Figs 13, 14, 16, 17, 18a).
 //!
-//! Per layer, the model composes: MPE cycles from the compiler's dataflow
-//! mapping (ideal + overheads), quantization cycles on the SFU, auxiliary
-//! SFU cycles, and double-buffered external-memory transfer time; the
-//! layer's wall time is `max(on-chip time, memory time)` (§III-E: regular
-//! access patterns allow fetch latency to be hidden behind compute).
+//! Per layer, the model composes (in [`crate::cost`]'s one per-layer
+//! pricing): MPE cycles from the compiler's dataflow mapping (ideal +
+//! overheads), quantization cycles on the SFU, auxiliary SFU cycles, and
+//! double-buffered external-memory transfer time; the layer's wall time is
+//! `max(on-chip time, memory time)` (§III-E: regular access patterns allow
+//! fetch latency to be hidden behind compute). This module folds those
+//! costs into the network's latency, breakdown and energy.
 
-use crate::cost::{elem_bytes, sfu_lanes, total_corelets, CycleBreakdown, EnergyLedger, ModelConfig};
+use crate::cost::{price_layer, CycleBreakdown, EnergyLedger, ModelConfig};
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
-use rapid_compiler::mapping::map_layer;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
 
@@ -53,11 +54,8 @@ pub fn evaluate_inference(
     cfg: &ModelConfig,
 ) -> InferenceResult {
     assert_eq!(net.layers.len(), plan.layers.len(), "plan/network mismatch");
-    let n_corelets = total_corelets(chip);
-    let corelet = &chip.core.corelet;
-    let lanes = sfu_lanes(chip);
-    let mem_bw = chip.mem_bw_gbps * 1e9;
     let pm = &cfg.power;
+    let dyn_scale = pm.dyn_scale(chip.freq_ghz);
 
     let mut breakdown = CycleBreakdown::default();
     let mut energy = EnergyLedger::default();
@@ -66,95 +64,48 @@ pub fn evaluate_inference(
     let mut total_macs = 0u64;
 
     for (layer, lp) in net.layers.iter().zip(&plan.layers) {
-        let f_hz = lp.effective_ghz * 1e9;
-        let dyn_scale = pm.dyn_scale(chip.freq_ghz);
+        let c = price_layer(layer, lp, chip, batch, cfg);
+        breakdown.conv_ideal += c.ideal;
+        breakdown.conv_overhead += c.overhead;
+        breakdown.quant += c.quant;
+        breakdown.aux += c.aux;
+        latency_s += c.wall_s();
+        if c.mem_s > c.onchip_s {
+            memory_bound_s += c.mem_s - c.onchip_s;
+        }
+        energy.sfu_j += c.lane_ops * pm.energy.sfu_op_pj * dyn_scale * 1e-12;
         if !layer.op.is_compute() {
-            // Auxiliary layer on the SFU (plus a fixed program/sync cost —
-            // small tensors cannot amortize it, which is part of why
-            // aux-dominated networks stop scaling in Fig 18a).
-            let cycles = layer.aux_lane_cycles() * batch as f64 / lanes
-                + 0.5 * cfg.per_layer_overhead_cycles * layer.repeat as f64;
-            breakdown.aux += cycles;
-            latency_s += cycles / f_hz;
-            let lane_ops = layer.aux_lane_cycles() * batch as f64;
-            energy.sfu_j += lane_ops * pm.energy.sfu_op_pj * dyn_scale * 1e-12;
             continue;
         }
 
-        // MPE mapping cost (per instance; repeats run back to back).
-        // Block-loads partially overlap with the previous tile's drain and
-        // pipeline fills chain across consecutive blocks, so only a
-        // fraction of each is exposed.
-        let m = map_layer(&layer.op, lp.precision, batch, corelet, n_corelets);
-        let rep = layer.repeat as f64;
-        let ideal = m.ideal_cycles * rep;
-        let exposed = m.compute_cycles
-            + cfg.blockload_exposure * m.blockload_cycles
-            + cfg.fill_exposure * m.fill_cycles;
-        let overhead =
-            (exposed - m.ideal_cycles).max(0.0) * rep + cfg.per_layer_overhead_cycles * rep;
-        breakdown.conv_ideal += ideal;
-        breakdown.conv_overhead += overhead;
-
-        // Quantization / conversion of the layer's output activations.
-        let out_elems = layer.op.output_elems() as f64 * rep * batch as f64;
-        let quant_lane_ops = lp.quant.lane_cycles_per_elem() * out_elems;
-        let quant_cycles = quant_lane_ops / lanes;
-        breakdown.quant += quant_cycles;
-
-        // External memory traffic: weights stream in once per layer — or
-        // once per repeat when one instance's weights exceed the on-chip
-        // budget (recurrent weights stay resident in L1 across timesteps
-        // when they fit). Boundary activations spill when they don't fit.
-        let w1 = layer.op.weight_elems() as f64 * elem_bytes(lp.precision);
-        let l1_budget = 0.5 * chip.cores as f64 * chip.core.l1_bytes as f64;
-        let wbytes = if w1 > l1_budget { w1 * rep } else { w1 };
-        let abytes = if lp.spill_activations {
-            (layer.op.input_elems() + layer.op.output_elems()) as f64
-                * rep
-                * batch as f64
-                * elem_bytes(lp.precision)
-        } else {
-            0.0
-        };
-        let mem_s = (wbytes + abytes) / mem_bw;
-
-        let onchip_s = (ideal + overhead + quant_cycles) / f_hz;
-        let layer_s = onchip_s.max(mem_s);
-        latency_s += layer_s;
-        if mem_s > onchip_s {
-            memory_bound_s += mem_s - onchip_s;
-        }
-
-        // Energy.
         let macs = layer.macs() * batch;
         total_macs += macs;
         energy.mpe_j += macs as f64 * 2.0 * pm.energy.mpe_op_pj(lp.precision) * dyn_scale * 1e-12;
         // Overhead cycles toggle the array at a reduced activity.
         let array_macs_per_cycle = chip.macs_per_cycle(lp.precision) as f64;
-        energy.mpe_idle_j += overhead
+        energy.mpe_idle_j += c.overhead
             * array_macs_per_cycle
             * 2.0
             * pm.energy.mpe_op_pj(lp.precision)
             * cfg.idle_activity
             * dyn_scale
             * 1e-12;
-        energy.sfu_j += quant_lane_ops * pm.energy.sfu_op_pj * dyn_scale * 1e-12;
         // Scratchpad streaming: inputs and outputs each traverse L1+L0
         // once, weights once.
+        let rep = layer.repeat as f64;
         let act_elems = (layer.op.input_elems() + 2 * layer.op.output_elems()) as f64
             * rep
             * batch as f64;
-        let sram_bytes = act_elems * elem_bytes(lp.precision)
-            + layer.op.weight_elems() as f64 * rep * elem_bytes(lp.precision);
+        let sram_bytes = act_elems * lp.precision.bytes()
+            + layer.op.weight_elems() as f64 * rep * lp.precision.bytes();
         energy.sram_j += sram_bytes
             * (pm.energy.l1_byte_pj + pm.energy.l0_byte_pj)
             * dyn_scale
             * 1e-12;
-        energy.dram_j += (wbytes + abytes) * pm.energy.dram_byte_pj * 1e-12;
+        energy.dram_j += c.dram_bytes() * pm.energy.dram_byte_pj * 1e-12;
         // Input activations multicast over the on-chip ring (average two
         // hops).
-        energy.interconnect_j += (wbytes + abytes) * pm.energy.ring_byte_hop_pj * 2.0 * 1e-12;
+        energy.interconnect_j += c.dram_bytes() * pm.energy.ring_byte_hop_pj * 2.0 * 1e-12;
     }
 
     energy.static_j = pm.static_power_w(chip.cores, chip.freq_ghz) * latency_s;

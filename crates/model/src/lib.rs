@@ -14,7 +14,11 @@
 //!   step time, inputs/s and sustained TFLOPS (Fig 15).
 //! * [`throttle::throttling_study`] — sparsity-aware frequency throttling
 //!   vs the dense-budget baseline (Fig 16).
-//! * [`scaling`] — core-count and chip-count sweeps (Fig 18).
+//! * [`scaling::core_sweep`] and [`scaling::chip_sweep`] — core-count and
+//!   chip-count sweeps (Fig 18), which also price the degraded-core and
+//!   elastic-ring curves.
+//! * [`report::layer_reports`] — the per-layer view of the same pricing
+//!   [`inference::evaluate_inference`] folds (one cost per layer).
 //!
 //! Calibration against the cycle-approximate simulator (`rapid-sim`) is
 //! exercised in the workspace integration tests and the `calibration`
@@ -51,10 +55,6 @@ pub use inference::{evaluate_inference, InferenceResult};
 pub use latency::{LatencyEntry, LatencyTable, SERVING_PRECISIONS};
 pub use protection::{protection_tax, ProtectionTax};
 pub use report::{layer_reports, LayerReport};
-pub use scaling::{
-    degraded_throughput, elastic_training_curve, inference_core_scaling, quarantine_retention,
-    training_chip_scaling,
-    DegradedPoint, ElasticPoint, ScalePoint,
-};
+pub use scaling::{chip_sweep, core_sweep, quarantine_retention, ScalePoint};
 pub use throttle::{throttling_study, ThrottleStudy};
 pub use training::{evaluate_training, TrainingResult};

@@ -2,10 +2,9 @@
 //! aggregate numbers (what the compiler's design-space exploration and the
 //! Fig 17 analysis look at).
 
-use crate::cost::{elem_bytes, sfu_lanes, total_corelets, ModelConfig};
+use crate::cost::{price_layer, ModelConfig};
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
-use rapid_compiler::mapping::map_layer;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
 
@@ -143,87 +142,51 @@ pub fn layer_reports(
     cfg: &ModelConfig,
 ) -> Vec<LayerReport> {
     assert_eq!(net.layers.len(), plan.layers.len(), "plan/network mismatch");
-    let n_corelets = total_corelets(chip);
-    let corelet = &chip.core.corelet;
-    let lanes = sfu_lanes(chip);
-    let mut out = Vec::with_capacity(net.layers.len());
-    for (layer, lp) in net.layers.iter().zip(&plan.layers) {
-        let rep = layer.repeat as f64;
-        if !layer.op.is_compute() {
-            let aux = layer.aux_lane_cycles() * batch as f64 / lanes
-                + 0.5 * cfg.per_layer_overhead_cycles * rep;
-            let roofline = Roofline {
-                aux_share: if aux > 0.0 { 1.0 } else { 0.0 },
-                ..Roofline::zero()
+    let mem_bw = chip.mem_bw_gbps * 1e9;
+    net.layers
+        .iter()
+        .zip(&plan.layers)
+        .map(|(layer, lp)| {
+            let c = price_layer(layer, lp, chip, batch, cfg);
+            let macs = layer.macs() * batch;
+            let (precision, roofline) = if layer.op.is_compute() {
+                let ops = 2.0 * macs as f64;
+                let wall_s = c.wall_s();
+                let peak_ops_per_s =
+                    chip.peak_ops_per_cycle(lp.precision) as f64 * lp.effective_ghz * 1e9;
+                let total = c.ideal + c.overhead + c.quant;
+                let dram = c.dram_bytes();
+                let share = |x: f64| if total > 0.0 { x / total } else { 0.0 };
+                let roofline = Roofline {
+                    peak_tops: peak_ops_per_s / 1e12,
+                    achieved_tops: if wall_s > 0.0 { ops / wall_s / 1e12 } else { 0.0 },
+                    intensity: if dram > 0.0 { ops / dram } else { f64::INFINITY },
+                    ridge_intensity: peak_ops_per_s / mem_bw,
+                    ideal_share: share(c.ideal),
+                    overhead_share: share(c.overhead),
+                    quant_share: share(c.quant),
+                    aux_share: 0.0,
+                };
+                (lp.precision, roofline)
+            } else {
+                let aux_share = if c.aux > 0.0 { 1.0 } else { 0.0 };
+                (Precision::Fp16, Roofline { aux_share, ..Roofline::zero() })
             };
-            out.push(LayerReport {
+            LayerReport {
                 name: layer.name.clone(),
-                precision: Precision::Fp16,
-                macs: 0,
-                ideal_cycles: 0.0,
-                overhead_cycles: 0.0,
-                quant_cycles: 0.0,
-                aux_cycles: aux,
-                dram_bytes: 0.0,
-                memory_bound: false,
-                utilization: 0.0,
+                precision,
+                macs,
+                ideal_cycles: c.ideal,
+                overhead_cycles: c.overhead,
+                quant_cycles: c.quant,
+                aux_cycles: c.aux,
+                dram_bytes: c.dram_bytes(),
+                memory_bound: c.mem_s > c.onchip_s,
+                utilization: c.utilization,
                 roofline,
-            });
-            continue;
-        }
-        let m = map_layer(&layer.op, lp.precision, batch, corelet, n_corelets);
-        let exposed = m.compute_cycles
-            + cfg.blockload_exposure * m.blockload_cycles
-            + cfg.fill_exposure * m.fill_cycles;
-        let ideal = m.ideal_cycles * rep;
-        let overhead =
-            (exposed - m.ideal_cycles).max(0.0) * rep + cfg.per_layer_overhead_cycles * rep;
-        let out_elems = layer.op.output_elems() as f64 * rep * batch as f64;
-        let quant = lp.quant.lane_cycles_per_elem() * out_elems / lanes;
-        let w1 = layer.op.weight_elems() as f64 * elem_bytes(lp.precision);
-        let l1_budget = 0.5 * f64::from(chip.cores) * chip.core.l1_bytes as f64;
-        let wbytes = if w1 > l1_budget { w1 * rep } else { w1 };
-        let abytes = if lp.spill_activations {
-            (layer.op.input_elems() + layer.op.output_elems()) as f64
-                * rep
-                * batch as f64
-                * elem_bytes(lp.precision)
-        } else {
-            0.0
-        };
-        let mem_s = (wbytes + abytes) / (chip.mem_bw_gbps * 1e9);
-        let onchip_s = (ideal + overhead + quant) / (lp.effective_ghz * 1e9);
-        let macs = layer.macs() * batch;
-        let ops = 2.0 * macs as f64;
-        let wall_s = mem_s.max(onchip_s);
-        let peak_ops_per_s = chip.peak_ops_per_cycle(lp.precision) as f64 * lp.effective_ghz * 1e9;
-        let total = ideal + overhead + quant;
-        let dram = wbytes + abytes;
-        let roofline = Roofline {
-            peak_tops: peak_ops_per_s / 1e12,
-            achieved_tops: if wall_s > 0.0 { ops / wall_s / 1e12 } else { 0.0 },
-            intensity: if dram > 0.0 { ops / dram } else { f64::INFINITY },
-            ridge_intensity: peak_ops_per_s / (chip.mem_bw_gbps * 1e9),
-            ideal_share: if total > 0.0 { ideal / total } else { 0.0 },
-            overhead_share: if total > 0.0 { overhead / total } else { 0.0 },
-            quant_share: if total > 0.0 { quant / total } else { 0.0 },
-            aux_share: 0.0,
-        };
-        out.push(LayerReport {
-            name: layer.name.clone(),
-            precision: lp.precision,
-            macs,
-            ideal_cycles: ideal,
-            overhead_cycles: overhead,
-            quant_cycles: quant,
-            aux_cycles: 0.0,
-            dram_bytes: dram,
-            memory_bound: mem_s > onchip_s,
-            utilization: m.utilization(),
-            roofline,
-        });
-    }
-    out
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -249,21 +212,28 @@ mod tests {
 
     #[test]
     fn layer_reports_sum_to_network_breakdown() {
+        // Both views fold the same per-layer pricing in layer order, so
+        // every breakdown component is exactly its per-layer sum.
         use crate::inference::evaluate_inference;
-        let net = benchmark("resnet50").unwrap();
+        use crate::latency::SERVING_PRECISIONS;
+        use rapid_workloads::suite::benchmark_suite;
         let chip = ChipConfig::rapid_4core();
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
         let cfg = ModelConfig::default();
-        let agg = evaluate_inference(&net, &plan, &chip, 1, &cfg);
-        let per: f64 = layer_reports(&net, &plan, &chip, 1, &cfg)
-            .iter()
-            .map(LayerReport::total_cycles)
-            .sum();
-        let total = agg.breakdown.total();
-        assert!(
-            (per - total).abs() / total < 1e-9,
-            "per-layer {per} vs aggregate {total}"
-        );
+        for net in benchmark_suite() {
+            for p in SERVING_PRECISIONS {
+                let plan = compile(&net, &chip, &CompileOptions::for_precision(p));
+                for batch in [1, 8] {
+                    let agg = evaluate_inference(&net, &plan, &chip, batch, &cfg).breakdown;
+                    let per = layer_reports(&net, &plan, &chip, batch, &cfg);
+                    let sum = |f: fn(&LayerReport) -> f64| per.iter().fold(0.0, |a, l| a + f(l));
+                    let what = format!("{} {p} batch {batch}", net.name);
+                    assert_eq!(sum(|l| l.ideal_cycles), agg.conv_ideal, "{what}: ideal");
+                    assert_eq!(sum(|l| l.overhead_cycles), agg.conv_overhead, "{what}: overhead");
+                    assert_eq!(sum(|l| l.quant_cycles), agg.quant, "{what}: quant");
+                    assert_eq!(sum(|l| l.aux_cycles), agg.aux, "{what}: aux");
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! 8-bit weights, so the weight-broadcast half of the exchange moves 8-bit
 //! payloads (§V-F).
 
-use crate::cost::{elem_bytes, EnergyLedger, ModelConfig};
+use crate::cost::{EnergyLedger, ModelConfig};
 use rapid_arch::geometry::SystemConfig;
 use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
@@ -99,9 +99,7 @@ pub fn evaluate_training(
         let fwd =
             map_layer(&layer.op, lp.precision, per_core_batch, corelet, core_corelets);
         let passes = 1.0 + 2.0 * cfg.backward_derate;
-        let exposed = fwd.compute_cycles
-            + cfg.blockload_exposure * fwd.blockload_cycles
-            + cfg.fill_exposure * fwd.fill_cycles;
+        let exposed = cfg.exposed_cycles(&fwd);
         compute_cycles += passes * (exposed * rep + cfg.per_layer_overhead_cycles * rep);
 
         // HFP8 conversions: activations, errors and weight copies re-round
@@ -144,7 +142,7 @@ pub fn evaluate_training(
         // precision) and its FP16 error tensors, written once and read
         // back once; frameworks additionally retain pre-activation copies
         // for the non-linearity backward, doubling the footprint.
-        stash_bytes += 4.0 * out_elems * (elem_bytes(lp.precision) + 2.0);
+        stash_bytes += 4.0 * out_elems * (lp.precision.bytes() + 2.0);
 
         let macs = layer.macs() * local_batch * 3;
         total_macs += macs;
@@ -162,7 +160,7 @@ pub fn evaluate_training(
             * rep
             * local_batch as f64
             * passes
-            * elem_bytes(lp.precision);
+            * lp.precision.bytes();
         energy.sram_j +=
             sram_bytes * (pm.energy.l1_byte_pj + pm.energy.l0_byte_pj) * dyn_scale * 1e-12;
     }
@@ -174,7 +172,7 @@ pub fn evaluate_training(
         .iter()
         .zip(&plan.layers)
         .filter(|(l, _)| l.op.is_compute())
-        .map(|(l, lp)| l.op.weight_elems() as f64 * l.repeat as f64 * elem_bytes(lp.precision))
+        .map(|(l, lp)| l.op.weight_elems() as f64 * l.repeat as f64 * lp.precision.bytes())
         .sum();
     let l1_total = chip.cores as f64 * chip.core.l1_bytes as f64;
     let weight_traffic = if weight_bytes > 0.5 * l1_total { 3.0 * weight_bytes } else { 0.0 };

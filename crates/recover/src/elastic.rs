@@ -36,11 +36,9 @@ use crate::checkpoint::{
     capture_layers, restore_layers, CheckpointError, CheckpointStore, TrainState,
 };
 use rapid_fault::FaultPlan;
-use rapid_numerics::Tensor;
 use rapid_refnet::backend::{Backend, Fp32Backend};
 use rapid_refnet::data::Dataset;
 use rapid_refnet::mlp::{softmax_cross_entropy, Mlp};
-use rapid_refnet::DenseStack;
 use rapid_ring::elastic::{
     elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, Membership,
 };
@@ -187,28 +185,6 @@ impl From<rapid_numerics::NumericsError> for ElasticTrainError {
     }
 }
 
-/// Flattens the stack's parameters (layer weights, then biases, in layer
-/// order) into one vector — the unit the collective reduces.
-fn flatten(stack: &DenseStack) -> Vec<f32> {
-    (0..stack.depth())
-        .flat_map(|i| stack.weights(i).as_slice().iter().chain(stack.biases(i)))
-        .copied()
-        .collect()
-}
-
-/// Writes a flat parameter vector (the [`flatten`] layout) back into the
-/// stack.
-fn unflatten(stack: &mut DenseStack, flat: &[f32]) {
-    let mut at = 0usize;
-    for i in 0..stack.depth() {
-        let shape = stack.weights(i).shape().to_vec();
-        let (wlen, blen) = (shape[0] * shape[1], stack.biases(i).len());
-        stack.set_weights(i, Tensor::from_vec(shape, flat[at..at + wlen].to_vec()));
-        stack.set_biases(i, flat[at + wlen..at + wlen + blen].to_vec());
-        at += wlen + blen;
-    }
-}
-
 /// The contiguous sub-range of `[start, end)` assigned to member index
 /// `idx` of `of` members (balanced split, earlier members get the
 /// remainder).
@@ -287,7 +263,7 @@ pub fn train_elastic(
                     min: cfg.ring.min_world.max(1),
                 }));
             }
-            let snapshot = flatten(mlp.layers());
+            let snapshot = mlp.layers().flatten();
             // Per-node deltas: each member trains its shard of the batch
             // from the shared snapshot. delta = post-step − snapshot =
             // −lr·grad(shard), so averaging deltas over contributors is
@@ -301,10 +277,10 @@ pub fn train_elastic(
                     let (_, grad) = softmax_cross_entropy(&logits, by);
                     mlp.try_backward_sgd(backend, &grad, cfg.lr)?;
                 }
-                let new = flatten(mlp.layers());
+                let new = mlp.layers().flatten();
                 deltas[node as usize] =
                     new.iter().zip(&snapshot).map(|(n, s)| n - s).collect();
-                unflatten(mlp.layers_mut(), &snapshot);
+                mlp.layers_mut().load(&snapshot);
             }
             // Elastic exchange: heals crashes/hangs, bounds stragglers.
             let out = elastic_allreduce(
@@ -331,7 +307,7 @@ pub fn train_elastic(
                 .zip(&out.reduced)
                 .map(|(s, r)| s + r / k)
                 .collect();
-            unflatten(mlp.layers_mut(), &applied);
+            mlp.layers_mut().load(&applied);
             at = end;
         }
         // Coordinated barrier: one checkpoint generation per epoch.
@@ -470,7 +446,7 @@ mod tests {
                 None,
             )
             .unwrap();
-            (flatten(mlp.layers()), acc, report)
+            (mlp.layers().flatten(), acc, report)
         };
         let (w1, a1, r1) = run();
         let (w2, a2, r2) = run();
@@ -535,8 +511,8 @@ mod tests {
         .unwrap();
         assert_eq!(report.epochs_resumed, 4, "{report:?}");
         assert_eq!(
-            flatten(rejoined.layers()),
-            flatten(full.layers()),
+            rejoined.layers().flatten(),
+            full.layers().flatten(),
             "catch-up from generation N-1 must be bit-identical at the next barrier"
         );
         let _ = std::fs::remove_dir_all(&dir);

@@ -72,6 +72,32 @@ impl DenseStack {
         self.b[layer] = b;
     }
 
+    /// Every parameter in one vector, layer by layer, each layer's
+    /// weights then its biases: the unit a data-parallel collective
+    /// reduces.
+    pub fn flatten(&self) -> Vec<f32> {
+        let layers = self.w.iter().zip(&self.b);
+        layers.flat_map(|(w, b)| w.as_slice().iter().chain(b)).copied().collect()
+    }
+
+    /// Writes a vector in the [`flatten`](Self::flatten) layout back into
+    /// the stack.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `flat`'s length is not the stack's parameter count.
+    pub fn load(&mut self, flat: &[f32]) {
+        let mut rest = flat;
+        for (w, b) in self.w.iter_mut().zip(&mut self.b) {
+            for dst in [w.as_mut_slice(), b.as_mut_slice()] {
+                let (head, tail) = rest.split_at(dst.len());
+                dst.copy_from_slice(head);
+                rest = tail;
+            }
+        }
+        assert!(rest.is_empty(), "parameter count mismatch");
+    }
+
     /// Runs `x` through the stack: `gemm(layer, input, weights)` is each
     /// layer's product, the bias is added in FP32, and `act(layer, z)`
     /// activates every layer but the last. With `trace`, each layer's
@@ -172,5 +198,34 @@ mod tests {
         assert_eq!(argmax_accuracy(&logits, 3, &[1, 2, 2, 1]), 0.0);
         assert_eq!(argmax_accuracy(&logits, 2, &[0, 1, 0, 1]), 1.0);
         assert_eq!(argmax_accuracy(&logits, 3, &[]), 0.0);
+    }
+
+    /// The flat layout is each layer's weights then its biases, and
+    /// `load` inverts `flatten`.
+    #[test]
+    fn flatten_orders_weights_then_biases_and_load_inverts_it() {
+        let mut src = DenseStack::new(&[3, 2, 2], 5);
+        src.set_biases(0, vec![0.5, -0.5]);
+        src.set_biases(1, vec![1.5, -1.5]);
+        let flat = src.flatten();
+        let w0 = src.weights(0).as_slice();
+        let w1 = src.weights(1).as_slice();
+        let expected: Vec<f32> =
+            [w0, src.biases(0), w1, src.biases(1)].into_iter().flatten().copied().collect();
+        assert_eq!(flat, expected);
+
+        let mut dst = DenseStack::new(&[3, 2, 2], 6);
+        dst.load(&flat);
+        assert_eq!(dst.flatten(), flat);
+        assert_eq!(dst.biases(1), src.biases(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "parameter count mismatch")]
+    fn load_rejects_a_longer_vector() {
+        let mut s = DenseStack::new(&[2, 2], 1);
+        let mut flat = s.flatten();
+        flat.push(0.0);
+        s.load(&flat);
     }
 }

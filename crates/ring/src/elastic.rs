@@ -387,24 +387,6 @@ pub struct ElasticOutcome {
     pub events: Vec<ElasticEvent>,
 }
 
-/// Fault-free cycles for one reliable exchange of `elems` elements over
-/// `n` chips (the arithmetic [`reliable_allreduce`] charges as `ideal`).
-fn ideal_exchange_cycles(n: usize, elems: usize, cfg: &ReliableConfig) -> u64 {
-    if n <= 1 {
-        return 0;
-    }
-    let shard_len = elems.div_ceil(n);
-    let chunks = shard_len.div_ceil(cfg.chunk_elems) as u64;
-    let per_chunk = |elem_bytes: f64| -> u64 {
-        let bytes = cfg.chunk_elems as f64 * elem_bytes;
-        (bytes / cfg.transport.link_bytes_per_cycle).ceil().max(1.0) as u64
-    };
-    let steps = n as u64 - 1;
-    steps * (chunks * per_chunk(cfg.transport.grad_bytes) + cfg.transport.step_latency_cycles)
-        + steps
-            * (chunks * per_chunk(cfg.transport.weight_bytes) + cfg.transport.step_latency_cycles)
-}
-
 /// Runs one elastic ring all-reduce of `inputs` (one gradient vector per
 /// original rank; only current members' entries are read) under the
 /// optional fault plan's node domain, healing the ring through crashes
@@ -481,7 +463,7 @@ pub fn elastic_allreduce(
 
     let mut health = ElasticHealth::default();
     let mut events = Vec::new();
-    health.ideal_cycles = ideal_exchange_cycles(n, elems, &cfg.reliable);
+    health.ideal_cycles = cfg.reliable.ideal_exchange_cycles(n, elems);
 
     let detector = HeartbeatDetector {
         period: cfg.heartbeat_cycles,
@@ -526,11 +508,8 @@ pub fn elastic_allreduce(
     if !dead.is_empty() {
         let shard_len = elems.div_ceil(n);
         let chunks_per_shard = shard_len.div_ceil(cfg.reliable.chunk_elems) as u64;
-        let grad_chunk_cycles = {
-            let bytes = cfg.reliable.chunk_elems as f64 * cfg.reliable.transport.grad_bytes;
-            (bytes / cfg.reliable.transport.link_bytes_per_cycle).ceil().max(1.0) as u64
-        };
         health.rereduced_chunks = chunks_per_shard * dead.len() as u64;
+        let grad_chunk_cycles = cfg.reliable.chunk_cycles(cfg.reliable.transport.grad_bytes);
         heal = cfg.heal_epoch_cycles + health.rereduced_chunks * grad_chunk_cycles;
         health.splices = 1;
         let epoch = membership.splice(&dead);
@@ -542,7 +521,7 @@ pub fn elastic_allreduce(
     // ideal(survivor ring)` drops the node from this exchange's
     // contributors; within it, the ring waits (factor multiplies the
     // exchange).
-    let ideal_survivor = ideal_exchange_cycles(survivors.len(), elems, &cfg.reliable);
+    let ideal_survivor = cfg.reliable.ideal_exchange_cycles(survivors.len(), elems);
     let mut wait_factor = 1.0f64;
     let mut contributors = survivors.clone();
     for &(node, factor) in &slow {

@@ -79,6 +79,33 @@ impl ReliableConfig {
             crc: true,
         }
     }
+
+    /// Link cycles to carry one chunk of `elem_bytes`-wide elements
+    /// (at least one).
+    pub(crate) fn chunk_cycles(&self, elem_bytes: f64) -> u64 {
+        let bytes = self.chunk_elems as f64 * elem_bytes;
+        (bytes / self.transport.link_bytes_per_cycle).ceil().max(1.0) as u64
+    }
+
+    /// Fault-free cycles of one exchange of `elems` elements over `n`
+    /// chips: `n − 1` reduce-scatter steps of gradient chunks, then
+    /// `n − 1` all-gather steps of weight chunks, each paying the step
+    /// latency. [`reliable_allreduce`] reports this as
+    /// [`RingHealth::ideal_cycles`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk_elems` is 0 and `n > 1`.
+    pub(crate) fn ideal_exchange_cycles(&self, n: usize, elems: usize) -> u64 {
+        if n <= 1 {
+            return 0;
+        }
+        let chunks = elems.div_ceil(n).div_ceil(self.chunk_elems) as u64;
+        let steps = n as u64 - 1;
+        let step_latency = self.transport.step_latency_cycles;
+        steps * (chunks * self.chunk_cycles(self.transport.grad_bytes) + step_latency)
+            + steps * (chunks * self.chunk_cycles(self.transport.weight_bytes) + step_latency)
+    }
 }
 
 /// Observability report of one reliable exchange.
@@ -315,16 +342,11 @@ pub fn reliable_allreduce(
     let mut health = RingHealth::default();
     let max_shard = elems.div_ceil(n);
     let chunks_per_shard = (max_shard.div_ceil(cfg.chunk_elems)) as u64;
-    let chunk_cycles = |elem_bytes: f64| -> u64 {
-        let bytes = cfg.chunk_elems as f64 * elem_bytes;
-        (bytes / cfg.transport.link_bytes_per_cycle).ceil().max(1.0) as u64
-    };
     let phases: [(u64, u64); 2] = [
-        (n as u64 - 1, chunk_cycles(cfg.transport.grad_bytes)), // reduce-scatter
-        (n as u64 - 1, chunk_cycles(cfg.transport.weight_bytes)), // all-gather
+        (n as u64 - 1, cfg.chunk_cycles(cfg.transport.grad_bytes)), // reduce-scatter
+        (n as u64 - 1, cfg.chunk_cycles(cfg.transport.weight_bytes)), // all-gather
     ];
     let mut total = 0u64;
-    let mut ideal = 0u64;
     let mut scratch: Vec<(u64, u32, u32)> = Vec::new();
     for (steps, per_chunk) in phases {
         for step in 0..steps {
@@ -357,11 +379,10 @@ pub fn reliable_allreduce(
             }
             health.chunks += chunks_per_shard * n as u64;
             total += slowest + cfg.transport.step_latency_cycles;
-            ideal += chunks_per_shard * per_chunk + cfg.transport.step_latency_cycles;
         }
     }
     health.cycles = total;
-    health.ideal_cycles = ideal;
+    health.ideal_cycles = cfg.ideal_exchange_cycles(n, elems);
     if let Some(t) = tele {
         health.record_into(&mut t.registry, "ring.reliable");
         t.registry.incr("ring.reliable.exchanges");

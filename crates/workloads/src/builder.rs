@@ -62,10 +62,6 @@ impl CnnBuilder {
         self.net.layers.push(layer);
     }
 
-    fn out_dim(h: u64, k: u64, stride: u64, pad: u64) -> u64 {
-        (h + 2 * pad).saturating_sub(k) / stride + 1
-    }
-
     /// Adds a convolution with an asymmetric kernel and padding, updating
     /// the running shape. Returns the builder for chaining.
     #[allow(clippy::too_many_arguments)]
@@ -84,8 +80,8 @@ impl CnnBuilder {
         let mut layer = Layer::new(name, op);
         layer.class = class;
         self.push(layer);
-        self.h = Self::out_dim(self.h, kh, stride, pad_h);
-        self.w = Self::out_dim(self.w, kw, stride, pad_w);
+        self.h = Op::conv_out(self.h, kh, stride, pad_h);
+        self.w = Op::conv_out(self.w, kw, stride, pad_w);
         self.c = co;
         self
     }
@@ -127,8 +123,8 @@ impl CnnBuilder {
         let name = self.next_name("dwconv");
         let op = Op::DepthwiseConv { c: self.c, h: self.h, w: self.w, k, stride, pad };
         self.push(Layer::new(name, op));
-        self.h = Self::out_dim(self.h, k, stride, pad);
-        self.w = Self::out_dim(self.w, k, stride, pad);
+        self.h = Op::conv_out(self.h, k, stride, pad);
+        self.w = Op::conv_out(self.w, k, stride, pad);
         self.bn_relu()
     }
 
@@ -152,8 +148,8 @@ impl CnnBuilder {
 
     /// Max/avg pooling with a square window, updating the shape.
     pub fn pool(&mut self, k: u64, stride: u64, pad: u64) -> &mut Self {
-        let ho = Self::out_dim(self.h, k, stride, pad);
-        let wo = Self::out_dim(self.w, k, stride, pad);
+        let ho = Op::conv_out(self.h, k, stride, pad);
+        let wo = Op::conv_out(self.w, k, stride, pad);
         let name = self.next_name("pool");
         self.push(Layer::new(
             name,

@@ -120,8 +120,9 @@ pub enum Op {
 }
 
 impl Op {
-    /// Convolution output spatial size.
-    fn conv_out(h: u64, k: u64, stride: u64, pad: u64) -> u64 {
+    /// Convolution output size along one spatial axis of extent `h`, for
+    /// a kernel of extent `k` at `stride` with `pad` on each side.
+    pub fn conv_out(h: u64, k: u64, stride: u64, pad: u64) -> u64 {
         (h + 2 * pad).saturating_sub(k) / stride + 1
     }
 

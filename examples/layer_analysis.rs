@@ -1,6 +1,8 @@
-//! Per-layer cost analysis: dump the compiler/model's layer-resolution
+//! Per-layer cost analysis: dump the analytic model's layer-resolution
 //! view of one benchmark as CSV (pipe to a file for spreadsheet analysis)
-//! and print the worst offenders.
+//! and print the worst offenders. The rows come from the same per-layer
+//! pricing `evaluate_inference` folds, so their cycle columns sum exactly
+//! to its Fig 17 breakdown.
 //!
 //! Run with: `cargo run --release --example layer_analysis [benchmark]`
 

@@ -6,8 +6,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples fail loudly by design
 
+use rapid::arch::precision::Precision;
 use rapid::model::cost::ModelConfig;
-use rapid::model::scaling::{inference_core_scaling, training_chip_scaling};
+use rapid::model::scaling::{chip_sweep, core_sweep};
 use rapid::workloads::suite::benchmark;
 
 fn main() {
@@ -22,10 +23,10 @@ fn main() {
     println!();
     for name in ["vgg16", "resnet50", "yolov3", "mobilenetv1", "lstm"] {
         let net = benchmark(name).expect("known benchmark");
-        let pts = inference_core_scaling(&net, &counts, &cfg);
+        let pts = core_sweep(&net, counts, Precision::Int4, &cfg);
         print!("{name:<12}");
         for p in &pts {
-            print!(" {:>6.2}x", p.speedup);
+            print!(" {:>6.2}x", pts[0].latency_s / p.latency_s);
         }
         println!();
     }
@@ -38,10 +39,10 @@ fn main() {
     println!();
     for name in ["vgg16", "resnet50", "bert", "lstm"] {
         let net = benchmark(name).expect("known benchmark");
-        let pts = training_chip_scaling(&net, &counts, 512, &cfg);
+        let pts = chip_sweep(&net, counts, 512, &cfg);
         print!("{name:<12}");
         for p in &pts {
-            print!(" {:>6.2}x", p.speedup);
+            print!(" {:>6.2}x", p.throughput / pts[0].throughput);
         }
         println!();
     }

@@ -7,6 +7,13 @@
 # their exit status; they never grep records or transcripts.
 #
 #   scripts/check.sh              full gate (build, tests, clippy, smokes)
+#   scripts/check.sh --model      analytic-model gate only: clippy on the
+#                                 model and compiler crates, the model
+#                                 crate's tests (per-layer reports sum
+#                                 exactly to the network breakdown), the
+#                                 inference, training and sim-calibration
+#                                 integration tests, and timed
+#                                 fig17_breakdown and fig18_scaling smokes
 #   scripts/check.sh --recovery   recovery gate only: clippy on the recover
 #                                 crate (unwrap/expect denied), the recover
 #                                 crate's tests, the refnet crate's tests
@@ -74,17 +81,18 @@
 #                                 link to a deleted or private item fails,
 #                                 and the facade crate's doctests, which
 #                                 compile and run README.md's Rust examples
-#   scripts/check.sh --all        every named gate (recovery, telemetry,
-#                                 protection, simd, serve, elastic, obs,
-#                                 health, doc) without the full build/test/
-#                                 clippy preamble. Gates keep running
-#                                 after a failure; a per-gate PASS/FAIL
-#                                 table prints at the end and the exit
-#                                 code is nonzero iff any gate failed
+#   scripts/check.sh --all        every named gate (model, recovery,
+#                                 telemetry, protection, simd, serve,
+#                                 elastic, obs, health, doc) without the
+#                                 full build/test/clippy preamble. Gates
+#                                 keep running after a failure; a
+#                                 per-gate PASS/FAIL table prints at the
+#                                 end and the exit code is nonzero iff
+#                                 any gate failed
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-gates=(recovery telemetry protection simd serve elastic obs health doc)
+gates=(model recovery telemetry protection simd serve elastic obs health doc)
 out="target/gate-out"
 
 # smoke <bin> [args]: builds an experiment binary, runs it under a hard
@@ -104,6 +112,17 @@ smoke() {
 parser_proptests() {
     echo "== external-bytes parser proptests (bench record, checkpoint, OpenMetrics) =="
     cargo test --release -p rapid --test telemetry -q
+}
+
+model_gate() {
+    echo "== cargo clippy on the analytic model and its compiler inputs (deny warnings) =="
+    cargo clippy -p rapid-model -p rapid-compiler --all-targets -- -D warnings
+    echo "== model crate tests + inference/training/calibration integration tests =="
+    cargo test --release -p rapid-model -q
+    cargo test --release -p rapid --test end_to_end_inference --test end_to_end_training \
+        --test sim_model_calibration -q
+    smoke fig17_breakdown
+    smoke fig18_scaling
 }
 
 recovery_gate() {

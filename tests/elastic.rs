@@ -25,17 +25,6 @@ use rapid::refnet::data::gaussian_blobs;
 use rapid::refnet::mlp::Mlp;
 use rapid::ring::{elastic_allreduce, ElasticConfig, ElasticError, Membership};
 
-/// The model's parameters in reduction order — the unit the bit-identity
-/// assertions compare.
-fn weights_of(mlp: &Mlp) -> Vec<f32> {
-    let mut out = Vec::new();
-    for i in 0..mlp.layers().depth() {
-        out.extend_from_slice(mlp.layers().weights(i).as_slice());
-        out.extend_from_slice(mlp.layers().biases(i));
-    }
-    out
-}
-
 fn train_cfg(world: u32, epochs: usize) -> ElasticTrainConfig {
     ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training(world) }
 }
@@ -140,8 +129,8 @@ fn node_restored_from_generation_n_minus_1_catches_up_bit_identical() {
     assert_eq!(report.epochs_resumed, 5, "{report:?}");
     assert_eq!(report.steps_run, (data.len().div_ceil(cfg.batch)) as u64, "one epoch replayed");
     assert_eq!(
-        weights_of(&restored),
-        weights_of(&full),
+        restored.layers().flatten(),
+        full.layers().flatten(),
         "generation N-1 catch-up must be bit-identical at the next barrier"
     );
     let _ = std::fs::remove_dir_all(&dir);

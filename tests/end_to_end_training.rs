@@ -7,7 +7,7 @@ use rapid::arch::geometry::SystemConfig;
 use rapid::arch::precision::Precision;
 use rapid::model::cost::ModelConfig;
 use rapid::model::training::{evaluate_training, TrainingResult};
-use rapid::model::scaling::training_chip_scaling;
+use rapid::model::scaling::chip_sweep;
 use rapid::workloads::graph::Network;
 use rapid::workloads::suite::benchmark_suite;
 
@@ -71,15 +71,19 @@ fn fig18b_chip_scaling() {
     let counts = [1u32, 2, 4, 8, 16, 32];
     // ResNet50 scales but sublinearly.
     let net = benchmark_suite().into_iter().find(|n| n.name == "resnet50").expect("known");
-    let pts = training_chip_scaling(&net, &counts, 512, &cfg);
-    for w in pts.windows(2) {
-        assert!(w[1].speedup >= w[0].speedup * 0.9, "scaling regressed: {pts:?}");
+    let speedups = |net| {
+        let pts = chip_sweep(net, counts, 512, &cfg);
+        pts.iter().map(|p| p.throughput / pts[0].throughput).collect::<Vec<f64>>()
+    };
+    let s = speedups(&net);
+    for w in s.windows(2) {
+        assert!(w[1] >= w[0] * 0.9, "scaling regressed: {s:?}");
     }
-    assert!(pts[5].speedup > 3.0 && pts[5].speedup < 32.0, "{:?}", pts[5]);
+    assert!(s[5] > 3.0 && s[5] < 32.0, "{}", s[5]);
     // The 138M-weight VGG16 saturates harder (update-phase exchange).
     let vgg = benchmark_suite().into_iter().find(|n| n.name == "vgg16").expect("known");
-    let vpts = training_chip_scaling(&vgg, &counts, 512, &cfg);
-    assert!(vpts[5].speedup < pts[5].speedup, "vgg {:?} vs resnet {:?}", vpts[5], pts[5]);
+    let v = speedups(&vgg);
+    assert!(v[5] < s[5], "vgg {} vs resnet {}", v[5], s[5]);
 }
 
 #[test]

@@ -18,7 +18,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
 use rapid::fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid::model::{degraded_throughput, ModelConfig};
+use rapid::model::{core_sweep, ModelConfig};
 use rapid::numerics::int::IntFormat;
 use rapid::numerics::GuardPolicy;
 use rapid::recover::{
@@ -198,15 +198,15 @@ fn degraded_chip_matches_healthy_values_and_pays_slowdown() {
     );
 
     let net = benchmark("resnet50").expect("suite has resnet50");
-    let points =
-        degraded_throughput(&net, 4, 3, Precision::Int4, &ModelConfig::default());
+    let points = core_sweep(&net, [4, 3], Precision::Int4, &ModelConfig::default());
     assert_eq!(points.len(), 2);
-    assert!((points[0].slowdown - 1.0).abs() < 1e-9, "4/4 survivors is the baseline");
-    let three = &points[1];
-    assert_eq!(three.survivors, 3);
+    let slowdowns: Vec<f64> = points.iter().map(|p| p.latency_s / points[0].latency_s).collect();
+    assert_eq!(points[0].count, 4);
+    assert!((slowdowns[0] - 1.0).abs() < 1e-9, "4/4 survivors is the baseline");
+    assert_eq!(points[1].count, 3);
+    let slowdown = slowdowns[1];
     assert!(
-        three.slowdown > 1.0 && three.slowdown < 4.0 / 3.0 + 0.05,
-        "3-core slowdown should sit in (1, 4/3+ε]: {}",
-        three.slowdown
+        slowdown > 1.0 && slowdown < 4.0 / 3.0 + 0.05,
+        "3-core slowdown should sit in (1, 4/3+ε]: {slowdown}"
     );
 }
