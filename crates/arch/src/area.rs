@@ -53,11 +53,6 @@ impl ChipFloorplan {
     pub fn rapid_7nm() -> Self {
         Self { edge_mm: 6.0, node_nm: 7 }
     }
-
-    /// Die area in mm².
-    pub fn area_mm2(&self) -> f64 {
-        self.edge_mm * self.edge_mm
-    }
 }
 
 #[cfg(test)]
@@ -74,12 +69,5 @@ mod tests {
         // Doubled INT4 engines draw 0.6× the FP16 pipeline power.
         assert!((m.doubled_int4_power() - 0.6).abs() < 1e-12);
         assert!(m.doubled_int4_power() < 1.0);
-    }
-
-    #[test]
-    fn chip_is_36mm2() {
-        let f = ChipFloorplan::rapid_7nm();
-        assert_eq!(f.area_mm2(), 36.0);
-        assert_eq!(f.node_nm, 7);
     }
 }

@@ -34,7 +34,7 @@ impl MpeConfig {
 
     /// Number of stationary weights the LRF holds at a precision
     /// (`lrf_bytes / bytes_per_element`).
-    pub fn lrf_weights(&self, p: Precision) -> u32 {
+    pub(crate) fn lrf_weights(&self, p: Precision) -> u32 {
         (f64::from(self.lrf_bytes) / p.bytes()) as u32
     }
 
@@ -78,7 +78,7 @@ impl Default for CoreletConfig {
 
 impl CoreletConfig {
     /// Total MPEs in the array.
-    pub fn mpe_count(&self) -> u32 {
+    pub(crate) fn mpe_count(&self) -> u32 {
         self.rows * self.cols
     }
 
@@ -102,12 +102,6 @@ impl CoreletConfig {
     /// Maximum stationary input channels per LRF block-load.
     pub fn ci_lrf_max(&self, p: Precision) -> u32 {
         self.rows * self.mpe.lrf_ci_depth(p)
-    }
-
-    /// Cycles to block-load every MPE's LRF through the L1 port.
-    pub fn block_load_cycles(&self) -> u64 {
-        let bytes = u64::from(self.mpe_count()) * u64::from(self.mpe.lrf_bytes);
-        bytes.div_ceil(u64::from(self.l1_bw_bytes_per_cycle))
     }
 
     /// Pipeline fill/drain cycles for one pass through the systolic array
@@ -144,7 +138,7 @@ impl Default for CoreConfig {
 
 impl CoreConfig {
     /// MACs per cycle for the whole core.
-    pub fn macs_per_cycle(&self, p: Precision) -> u64 {
+    pub(crate) fn macs_per_cycle(&self, p: Precision) -> u64 {
         u64::from(self.corelets) * self.corelet.macs_per_cycle(p)
     }
 
@@ -187,7 +181,7 @@ impl ChipConfig {
     }
 
     /// The scaled-up 32-core training chip with HBM at 400 GBps (§IV-A).
-    pub fn rapid_32core() -> Self {
+    pub(crate) fn rapid_32core() -> Self {
         Self {
             cores: 32,
             core: CoreConfig::default(),
@@ -204,12 +198,6 @@ impl ChipConfig {
         self
     }
 
-    /// A copy with a different external memory bandwidth.
-    pub fn with_mem_bw_gbps(mut self, bw: f64) -> Self {
-        self.mem_bw_gbps = bw;
-        self
-    }
-
     /// MACs per cycle for the whole chip.
     pub fn macs_per_cycle(&self, p: Precision) -> u64 {
         u64::from(self.cores) * self.core.macs_per_cycle(p)
@@ -223,16 +211,6 @@ impl ChipConfig {
     /// Peak throughput in T(FL)OPS at a frequency in GHz.
     pub fn peak_tops(&self, p: Precision, freq_ghz: f64) -> f64 {
         self.peak_ops_per_cycle(p) as f64 * freq_ghz * 1e9 / 1e12
-    }
-
-    /// Peak throughput at the nominal frequency.
-    pub fn peak_tops_nominal(&self, p: Precision) -> f64 {
-        self.peak_tops(p, self.freq_ghz)
-    }
-
-    /// External memory bandwidth in bytes/cycle at the nominal frequency.
-    pub fn mem_bytes_per_cycle(&self) -> f64 {
-        self.mem_bw_gbps * 1e9 / (self.freq_ghz * 1e9)
     }
 }
 
@@ -259,16 +237,6 @@ impl SystemConfig {
         self.chips = chips;
         self
     }
-
-    /// Peak system throughput in T(FL)OPS at the nominal frequency.
-    pub fn peak_tops(&self, p: Precision) -> f64 {
-        f64::from(self.chips) * self.chip.peak_tops_nominal(p)
-    }
-
-    /// Total cores in the system.
-    pub fn total_cores(&self) -> u32 {
-        self.chips * self.chip.cores
-    }
 }
 
 #[cfg(test)]
@@ -294,17 +262,17 @@ mod tests {
     fn abstract_numbers_at_nominal() {
         // "12/24/96 T(FL)OPS peak" for the 4-core chip at 1.5 GHz.
         let chip = ChipConfig::rapid_4core();
-        assert!((chip.peak_tops_nominal(Precision::Fp16) - 12.288).abs() < 1e-9);
-        assert!((chip.peak_tops_nominal(Precision::Hfp8) - 24.576).abs() < 1e-9);
-        assert!((chip.peak_tops_nominal(Precision::Int4) - 98.304).abs() < 1e-9);
+        assert!((chip.peak_tops(Precision::Fp16, chip.freq_ghz) - 12.288).abs() < 1e-9);
+        assert!((chip.peak_tops(Precision::Hfp8, chip.freq_ghz) - 24.576).abs() < 1e-9);
+        assert!((chip.peak_tops(Precision::Int4, chip.freq_ghz) - 98.304).abs() < 1e-9);
     }
 
     #[test]
     fn training_system_reaches_768_tops() {
         // "768 TFLOPs AI system comprising 4 32-core RAPID chips" (HFP8).
         let sys = SystemConfig::training_4x32();
-        assert!((sys.peak_tops(Precision::Hfp8) - 786.432).abs() < 1e-6);
-        assert_eq!(sys.total_cores(), 128);
+        let peak = f64::from(sys.chips) * sys.chip.peak_tops(Precision::Hfp8, sys.chip.freq_ghz);
+        assert!((peak - 786.432).abs() < 1e-6);
     }
 
     #[test]
@@ -327,13 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn block_load_cost() {
-        let c = CoreletConfig::default();
-        // 64 MPEs × 256 B = 16 KiB at 128 B/cycle = 128 cycles.
-        assert_eq!(c.block_load_cycles(), 128);
-    }
-
-    #[test]
     fn int4_consumes_5_8ths_of_l1_bandwidth() {
         // Paper §III-D: "the INT4 computations of the MPE still consume
         // only 5/8th of the available L1 bandwidth of 128 bytes/cycle."
@@ -346,17 +307,9 @@ mod tests {
     }
 
     #[test]
-    fn mem_bytes_per_cycle() {
-        let chip = ChipConfig::rapid_4core();
-        // 200 GB/s at 1.5 GHz ≈ 133 B/cycle.
-        assert!((chip.mem_bytes_per_cycle() - 133.333).abs() < 0.01);
-    }
-
-    #[test]
     fn builders() {
-        let chip = ChipConfig::rapid_4core().with_cores(16).with_mem_bw_gbps(400.0);
+        let chip = ChipConfig::rapid_4core().with_cores(16);
         assert_eq!(chip.cores, 16);
-        assert_eq!(chip.mem_bw_gbps, 400.0);
         let sys = SystemConfig::training_4x32().with_chips(8);
         assert_eq!(sys.chips, 8);
     }

@@ -196,12 +196,6 @@ pub enum SfuOpKind {
 }
 
 impl SfuOpKind {
-    /// Whether the op runs on the FP32 sub-units (selected operations keep
-    /// 32-bit precision, §I feature 3).
-    pub fn uses_fp32(&self) -> bool {
-        matches!(self, SfuOpKind::ChunkAccum | SfuOpKind::Sqrt | SfuOpKind::Ln | SfuOpKind::Exp)
-    }
-
     /// Throughput in elements per lane per cycle (fast approximations run
     /// at 1/lane/cycle; accurate iterative versions at 1/4).
     pub fn elems_per_lane_cycle(&self, accurate: bool) -> f64 {
@@ -414,7 +408,5 @@ mod tests {
         assert_eq!(SfuOpKind::Relu.elems_per_lane_cycle(false), 1.0);
         assert_eq!(SfuOpKind::Sigmoid.elems_per_lane_cycle(false), 0.5);
         assert_eq!(SfuOpKind::Sigmoid.elems_per_lane_cycle(true), 0.125);
-        assert!(SfuOpKind::ChunkAccum.uses_fp32());
-        assert!(!SfuOpKind::Relu.uses_fp32());
     }
 }

@@ -5,8 +5,6 @@
 //! multiplier relative to FP16. The value-level semantics live in
 //! `rapid-numerics`.
 
-use rapid_numerics::fma::FmaMode;
-
 /// Which MPE pipeline a precision executes on (paper §III-A separates the
 /// FPU and FXU pipelines to decouple their circuit optimization).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,7 +44,7 @@ impl Precision {
         [Precision::Fp16, Precision::Hfp8, Precision::Int4, Precision::Int2];
 
     /// Storage bits per element.
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         match self {
             Precision::Fp32 => 32,
             Precision::Fp16 => 16,
@@ -68,7 +66,7 @@ impl Precision {
     /// # Panics
     ///
     /// Panics for [`Precision::Fp32`], which the MPE array does not execute.
-    pub fn mpe_throughput_multiplier(&self) -> u32 {
+    pub(crate) fn mpe_throughput_multiplier(&self) -> u32 {
         match self {
             Precision::Fp32 => panic!("FP32 does not execute on the MPE array"),
             Precision::Fp16 => 1,
@@ -88,18 +86,8 @@ impl Precision {
     }
 
     /// Whether this is a floating-point format.
-    pub fn is_float(&self) -> bool {
+    pub(crate) fn is_float(&self) -> bool {
         matches!(self, Precision::Fp32 | Precision::Fp16 | Precision::Hfp8)
-    }
-
-    /// The forward-pass FMA mode of this precision, when it executes on the
-    /// FPU (used to drive the functional pipelines in `rapid-numerics`).
-    pub fn fma_mode(&self) -> Option<FmaMode> {
-        match self {
-            Precision::Fp16 => Some(FmaMode::Fp16),
-            Precision::Hfp8 => Some(FmaMode::hfp8_fwd_default()),
-            _ => None,
-        }
     }
 
     /// Human-readable unit for throughput in this precision
@@ -165,12 +153,5 @@ mod tests {
     fn units() {
         assert_eq!(Precision::Hfp8.throughput_unit(), "TFLOPS");
         assert_eq!(Precision::Int4.throughput_unit(), "TOPS");
-    }
-
-    #[test]
-    fn fma_modes() {
-        assert!(Precision::Fp16.fma_mode().is_some());
-        assert!(Precision::Hfp8.fma_mode().is_some());
-        assert!(Precision::Int4.fma_mode().is_none());
     }
 }

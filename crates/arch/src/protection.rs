@@ -47,12 +47,6 @@ impl ProtectionParams {
         }
     }
 
-    /// Physical scratchpad bytes needed to present `data_bytes` of
-    /// protected capacity.
-    pub fn protected_spad_bytes(&self, data_bytes: f64) -> f64 {
-        data_bytes * (1.0 + self.secded_storage_overhead)
-    }
-
     /// Effective link-bandwidth derate from the CRC byte: payload over
     /// payload+CRC (< 1.0).
     pub fn crc_bandwidth_factor(&self) -> f64 {
@@ -88,8 +82,6 @@ mod tests {
     fn secded_storage_matches_codec_geometry() {
         let p = ProtectionParams::rapid();
         assert!((p.secded_storage_overhead - 7.0 / 32.0).abs() < 1e-12);
-        let mb = 2.0 * 1024.0 * 1024.0;
-        assert!((p.protected_spad_bytes(mb) / mb - 1.218_75).abs() < 1e-9);
     }
 
     #[test]

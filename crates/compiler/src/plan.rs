@@ -56,19 +56,6 @@ pub struct NetworkPlan {
     pub layers: Vec<LayerPlan>,
 }
 
-impl NetworkPlan {
-    /// Plans of layers executing at the quantized target precision.
-    pub fn quantized_layer_count(&self) -> usize {
-        self.layers.iter().filter(|l| l.precision == self.target).count()
-    }
-
-    /// MAC-weighted average effective frequency of the schedule (GHz),
-    /// weighted by each layer's plan share — useful in reports.
-    pub fn frequencies(&self) -> impl Iterator<Item = f64> + '_ {
-        self.layers.iter().map(|l| l.effective_ghz)
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {

@@ -110,7 +110,7 @@ impl XorShift64 {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let mut x = self.state;
         x ^= x << 13;
         x ^= x >> 7;
@@ -267,23 +267,6 @@ impl FaultConfig {
             .and_then(|s| s.trim().parse().ok())
             .unwrap_or(default_seed)
     }
-
-    /// Whether any injector can fire at all.
-    pub fn enabled(&self) -> bool {
-        self.mac_operand_rate > 0.0
-            || self.mac_acc_rate > 0.0
-            || self.mac_burst_rate > 0.0
-            || self.ring_drop_rate > 0.0
-            || self.ring_dup_rate > 0.0
-            || self.ring_delay_rate > 0.0
-            || self.ring_corrupt_rate > 0.0
-            || self.seq_stall_rate > 0.0
-            || self.spad_flip_rate > 0.0
-            || self.serve_transient_rate > 0.0
-            || self.node_crash_rate > 0.0
-            || self.node_hang_rate > 0.0
-            || self.node_slow_rate > 0.0
-    }
 }
 
 /// What happens to a data flit at its delivery point.
@@ -388,29 +371,6 @@ pub struct FaultCounts {
     pub node_slows: u64,
 }
 
-impl FaultCounts {
-    /// Accumulates these injection totals into a metrics registry under
-    /// `<prefix>.*` — the unified-telemetry form of this struct.
-    pub fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
-        reg.add(&format!("{prefix}.mac_operand_flips"), self.mac_operand_flips);
-        reg.add(&format!("{prefix}.mac_acc_flips"), self.mac_acc_flips);
-        reg.add(&format!("{prefix}.mac_bursts"), self.mac_bursts);
-        reg.add(&format!("{prefix}.mac_burst_flips"), self.mac_burst_flips);
-        reg.add(&format!("{prefix}.int_code_flips"), self.int_code_flips);
-        reg.add(&format!("{prefix}.int_chunk_flips"), self.int_chunk_flips);
-        reg.add(&format!("{prefix}.ring_drops"), self.ring_drops);
-        reg.add(&format!("{prefix}.ring_dups"), self.ring_dups);
-        reg.add(&format!("{prefix}.ring_holds"), self.ring_holds);
-        reg.add(&format!("{prefix}.ring_corruptions"), self.ring_corruptions);
-        reg.add(&format!("{prefix}.seq_stalls"), self.seq_stalls);
-        reg.add(&format!("{prefix}.spad_flips"), self.spad_flips);
-        reg.add(&format!("{prefix}.serve_transients"), self.serve_transients);
-        reg.add(&format!("{prefix}.node_crashes"), self.node_crashes);
-        reg.add(&format!("{prefix}.node_hangs"), self.node_hangs);
-        reg.add(&format!("{prefix}.node_slows"), self.node_slows);
-    }
-}
-
 impl fmt::Display for FaultCounts {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -496,31 +456,11 @@ impl FaultPlan {
         Self::new(FaultConfig::default())
     }
 
-    /// The configuration this plan runs.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
-    /// Whether any injector can fire.
-    pub fn enabled(&self) -> bool {
-        self.cfg.enabled()
-    }
-
     /// Whether the MAC (numerics) injectors can fire.
     pub fn mac_enabled(&self) -> bool {
         self.cfg.mac_operand_rate > 0.0
             || self.cfg.mac_acc_rate > 0.0
             || self.cfg.mac_burst_rate > 0.0
-    }
-
-    /// Whether the Gilbert–Elliott burst injector can fire.
-    pub fn burst_enabled(&self) -> bool {
-        self.cfg.mac_burst_rate > 0.0
-    }
-
-    /// Whether a burst is active right now (probe/diagnosis visibility).
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
     }
 
     /// Whether the sequencer-stall injector can fire.
@@ -531,11 +471,6 @@ impl FaultPlan {
     /// Whether the scratchpad soft-error injector can fire.
     pub fn spad_enabled(&self) -> bool {
         self.cfg.spad_flip_rate > 0.0
-    }
-
-    /// Whether the serving transient-failure injector can fire.
-    pub fn serve_enabled(&self) -> bool {
-        self.cfg.serve_transient_rate > 0.0
     }
 
     /// Recorded events, in draw order (capped at
@@ -811,7 +746,6 @@ mod tests {
     #[test]
     fn disabled_plan_never_fires() {
         let mut plan = FaultPlan::disabled();
-        assert!(!plan.enabled());
         for i in 0..1000 {
             let v = i as f32 * 0.5 - 10.0;
             assert_eq!(plan.mac_operand(v).to_bits(), v.to_bits());
@@ -982,7 +916,6 @@ mod tests {
             mac_operand_rate: 0.5,
             ..FaultConfig::default()
         };
-        assert!(cfg.enabled());
         let run = |burn_macs: usize| {
             let mut plan = FaultPlan::new(cfg);
             for i in 0..burn_macs {
@@ -999,8 +932,6 @@ mod tests {
         let hits = d1.iter().filter(|&&b| b).count() as u64;
         assert_eq!(c1, hits);
         assert!((50..150).contains(&hits), "rate 0.25 over 400 draws: {hits}");
-        assert!(FaultPlan::new(cfg).serve_enabled());
-        assert!(!FaultPlan::disabled().serve_enabled());
     }
 
     #[test]
@@ -1014,7 +945,6 @@ mod tests {
             mac_operand_rate: 0.5,
             ..FaultConfig::default()
         };
-        assert!(cfg.enabled());
         let run = |burn_macs: usize| {
             let mut plan = FaultPlan::new(cfg);
             for i in 0..burn_macs {
@@ -1088,8 +1018,6 @@ mod tests {
             mac_burst_flip_rate: 0.8,
             ..FaultConfig::default()
         };
-        assert!(cfg.enabled(), "burst mode alone must count as enabled");
-        assert!(FaultPlan::new(cfg).burst_enabled());
         assert!(FaultPlan::new(cfg).mac_enabled());
         let run = |cfg| {
             let mut plan = FaultPlan::new(cfg);

@@ -37,7 +37,7 @@ impl CoreMap {
     }
 
     /// Cores currently excluded (quarantined or on probation).
-    pub fn excluded(&self) -> u32 {
+    pub(crate) fn excluded(&self) -> u32 {
         self.excluded.count_ones()
     }
 

@@ -84,25 +84,10 @@ impl ChipHealthMonitor {
         &self.map
     }
 
-    /// The tuning in effect.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
-    /// Per-core trackers, in core order.
-    pub fn trackers(&self) -> &[CoreTracker] {
-        self.trackers.as_slice()
-    }
-
     /// Every state transition so far, in (cycle, core) order — the
     /// deterministic replay trace.
     pub fn events(&self) -> &[HealthEvent] {
         self.events.as_slice()
-    }
-
-    /// Probe cycles executed so far.
-    pub fn cycles(&self) -> u64 {
-        self.cycle
     }
 
     /// Mean health score across all cores, in `[0, 1]`.
@@ -116,11 +101,6 @@ impl ChipHealthMonitor {
     /// Detection latencies (first failed probe → quarantine entry), µs.
     pub fn detect_latencies_us(&self) -> &[u64] {
         self.detect_latencies_us.as_slice()
-    }
-
-    /// The quarantine SLO rule's monitor (alerts, burn state).
-    pub fn slo(&self) -> &SloMonitor {
-        &self.slo
     }
 
     /// Folds an in-band signal (ABFT repair, guard trip, ECC, CRC)
@@ -348,7 +328,7 @@ mod tests {
         assert_eq!(mon.map().active(), 8);
         assert_eq!(mon.map().epoch(), 0);
         assert!((mon.chip_health() - 1.0).abs() < 1e-12);
-        assert!(mon.slo().alerts().is_empty());
+        assert!(mon.slo.alerts().is_empty());
     }
 
     #[test]
@@ -356,7 +336,7 @@ mod tests {
         let mut mon = ChipHealthMonitor::new(2, HealthConfig::default());
         mon.note_evidence(1, Evidence::EccDed, 2);
         mon.note_evidence(1, Evidence::AbftCorrection, 1);
-        assert!(mon.trackers()[1].score() < mon.trackers()[0].score());
+        assert!(mon.trackers[1].score() < mon.trackers[0].score());
         let mut reg = rapid_telemetry::MetricsRegistry::new();
         mon.record_into(&mut reg);
         assert_eq!(reg.counter("health.evidence.ecc_ded"), 2);

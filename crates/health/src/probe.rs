@@ -40,16 +40,6 @@ impl ProbeKind {
     /// Every probe kind, in the fixed order a cycle runs them.
     pub const ALL: [ProbeKind; 4] =
         [ProbeKind::Fp16, ProbeKind::Hfp8Fwd, ProbeKind::Hfp8Bwd, ProbeKind::Int4];
-
-    /// Counter-name suffix for `health.probe.*`.
-    pub fn label(self) -> &'static str {
-        match self {
-            ProbeKind::Fp16 => "fp16",
-            ProbeKind::Hfp8Fwd => "hfp8_fwd",
-            ProbeKind::Hfp8Bwd => "hfp8_bwd",
-            ProbeKind::Int4 => "int4",
-        }
-    }
 }
 
 /// Result of one probe on one core.
@@ -102,7 +92,7 @@ impl ProbeSuite {
     /// Builds the suite: draws deterministic operands from
     /// `cfg.probe_seed` and computes every golden via the scalar
     /// reference datapaths.
-    pub fn new(cfg: &HealthConfig) -> Self {
+    pub(crate) fn new(cfg: &HealthConfig) -> Self {
         let (m, k, n) = (cfg.probe_dim, 2 * cfg.probe_dim, cfg.probe_dim);
         let chunk_len = cfg.chunk_len;
         let modes = [
@@ -132,30 +122,14 @@ impl ProbeSuite {
     }
 
     /// Number of probes one cycle runs per core.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.floats.len() + 1
-    }
-
-    /// Whether the suite is empty (it never is; symmetry with `len`).
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// MACs one full per-core cycle costs — the probe overhead the bench
-    /// charges against goodput.
-    pub fn macs_per_cycle(&self) -> u64 {
-        let per = |a: &Tensor, b: &Tensor| {
-            let (m, k) = (a.shape()[0], a.shape()[1]);
-            let n = b.shape()[1];
-            (m * k * n) as u64
-        };
-        self.floats.iter().map(|p| per(&p.a, &p.b)).sum::<u64>() + per(&self.int.a, &self.int.b)
     }
 
     /// Runs the full suite on one core, routing every kernel through that
     /// core's fault stream. `faults == None` models probing an ideal core
     /// (always passes).
-    pub fn run(&self, mut faults: Option<&mut FaultPlan>) -> Vec<ProbeOutcome> {
+    pub(crate) fn run(&self, mut faults: Option<&mut FaultPlan>) -> Vec<ProbeOutcome> {
         let mut outcomes = Vec::with_capacity(self.len());
         for p in &self.floats {
             let run = matmul_emulated_with(
@@ -204,7 +178,6 @@ mod tests {
     fn clean_core_passes_every_probe() {
         let suite = ProbeSuite::new(&HealthConfig::default());
         assert_eq!(suite.len(), 4);
-        assert!(suite.macs_per_cycle() > 0);
         for o in suite.run(None) {
             assert!(o.passed, "probe {:?} failed on a clean core", o.kind);
             assert_eq!(o.mismatches, 0);

@@ -44,16 +44,6 @@ impl CoreState {
     pub fn in_service(self) -> bool {
         matches!(self, CoreState::Healthy | CoreState::Suspect)
     }
-
-    /// Counter-name suffix for `health.state.*`.
-    pub fn label(self) -> &'static str {
-        match self {
-            CoreState::Healthy => "healthy",
-            CoreState::Suspect => "suspect",
-            CoreState::Quarantined => "quarantined",
-            CoreState::Probation => "probation",
-        }
-    }
 }
 
 /// One state transition, recorded for the deterministic event trace.
@@ -83,7 +73,6 @@ pub struct CoreTracker {
     fail_streak: u32,
     quarantine_cycles: u32,
     probation_passes: u32,
-    quarantined_at: Option<u64>,
 }
 
 impl CoreTracker {
@@ -96,12 +85,11 @@ impl CoreTracker {
             fail_streak: 0,
             quarantine_cycles: 0,
             probation_passes: 0,
-            quarantined_at: None,
         }
     }
 
     /// The core index this tracker watches.
-    pub fn core(&self) -> u32 {
+    pub(crate) fn core(&self) -> u32 {
         self.core
     }
 
@@ -113,11 +101,6 @@ impl CoreTracker {
     /// The current health score in `[0, 1]`.
     pub fn score(&self) -> f64 {
         self.score.value()
-    }
-
-    /// Cycle at which the core most recently entered quarantine.
-    pub fn quarantined_at(&self) -> Option<u64> {
-        self.quarantined_at
     }
 
     /// Folds in-band evidence (ABFT repairs, guard trips, ECC, CRC) into
@@ -192,7 +175,6 @@ impl CoreTracker {
             CoreState::Quarantined => {
                 self.quarantine_cycles = 0;
                 self.probation_passes = 0;
-                self.quarantined_at = Some(cycle);
             }
             CoreState::Probation => self.probation_passes = 0,
             CoreState::Healthy if from == CoreState::Probation => {
@@ -200,7 +182,6 @@ impl CoreTracker {
                 // band so one routine SEC event cannot re-demote it.
                 self.score.raise_to(cfg.resume_score);
                 self.fail_streak = 0;
-                self.quarantined_at = None;
             }
             _ => {}
         }
@@ -234,7 +215,6 @@ mod tests {
         cycle += 1;
         let ev = t.observe_probe(cycle, false, &cfg).expect("transition");
         assert_eq!(ev.to, CoreState::Quarantined);
-        assert_eq!(t.quarantined_at(), Some(cycle));
         // Cooldown: min_quarantine_probes clean cycles before probation.
         let mut state = t.state();
         for _ in 0..cfg.min_quarantine_probes {
@@ -253,7 +233,6 @@ mod tests {
         }
         assert_eq!(state, CoreState::Healthy);
         assert!(t.score() >= cfg.resume_score);
-        assert_eq!(t.quarantined_at(), None);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub enum Evidence {
 
 impl Evidence {
     /// How much one occurrence subtracts from the score.
-    pub fn weight(self) -> f64 {
+    pub(crate) fn weight(self) -> f64 {
         match self {
             Evidence::ProbeFail => 0.45,
             Evidence::AbftCorrection => 0.10,
@@ -39,7 +39,7 @@ impl Evidence {
     }
 
     /// Counter-name suffix for `health.evidence.*`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Evidence::ProbeFail => "probe_fail",
             Evidence::AbftCorrection => "abft",
@@ -75,23 +75,23 @@ impl Default for HealthScore {
 
 impl HealthScore {
     /// A pristine score (1.0).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { value: 1.0 }
     }
 
     /// The current score in `[0, 1]`.
-    pub fn value(&self) -> f64 {
+    pub(crate) fn value(&self) -> f64 {
         self.value
     }
 
     /// The score in integer milli-units — the form events record, so
     /// trace comparisons are exact.
-    pub fn milli(&self) -> u32 {
+    pub(crate) fn milli(&self) -> u32 {
         (self.value * 1000.0).round() as u32
     }
 
     /// Applies `n` occurrences of one evidence kind.
-    pub fn apply(&mut self, ev: Evidence, n: u64) {
+    pub(crate) fn apply(&mut self, ev: Evidence, n: u64) {
         if n == 0 {
             return;
         }
@@ -99,12 +99,12 @@ impl HealthScore {
     }
 
     /// One clean probe: restores `recovery` of the remaining headroom.
-    pub fn recover(&mut self, recovery: f64) {
+    pub(crate) fn recover(&mut self, recovery: f64) {
         self.value = (self.value + (1.0 - self.value) * recovery.clamp(0.0, 1.0)).min(1.0);
     }
 
     /// Resets the score to at least `floor` (reinstatement).
-    pub fn raise_to(&mut self, floor: f64) {
+    pub(crate) fn raise_to(&mut self, floor: f64) {
         self.value = self.value.max(floor.clamp(0.0, 1.0));
     }
 }

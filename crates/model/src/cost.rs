@@ -77,7 +77,7 @@ pub struct CycleBreakdown {
 
 impl CycleBreakdown {
     /// Total compute cycles.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.conv_ideal + self.conv_overhead + self.quant + self.aux
     }
 
@@ -124,12 +124,12 @@ impl EnergyLedger {
 }
 
 /// Total SFU lanes across a chip.
-pub fn sfu_lanes(chip: &ChipConfig) -> f64 {
+pub(crate) fn sfu_lanes(chip: &ChipConfig) -> f64 {
     f64::from(chip.cores) * chip.core.sfu_ops_per_cycle() as f64
 }
 
 /// Total corelets across a chip.
-pub fn total_corelets(chip: &ChipConfig) -> u32 {
+pub(crate) fn total_corelets(chip: &ChipConfig) -> u32 {
     chip.cores * chip.core.corelets
 }
 

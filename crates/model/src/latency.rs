@@ -41,7 +41,7 @@ pub struct LatencyEntry {
 
 impl LatencyEntry {
     /// Estimated service time for a batch, microseconds.
-    pub fn estimate_us(&self, batch: usize) -> f64 {
+    pub(crate) fn estimate_us(&self, batch: usize) -> f64 {
         self.base_us + self.per_item_us * batch as f64
     }
 }
@@ -127,16 +127,6 @@ impl LatencyTable {
         names.dedup();
         names
     }
-
-    /// Number of calibrated `(model, precision)` entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +143,7 @@ mod tests {
     #[test]
     fn estimates_are_positive_and_monotone_in_batch() {
         let t = table_for(&["resnet50", "mobilenetv1"]);
-        assert_eq!(t.len(), 6);
+        assert_eq!(t.entries.len(), 6);
         for model in ["resnet50", "mobilenetv1"] {
             for p in SERVING_PRECISIONS {
                 let b1 = t.estimate_us(model, p, 1).unwrap();
@@ -198,7 +188,6 @@ mod tests {
         assert!((four / one - 4.0).abs() < 1e-9);
         assert!(t.estimate_us("resnet50", Precision::Fp16, 1).is_none());
         assert!(t.entry("lstm", Precision::Int2).is_none());
-        assert!(!t.is_empty());
         assert_eq!(t.models(), vec!["lstm".to_string()]);
     }
 }

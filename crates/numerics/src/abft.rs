@@ -83,16 +83,6 @@ impl AbftReport {
             / self.base_macs as f64
     }
 
-    /// Folds another report into this one (per-layer reports → per-run).
-    pub fn merge(&mut self, other: AbftReport) {
-        self.base_macs += other.base_macs;
-        self.checksum_macs += other.checksum_macs;
-        self.recompute_macs += other.recompute_macs;
-        self.detected_rows += other.detected_rows;
-        self.detected_cols += other.detected_cols;
-        self.corrections += other.corrections;
-    }
-
     /// Accumulates the report into a metrics registry under `<prefix>.*`.
     pub fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
         reg.add(&format!("{prefix}.base_macs"), self.base_macs);

@@ -59,11 +59,6 @@ impl ChunkAccumulator {
         }
     }
 
-    /// The FMA mode in use.
-    pub fn mode(&self) -> FmaMode {
-        self.mode
-    }
-
     /// Multiply-accumulate one pair of *pre-quantized* operands.
     pub fn mac(&mut self, a: f32, b: f32) {
         let FmaResult { acc, zero_gated } =
@@ -95,17 +90,17 @@ impl ChunkAccumulator {
     /// Applies `f` to the chunk register in place — the entry point for
     /// injected accumulator upsets and for guard-policy clamping. Leaves
     /// every statistic untouched: a corrupted register is not a MAC.
-    pub fn corrupt_chunk(&mut self, f: impl FnOnce(f32) -> f32) {
+    pub(crate) fn corrupt_chunk(&mut self, f: impl FnOnce(f32) -> f32) {
         self.chunk_acc = f(self.chunk_acc);
     }
 
     /// Total MACs issued so far.
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         self.macs
     }
 
     /// MACs that were bypassed by zero-gating.
-    pub fn zero_gated(&self) -> u64 {
+    pub(crate) fn zero_gated(&self) -> u64 {
         self.zero_gated
     }
 

@@ -69,15 +69,6 @@ impl FmaMode {
         FmaMode::Hfp8 { a: Fp8::E4m3 { bias: 7 }, b: Fp8::E5m2 }
     }
 
-    /// Number of MACs one SIMD lane executes per cycle in this mode
-    /// (the sub-SIMD partition doubles HFP8 throughput, paper §III-A).
-    pub fn macs_per_lane(&self) -> usize {
-        match self {
-            FmaMode::Fp16 => 1,
-            FmaMode::Hfp8 { .. } => 2,
-        }
-    }
-
     /// Input formats `(a, b)` for this mode.
     pub fn operand_formats(&self) -> (FpFormat, FpFormat) {
         match self {
@@ -128,7 +119,7 @@ pub fn fma(mode: FmaMode, acc: f32, a: f32, b: f32) -> FmaResult {
 /// [`fma`] for operands that are already exact members of the mode's
 /// operand formats (skips the input quantization; used by the GEMM kernels
 /// which quantize whole tensors once).
-pub fn fma_prequantized(mode: FmaMode, acc: f32, qa: f32, qb: f32) -> FmaResult {
+pub(crate) fn fma_prequantized(mode: FmaMode, acc: f32, qa: f32, qb: f32) -> FmaResult {
     let fp16 = FpFormat::fp16();
     if qa == 0.0 || qb == 0.0 {
         // Zero-gating: bypass the pipeline, pass the addend through.
@@ -229,12 +220,5 @@ mod tests {
             acc = r.acc;
             assert!(fp16.is_representable(acc), "{acc} not fp16");
         }
-    }
-
-    #[test]
-    fn macs_per_lane_doubles_in_hfp8() {
-        assert_eq!(FmaMode::Fp16.macs_per_lane(), 1);
-        assert_eq!(FmaMode::hfp8_fwd_default().macs_per_lane(), 2);
-        assert_eq!(FmaMode::hfp8_bwd_default().macs_per_lane(), 2);
     }
 }

@@ -54,7 +54,7 @@ impl FpFormat {
     /// Returns [`NumericsError::InvalidFormat`] if `exp_bits` is outside
     /// `2..=8`, `man_bits` is outside `1..=23`, or the bias places the
     /// format's exponent range outside what `f32` can represent exactly.
-    pub fn new(
+    pub(crate) fn new(
         exp_bits: u32,
         man_bits: u32,
         bias: i32,
@@ -132,33 +132,23 @@ impl FpFormat {
         Self { exp_bits: 8, man_bits: 23, bias: 127, saturate: false, subnormals: true }
     }
 
-    /// Number of exponent bits.
-    pub fn exp_bits(&self) -> u32 {
-        self.exp_bits
-    }
-
     /// Number of stored mantissa bits.
     pub fn man_bits(&self) -> u32 {
         self.man_bits
     }
 
-    /// Exponent bias.
-    pub fn bias(&self) -> i32 {
-        self.bias
-    }
-
     /// Total storage width in bits (1 + exponent + mantissa).
-    pub fn total_bits(&self) -> u32 {
+    pub(crate) fn total_bits(&self) -> u32 {
         1 + self.exp_bits + self.man_bits
     }
 
     /// Whether overflow saturates to `max_value()` instead of infinity.
-    pub fn saturates(&self) -> bool {
+    pub(crate) fn saturates(&self) -> bool {
         self.saturate
     }
 
     /// Whether the format supports subnormal values.
-    pub fn has_subnormals(&self) -> bool {
+    pub(crate) fn has_subnormals(&self) -> bool {
         self.subnormals
     }
 
@@ -183,29 +173,10 @@ impl FpFormat {
         ((self.min_normal_exp() as f64).exp2()) as f32
     }
 
-    /// Smallest positive representable magnitude (subnormal quantum when the
-    /// format has subnormals, otherwise the minimum normal).
-    pub fn min_positive(&self) -> f32 {
-        if self.subnormals {
-            (((self.min_normal_exp() - self.man_bits as i32) as f64).exp2()) as f32
-        } else {
-            self.min_normal()
-        }
-    }
-
     /// Machine epsilon: spacing between 1.0 and the next representable value
     /// (assuming 1.0 is in range).
     pub fn epsilon(&self) -> f32 {
         (( -(self.man_bits as i32)) as f64).exp2() as f32
-    }
-
-    /// Number of distinct finite non-negative magnitudes (including zero).
-    pub fn magnitude_count(&self) -> u32 {
-        // exponent codes 1..=2^E-1 are normal, each with 2^M mantissas,
-        // plus zero (and subnormals if enabled).
-        let normals = ((1u32 << self.exp_bits) - 1) * (1u32 << self.man_bits);
-        let subs = if self.subnormals { (1u32 << self.man_bits) - 1 } else { 0 };
-        normals + subs + 1
     }
 
     /// Rounds `x` to the nearest representable value of this format using
@@ -332,7 +303,8 @@ impl FpFormat {
 
     /// Returns `true` when `x` is exactly representable in this format
     /// (including zero; NaN and infinities are not considered representable).
-    pub fn is_representable(&self, x: f32) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_representable(&self, x: f32) -> bool {
         x.is_finite() && self.quantize(x) == x
     }
 
@@ -408,11 +380,13 @@ impl FpFormat {
     }
 
     /// Iterates over every non-negative representable magnitude in
-    /// increasing order (useful for exhaustive tests on narrow formats).
-    pub fn positive_values(&self) -> Vec<f32> {
+    /// increasing order (the enumerator exhaustive tests on narrow formats
+    /// compare against).
+    #[cfg(test)]
+    pub(crate) fn positive_values(&self) -> Vec<f32> {
         let mut out = vec![0.0f32];
         if self.subnormals {
-            let quantum = self.min_positive();
+            let quantum = ((self.min_normal_exp() - self.man_bits as i32) as f64).exp2() as f32;
             for m in 1..(1u32 << self.man_bits) {
                 out.push(m as f32 * quantum);
             }
@@ -453,9 +427,9 @@ mod tests {
     fn fp16_properties_match_dlfloat() {
         let f = FpFormat::fp16();
         assert_eq!(f.total_bits(), 16);
-        assert_eq!(f.exp_bits(), 6);
+        assert_eq!(f.exp_bits, 6);
         assert_eq!(f.man_bits(), 9);
-        assert_eq!(f.bias(), 31);
+        assert_eq!(f.bias, 31);
         // max exponent 63-31 = 32, frac 2 - 2^-9
         assert!((f64::from(f.max_value()) - (2.0 - 2f64.powi(-9)) * 2f64.powi(32)).abs() < 1e20);
         assert_eq!(f.min_normal(), 2f32.powi(-30));
@@ -469,7 +443,7 @@ mod tests {
         // format keeps all codes finite: verify against our own definition.
         assert_eq!(f.max_value(), (2.0 - 0.125) * 2f32.powi(8));
         assert_eq!(f.min_normal(), 2f32.powi(-6));
-        assert_eq!(f.magnitude_count(), 15 * 8 + 1);
+        assert_eq!(f.positive_values().len(), 15 * 8 + 1);
     }
 
     #[test]

@@ -1492,11 +1492,6 @@ pub struct ConvSpec {
 }
 
 impl ConvSpec {
-    /// Unit-stride, zero-pad convolution.
-    pub fn unit() -> Self {
-        Self { stride: 1, pad: 0 }
-    }
-
     /// Output spatial size for an input of size `h` and kernel `k`: 0 when
     /// the kernel does not fit the padded input or the stride is 0.
     pub fn out_dim(&self, h: usize, k: usize) -> usize {
@@ -1684,14 +1679,16 @@ fn check_conv_shapes(
     Ok((s[0], ws[0], Lowering::new([s[1], s[2], s[3]], ws[2], ws[3], spec)))
 }
 
-/// Reference FP32 convolution: input `[n, ci, h, w]`, weight
-/// `[co, ci, kh, kw]` → output `[n, co, ho, wo]`.
+/// Reference FP32 convolution the emulated convolutions' tests compare
+/// against: input `[n, ci, h, w]`, weight `[co, ci, kh, kw]` → output
+/// `[n, co, ho, wo]`.
 ///
 /// # Panics
 ///
 /// Panics if the operand ranks or channel counts are inconsistent.
+#[cfg(test)]
 #[allow(clippy::expect_used)] // documented panic on bad shapes
-pub fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
+fn conv2d_f32(input: &Tensor, weight: &Tensor, spec: ConvSpec) -> Tensor {
     conv2d_via_gemm(input, weight, spec, |cols, wmat| {
         Ok((matmul_f32(cols, wmat), GemmStats::default()))
     })
@@ -2025,9 +2022,9 @@ mod tests {
         let (input, weight) = (Tensor::zeros(vec![1, 0, 4, 4]), Tensor::zeros(vec![2, 0, 1, 1]));
         let mode = FmaMode::hfp8_fwd_default();
         let (fast, fs) =
-            conv2d_emulated_with_simd(&input, &weight, ConvSpec::unit(), mode, 4, SimdMode::Force)
+            conv2d_emulated_with_simd(&input, &weight, ConvSpec { stride: 1, pad: 0 }, mode, 4, SimdMode::Force)
                 .unwrap();
-        let (scalar, ss) = conv2d_emulated_scalar(&input, &weight, ConvSpec::unit(), mode, 4);
+        let (scalar, ss) = conv2d_emulated_scalar(&input, &weight, ConvSpec { stride: 1, pad: 0 }, mode, 4);
         assert_bits_eq(&fast, &scalar);
         assert_eq!(fs, ss);
     }
@@ -2294,7 +2291,7 @@ mod tests {
         // 1x1x3x3 input, 1x1x2x2 kernel, stride 1 pad 0.
         let input = Tensor::from_vec(vec![1, 1, 3, 3], (1..=9).map(|x| x as f32).collect());
         let weight = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 0.0, 0.0, 1.0]);
-        let out = conv2d_f32(&input, &weight, ConvSpec::unit());
+        let out = conv2d_f32(&input, &weight, ConvSpec { stride: 1, pad: 0 });
         assert_eq!(out.shape(), &[1, 1, 2, 2]);
         // out[y][x] = in[y][x] + in[y+1][x+1]
         assert_eq!(out.get(&[0, 0, 0, 0]), 1.0 + 5.0);
@@ -2310,7 +2307,7 @@ mod tests {
     #[test]
     fn conv_rejects_unfitting_kernel_and_zero_stride() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
-        assert_eq!(ConvSpec::unit().out_dim(2, 3), 0);
+        assert_eq!(ConvSpec { stride: 1, pad: 0 }.out_dim(2, 3), 0);
         assert_eq!(ConvSpec { stride: 1, pad: 1 }.out_dim(2, 3), 2);
         assert_eq!(ConvSpec { stride: 0, pad: 0 }.out_dim(4, 3), 0);
         let input = Tensor::from_vec(vec![1, 1, 2, 2], vec![1.0, 2.0, 3.0, 4.0]);
@@ -2319,8 +2316,8 @@ mod tests {
             QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0),
         );
         let cases = [
-            (Tensor::from_fn(vec![1, 1, 3, 3], |_| 1.0), ConvSpec::unit()),
-            (Tensor::from_fn(vec![1, 1, 1, 3], |_| 1.0), ConvSpec::unit()),
+            (Tensor::from_fn(vec![1, 1, 3, 3], |_| 1.0), ConvSpec { stride: 1, pad: 0 }),
+            (Tensor::from_fn(vec![1, 1, 1, 3], |_| 1.0), ConvSpec { stride: 1, pad: 0 }),
             (Tensor::from_fn(vec![1, 1, 1, 1], |_| 1.0), ConvSpec { stride: 0, pad: 0 }),
         ];
         for (weight, spec) in &cases {
@@ -2357,8 +2354,8 @@ mod tests {
     fn emulated_conv_tracks_reference() {
         let input = Tensor::random_uniform(vec![1, 4, 6, 6], -1.0, 1.0, 12);
         let weight = Tensor::random_uniform(vec![8, 4, 3, 3], -0.5, 0.5, 13);
-        let exact = conv2d_f32(&input, &weight, ConvSpec::unit());
-        let (fp16, stats) = conv2d_emulated(&input, &weight, ConvSpec::unit(), FmaMode::Fp16, 64);
+        let exact = conv2d_f32(&input, &weight, ConvSpec { stride: 1, pad: 0 });
+        let (fp16, stats) = conv2d_emulated(&input, &weight, ConvSpec { stride: 1, pad: 0 }, FmaMode::Fp16, 64);
         assert_eq!(stats.macs as usize, 8 * 4 * 4 * 3 * 3 * 4);
         assert!(fp16.max_rel_diff(&exact) < 1e-2);
     }
@@ -2369,10 +2366,10 @@ mod tests {
         let weight = Tensor::random_uniform(vec![8, 8, 3, 3], -0.5, 0.5, 15);
         let qa = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Unsigned, 1.0);
         let qw = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 0.5);
-        let (out, stats) = conv2d_int(&input, &weight, ConvSpec::unit(), qa, qw, 64);
+        let (out, stats) = conv2d_int(&input, &weight, ConvSpec { stride: 1, pad: 0 }, qa, qw, 64);
         assert_eq!(out.shape(), &[1, 8, 4, 4]);
         assert_eq!(stats.saturations, 0);
-        let exact = conv2d_f32(&input, &weight, ConvSpec::unit());
+        let exact = conv2d_f32(&input, &weight, ConvSpec { stride: 1, pad: 0 });
         assert!(out.max_rel_diff(&exact) < 0.3);
     }
 

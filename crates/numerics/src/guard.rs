@@ -31,14 +31,14 @@ pub enum GuardPolicy {
 
 impl GuardPolicy {
     /// Whether this policy requires inspecting accumulator state at all.
-    pub fn checks(&self) -> bool {
+    pub(crate) fn checks(&self) -> bool {
         !matches!(self, GuardPolicy::Propagate)
     }
 }
 
 /// The FP16 saturation replacement for a non-finite float value: largest
 /// finite FP16 (1,6,9) magnitude with the sign preserved, or `0.0` for NaN.
-pub fn saturate_f32(v: f32) -> f32 {
+pub(crate) fn saturate_f32(v: f32) -> f32 {
     const FP16_MAX: f32 = 4_290_772_992.0; // (2 - 2^-9) * 2^31 = 2^32 - 2^22
     if v.is_nan() {
         0.0

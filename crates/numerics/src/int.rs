@@ -19,7 +19,7 @@ pub enum IntFormat {
 
 impl IntFormat {
     /// Number of bits per element.
-    pub fn bits(&self) -> u32 {
+    pub(crate) fn bits(&self) -> u32 {
         match self {
             IntFormat::Int4 => 4,
             IntFormat::Int2 => 2,
@@ -28,7 +28,7 @@ impl IntFormat {
 
     /// Inclusive signed range `(min, max)`. RaPiD uses the symmetric range
     /// (−7..7 for INT4) so that SaWB-binned weights negate exactly.
-    pub fn signed_range(&self) -> (i32, i32) {
+    pub(crate) fn signed_range(&self) -> (i32, i32) {
         match self {
             IntFormat::Int4 => (-7, 7),
             IntFormat::Int2 => (-1, 1),
@@ -36,7 +36,7 @@ impl IntFormat {
     }
 
     /// Inclusive unsigned range `(0, max)`, used for PACT activations.
-    pub fn unsigned_range(&self) -> (i32, i32) {
+    pub(crate) fn unsigned_range(&self) -> (i32, i32) {
         match self {
             IntFormat::Int4 => (0, 15),
             IntFormat::Int2 => (0, 3),
@@ -290,24 +290,24 @@ impl IntAccumulator {
 
     /// Current value of the INT16 chunk register (fault-injection hooks and
     /// numeric guards inspect it between MACs).
-    pub fn chunk_value(&self) -> i16 {
+    pub(crate) fn chunk_value(&self) -> i16 {
         self.chunk_acc
     }
 
     /// Applies `f` to the chunk register in place — the entry point for
     /// injected chunk-register upsets and for guard-policy clamping. Leaves
     /// every statistic untouched.
-    pub fn corrupt_chunk(&mut self, f: impl FnOnce(i16) -> i16) {
+    pub(crate) fn corrupt_chunk(&mut self, f: impl FnOnce(i16) -> i16) {
         self.chunk_acc = f(self.chunk_acc);
     }
 
     /// Total MACs issued.
-    pub fn macs(&self) -> u64 {
+    pub(crate) fn macs(&self) -> u64 {
         self.macs
     }
 
     /// MACs bypassed by zero-gating.
-    pub fn zero_gated(&self) -> u64 {
+    pub(crate) fn zero_gated(&self) -> u64 {
         self.zero_gated
     }
 

@@ -94,7 +94,7 @@ impl Tensor {
     /// contents are discarded but the backing allocation is kept, so scratch
     /// tensors (e.g. im2col buffers) can be reused across calls without
     /// reallocating.
-    pub fn reset(&mut self, shape: Vec<usize>) {
+    pub(crate) fn reset(&mut self, shape: Vec<usize>) {
         let n: usize = shape.iter().product();
         self.data.clear();
         self.data.resize(n, 0.0);
@@ -168,32 +168,6 @@ impl Tensor {
     /// Largest absolute value (0.0 for an empty tensor).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Arithmetic mean (0.0 for an empty tensor).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            return 0.0;
-        }
-        (self.data.iter().map(|&x| f64::from(x)).sum::<f64>() / self.data.len() as f64) as f32
-    }
-
-    /// Mean and standard deviation (population), used by SaWB.
-    pub fn mean_std(&self) -> (f32, f32) {
-        if self.data.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mean = f64::from(self.mean());
-        let var = self
-            .data
-            .iter()
-            .map(|&x| {
-                let d = f64::from(x) - mean;
-                d * d
-            })
-            .sum::<f64>()
-            / self.data.len() as f64;
-        (mean as f32, var.sqrt() as f32)
     }
 
     /// Fraction of exactly-zero elements (drives the sparsity/throttling
@@ -334,10 +308,6 @@ mod tests {
         let t = Tensor::from_vec(vec![4], vec![0.0, 0.0, 2.0, -4.0]);
         assert_eq!(t.max_abs(), 4.0);
         assert_eq!(t.sparsity(), 0.5);
-        assert_eq!(t.mean(), -0.5);
-        let (m, s) = Tensor::from_vec(vec![2], vec![1.0, 3.0]).mean_std();
-        assert_eq!(m, 2.0);
-        assert_eq!(s, 1.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! # rapid-quant
 //!
-//! The quantization and sparsity algorithms the RaPiD paper builds on
-//! (§II-C): **PACT** learned activation clipping \[42\], **SaWB**
-//! statistics-aware weight binning \[46\], and magnitude pruning \[55\] for the
-//! sparse models used by sparsity-aware throttling (§V-D).
+//! The quantization algorithms the RaPiD paper builds on (§II-C): **PACT**
+//! learned activation clipping \[42\] and **SaWB** statistics-aware weight
+//! binning \[46\]. The pruned-model sparsity that sparsity-aware throttling
+//! (§V-D) reads comes from `rapid-workloads`' per-benchmark profiles.
 //!
 //! These operate on `rapid-numerics` tensors and produce the per-tensor
 //! [`rapid_numerics::int::QuantParams`] that the INT4/INT2 GEMM kernels and
@@ -26,9 +26,7 @@
 //! ```
 
 pub mod pact;
-pub mod prune;
 pub mod sawb;
 
 pub use pact::Pact;
-pub use prune::{gradual_sparsity, magnitude_prune};
-pub use sawb::{mse_optimal_alpha, sawb_alpha, sawb_params, sawb_quantize};
+pub use sawb::{sawb_params, sawb_quantize};

@@ -45,7 +45,7 @@ impl Pact {
     }
 
     /// Quantization parameters implied by the current clipping level.
-    pub fn quant_params(&self) -> QuantParams {
+    pub(crate) fn quant_params(&self) -> QuantParams {
         QuantParams::from_abs_max(self.format, Signedness::Unsigned, self.alpha)
     }
 

@@ -5,16 +5,16 @@
 //! with coefficients fit offline so the scale minimizes quantization MSE
 //! for the bell-shaped distributions trained weights exhibit, "retaining
 //! the shape of the weight distribution" instead of chasing outliers the
-//! way max-abs scaling does. This module provides both the closed-form
-//! coefficients and an exact golden-section MSE search used to validate
-//! them.
+//! way max-abs scaling does. This module provides the closed-form
+//! coefficients; its tests validate them against an exact golden-section
+//! MSE search.
 
 use rapid_numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid_numerics::Tensor;
 
 /// Closed-form SaWB coefficients `(c1, c2)` for a bit-width, fit for
 /// Gaussian-like weights (from the SAWB paper's offline regression).
-pub fn coefficients(format: IntFormat) -> (f32, f32) {
+pub(crate) fn coefficients(format: IntFormat) -> (f32, f32) {
     match format {
         // 2-bit (ternary-like 3 levels + sign): strong clipping.
         IntFormat::Int2 => (3.19, 2.14),
@@ -24,7 +24,7 @@ pub fn coefficients(format: IntFormat) -> (f32, f32) {
 }
 
 /// Computes the SaWB clipping scale for a weight tensor.
-pub fn sawb_alpha(w: &Tensor, format: IntFormat) -> f32 {
+pub(crate) fn sawb_alpha(w: &Tensor, format: IntFormat) -> f32 {
     let (c1, c2) = coefficients(format);
     let sum_sq: f64 = w.as_slice().iter().map(|&x| f64::from(x) * f64::from(x)).sum();
     let sum_abs: f64 = w.as_slice().iter().map(|&x| f64::from(x).abs()).sum();
@@ -45,42 +45,42 @@ pub fn sawb_quantize(w: &Tensor, format: IntFormat) -> Tensor {
     w.map(|x| q.fake_quantize(x))
 }
 
-/// Mean-squared quantization error of clipping scale `alpha` on `w`.
-pub fn quant_mse(w: &Tensor, format: IntFormat, alpha: f32) -> f64 {
-    let q = QuantParams::from_abs_max(format, Signedness::Signed, alpha);
-    w.as_slice()
-        .iter()
-        .map(|&x| {
-            let d = f64::from(x - q.fake_quantize(x));
-            d * d
-        })
-        .sum::<f64>()
-        / w.len().max(1) as f64
-}
-
-/// Golden-section search for the MSE-optimal clipping scale in
-/// `(0, max|w|]` — the oracle SaWB approximates in closed form.
-pub fn mse_optimal_alpha(w: &Tensor, format: IntFormat) -> f32 {
-    let hi0 = w.max_abs().max(1e-6);
-    let (mut lo, mut hi) = (hi0 * 0.05, hi0);
-    let phi = 0.618_034_f32;
-    for _ in 0..60 {
-        let a = hi - phi * (hi - lo);
-        let b = lo + phi * (hi - lo);
-        if quant_mse(w, format, a) < quant_mse(w, format, b) {
-            hi = b;
-        } else {
-            lo = a;
-        }
-    }
-    0.5 * (lo + hi)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// Mean-squared quantization error of clipping scale `alpha` on `w`.
+    fn quant_mse(w: &Tensor, format: IntFormat, alpha: f32) -> f64 {
+        let q = QuantParams::from_abs_max(format, Signedness::Signed, alpha);
+        w.as_slice()
+            .iter()
+            .map(|&x| {
+                let d = f64::from(x - q.fake_quantize(x));
+                d * d
+            })
+            .sum::<f64>()
+            / w.len().max(1) as f64
+    }
+
+    /// Golden-section search for the MSE-optimal clipping scale in
+    /// `(0, max|w|]` — the oracle SaWB approximates in closed form.
+    fn mse_optimal_alpha(w: &Tensor, format: IntFormat) -> f32 {
+        let hi0 = w.max_abs().max(1e-6);
+        let (mut lo, mut hi) = (hi0 * 0.05, hi0);
+        let phi = 0.618_034_f32;
+        for _ in 0..60 {
+            let a = hi - phi * (hi - lo);
+            let b = lo + phi * (hi - lo);
+            if quant_mse(w, format, a) < quant_mse(w, format, b) {
+                hi = b;
+            } else {
+                lo = a;
+            }
+        }
+        0.5 * (lo + hi)
+    }
 
     fn gaussian_weights(n: usize, seed: u64) -> Tensor {
         let mut rng = StdRng::seed_from_u64(seed);

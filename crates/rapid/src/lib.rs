@@ -17,7 +17,7 @@
 //! | [`sim`] | `rapid-sim` | cycle-approximate, functionally-executing core simulator with deadlock watchdogs |
 //! | [`fault`] | `rapid-fault` | deterministic seeded fault injection (MAC bit-flips, ring drops/delays, sequencer stalls) |
 //! | [`ring`] | `rapid-ring` | bidirectional ring + MNI multicast simulator |
-//! | [`quant`] | `rapid-quant` | PACT, SaWB, magnitude pruning |
+//! | [`quant`] | `rapid-quant` | PACT, SaWB |
 //! | [`refnet`] | `rapid-refnet` | reference trainer demonstrating HFP8 parity and INT4/INT2 PTQ |
 //! | [`recover`] | `rapid-recover` | end-to-end recovery: checksummed checkpoints, loss-scale rollback, ABFT-protected resilient training |
 //! | [`serve`] | `rapid-serve` | overload-hardened serving runtime: admission control, deadline propagation, precision-tiered shedding, circuit breaking |

@@ -67,14 +67,61 @@ pub(crate) fn capture_layers(stack: &DenseStack) -> Vec<LayerState> {
         .collect()
 }
 
-/// Writes layers taken by [`capture_layers`] back into a stack of the same
-/// shapes.
-pub(crate) fn restore_layers(stack: &mut DenseStack, layers: &[LayerState]) {
-    for (i, layer) in layers.iter().enumerate() {
+/// Writes the layers of `state` back into `stack`, after checking that
+/// the checkpoint was written by a model of the same shape as the one
+/// resuming from it: the same layer count, every layer's weight shape,
+/// weight count and bias length, and `alphas` PACT clipping levels, each
+/// positive and finite (the caller writes those). A checkpoint that does
+/// not fit writes nothing.
+///
+/// # Errors
+///
+/// [`CheckpointError::ModelMismatch`] naming the first difference.
+pub(crate) fn restore_layers(
+    stack: &mut DenseStack,
+    state: &TrainState,
+    alphas: usize,
+) -> Result<(), CheckpointError> {
+    let mismatch = |why: String| Err(CheckpointError::ModelMismatch(why));
+    if state.layers.len() != stack.depth() {
+        return mismatch(format!(
+            "{} layers, the model has {}",
+            state.layers.len(),
+            stack.depth()
+        ));
+    }
+    for (i, layer) in state.layers.iter().enumerate() {
+        let shape = stack.weights(i).shape();
+        let (rows, cols, bias) = (shape[0], shape[1], stack.biases(i).len());
+        if (layer.rows, layer.cols) != (rows as u64, cols as u64)
+            || layer.w.len() != rows * cols
+            || layer.b.len() != bias
+        {
+            return mismatch(format!(
+                "layer {i} is {}x{} with {} weights and {} biases, the model's is {rows}x{cols} \
+                 with {bias} biases",
+                layer.rows,
+                layer.cols,
+                layer.w.len(),
+                layer.b.len()
+            ));
+        }
+    }
+    if state.alphas.len() != alphas {
+        return mismatch(format!(
+            "{} PACT clipping levels, the model has {alphas}",
+            state.alphas.len()
+        ));
+    }
+    if let Some(a) = state.alphas.iter().find(|a| !(a.is_finite() && **a > 0.0)) {
+        return mismatch(format!("PACT clipping level {a} is not positive and finite"));
+    }
+    for (i, layer) in state.layers.iter().enumerate() {
         let shape = vec![layer.rows as usize, layer.cols as usize];
         stack.set_weights(i, Tensor::from_vec(shape, layer.w.clone()));
         stack.set_biases(i, layer.b.clone());
     }
+    Ok(())
 }
 
 /// Everything a resilient training loop needs to resume: model
@@ -119,6 +166,9 @@ pub enum CheckpointError {
     },
     /// The payload decoded inconsistently (counts disagree with lengths).
     Malformed(String),
+    /// The checkpoint decoded but does not fit the model resuming from it
+    /// (another layer count, layer shape or PACT level count).
+    ModelMismatch(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -134,6 +184,7 @@ impl std::fmt::Display for CheckpointError {
                 "checkpoint checksum mismatch: stored {stored:#010x}, computed {computed:#010x}"
             ),
             Self::Malformed(why) => write!(f, "malformed checkpoint payload: {why}"),
+            Self::ModelMismatch(why) => write!(f, "checkpoint does not fit the model: {why}"),
         }
     }
 }

@@ -121,7 +121,7 @@ impl ElasticReport {
 
     /// Accumulates this report into a metrics registry under
     /// `<prefix>.*` — the unified-telemetry form of this struct.
-    pub fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
+    pub(crate) fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
         reg.add(&format!("{prefix}.steps_run"), self.steps_run);
         reg.add(&format!("{prefix}.crashes_survived"), self.crashes_survived);
         reg.add(&format!("{prefix}.hangs_survived"), self.hangs_survived);
@@ -144,7 +144,8 @@ pub enum ElasticTrainError {
     /// The collective layer failed (world shrank below the minimum, or
     /// the survivor transport died).
     Ring(ElasticError),
-    /// The checkpoint store failed.
+    /// The checkpoint store failed, or its newest generation was written
+    /// by a model of another shape.
     Checkpoint(CheckpointError),
     /// A training step's numerics tripped a guard (this loop does not
     /// absorb numeric faults — wrap the backend with
@@ -217,7 +218,8 @@ fn shard_range(start: usize, end: usize, idx: usize, of: usize) -> (usize, usize
 ///
 /// [`ElasticTrainError::Ring`] when the world shrinks below the
 /// configured minimum or the survivor transport fails;
-/// [`ElasticTrainError::Checkpoint`] on store I/O failure;
+/// [`ElasticTrainError::Checkpoint`] on store I/O failure or when the
+/// store's newest generation was written by a model of another shape;
 /// [`ElasticTrainError::Numerics`] if a step's numerics trip.
 #[allow(clippy::too_many_arguments)] // mirrors run_resilient: the hooks are the API
 pub fn train_elastic(
@@ -245,7 +247,7 @@ pub fn train_elastic(
     // (epochs_before_store + g) — with a fresh loop per store, epoch g.
     if let Some(st) = store.as_deref_mut() {
         if let Some((gen, state)) = st.load_latest()? {
-            restore_layers(mlp.layers_mut(), &state.layers);
+            restore_layers(mlp.layers_mut(), &state, 0)?;
             gstep = state.step;
             start_epoch = (gen + 1) as usize;
             report.epochs_resumed = gen + 1;

@@ -38,7 +38,7 @@ impl DynamicLossScaler {
     /// # Panics
     ///
     /// Panics if `initial_scale` is not positive and finite.
-    pub fn new(initial_scale: f32) -> Self {
+    pub(crate) fn new(initial_scale: f32) -> Self {
         assert!(
             initial_scale.is_finite() && initial_scale > 0.0,
             "loss scale must be positive"
@@ -56,18 +56,13 @@ impl DynamicLossScaler {
     }
 
     /// The current scale to multiply into the loss gradient.
-    pub fn scale(&self) -> f32 {
+    pub(crate) fn scale(&self) -> f32 {
         self.scale
-    }
-
-    /// Clean steps since the last scale change.
-    pub fn good_steps(&self) -> u32 {
-        self.good_steps
     }
 
     /// Records a successful step; grows the scale after
     /// `growth_interval` consecutive clean steps.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.good_steps += 1;
         if self.good_steps >= self.growth_interval {
             self.scale = (self.scale * self.growth).min(self.max_scale);
@@ -77,27 +72,30 @@ impl DynamicLossScaler {
 
     /// Records an overflow/non-finite step: the scale backs off
     /// immediately and the growth window restarts.
-    pub fn on_overflow(&mut self) {
+    pub(crate) fn on_overflow(&mut self) {
         self.scale = (self.scale * self.backoff).max(self.min_scale);
         self.good_steps = 0;
     }
 
     /// Serializable state: `(scale, good_steps)`.
-    pub fn state(&self) -> (f32, u32) {
+    pub(crate) fn state(&self) -> (f32, u32) {
         (self.scale, self.good_steps)
     }
 
     /// Restores state captured by [`DynamicLossScaler::state`] —
     /// non-finite or non-positive scales are clamped into the valid range
+    /// and the clean-step count to one short of the growth interval,
     /// rather than trusted (the checkpoint checksum already vouches for
     /// integrity; this guards against semantic drift between versions).
-    pub fn restore(&mut self, scale: f32, good_steps: u32) {
+    /// A count the scaler itself wrote is always below the interval, so
+    /// the clamp never changes one.
+    pub(crate) fn restore(&mut self, scale: f32, good_steps: u32) {
         self.scale = if scale.is_finite() && scale > 0.0 {
             scale.clamp(self.min_scale, self.max_scale)
         } else {
             self.min_scale
         };
-        self.good_steps = good_steps;
+        self.good_steps = good_steps.min(self.growth_interval - 1);
     }
 }
 
@@ -115,7 +113,7 @@ mod tests {
         assert_eq!(s.scale(), 512.0);
         s.on_overflow();
         assert_eq!(s.scale(), 256.0);
-        assert_eq!(s.good_steps(), 0);
+        assert_eq!(s.state().1, 0);
     }
 
     #[test]
@@ -164,6 +162,23 @@ mod tests {
         assert_eq!(t.state(), (256.0, 1));
         t.restore(f32::NAN, 3);
         assert_eq!(t.scale(), 1.0, "corrupt scale clamps to floor");
+    }
+
+    #[test]
+    fn restore_clamps_the_clean_step_count_below_the_interval() {
+        // Regression: a restored count at u32::MAX overflowed the next
+        // `on_success` (a panic with overflow checks, a wrap to 0 that
+        // skipped the due growth without them).
+        let mut s = DynamicLossScaler::default();
+        s.restore(256.0, u32::MAX);
+        assert_eq!(s.state(), (256.0, 63));
+        s.on_success();
+        assert_eq!(s.state(), (512.0, 0), "the due growth happens on the next clean step");
+        // Every count the scaler writes itself restores unchanged.
+        for good in 0..64 {
+            s.restore(256.0, good);
+            assert_eq!(s.state(), (256.0, good));
+        }
     }
 
     #[test]

@@ -139,7 +139,8 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 pub enum RecoverError {
     /// The checkpoint store failed (I/O, not corruption — corruption is
-    /// absorbed by generation fallback).
+    /// absorbed by generation fallback), or a rollback loaded a generation
+    /// written by a model of another shape.
     Checkpoint(CheckpointError),
     /// More steps were skipped than
     /// [`ResilientConfig::max_skipped_steps`] allows: the fault rate is
@@ -213,8 +214,8 @@ enum Verdict {
 
 /// Runs the epochs × batches schedule with snapshot/skip/rollback around
 /// a fallible step. `capture`/`restore` move parameters in and out of
-/// [`TrainState`]s; `attempt` runs one training step at the given loss
-/// scale.
+/// [`TrainState`]s (`restore` refuses a state that does not fit the
+/// model); `attempt` runs one training step at the given loss scale.
 #[allow(clippy::too_many_arguments)] // private driver: the three hooks are the API
 fn run_resilient<M>(
     model: &mut M,
@@ -224,7 +225,7 @@ fn run_resilient<M>(
     rcfg: &ResilientConfig,
     mut store: Option<&mut CheckpointStore>,
     mut capture: impl FnMut(&M) -> Params,
-    mut restore: impl FnMut(&mut M, &TrainState),
+    mut restore: impl FnMut(&mut M, &TrainState) -> Result<(), CheckpointError>,
     mut attempt: impl FnMut(&mut M, &Tensor, &[usize], f32) -> Result<(), NumericsError>,
 ) -> Result<RecoveryReport, RecoverError> {
     let mut scaler = DynamicLossScaler::new(rcfg.initial_scale);
@@ -273,7 +274,7 @@ fn run_resilient<M>(
                         if clamped > 0 {
                             report.updates_clipped += clamped;
                             applied_mag = mag.min(bound);
-                            restore(model, &make_state(new_params.clone(), &scaler, gstep));
+                            restore(model, &make_state(new_params.clone(), &scaler, gstep))?;
                         }
                         ema_update = Some(
                             ema_update.map_or(applied_mag, |e| 0.9 * e + 0.1 * applied_mag),
@@ -299,7 +300,7 @@ fn run_resilient<M>(
                 }
                 Verdict::Rejected { guard_trip } => {
                     // Undo any partial update and skip the batch.
-                    restore(model, &snapshot);
+                    restore(model, &snapshot)?;
                     if guard_trip {
                         scaler.on_overflow();
                         consecutive += 1;
@@ -320,7 +321,7 @@ fn run_resilient<M>(
                         };
                         report.steps_lost_to_rollback +=
                             gstep.saturating_sub(target.step);
-                        restore(model, &target);
+                        restore(model, &target)?;
                         scaler.restore(target.scale, target.scaler_good_steps);
                         report.rollbacks += 1;
                         consecutive = 0;
@@ -346,7 +347,8 @@ fn run_resilient<M>(
 ///
 /// # Errors
 ///
-/// [`RecoverError::Checkpoint`] on store I/O failure,
+/// [`RecoverError::Checkpoint`] on store I/O failure or when a rollback
+/// loads a generation written by a model of another shape,
 /// [`RecoverError::FaultRateTooHigh`] when the skip budget runs out.
 pub fn train_mlp_resilient(
     mlp: &mut Mlp,
@@ -365,7 +367,7 @@ pub fn train_mlp_resilient(
         rcfg,
         store,
         |m| (capture_layers(m.layers()), Vec::new()),
-        |m, s| restore_layers(m.layers_mut(), &s.layers),
+        |m, s| restore_layers(m.layers_mut(), s, 0),
         |m, bx, by, scale| {
             let logits = m.try_forward(backend, bx)?;
             let (_, grad) = softmax_cross_entropy(&logits, by);
@@ -407,8 +409,10 @@ pub fn train_qat_resilient(
         store,
         |m| (capture_layers(m.layers()), m.alphas()),
         |m, s| {
-            restore_layers(m.layers_mut(), &s.layers);
+            let alphas = m.alphas().len();
+            restore_layers(m.layers_mut(), s, alphas)?;
             m.set_alphas(&s.alphas);
+            Ok(())
         },
         |m, bx, by, scale| m.try_step_with(backend, bx, by, &qcfg, scale),
     )?;

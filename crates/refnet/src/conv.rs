@@ -25,7 +25,7 @@ pub struct Conv2d {
 
 impl Conv2d {
     /// He-initialized convolution.
-    pub fn new(ci: usize, co: usize, k: usize, spec: ConvSpec, seed: u64) -> Self {
+    pub(crate) fn new(ci: usize, co: usize, k: usize, spec: ConvSpec, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         Self {
             w: he_normal(vec![co, ci, k, k], ci * k * k, &mut rng),
@@ -38,14 +38,9 @@ impl Conv2d {
         }
     }
 
-    /// The weight tensor `[co, ci, k, k]`.
-    pub fn weights(&self) -> &Tensor {
-        &self.w
-    }
-
     /// Forward: `x [n, ci, h, w] → [n, co, ho, wo]`, caching the im2col
     /// matrix for backward.
-    pub fn forward(&mut self, backend: &dyn Backend, x: &Tensor) -> Tensor {
+    pub(crate) fn forward(&mut self, backend: &dyn Backend, x: &Tensor) -> Tensor {
         let (n, _ci, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
         let ho = self.spec.out_dim(h, self.k);
         let wo = self.spec.out_dim(w, self.k);
@@ -79,7 +74,7 @@ impl Conv2d {
 
     /// Backward from `grad_out [n, co, ho, wo]`; applies SGD at `lr` and
     /// returns the input gradient.
-    pub fn backward_sgd(&mut self, backend: &dyn Backend, grad_out: &Tensor, lr: f32) -> Tensor {
+    pub(crate) fn backward_sgd(&mut self, backend: &dyn Backend, grad_out: &Tensor, lr: f32) -> Tensor {
         let (n, co) = (grad_out.shape()[0], grad_out.shape()[1]);
         let (ho, wo) = self.out_hw;
         let rows = n * ho * wo;

@@ -27,7 +27,7 @@ impl Dataset {
     }
 
     /// Feature dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.x.shape()[1]
     }
 
@@ -69,27 +69,6 @@ pub fn gaussian_blobs(n: usize, classes: usize, dim: usize, spread: f32, seed: u
     Dataset { x: Tensor::from_vec(vec![n, dim], x), y, classes }
 }
 
-/// Two interleaved spirals (binary, nonlinearly separable) in 2-D,
-/// embedded into `dim` dimensions with random projections.
-pub fn two_spirals(n: usize, dim: usize, noise: f32, seed: u64) -> Dataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let proj: Vec<f32> = (0..2 * dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let mut x = Vec::with_capacity(n * dim);
-    let mut y = Vec::with_capacity(n);
-    for i in 0..n {
-        let c = i % 2;
-        let t = (i / 2) as f32 / (n / 2).max(1) as f32 * 3.0 * std::f32::consts::PI + 0.5;
-        let sign = if c == 0 { 1.0 } else { -1.0 };
-        let px = sign * t.cos() * t / 10.0 + noise * rng.gen_range(-1.0f32..1.0);
-        let py = sign * t.sin() * t / 10.0 + noise * rng.gen_range(-1.0f32..1.0);
-        for d in 0..dim {
-            x.push(px * proj[2 * d] + py * proj[2 * d + 1]);
-        }
-        y.push(c);
-    }
-    Dataset { x: Tensor::from_vec(vec![n, dim], x), y, classes: 2 }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -116,7 +95,6 @@ mod tests {
     #[test]
     fn datasets_are_deterministic() {
         assert_eq!(gaussian_blobs(50, 3, 4, 0.3, 7), gaussian_blobs(50, 3, 4, 0.3, 7));
-        assert_eq!(two_spirals(50, 4, 0.01, 7), two_spirals(50, 4, 0.01, 7));
     }
 
     #[test]

@@ -27,7 +27,7 @@ impl DenseStack {
     /// # Panics
     ///
     /// Panics if fewer than two widths are given.
-    pub fn new(widths: &[usize], seed: u64) -> Self {
+    pub(crate) fn new(widths: &[usize], seed: u64) -> Self {
         assert!(widths.len() >= 2, "need at least input and output widths");
         let mut rng = StdRng::seed_from_u64(seed);
         let (w, b) = widths

@@ -40,7 +40,7 @@ pub mod qat;
 pub mod quantized;
 
 pub use backend::{Backend, Fp16Backend, Fp32Backend, Hfp8Backend, OperandRole};
-pub use data::{gaussian_blobs, two_spirals, Dataset};
+pub use data::{gaussian_blobs, Dataset};
 pub use dense::DenseStack;
 pub use mlp::{softmax_cross_entropy, train, Mlp, TrainConfig};
 pub use conv::{pattern_images, Conv2d, TinyCnn};

@@ -35,7 +35,7 @@ impl Default for TrainConfig {
 impl Mlp {
     /// Builds an MLP with the given layer widths, e.g. `[16, 32, 4]` for a
     /// 16-feature input, one 32-unit hidden layer and 4 classes.
-    /// He-initialized from the seed ([`DenseStack::new`]).
+    /// He-initialized from the seed (`DenseStack::new`).
     ///
     /// # Panics
     ///
@@ -62,12 +62,12 @@ impl Mlp {
     ///
     /// Panics if a backend GEMM fails; use [`Mlp::try_forward`] to surface
     /// numerics errors (guard trips, shape mismatches) instead.
-    pub fn forward(&mut self, backend: &dyn Backend, x: &Tensor) -> Tensor {
+    pub(crate) fn forward(&mut self, backend: &dyn Backend, x: &Tensor) -> Tensor {
         #[allow(clippy::expect_used)]
         self.try_forward(backend, x).expect("forward GEMM failed")
     }
 
-    /// [`Mlp::forward`], surfacing backend GEMM failures — a guarded
+    /// The forward pass to logits, surfacing backend GEMM failures — a guarded
     /// backend under fault injection returns
     /// [`NumericsError::NonFinite`](rapid_numerics::NumericsError) here
     /// instead of panicking, which is what the recovery layer's
@@ -91,7 +91,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if a backend GEMM fails.
-    pub fn infer(&self, backend: &dyn Backend, x: &Tensor) -> Tensor {
+    pub(crate) fn infer(&self, backend: &dyn Backend, x: &Tensor) -> Tensor {
         #[allow(clippy::expect_used)]
         run(&self.layers, backend, x, None).expect("forward GEMM failed")
     }
@@ -103,12 +103,12 @@ impl Mlp {
     ///
     /// Panics if a backend GEMM fails; use [`Mlp::try_backward_sgd`] to
     /// surface numerics errors instead.
-    pub fn backward_sgd(&mut self, backend: &dyn Backend, grad_logits: &Tensor, lr: f32) {
+    pub(crate) fn backward_sgd(&mut self, backend: &dyn Backend, grad_logits: &Tensor, lr: f32) {
         #[allow(clippy::expect_used)]
         self.try_backward_sgd(backend, grad_logits, lr).expect("backward GEMM failed")
     }
 
-    /// [`Mlp::backward_sgd`], surfacing backend GEMM failures.
+    /// Backpropagation with an SGD update, surfacing backend GEMM failures.
     ///
     /// Updates are applied layer by layer as the error propagates, so a
     /// mid-backward failure leaves the model **partially updated** —

@@ -47,7 +47,7 @@ pub struct QatMlp {
 
 impl QatMlp {
     /// Builds a QAT model with the given layer widths; the master weights
-    /// are [`DenseStack::new`]'s, as an [`Mlp`](crate::mlp::Mlp)'s of the
+    /// are `DenseStack::new`'s, as an [`Mlp`](crate::mlp::Mlp)'s of the
     /// same widths and seed.
     ///
     /// # Panics
@@ -87,11 +87,6 @@ impl QatMlp {
         &mut self.layers
     }
 
-    /// The quantization format.
-    pub fn format(&self) -> IntFormat {
-        self.format
-    }
-
     /// Quantized forward pass to logits (what the deployed INT model
     /// computes).
     ///
@@ -99,7 +94,7 @@ impl QatMlp {
     ///
     /// Panics if a GEMM fails (cannot happen with the FP32 backend and
     /// conformable shapes).
-    pub fn forward(&self, x: &Tensor) -> Tensor {
+    pub(crate) fn forward(&self, x: &Tensor) -> Tensor {
         #[allow(clippy::expect_used)]
         self.run(&Fp32Backend, x, None).expect("QAT forward GEMM failed")
     }
@@ -186,7 +181,7 @@ pub fn train_qat(model: &mut QatMlp, data: &Dataset, cfg: &QatConfig) -> f64 {
 /// # Panics
 ///
 /// Panics if a GEMM fails under the given backend.
-pub fn train_qat_with(
+pub(crate) fn train_qat_with(
     model: &mut QatMlp,
     be: &dyn Backend,
     data: &Dataset,

@@ -16,7 +16,6 @@ use rapid_quant::sawb::sawb_params;
 #[derive(Debug, Clone)]
 pub struct QuantizedMlp {
     layers: DenseStack,
-    format: IntFormat,
     weight_params: Vec<QuantParams>,
     act_params: Vec<QuantParams>,
     chunk_len: usize,
@@ -48,16 +47,10 @@ impl QuantizedMlp {
         layers.forward(&calib.x, calibrate, relu, None).expect("calibration data width mismatch");
         Self {
             layers,
-            format,
             weight_params,
             act_params,
             chunk_len: 64,
         }
-    }
-
-    /// The integer format in use.
-    pub fn format(&self) -> IntFormat {
-        self.format
     }
 
     /// Integer-pipeline inference: every GEMM executes as quantized codes
@@ -66,10 +59,9 @@ impl QuantizedMlp {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is not `[n, features]` for the model's input width;
-    /// use [`QuantizedMlp::try_infer`] to get an error instead.
+    /// Panics if `x` is not `[n, features]` for the model's input width.
     #[allow(clippy::expect_used)] // documented panic; try_infer is the fallible path
-    pub fn infer(&self, x: &Tensor) -> Tensor {
+    pub(crate) fn infer(&self, x: &Tensor) -> Tensor {
         self.try_infer(x).expect("input shape incompatible with the model")
     }
 
@@ -79,7 +71,7 @@ impl QuantizedMlp {
     ///
     /// Returns [`NumericsError::ShapeMismatch`] when `x` does not conform
     /// with the first layer's weights.
-    pub fn try_infer(&self, x: &Tensor) -> Result<Tensor, NumericsError> {
+    pub(crate) fn try_infer(&self, x: &Tensor) -> Result<Tensor, NumericsError> {
         let gemm = |i, a: &Tensor, w: &Tensor| {
             let (qa, qw) = (self.act_params[i], self.weight_params[i]);
             matmul_int_with(a, w, qa, qw, self.chunk_len, Exec::default()).map(|(z, _)| z)

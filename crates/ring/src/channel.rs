@@ -47,45 +47,45 @@ pub struct Channel {
 
 impl Channel {
     /// Creates a channel with one slot per node.
-    pub fn new(n: usize, dir: Direction) -> Self {
+    pub(crate) fn new(n: usize, dir: Direction) -> Self {
         Self { slots: vec![None; n], dir, hops: 0 }
     }
 
     /// Number of slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// Whether every slot is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.slots.iter().all(Option::is_none)
     }
 
     /// Number of free slots.
-    pub fn free_slots(&self) -> usize {
+    pub(crate) fn free_slots(&self) -> usize {
         self.slots.iter().filter(|s| s.is_none()).count()
     }
 
     /// Bubble flow control: a node may inject only while at least one
     /// bubble (free slot) would remain afterwards — otherwise a fully
     /// occupied ring with no flit at its destination deadlocks.
-    pub fn may_inject(&self, i: usize) -> bool {
+    pub(crate) fn may_inject(&self, i: usize) -> bool {
         self.slots[i].is_none() && self.free_slots() >= 2
     }
 
     /// The flit currently at node `i`'s slot.
-    pub fn at(&self, i: usize) -> Option<&Flit> {
+    pub(crate) fn at(&self, i: usize) -> Option<&Flit> {
         self.slots[i].as_ref()
     }
 
     /// Mutable access to node `i`'s slot (ejection/consumption).
-    pub fn at_mut(&mut self, i: usize) -> &mut Option<Flit> {
+    pub(crate) fn at_mut(&mut self, i: usize) -> &mut Option<Flit> {
         &mut self.slots[i]
     }
 
     /// Injects a flit at node `i` if the slot is free. Returns `false`
     /// (and keeps the flit out) when occupied.
-    pub fn inject(&mut self, i: usize, flit: Flit) -> bool {
+    pub(crate) fn inject(&mut self, i: usize, flit: Flit) -> bool {
         if self.slots[i].is_some() {
             return false;
         }
@@ -95,7 +95,7 @@ impl Channel {
 
     /// Advances every flit one hop where the next slot frees up this
     /// cycle; bunched flits stall behind occupied slots.
-    pub fn advance(&mut self) {
+    pub(crate) fn advance(&mut self) {
         self.advance_with_holds(&[]);
     }
 
@@ -104,7 +104,7 @@ impl Channel {
     /// transient backpressure); upstream flits stall behind a held one
     /// exactly as behind any other blockage. Indices beyond `held.len()`
     /// are treated as not held, so `&[]` is a plain advance.
-    pub fn advance_with_holds(&mut self, held: &[bool]) {
+    pub(crate) fn advance_with_holds(&mut self, held: &[bool]) {
         let n = self.slots.len();
         if n == 0 {
             return;
@@ -142,7 +142,7 @@ impl Channel {
     }
 
     /// The slot a flit at `i` advances to.
-    pub fn next(&self, i: usize) -> usize {
+    pub(crate) fn next(&self, i: usize) -> usize {
         let n = self.slots.len();
         match self.dir {
             Direction::Cw => (i + 1) % n,
@@ -151,7 +151,7 @@ impl Channel {
     }
 
     /// The slot upstream of `i`.
-    pub fn prev(&self, i: usize) -> usize {
+    pub(crate) fn prev(&self, i: usize) -> usize {
         let n = self.slots.len();
         match self.dir {
             Direction::Cw => (i + n - 1) % n,
@@ -161,7 +161,7 @@ impl Channel {
 }
 
 /// Hop count from `src` to `dst` travelling in `dir` on an `n`-ring.
-pub fn distance(n: usize, src: usize, dst: usize, dir: Direction) -> usize {
+pub(crate) fn distance(n: usize, src: usize, dst: usize, dir: Direction) -> usize {
     match dir {
         Direction::Cw => (dst + n - src) % n,
         Direction::Ccw => (src + n - dst) % n,
@@ -169,7 +169,7 @@ pub fn distance(n: usize, src: usize, dst: usize, dir: Direction) -> usize {
 }
 
 /// The shorter travel direction from `src` to `dst`.
-pub fn shortest_direction(n: usize, src: usize, dst: usize) -> Direction {
+pub(crate) fn shortest_direction(n: usize, src: usize, dst: usize) -> Direction {
     if distance(n, src, dst, Direction::Cw) <= distance(n, src, dst, Direction::Ccw) {
         Direction::Cw
     } else {

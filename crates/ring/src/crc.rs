@@ -13,43 +13,37 @@
 //! random multi-bit damage escapes with probability 2⁻⁸. The fault
 //! injector flips exactly one payload bit per corruption event, so within
 //! this model detection is certain; the escape probability is charged to
-//! the analytical protection-tax model in `rapid-arch` instead.
+//! the analytical protection-tax model in `rapid-arch` instead. The link
+//! simulation therefore never computes the CRC; this module's tests check
+//! the coverage claims above on the bytes a chunk carries.
 
 /// The CRC-8 generator polynomial (x⁸ + x² + x + 1), MSB-first.
 pub const CRC8_POLY: u8 = 0x07;
-
-/// Computes the CRC-8 (poly `0x07`, init `0x00`, no reflection, no final
-/// XOR — CRC-8/SMBUS) of a byte stream.
-pub fn crc8(bytes: &[u8]) -> u8 {
-    let mut crc = 0u8;
-    for &b in bytes {
-        crc ^= b;
-        for _ in 0..8 {
-            crc = if crc & 0x80 != 0 { (crc << 1) ^ CRC8_POLY } else { crc << 1 };
-        }
-    }
-    crc
-}
-
-/// CRC-8 of an `f32` payload, as the link layer sees it: little-endian
-/// byte order, element order preserved.
-pub fn crc8_f32(payload: &[f32]) -> u8 {
-    let mut crc = 0u8;
-    for v in payload {
-        for &b in &v.to_bits().to_le_bytes() {
-            crc ^= b;
-            for _ in 0..8 {
-                crc = if crc & 0x80 != 0 { (crc << 1) ^ CRC8_POLY } else { crc << 1 };
-            }
-        }
-    }
-    crc
-}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    /// Computes the CRC-8 (poly `0x07`, init `0x00`, no reflection, no
+    /// final XOR — CRC-8/SMBUS) of a byte stream.
+    fn crc8(bytes: &[u8]) -> u8 {
+        let mut crc = 0u8;
+        for &b in bytes {
+            crc ^= b;
+            for _ in 0..8 {
+                crc = if crc & 0x80 != 0 { (crc << 1) ^ CRC8_POLY } else { crc << 1 };
+            }
+        }
+        crc
+    }
+
+    /// CRC-8 of an `f32` payload, as the link layer sees it: little-endian
+    /// byte order, element order preserved.
+    fn crc8_f32(payload: &[f32]) -> u8 {
+        let bytes: Vec<u8> = payload.iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+        crc8(&bytes)
+    }
 
     #[test]
     fn matches_the_smbus_check_value() {

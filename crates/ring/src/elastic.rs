@@ -90,13 +90,8 @@ pub struct HeartbeatDetector {
 
 impl HeartbeatDetector {
     /// Cycles of silence after which a node is declared suspect.
-    pub fn detect_cycles(&self) -> u64 {
+    pub(crate) fn detect_cycles(&self) -> u64 {
         self.period.max(1) * u64::from(self.suspect_after.max(1))
-    }
-
-    /// Whether `silence` cycles without a heartbeat makes a node suspect.
-    pub fn is_suspect(&self, silence: u64) -> bool {
-        silence >= self.detect_cycles()
     }
 }
 
@@ -147,7 +142,7 @@ impl Membership {
     /// Removes `dead` nodes from the ring. Bumps the epoch once if
     /// anything was actually removed; returns the (possibly unchanged)
     /// epoch.
-    pub fn splice(&mut self, dead: &[u32]) -> u64 {
+    pub(crate) fn splice(&mut self, dead: &[u32]) -> u64 {
         let before = self.members.len();
         self.members.retain(|m| !dead.contains(m));
         if self.members.len() != before {
@@ -290,18 +285,10 @@ pub struct ElasticHealth {
 }
 
 impl ElasticHealth {
-    /// Fraction of the fault-free exchange rate this one retained.
-    pub fn retention(&self) -> f64 {
-        if self.cycles == 0 {
-            return 1.0;
-        }
-        self.ideal_cycles as f64 / self.cycles as f64
-    }
-
     /// Accumulates this report into a metrics registry under `<prefix>.*`
     /// (the transport sub-report lands under `<prefix>.transport.*`) —
     /// the unified-telemetry form of this struct.
-    pub fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
+    pub(crate) fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
         reg.add(&format!("{prefix}.crashes_detected"), self.crashes_detected);
         reg.add(&format!("{prefix}.hangs_detected"), self.hangs_detected);
         reg.add(&format!("{prefix}.stragglers_retained"), self.stragglers_retained);
@@ -315,9 +302,11 @@ impl ElasticHealth {
         self.transport.record_into(reg, &format!("{prefix}.transport"));
     }
 
-    /// Reconstructs the struct as a thin view over registry counters
-    /// written by [`ElasticHealth::record_into`] with the same prefix.
-    pub fn from_registry(reg: &rapid_telemetry::MetricsRegistry, prefix: &str) -> Self {
+    /// Reconstructs the struct from registry counters written by
+    /// [`ElasticHealth::record_into`] with the same prefix: the reader the
+    /// round-trip test checks the writer against.
+    #[cfg(test)]
+    pub(crate) fn from_registry(reg: &rapid_telemetry::MetricsRegistry, prefix: &str) -> Self {
         Self {
             crashes_detected: reg.counter(&format!("{prefix}.crashes_detected")),
             hangs_detected: reg.counter(&format!("{prefix}.hangs_detected")),
@@ -673,7 +662,7 @@ mod tests {
         assert!(out.events.is_empty());
         assert_eq!(out.health.cycles, rh.cycles);
         assert_eq!(out.health.ideal_cycles, rh.ideal_cycles);
-        assert!((out.health.retention() - 1.0).abs() < f64::EPSILON);
+        assert_eq!(out.health.cycles, out.health.ideal_cycles);
     }
 
     #[test]
@@ -698,7 +687,7 @@ mod tests {
         assert_eq!(out.reduced, expect);
         // Healing costs cycles: detection + epoch + re-reduction.
         assert!(out.health.cycles > out.health.transport.cycles);
-        assert!(out.health.retention() < 1.0);
+        assert!(out.health.cycles > out.health.ideal_cycles);
     }
 
     #[test]
@@ -841,8 +830,6 @@ mod tests {
     fn heartbeat_detector_is_deterministic() {
         let d = HeartbeatDetector { period: 2_000, suspect_after: 3 };
         assert_eq!(d.detect_cycles(), 6_000);
-        assert!(!d.is_suspect(5_999));
-        assert!(d.is_suspect(6_000));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod reliable;
 pub mod sim;
 
 pub use allreduce::{analytic_allreduce_cycles, simulate_allreduce, AllReduceConfig, AllReduceResult};
-pub use crc::{crc8, crc8_f32, CRC8_POLY};
+pub use crc::CRC8_POLY;
 pub use elastic::{
     demote_unhealthy, elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, ElasticHealth,
     ElasticOutcome, HeartbeatDetector, Membership,

@@ -50,7 +50,7 @@ pub struct MniNode {
     /// Remaining program.
     pub program: VecDeque<MniInstr>,
     /// Sends awaiting request aggregation, by tag. Ordered map: when two
-    /// sends become ready in the same cycle, [`Self::activate_next`]
+    /// sends become ready in the same cycle, the node's activation step
     /// must pick the same one every run (lowest tag), or cycle counts
     /// jitter run-to-run.
     pub pending_sends: BTreeMap<u16, PendingSend>,
@@ -80,7 +80,7 @@ pub struct MniNode {
 
 impl MniNode {
     /// Creates an idle node.
-    pub fn new(id: usize) -> Self {
+    pub(crate) fn new(id: usize) -> Self {
         Self {
             id,
             program: VecDeque::new(),
@@ -97,7 +97,7 @@ impl MniNode {
     }
 
     /// Whether the node has no work left.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.program.is_empty()
             && self.pending_sends.is_empty()
             && self.active_send.is_none()
@@ -111,7 +111,7 @@ impl MniNode {
     /// 4–6). Unknown tags create an implicit pending send (request arrived
     /// before the producer's `Send` executed), which the later `Send`
     /// completes.
-    pub fn accept_request(&mut self, tag: u16, from: usize, bytes: u64, consumers: u8) {
+    pub(crate) fn accept_request(&mut self, tag: u16, from: usize, bytes: u64, consumers: u8) {
         let entry = self.pending_sends.entry(tag).or_insert(PendingSend {
             tag,
             bytes,
@@ -130,7 +130,7 @@ impl MniNode {
 
     /// Executes the node's next program instruction if it can proceed.
     /// Returns `true` when an instruction retired this cycle.
-    pub fn step_program(&mut self) -> bool {
+    pub(crate) fn step_program(&mut self) -> bool {
         match self.program.front() {
             None => false,
             Some(MniInstr::Recv { tag, from, bytes, local_addr, consumers }) => {
@@ -189,7 +189,7 @@ impl MniNode {
     }
 
     /// Re-checks stalled pending sends once the active stream finishes.
-    pub fn activate_next(&mut self) {
+    pub(crate) fn activate_next(&mut self) {
         if self.active_send.is_some() {
             return;
         }
@@ -205,7 +205,7 @@ impl MniNode {
 
     /// Delivers one data flit of `tag` to the LU. Returns `true` when the
     /// whole transfer completed.
-    pub fn accept_data(&mut self, tag: u16) -> bool {
+    pub(crate) fn accept_data(&mut self, tag: u16) -> bool {
         if let Some(entry) = self.load_queue.get_mut(&tag) {
             let take = entry.bytes_left.min(FLIT_BYTES);
             entry.bytes_left -= take;

@@ -147,7 +147,7 @@ impl RingHealth {
     /// Accumulates this report into a metrics registry under `<prefix>.*`
     /// (counters add across exchanges; `max_backoff_cycles` keeps the
     /// high-water mark) — the unified-telemetry form of this struct.
-    pub fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
+    pub(crate) fn record_into(&self, reg: &mut rapid_telemetry::MetricsRegistry, prefix: &str) {
         reg.add(&format!("{prefix}.chunks"), self.chunks);
         reg.add(&format!("{prefix}.transmissions"), self.transmissions);
         reg.add(&format!("{prefix}.retransmits"), self.retransmits);
@@ -160,9 +160,11 @@ impl RingHealth {
         reg.add(&format!("{prefix}.ideal_cycles"), self.ideal_cycles);
     }
 
-    /// Reconstructs the struct as a thin view over registry counters
-    /// written by [`RingHealth::record_into`] with the same prefix.
-    pub fn from_registry(reg: &rapid_telemetry::MetricsRegistry, prefix: &str) -> Self {
+    /// Reconstructs the struct from registry counters written by
+    /// [`RingHealth::record_into`] with the same prefix: the reader the
+    /// round-trip test checks the writer against.
+    #[cfg(test)]
+    pub(crate) fn from_registry(reg: &rapid_telemetry::MetricsRegistry, prefix: &str) -> Self {
         Self {
             chunks: reg.counter(&format!("{prefix}.chunks")),
             transmissions: reg.counter(&format!("{prefix}.transmissions")),

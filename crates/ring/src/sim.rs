@@ -173,13 +173,8 @@ impl RingSim {
     }
 
     /// The memory node's id.
-    pub fn mem_id(&self) -> usize {
+    pub(crate) fn mem_id(&self) -> usize {
         self.nodes.len() - 1
-    }
-
-    /// Current cycle.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
     }
 
     /// Appends instructions to a node's MNI program.
@@ -188,7 +183,7 @@ impl RingSim {
     ///
     /// Panics if `node` is out of range.
     #[allow(clippy::expect_used)] // infallible wrapper kept for existing callers
-    pub fn push_program(&mut self, node: usize, instrs: impl IntoIterator<Item = MniInstr>) {
+    pub(crate) fn push_program(&mut self, node: usize, instrs: impl IntoIterator<Item = MniInstr>) {
         self.try_push_program(node, instrs).expect("node out of range");
     }
 
@@ -198,7 +193,7 @@ impl RingSim {
     ///
     /// Returns [`RingError::NodeOutOfRange`] if `node` is not a valid node
     /// id.
-    pub fn try_push_program(
+    pub(crate) fn try_push_program(
         &mut self,
         node: usize,
         instrs: impl IntoIterator<Item = MniInstr>,
@@ -216,11 +211,6 @@ impl RingSim {
         self.nodes[node].received_bytes
     }
 
-    /// Completed receive tags at a node, in completion order.
-    pub fn completed_tags(&self, node: usize) -> &[u16] {
-        &self.nodes[node].completed
-    }
-
     /// Total hop-traversals on the (cw, ccw) channels — the
     /// link-utilization statistic multicast is meant to reduce.
     pub fn link_hops(&self) -> (u64, u64) {
@@ -228,7 +218,7 @@ impl RingSim {
     }
 
     /// Whether all programs drained and the ring is empty.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.cw.is_empty()
             && self.ccw.is_empty()
             && self.mem_delay.is_empty()
@@ -236,7 +226,7 @@ impl RingSim {
     }
 
     /// Advances the system one cycle.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         self.cycle += 1;
         let n = self.nodes.len();
         let mem = self.mem_id();
@@ -616,7 +606,7 @@ mod tests {
         assert_eq!(sim.received_bytes(0), 8 * 1024);
         assert_eq!(sim.received_bytes(1), 128);
         // The short read finishes while the long one still streams.
-        assert_eq!(sim.completed_tags(1), &[2]);
+        assert_eq!(sim.nodes[1].completed, [2]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub enum BreakerState {
     HalfOpen,
 }
 
-/// Dispatch decision from [`CircuitBreaker::admit`].
+/// Dispatch decision from the breaker's admission check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admit {
     /// Breaker closed — dispatch normally.
@@ -55,7 +55,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with the given thresholds.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    pub(crate) fn new(cfg: BreakerConfig) -> Self {
         Self {
             cfg,
             state: BreakerState::Closed,
@@ -66,7 +66,7 @@ impl CircuitBreaker {
     }
 
     /// Current state, advancing Open → HalfOpen if the cooldown elapsed.
-    pub fn state(&mut self, now_us: u64) -> BreakerState {
+    pub(crate) fn state(&mut self, now_us: u64) -> BreakerState {
         if self.state == BreakerState::Open
             && now_us >= self.opened_at_us.saturating_add(self.cfg.cooldown_us)
         {
@@ -77,14 +77,14 @@ impl CircuitBreaker {
     }
 
     /// Whether submissions should be refused outright right now.
-    pub fn rejects_submissions(&mut self, now_us: u64) -> bool {
+    pub(crate) fn rejects_submissions(&mut self, now_us: u64) -> bool {
         self.state(now_us) == BreakerState::Open
     }
 
     /// Dispatch-time gate. `Probe` marks the caller's batch as the single
     /// half-open probe; the caller must report its result via
     /// [`Self::on_success`] / [`Self::on_failure`].
-    pub fn admit(&mut self, now_us: u64) -> Admit {
+    pub(crate) fn admit(&mut self, now_us: u64) -> Admit {
         match self.state(now_us) {
             BreakerState::Closed => Admit::Allow,
             BreakerState::Open => Admit::Reject,
@@ -101,7 +101,7 @@ impl CircuitBreaker {
 
     /// Reports a successful batch. Returns true when this closed a
     /// half-open breaker (the caller counts it as a `breaker.closes`).
-    pub fn on_success(&mut self) -> bool {
+    pub(crate) fn on_success(&mut self) -> bool {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.state = BreakerState::Closed;
@@ -114,7 +114,7 @@ impl CircuitBreaker {
 
     /// Reports a failed batch attempt. Returns true when this transition
     /// opened the breaker (the caller counts it as a `breaker.opens`).
-    pub fn on_failure(&mut self, now_us: u64) -> bool {
+    pub(crate) fn on_failure(&mut self, now_us: u64) -> bool {
         match self.state {
             BreakerState::HalfOpen => {
                 // Probe failed: straight back to Open, restart cooldown.

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, VecDeque};
 use rapid_model::LatencyTable;
 use rapid_telemetry::serve as names;
 use rapid_telemetry::slo::{SloConfig, SloMonitor, SloReport};
-use rapid_telemetry::span::{derive_trace_id, SpanContext, SpanRecord, SpanSink};
+use rapid_telemetry::span::{derive_trace_id, SpanContext, SpanSink};
 use rapid_telemetry::{MetricsRegistry, ServeCounters};
 
 use crate::breaker::{Admit, BreakerConfig, CircuitBreaker};
@@ -268,11 +268,6 @@ impl ServeEngine {
     pub fn set_capacity_derate(&mut self, factor: f64) {
         self.capacity_derate = if factor > 0.0 { factor.min(1.0) } else { f64::MIN_POSITIVE };
         self.reg.set_gauge("serve.capacity_derate", self.capacity_derate);
-    }
-
-    /// The current capacity derate factor (1.0 = full strength).
-    pub fn capacity_derate(&self) -> f64 {
-        self.capacity_derate
     }
 
     /// Opens the root span for a freshly submitted request (span
@@ -635,24 +630,24 @@ impl ServeEngine {
 
     /// Begins shutdown: new submissions reject, partial batch windows
     /// flush immediately.
-    pub fn drain(&mut self) {
+    pub(crate) fn drain(&mut self) {
         self.draining = true;
     }
 
     /// Whether shutdown drain has begun.
-    pub fn draining(&self) -> bool {
+    pub(crate) fn draining(&self) -> bool {
         self.draining
     }
 
     /// Whether the engine holds no work (queues, retries, in-flight).
-    pub fn idle(&self) -> bool {
+    pub(crate) fn idle(&self) -> bool {
         self.queued_total == 0 && self.retries.is_empty() && self.inflight == 0
     }
 
     /// Time-outs everything still queued or awaiting retry — the drain
     /// window closed at `now_us`. In-flight batches must be completed by
     /// the caller first.
-    pub fn abort_remaining(&mut self, now_us: u64) {
+    pub(crate) fn abort_remaining(&mut self, now_us: u64) {
         let mut leftovers: Vec<Queued> = Vec::new();
         for (_, mut q) in std::mem::take(&mut self.queues) {
             leftovers.extend(q.drain(..));
@@ -762,7 +757,7 @@ impl ServeEngine {
     }
 
     /// Terminal responses recorded so far (drains the buffer).
-    pub fn take_responses(&mut self) -> Vec<Response> {
+    pub(crate) fn take_responses(&mut self) -> Vec<Response> {
         std::mem::take(&mut self.responses)
     }
 
@@ -771,52 +766,26 @@ impl ServeEngine {
         &self.responses
     }
 
-    /// Current shed escalation level.
-    pub fn shed_level(&self) -> u8 {
-        self.shed.as_ref().map(ShedController::level).unwrap_or(0)
-    }
-
-    /// Requests currently queued.
-    pub fn queued(&self) -> usize {
-        self.queued_total
-    }
-
     /// Batches currently dispatched and not yet completed.
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight
-    }
-
-    /// The runtime configuration.
-    pub fn config(&self) -> &ServeConfig {
-        &self.cfg
-    }
-
-    /// The latency table driving admission estimates.
-    pub fn table(&self) -> &LatencyTable {
-        &self.table
     }
 
     /// Recorded batch compositions (empty unless
     /// [`ServeConfig::record_batches`]).
-    pub fn batch_log(&self) -> &[BatchLogEntry] {
+    pub(crate) fn batch_log(&self) -> &[BatchLogEntry] {
         &self.batch_log
-    }
-
-    /// Recorded request spans (empty unless
-    /// [`ServeConfig::record_spans`]).
-    pub fn spans(&self) -> &[SpanRecord] {
-        self.spans.as_ref().map(SpanSink::spans).unwrap_or(&[])
     }
 
     /// Takes the span sink out of the engine (for merging into a shared
     /// trace), leaving span recording disabled.
-    pub fn take_spans(&mut self) -> Option<SpanSink> {
+    pub(crate) fn take_spans(&mut self) -> Option<SpanSink> {
         self.spans.take()
     }
 
     /// The burn-rate rule outcomes so far (empty when
     /// [`ServeConfig::slo`] is `None`).
-    pub fn slo_report(&self) -> SloReport {
+    pub(crate) fn slo_report(&self) -> SloReport {
         SloReport {
             rules: [&self.slo_deadline, &self.slo_shed]
                 .into_iter()
@@ -945,11 +914,11 @@ mod tests {
         // Reinstatement restores the factor (and clamps bad inputs).
         let mut e = ServeEngine::new(ServeConfig::default(), table());
         e.set_capacity_derate(0.75);
-        assert!((e.capacity_derate() - 0.75).abs() < 1e-12);
+        assert!((e.capacity_derate - 0.75).abs() < 1e-12);
         e.set_capacity_derate(1.0);
-        assert!((e.capacity_derate() - 1.0).abs() < 1e-12);
+        assert!((e.capacity_derate - 1.0).abs() < 1e-12);
         e.set_capacity_derate(7.0);
-        assert!((e.capacity_derate() - 1.0).abs() < 1e-12);
+        assert!((e.capacity_derate - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -974,7 +943,7 @@ mod tests {
         let c = e.counters();
         assert_eq!(c.timed_out, 1);
         assert_eq!(e.registry().counter(names::TIMED_OUT_QUEUE), 1);
-        assert_eq!(e.queued(), 0);
+        assert_eq!(e.queued_total, 0);
         assert!(e.next_batch(10_000).is_none());
     }
 
@@ -1059,7 +1028,7 @@ mod tests {
         for _ in 0..3 {
             e.tick(1);
         }
-        assert_eq!(e.shed_level(), 3);
+        assert_eq!(e.shed.as_ref().map(ShedController::level), Some(3));
         // Critical request survives at its tier; standards are shed.
         let b = e.next_batch(2).expect("critical batch");
         assert_eq!(b.tier, Tier::Fp16);
@@ -1087,7 +1056,7 @@ mod tests {
             assert!(e.submit(r, 0));
         }
         e.tick(1);
-        assert_eq!(e.shed_level(), 1);
+        assert_eq!(e.shed.as_ref().map(ShedController::level), Some(1));
         let b = e.next_batch(2).expect("batch");
         assert_eq!(b.tier, Tier::Hfp8); // downgraded one step
         e.complete_batch(b, Ok(()), 3);
@@ -1156,7 +1125,7 @@ mod tests {
         e.complete_batch(b, Err(SessionError::Transient), 2_200);
         let b = e.next_batch(2_300).expect("retry");
         e.complete_batch(b, Ok(()), 2_500);
-        let spans = e.spans();
+        let spans = e.spans.as_ref().expect("spans recorded").spans();
         validate_forest(spans).expect("well-nested");
         // Stages: admission, queue, exec, retry_wait, exec + 1 root.
         assert_eq!(spans.len(), 6);
@@ -1183,7 +1152,6 @@ mod tests {
         assert!(e.submit(r, 0));
         let b = e.next_batch(2_100).expect("ready");
         e.complete_batch(b, Ok(()), 2_400);
-        assert!(e.spans().is_empty());
         assert!(e.take_spans().is_none());
     }
 

@@ -40,7 +40,7 @@ impl Tier {
     }
 
     /// This tier lowered by `levels` quality steps, saturating at INT4.
-    pub fn downgraded_by(self, levels: u8) -> Tier {
+    pub(crate) fn downgraded_by(self, levels: u8) -> Tier {
         let idx = match self {
             Tier::Fp16 => 0usize,
             Tier::Hfp8 => 1,

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use rapid_model::LatencyTable;
 use rapid_telemetry::slo::SloReport;
 use rapid_telemetry::span::SpanRecord;
-use rapid_telemetry::{openmetrics, MetricsRegistry, ServeCounters};
+use rapid_telemetry::{MetricsRegistry, ServeCounters};
 
 use crate::engine::{ServeConfig, ServeEngine};
 use crate::request::{QosClass, Request, RequestId, Response, Tier};
@@ -78,16 +78,6 @@ impl ServerHandle<'_> {
         self.cv.notify_all();
         id
     }
-
-    /// Live snapshot of the serving counters.
-    pub fn counters(&self) -> ServeCounters {
-        lock(self.state).engine.counters()
-    }
-
-    /// Requests currently queued.
-    pub fn queued(&self) -> usize {
-        lock(self.state).engine.queued()
-    }
 }
 
 /// What a completed [`Server::run`] hands back.
@@ -105,14 +95,6 @@ pub struct ServerReport<R> {
     pub spans: Vec<SpanRecord>,
     /// Burn-rate rule outcomes over the wall-clock-µs virtual clock.
     pub slo: SloReport,
-}
-
-impl<R> ServerReport<R> {
-    /// The final registry as an OpenMetrics text snapshot, with the
-    /// given shared labels — scrape-able output for the threaded server.
-    pub fn openmetrics(&self, labels: &[(&str, &str)]) -> String {
-        openmetrics::render_labeled(&self.registry, labels)
-    }
 }
 
 /// The threaded serving runtime. Stateless — [`Server::run`] owns the
@@ -298,7 +280,8 @@ mod tests {
         });
         assert!(!report.spans.is_empty());
         validate_forest(&report.spans).expect("well-nested");
-        let text = report.openmetrics(&[("job", "rapid_serve")]);
+        let labels = [("job", "rapid_serve")];
+        let text = rapid_telemetry::openmetrics::render_labeled(&report.registry, &labels);
         let doc = rapid_telemetry::openmetrics::validate(&text).expect("valid snapshot");
         assert_eq!(doc.counter("serve_submitted"), Some(10.0));
     }

@@ -42,18 +42,18 @@ pub struct ShedController {
 
 impl ShedController {
     /// A controller at level 0.
-    pub fn new(cfg: ShedConfig) -> Self {
+    pub(crate) fn new(cfg: ShedConfig) -> Self {
         Self { cfg, level: 0, hi_streak: 0, lo_streak: 0 }
     }
 
     /// Current escalation level (0..=`max_level`).
-    pub fn level(&self) -> u8 {
+    pub(crate) fn level(&self) -> u8 {
         self.level
     }
 
     /// Feeds one occupancy observation (queued / capacity, 0..=1) and
     /// returns the possibly-updated level.
-    pub fn observe(&mut self, occupancy: f64) -> u8 {
+    pub(crate) fn observe(&mut self, occupancy: f64) -> u8 {
         if occupancy > self.cfg.hi {
             self.lo_streak = 0;
             self.hi_streak += 1;

@@ -111,26 +111,14 @@ pub struct MpeArray {
 }
 
 impl MpeArray {
-    /// Creates the array for a job on this corelet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the job has no tiles or a zero reduction. Use
-    /// [`MpeArray::try_new`] for a structured error instead.
-    // Infallible wrapper: the only failure is the validated job shape.
-    #[allow(clippy::expect_used)]
-    pub fn new(cfg: CoreletConfig, job: ArrayJob, datapath: Datapath) -> Self {
-        Self::try_new(cfg, job, datapath).expect("invalid array job")
-    }
-
-    /// [`MpeArray::new`] that rejects structurally invalid jobs (no tiles,
+    /// An array for `job`, rejecting structurally invalid jobs (no tiles,
     /// zero reduction, or no stream positions) with
-    /// [`SimError::InvalidConfig`] instead of panicking.
+    /// [`SimError::InvalidConfig`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] naming the offending field.
-    pub fn try_new(
+    pub(crate) fn try_new(
         cfg: CoreletConfig,
         job: ArrayJob,
         datapath: Datapath,
@@ -200,20 +188,15 @@ impl MpeArray {
     }
 
     /// Whether the whole job completed.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.phase == Phase::Done
-    }
-
-    /// Total cycles the array has been ticked.
-    pub fn total_cycles(&self) -> u64 {
-        self.phase_cycles.iter().sum()
     }
 
     /// A composite counter that changes whenever the array makes forward
     /// progress, for watchdog change-detection. Deliberately excludes the
     /// block-load and starvation cycle counters, which tick even when the
     /// array is wedged waiting on data that will never arrive.
-    pub fn progress_marker(&self) -> u64 {
+    pub(crate) fn progress_marker(&self) -> u64 {
         self.macs
             .wrapping_add(self.outputs.len() as u64)
             .wrapping_add(self.lrf_filled)
@@ -226,7 +209,7 @@ impl MpeArray {
     }
 
     /// One cycle: consumes from the weight/input links per the phase.
-    pub fn tick(&mut self, weights: &mut Link, inputs: &mut Link, tokens: &mut TokenFile) {
+    pub(crate) fn tick(&mut self, weights: &mut Link, inputs: &mut Link, tokens: &mut TokenFile) {
         match self.phase {
             Phase::Done => {}
             Phase::BlockLoad => {
@@ -362,7 +345,8 @@ mod tests {
         let job = ArrayJob { m: 2, k: 2, tiles: vec![(0, 2)], precision: Precision::Fp16 };
         let a = [[1.0f32, 2.0], [3.0, 4.0]]; // [m][k]
         let b = [[5.0f32, 6.0], [7.0, 8.0]]; // [k][n]
-        let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+        let mut array = MpeArray::try_new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 })
+            .expect("valid job");
         let mut wl = Link::new(1024);
         let mut il = Link::new(1024);
         // Weights stream ci-major: row ci=0 (cols), row ci=1.
@@ -391,7 +375,8 @@ mod tests {
         // k = 64 at FP16: 8 elems/cycle -> 8 stream cycles per position.
         let cfg = CoreletConfig::default();
         let job = ArrayJob { m: 4, k: 64, tiles: vec![(0, 8)], precision: Precision::Fp16 };
-        let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+        let mut array = MpeArray::try_new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 })
+            .expect("valid job");
         let mut wl = Link::new(4096);
         let mut il = Link::new(4096);
         for _ in 0..64 * 8 {
@@ -412,7 +397,8 @@ mod tests {
     fn starved_inputs_are_counted() {
         let cfg = CoreletConfig::default();
         let job = ArrayJob { m: 1, k: 8, tiles: vec![(0, 1)], precision: Precision::Fp16 };
-        let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+        let mut array = MpeArray::try_new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 })
+            .expect("valid job");
         let mut wl = Link::new(64);
         let mut il = Link::new(64);
         for _ in 0..8 {
@@ -439,7 +425,8 @@ mod tests {
         let job = ArrayJob { m: 1, k: 4, tiles: vec![(0, 2)], precision: Precision::Int4 };
         let qa = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 7.0);
         let qb = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 7.0);
-        let mut array = MpeArray::new(cfg, job, Datapath::Int { qa, qb });
+        let mut array = MpeArray::try_new(cfg, job, Datapath::Int { qa, qb })
+            .expect("valid job");
         let mut wl = Link::new(64);
         let mut il = Link::new(64);
         // b rows (k=4, n=2): all ones; a: [1, 2, 3, 4].
@@ -465,7 +452,8 @@ mod tests {
         let run = |first: f32| {
             let cfg = CoreletConfig::default();
             let job = ArrayJob { m: 1, k: 4, tiles: vec![(0, 2)], precision: Precision::Fp16 };
-            let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+            let mut array = MpeArray::try_new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 })
+                .expect("valid job");
             let mut wl = Link::new(64);
             let mut il = Link::new(64);
             for _ in 0..4 {
@@ -491,7 +479,8 @@ mod tests {
         // k = 300 at FP16 (LRF depth 128): 3 blocks -> 3 block-free tokens.
         let cfg = CoreletConfig::default();
         let job = ArrayJob { m: 2, k: 300, tiles: vec![(0, 4)], precision: Precision::Fp16 };
-        let mut array = MpeArray::new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 });
+        let mut array = MpeArray::try_new(cfg, job, Datapath::Float { mode: FmaMode::Fp16 })
+            .expect("valid job");
         let mut wl = Link::new(8192);
         let mut il = Link::new(8192);
         let mut tokens = TokenFile::new(2);
@@ -507,7 +496,7 @@ mod tests {
             guard += 1;
             assert!(guard < 100_000);
         }
-        assert_eq!(tokens.value(TOKEN_BLOCK_FREE), 3);
+        assert_eq!(tokens.snapshot()[usize::from(TOKEN_BLOCK_FREE)].1, 3);
         // 300 × 0.25 × 2 = 150, exactly representable.
         assert_eq!(array.outputs[0].2, 150.0);
     }

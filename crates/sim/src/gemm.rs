@@ -18,7 +18,7 @@ use rapid_telemetry::{MetricsRegistry, SpanCoalescer, Telemetry};
 
 /// The stable label a [`Precision`] carries in telemetry metric names
 /// (`sim.macs.fp16`, ...).
-pub fn precision_label(p: Precision) -> &'static str {
+pub(crate) fn precision_label(p: Precision) -> &'static str {
     match p {
         Precision::Fp32 => "fp32",
         Precision::Fp16 => "fp16",
@@ -76,14 +76,14 @@ pub struct CoreSim {
 impl CoreSim {
     /// Creates a simulator for a core configuration. Scratchpads are
     /// SECDED-protected (the RaPiD L1 arrays carry ECC).
-    pub fn new(cfg: CoreConfig) -> Self {
+    pub(crate) fn new(cfg: CoreConfig) -> Self {
         Self { cfg, core_id: 0 }
     }
 
     /// Sets the core id used to label this core's telemetry (metric name
     /// prefixes and trace track groups). Chip-level runs number their
     /// cores; a standalone core is core 0.
-    pub fn with_core_id(mut self, core_id: u32) -> Self {
+    pub(crate) fn with_core_id(mut self, core_id: u32) -> Self {
         self.core_id = core_id;
         self
     }

@@ -59,7 +59,7 @@ pub use chip::{
     try_run_chip_gemm, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult, SFU_TRACE_PID,
 };
 pub use error::{SeqSnapshot, SimError};
-pub use gemm::{precision_label, CoreSim, CoreletReport, GemmJob, SimResult};
+pub use gemm::{CoreSim, CoreletReport, GemmJob, SimResult};
 pub use sfu::{SfuStage, SfuUnit};
 pub use seq::{Link, Scratchpad, Sequencer};
 pub use token::TokenFile;

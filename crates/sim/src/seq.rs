@@ -101,13 +101,8 @@ impl Scratchpad {
     }
 
     /// Element count.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.data.len()
-    }
-
-    /// Whether the scratchpad is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
     }
 
     /// Reads one element, decoding/correcting through ECC when enabled.
@@ -168,27 +163,17 @@ pub struct Link {
 
 impl Link {
     /// Creates a link buffering up to `capacity` elements.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self { queue: VecDeque::with_capacity(capacity), capacity }
     }
 
     /// Free slots.
-    pub fn space(&self) -> usize {
+    pub(crate) fn space(&self) -> usize {
         self.capacity - self.queue.len()
     }
 
-    /// Buffered elements.
-    pub fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Whether the link is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
     /// Pushes an element; returns `false` when full.
-    pub fn push(&mut self, v: f32) -> bool {
+    pub(crate) fn push(&mut self, v: f32) -> bool {
         if self.queue.len() == self.capacity {
             return false;
         }
@@ -197,7 +182,7 @@ impl Link {
     }
 
     /// Pops the head element.
-    pub fn pop(&mut self) -> Option<f32> {
+    pub(crate) fn pop(&mut self) -> Option<f32> {
         self.queue.pop_front()
     }
 }
@@ -220,7 +205,7 @@ pub struct Sequencer {
 impl Sequencer {
     /// Creates a sequencer for a program streaming `elem_bytes`-wide
     /// elements.
-    pub fn new(program: Vec<SeqInstr>, elem_bytes: f64) -> Self {
+    pub(crate) fn new(program: Vec<SeqInstr>, elem_bytes: f64) -> Self {
         Self {
             program,
             pc: 0,
@@ -233,24 +218,19 @@ impl Sequencer {
     }
 
     /// Whether the program has retired completely.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.pc >= self.program.len()
     }
 
     /// Current program counter.
-    pub fn pc(&self) -> usize {
+    pub(crate) fn pc(&self) -> usize {
         self.pc
-    }
-
-    /// Total program length.
-    pub fn program_len(&self) -> usize {
-        self.program.len()
     }
 
     /// The `(token, count)` this sequencer is blocked on, when its current
     /// instruction is a `WaitToken` (the watchdog uses this to name the
     /// blocking token in deadlock reports).
-    pub fn waiting_on(&self) -> Option<(u8, u16)> {
+    pub(crate) fn waiting_on(&self) -> Option<(u8, u16)> {
         match self.program.get(self.pc) {
             Some(SeqInstr::WaitToken { token, count }) => Some((*token, *count)),
             _ => None,
@@ -258,7 +238,7 @@ impl Sequencer {
     }
 
     /// Dumps this sequencer's state for a deadlock report.
-    pub fn snapshot(&self, name: String) -> crate::error::SeqSnapshot {
+    pub(crate) fn snapshot(&self, name: String) -> crate::error::SeqSnapshot {
         crate::error::SeqSnapshot {
             name,
             pc: self.pc,
@@ -273,7 +253,7 @@ impl Sequencer {
     /// tokens are free), then streams elements of the current `Read` into
     /// `link`, limited by the link's space and the shared L1 port budget
     /// `port_bytes` (decremented by the bytes actually moved).
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         spad: &Scratchpad,
         link: &mut Link,
@@ -407,7 +387,7 @@ mod tests {
             seq.tick(&spad, &mut link, &mut tokens, &mut budget);
         }
         assert!(seq.is_done());
-        assert_eq!(link.len(), 8);
+        assert_eq!(link.queue.len(), 8);
         assert_eq!(link.pop(), Some(1.0));
     }
 
@@ -434,14 +414,14 @@ mod tests {
             Sequencer::new(vec![SeqInstr::Read { addr: 0, len: 16, stride: 1 }], 1.0);
         let mut budget = 128.0;
         seq.tick(&spad, &mut link, &mut tokens, &mut budget);
-        assert_eq!(link.len(), 4, "capacity caps the stream");
+        assert_eq!(link.queue.len(), 4, "capacity caps the stream");
         assert!(!seq.is_done());
         // Drain two, stream resumes.
         link.pop();
         link.pop();
         let mut budget = 128.0;
         seq.tick(&spad, &mut link, &mut tokens, &mut budget);
-        assert_eq!(link.len(), 4);
+        assert_eq!(link.queue.len(), 4);
     }
 
     #[test]
@@ -465,7 +445,7 @@ mod tests {
             }
         }
         assert!(seq.is_done());
-        assert_eq!(link.len(), 6);
+        assert_eq!(link.queue.len(), 6);
         assert_eq!(seq.elems_moved, 6);
     }
 
@@ -483,12 +463,12 @@ mod tests {
         );
         let mut budget = 128.0;
         seq.tick(&spad, &mut link, &mut tokens, &mut budget);
-        assert!(link.is_empty());
+        assert!(link.queue.is_empty());
         assert_eq!(seq.stall_cycles, 1);
         tokens.signal(0);
         let mut budget = 128.0;
         seq.tick(&spad, &mut link, &mut tokens, &mut budget);
-        assert_eq!(link.len(), 1);
+        assert_eq!(link.queue.len(), 1);
         assert!(seq.is_done());
     }
 

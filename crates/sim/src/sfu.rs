@@ -25,7 +25,7 @@ pub enum SfuStage {
 
 impl SfuStage {
     /// The ISA op kind this stage lowers to.
-    pub fn op_kind(&self) -> SfuOpKind {
+    pub(crate) fn op_kind(&self) -> SfuOpKind {
         match self {
             SfuStage::Relu => SfuOpKind::Relu,
             SfuStage::Sigmoid => SfuOpKind::Sigmoid,

@@ -10,7 +10,7 @@ pub struct TokenFile {
 
 impl TokenFile {
     /// Creates `n` token counters, all zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Self { counters: vec![0; n] }
     }
 
@@ -19,7 +19,7 @@ impl TokenFile {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn signal(&mut self, t: u8) {
+    pub(crate) fn signal(&mut self, t: u8) {
         self.counters[t as usize] += 1;
     }
 
@@ -29,7 +29,7 @@ impl TokenFile {
     /// # Panics
     ///
     /// Panics if `t` is out of range.
-    pub fn try_consume(&mut self, t: u8, count: u16) -> bool {
+    pub(crate) fn try_consume(&mut self, t: u8, count: u16) -> bool {
         let c = &mut self.counters[t as usize];
         if *c >= u32::from(count) {
             *c -= u32::from(count);
@@ -39,14 +39,9 @@ impl TokenFile {
         }
     }
 
-    /// Current value of token `t`.
-    pub fn value(&self, t: u8) -> u32 {
-        self.counters[t as usize]
-    }
-
     /// All `(token, value)` pairs — attached to deadlock reports so the
     /// hung system's synchronization state is visible.
-    pub fn snapshot(&self) -> Vec<(u8, u32)> {
+    pub(crate) fn snapshot(&self) -> Vec<(u8, u32)> {
         self.counters.iter().enumerate().map(|(t, &v)| (t as u8, v)).collect()
     }
 }
@@ -62,7 +57,7 @@ mod tests {
         assert!(!tf.try_consume(2, 1));
         tf.signal(2);
         tf.signal(2);
-        assert_eq!(tf.value(2), 2);
+        assert_eq!(tf.counters[2], 2);
         assert!(tf.try_consume(2, 2));
         assert!(!tf.try_consume(2, 1));
     }

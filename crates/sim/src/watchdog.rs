@@ -31,14 +31,14 @@ pub struct Watchdog {
 impl Watchdog {
     /// Creates a watchdog that trips after `window` cycles without a
     /// marker change (`window` is clamped to at least 1).
-    pub fn new(window: u64) -> Self {
+    pub(crate) fn new(window: u64) -> Self {
         Self { window: window.max(1), last_marker: 0, last_change_cycle: 0, primed: false }
     }
 
     /// Observes the marker at `cycle`. Returns `true` when the marker has
     /// been static for the whole window — the caller should abort with a
     /// deadlock report.
-    pub fn observe(&mut self, cycle: u64, marker: u64) -> bool {
+    pub(crate) fn observe(&mut self, cycle: u64, marker: u64) -> bool {
         if !self.primed || marker != self.last_marker {
             self.primed = true;
             self.last_marker = marker;

@@ -79,11 +79,6 @@ impl HealthCounters {
             slo_alerts: reg.counter(SLO_ALERTS),
         }
     }
-
-    /// Whether the monitor ever saw a defect signal.
-    pub fn any_defect_seen(&self) -> bool {
-        self.probe_failures > 0 || self.quarantines > 0
-    }
 }
 
 #[cfg(test)]
@@ -106,7 +101,6 @@ mod tests {
         assert_eq!(c.probe_cycles, 12);
         assert_eq!(c.probe_failures, 3);
         assert_eq!(c.quarantines, 1);
-        assert!(c.any_defect_seen());
         assert!((c.active_cores - 3.0).abs() < 1e-12);
         assert!(c.mean_detect_latency_us >= 1000.0);
         assert_eq!(c.slo_alerts, 0);
@@ -115,7 +109,7 @@ mod tests {
     #[test]
     fn empty_registry_reads_clean() {
         let c = HealthCounters::from_registry(&MetricsRegistry::new());
-        assert!(!c.any_defect_seen());
+        assert_eq!((c.probe_failures, c.quarantines), (0, 0));
         assert_eq!(c.mean_detect_latency_us, 0.0);
     }
 }

@@ -117,12 +117,6 @@ impl Telemetry {
     }
 }
 
-/// Reborrows an `Option<&mut Telemetry>` for passing down a call chain
-/// without consuming it (mirrors the fault layer's reborrow idiom).
-pub fn reborrow<'a>(tele: &'a mut Option<&mut Telemetry>) -> Option<&'a mut Telemetry> {
-    tele.as_deref_mut()
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
@@ -134,7 +128,7 @@ mod tests {
             let mut acc = 0u64;
             for i in 0..10 {
                 acc += i;
-                if let Some(t) = reborrow(&mut tele) {
+                if let Some(t) = tele.as_deref_mut() {
                     t.registry.incr("iters");
                 }
             }

@@ -45,7 +45,7 @@ pub fn metrics_path_from_env() -> Option<std::path::PathBuf> {
 
 /// Maps a registry name onto the OpenMetrics charset: `[a-zA-Z0-9_:]`,
 /// first char non-digit. Dots and dashes become underscores.
-pub fn sanitize_name(name: &str) -> String {
+pub(crate) fn sanitize_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len() + 1);
     for (i, c) in name.chars().enumerate() {
         let ok = c.is_ascii_alphanumeric() || c == '_' || c == ':';
@@ -94,11 +94,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Renders `reg` as an OpenMetrics text snapshot with no shared labels.
-pub fn render(reg: &MetricsRegistry) -> String {
-    render_labeled(reg, &[])
 }
 
 /// Renders `reg` as an OpenMetrics text snapshot, attaching `labels` to
@@ -170,7 +165,7 @@ pub struct OmSample {
 
 impl OmSample {
     /// The sample's `le` label, when present.
-    pub fn le(&self) -> Option<&str> {
+    pub(crate) fn le(&self) -> Option<&str> {
         self.labels.iter().find(|(k, _)| k == "le").map(|(_, v)| v.as_str())
     }
 }
@@ -195,7 +190,7 @@ pub struct OmDoc {
 
 impl OmDoc {
     /// The named family, when present.
-    pub fn family(&self, name: &str) -> Option<&OmFamily> {
+    pub(crate) fn family(&self, name: &str) -> Option<&OmFamily> {
         self.families.iter().find(|f| f.name == name)
     }
 
@@ -226,8 +221,10 @@ impl OmDoc {
         Some((pick("_count")?, pick("_sum")?))
     }
 
-    /// A histogram family's cumulative bucket value at `le`.
-    pub fn bucket(&self, name: &str, le: &str) -> Option<f64> {
+    /// A histogram family's cumulative bucket value at `le` (the reader
+    /// the round-trip test checks rendered buckets with).
+    #[cfg(test)]
+    pub(crate) fn bucket(&self, name: &str, le: &str) -> Option<f64> {
         let f = self.family(name)?;
         f.samples
             .iter()
@@ -546,7 +543,7 @@ mod tests {
 
     #[test]
     fn empty_registry_is_a_valid_snapshot() {
-        let text = render(&MetricsRegistry::new());
+        let text = render_labeled(&MetricsRegistry::new(), &[]);
         assert_eq!(text, "# EOF\n");
         assert!(validate(&text).unwrap().families.is_empty());
     }

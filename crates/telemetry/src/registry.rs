@@ -37,7 +37,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// Records one sample.
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -78,7 +78,7 @@ impl Histogram {
     }
 
     /// Arithmetic mean (0.0 when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -87,7 +87,7 @@ impl Histogram {
     }
 
     /// Folds another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         self.count += other.count;
         self.sum = self.sum.saturating_add(other.sum);
         self.min = self.min.min(other.min);
@@ -208,7 +208,7 @@ impl MetricsRegistry {
     }
 
     /// Iterates metrics in name order (the deterministic snapshot order).
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&str, &Metric)> {
         self.metrics.iter().map(|(k, v)| (k.as_str(), v))
     }
 

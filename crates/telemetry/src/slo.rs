@@ -125,21 +125,6 @@ impl SloMonitor {
         self.name
     }
 
-    /// The rule's configuration.
-    pub fn config(&self) -> &SloConfig {
-        &self.cfg
-    }
-
-    /// Total events observed (never pruned).
-    pub fn observed(&self) -> u64 {
-        self.observed
-    }
-
-    /// Total bad events observed (never pruned).
-    pub fn bad(&self) -> u64 {
-        self.bad
-    }
-
     /// Alerts fired so far.
     pub fn alerts(&self) -> &[BurnAlert] {
         &self.alerts
@@ -273,8 +258,7 @@ mod tests {
             m.observe(i, i % 200 == 199);
         }
         assert!(m.alerts().is_empty());
-        assert_eq!(m.observed(), 10_000);
-        assert_eq!(m.bad(), 50);
+        assert_eq!((m.observed, m.bad), (10_000, 50));
     }
 
     #[test]

@@ -102,7 +102,7 @@ impl SpanSink {
     }
 
     /// A sink capped at `max_spans` stored spans.
-    pub fn with_capacity(max_spans: usize) -> Self {
+    pub(crate) fn with_capacity(max_spans: usize) -> Self {
         Self { spans: Vec::new(), next_span_id: 1, max_spans, dropped: 0 }
     }
 
@@ -180,7 +180,7 @@ impl SpanSink {
     /// Appends every span of `other` (both sinks must share a time
     /// base), remapping nothing — span ids are made disjoint by offset
     /// so merged forests stay valid.
-    pub fn merge(&mut self, other: SpanSink) {
+    pub(crate) fn merge(&mut self, other: SpanSink) {
         self.dropped += other.dropped;
         let offset = self.next_span_id;
         let mut top = self.next_span_id;

@@ -98,7 +98,7 @@ impl TraceSink {
     }
 
     /// A sink capped at `max_events` stored events.
-    pub fn with_capacity(max_events: usize) -> Self {
+    pub(crate) fn with_capacity(max_events: usize) -> Self {
         Self { events: Vec::new(), max_events, dropped: 0 }
     }
 
@@ -175,20 +175,6 @@ impl TraceSink {
             pid,
             tid,
             arg: None,
-        });
-    }
-
-    /// Records a counter sample at `ts`.
-    pub fn counter(&mut self, pid: u32, tid: u32, cat: &'static str, name: &str, ts: u64, value: f64) {
-        self.push(TraceEvent {
-            name: name.to_string(),
-            cat,
-            ph: Phase::Counter,
-            ts,
-            dur: 0,
-            pid,
-            tid,
-            arg: Some(("value".to_string(), Json::Num(value))),
         });
     }
 
@@ -298,10 +284,9 @@ mod tests {
         sink.track(1, 2, "core0", "array");
         sink.complete(1, 2, "sim", "stream", 10, 5);
         sink.instant(1, 2, "sim", "deadlock", 20);
-        sink.counter(1, 2, "sim", "occupancy", 21, 0.75);
         let j = sink.to_json();
         let events = j.get("traceEvents").and_then(Json::as_arr).unwrap();
-        assert_eq!(events.len(), 5);
+        assert_eq!(events.len(), 4);
         let span = &events[2];
         assert_eq!(span.get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(span.get("dur").and_then(Json::as_f64), Some(5.0));

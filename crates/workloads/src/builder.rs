@@ -30,17 +30,17 @@ pub struct CnnBuilder {
 
 impl CnnBuilder {
     /// Starts a network with input shape `[c, h, w]`.
-    pub fn new(name: impl Into<String>, domain: Domain, c: u64, h: u64, w: u64) -> Self {
+    pub(crate) fn new(name: impl Into<String>, domain: Domain, c: u64, h: u64, w: u64) -> Self {
         Self { net: Network::new(name, domain), c, h, w, idx: 0 }
     }
 
     /// Current feature-map shape.
-    pub fn shape(&self) -> ShapeSnapshot {
+    pub(crate) fn shape(&self) -> ShapeSnapshot {
         ShapeSnapshot { c: self.c, h: self.h, w: self.w }
     }
 
     /// Restores a previously saved shape (start of a parallel branch).
-    pub fn restore(&mut self, s: ShapeSnapshot) -> &mut Self {
+    pub(crate) fn restore(&mut self, s: ShapeSnapshot) -> &mut Self {
         self.c = s.c;
         self.h = s.h;
         self.w = s.w;
@@ -48,7 +48,7 @@ impl CnnBuilder {
     }
 
     /// Overrides the channel count (after concatenating branches).
-    pub fn set_channels(&mut self, c: u64) -> &mut Self {
+    pub(crate) fn set_channels(&mut self, c: u64) -> &mut Self {
         self.c = c;
         self
     }
@@ -65,7 +65,7 @@ impl CnnBuilder {
     /// Adds a convolution with an asymmetric kernel and padding, updating
     /// the running shape. Returns the builder for chaining.
     #[allow(clippy::too_many_arguments)]
-    pub fn conv_asym(
+    pub(crate) fn conv_asym(
         &mut self,
         co: u64,
         kh: u64,
@@ -87,18 +87,18 @@ impl CnnBuilder {
     }
 
     /// Square-kernel convolution with "same"-style explicit padding.
-    pub fn conv(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
+    pub(crate) fn conv(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
         self.conv_asym(co, k, k, stride, pad, pad, PrecisionClass::Quantizable)
     }
 
     /// Convolution followed by fused BatchNorm + ReLU.
-    pub fn conv_bn_relu(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
+    pub(crate) fn conv_bn_relu(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
         self.conv(co, k, stride, pad);
         self.bn_relu()
     }
 
     /// Asymmetric-kernel convolution followed by BN + ReLU.
-    pub fn conv_asym_bn_relu(
+    pub(crate) fn conv_asym_bn_relu(
         &mut self,
         co: u64,
         kh: u64,
@@ -113,13 +113,13 @@ impl CnnBuilder {
 
     /// First layer: convolution pinned at high precision + BN + ReLU
     /// (paper: first layers stay FP16 to preserve accuracy).
-    pub fn first_conv_bn_relu(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
+    pub(crate) fn first_conv_bn_relu(&mut self, co: u64, k: u64, stride: u64, pad: u64) -> &mut Self {
         self.conv_asym(co, k, k, stride, pad, pad, PrecisionClass::HighPrecision);
         self.bn_relu()
     }
 
     /// Depthwise 3×3-style convolution (+BN+ReLU), updating the shape.
-    pub fn dwconv_bn_relu(&mut self, k: u64, stride: u64, pad: u64) -> &mut Self {
+    pub(crate) fn dwconv_bn_relu(&mut self, k: u64, stride: u64, pad: u64) -> &mut Self {
         let name = self.next_name("dwconv");
         let op = Op::DepthwiseConv { c: self.c, h: self.h, w: self.w, k, stride, pad };
         self.push(Layer::new(name, op));
@@ -129,7 +129,7 @@ impl CnnBuilder {
     }
 
     /// BatchNorm + ReLU over the current feature map.
-    pub fn bn_relu(&mut self) -> &mut Self {
+    pub(crate) fn bn_relu(&mut self) -> &mut Self {
         let elems = self.c * self.h * self.w;
         let bn = self.next_name("bn");
         self.push(Layer::new(bn, Op::Aux { kind: AuxKind::BatchNorm, elems, ops_per_elem: 1 }));
@@ -139,7 +139,7 @@ impl CnnBuilder {
     }
 
     /// ReLU only.
-    pub fn relu(&mut self) -> &mut Self {
+    pub(crate) fn relu(&mut self) -> &mut Self {
         let elems = self.c * self.h * self.w;
         let name = self.next_name("relu");
         self.push(Layer::new(name, Op::Aux { kind: AuxKind::Relu, elems, ops_per_elem: 1 }));
@@ -147,7 +147,7 @@ impl CnnBuilder {
     }
 
     /// Max/avg pooling with a square window, updating the shape.
-    pub fn pool(&mut self, k: u64, stride: u64, pad: u64) -> &mut Self {
+    pub(crate) fn pool(&mut self, k: u64, stride: u64, pad: u64) -> &mut Self {
         let ho = Op::conv_out(self.h, k, stride, pad);
         let wo = Op::conv_out(self.w, k, stride, pad);
         let name = self.next_name("pool");
@@ -161,7 +161,7 @@ impl CnnBuilder {
     }
 
     /// Global average pooling to 1×1.
-    pub fn global_pool(&mut self) -> &mut Self {
+    pub(crate) fn global_pool(&mut self) -> &mut Self {
         let name = self.next_name("gap");
         self.push(Layer::new(
             name,
@@ -173,7 +173,7 @@ impl CnnBuilder {
     }
 
     /// Residual element-wise addition over the current feature map.
-    pub fn eltwise_add(&mut self) -> &mut Self {
+    pub(crate) fn eltwise_add(&mut self) -> &mut Self {
         let elems = self.c * self.h * self.w;
         let name = self.next_name("add");
         self.push(Layer::new(name, Op::Aux { kind: AuxKind::EltwiseAdd, elems, ops_per_elem: 1 }));
@@ -181,14 +181,14 @@ impl CnnBuilder {
     }
 
     /// Concat/shuffle bookkeeping cost over `elems` elements.
-    pub fn shuffle(&mut self, elems: u64) -> &mut Self {
+    pub(crate) fn shuffle(&mut self, elems: u64) -> &mut Self {
         let name = self.next_name("shuffle");
         self.push(Layer::new(name, Op::Aux { kind: AuxKind::Shuffle, elems, ops_per_elem: 1 }));
         self
     }
 
     /// Fully-connected layer `[1, in] × [in, n]`; flattens the current map.
-    pub fn fc(&mut self, n: u64, class: PrecisionClass) -> &mut Self {
+    pub(crate) fn fc(&mut self, n: u64, class: PrecisionClass) -> &mut Self {
         let k = self.c * self.h * self.w;
         let name = self.next_name("fc");
         let mut layer = Layer::new(name, Op::Gemm { m: 1, k, n, weighted: true });
@@ -201,7 +201,7 @@ impl CnnBuilder {
     }
 
     /// Softmax over the current (flattened) output.
-    pub fn softmax(&mut self) -> &mut Self {
+    pub(crate) fn softmax(&mut self) -> &mut Self {
         let elems = self.c * self.h * self.w;
         let name = self.next_name("softmax");
         self.push(Layer::new(name, Op::Aux { kind: AuxKind::Softmax, elems, ops_per_elem: 1 }));
@@ -209,13 +209,13 @@ impl CnnBuilder {
     }
 
     /// Appends a raw layer (escape hatch for heads and custom blocks).
-    pub fn raw(&mut self, layer: Layer) -> &mut Self {
+    pub(crate) fn raw(&mut self, layer: Layer) -> &mut Self {
         self.push(layer);
         self
     }
 
     /// Finishes the network.
-    pub fn build(self) -> Network {
+    pub(crate) fn build(self) -> Network {
         self.net
     }
 }

@@ -14,7 +14,7 @@ fn ssd_head(b: &mut CnnBuilder, boxes: u64) {
 }
 
 /// SSD300 with the VGG16 backbone (Liu et al.), COCO classes.
-pub fn ssd300() -> Network {
+pub(crate) fn ssd300() -> Network {
     let mut b = CnnBuilder::new("ssd300", Domain::ObjectDetection, 3, 300, 300);
     // VGG16 through conv5_3 (pool5 is 3×3 stride 1 in SSD).
     b.first_conv_bn_relu(64, 3, 1, 1);
@@ -58,7 +58,7 @@ fn darknet_res(b: &mut CnnBuilder, c: u64) {
 }
 
 /// YOLOv3 at 416×416 (Redmon & Farhadi), Darknet-53 backbone, 3 scales.
-pub fn yolov3() -> Network {
+pub(crate) fn yolov3() -> Network {
     let mut b = CnnBuilder::new("yolov3", Domain::ObjectDetection, 3, 416, 416);
     b.first_conv_bn_relu(32, 3, 1, 1);
     b.conv_bn_relu(64, 3, 2, 1); // 208
@@ -114,7 +114,7 @@ pub fn yolov3() -> Network {
 }
 
 /// YOLOv3-Tiny at 416×416: 7 convolutions + max-pools, 2 detection scales.
-pub fn yolov3_tiny() -> Network {
+pub(crate) fn yolov3_tiny() -> Network {
     let mut b = CnnBuilder::new("tiny-yolov3", Domain::ObjectDetection, 3, 416, 416);
     b.first_conv_bn_relu(16, 3, 1, 1);
     b.pool(2, 2, 0); // 208

@@ -97,7 +97,7 @@ pub fn lstm_ptb() -> Network {
 
 /// 4-layer bidirectional LSTM acoustic model on SWB300 (hidden 512 per
 /// direction, ~300 frames per utterance, 32k context-dependent targets).
-pub fn bilstm_swb300() -> Network {
+pub(crate) fn bilstm_swb300() -> Network {
     let mut net = Network::new("bilstm", Domain::Speech);
     let (frames, feat, hidden, targets) = (300u64, 260u64, 512u64, 32_000u64);
     for l in 0..4 {

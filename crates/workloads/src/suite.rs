@@ -51,7 +51,7 @@ pub fn benchmark(name: &str) -> Option<Network> {
 /// Target MAC-weighted average weight sparsity of the publicly available
 /// pruned variants the paper uses ([55–58]; §V-D: "average sparsity varies
 /// between 50%–80%").
-pub fn pruned_target_sparsity(name: &str) -> Option<f64> {
+pub(crate) fn pruned_target_sparsity(name: &str) -> Option<f64> {
     Some(match name {
         "vgg16" => 0.80,       // AGP prunes VGG heavily [55, 56]
         "resnet50" => 0.65,    // [55]

@@ -19,9 +19,10 @@
 #                                 crate's tests, the refnet crate's tests
 #                                 (the snapshots read refnet's layer
 #                                 stack), the recovery integration
-#                                 tests, the external-bytes parser
-#                                 proptests (checkpoint decode among them)
-#                                 + a timed recovery_sweep smoke
+#                                 tests (checkpoint resume among them),
+#                                 the external-bytes parser proptests
+#                                 (checkpoint decode among them) + a
+#                                 timed recovery_sweep smoke
 #   scripts/check.sh --telemetry  telemetry gate only: clippy on the
 #                                 telemetry crate (unwrap/expect denied),
 #                                 the external-bytes parser proptests
@@ -81,10 +82,18 @@
 #                                 link to a deleted or private item fails,
 #                                 and the facade crate's doctests, which
 #                                 compile and run README.md's Rust examples
+#   scripts/check.sh --surface    public-surface gate only: fails when a
+#                                 `pub fn` under crates/*/src (crates/bench
+#                                 aside) is named nowhere outside its own
+#                                 crate's src/ (other crates, crates/*/tests,
+#                                 tests/, examples/ and README.md count as
+#                                 outside; the match is by word), and
+#                                 prints the workspace `pub fn` count
 #   scripts/check.sh --all        every named gate (model, recovery,
 #                                 telemetry, protection, simd, serve,
-#                                 elastic, obs, health, doc) without the
-#                                 full build/test/clippy preamble. Gates
+#                                 elastic, obs, health, doc, surface)
+#                                 without the full build/test/clippy
+#                                 preamble. Gates
 #                                 keep running after a failure; a
 #                                 per-gate PASS/FAIL table prints at the
 #                                 end and the exit code is nonzero iff
@@ -92,7 +101,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-gates=(model recovery telemetry protection simd serve elastic obs health doc)
+gates=(model recovery telemetry protection simd serve elastic obs health doc surface)
 out="target/gate-out"
 
 # smoke <bin> [args]: builds an experiment binary, runs it under a hard
@@ -128,7 +137,7 @@ model_gate() {
 recovery_gate() {
     echo "== cargo clippy -p rapid-recover (deny warnings; the crate denies unwrap/expect) =="
     cargo clippy -p rapid-recover --all-targets -- -D warnings
-    echo "== recover + refnet crate tests + recovery integration tests (ABFT recovery, checkpoints, ring, degraded core) =="
+    echo "== recover + refnet crate tests + recovery integration tests (ABFT recovery, checkpoints, checkpoint resume, ring, degraded core) =="
     cargo test --release -p rapid-recover -q
     cargo test --release -p rapid-refnet -q
     cargo test --release -p rapid --test recovery -q
@@ -237,6 +246,40 @@ doc_gate() {
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
     echo "== cargo test -p rapid --doc (README.md's Rust examples) =="
     cargo test -p rapid --doc -q
+}
+
+# Prints every identifier in the given files and directories (.rs files
+# and README.md), one per line, deduplicated.
+identifiers() {
+    grep -rhoE --include=*.rs --include=README.md '\b[A-Za-z_][A-Za-z0-9_]*\b' "$@" | sort -u
+}
+
+surface_gate() {
+    echo "== public surface: every pub fn is named outside its own crate =="
+    local dir other outside file line name unnamed=0
+    local -a others
+    for dir in crates/*/; do
+        dir=${dir%/}
+        [[ $dir == crates/bench ]] && continue
+        others=()
+        for other in crates/*/; do
+            other=${other%/}
+            [[ $other == "$dir" ]] || others+=("$other/src")
+        done
+        outside=$(identifiers "${others[@]}" crates/*/tests tests examples README.md)
+        while IFS=: read -r file line name; do
+            if ! grep -qxF "$name" <<<"$outside"; then
+                echo "  $file:$line: pub fn $name is named nowhere outside $dir/src (make it pub(crate))"
+                unnamed=$((unnamed + 1))
+            fi
+        done < <(grep -rnoE --include=*.rs '\bpub fn [A-Za-z_][A-Za-z0-9_]*' "$dir/src" |
+            sed 's/:pub fn /:/')
+    done
+    echo "workspace pub fn count: $(grep -rn --include=*.rs -E '\bpub fn ' crates | wc -l)"
+    if [[ $unnamed -ne 0 ]]; then
+        echo "$unnamed pub fn named only inside their own crate"
+        return 1
+    fi
 }
 
 case "${1:-}" in

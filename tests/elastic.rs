@@ -14,12 +14,17 @@
 //! - **Nothing hangs.** Whatever the seeded mix of crashes, hangs, and
 //!   slowdowns, the elastic allreduce either returns a reduced vector or
 //!   a structured error — in bounded modeled time.
+//! - **A foreign checkpoint is refused.** Resuming over a store another
+//!   model shape wrote returns a structured error and leaves the model
+//!   untouched.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
 use proptest::prelude::*;
 use rapid::fault::{FaultConfig, FaultPlan};
-use rapid::recover::{train_elastic, CheckpointStore, ElasticTrainConfig};
+use rapid::recover::{
+    train_elastic, CheckpointError, CheckpointStore, ElasticTrainConfig, ElasticTrainError,
+};
 use rapid::refnet::backend::{Fp32Backend, Hfp8Backend};
 use rapid::refnet::data::gaussian_blobs;
 use rapid::refnet::mlp::Mlp;
@@ -160,6 +165,55 @@ fn stragglers_never_cost_membership() {
     assert!(out.contributors.len() < 4, "dropped laggards cannot contribute");
     assert_eq!(mem.members().len(), 4, "dropping is per-exchange, membership intact");
     assert_eq!(mem.epoch(), 0, "no splice, no epoch bump");
+}
+
+/// Resuming over a store written by a model of another shape — a wider
+/// hidden layer, or fewer layers — is a structured checkpoint error, and
+/// no parameter of the resuming model is written.
+#[test]
+fn resuming_another_models_checkpoint_is_a_structured_error() {
+    let dir = std::env::temp_dir().join(format!("rapid-elastic-foreign-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let data = gaussian_blobs(64, 4, 16, 0.35, 46);
+    let cfg = train_cfg(2, 2);
+    for (name, widths) in [("wider", &[16, 24, 4][..]), ("shallower", &[16, 4][..])] {
+        let mut writer = Mlp::new(widths, 3);
+        let mut store = CheckpointStore::open(dir.join(name), "el", 4).unwrap();
+        let mut mem = Membership::new(2).unwrap();
+        let one_epoch = ElasticTrainConfig { epochs: 1, ..cfg };
+        let written = train_elastic(
+            &mut writer,
+            &Fp32Backend,
+            &data,
+            &one_epoch,
+            &mut mem,
+            None,
+            Some(&mut store),
+            None,
+        );
+        written.unwrap();
+
+        let mut resumer = Mlp::new(&[16, 8, 4], 5);
+        let before = resumer.layers().flatten();
+        let mut mem = Membership::new(2).unwrap();
+        let err = train_elastic(
+            &mut resumer,
+            &Fp32Backend,
+            &data,
+            &cfg,
+            &mut mem,
+            None,
+            Some(&mut store),
+            None,
+        )
+        .expect_err("a foreign checkpoint must not resume");
+        assert!(
+            matches!(err, ElasticTrainError::Checkpoint(CheckpointError::ModelMismatch(_))),
+            "{name}: {err}"
+        );
+        assert_eq!(resumer.layers().flatten(), before, "{name}: nothing may be written");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 proptest! {

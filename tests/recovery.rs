@@ -14,19 +14,31 @@
 //! - **A dead core degrades, never corrupts.** A 4-core chip with one
 //!   core failed computes bit-identical GEMM results on the 3 survivors,
 //!   and the analytical model prices the slowdown above 1×.
+//! - **A checkpoint that does not fit is refused.** Rolling back or
+//!   resuming from a generation another model shape wrote is a
+//!   structured error that writes nothing; one that fits resumes,
+//!   whatever loss-scaler state it carries.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // tests panic on failure by design
 
+use proptest::prelude::*;
 use rapid::fault::{derive_seed, FaultConfig, FaultPlan};
 use rapid::model::{core_sweep, ModelConfig};
 use rapid::numerics::int::IntFormat;
-use rapid::numerics::GuardPolicy;
+use rapid::numerics::{GuardPolicy, NumericsError};
 use rapid::recover::{
-    train_qat_resilient, CheckpointStore, GuardedHfp8Backend, LayerState, Protection,
+    train_elastic, train_qat_resilient, CheckpointError, CheckpointStore, ElasticTrainConfig,
+    ElasticTrainError, GuardedHfp8Backend, LayerState, Protection, RecoverError,
     ResilientConfig, TrainState,
 };
+use rapid::refnet::backend::{Backend, Fp32Backend, OperandRole};
 use rapid::refnet::data::gaussian_blobs;
+use rapid::refnet::mlp::Mlp;
 use rapid::refnet::qat::{train_qat, QatConfig, QatMlp};
+use rapid::refnet::DenseStack;
+use rapid::ring::Membership;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use rapid::arch::geometry::CoreConfig;
 use rapid::arch::precision::Precision;
 use rapid::numerics::Tensor;
@@ -135,6 +147,215 @@ fn corrupted_checkpoint_is_rejected_and_previous_generation_loads() {
     assert_eq!(loaded.step, 10, "fallback must be the older checkpoint");
     assert_eq!(store.corrupt_skipped(), 1, "the flipped byte must be counted");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A backend whose first `.0` GEMMs trip a guard and whose later ones
+/// compute in FP32: under [`rollback_at_once`] the first step rolls back
+/// to the store's newest generation, then training goes on.
+struct FailFirst(Cell<u32>);
+
+impl Backend for FailFirst {
+    fn try_matmul(
+        &self,
+        a: &Tensor,
+        b: &Tensor,
+        roles: (OperandRole, OperandRole),
+    ) -> Result<Tensor, NumericsError> {
+        let left = self.0.get();
+        if left > 0 {
+            self.0.set(left - 1);
+            return Err(NumericsError::NonFinite { row: 0, col: 0, bits: f32::NAN.to_bits() });
+        }
+        Fp32Backend.try_matmul(a, b, roles)
+    }
+
+    fn name(&self) -> &'static str {
+        "fail-first"
+    }
+}
+
+/// Recovery that rolls back on the first failed step and never writes a
+/// generation of its own, so the rollback loads what the test stored.
+fn rollback_at_once() -> ResilientConfig {
+    ResilientConfig { rollback_after: 1, checkpoint_every: u64::MAX, ..ResilientConfig::default() }
+}
+
+/// A layer stack's parameters as checkpoint layers.
+fn layer_states(layers: &DenseStack) -> Vec<LayerState> {
+    (0..layers.depth())
+        .map(|i| {
+            let w = layers.weights(i);
+            LayerState {
+                rows: w.shape()[0] as u64,
+                cols: w.shape()[1] as u64,
+                w: w.as_slice().to_vec(),
+                b: layers.biases(i).to_vec(),
+            }
+        })
+        .collect()
+}
+
+/// A fresh store directory per call (proptest cases run in one process).
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("rapid-{tag}-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// (e) A rollback that loads a generation written by a model of another
+/// shape — wider layers, or another PACT level count — fails with a
+/// structured checkpoint error instead of panicking mid-restore, and
+/// leaves the model as the failed step's snapshot left it.
+#[test]
+fn rollback_into_another_models_checkpoint_is_a_structured_error() {
+    let data = gaussian_blobs(64, 4, 16, 0.35, 47);
+    let cfg = QatConfig { epochs: 1, batch: 16, ..QatConfig::default() };
+    let wider = QatMlp::new(&[16, 24, 4], IntFormat::Int4, 2);
+    let same = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 2);
+    let foreign = [
+        ("wider", layer_states(wider.layers()), wider.alphas()),
+        ("two alphas", layer_states(same.layers()), vec![4.0; 2]),
+    ];
+    for (name, layers, alphas) in foreign {
+        let dir = scratch_dir("recovery-foreign");
+        let mut store = CheckpointStore::open(&dir, "qat", 2).unwrap();
+        store.save(&TrainState { scale: 256.0, layers, alphas, ..TrainState::default() }).unwrap();
+        let mut model = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 1);
+        let before = (model.layers().flatten(), model.alphas());
+        let err = train_qat_resilient(
+            &mut model,
+            &FailFirst(Cell::new(1)),
+            &data,
+            &cfg,
+            &rollback_at_once(),
+            Some(&mut store),
+        )
+        .expect_err("a foreign generation must not restore");
+        assert!(
+            matches!(err, RecoverError::Checkpoint(CheckpointError::ModelMismatch(_))),
+            "{name}: {err}"
+        );
+        assert_eq!((model.layers().flatten(), model.alphas()), before, "{name}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// `base` with one edit: 0 none, 1 a layer dropped, 2 a layer repeated,
+/// 3 a layer's rows or 4 its columns grown by `by` (weights and biases
+/// resized to match, so the file stays self-consistent), 5 a layer's bias
+/// grown alone, 6 one PACT level more, 7 the first PACT level set to
+/// `alpha`.
+fn edited(base: &TrainState, kind: u8, at: usize, by: u64, alpha: f32) -> TrainState {
+    let mut s = base.clone();
+    let i = at % s.layers.len();
+    match kind {
+        1 => {
+            s.layers.remove(i);
+        }
+        2 => s.layers.push(s.layers[i].clone()),
+        3 | 4 => {
+            let l = &mut s.layers[i];
+            if kind == 3 {
+                l.rows += by;
+            } else {
+                l.cols += by;
+                l.b.resize(l.cols as usize, 0.25);
+            }
+            l.w.resize((l.rows * l.cols) as usize, -0.5);
+        }
+        5 => s.layers[i].b.extend(std::iter::repeat_n(0.25, by as usize)),
+        6 => s.alphas.push(4.0),
+        7 => match s.alphas.first_mut() {
+            Some(a) => *a = alpha,
+            None => s.alphas.push(alpha),
+        },
+        _ => {}
+    }
+    s
+}
+
+proptest! {
+    /// (f) CRC-valid checkpoints with arbitrary layer counts and shapes, PACT
+    /// level counts and values, loss scales and clean-step counts resume a
+    /// fixed model through both resume paths — the resilient loop's
+    /// rollback (QAT) and the elastic loop's start-up (MLP). Each ends in
+    /// a trained model when the checkpoint fits and in a structured
+    /// mismatch error when it does not; neither panics.
+    #[test]
+    fn any_checkpoint_resumes_or_is_refused(
+        kind in 0u8..8,
+        at in 0usize..4,
+        by in 1u64..3,
+        steps in (0u8..4, 0u32..=u32::MAX),
+        scale in -1.0e9f32..1.0e9,
+        alpha in -1.0f32..8.0,
+    ) {
+        let data = gaussian_blobs(16, 3, 4, 0.3, 9);
+        // Half the cases carry a clean-step count at the top of the u32
+        // range, where an unclamped restore overflows the next step.
+        let good_steps = if steps.0 < 2 { u32::MAX - u32::from(steps.0) } else { steps.1 };
+
+        let qat = QatMlp::new(&[4, 6, 3], IntFormat::Int4, 1);
+        let base = TrainState {
+            step: 3,
+            scale,
+            scaler_good_steps: good_steps,
+            layers: layer_states(qat.layers()),
+            alphas: qat.alphas(),
+            ..TrainState::default()
+        };
+        let state = edited(&base, kind, at, by, alpha);
+        let fits = kind == 0 || (kind == 7 && alpha > 0.0);
+        let dir = scratch_dir("recovery-any");
+        let mut store = CheckpointStore::open(&dir, "qat", 2).unwrap();
+        store.save(&state).unwrap();
+        let mut model = QatMlp::new(&[4, 6, 3], IntFormat::Int4, 1);
+        let cfg = QatConfig { epochs: 1, batch: 8, ..QatConfig::default() };
+        match train_qat_resilient(
+            &mut model,
+            &FailFirst(Cell::new(1)),
+            &data,
+            &cfg,
+            &rollback_at_once(),
+            Some(&mut store),
+        ) {
+            Ok((acc, report)) => {
+                prop_assert!(fits, "kind {} must not restore", kind);
+                prop_assert_eq!(report.rollbacks, 1);
+                prop_assert!((0.0..=1.0).contains(&acc));
+            }
+            Err(RecoverError::Checkpoint(CheckpointError::ModelMismatch(_))) => {
+                prop_assert!(!fits, "kind {} fits and must restore", kind);
+            }
+            Err(other) => prop_assert!(false, "unexpected failure: {}", other),
+        }
+
+        let mlp = Mlp::new(&[4, 6, 3], 1);
+        let base = TrainState { alphas: Vec::new(), layers: layer_states(mlp.layers()), ..base };
+        let state = edited(&base, kind, at, by, alpha);
+        let mut store = CheckpointStore::open(dir.join("elastic"), "el", 2).unwrap();
+        store.save(&state).unwrap();
+        let mut model = Mlp::new(&[4, 6, 3], 1);
+        let mut mem = Membership::new(2).unwrap();
+        let cfg =
+            ElasticTrainConfig { epochs: 2, batch: 8, ..ElasticTrainConfig::rapid_training(2) };
+        let store = Some(&mut store);
+        match train_elastic(&mut model, &Fp32Backend, &data, &cfg, &mut mem, None, store, None) {
+            Ok((acc, report)) => {
+                prop_assert_eq!(kind, 0, "only the unedited state fits the MLP");
+                prop_assert_eq!(report.epochs_resumed, 1);
+                prop_assert!((0.0..=1.0).contains(&acc));
+            }
+            Err(ElasticTrainError::Checkpoint(CheckpointError::ModelMismatch(_))) => {
+                prop_assert!(kind != 0, "the unedited state fits and must resume");
+                prop_assert_eq!(model.layers().flatten(), mlp.layers().flatten());
+            }
+            Err(other) => prop_assert!(false, "unexpected failure: {}", other),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// (c) The ack/retransmit allreduce delivers bit-identical values under
