@@ -50,4 +50,3 @@ pub mod protection;
 pub use geometry::{ChipConfig, CoreConfig, CoreletConfig, MpeConfig, SystemConfig};
 pub use power::{PowerModel, ThrottleModel, VfCurve};
 pub use precision::Precision;
-pub use protection::ProtectionParams;

@@ -13,8 +13,7 @@ use rapid_arch::geometry::ChipConfig;
 use rapid_arch::power::PowerModel;
 use rapid_arch::precision::Precision;
 use rapid_bench::{mean, run, section};
-use rapid_compiler::passes::{compile, CompileOptions};
-use rapid_model::cost::ModelConfig;
+use rapid_compiler::passes::compile;
 use rapid_model::inference::evaluate_inference;
 use rapid_numerics::accumulate::dot_chunked;
 use rapid_numerics::fma::FmaMode;
@@ -27,8 +26,8 @@ fn int4_latency(chip: &ChipConfig, name: &str) -> Result<f64, String> {
         .into_iter()
         .find(|n| n.name == name)
         .ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-    let plan = compile(&net, chip, &CompileOptions::for_precision(Precision::Int4));
-    Ok(evaluate_inference(&net, &plan, chip, 1, &ModelConfig::default()).latency_s)
+    let plan = compile(&net, chip, Precision::Int4);
+    Ok(evaluate_inference(&net, &plan, chip, 1).latency_s)
 }
 
 fn main() -> std::process::ExitCode {

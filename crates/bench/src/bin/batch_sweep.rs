@@ -8,15 +8,13 @@
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
 use rapid_bench::{run, section};
-use rapid_compiler::passes::{compile, CompileOptions};
-use rapid_model::cost::ModelConfig;
+use rapid_compiler::passes::compile;
 use rapid_model::inference::evaluate_inference;
 use rapid_workloads::suite::benchmark;
 
 fn main() -> std::process::ExitCode {
     run("batch_sweep", |ctx| {
         let chip = ChipConfig::rapid_4core();
-        let cfg = ModelConfig::default();
         section("batch-size sweep — INT4 inference, per-input latency (µs)");
         print!("{:<12}", "benchmark");
         for b in [1u64, 2, 4, 8, 16] {
@@ -25,11 +23,11 @@ fn main() -> std::process::ExitCode {
         println!(" {:>12}", "b16 gain");
         for name in ["resnet50", "vgg16", "mobilenetv1", "lstm", "bilstm", "bert"] {
             let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-            let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
+            let plan = compile(&net, &chip, Precision::Int4);
             print!("{name:<12}");
             let mut per_input = Vec::new();
             for b in [1u64, 2, 4, 8, 16] {
-                let r = evaluate_inference(&net, &plan, &chip, b, &cfg);
+                let r = evaluate_inference(&net, &plan, &chip, b);
                 let t = r.latency_s * 1e6 / b as f64;
                 per_input.push(t);
                 print!(" {:>9.0}", t);

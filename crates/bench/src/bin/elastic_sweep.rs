@@ -27,7 +27,7 @@
 
 use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid_model::{chip_sweep, ModelConfig};
+use rapid_model::chip_sweep;
 use rapid_recover::{train_elastic, CheckpointStore, ElasticReport, ElasticTrainConfig};
 use rapid_refnet::backend::Hfp8Backend;
 use rapid_refnet::data::{gaussian_blobs, Dataset};
@@ -424,7 +424,7 @@ fn main() -> std::process::ExitCode {
             "{:<10} {:>10} {:>14} {:>11}",
             "world", "survivors", "inputs/s", "retention"
         );
-        let pts = chip_sweep(&net, (floor..=world_m).rev(), 512, &ModelConfig::default());
+        let pts = chip_sweep(&net, (floor..=world_m).rev(), 512);
         for p in &pts {
             let retention = p.throughput / pts[0].throughput;
             ctx.rec.metric(&format!("model.survivors{}.retention", p.count), retention);

@@ -7,7 +7,6 @@ use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
 use rapid_bench::{infer, run, section, suite_map};
 use rapid_compiler::dse::mixed_precision_frontier;
-use rapid_model::cost::ModelConfig;
 use rapid_model::inference::evaluate_inference;
 use rapid_workloads::suite::benchmark;
 
@@ -43,7 +42,6 @@ fn main() -> std::process::ExitCode {
         section("mixed-precision frontier — ResNet50, INT4 coverage vs latency (§IV-B DSE)");
         let net = benchmark("resnet50").ok_or("unknown benchmark 'resnet50'")?;
         let chip = ChipConfig::rapid_4core();
-        let cfg = ModelConfig::default();
         println!("{:>10} {:>10} {:>12} {:>10}", "coverage", "layers", "latency µs", "speedup");
         let mut base = None;
         for pt in mixed_precision_frontier(
@@ -52,7 +50,7 @@ fn main() -> std::process::ExitCode {
             Precision::Int4,
             &[0.0, 0.25, 0.5, 0.75, 0.9, 1.0],
         ) {
-            let r = evaluate_inference(&net, &pt.plan, &chip, 1, &cfg);
+            let r = evaluate_inference(&net, &pt.plan, &chip, 1);
             let b = *base.get_or_insert(r.latency_s);
             println!(
                 "{:>9.0}% {:>10} {:>12.0} {:>9.2}x",

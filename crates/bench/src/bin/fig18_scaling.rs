@@ -4,13 +4,11 @@
 
 use rapid_bench::{run, section};
 use rapid_arch::precision::Precision;
-use rapid_model::cost::ModelConfig;
 use rapid_model::scaling::{chip_sweep, core_sweep};
 use rapid_workloads::suite::benchmark_suite;
 
 fn main() -> std::process::ExitCode {
     run("fig18_scaling", |ctx| {
-        let cfg = ModelConfig::default();
         let counts = [1u32, 2, 4, 8, 16, 32];
 
         section("Fig 18(a) — INT4 batch-1 inference speedup vs core count (DDR fixed)");
@@ -20,7 +18,7 @@ fn main() -> std::process::ExitCode {
         }
         println!();
         for net in benchmark_suite() {
-            let pts = core_sweep(&net, counts, Precision::Int4, &cfg);
+            let pts = core_sweep(&net, counts, Precision::Int4);
             let speedups: Vec<f64> = pts.iter().map(|p| pts[0].latency_s / p.latency_s).collect();
             print!("{:<12}", net.name);
             for s in &speedups {
@@ -41,7 +39,7 @@ fn main() -> std::process::ExitCode {
         }
         println!();
         for net in benchmark_suite() {
-            let pts = chip_sweep(&net, counts, 512, &cfg);
+            let pts = chip_sweep(&net, counts, 512);
             let speedups: Vec<f64> = pts.iter().map(|p| p.throughput / pts[0].throughput).collect();
             print!("{:<12}", net.name);
             for s in &speedups {

@@ -34,7 +34,7 @@
 
 use rapid_bench::{run, section};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid_health::{ChipHealthMonitor, Evidence, HealthConfig};
+use rapid_health::{ChipHealthMonitor, Evidence, PROBE_PERIOD_US};
 use rapid_model::scaling::quarantine_retention;
 use rapid_numerics::abft::abft_matmul_emulated;
 use rapid_numerics::fma::FmaMode;
@@ -126,9 +126,8 @@ fn run_serving_cell(
     tele: Option<&mut Telemetry>,
 ) -> Result<CellResult, String> {
     let model = KnownAnswerModel::new(derive_seed(seed, "health/model"));
-    let hcfg = HealthConfig::default();
-    let tick_us = hcfg.probe_period_us;
-    let mut mon = ChipHealthMonitor::new(CORES, hcfg);
+    let tick_us = PROBE_PERIOD_US;
+    let mut mon = ChipHealthMonitor::new(CORES);
     let mut plans = chip_plans(seed, bad);
 
     let table = synthetic_table(&["kam"], 150.0, 60.0);
@@ -242,13 +241,6 @@ fn main() -> std::process::ExitCode {
     run("health_sweep", |ctx| {
         let seed = ctx.seed(24);
         let smoke = ctx.smoke();
-        if !rapid_health::enabled_from_env() {
-            // The RAPID_HEALTH knob gates the whole subsystem; E24 *is* the
-            // subsystem, so an off run records the fact and exits cleanly.
-            println!("RAPID_HEALTH=off: core-health probing disabled; skipping E24");
-            ctx.rec.config_str("health", "disabled");
-            return Ok(());
-        }
         section(&format!(
             "core-health sweep — probes, quarantine, fleet remap (E24; seed {seed})"
         ));
@@ -260,7 +252,7 @@ fn main() -> std::process::ExitCode {
         for i in 0..sweep_seeds {
             let s = derive_seed(seed, &format!("health/detect{i}"));
             let bad: Vec<u32> = if i % 2 == 0 { vec![BAD_CORE] } else { vec![1, 3] };
-            let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
+            let mut mon = ChipHealthMonitor::new(CORES);
             let mut plans = chip_plans(s, &bad);
             let mut detected_at = None;
             for _ in 0..DETECT_BUDGET {
@@ -366,7 +358,7 @@ fn main() -> std::process::ExitCode {
         for chip in 0..world {
             let s = derive_seed(seed, &format!("health/chip{chip}"));
             let bad: Vec<u32> = if chip == 2 { vec![0, 1, 2] } else { vec![] };
-            let mut mon = ChipHealthMonitor::new(CORES, HealthConfig::default());
+            let mut mon = ChipHealthMonitor::new(CORES);
             let mut plans = chip_plans(s, &bad);
             for _ in 0..DETECT_BUDGET {
                 mon.probe_cycle(&mut plans, None);
@@ -387,7 +379,7 @@ fn main() -> std::process::ExitCode {
         }
         let inputs: Vec<Vec<f32>> =
             (0..world).map(|c| vec![c as f32 * 0.25 + 0.5; 512]).collect();
-        let cfg = ElasticConfig::rapid_training(world, true);
+        let cfg = ElasticConfig::rapid_training(world);
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None)
             .map_err(|e| format!("post-demotion allreduce failed: {e}"))?;
         if out.contributors != vec![0, 1, 3] {

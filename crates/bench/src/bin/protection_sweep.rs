@@ -21,7 +21,10 @@
 //! cell fails the run.
 
 use rapid_arch::precision::Precision;
-use rapid_arch::protection::ProtectionParams;
+use rapid_arch::protection::{
+    crc_bandwidth_factor, redundancy_overhead_ratio, SECDED_ENERGY_UPLIFT,
+    SECDED_STORAGE_OVERHEAD,
+};
 use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
 use rapid_model::protection::protection_tax;
@@ -89,7 +92,6 @@ fn main() -> std::process::ExitCode {
             "protection sweep — end-to-end data protection (seed {seed}; override with --seed or RAPID_FAULT_SEED)"
         ));
         let mut tele = Telemetry::new();
-        let params = ProtectionParams::rapid();
 
         // ---- sweep 1: ABFT under MAC faults ---------------------------------
         section("sweep 1 — ABFT checksummed GEMM under MAC faults (resilient HFP8 QAT)");
@@ -101,7 +103,7 @@ fn main() -> std::process::ExitCode {
         ctx.rec.metric("train.clean_accuracy", acc_clean);
         // Redundancy-3's compute tax, the analytic row sweep 3 prints for
         // every workload: two extra executions of every MAC.
-        let red3_tax = params.redundancy_overhead_ratio(3);
+        let red3_tax = redundancy_overhead_ratio(3);
 
         let rates: &[f64] = if smoke { &[1e-3] } else { &[1e-4, 1e-3] };
         let rows = try_par_map(rates, |&rate| run_abft(&data, &cfg, seed, rate));
@@ -232,7 +234,7 @@ fn main() -> std::process::ExitCode {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
             .collect();
-        let rcfg = ReliableConfig::rapid_training(chips as u32, true);
+        let rcfg = ReliableConfig::rapid_training(chips as u32);
         let (clean_sum, _) = reliable_allreduce(&inputs, &rcfg, None, None)?;
         let ring_rates = [1e-3, 5e-3, 2e-2];
         let ring_cells: Vec<u64> = (0..plans_per_side as u64).collect();
@@ -284,7 +286,7 @@ fn main() -> std::process::ExitCode {
         );
         for name in nets {
             let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-            let tax = protection_tax(&net, 1, &params);
+            let tax = protection_tax(&net, 1);
             println!(
                 "{:<14} {:>11.2}% {:>11.0}% {:>9.1}x {:>10.3} {:>12.4}",
                 name,
@@ -299,10 +301,10 @@ fn main() -> std::process::ExitCode {
         }
         println!(
             "\nSECDED charges {:.1}% scratchpad capacity and {:.0}% access energy; CRC-8",
-            params.secded_storage_overhead * 100.0,
-            params.secded_energy_uplift * 100.0
+            SECDED_STORAGE_OVERHEAD * 100.0,
+            SECDED_ENERGY_UPLIFT * 100.0
         );
-        println!("shaves {:.2}% of link bandwidth; ABFT's checksum work amortizes to noise on", (1.0 - params.crc_bandwidth_factor()) * 100.0);
+        println!("shaves {:.2}% of link bandwidth; ABFT's checksum work amortizes to noise on", (1.0 - crc_bandwidth_factor()) * 100.0);
         println!("real layer shapes — protection is cheap everywhere except brute-force voting.");
 
         ctx.rec.merge_registry(&tele.registry);

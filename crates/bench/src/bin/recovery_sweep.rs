@@ -24,7 +24,7 @@
 use rapid_arch::precision::Precision;
 use rapid_bench::{run, section, try_par_map};
 use rapid_fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid_model::{core_sweep, ModelConfig};
+use rapid_model::core_sweep;
 use rapid_numerics::int::IntFormat;
 use rapid_numerics::GuardPolicy;
 use rapid_recover::{train_qat_resilient, GuardedHfp8Backend, Protection, ResilientConfig};
@@ -131,7 +131,7 @@ fn main() -> std::process::ExitCode {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
             .collect();
-        let rcfg = ReliableConfig::rapid_training(chips as u32, true);
+        let rcfg = ReliableConfig::rapid_training(chips as u32);
         // Accumulate RingHealth counters for every exchange into one telemetry
         // bundle; they land in the JSON record as ring.reliable.* metrics.
         let mut tele = Telemetry::new();
@@ -181,7 +181,7 @@ fn main() -> std::process::ExitCode {
         let nets = if smoke { vec!["resnet50"] } else { vec!["resnet50", "bert"] };
         for name in nets {
             let net = benchmark(name).ok_or_else(|| format!("unknown benchmark '{name}'"))?;
-            let pts = core_sweep(&net, (floor..=4).rev(), Precision::Int4, &ModelConfig::default());
+            let pts = core_sweep(&net, (floor..=4).rev(), Precision::Int4);
             for p in &pts {
                 let slowdown = p.latency_s / pts[0].latency_s;
                 ctx.rec.metric(&format!("{name}.survivors{}.slowdown", p.count), slowdown);

@@ -25,7 +25,7 @@
 
 use rapid_bench::{run, section};
 use rapid_fault::{derive_seed, FaultConfig};
-use rapid_model::{LatencyTable, ModelConfig};
+use rapid_model::LatencyTable;
 use rapid_numerics::GuardPolicy;
 use rapid_recover::backend::Protection;
 use rapid_serve::{
@@ -52,7 +52,7 @@ fn main() -> std::process::ExitCode {
         // ---- calibrate the admission surrogate over the full suite ---------
         let suite: Vec<Network> = benchmark_suite();
         let chip = ChipConfig::rapid_4core();
-        let table = LatencyTable::build(&suite, &chip, &ModelConfig::default(), 8);
+        let table = LatencyTable::build(&suite, &chip, 8);
         ctx.rec.config_num("models_calibrated", table.models().len() as f64);
         section(&format!(
             "serving sweep — {} models calibrated, seed {seed} (override with --seed or RAPID_FAULT_SEED)",

@@ -38,9 +38,8 @@
 //! | `benchmark` | the repo benchmark (`BENCHMARK.json` workloads) |
 
 use rapid_arch::precision::Precision;
-use rapid_compiler::passes::{compile, CompileOptions};
+use rapid_compiler::passes::compile;
 use rapid_fault::FaultConfig;
-use rapid_model::cost::ModelConfig;
 use rapid_model::inference::{evaluate_inference, InferenceResult};
 use rapid_model::training::{evaluate_training, TrainingResult};
 use rapid_telemetry::{trace_path_from_env, TraceSink};
@@ -210,14 +209,14 @@ pub fn infer(net: &Network, p: Precision, freq_ghz: Option<f64>) -> InferenceRes
     if let Some(f) = freq_ghz {
         chip.freq_ghz = f;
     }
-    let plan = compile(net, &chip, &CompileOptions::for_precision(p));
-    evaluate_inference(net, &plan, &chip, 1, &ModelConfig::default())
+    let plan = compile(net, &chip, p);
+    evaluate_inference(net, &plan, &chip, 1)
 }
 
 /// Evaluates one benchmark for a training step on the 4×32-core system.
 pub fn train_step(net: &Network, p: Precision) -> TrainingResult {
     let sys = rapid_arch::geometry::SystemConfig::training_4x32();
-    evaluate_training(net, &sys, p, 512, &ModelConfig::default())
+    evaluate_training(net, &sys, p, 512)
 }
 
 pub use rapid_numerics::gemm::num_threads;

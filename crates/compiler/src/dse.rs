@@ -11,7 +11,7 @@
 //! accuracy budget.
 
 use crate::mapping::map_layer;
-use crate::passes::{compile, CompileOptions};
+use crate::passes::compile;
 use crate::plan::{NetworkPlan, QuantCost};
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
@@ -56,7 +56,7 @@ pub fn mixed_precision_frontier(
     target: Precision,
     fractions: &[f64],
 ) -> Vec<FrontierPoint> {
-    let full = compile(net, chip, &CompileOptions::for_precision(target));
+    let full = compile(net, chip, target);
 
     // Rank quantizable layers by benefit per MAC, best first.
     let mut candidates: Vec<(usize, f64, u64)> = net

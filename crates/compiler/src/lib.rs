@@ -14,21 +14,23 @@
 //!   on.
 //! * **Scratchpad management**: spill analysis for inter-layer activations
 //!   against the 2 MB/core L1.
-//! * **Sparsity-aware throttling schedule** (Fig 6): per-layer effective
-//!   clock frequencies derived from the pruned model's weight sparsity and
-//!   the silicon characterization.
+//!
+//! Every compiled layer runs at the chip's nominal clock. The Fig 6
+//! sparsity-aware throttling schedule, per-layer clocks derived from the
+//! pruned model's weight sparsity and the silicon characterization, is
+//! set on the compiled plan by `rapid_model::throttle`.
 //!
 //! # Example
 //!
 //! ```
 //! use rapid_arch::geometry::ChipConfig;
 //! use rapid_arch::precision::Precision;
-//! use rapid_compiler::passes::{compile, CompileOptions};
+//! use rapid_compiler::passes::compile;
 //! use rapid_workloads::suite::benchmark;
 //!
 //! let net = benchmark("resnet50").unwrap();
 //! let chip = ChipConfig::rapid_4core();
-//! let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
+//! let plan = compile(&net, &chip, Precision::Int4);
 //! assert_eq!(plan.layers.len(), net.layers.len());
 //! ```
 
@@ -39,5 +41,5 @@ pub mod plan;
 
 pub use dse::{mixed_precision_frontier, FrontierPoint};
 pub use mapping::{map_layer, MappingCost, Split};
-pub use passes::{compile, CompileOptions};
+pub use passes::compile;
 pub use plan::{LayerPlan, NetworkPlan, QuantCost};

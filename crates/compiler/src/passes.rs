@@ -1,51 +1,31 @@
-//! Compilation passes: precision assignment, scratchpad spill analysis and
-//! the sparsity-aware throttling schedule (the Fig 6 flow).
+//! Compilation passes: precision assignment and scratchpad spill analysis
+//! (the Fig 6 flow). The flow's sparsity-aware throttling schedule, which
+//! sets each layer's clock from its weight sparsity, is applied to the
+//! compiled plan by `rapid_model::throttle`.
 
 use crate::plan::{LayerPlan, NetworkPlan, QuantCost};
 use rapid_arch::geometry::ChipConfig;
-use rapid_arch::power::ThrottleModel;
 use rapid_arch::precision::Precision;
 use rapid_workloads::graph::{Network, Op, PrecisionClass};
 
-/// Compilation options.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompileOptions {
-    /// Quantized target precision for quantizable layers.
-    pub target: Precision,
-    /// Enable the sparsity-aware throttling schedule (uses each layer's
-    /// `pruned_sparsity`; Fig 6). When off, every layer runs at the chip's
-    /// nominal frequency.
-    pub sparsity_throttling: bool,
-    /// Throttle characterization to use when `sparsity_throttling` is set.
-    pub throttle: ThrottleModel,
-}
-
-impl CompileOptions {
-    /// Plain compilation at a target precision, no throttling.
-    pub fn for_precision(target: Precision) -> Self {
-        Self { target, sparsity_throttling: false, throttle: ThrottleModel::rapid_default() }
-    }
-}
-
 /// Compiles a network for a chip: assigns per-layer precision (first/last
-/// layers stay FP16), conversion costs, spill decisions and the throttling
-/// schedule.
-pub fn compile(net: &Network, chip: &ChipConfig, opts: &CompileOptions) -> NetworkPlan {
+/// layers stay FP16; quantizable layers take `target`), conversion costs
+/// and spill decisions. Every layer runs at the chip's nominal clock; the
+/// sparsity-aware throttling schedule sets each layer's clock on the plan
+/// afterwards (`rapid_model::throttle`).
+pub fn compile(net: &Network, chip: &ChipConfig, target: Precision) -> NetworkPlan {
     let mut layers = Vec::with_capacity(net.layers.len());
     for (idx, layer) in net.layers.iter().enumerate() {
-        let precision = layer_precision(layer.class, &layer.op, opts.target);
-        let quant = quant_cost(precision, opts.target);
-        let spill = spills(&layer.op, chip, precision);
-        let effective_ghz = if opts.sparsity_throttling {
-            // The compiler analyzes each layer's weight sparsity and picks
-            // the throttle level that pushes power to the envelope.
-            opts.throttle.effective_frequency_ghz(layer.pruned_sparsity)
-        } else {
-            chip.freq_ghz
-        };
-        layers.push(LayerPlan { layer_idx: idx, precision, quant, spill_activations: spill, effective_ghz });
+        let precision = layer_precision(layer.class, &layer.op, target);
+        layers.push(LayerPlan {
+            layer_idx: idx,
+            precision,
+            quant: quant_cost(precision),
+            spill_activations: spills(&layer.op, chip, precision),
+            effective_ghz: chip.freq_ghz,
+        });
     }
-    NetworkPlan { network: net.name.clone(), target: opts.target, layers }
+    NetworkPlan { network: net.name.clone(), target, layers }
 }
 
 /// Per-layer precision assignment: auxiliary ops always run on the SFU at
@@ -61,9 +41,8 @@ fn layer_precision(class: PrecisionClass, op: &Op, target: Precision) -> Precisi
     }
 }
 
-/// Conversion cost of a layer that executes at `precision` inside a
-/// network whose quantized target is `target`.
-fn quant_cost(precision: Precision, _target: Precision) -> QuantCost {
+/// Conversion cost of a layer that executes at `precision`.
+fn quant_cost(precision: Precision) -> QuantCost {
     match precision {
         Precision::Int4 | Precision::Int2 => QuantCost::IntQuantize,
         Precision::Hfp8 => QuantCost::Fp8Convert,
@@ -94,13 +73,13 @@ fn storage_bytes(p: Precision) -> f64 {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use rapid_workloads::{cnn, suite};
+    use rapid_workloads::cnn;
 
     #[test]
     fn first_and_last_layers_stay_fp16() {
         let net = cnn::resnet50();
         let chip = ChipConfig::rapid_4core();
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
+        let plan = compile(&net, &chip, Precision::Int4);
         // First compute layer (conv1) is HP.
         let first_compute =
             net.layers.iter().position(|l| l.op.is_compute()).expect("has compute");
@@ -116,9 +95,9 @@ mod tests {
     fn quant_costs_by_precision() {
         let net = cnn::vgg16();
         let chip = ChipConfig::rapid_4core();
-        let int4 = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-        let fp8 = compile(&net, &chip, &CompileOptions::for_precision(Precision::Hfp8));
-        let fp16 = compile(&net, &chip, &CompileOptions::for_precision(Precision::Fp16));
+        let int4 = compile(&net, &chip, Precision::Int4);
+        let fp8 = compile(&net, &chip, Precision::Hfp8);
+        let fp16 = compile(&net, &chip, Precision::Fp16);
         assert!(int4.layers.iter().any(|l| l.quant == QuantCost::IntQuantize));
         assert!(fp8.layers.iter().any(|l| l.quant == QuantCost::Fp8Convert));
         assert!(fp16.layers.iter().all(|l| l.quant == QuantCost::None));
@@ -134,29 +113,5 @@ mod tests {
         let op = Op::Conv { ci: 64, co: 64, h: 224, w: 224, kh: 3, kw: 3, stride: 1, pad_h: 1, pad_w: 1 };
         assert!(spills(&op, &chip, Precision::Fp16));
         assert!(!spills(&op, &chip, Precision::Int4));
-    }
-
-    #[test]
-    fn throttling_schedule_tracks_layer_sparsity() {
-        let mut net = cnn::vgg16();
-        suite::apply_pruning_profile(&mut net);
-        let chip = ChipConfig::rapid_4core();
-        let mut opts = CompileOptions::for_precision(Precision::Fp16);
-        opts.sparsity_throttling = true;
-        let plan = compile(&net, &chip, &opts);
-        // Sparse layers get a higher effective clock than dense ones.
-        let mut by_sparsity: Vec<(f64, f64)> = net
-            .layers
-            .iter()
-            .zip(&plan.layers)
-            .filter(|(l, _)| l.op.is_compute())
-            .map(|(l, p)| (l.pruned_sparsity, p.effective_ghz))
-            .collect();
-        by_sparsity.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-        assert!(by_sparsity.last().unwrap().1 > by_sparsity.first().unwrap().1);
-        // Dense baseline: all layers at nominal.
-        opts.sparsity_throttling = false;
-        let base = compile(&net, &chip, &opts);
-        assert!(base.layers.iter().all(|l| l.effective_ghz == chip.freq_ghz));
     }
 }

@@ -7,7 +7,7 @@
 //! attached — emits `health.*` counters plus a `probe_cycle` span with
 //! `probe` and `remap` child stages on the virtual-time axis.
 //!
-//! Determinism contract: given the same config, the same per-core fault
+//! Determinism contract: given the same per-core fault
 //! plans, and the same cycle sequence, the full [`HealthEvent`] trace is
 //! identical (`==`) across reruns — the replay assertion `health_sweep`
 //! enforces per seed.
@@ -16,10 +16,13 @@ use rapid_fault::FaultPlan;
 use rapid_telemetry::{health as names, derive_trace_id, SloConfig, SloMonitor, Telemetry};
 
 use crate::map::CoreMap;
-use crate::probe::{ProbeOutcome, ProbeSuite};
+use crate::probe::{ProbeOutcome, ProbeSuite, PROBE_SEED};
 use crate::quarantine::{CoreState, CoreTracker, HealthEvent};
 use crate::score::Evidence;
-use crate::HealthConfig;
+
+/// Virtual microseconds one probe cycle occupies (the time base for the
+/// quarantine SLO rule and probe spans).
+pub const PROBE_PERIOD_US: u64 = 500;
 
 /// What one probe cycle found, for the caller's control flow.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +43,6 @@ pub struct ProbeCycleReport {
 
 /// Online health monitor for one chip's cores.
 pub struct ChipHealthMonitor {
-    cfg: HealthConfig,
     suite: ProbeSuite,
     trackers: Vec<CoreTracker>,
     map: CoreMap,
@@ -58,10 +60,10 @@ pub struct ChipHealthMonitor {
 }
 
 impl ChipHealthMonitor {
-    /// A monitor over `cores` cores with the given tuning.
-    pub fn new(cores: u32, cfg: HealthConfig) -> Self {
+    /// A monitor over `cores` cores.
+    pub fn new(cores: u32) -> Self {
         Self {
-            suite: ProbeSuite::new(&cfg),
+            suite: ProbeSuite::new(),
             trackers: (0..cores).map(CoreTracker::new).collect(),
             map: CoreMap::new(cores),
             slo: SloMonitor::new("quarantine", SloConfig::quarantine_default()),
@@ -75,7 +77,6 @@ impl ChipHealthMonitor {
             reinstatements: 0,
             suspects: 0,
             evidence: [0; Evidence::ALL.len()],
-            cfg,
         }
     }
 
@@ -136,11 +137,11 @@ impl ChipHealthMonitor {
         );
         let cycle = self.cycle;
         self.cycle += 1;
-        let start_us = cycle * self.cfg.probe_period_us;
-        let end_us = start_us + self.cfg.probe_period_us;
+        let start_us = cycle * PROBE_PERIOD_US;
+        let end_us = start_us + PROBE_PERIOD_US;
         // The cycle splits into a probe stage (kernel time) and a remap
         // stage (state machine + map sync) on the virtual-time axis.
-        let remap_us = start_us + (self.cfg.probe_period_us * 9) / 10;
+        let remap_us = start_us + (PROBE_PERIOD_US * 9) / 10;
 
         let mut failures = 0u32;
         let mut probes = 0u32;
@@ -154,12 +155,12 @@ impl ChipHealthMonitor {
                 self.first_fail[i] = Some(cycle);
             }
             let tracker = &mut self.trackers[i];
-            if let Some(ev) = tracker.observe_probe(cycle, failed == 0, &self.cfg) {
+            if let Some(ev) = tracker.observe_probe(cycle, failed == 0) {
                 match ev.to {
                     CoreState::Quarantined if ev.from.in_service() => {
                         self.quarantines += 1;
                         let first = self.first_fail[i].take().unwrap_or(cycle);
-                        let latency = (cycle - first + 1) * self.cfg.probe_period_us;
+                        let latency = (cycle - first + 1) * PROBE_PERIOD_US;
                         self.detect_latencies_us.push(latency);
                     }
                     CoreState::Suspect => self.suspects += 1,
@@ -219,7 +220,7 @@ impl ChipHealthMonitor {
         reg.set_gauge(names::EXCLUDED_CORES, f64::from(self.map.excluded()));
         reg.set_gauge(names::CHIP_HEALTH_MILLI, (self.chip_health() * 1000.0).round());
         if let Some(sink) = tele.spans.as_mut() {
-            let root = sink.open_root(derive_trace_id(self.cfg.probe_seed, cycle));
+            let root = sink.open_root(derive_trace_id(PROBE_SEED, cycle));
             sink.child(root, "probe", start_us, remap_us);
             sink.child(root, "remap", remap_us, end_us);
             sink.close_root(root, "probe_cycle", "health", start_us, end_us);
@@ -275,7 +276,7 @@ mod tests {
 
     #[test]
     fn mercurial_core_is_quarantined_and_clean_cores_stay_in_service() {
-        let mut mon = ChipHealthMonitor::new(4, HealthConfig::default());
+        let mut mon = ChipHealthMonitor::new(4);
         let mut plans = plans(4, &[2]);
         let mut tele = Telemetry::with_spans();
         let mut detected_at = None;
@@ -303,7 +304,7 @@ mod tests {
     #[test]
     fn same_seed_reruns_produce_identical_event_traces() {
         let run = || {
-            let mut mon = ChipHealthMonitor::new(4, HealthConfig::default());
+            let mut mon = ChipHealthMonitor::new(4);
             let mut plans = plans(4, &[1, 3]);
             for _ in 0..60 {
                 mon.probe_cycle(&mut plans, None);
@@ -318,7 +319,7 @@ mod tests {
 
     #[test]
     fn all_clean_chip_never_transitions() {
-        let mut mon = ChipHealthMonitor::new(8, HealthConfig::default());
+        let mut mon = ChipHealthMonitor::new(8);
         let mut plans = plans(8, &[]);
         for _ in 0..30 {
             let rep = mon.probe_cycle(&mut plans, None);
@@ -333,7 +334,7 @@ mod tests {
 
     #[test]
     fn in_band_evidence_feeds_the_score() {
-        let mut mon = ChipHealthMonitor::new(2, HealthConfig::default());
+        let mut mon = ChipHealthMonitor::new(2);
         mon.note_evidence(1, Evidence::EccDed, 2);
         mon.note_evidence(1, Evidence::AbftCorrection, 1);
         assert!(mon.trackers[1].score() < mon.trackers[0].score());

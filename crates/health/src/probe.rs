@@ -21,7 +21,16 @@ use rapid_numerics::gemm::{
 use rapid_numerics::int::Signedness;
 use rapid_numerics::{IntFormat, QuantParams, Tensor};
 
-use crate::HealthConfig;
+/// Seed of the deterministic probe operands ("HELT").
+pub(crate) const PROBE_SEED: u64 = 0x4845_4C54;
+
+/// Probe GEMM dimension (m = n = `PROBE_DIM`, k = 2·`PROBE_DIM`): small
+/// enough that a probe cycle is cheap, big enough that a burst-mode core
+/// is near-certain to corrupt at least one output.
+const PROBE_DIM: usize = 4;
+
+/// Chunk length of the probe GEMMs (the datapath default).
+const CHUNK_LEN: usize = 64;
 
 /// Which arithmetic format a probe exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +82,6 @@ struct IntProbe {
 pub struct ProbeSuite {
     floats: Vec<FloatProbe>,
     int: IntProbe,
-    chunk_len: usize,
 }
 
 fn bits(t: &Tensor) -> Vec<u32> {
@@ -90,11 +98,10 @@ fn count_mismatches(out: &Tensor, golden: &[u32]) -> u32 {
 
 impl ProbeSuite {
     /// Builds the suite: draws deterministic operands from
-    /// `cfg.probe_seed` and computes every golden via the scalar
-    /// reference datapaths.
-    pub(crate) fn new(cfg: &HealthConfig) -> Self {
-        let (m, k, n) = (cfg.probe_dim, 2 * cfg.probe_dim, cfg.probe_dim);
-        let chunk_len = cfg.chunk_len;
+    /// [`PROBE_SEED`] and computes every golden via the scalar reference
+    /// datapaths.
+    pub(crate) fn new() -> Self {
+        let (m, k, n) = (PROBE_DIM, 2 * PROBE_DIM, PROBE_DIM);
         let modes = [
             (FmaMode::Fp16, ProbeKind::Fp16),
             (FmaMode::hfp8_fwd_default(), ProbeKind::Hfp8Fwd),
@@ -104,21 +111,21 @@ impl ProbeSuite {
             .iter()
             .enumerate()
             .map(|(i, &(mode, kind))| {
-                let sa = cfg.probe_seed.wrapping_add(2 * i as u64 + 1);
-                let sb = cfg.probe_seed.wrapping_add(2 * i as u64 + 2);
+                let sa = PROBE_SEED.wrapping_add(2 * i as u64 + 1);
+                let sb = PROBE_SEED.wrapping_add(2 * i as u64 + 2);
                 let a = Tensor::random_uniform(vec![m, k], -1.0, 1.0, sa);
                 let b = Tensor::random_uniform(vec![k, n], -1.0, 1.0, sb);
-                let (g, _) = matmul_emulated_scalar(mode, &a, &b, chunk_len);
+                let (g, _) = matmul_emulated_scalar(mode, &a, &b, CHUNK_LEN);
                 FloatProbe { mode, kind, golden: bits(&g), a, b }
             })
             .collect();
-        let a = Tensor::random_uniform(vec![m, k], -1.0, 1.0, cfg.probe_seed.wrapping_add(7));
-        let b = Tensor::random_uniform(vec![k, n], -1.0, 1.0, cfg.probe_seed.wrapping_add(8));
+        let a = Tensor::random_uniform(vec![m, k], -1.0, 1.0, PROBE_SEED.wrapping_add(7));
+        let b = Tensor::random_uniform(vec![k, n], -1.0, 1.0, PROBE_SEED.wrapping_add(8));
         let qa = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
         let qb = QuantParams::from_abs_max(IntFormat::Int4, Signedness::Signed, 1.0);
-        let (g, _) = matmul_int_scalar(&a, &b, qa, qb, chunk_len);
+        let (g, _) = matmul_int_scalar(&a, &b, qa, qb, CHUNK_LEN);
         let int = IntProbe { golden: bits(&g), a, b, qa, qb };
-        Self { floats, int, chunk_len }
+        Self { floats, int }
     }
 
     /// Number of probes one cycle runs per core.
@@ -136,7 +143,7 @@ impl ProbeSuite {
                 p.mode,
                 &p.a,
                 &p.b,
-                self.chunk_len,
+                CHUNK_LEN,
                 Exec { faults: faults.as_deref_mut(), ..Exec::default() },
             );
             let (passed, mismatches) = match run {
@@ -153,7 +160,7 @@ impl ProbeSuite {
             &self.int.b,
             self.int.qa,
             self.int.qb,
-            self.chunk_len,
+            CHUNK_LEN,
             Exec { faults, ..Exec::default() },
         );
         let (passed, mismatches) = match run {
@@ -176,7 +183,7 @@ mod tests {
 
     #[test]
     fn clean_core_passes_every_probe() {
-        let suite = ProbeSuite::new(&HealthConfig::default());
+        let suite = ProbeSuite::new();
         assert_eq!(suite.len(), 4);
         for o in suite.run(None) {
             assert!(o.passed, "probe {:?} failed on a clean core", o.kind);
@@ -191,7 +198,7 @@ mod tests {
 
     #[test]
     fn bursty_core_fails_within_a_few_cycles() {
-        let suite = ProbeSuite::new(&HealthConfig::default());
+        let suite = ProbeSuite::new();
         let cfg = FaultConfig {
             seed: 99,
             mac_burst_rate: 1e-2,
@@ -212,9 +219,8 @@ mod tests {
 
     #[test]
     fn probe_goldens_are_deterministic_across_construction() {
-        let cfg = HealthConfig::default();
-        let a = ProbeSuite::new(&cfg);
-        let b = ProbeSuite::new(&cfg);
+        let a = ProbeSuite::new();
+        let b = ProbeSuite::new();
         for (x, y) in a.floats.iter().zip(&b.floats) {
             assert_eq!(x.golden, y.golden);
         }

@@ -1,28 +1,51 @@
 //! The per-core quarantine state machine with hysteresis.
 //!
 //! ```text
-//!            score < suspect_enter
+//!            score < SUSPECT_ENTER
 //!   Healthy ───────────────────────▶ Suspect
 //!      ▲                               │
-//!      │ score ≥ resume_score          │ fail_streak consecutive probe
+//!      │ score ≥ RESUME_SCORE          │ FAIL_STREAK consecutive probe
 //!      │ (hysteresis band)             │ failures, or score <
-//!      │                               │ quarantine_enter
+//!      │                               │ QUARANTINE_ENTER
 //!      │                               ▼
 //!   Probation ◀──────────────── Quarantined
-//!      │        min_quarantine_probes cycles served
+//!      │        MIN_QUARANTINE_PROBES cycles served
 //!      │
-//!      ├─ probation_probes consecutive passes → Healthy (reinstated)
+//!      ├─ PROBATION_PROBES consecutive passes → Healthy (reinstated)
 //!      └─ any probation failure → Quarantined (cooldown restarts)
 //! ```
 //!
 //! Two hysteresis mechanisms stop a mercurial core from flapping in and
-//! out of service: the `suspect_enter < resume_score` band (a Suspect
+//! out of service: the `SUSPECT_ENTER < RESUME_SCORE` band (a Suspect
 //! core must climb *above* where it fell in), and the probation gauntlet
 //! (one failed probe during probation sends the core back to the start
 //! of its quarantine cooldown).
 
 use crate::score::{Evidence, HealthScore};
-use crate::HealthConfig;
+
+/// Score below which a Healthy core becomes Suspect.
+pub(crate) const SUSPECT_ENTER: f64 = 0.75;
+
+/// Score a Suspect core must recover to before returning to Healthy
+/// (above [`SUSPECT_ENTER`]: the anti-flap hysteresis band).
+pub(crate) const RESUME_SCORE: f64 = 0.90;
+
+/// Score below which a core is quarantined outright.
+pub(crate) const QUARANTINE_ENTER: f64 = 0.45;
+
+/// Consecutive probe failures that quarantine a core regardless of its
+/// score.
+const FAIL_STREAK: u32 = 2;
+
+/// Fraction of the remaining headroom a clean probe restores
+/// (exponential recovery toward 1.0).
+const RECOVERY: f64 = 0.2;
+
+/// Probe cycles a quarantined core sits out before probation begins.
+pub const MIN_QUARANTINE_PROBES: u32 = 4;
+
+/// Consecutive probation probe passes required to reinstate a core.
+pub const PROBATION_PROBES: u32 = 5;
 
 /// Where a core sits in the quarantine lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,7 +57,7 @@ pub enum CoreState {
     Suspect,
     /// Out of service; work is remapped around it.
     Quarantined,
-    /// Out of service, passing probes; must pass `probation_probes`
+    /// Out of service, passing probes; must pass [`PROBATION_PROBES`]
     /// consecutively to be reinstated.
     Probation,
 }
@@ -114,15 +137,10 @@ impl CoreTracker {
 
     /// Feeds one probe outcome through the state machine. Returns the
     /// transition if the state changed.
-    pub fn observe_probe(
-        &mut self,
-        cycle: u64,
-        passed: bool,
-        cfg: &HealthConfig,
-    ) -> Option<HealthEvent> {
+    pub fn observe_probe(&mut self, cycle: u64, passed: bool) -> Option<HealthEvent> {
         if passed {
             self.fail_streak = 0;
-            self.score.recover(cfg.recovery);
+            self.score.recover(RECOVERY);
         } else {
             self.fail_streak += 1;
             self.score.apply(Evidence::ProbeFail, 1);
@@ -130,13 +148,13 @@ impl CoreTracker {
         let from = self.state;
         let to = match self.state {
             CoreState::Healthy | CoreState::Suspect => {
-                if self.fail_streak >= cfg.fail_streak
-                    || self.score.value() < cfg.quarantine_enter
+                if self.fail_streak >= FAIL_STREAK
+                    || self.score.value() < QUARANTINE_ENTER
                 {
                     CoreState::Quarantined
-                } else if self.score.value() < cfg.suspect_enter {
+                } else if self.score.value() < SUSPECT_ENTER {
                     CoreState::Suspect
-                } else if from == CoreState::Suspect && self.score.value() >= cfg.resume_score {
+                } else if from == CoreState::Suspect && self.score.value() >= RESUME_SCORE {
                     CoreState::Healthy
                 } else {
                     from
@@ -149,7 +167,7 @@ impl CoreTracker {
                     // probation only begins after a clean stretch.
                     self.quarantine_cycles = 0;
                     CoreState::Quarantined
-                } else if self.quarantine_cycles >= cfg.min_quarantine_probes {
+                } else if self.quarantine_cycles >= MIN_QUARANTINE_PROBES {
                     CoreState::Probation
                 } else {
                     CoreState::Quarantined
@@ -160,7 +178,7 @@ impl CoreTracker {
                     CoreState::Quarantined
                 } else {
                     self.probation_passes += 1;
-                    if self.probation_passes >= cfg.probation_probes {
+                    if self.probation_passes >= PROBATION_PROBES {
                         CoreState::Healthy
                     } else {
                         CoreState::Probation
@@ -180,7 +198,7 @@ impl CoreTracker {
             CoreState::Healthy if from == CoreState::Probation => {
                 // Reinstated: lift the score into the hysteresis-safe
                 // band so one routine SEC event cannot re-demote it.
-                self.score.raise_to(cfg.resume_score);
+                self.score.raise_to(RESUME_SCORE);
                 self.fail_streak = 0;
             }
             _ => {}
@@ -201,74 +219,67 @@ impl CoreTracker {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig::default()
-    }
-
     #[test]
     fn fail_streak_quarantines_and_probation_reinstates() {
-        let cfg = cfg();
         let mut t = CoreTracker::new(3);
         let mut cycle = 0u64;
         // Two consecutive failures hit the streak threshold.
-        assert!(t.observe_probe(cycle, false, &cfg).is_none() || t.state() == CoreState::Suspect);
+        assert!(t.observe_probe(cycle, false).is_none() || t.state() == CoreState::Suspect);
         cycle += 1;
-        let ev = t.observe_probe(cycle, false, &cfg).expect("transition");
+        let ev = t.observe_probe(cycle, false).expect("transition");
         assert_eq!(ev.to, CoreState::Quarantined);
-        // Cooldown: min_quarantine_probes clean cycles before probation.
+        // Cooldown: MIN_QUARANTINE_PROBES clean cycles before probation.
         let mut state = t.state();
-        for _ in 0..cfg.min_quarantine_probes {
+        for _ in 0..MIN_QUARANTINE_PROBES {
             cycle += 1;
-            if let Some(e) = t.observe_probe(cycle, true, &cfg) {
+            if let Some(e) = t.observe_probe(cycle, true) {
                 state = e.to;
             }
         }
         assert_eq!(state, CoreState::Probation);
         // Probation: N consecutive passes reinstate.
-        for _ in 0..cfg.probation_probes {
+        for _ in 0..PROBATION_PROBES {
             cycle += 1;
-            if let Some(e) = t.observe_probe(cycle, true, &cfg) {
+            if let Some(e) = t.observe_probe(cycle, true) {
                 state = e.to;
             }
         }
         assert_eq!(state, CoreState::Healthy);
-        assert!(t.score() >= cfg.resume_score);
+        assert!(t.score() >= RESUME_SCORE);
     }
 
     #[test]
     fn probation_failure_restarts_cooldown() {
-        let cfg = cfg();
         let mut t = CoreTracker::new(0);
         let mut cycle = 0;
-        for _ in 0..cfg.fail_streak {
-            t.observe_probe(cycle, false, &cfg);
+        for _ in 0..FAIL_STREAK {
+            t.observe_probe(cycle, false);
             cycle += 1;
         }
-        for _ in 0..cfg.min_quarantine_probes {
-            t.observe_probe(cycle, true, &cfg);
+        for _ in 0..MIN_QUARANTINE_PROBES {
+            t.observe_probe(cycle, true);
             cycle += 1;
         }
         assert_eq!(t.state(), CoreState::Probation);
-        let ev = t.observe_probe(cycle, false, &cfg).expect("demote");
+        let ev = t.observe_probe(cycle, false).expect("demote");
         assert_eq!(ev.to, CoreState::Quarantined);
         cycle += 1;
         // One clean cycle is not enough to re-enter probation.
-        assert!(t.observe_probe(cycle, true, &cfg).is_none());
+        assert!(t.observe_probe(cycle, true).is_none());
         assert_eq!(t.state(), CoreState::Quarantined);
     }
 
     #[test]
     fn evidence_alone_marks_suspect_only_at_probe_time() {
-        let cfg = cfg();
         let mut t = CoreTracker::new(1);
         t.note_evidence(Evidence::EccDed, 3);
         assert_eq!(t.state(), CoreState::Healthy, "evidence defers to probes");
-        let ev = t.observe_probe(0, true, &cfg).expect("suspect");
+        let ev = t.observe_probe(0, true).expect("suspect");
         assert_eq!(ev.to, CoreState::Suspect);
-        // Clean probes climb back above resume_score eventually.
+        // Clean probes climb back above RESUME_SCORE eventually.
         let mut last = CoreState::Suspect;
         for cycle in 1..=60 {
-            if let Some(e) = t.observe_probe(cycle, true, &cfg) {
+            if let Some(e) = t.observe_probe(cycle, true) {
                 last = e.to;
             }
         }

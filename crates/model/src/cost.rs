@@ -2,62 +2,32 @@
 //! per-layer pricing every inference view folds over.
 
 use rapid_arch::geometry::ChipConfig;
-use rapid_arch::power::PowerModel;
 use rapid_compiler::mapping::{map_layer, MappingCost};
 use rapid_compiler::plan::LayerPlan;
 use rapid_workloads::graph::Layer;
 
-/// Model-level knobs that are not part of the silicon characterization.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ModelConfig {
-    /// Silicon power characterization.
-    pub power: PowerModel,
-    /// Fixed per-compute-layer-instance cost (program distribution, token
-    /// synchronization, drain) in cycles.
-    pub per_layer_overhead_cycles: f64,
-    /// Activity factor of the MPE array during overhead (residue /
-    /// block-load / stall) cycles, as a fraction of full-rate dynamic
-    /// power.
-    pub idle_activity: f64,
-    /// Fraction of gradient-communication time hidden under compute during
-    /// training (0.0 = fully exposed update phase).
-    pub comm_overlap: f64,
-    /// Fraction of LRF block-load time exposed on the critical path (the
-    /// rest hides behind the previous tile's drain).
-    pub blockload_exposure: f64,
-    /// Fraction of systolic fill/drain time exposed (consecutive blocks
-    /// chain through the array).
-    pub fill_exposure: f64,
-    /// Cost of one backward pass (dgrad or wgrad) relative to the forward
-    /// pass: rotated kernels and weight-shaped reductions map worse onto
-    /// the weight-stationary dataflow.
-    pub backward_derate: f64,
-}
+/// Fixed per-compute-layer-instance cost (program distribution, token
+/// synchronization, drain) in cycles.
+pub(crate) const PER_LAYER_OVERHEAD_CYCLES: f64 = 400.0;
 
-impl Default for ModelConfig {
-    fn default() -> Self {
-        Self {
-            power: PowerModel::rapid_7nm(),
-            per_layer_overhead_cycles: 400.0,
-            idle_activity: 0.10,
-            comm_overlap: 0.0,
-            blockload_exposure: 0.6,
-            fill_exposure: 0.5,
-            backward_derate: 1.4,
-        }
-    }
-}
+/// Activity factor of the MPE array during overhead (residue / block-load
+/// / stall) cycles, as a fraction of full-rate dynamic power.
+pub(crate) const IDLE_ACTIVITY: f64 = 0.10;
 
-impl ModelConfig {
-    /// MPE cycles on the critical path of one mapped layer instance.
-    /// Block-loads partially overlap with the previous tile's drain and
-    /// pipeline fills chain across consecutive blocks, so only a fraction
-    /// of each is exposed.
-    pub(crate) fn exposed_cycles(&self, m: &MappingCost) -> f64 {
-        m.compute_cycles
-            + self.blockload_exposure * m.blockload_cycles
-            + self.fill_exposure * m.fill_cycles
-    }
+/// Fraction of LRF block-load time exposed on the critical path (the rest
+/// hides behind the previous tile's drain).
+const BLOCKLOAD_EXPOSURE: f64 = 0.6;
+
+/// Fraction of systolic fill/drain time exposed (consecutive blocks chain
+/// through the array).
+const FILL_EXPOSURE: f64 = 0.5;
+
+/// MPE cycles on the critical path of one mapped layer instance.
+/// Block-loads partially overlap with the previous tile's drain and
+/// pipeline fills chain across consecutive blocks, so only a fraction of
+/// each is exposed.
+pub(crate) fn exposed_cycles(m: &MappingCost) -> f64 {
+    m.compute_cycles + BLOCKLOAD_EXPOSURE * m.blockload_cycles + FILL_EXPOSURE * m.fill_cycles
 }
 
 /// Compute-cycle breakdown in the paper's four categories (Fig 17).
@@ -180,7 +150,6 @@ pub(crate) fn price_layer(
     lp: &LayerPlan,
     chip: &ChipConfig,
     batch: u64,
-    cfg: &ModelConfig,
 ) -> LayerCost {
     let lanes = sfu_lanes(chip);
     let f_hz = lp.effective_ghz * 1e9;
@@ -190,7 +159,7 @@ pub(crate) fn price_layer(
         // small tensors cannot amortize it, which is part of why
         // aux-dominated networks stop scaling in Fig 18a).
         let lane_ops = layer.aux_lane_cycles() * batch as f64;
-        let aux = lane_ops / lanes + 0.5 * cfg.per_layer_overhead_cycles * rep;
+        let aux = lane_ops / lanes + 0.5 * PER_LAYER_OVERHEAD_CYCLES * rep;
         return LayerCost {
             ideal: 0.0,
             overhead: 0.0,
@@ -208,8 +177,8 @@ pub(crate) fn price_layer(
     // MPE mapping cost (per instance; repeats run back to back).
     let m = map_layer(&layer.op, lp.precision, batch, &chip.core.corelet, total_corelets(chip));
     let ideal = m.ideal_cycles * rep;
-    let overhead = (cfg.exposed_cycles(&m) - m.ideal_cycles).max(0.0) * rep
-        + cfg.per_layer_overhead_cycles * rep;
+    let overhead =
+        (exposed_cycles(&m) - m.ideal_cycles).max(0.0) * rep + PER_LAYER_OVERHEAD_CYCLES * rep;
 
     // Quantization / conversion of the layer's output activations.
     let out_elems = layer.op.output_elems() as f64 * rep * batch as f64;

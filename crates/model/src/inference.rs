@@ -8,8 +8,9 @@
 //! fetch latency to be hidden behind compute). This module folds those
 //! costs into the network's latency, breakdown and energy.
 
-use crate::cost::{price_layer, CycleBreakdown, EnergyLedger, ModelConfig};
+use crate::cost::{price_layer, CycleBreakdown, EnergyLedger, IDLE_ACTIVITY};
 use rapid_arch::geometry::ChipConfig;
+use rapid_arch::power::PowerModel;
 use rapid_arch::precision::Precision;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
@@ -51,10 +52,9 @@ pub fn evaluate_inference(
     plan: &NetworkPlan,
     chip: &ChipConfig,
     batch: u64,
-    cfg: &ModelConfig,
 ) -> InferenceResult {
     assert_eq!(net.layers.len(), plan.layers.len(), "plan/network mismatch");
-    let pm = &cfg.power;
+    let pm = PowerModel::rapid_7nm();
     let dyn_scale = pm.dyn_scale(chip.freq_ghz);
 
     let mut breakdown = CycleBreakdown::default();
@@ -64,7 +64,7 @@ pub fn evaluate_inference(
     let mut total_macs = 0u64;
 
     for (layer, lp) in net.layers.iter().zip(&plan.layers) {
-        let c = price_layer(layer, lp, chip, batch, cfg);
+        let c = price_layer(layer, lp, chip, batch);
         breakdown.conv_ideal += c.ideal;
         breakdown.conv_overhead += c.overhead;
         breakdown.quant += c.quant;
@@ -87,7 +87,7 @@ pub fn evaluate_inference(
             * array_macs_per_cycle
             * 2.0
             * pm.energy.mpe_op_pj(lp.precision)
-            * cfg.idle_activity
+            * IDLE_ACTIVITY
             * dyn_scale
             * 1e-12;
         // Scratchpad streaming: inputs and outputs each traverse L1+L0
@@ -130,14 +130,14 @@ pub fn evaluate_inference(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use rapid_compiler::passes::{compile, CompileOptions};
+    use rapid_compiler::passes::compile;
     use rapid_workloads::suite::benchmark;
 
     fn run(name: &str, p: Precision) -> InferenceResult {
         let net = benchmark(name).unwrap();
         let chip = ChipConfig::rapid_4core();
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(p));
-        evaluate_inference(&net, &plan, &chip, 1, &ModelConfig::default())
+        let plan = compile(&net, &chip, p);
+        evaluate_inference(&net, &plan, &chip, 1)
     }
 
     #[test]

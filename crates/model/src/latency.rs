@@ -15,11 +15,10 @@
 //! compute and quantization terms) and conservative at the batch sizes in
 //! between the two calibration points.
 
-use crate::cost::ModelConfig;
 use crate::inference::evaluate_inference;
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
-use rapid_compiler::passes::{compile, CompileOptions};
+use rapid_compiler::passes::compile;
 use rapid_workloads::graph::Network;
 use std::collections::BTreeMap;
 
@@ -60,17 +59,16 @@ impl LatencyTable {
     pub fn build(
         models: &[Network],
         chip: &ChipConfig,
-        cfg: &ModelConfig,
         calib_batch: u64,
     ) -> Self {
         let calib_batch = calib_batch.max(2);
         let mut entries = BTreeMap::new();
         for net in models {
             for p in SERVING_PRECISIONS {
-                let plan = compile(net, chip, &CompileOptions::for_precision(p));
-                let lat1 = evaluate_inference(net, &plan, chip, 1, cfg).latency_s * 1e6;
+                let plan = compile(net, chip, p);
+                let lat1 = evaluate_inference(net, &plan, chip, 1).latency_s * 1e6;
                 let latb =
-                    evaluate_inference(net, &plan, chip, calib_batch, cfg).latency_s * 1e6;
+                    evaluate_inference(net, &plan, chip, calib_batch).latency_s * 1e6;
                 let per_item = ((latb - lat1) / (calib_batch - 1) as f64).max(0.0);
                 let base = (lat1 - per_item).max(0.0);
                 entries.insert(
@@ -137,7 +135,7 @@ mod tests {
 
     fn table_for(names: &[&str]) -> LatencyTable {
         let models: Vec<Network> = names.iter().map(|n| benchmark(n).unwrap()).collect();
-        LatencyTable::build(&models, &ChipConfig::rapid_4core(), &ModelConfig::default(), 32)
+        LatencyTable::build(&models, &ChipConfig::rapid_4core(), 32)
     }
 
     #[test]
@@ -171,10 +169,9 @@ mod tests {
         // the full analytical model at an intermediate batch size.
         let net = benchmark("resnet50").unwrap();
         let chip = ChipConfig::rapid_4core();
-        let cfg = ModelConfig::default();
-        let t = LatencyTable::build(std::slice::from_ref(&net), &chip, &cfg, 32);
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-        let exact = evaluate_inference(&net, &plan, &chip, 8, &cfg).latency_s * 1e6;
+        let t = LatencyTable::build(std::slice::from_ref(&net), &chip, 32);
+        let plan = compile(&net, &chip, Precision::Int4);
+        let exact = evaluate_inference(&net, &plan, &chip, 8).latency_s * 1e6;
         let est = t.estimate_us("resnet50", Precision::Int4, 8).unwrap();
         let rel = (est - exact).abs() / exact;
         assert!(rel < 0.25, "surrogate off by {:.0}% ({est} vs {exact})", rel * 100.0);

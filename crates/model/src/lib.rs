@@ -29,15 +29,14 @@
 //! ```
 //! use rapid_arch::geometry::ChipConfig;
 //! use rapid_arch::precision::Precision;
-//! use rapid_compiler::passes::{compile, CompileOptions};
-//! use rapid_model::cost::ModelConfig;
+//! use rapid_compiler::passes::compile;
 //! use rapid_model::inference::evaluate_inference;
 //! use rapid_workloads::suite::benchmark;
 //!
 //! let net = benchmark("resnet50").unwrap();
 //! let chip = ChipConfig::rapid_4core();
-//! let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-//! let r = evaluate_inference(&net, &plan, &chip, 1, &ModelConfig::default());
+//! let plan = compile(&net, &chip, Precision::Int4);
+//! let r = evaluate_inference(&net, &plan, &chip, 1);
 //! assert!(r.latency_s > 0.0 && r.tops_per_w > 1.0);
 //! ```
 
@@ -50,7 +49,7 @@ pub mod scaling;
 pub mod throttle;
 pub mod training;
 
-pub use cost::{CycleBreakdown, EnergyLedger, ModelConfig};
+pub use cost::{CycleBreakdown, EnergyLedger};
 pub use inference::{evaluate_inference, InferenceResult};
 pub use latency::{LatencyEntry, LatencyTable, SERVING_PRECISIONS};
 pub use protection::{protection_tax, ProtectionTax};

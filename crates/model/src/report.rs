@@ -2,7 +2,7 @@
 //! aggregate numbers (what the compiler's design-space exploration and the
 //! Fig 17 analysis look at).
 
-use crate::cost::{price_layer, ModelConfig};
+use crate::cost::price_layer;
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::precision::Precision;
 use rapid_compiler::plan::NetworkPlan;
@@ -128,7 +128,6 @@ pub fn layer_reports(
     plan: &NetworkPlan,
     chip: &ChipConfig,
     batch: u64,
-    cfg: &ModelConfig,
 ) -> Vec<LayerReport> {
     assert_eq!(net.layers.len(), plan.layers.len(), "plan/network mismatch");
     let mem_bw = chip.mem_bw_gbps * 1e9;
@@ -136,7 +135,7 @@ pub fn layer_reports(
         .iter()
         .zip(&plan.layers)
         .map(|(layer, lp)| {
-            let c = price_layer(layer, lp, chip, batch, cfg);
+            let c = price_layer(layer, lp, chip, batch);
             let macs = layer.macs() * batch;
             let (precision, roofline) = if layer.op.is_compute() {
                 let ops = 2.0 * macs as f64;
@@ -182,14 +181,14 @@ pub fn layer_reports(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use rapid_compiler::passes::{compile, CompileOptions};
+    use rapid_compiler::passes::compile;
     use rapid_workloads::suite::benchmark;
 
     fn reports(name: &str, p: Precision) -> Vec<LayerReport> {
         let net = benchmark(name).unwrap();
         let chip = ChipConfig::rapid_4core();
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(p));
-        layer_reports(&net, &plan, &chip, 1, &ModelConfig::default())
+        let plan = compile(&net, &chip, p);
+        layer_reports(&net, &plan, &chip, 1)
     }
 
     #[test]
@@ -207,13 +206,12 @@ mod tests {
         use crate::latency::SERVING_PRECISIONS;
         use rapid_workloads::suite::benchmark_suite;
         let chip = ChipConfig::rapid_4core();
-        let cfg = ModelConfig::default();
         for net in benchmark_suite() {
             for p in SERVING_PRECISIONS {
-                let plan = compile(&net, &chip, &CompileOptions::for_precision(p));
+                let plan = compile(&net, &chip, p);
                 for batch in [1, 8] {
-                    let agg = evaluate_inference(&net, &plan, &chip, batch, &cfg).breakdown;
-                    let per = layer_reports(&net, &plan, &chip, batch, &cfg);
+                    let agg = evaluate_inference(&net, &plan, &chip, batch).breakdown;
+                    let per = layer_reports(&net, &plan, &chip, batch);
                     let sum = |f: fn(&LayerReport) -> f64| per.iter().fold(0.0, |a, l| a + f(l));
                     let what = format!("{} {p} batch {batch}", net.name);
                     assert_eq!(sum(|l| l.ideal_cycles), agg.conv_ideal, "{what}: ideal");

@@ -1,12 +1,11 @@
 //! Core- and chip-count scaling sweeps (Fig 18), and the degraded-core
 //! and elastic-ring curves priced by the same two sweeps.
 
-use crate::cost::ModelConfig;
 use crate::inference::evaluate_inference;
 use crate::training::evaluate_training;
 use rapid_arch::geometry::{ChipConfig, SystemConfig};
 use rapid_arch::precision::Precision;
-use rapid_compiler::passes::{compile, CompileOptions};
+use rapid_compiler::passes::compile;
 use rapid_workloads::graph::Network;
 
 /// One point of a scaling sweep. Callers derive ratios against a base
@@ -37,14 +36,13 @@ pub fn core_sweep(
     net: &Network,
     cores: impl IntoIterator<Item = u32>,
     precision: Precision,
-    cfg: &ModelConfig,
 ) -> Vec<ScalePoint> {
     cores
         .into_iter()
         .map(|count| {
             let chip = ChipConfig::rapid_4core().with_cores(count);
-            let plan = compile(net, &chip, &CompileOptions::for_precision(precision));
-            let r = evaluate_inference(net, &plan, &chip, 1, cfg);
+            let plan = compile(net, &chip, precision);
+            let r = evaluate_inference(net, &plan, &chip, 1);
             ScalePoint { count, latency_s: r.latency_s, throughput: r.throughput_per_s }
         })
         .collect()
@@ -84,13 +82,12 @@ pub fn chip_sweep(
     net: &Network,
     chips: impl IntoIterator<Item = u32>,
     minibatch: u64,
-    cfg: &ModelConfig,
 ) -> Vec<ScalePoint> {
     chips
         .into_iter()
         .map(|count| {
             let sys = SystemConfig::training_4x32().with_chips(count);
-            let r = evaluate_training(net, &sys, Precision::Hfp8, minibatch, cfg);
+            let r = evaluate_training(net, &sys, Precision::Hfp8, minibatch);
             ScalePoint { count, latency_s: r.step_time_s, throughput: r.inputs_per_s }
         })
         .collect()
@@ -104,13 +101,13 @@ mod tests {
 
     /// Fig 18(a): INT4 speedups over the first core count.
     fn inference_speedups(net: &Network, cores: &[u32]) -> Vec<f64> {
-        let pts = core_sweep(net, cores.iter().copied(), Precision::Int4, &ModelConfig::default());
+        let pts = core_sweep(net, cores.iter().copied(), Precision::Int4);
         pts.iter().map(|p| pts[0].latency_s / p.latency_s).collect()
     }
 
     /// Fig 18(b): HFP8 training speedups over the first chip count.
     fn training_speedups(net: &Network, chips: &[u32]) -> Vec<f64> {
-        let pts = chip_sweep(net, chips.iter().copied(), 512, &ModelConfig::default());
+        let pts = chip_sweep(net, chips.iter().copied(), 512);
         pts.iter().map(|p| p.throughput / pts[0].throughput).collect()
     }
 
@@ -165,7 +162,7 @@ mod tests {
         // slows batch-1 inference, but by less than the naive 4/3 compute
         // ratio would suggest once memory/aux time is counted.
         let net = benchmark("resnet50").unwrap();
-        let pts = core_sweep(&net, [4, 3], Precision::Int4, &ModelConfig::default());
+        let pts = core_sweep(&net, [4, 3], Precision::Int4);
         assert_eq!(pts.len(), 2);
         assert_eq!(pts[0].count, 4);
         assert_eq!(pts[1].count, 3);
@@ -180,7 +177,7 @@ mod tests {
     #[test]
     fn elastic_curve_degrades_monotonically_and_bounded() {
         let net = benchmark("resnet50").unwrap();
-        let pts = chip_sweep(&net, (1..=4).rev(), 512, &ModelConfig::default());
+        let pts = chip_sweep(&net, (1..=4).rev(), 512);
         assert_eq!(pts.len(), 4);
         assert_eq!(pts[0].count, 4);
         let retention: Vec<f64> = pts.iter().map(|p| p.throughput / pts[0].throughput).collect();

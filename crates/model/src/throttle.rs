@@ -6,12 +6,12 @@
 //! weight sparsity affords. Auxiliary (SFU-only) phases draw little array
 //! power and run un-throttled in both configurations.
 
-use crate::cost::ModelConfig;
 use crate::inference::{evaluate_inference, InferenceResult};
 use rapid_arch::geometry::ChipConfig;
 use rapid_arch::power::ThrottleModel;
 use rapid_arch::precision::Precision;
-use rapid_compiler::passes::{compile, CompileOptions};
+use rapid_compiler::passes::compile;
+use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
 
 /// Outcome of the throttling study for one pruned benchmark.
@@ -35,6 +35,26 @@ impl ThrottleStudy {
     }
 }
 
+/// The study's two FP16 plans, `[baseline, throttled]`. Compute layers
+/// run at the dense-budget clock in the baseline and at the clock their
+/// `pruned_sparsity` affords in the throttled plan; auxiliary layers run
+/// at `f_max` in both.
+fn clocked_plans(net: &Network, chip: &ChipConfig, throttle: &ThrottleModel) -> [NetworkPlan; 2] {
+    let plan = |compute_ghz: &dyn Fn(f64) -> f64| {
+        let mut plan = compile(net, chip, Precision::Fp16);
+        for (lp, layer) in plan.layers.iter_mut().zip(&net.layers) {
+            lp.effective_ghz = if layer.op.is_compute() {
+                compute_ghz(layer.pruned_sparsity)
+            } else {
+                throttle.f_max_ghz
+            };
+        }
+        plan
+    };
+    let dense_ghz = throttle.effective_frequency_ghz(0.0);
+    [plan(&|_| dense_ghz), plan(&|sparsity| throttle.effective_frequency_ghz(sparsity))]
+}
+
 /// Runs the Fig 16 study on a *pruned* network (layers must carry
 /// `pruned_sparsity`; see `rapid_workloads::apply_pruning_profile`).
 /// The study uses FP16 execution, matching the paper's pruned checkpoints.
@@ -42,32 +62,13 @@ pub fn throttling_study(
     net: &Network,
     chip: &ChipConfig,
     throttle: &ThrottleModel,
-    cfg: &ModelConfig,
 ) -> ThrottleStudy {
-    let opts = CompileOptions::for_precision(Precision::Fp16);
-
-    // Baseline: dense-budget clock everywhere (aux phases un-throttled).
-    let mut base_plan = compile(net, chip, &opts);
-    let dense_ghz = throttle.effective_frequency_ghz(0.0);
-    for (lp, layer) in base_plan.layers.iter_mut().zip(&net.layers) {
-        lp.effective_ghz = if layer.op.is_compute() { dense_ghz } else { throttle.f_max_ghz };
-    }
-
-    // Sparsity-aware: per-layer clock from the compiler's sparsity analysis.
-    let mut sparse_plan = compile(net, chip, &opts);
-    for (lp, layer) in sparse_plan.layers.iter_mut().zip(&net.layers) {
-        lp.effective_ghz = if layer.op.is_compute() {
-            throttle.effective_frequency_ghz(layer.pruned_sparsity)
-        } else {
-            throttle.f_max_ghz
-        };
-    }
-
+    let [base_plan, sparse_plan] = clocked_plans(net, chip, throttle);
     ThrottleStudy {
         network: net.name.clone(),
         avg_sparsity: net.average_pruned_sparsity(),
-        baseline: evaluate_inference(net, &base_plan, chip, 1, cfg),
-        throttled: evaluate_inference(net, &sparse_plan, chip, 1, cfg),
+        baseline: evaluate_inference(net, &base_plan, chip, 1),
+        throttled: evaluate_inference(net, &sparse_plan, chip, 1),
     }
 }
 
@@ -80,12 +81,7 @@ mod tests {
     fn study(name: &str) -> ThrottleStudy {
         let mut net = benchmark(name).unwrap();
         apply_pruning_profile(&mut net);
-        throttling_study(
-            &net,
-            &ChipConfig::rapid_4core(),
-            &ThrottleModel::rapid_default(),
-            &ModelConfig::default(),
-        )
+        throttling_study(&net, &ChipConfig::rapid_4core(), &ThrottleModel::rapid_default())
     }
 
     #[test]
@@ -115,5 +111,60 @@ mod tests {
         // exceeds the sparsity-aware latency.
         let s = study("resnet50");
         assert!(s.baseline.latency_s > s.throttled.latency_s);
+    }
+
+    /// Pruned vgg16's two plans and the network they clock.
+    fn vgg16_plans() -> (Network, [NetworkPlan; 2], ThrottleModel) {
+        let mut net = benchmark("vgg16").unwrap();
+        apply_pruning_profile(&mut net);
+        let throttle = ThrottleModel::rapid_default();
+        let plans = clocked_plans(&net, &ChipConfig::rapid_4core(), &throttle);
+        (net, plans, throttle)
+    }
+
+    #[test]
+    fn throttled_compute_layers_run_at_their_sparsity_clock() {
+        let (net, [_, throttled], throttle) = vgg16_plans();
+        let mut by_sparsity = Vec::new();
+        for (layer, lp) in net.layers.iter().zip(&throttled.layers) {
+            if layer.op.is_compute() {
+                let ghz = throttle.effective_frequency_ghz(layer.pruned_sparsity);
+                assert_eq!(lp.effective_ghz, ghz, "{}", layer.name);
+                by_sparsity.push((layer.pruned_sparsity, ghz));
+            }
+        }
+        // A sparser layer gets a faster clock.
+        by_sparsity.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (first, last) = (by_sparsity[0], by_sparsity[by_sparsity.len() - 1]);
+        assert!(last.0 > first.0, "vgg16's profile varies sparsity across layers");
+        assert!(last.1 > first.1, "{first:?} vs {last:?}");
+        for pair in by_sparsity.windows(2) {
+            assert!(pair[0].1 <= pair[1].1, "{pair:?}");
+        }
+    }
+
+    #[test]
+    fn auxiliary_layers_run_at_f_max_in_both_plans() {
+        let (net, plans, throttle) = vgg16_plans();
+        assert!(net.layers.iter().any(|l| !l.op.is_compute()));
+        for plan in &plans {
+            for (layer, lp) in net.layers.iter().zip(&plan.layers) {
+                if !layer.op.is_compute() {
+                    assert_eq!(lp.effective_ghz, throttle.f_max_ghz, "{}", layer.name);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn baseline_compute_layers_run_at_the_dense_clock() {
+        let (net, [baseline, _], throttle) = vgg16_plans();
+        let dense_ghz = throttle.effective_frequency_ghz(0.0);
+        assert!(dense_ghz < throttle.f_max_ghz);
+        for (layer, lp) in net.layers.iter().zip(&baseline.layers) {
+            if layer.op.is_compute() {
+                assert_eq!(lp.effective_ghz, dense_ghz, "{}", layer.name);
+            }
+        }
     }
 }

@@ -7,12 +7,22 @@
 //! 8-bit weights, so the weight-broadcast half of the exchange moves 8-bit
 //! payloads (§V-F).
 
-use crate::cost::{EnergyLedger, ModelConfig};
+use crate::cost::{exposed_cycles, EnergyLedger, IDLE_ACTIVITY, PER_LAYER_OVERHEAD_CYCLES};
 use rapid_arch::geometry::SystemConfig;
+use rapid_arch::power::PowerModel;
 use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
-use rapid_compiler::passes::{compile, CompileOptions};
+use rapid_compiler::passes::compile;
 use rapid_workloads::graph::Network;
+
+/// Cost of one backward pass (dgrad or wgrad) relative to the forward
+/// pass: rotated kernels and weight-shaped reductions map worse onto the
+/// weight-stationary dataflow.
+const BACKWARD_DERATE: f64 = 1.4;
+
+/// Fraction of gradient-communication time hidden under compute (0.0: the
+/// update phase is fully exposed).
+const COMM_OVERLAP: f64 = 0.0;
 
 /// Result of one training-step evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,7 +60,6 @@ pub fn evaluate_training(
     system: &SystemConfig,
     precision: Precision,
     minibatch: u64,
-    cfg: &ModelConfig,
 ) -> TrainingResult {
     assert!(minibatch >= u64::from(system.chips), "minibatch must cover every chip");
     let chip = &system.chip;
@@ -61,13 +70,13 @@ pub fn evaluate_training(
     // chip counts the per-core batch shrinks toward 1 and utilization
     // collapses — the Fig 18b saturation.
     let per_core_batch = local_batch.div_ceil(u64::from(chip.cores)).max(1);
-    let plan = compile(net, chip, &CompileOptions::for_precision(precision));
+    let plan = compile(net, chip, precision);
     let corelet = &chip.core.corelet;
     // Per-core resources: 2 corelets and their SFU lanes.
     let core_corelets = chip.core.corelets;
     let core_lanes = chip.core.sfu_ops_per_cycle() as f64;
     let f_hz = chip.freq_ghz * 1e9;
-    let pm = &cfg.power;
+    let pm = PowerModel::rapid_7nm();
     let dyn_scale = pm.dyn_scale(chip.freq_ghz);
 
     let mut compute_cycles = 0.0f64;
@@ -98,9 +107,9 @@ pub fn evaluate_training(
         // outputs — so each backward pass is derated.
         let fwd =
             map_layer(&layer.op, lp.precision, per_core_batch, corelet, core_corelets);
-        let passes = 1.0 + 2.0 * cfg.backward_derate;
-        let exposed = cfg.exposed_cycles(&fwd);
-        compute_cycles += passes * (exposed * rep + cfg.per_layer_overhead_cycles * rep);
+        let passes = 1.0 + 2.0 * BACKWARD_DERATE;
+        let exposed = exposed_cycles(&fwd);
+        compute_cycles += passes * (exposed * rep + PER_LAYER_OVERHEAD_CYCLES * rep);
 
         // HFP8 conversions: activations, errors and weight copies re-round
         // once per pass (per core, on its slice).
@@ -153,7 +162,7 @@ pub fn evaluate_training(
             * chip.macs_per_cycle(lp.precision) as f64
             * 2.0
             * pm.energy.mpe_op_pj(lp.precision)
-            * cfg.idle_activity
+            * IDLE_ACTIVITY
             * dyn_scale
             * 1e-12;
         let sram_bytes = (layer.op.input_elems() + 2 * layer.op.output_elems()) as f64
@@ -195,7 +204,7 @@ pub fn evaluate_training(
         let s = bytes / (system.link_bw_gbps * 1e9);
         energy.interconnect_j +=
             bytes * pm.energy.link_byte_pj * 1e-12 * f64::from(system.chips);
-        s * (1.0 - cfg.comm_overlap)
+        s * (1.0 - COMM_OVERLAP)
     } else {
         0.0
     };
@@ -235,7 +244,7 @@ mod tests {
     fn run(name: &str, p: Precision) -> TrainingResult {
         let net = benchmark(name).unwrap();
         let sys = SystemConfig::training_4x32();
-        evaluate_training(&net, &sys, p, 512, &ModelConfig::default())
+        evaluate_training(&net, &sys, p, 512)
     }
 
     #[test]
@@ -282,7 +291,7 @@ mod tests {
     fn single_chip_has_no_comm() {
         let net = benchmark("resnet50").unwrap();
         let sys = SystemConfig::training_4x32().with_chips(1);
-        let r = evaluate_training(&net, &sys, Precision::Hfp8, 512, &ModelConfig::default());
+        let r = evaluate_training(&net, &sys, Precision::Hfp8, 512);
         assert_eq!(r.comm_s, 0.0);
     }
 
@@ -291,6 +300,6 @@ mod tests {
     fn tiny_minibatch_panics() {
         let net = benchmark("resnet50").unwrap();
         let sys = SystemConfig::training_4x32();
-        let _ = evaluate_training(&net, &sys, Precision::Hfp8, 2, &ModelConfig::default());
+        let _ = evaluate_training(&net, &sys, Precision::Hfp8, 2);
     }
 }

@@ -29,15 +29,14 @@
 //! ```
 //! use rapid::arch::geometry::ChipConfig;
 //! use rapid::arch::precision::Precision;
-//! use rapid::compiler::passes::{compile, CompileOptions};
-//! use rapid::model::cost::ModelConfig;
+//! use rapid::compiler::passes::compile;
 //! use rapid::model::inference::evaluate_inference;
 //! use rapid::workloads::suite::benchmark;
 //!
 //! let net = benchmark("resnet50").unwrap();
 //! let chip = ChipConfig::rapid_4core();
-//! let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-//! let result = evaluate_inference(&net, &plan, &chip, 1, &ModelConfig::default());
+//! let plan = compile(&net, &chip, Precision::Int4);
+//! let result = evaluate_inference(&net, &plan, &chip, 1);
 //! println!("ResNet50 INT4 batch-1: {:.0} inf/s at {:.1} TOPS/W",
 //!          result.throughput_per_s, result.tops_per_w);
 //! ```

@@ -53,7 +53,7 @@ pub struct ElasticTrainConfig {
     pub batch: usize,
     /// Learning rate.
     pub lr: f32,
-    /// The elastic collective layer (heartbeats, healing, deadline).
+    /// The elastic collective layer (reliable transport, minimum world).
     pub ring: ElasticConfig,
     /// Whether spliced nodes rejoin at the next barrier, catching up from
     /// the just-written checkpoint generation.
@@ -67,7 +67,7 @@ impl ElasticTrainConfig {
             epochs: 8,
             batch: 32,
             lr: 0.05,
-            ring: ElasticConfig::rapid_training(world, true),
+            ring: ElasticConfig::rapid_training(world),
             rejoin_at_barrier: false,
         }
     }

@@ -30,10 +30,10 @@
 //! only see *non-finite* accumulators, so each applied update is also
 //! defended against silent (finite) corruption: the update-anomaly check
 //! rejects steps whose magnitude no honest step reaches
-//! ([`ResilientConfig::anomaly_factor`]), and the per-element clip bound
-//! caps whatever slips through ([`ResilientConfig::clip_factor`]). `K`
-//! consecutive guard trips mean skipping isn't working (the fault burst
-//! outlasts single batches), so the run restores the last good checkpoint
+//! (`ANOMALY_FACTOR`), and the per-element clip bound caps whatever
+//! slips through (`CLIP_FACTOR`). `K` consecutive guard trips mean
+//! skipping isn't working (the fault burst outlasts single batches), so
+//! the run restores the last good checkpoint
 //! — from the persistent [`CheckpointStore`] when one is attached
 //! (corrupted newest generations fall back automatically), else from the
 //! in-memory copy — and continues the schedule from the current batch.
@@ -60,34 +60,35 @@ pub struct ResilientConfig {
     /// Successful steps between checkpoints (in-memory always; persisted
     /// too when a store is attached).
     pub checkpoint_every: u64,
-    /// Initial dynamic loss scale.
-    pub initial_scale: f32,
     /// Total skipped-step budget before the run gives up — the guard
     /// against a fault rate above what skip/rollback can absorb.
     pub max_skipped_steps: u64,
-    /// Update-anomaly rejection threshold: an applied step whose largest
-    /// parameter change exceeds this factor times the running average is
-    /// rejected as silently corrupted. Bit flips that saturate an
-    /// accumulator to a huge *finite* value pass the non-finite guard but
-    /// land updates orders of magnitude above honest SGD steps; this is
-    /// the end-to-end check that catches them. The factor is deliberately
-    /// loose — sparse flips that only nudge an accumulator are ordinary
-    /// SGD noise (the saturating fault sweeps converge through them) and
-    /// rejecting those starves training. Set to `f64::INFINITY` to
-    /// disable.
-    pub anomaly_factor: f64,
-    /// Per-element update clamp: every parameter delta in an applied step
-    /// is clipped to this factor times the running honest magnitude.
-    /// Guards only see *non-finite* accumulators; a flip that saturates a
-    /// chunk to a large finite value sails through and, applied raw,
-    /// compounds — the damaged weights enlarge the next step's activations
-    /// and gradients, which saturate more chunks (measured: unclipped
-    /// saturating runs drift to per-step deltas of ~1e7 and their
-    /// clean-path accuracy *decays* with more epochs). Clipping keeps the
-    /// honest components of a corrupted update while bounding each damaged
-    /// element to SGD-noise scale. Set to `f64::INFINITY` to disable.
-    pub clip_factor: f64,
 }
+
+/// Initial dynamic loss scale.
+const INITIAL_SCALE: f32 = 256.0;
+
+/// Update-anomaly rejection threshold: an applied step whose largest
+/// parameter change exceeds this factor times the running average is
+/// rejected as silently corrupted. Bit flips that saturate an accumulator
+/// to a huge *finite* value pass the non-finite guard but land updates
+/// orders of magnitude above honest SGD steps; this is the end-to-end
+/// check that catches them. The factor is deliberately loose — sparse
+/// flips that only nudge an accumulator are ordinary SGD noise (the
+/// saturating fault sweeps converge through them) and rejecting those
+/// starves training.
+const ANOMALY_FACTOR: f64 = 64.0;
+
+/// Per-element update clamp: every parameter delta in an applied step is
+/// clipped to this factor times the running honest magnitude. Guards only
+/// see *non-finite* accumulators; a flip that saturates a chunk to a
+/// large finite value sails through and, applied raw, compounds — the
+/// damaged weights enlarge the next step's activations and gradients,
+/// which saturate more chunks (measured: unclipped saturating runs drift
+/// to per-step deltas of ~1e7 and their clean-path accuracy *decays* with
+/// more epochs). Clipping keeps the honest components of a corrupted
+/// update while bounding each damaged element to SGD-noise scale.
+const CLIP_FACTOR: f64 = 8.0;
 
 /// Applied steps observed before the anomaly check engages — the running
 /// average needs a few honest magnitudes before its threshold means
@@ -99,10 +100,7 @@ impl Default for ResilientConfig {
         Self {
             rollback_after: 4,
             checkpoint_every: 8,
-            initial_scale: 256.0,
             max_skipped_steps: 100_000,
-            anomaly_factor: 64.0,
-            clip_factor: 8.0,
         }
     }
 }
@@ -228,7 +226,7 @@ fn run_resilient<M>(
     mut restore: impl FnMut(&mut M, &TrainState) -> Result<(), CheckpointError>,
     mut attempt: impl FnMut(&mut M, &Tensor, &[usize], f32) -> Result<(), NumericsError>,
 ) -> Result<RecoveryReport, RecoverError> {
-    let mut scaler = DynamicLossScaler::new(rcfg.initial_scale);
+    let mut scaler = DynamicLossScaler::new(INITIAL_SCALE);
     let make_state = |(layers, alphas): Params, scaler: &DynamicLossScaler, step: u64| {
         let (scale, scaler_good_steps) = scaler.state();
         TrainState { step, rng_state: 0, scale, scaler_good_steps, layers, alphas }
@@ -258,14 +256,12 @@ fn run_resilient<M>(
                     let armed = report.steps_applied >= ANOMALY_WARMUP_STEPS
                         && ema_update.is_some_and(|e| e > 0.0);
                     let bound = match ema_update {
-                        Some(ema) if armed && rcfg.clip_factor.is_finite() => {
-                            rcfg.clip_factor * ema
-                        }
+                        Some(ema) if armed => CLIP_FACTOR * ema,
                         _ => f64::INFINITY,
                     };
                     let (mag, clamped) = measure_and_clip(&snapshot, &mut new_params, bound);
                     let ema = ema_update.unwrap_or(mag);
-                    if armed && mag > rcfg.anomaly_factor * ema {
+                    if armed && mag > ANOMALY_FACTOR * ema {
                         // Too corrupted to salvage even element-wise.
                         report.anomaly_rejections += 1;
                         Verdict::Rejected { guard_trip: false }
@@ -503,7 +499,7 @@ mod tests {
         let (_, report) =
             train_mlp_resilient(&mut model, &backend, &data, &cfg, &rcfg, None).unwrap();
         assert!(report.rollbacks > 0, "2% flips should force rollbacks: {report:?}");
-        assert!(report.final_scale <= rcfg.initial_scale);
+        assert!(report.final_scale <= INITIAL_SCALE);
     }
 
     #[test]

@@ -14,15 +14,17 @@ use rapid_numerics::{NumericsError, Tensor};
 use rapid_quant::pact::Pact;
 use rapid_quant::sawb::sawb_quantize;
 
+/// PACT α learning rate.
+const ALPHA_LR: f32 = 0.01;
+
+/// PACT α weight decay (regularizes the range downward).
+const ALPHA_DECAY: f32 = 0.001;
+
 /// QAT hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QatConfig {
     /// Weight/bias learning rate.
     pub lr: f32,
-    /// PACT α learning rate.
-    pub alpha_lr: f32,
-    /// PACT α weight decay (regularizes the range downward).
-    pub alpha_decay: f32,
     /// Epochs.
     pub epochs: usize,
     /// Mini-batch size.
@@ -31,7 +33,7 @@ pub struct QatConfig {
 
 impl Default for QatConfig {
     fn default() -> Self {
-        Self { lr: 0.1, alpha_lr: 0.01, alpha_decay: 0.001, epochs: 40, batch: 32 }
+        Self { lr: 0.1, epochs: 40, batch: 32 }
     }
 }
 
@@ -150,7 +152,7 @@ impl QatMlp {
                 // PACT backward: STE inside the clip window, α gradient
                 // from the clipped region.
                 let (dx, dalpha) = self.pacts[i].backward(pre, &grad);
-                self.pacts[i].update_alpha(dalpha / loss_scale, cfg.alpha_lr, cfg.alpha_decay);
+                self.pacts[i].update_alpha(dalpha / loss_scale, ALPHA_LR, ALPHA_DECAY);
                 grad = dx;
             }
             // STE for SaWB weights: gradient w.r.t. the master equals the

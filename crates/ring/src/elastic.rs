@@ -12,10 +12,9 @@
 //!   monotonically increasing **epoch**; every splice (node removed) or
 //!   rejoin bumps the epoch, so any two nodes that disagree about the
 //!   ring can detect it from the epoch number alone;
-//! * a [`HeartbeatDetector`] declares a silent node *suspect* after a
-//!   fixed number of missed heartbeats — deterministic (pure cycle
-//!   arithmetic, no wall clock), so detection latency is a config
-//!   constant, not a race;
+//! * heartbeat detection declares a silent node hung after a fixed
+//!   number of missed heartbeats — deterministic (pure cycle arithmetic,
+//!   no wall clock), so detection latency is a constant, not a race;
 //! * [`elastic_allreduce`] runs one collective under a [`FaultPlan`]'s
 //!   node-fault domain: a crashed node is detected fast (its links drop —
 //!   link-down signal), a hung node slowly (links stay up; only heartbeat
@@ -32,66 +31,48 @@
 //! identical event trace; every path is bounded in cycles — the module's
 //! zero-hang guarantee is by construction, not by timeout luck.
 
-use crate::reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth};
+use crate::reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth, CHUNK_ELEMS};
 use rapid_fault::{FaultPlan, NodeFault};
+
+/// Heartbeat period in cycles.
+const HEARTBEAT_CYCLES: u64 = 2_000;
+
+/// Missed heartbeats before a silent node is declared hung.
+const SUSPECT_AFTER: u64 = 3;
+
+/// Cycles of silence after which a hung node is detected.
+const HANG_DETECT_CYCLES: u64 = HEARTBEAT_CYCLES * SUSPECT_AFTER;
+
+/// Link-down detection latency for a crashed node, in cycles. Much smaller
+/// than the heartbeat path: dead links announce themselves.
+const CRASH_DETECT_CYCLES: u64 = 500;
+
+/// Cost of one membership-epoch agreement round (splice broadcast +
+/// acknowledgements), in cycles.
+const HEAL_EPOCH_CYCLES: u64 = 1_500;
+
+/// Straggler deadline as a multiple of the survivor ring's ideal exchange
+/// time. A slow node projected to finish within the deadline is waited
+/// for; one projected past it is dropped from this exchange's
+/// contributors.
+const STRAGGLER_DEADLINE: f64 = 2.0;
 
 /// Configuration of the elastic collective layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticConfig {
     /// The reliable chunked transport the survivor exchange runs on.
     pub reliable: ReliableConfig,
-    /// Heartbeat period in cycles.
-    pub heartbeat_cycles: u64,
-    /// Missed heartbeats before a silent node is declared hung.
-    pub suspect_after: u32,
-    /// Link-down detection latency for a crashed node, in cycles. Much
-    /// smaller than the heartbeat path: dead links announce themselves.
-    pub crash_detect_cycles: u64,
-    /// Cost of one membership-epoch agreement round (splice broadcast +
-    /// acknowledgements), in cycles.
-    pub heal_epoch_cycles: u64,
-    /// Straggler deadline as a multiple of the survivor ring's ideal
-    /// exchange time. A slow node projected to finish within the deadline
-    /// is waited for; one projected past it is dropped from this
-    /// exchange's contributors.
-    pub straggler_deadline: f64,
     /// Minimum contributors an exchange may shrink to before it is an
     /// error instead of a heal.
     pub min_world: usize,
 }
 
 impl ElasticConfig {
-    /// The paper's training links with elastic defaults: crash detection
-    /// an order of magnitude faster than hang detection, and a 2× ideal
-    /// straggler deadline.
-    pub fn rapid_training(chips: u32, hfp8: bool) -> Self {
-        Self {
-            reliable: ReliableConfig::rapid_training(chips, hfp8),
-            heartbeat_cycles: 2_000,
-            suspect_after: 3,
-            crash_detect_cycles: 500,
-            heal_epoch_cycles: 1_500,
-            straggler_deadline: 2.0,
-            min_world: 1,
-        }
-    }
-}
-
-/// Deterministic heartbeat failure detector: a node silent for
-/// `period × suspect_after` cycles is suspect. Pure cycle arithmetic —
-/// the same silence always produces the same verdict at the same cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HeartbeatDetector {
-    /// Heartbeat period in cycles.
-    pub period: u64,
-    /// Missed beats before suspicion.
-    pub suspect_after: u32,
-}
-
-impl HeartbeatDetector {
-    /// Cycles of silence after which a node is declared suspect.
-    pub(crate) fn detect_cycles(&self) -> u64 {
-        self.period.max(1) * u64::from(self.suspect_after.max(1))
+    /// The paper's HFP8 training links, with crash detection an order of
+    /// magnitude faster than hang detection and a 2× ideal straggler
+    /// deadline.
+    pub fn rapid_training(chips: u32) -> Self {
+        Self { reliable: ReliableConfig::rapid_training(chips), min_world: 1 }
     }
 }
 
@@ -425,11 +406,6 @@ pub fn elastic_allreduce(
     if members.iter().any(|&m| inputs[m as usize].len() != elems) {
         return Err(ElasticError::InvalidConfig("member input lengths differ".to_string()));
     }
-    if !(cfg.straggler_deadline.is_finite() && cfg.straggler_deadline >= 1.0) {
-        return Err(ElasticError::InvalidConfig(
-            "straggler_deadline must be a finite multiple ≥ 1".to_string(),
-        ));
-    }
 
     let n = members.len();
     // Phase steps of a full-membership exchange: (n-1) reduce-scatter +
@@ -454,10 +430,6 @@ pub fn elastic_allreduce(
     let mut events = Vec::new();
     health.ideal_cycles = cfg.reliable.ideal_exchange_cycles(n, elems);
 
-    let detector = HeartbeatDetector {
-        period: cfg.heartbeat_cycles,
-        suspect_after: cfg.suspect_after,
-    };
     // Detection: crashes announce themselves via link-down, hangs only
     // via heartbeat silence. Concurrent detections overlap, so the charge
     // is the max, not the sum; pre-fault progress is the furthest the
@@ -466,14 +438,14 @@ pub fn elastic_allreduce(
     let mut pre_fault = 0u64;
     for &(node, at_step) in &crashed {
         health.crashes_detected += 1;
-        detect = detect.max(cfg.crash_detect_cycles);
+        detect = detect.max(CRASH_DETECT_CYCLES);
         pre_fault =
             pre_fault.max(health.ideal_cycles * u64::from(at_step) / u64::from(steps.max(1)));
         events.push(ElasticEvent::CrashDetected { node, at_step });
     }
     for &(node, at_step) in &hung {
         health.hangs_detected += 1;
-        detect = detect.max(detector.detect_cycles());
+        detect = detect.max(HANG_DETECT_CYCLES);
         pre_fault =
             pre_fault.max(health.ideal_cycles * u64::from(at_step) / u64::from(steps.max(1)));
         events.push(ElasticEvent::HangDetected { node, at_step });
@@ -496,10 +468,10 @@ pub fn elastic_allreduce(
     let mut heal = 0u64;
     if !dead.is_empty() {
         let shard_len = elems.div_ceil(n);
-        let chunks_per_shard = shard_len.div_ceil(cfg.reliable.chunk_elems) as u64;
+        let chunks_per_shard = shard_len.div_ceil(CHUNK_ELEMS) as u64;
         health.rereduced_chunks = chunks_per_shard * dead.len() as u64;
         let grad_chunk_cycles = cfg.reliable.chunk_cycles(cfg.reliable.transport.grad_bytes);
-        heal = cfg.heal_epoch_cycles + health.rereduced_chunks * grad_chunk_cycles;
+        heal = HEAL_EPOCH_CYCLES + health.rereduced_chunks * grad_chunk_cycles;
         health.splices = 1;
         let epoch = membership.splice(&dead);
         events.push(ElasticEvent::Spliced { epoch, survivors: survivors.len() as u32 });
@@ -518,7 +490,7 @@ pub fn elastic_allreduce(
             continue;
         }
         let factor = factor.max(1.0);
-        if factor <= cfg.straggler_deadline {
+        if factor <= STRAGGLER_DEADLINE {
             health.stragglers_retained += 1;
             wait_factor = wait_factor.max(factor);
             events.push(ElasticEvent::StragglerRetained { node, factor });
@@ -555,7 +527,7 @@ pub fn elastic_allreduce(
     let mut exchange = (transport.cycles as f64 * wait_factor).ceil() as u64;
     if health.stragglers_dropped > 0 {
         exchange =
-            exchange.max((ideal_survivor as f64 * cfg.straggler_deadline).ceil() as u64);
+            exchange.max((ideal_survivor as f64 * STRAGGLER_DEADLINE).ceil() as u64);
     }
     health.cycles = pre_fault + detect + heal + exchange;
     if health.ideal_cycles == 0 {
@@ -636,7 +608,7 @@ mod tests {
         assert_eq!(mem.members(), &[0, 1, 3]);
         // The next exchange proceeds over the survivors.
         let inputs = gradients(4, 1024);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
         assert_eq!(out.contributors, vec![0, 1, 3]);
         assert_eq!(out.epoch, 1);
@@ -652,7 +624,7 @@ mod tests {
     #[test]
     fn fault_free_matches_reliable_over_full_membership() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let mut mem = Membership::new(4).unwrap();
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
         let (expect, rh) = reliable_allreduce(&inputs, &cfg.reliable, None, None).unwrap();
@@ -668,7 +640,7 @@ mod tests {
     #[test]
     fn crash_heals_the_ring_and_reduces_over_survivors() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(11, 1.0, 1);
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap();
@@ -682,7 +654,7 @@ mod tests {
         // Values equal the reliable exchange over exactly the survivors.
         let survivor_inputs: Vec<Vec<f32>> =
             out.contributors.iter().map(|&m| inputs[m as usize].clone()).collect();
-        let rcfg = ReliableConfig::rapid_training(3, true);
+        let rcfg = ReliableConfig::rapid_training(3);
         let (expect, _) = reliable_allreduce(&survivor_inputs, &rcfg, None, None).unwrap();
         assert_eq!(out.reduced, expect);
         // Healing costs cycles: detection + epoch + re-reduction.
@@ -693,7 +665,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_identical_outcome_and_trace() {
         let inputs = gradients(6, 8192);
-        let cfg = ElasticConfig::rapid_training(6, true);
+        let cfg = ElasticConfig::rapid_training(6);
         let run = |seed: u64| {
             let mut mem = Membership::new(6).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -717,7 +689,7 @@ mod tests {
     #[test]
     fn hang_detection_is_slower_than_crash_detection() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let detect_of = |hang: bool| {
             let mut mem = Membership::new(4).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -734,20 +706,15 @@ mod tests {
         };
         let crash = detect_of(false);
         let hang = detect_of(true);
-        assert_eq!(crash, cfg.crash_detect_cycles);
-        assert_eq!(
-            hang,
-            cfg.heartbeat_cycles * u64::from(cfg.suspect_after),
-            "hangs are found by heartbeat silence"
-        );
+        assert_eq!(crash, CRASH_DETECT_CYCLES);
+        assert_eq!(hang, HEARTBEAT_CYCLES * SUSPECT_AFTER, "hangs are found by heartbeat silence");
         assert!(hang > crash, "link-down beats heartbeat timeout");
     }
 
     #[test]
     fn straggler_within_deadline_waits_beyond_it_drops() {
         let inputs = gradients(4, 4096);
-        let mut cfg = ElasticConfig::rapid_training(4, true);
-        cfg.straggler_deadline = 2.0;
+        let cfg = ElasticConfig::rapid_training(4);
         let run = |rate: f64, factor: f64| {
             let mut mem = Membership::new(4).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -801,7 +768,7 @@ mod tests {
     #[test]
     fn world_too_small_is_a_structured_error() {
         let inputs = gradients(2, 512);
-        let mut cfg = ElasticConfig::rapid_training(2, true);
+        let mut cfg = ElasticConfig::rapid_training(2);
         cfg.min_world = 2;
         let mut mem = Membership::new(2).unwrap();
         let mut plan = crash_plan(3, 1.0, u64::MAX);
@@ -828,14 +795,35 @@ mod tests {
 
     #[test]
     fn heartbeat_detector_is_deterministic() {
-        let d = HeartbeatDetector { period: 2_000, suspect_after: 3 };
-        assert_eq!(d.detect_cycles(), 6_000);
+        // Whenever a node hangs, its silence is found after the same
+        // number of missed heartbeats.
+        let inputs = gradients(4, 2048);
+        let cfg = ElasticConfig::rapid_training(4);
+        let mut at_steps = Vec::new();
+        for seed in 0..16 {
+            let mut mem = Membership::new(4).unwrap();
+            let mut plan = FaultPlan::new(FaultConfig {
+                seed,
+                node_hang_rate: 1.0,
+                node_fault_budget: 1,
+                ..FaultConfig::default()
+            });
+            let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap();
+            assert_eq!(out.health.detect_cycles, 6_000, "seed {seed}");
+            at_steps.extend(out.events.iter().filter_map(|e| match e {
+                ElasticEvent::HangDetected { at_step, .. } => Some(*at_step),
+                _ => None,
+            }));
+        }
+        at_steps.sort_unstable();
+        at_steps.dedup();
+        assert!(at_steps.len() > 1, "hangs at different steps: {at_steps:?}");
     }
 
     #[test]
     fn instrumented_exchange_fills_the_elastic_registry() {
         let inputs = gradients(4, 2048);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::default();
@@ -853,7 +841,7 @@ mod tests {
     fn instrumented_exchanges_emit_contiguous_spans() {
         use rapid_telemetry::span::{critical_path, validate_forest};
         let inputs = gradients(4, 2048);
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::with_spans();

@@ -49,7 +49,7 @@ pub use allreduce::{analytic_allreduce_cycles, simulate_allreduce, AllReduceConf
 pub use crc::CRC8_POLY;
 pub use elastic::{
     demote_unhealthy, elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, ElasticHealth,
-    ElasticOutcome, HeartbeatDetector, Membership,
+    ElasticOutcome, Membership,
 };
 pub use reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth};
 pub use channel::{Channel, Direction, Flit, FLIT_BYTES};

@@ -41,23 +41,26 @@ use rapid_fault::{DeliveryFault, FaultPlan};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// Gradient elements per sequence-numbered chunk.
+pub(crate) const CHUNK_ELEMS: usize = 1024;
+
+/// Cycles before an unacknowledged chunk is first retransmitted.
+const TIMEOUT_CYCLES: u64 = 600;
+
+/// Cap on the backoff exponent (backoff = `TIMEOUT_CYCLES ·
+/// 2^min(retries, BACKOFF_CAP)`).
+const BACKOFF_CAP: u32 = 5;
+
 /// Configuration of the reliable chunked exchange.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReliableConfig {
     /// The underlying ring geometry and link timing.
     pub transport: AllReduceConfig,
-    /// Gradient elements per sequence-numbered chunk.
-    pub chunk_elems: usize,
-    /// Cycles before an unacknowledged chunk is first retransmitted.
-    pub timeout_cycles: u64,
     /// Retransmits allowed per chunk before the exchange fails. With
     /// independent drop probability `p` the chance a chunk exhausts `r`
     /// retries is `p^(r+1)`; the default of 8 makes that < 1e-16 at the
     /// documented 1 % ceiling.
     pub max_retries: u32,
-    /// Cap on the backoff exponent (backoff = `timeout · 2^min(retries,
-    /// cap)`).
-    pub backoff_cap: u32,
     /// Whether chunks carry a CRC-8 over their payload (see
     /// [`crate::crc`]). With CRC on, an in-transit payload corruption is
     /// detected on delivery and the chunk retransmitted immediately (no
@@ -67,23 +70,17 @@ pub struct ReliableConfig {
 }
 
 impl ReliableConfig {
-    /// The paper's training links with protocol defaults sized for the
-    /// documented ≤ 1 % drop/duplicate ceiling.
-    pub fn rapid_training(chips: u32, hfp8: bool) -> Self {
-        Self {
-            transport: AllReduceConfig::rapid_training(chips, hfp8),
-            chunk_elems: 1024,
-            timeout_cycles: 600,
-            max_retries: 8,
-            backoff_cap: 5,
-            crc: true,
-        }
+    /// The paper's HFP8 training links (8-bit weight broadcasts) with
+    /// protocol defaults sized for the documented ≤ 1 % drop/duplicate
+    /// ceiling.
+    pub fn rapid_training(chips: u32) -> Self {
+        Self { transport: AllReduceConfig::rapid_training(chips, true), max_retries: 8, crc: true }
     }
 
     /// Link cycles to carry one chunk of `elem_bytes`-wide elements
     /// (at least one).
     pub(crate) fn chunk_cycles(&self, elem_bytes: f64) -> u64 {
-        let bytes = self.chunk_elems as f64 * elem_bytes;
+        let bytes = CHUNK_ELEMS as f64 * elem_bytes;
         (bytes / self.transport.link_bytes_per_cycle).ceil().max(1.0) as u64
     }
 
@@ -92,15 +89,11 @@ impl ReliableConfig {
     /// `n − 1` all-gather steps of weight chunks, each paying the step
     /// latency. [`reliable_allreduce`] reports this as
     /// [`RingHealth::ideal_cycles`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_elems` is 0 and `n > 1`.
     pub(crate) fn ideal_exchange_cycles(&self, n: usize, elems: usize) -> u64 {
         if n <= 1 {
             return 0;
         }
-        let chunks = elems.div_ceil(n).div_ceil(self.chunk_elems) as u64;
+        let chunks = elems.div_ceil(n).div_ceil(CHUNK_ELEMS) as u64;
         let steps = n as u64 - 1;
         let step_latency = self.transport.step_latency_cycles;
         steps * (chunks * self.chunk_cycles(self.transport.grad_bytes) + step_latency)
@@ -237,7 +230,7 @@ fn simulate_link(
                 if next > cfg.max_retries {
                     return Err(ReliableError::RetriesExhausted { seq, retries: next });
                 }
-                let backoff = cfg.timeout_cycles << next.min(cfg.backoff_cap);
+                let backoff = TIMEOUT_CYCLES << next.min(BACKOFF_CAP);
                 health.retransmits += 1;
                 health.max_backoff_cycles = health.max_backoff_cycles.max(backoff);
                 pending.push(Reverse((start + backoff, seq, next)));
@@ -256,7 +249,7 @@ fn simulate_link(
                 // the mismatch and nacks — an immediate retransmit, no
                 // timeout wait. CRC off: the damage is silently delivered.
                 let corrupt =
-                    faults.as_mut().and_then(|p| p.ring_corrupt(cfg.chunk_elems as u32));
+                    faults.as_mut().and_then(|p| p.ring_corrupt(CHUNK_ELEMS as u32));
                 if let Some((elem, bit)) = corrupt {
                     if cfg.crc {
                         let next = retries + 1;
@@ -295,8 +288,8 @@ fn simulate_link(
 /// # Errors
 ///
 /// [`ReliableError::InvalidConfig`] when `inputs` is empty, lengths
-/// differ, the chip count disagrees with `inputs.len()`, or
-/// `chunk_elems == 0`; [`ReliableError::RetriesExhausted`] when the fault
+/// differ or the chip count disagrees with `inputs.len()`;
+/// [`ReliableError::RetriesExhausted`] when the fault
 /// rate exceeds the retransmit budget's ceiling.
 pub fn reliable_allreduce(
     inputs: &[Vec<f32>],
@@ -313,9 +306,6 @@ pub fn reliable_allreduce(
             "config says {} chips but {} inputs given",
             cfg.transport.chips, n
         )));
-    }
-    if cfg.chunk_elems == 0 {
-        return Err(ReliableError::InvalidConfig("chunk_elems must be positive".to_string()));
     }
     let elems = inputs[0].len();
     if inputs.iter().any(|v| v.len() != elems) {
@@ -343,7 +333,7 @@ pub fn reliable_allreduce(
     // A single chip has no ring steps: both phases run zero times.
     let mut health = RingHealth::default();
     let max_shard = elems.div_ceil(n);
-    let chunks_per_shard = (max_shard.div_ceil(cfg.chunk_elems)) as u64;
+    let chunks_per_shard = (max_shard.div_ceil(CHUNK_ELEMS)) as u64;
     let phases: [(u64, u64); 2] = [
         (n as u64 - 1, cfg.chunk_cycles(cfg.transport.grad_bytes)), // reduce-scatter
         (n as u64 - 1, cfg.chunk_cycles(cfg.transport.weight_bytes)), // all-gather
@@ -373,7 +363,7 @@ pub fn reliable_allreduce(
                 let lo = shard * shard_len;
                 let hi = ((shard + 1) * shard_len).min(elems);
                 for &(seq, elem, bit) in &scratch {
-                    let idx = lo + seq as usize * cfg.chunk_elems + elem as usize;
+                    let idx = lo + seq as usize * CHUNK_ELEMS + elem as usize;
                     if idx < hi {
                         reduced[idx] = f32::from_bits(reduced[idx].to_bits() ^ (1 << bit));
                     }
@@ -421,7 +411,7 @@ mod tests {
     #[test]
     fn fault_free_matches_elementwise_sum() {
         let inputs = gradients(4, 1000);
-        let cfg = ReliableConfig::rapid_training(4, true);
+        let cfg = ReliableConfig::rapid_training(4);
         let (out, health) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         for (i, &v) in out.iter().enumerate() {
             let direct: f32 = (0..4).map(|c| inputs[c][i]).sum();
@@ -443,7 +433,7 @@ mod tests {
     #[test]
     fn values_are_bit_identical_under_faults() {
         let inputs = gradients(4, 65_536);
-        let cfg = ReliableConfig::rapid_training(4, true);
+        let cfg = ReliableConfig::rapid_training(4);
         let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = faulty_plan(17, 0.05, 0.02, 0.02);
         let (dirty, health) = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap();
@@ -457,7 +447,7 @@ mod tests {
     #[test]
     fn crc_turns_corruption_into_retransmits_not_damage() {
         let inputs = gradients(4, 32_768);
-        let cfg = ReliableConfig::rapid_training(4, true);
+        let cfg = ReliableConfig::rapid_training(4);
         assert!(cfg.crc, "training links default to CRC protection");
         let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
@@ -476,7 +466,7 @@ mod tests {
     fn without_crc_corruption_is_silently_delivered() {
         let inputs = gradients(4, 32_768);
         let cfg =
-            ReliableConfig { crc: false, ..ReliableConfig::rapid_training(4, true) };
+            ReliableConfig { crc: false, ..ReliableConfig::rapid_training(4) };
         let (clean, _) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
             seed: 23,
@@ -495,7 +485,7 @@ mod tests {
     #[test]
     fn retransmit_cost_scales_with_drop_rate() {
         let inputs = gradients(4, 8192);
-        let cfg = ReliableConfig::rapid_training(4, true);
+        let cfg = ReliableConfig::rapid_training(4);
         let mut mild = faulty_plan(5, 0.002, 0.0, 0.0);
         let mut harsh = faulty_plan(5, 0.02, 0.0, 0.0);
         let (_, h_mild) = reliable_allreduce(&inputs, &cfg, Some(&mut mild), None).unwrap();
@@ -509,7 +499,7 @@ mod tests {
         let inputs = gradients(2, 512);
         let cfg = ReliableConfig {
             max_retries: 2,
-            ..ReliableConfig::rapid_training(2, true)
+            ..ReliableConfig::rapid_training(2)
         };
         let mut plan = faulty_plan(3, 0.95, 0.0, 0.0);
         let err = reliable_allreduce(&inputs, &cfg, Some(&mut plan), None).unwrap_err();
@@ -518,7 +508,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_are_rejected() {
-        let cfg = ReliableConfig::rapid_training(4, true);
+        let cfg = ReliableConfig::rapid_training(4);
         assert!(matches!(
             reliable_allreduce(&[], &cfg, None, None),
             Err(ReliableError::InvalidConfig(_))
@@ -537,7 +527,7 @@ mod tests {
     #[test]
     fn single_chip_is_free_and_identity() {
         let inputs = gradients(1, 64);
-        let cfg = ReliableConfig::rapid_training(1, true);
+        let cfg = ReliableConfig::rapid_training(1);
         let (out, health) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         assert_eq!(out, inputs[0]);
         assert_eq!(health.cycles, 0);

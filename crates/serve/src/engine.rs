@@ -37,6 +37,10 @@ use crate::request::{
 use crate::session::SessionError;
 use crate::shed::{ShedConfig, ShedController};
 
+/// Safety factor on the admission latency estimate (≥ 1.0 rejects
+/// earlier).
+const ADMISSION_SLACK: f64 = 1.2;
+
 /// Serving-runtime configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
@@ -48,9 +52,6 @@ pub struct ServeConfig {
     pub batch_window_us: u64,
     /// Whether the admission controller rejects infeasible deadlines.
     pub admission: bool,
-    /// Safety factor on the admission latency estimate (≥ 1.0 rejects
-    /// earlier).
-    pub admission_slack: f64,
     /// Whether expired requests are dropped at stage boundaries.
     pub deadline_propagation: bool,
     /// Overload shedding controller; `None` disables downgrades and
@@ -106,7 +107,6 @@ impl Default for ServeConfig {
             batch_max: 8,
             batch_window_us: 2_000,
             admission: true,
-            admission_slack: 1.2,
             deadline_propagation: true,
             shed: Some(ShedConfig::default()),
             breaker: Some(BreakerConfig::default()),
@@ -350,7 +350,7 @@ impl ServeEngine {
             let backlog =
                 self.queued_work_us / (self.cfg.workers.max(1) as f64 * self.capacity_derate);
             let eta = now_us as f64
-                + self.cfg.admission_slack * (backlog + self.cfg.batch_window_us as f64 + own);
+                + ADMISSION_SLACK * (backlog + self.cfg.batch_window_us as f64 + own);
             if eta > req.deadline_us as f64 {
                 self.finish(req, Outcome::Rejected(RejectReason::DeadlineInfeasible), now_us);
                 return false;

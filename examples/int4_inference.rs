@@ -7,20 +7,18 @@
 
 use rapid::arch::geometry::ChipConfig;
 use rapid::arch::precision::Precision;
-use rapid::compiler::passes::{compile, CompileOptions};
-use rapid::model::cost::ModelConfig;
+use rapid::compiler::passes::compile;
 use rapid::model::inference::{evaluate_inference, InferenceResult};
 use rapid::workloads::suite::benchmark_suite;
 
-fn run(net_name: &str, p: Precision, chip: &ChipConfig, cfg: &ModelConfig) -> InferenceResult {
+fn run(net_name: &str, p: Precision, chip: &ChipConfig) -> InferenceResult {
     let net = benchmark_suite().into_iter().find(|n| n.name == net_name).expect("known benchmark");
-    let plan = compile(&net, chip, &CompileOptions::for_precision(p));
-    evaluate_inference(&net, &plan, chip, 1, cfg)
+    let plan = compile(&net, chip, p);
+    evaluate_inference(&net, &plan, chip, 1)
 }
 
 fn main() {
     let chip = ChipConfig::rapid_4core();
-    let cfg = ModelConfig::default();
     println!("4-core RaPiD chip, batch size 1 (paper §V-B)\n");
     println!(
         "{:<12} {:>11} {:>9} {:>9} | {:>8} {:>8} | {:>8} {:>8}",
@@ -29,9 +27,9 @@ fn main() {
     let mut fp8_speedups = Vec::new();
     let mut int4_speedups = Vec::new();
     for net in benchmark_suite() {
-        let fp16 = run(&net.name, Precision::Fp16, &chip, &cfg);
-        let fp8 = run(&net.name, Precision::Hfp8, &chip, &cfg);
-        let int4 = run(&net.name, Precision::Int4, &chip, &cfg);
+        let fp16 = run(&net.name, Precision::Fp16, &chip);
+        let fp8 = run(&net.name, Precision::Hfp8, &chip);
+        let int4 = run(&net.name, Precision::Int4, &chip);
         let s8 = fp16.latency_s / fp8.latency_s;
         let s4 = fp16.latency_s / int4.latency_s;
         fp8_speedups.push(s8);

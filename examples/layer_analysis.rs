@@ -10,8 +10,7 @@
 
 use rapid::arch::geometry::ChipConfig;
 use rapid::arch::precision::Precision;
-use rapid::compiler::passes::{compile, CompileOptions};
-use rapid::model::cost::ModelConfig;
+use rapid::compiler::passes::compile;
 use rapid::model::report::{csv_header, layer_reports};
 use rapid::workloads::suite::benchmark;
 
@@ -22,8 +21,8 @@ fn main() {
         std::process::exit(1);
     });
     let chip = ChipConfig::rapid_4core();
-    let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-    let reports = layer_reports(&net, &plan, &chip, 1, &ModelConfig::default());
+    let plan = compile(&net, &chip, Precision::Int4);
+    let reports = layer_reports(&net, &plan, &chip, 1);
 
     println!("{}", csv_header());
     for r in &reports {

@@ -7,12 +7,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples fail loudly by design
 
 use rapid::arch::precision::Precision;
-use rapid::model::cost::ModelConfig;
 use rapid::model::scaling::{chip_sweep, core_sweep};
 use rapid::workloads::suite::benchmark;
 
 fn main() {
-    let cfg = ModelConfig::default();
     let counts = [1u32, 2, 4, 8, 16, 32];
 
     println!("Fig 18(a): INT4 batch-1 inference speedup vs cores (DDR fixed at 200 GB/s)");
@@ -23,7 +21,7 @@ fn main() {
     println!();
     for name in ["vgg16", "resnet50", "yolov3", "mobilenetv1", "lstm"] {
         let net = benchmark(name).expect("known benchmark");
-        let pts = core_sweep(&net, counts, Precision::Int4, &cfg);
+        let pts = core_sweep(&net, counts, Precision::Int4);
         print!("{name:<12}");
         for p in &pts {
             print!(" {:>6.2}x", pts[0].latency_s / p.latency_s);
@@ -39,7 +37,7 @@ fn main() {
     println!();
     for name in ["vgg16", "resnet50", "bert", "lstm"] {
         let net = benchmark(name).expect("known benchmark");
-        let pts = chip_sweep(&net, counts, 512, &cfg);
+        let pts = chip_sweep(&net, counts, 512);
         print!("{name:<12}");
         for p in &pts {
             print!(" {:>6.2}x", p.throughput / pts[0].throughput);

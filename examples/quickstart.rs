@@ -7,15 +7,13 @@
 
 use rapid::arch::geometry::ChipConfig;
 use rapid::arch::precision::Precision;
-use rapid::compiler::passes::{compile, CompileOptions};
-use rapid::model::cost::ModelConfig;
+use rapid::compiler::passes::compile;
 use rapid::model::inference::evaluate_inference;
 use rapid::workloads::suite::benchmark;
 
 fn main() {
     let net = benchmark("resnet50").expect("resnet50 is in the suite");
     let chip = ChipConfig::rapid_4core();
-    let cfg = ModelConfig::default();
 
     println!("RaPiD 4-core chip @ {:.1} GHz, DDR {:.0} GB/s", chip.freq_ghz, chip.mem_bw_gbps);
     println!(
@@ -31,8 +29,8 @@ fn main() {
     );
     let mut fp16_latency = None;
     for p in [Precision::Fp16, Precision::Hfp8, Precision::Int4] {
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(p));
-        let r = evaluate_inference(&net, &plan, &chip, 1, &cfg);
+        let plan = compile(&net, &chip, p);
+        let r = evaluate_inference(&net, &plan, &chip, 1);
         let base = *fp16_latency.get_or_insert(r.latency_s);
         println!(
             "{:<10} {:>9.0} µs {:>12.0} {:>10.1} {:>10.2}   ({:.2}x vs fp16)",
@@ -45,8 +43,8 @@ fn main() {
         );
     }
 
-    let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-    let r = evaluate_inference(&net, &plan, &chip, 1, &cfg);
+    let plan = compile(&net, &chip, Precision::Int4);
+    let r = evaluate_inference(&net, &plan, &chip, 1);
     let f = r.breakdown.fractions();
     println!(
         "\nINT4 compute-cycle breakdown (Fig 17 categories):\n  conv/gemm {:.0}%  overheads {:.0}%  quantization {:.0}%  auxiliary {:.0}%",

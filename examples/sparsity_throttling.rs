@@ -8,7 +8,6 @@
 
 use rapid::arch::geometry::ChipConfig;
 use rapid::arch::power::ThrottleModel;
-use rapid::model::cost::ModelConfig;
 use rapid::model::throttle::throttling_study;
 use rapid::workloads::suite::{apply_pruning_profile, pruned_study_suite};
 
@@ -28,11 +27,10 @@ fn main() {
     println!("\nFig 16(b): pruned-model speedup from sparsity-aware throttling");
     println!("{:>12} {:>12} {:>10}", "benchmark", "sparsity", "speedup");
     let chip = ChipConfig::rapid_4core();
-    let cfg = ModelConfig::default();
     let mut speedups = Vec::new();
     for mut net in pruned_study_suite() {
         apply_pruning_profile(&mut net);
-        let study = throttling_study(&net, &chip, &t, &cfg);
+        let study = throttling_study(&net, &chip, &t);
         speedups.push(study.speedup());
         println!(
             "{:>12} {:>11.0}% {:>9.2}x",

@@ -88,7 +88,12 @@
 #                                 crate's src/ (other crates, crates/*/tests,
 #                                 tests/, examples/ and README.md count as
 #                                 outside; the match is by word), and
-#                                 prints the workspace `pub fn` count
+#                                 prints the workspace `pub fn` count and
+#                                 the settable-value count: the `pub`
+#                                 fields of every `*Config`, `*Options`,
+#                                 `*Params` and `*Policy` struct under
+#                                 crates/*/src (crates/bench aside), each
+#                                 a setting a caller can vary
 #   scripts/check.sh --all        every named gate (model, recovery,
 #                                 telemetry, protection, simd, serve,
 #                                 elastic, obs, health, doc, surface)
@@ -254,6 +259,16 @@ identifiers() {
     grep -rhoE --include=*.rs --include=README.md '\b[A-Za-z_][A-Za-z0-9_]*\b' "$@" | sort -u
 }
 
+# Prints the number of `pub` fields declared in `*Config`, `*Options`,
+# `*Params` and `*Policy` structs under crates/*/src, crates/bench aside.
+settable_values() {
+    find crates/*/src -name '*.rs' -not -path 'crates/bench/*' -print0 | xargs -0 awk '
+        /^[[:space:]]*pub(\([a-z]+\))? struct [A-Za-z0-9_]*(Config|Options|Params|Policy)[[:space:]]*\{/ { inside = 1; next }
+        inside && /^[[:space:]]*\}/ { inside = 0; next }
+        inside && /^[[:space:]]*pub [a-z_][a-z0-9_]*[[:space:]]*:/ { n++ }
+        END { print n + 0 }'
+}
+
 surface_gate() {
     echo "== public surface: every pub fn is named outside its own crate =="
     local dir other outside file line name unnamed=0
@@ -276,6 +291,7 @@ surface_gate() {
             sed 's/:pub fn /:/')
     done
     echo "workspace pub fn count: $(grep -rn --include=*.rs -E '\bpub fn ' crates | wc -l)"
+    echo "settable-value count: $(settable_values)"
     if [[ $unnamed -ne 0 ]]; then
         echo "$unnamed pub fn named only inside their own crate"
         return 1

@@ -147,7 +147,7 @@ fn node_restored_from_generation_n_minus_1_catches_up_bit_identical() {
 #[test]
 fn stragglers_never_cost_membership() {
     let inputs: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32 + 1.0; 64]).collect();
-    let cfg = ElasticConfig::rapid_training(4, true);
+    let cfg = ElasticConfig::rapid_training(4);
     // Scan seeds for a run where some but not all members straggle past
     // the deadline (all-dropped legitimately errors instead).
     let dropped_case = (0..64u64).find_map(|seed| {
@@ -229,7 +229,7 @@ proptest! {
         slow in 0.0f64..0.3,
     ) {
         let inputs: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32; 32]).collect();
-        let cfg = ElasticConfig::rapid_training(4, true);
+        let cfg = ElasticConfig::rapid_training(4);
         let mut mem = Membership::new(4).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
             seed,

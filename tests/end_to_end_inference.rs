@@ -5,16 +5,15 @@
 
 use rapid::arch::geometry::ChipConfig;
 use rapid::arch::precision::Precision;
-use rapid::compiler::passes::{compile, CompileOptions};
-use rapid::model::cost::ModelConfig;
+use rapid::compiler::passes::compile;
 use rapid::model::inference::{evaluate_inference, InferenceResult};
 use rapid::workloads::graph::Network;
 use rapid::workloads::suite::benchmark_suite;
 
 fn evaluate(net: &Network, p: Precision) -> InferenceResult {
     let chip = ChipConfig::rapid_4core();
-    let plan = compile(net, &chip, &CompileOptions::for_precision(p));
-    evaluate_inference(net, &plan, &chip, 1, &ModelConfig::default())
+    let plan = compile(net, &chip, p);
+    evaluate_inference(net, &plan, &chip, 1)
 }
 
 #[test]
@@ -53,11 +52,10 @@ fn fig14_sustained_efficiency_bands() {
     // peak-efficiency operating point (nominal voltage, 1.0 GHz).
     let mut chip = ChipConfig::rapid_4core();
     chip.freq_ghz = 1.0; // nominal-voltage point for efficiency studies
-    let cfg = ModelConfig::default();
     let mut int4 = Vec::new();
     for net in benchmark_suite() {
-        let plan = compile(&net, &chip, &CompileOptions::for_precision(Precision::Int4));
-        let r = evaluate_inference(&net, &plan, &chip, 1, &cfg);
+        let plan = compile(&net, &chip, Precision::Int4);
+        let r = evaluate_inference(&net, &plan, &chip, 1);
         assert!(
             (0.4..=16.5).contains(&r.tops_per_w),
             "{}: int4 {} TOPS/W",

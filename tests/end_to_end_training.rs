@@ -5,7 +5,6 @@
 
 use rapid::arch::geometry::SystemConfig;
 use rapid::arch::precision::Precision;
-use rapid::model::cost::ModelConfig;
 use rapid::model::training::{evaluate_training, TrainingResult};
 use rapid::model::scaling::chip_sweep;
 use rapid::workloads::graph::Network;
@@ -13,7 +12,7 @@ use rapid::workloads::suite::benchmark_suite;
 
 fn run(net: &Network, p: Precision) -> TrainingResult {
     let sys = SystemConfig::training_4x32();
-    evaluate_training(net, &sys, p, 512, &ModelConfig::default())
+    evaluate_training(net, &sys, p, 512)
 }
 
 #[test]
@@ -67,12 +66,11 @@ fn training_slower_than_inference_per_input() {
 
 #[test]
 fn fig18b_chip_scaling() {
-    let cfg = ModelConfig::default();
     let counts = [1u32, 2, 4, 8, 16, 32];
     // ResNet50 scales but sublinearly.
     let net = benchmark_suite().into_iter().find(|n| n.name == "resnet50").expect("known");
     let speedups = |net| {
-        let pts = chip_sweep(net, counts, 512, &cfg);
+        let pts = chip_sweep(net, counts, 512);
         pts.iter().map(|p| p.throughput / pts[0].throughput).collect::<Vec<f64>>()
     };
     let s = speedups(&net);

@@ -261,7 +261,7 @@ proptest! {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| (i + c as usize) as f32).collect())
             .collect();
-        let cfg = ReliableConfig::rapid_training(chips, true);
+        let cfg = ReliableConfig::rapid_training(chips);
         let mut plan = FaultPlan::new(FaultConfig {
             seed,
             ring_drop_rate: 1.0,

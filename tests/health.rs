@@ -4,7 +4,7 @@
 //! - **No flapping at the hysteresis boundary.** Under *any* random
 //!   sequence of probe outcomes, a core's service status changes at a
 //!   bounded rate: every return to service costs at least
-//!   `min_quarantine_probes + probation_probes` consecutive passes, so
+//!   `MIN_QUARANTINE_PROBES + PROBATION_PROBES` consecutive passes, so
 //!   the number of reinstatements is bounded by the run length divided by
 //!   that cost — never one-per-outcome oscillation.
 //! - **Health off = bit-identical.** A chip GEMM consulting an
@@ -22,7 +22,8 @@ use rapid::arch::geometry::CoreConfig;
 use rapid::arch::precision::Precision;
 use rapid::fault::{FaultConfig, FaultPlan};
 use rapid::health::{
-    ChipHealthMonitor, CoreMap, CoreState, CoreTracker, Evidence, HealthConfig,
+    ChipHealthMonitor, CoreMap, CoreState, CoreTracker, Evidence, MIN_QUARANTINE_PROBES,
+    PROBATION_PROBES,
 };
 use rapid::numerics::Tensor;
 use rapid::sim::{try_run_chip_gemm, try_run_chip_gemm_with, ChipGemmJob, ChipSimResult, SimError};
@@ -60,8 +61,7 @@ fn chip_plans(cores: u32, bad: &[u32], seed: u64) -> Vec<FaultPlan> {
 /// quarantine SLO both see it.
 #[test]
 fn mercurial_core_is_detected_within_budget_end_to_end() {
-    let cfg = HealthConfig::default();
-    let mut mon = ChipHealthMonitor::new(4, cfg);
+    let mut mon = ChipHealthMonitor::new(4);
     let mut plans = chip_plans(4, &[1], 7_700);
     let budget = 32u64;
     let mut detected = None;
@@ -103,7 +103,7 @@ fn health_disabled_is_bit_identical_to_pre_health_path() {
     assert_eq!(mapped.compute_cycles, plain.compute_cycles);
     assert_eq!(mapped.distribution_cycles, plain.distribution_cycles);
     // A monitor over clean cores never perturbs the map.
-    let mut mon = ChipHealthMonitor::new(4, HealthConfig::default());
+    let mut mon = ChipHealthMonitor::new(4);
     let mut plans = chip_plans(4, &[], 4_242);
     for _ in 0..20 {
         mon.probe_cycle(&mut plans, None);
@@ -148,20 +148,19 @@ fn mapped_chip_follows_quarantine_and_reinstatement() {
 
 proptest! {
     /// No flapping: under arbitrary probe outcomes, each reinstatement
-    /// requires `min_quarantine_probes + probation_probes` consecutive
+    /// requires `MIN_QUARANTINE_PROBES + PROBATION_PROBES` consecutive
     /// passes, so service transitions are bounded well below the
     /// outcome count — the hysteresis band cannot oscillate per probe.
     #[test]
     fn quarantine_state_machine_never_flaps(
         outcomes in proptest::collection::vec(0u8..2, 50..300),
     ) {
-        let cfg = HealthConfig::default();
         let mut t = CoreTracker::new(0);
         let mut service_flips = 0u32;
         let mut was_in_service = true;
         for (cycle, &bit) in outcomes.iter().enumerate() {
             let pass = bit == 1;
-            t.observe_probe(cycle as u64, pass, &cfg);
+            t.observe_probe(cycle as u64, pass);
             let now = t.state().in_service();
             if now != was_in_service {
                 service_flips += 1;
@@ -170,7 +169,7 @@ proptest! {
         }
         // A demote+reinstate round-trip costs ≥ 2 + cooldown + probation
         // outcomes, so flips are bounded by the run length over that.
-        let round_trip = 2 + cfg.min_quarantine_probes + cfg.probation_probes;
+        let round_trip = 2 + MIN_QUARANTINE_PROBES + PROBATION_PROBES;
         let bound = 2 * (outcomes.len() as u32 / round_trip + 1);
         prop_assert!(
             service_flips <= bound,
@@ -190,7 +189,7 @@ proptest! {
     ) {
         let bad: Vec<u32> = (0..4).filter(|c| bad_mask & (1 << c) != 0).collect();
         let run = || {
-            let mut mon = ChipHealthMonitor::new(4, HealthConfig::default());
+            let mut mon = ChipHealthMonitor::new(4);
             let mut plans = chip_plans(4, &bad, seed);
             for _ in 0..cycles {
                 mon.probe_cycle(&mut plans, None);
@@ -204,7 +203,7 @@ proptest! {
     /// passes and the monitor's map never changes, whatever the seed.
     #[test]
     fn disabled_plans_never_fail_probes(seed in 0u64..u64::MAX) {
-        let mut mon = ChipHealthMonitor::new(2, HealthConfig::default());
+        let mut mon = ChipHealthMonitor::new(2);
         let mut plans = vec![
             FaultPlan::new(FaultConfig { seed, ..FaultConfig::default() }),
             FaultPlan::new(FaultConfig { seed: seed ^ 0xABCD, ..FaultConfig::default() }),

@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 use rapid::fault::{derive_seed, FaultConfig, FaultPlan};
-use rapid::model::{core_sweep, ModelConfig};
+use rapid::model::core_sweep;
 use rapid::numerics::int::IntFormat;
 use rapid::numerics::{GuardPolicy, NumericsError};
 use rapid::recover::{
@@ -371,7 +371,7 @@ fn reliable_allreduce_is_bit_identical_under_faults() {
                 .collect()
         })
         .collect();
-    let cfg = ReliableConfig::rapid_training(chips as u32, true);
+    let cfg = ReliableConfig::rapid_training(chips as u32);
     let (clean, clean_health) =
         reliable_allreduce(&inputs, &cfg, None, None).expect("fault-free allreduce");
 
@@ -419,7 +419,7 @@ fn degraded_chip_matches_healthy_values_and_pays_slowdown() {
     );
 
     let net = benchmark("resnet50").expect("suite has resnet50");
-    let points = core_sweep(&net, [4, 3], Precision::Int4, &ModelConfig::default());
+    let points = core_sweep(&net, [4, 3], Precision::Int4);
     assert_eq!(points.len(), 2);
     let slowdowns: Vec<f64> = points.iter().map(|p| p.latency_s / points[0].latency_s).collect();
     assert_eq!(points[0].count, 4);
