@@ -59,7 +59,7 @@ fn run_once(
     mut plan: Option<FaultPlan>,
     spans: bool,
 ) -> Result<RunOut, String> {
-    let cfg = ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training(world) };
+    let cfg = ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training() };
     let mut mlp = Mlp::new(LAYERS, MODEL_SEED);
     let mut mem = Membership::new(world).map_err(|e| e.to_string())?;
     let mut tele = if spans { Telemetry::with_spans() } else { Telemetry::new() };
@@ -114,7 +114,7 @@ fn main() -> std::process::ExitCode {
 
         let epochs = if smoke { 6 } else { 10 };
         let data = gaussian_blobs(if smoke { 192 } else { 256 }, 4, 16, 0.35, 42);
-        let batch = ElasticTrainConfig::rapid_training(2).batch;
+        let batch = ElasticTrainConfig::rapid_training().batch;
         let expected_steps = (epochs * data.len().div_ceil(batch)) as u64;
         let mut tele = Telemetry::new();
 
@@ -362,7 +362,7 @@ fn main() -> std::process::ExitCode {
             let mut cell_tele = Telemetry::new();
             let (mut steps, mut steps_to, mut acc) = (0u64, None, 0.0f64);
             for e in 1..=epochs {
-                let cfg = ElasticTrainConfig { epochs: e, ..ElasticTrainConfig::rapid_training(4) };
+                let cfg = ElasticTrainConfig { epochs: e, ..ElasticTrainConfig::rapid_training() };
                 let (a, rep) = train_elastic(
                     &mut mlp,
                     &Hfp8Backend::default(),

@@ -3,7 +3,6 @@
 //! per-benchmark speedup of the compiler-guided sparsity-aware schedule
 //! over a dense-budget baseline (pruned FP16 models).
 
-use rapid_arch::geometry::ChipConfig;
 use rapid_arch::power::ThrottleModel;
 use rapid_bench::{compare, mean, min_max, run, section};
 use rapid_model::throttle::throttling_study;
@@ -27,12 +26,11 @@ fn main() -> std::process::ExitCode {
 
         section("Fig 16(b) — pruned-model speedup from sparsity-aware throttling");
         println!("{:<12} {:>12} {:>10}", "benchmark", "sparsity", "speedup");
-        let chip = ChipConfig::rapid_4core();
         let mut speedups = Vec::new();
         let mut sparsities = Vec::new();
         for mut net in pruned_study_suite() {
             apply_pruning_profile(&mut net);
-            let study = throttling_study(&net, &chip, &t);
+            let study = throttling_study(&net);
             sparsities.push(study.avg_sparsity);
             speedups.push(study.speedup());
             ctx.rec.metric(&format!("{}.sparsity", study.network), study.avg_sparsity);

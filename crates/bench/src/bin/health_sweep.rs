@@ -40,8 +40,8 @@ use rapid_numerics::abft::abft_matmul_emulated;
 use rapid_numerics::fma::FmaMode;
 use rapid_numerics::gemm::matmul_emulated_scalar;
 use rapid_numerics::Tensor;
-use rapid_ring::elastic::{demote_unhealthy, elastic_allreduce, ElasticConfig, ElasticEvent};
-use rapid_ring::Membership;
+use rapid_ring::elastic::{demote_unhealthy, elastic_allreduce, ElasticEvent};
+use rapid_ring::{Membership, ReliableConfig};
 use rapid_serve::{synthetic_table, QosClass, Request, ServeConfig, ServeEngine, Tier};
 use rapid_telemetry::{
     openmetrics, validate_forest, MetricsRegistry, ServeCounters, Telemetry,
@@ -379,7 +379,7 @@ fn main() -> std::process::ExitCode {
         }
         let inputs: Vec<Vec<f32>> =
             (0..world).map(|c| vec![c as f32 * 0.25 + 0.5; 512]).collect();
-        let cfg = ElasticConfig::rapid_training(world);
+        let cfg = ReliableConfig::rapid_training();
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None)
             .map_err(|e| format!("post-demotion allreduce failed: {e}"))?;
         if out.contributors != vec![0, 1, 3] {

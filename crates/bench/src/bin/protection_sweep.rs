@@ -234,7 +234,7 @@ fn main() -> std::process::ExitCode {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
             .collect();
-        let rcfg = ReliableConfig::rapid_training(chips as u32);
+        let rcfg = ReliableConfig::rapid_training();
         let (clean_sum, _) = reliable_allreduce(&inputs, &rcfg, None, None)?;
         let ring_rates = [1e-3, 5e-3, 2e-2];
         let ring_cells: Vec<u64> = (0..plans_per_side as u64).collect();

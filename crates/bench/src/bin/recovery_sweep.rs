@@ -131,7 +131,7 @@ fn main() -> std::process::ExitCode {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| ((i * 31 + c * 7919) % 997) as f32 * 0.25 - 120.0).collect())
             .collect();
-        let rcfg = ReliableConfig::rapid_training(chips as u32);
+        let rcfg = ReliableConfig::rapid_training();
         // Accumulate RingHealth counters for every exchange into one telemetry
         // bundle; they land in the JSON record as ring.reliable.* metrics.
         let mut tele = Telemetry::new();

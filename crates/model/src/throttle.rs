@@ -38,10 +38,12 @@ impl ThrottleStudy {
 /// The study's two FP16 plans, `[baseline, throttled]`. Compute layers
 /// run at the dense-budget clock in the baseline and at the clock their
 /// `pruned_sparsity` affords in the throttled plan; auxiliary layers run
-/// at `f_max` in both.
-fn clocked_plans(net: &Network, chip: &ChipConfig, throttle: &ThrottleModel) -> [NetworkPlan; 2] {
+/// at `f_max` in both. The chip is the 4-core RaPiD chip under
+/// [`ThrottleModel::rapid_default`].
+fn clocked_plans(net: &Network) -> [NetworkPlan; 2] {
+    let throttle = ThrottleModel::rapid_default();
     let plan = |compute_ghz: &dyn Fn(f64) -> f64| {
-        let mut plan = compile(net, chip, Precision::Fp16);
+        let mut plan = compile(net, &ChipConfig::rapid_4core(), Precision::Fp16);
         for (lp, layer) in plan.layers.iter_mut().zip(&net.layers) {
             lp.effective_ghz = if layer.op.is_compute() {
                 compute_ghz(layer.pruned_sparsity)
@@ -57,18 +59,16 @@ fn clocked_plans(net: &Network, chip: &ChipConfig, throttle: &ThrottleModel) -> 
 
 /// Runs the Fig 16 study on a *pruned* network (layers must carry
 /// `pruned_sparsity`; see `rapid_workloads::apply_pruning_profile`).
-/// The study uses FP16 execution, matching the paper's pruned checkpoints.
-pub fn throttling_study(
-    net: &Network,
-    chip: &ChipConfig,
-    throttle: &ThrottleModel,
-) -> ThrottleStudy {
-    let [base_plan, sparse_plan] = clocked_plans(net, chip, throttle);
+/// The study uses FP16 execution, matching the paper's pruned checkpoints,
+/// on the 4-core RaPiD chip under [`ThrottleModel::rapid_default`].
+pub fn throttling_study(net: &Network) -> ThrottleStudy {
+    let chip = ChipConfig::rapid_4core();
+    let [base_plan, sparse_plan] = clocked_plans(net);
     ThrottleStudy {
         network: net.name.clone(),
         avg_sparsity: net.average_pruned_sparsity(),
-        baseline: evaluate_inference(net, &base_plan, chip, 1),
-        throttled: evaluate_inference(net, &sparse_plan, chip, 1),
+        baseline: evaluate_inference(net, &base_plan, &chip, 1),
+        throttled: evaluate_inference(net, &sparse_plan, &chip, 1),
     }
 }
 
@@ -81,7 +81,7 @@ mod tests {
     fn study(name: &str) -> ThrottleStudy {
         let mut net = benchmark(name).unwrap();
         apply_pruning_profile(&mut net);
-        throttling_study(&net, &ChipConfig::rapid_4core(), &ThrottleModel::rapid_default())
+        throttling_study(&net)
     }
 
     #[test]
@@ -117,9 +117,8 @@ mod tests {
     fn vgg16_plans() -> (Network, [NetworkPlan; 2], ThrottleModel) {
         let mut net = benchmark("vgg16").unwrap();
         apply_pruning_profile(&mut net);
-        let throttle = ThrottleModel::rapid_default();
-        let plans = clocked_plans(&net, &ChipConfig::rapid_4core(), &throttle);
-        (net, plans, throttle)
+        let plans = clocked_plans(&net);
+        (net, plans, ThrottleModel::rapid_default())
     }
 
     #[test]

@@ -39,9 +39,8 @@ use rapid_fault::FaultPlan;
 use rapid_refnet::backend::{Backend, Fp32Backend};
 use rapid_refnet::data::Dataset;
 use rapid_refnet::mlp::{softmax_cross_entropy, Mlp};
-use rapid_ring::elastic::{
-    elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, Membership,
-};
+use rapid_ring::elastic::{elastic_allreduce, ElasticError, ElasticEvent, Membership, MIN_WORLD};
+use rapid_ring::ReliableConfig;
 use rapid_telemetry::Telemetry;
 
 /// Configuration of one elastic training run.
@@ -53,21 +52,21 @@ pub struct ElasticTrainConfig {
     pub batch: usize,
     /// Learning rate.
     pub lr: f32,
-    /// The elastic collective layer (reliable transport, minimum world).
-    pub ring: ElasticConfig,
+    /// The reliable chunked transport the elastic exchange runs on.
+    pub ring: ReliableConfig,
     /// Whether spliced nodes rejoin at the next barrier, catching up from
     /// the just-written checkpoint generation.
     pub rejoin_at_barrier: bool,
 }
 
 impl ElasticTrainConfig {
-    /// Paper-shaped defaults for a `world`-chip HFP8 run.
-    pub fn rapid_training(world: u32) -> Self {
+    /// Paper-shaped defaults for an HFP8 run.
+    pub fn rapid_training() -> Self {
         Self {
             epochs: 8,
             batch: 32,
             lr: 0.05,
-            ring: ElasticConfig::rapid_training(world),
+            ring: ReliableConfig::rapid_training(),
             rejoin_at_barrier: false,
         }
     }
@@ -262,7 +261,7 @@ pub fn train_elastic(
             if members.is_empty() {
                 return Err(ElasticTrainError::Ring(ElasticError::WorldTooSmall {
                     survivors: 0,
-                    min: cfg.ring.min_world.max(1),
+                    min: MIN_WORLD,
                 }));
             }
             let snapshot = mlp.layers().flatten();
@@ -347,8 +346,8 @@ mod tests {
     use rapid_refnet::backend::Hfp8Backend;
     use rapid_refnet::data::gaussian_blobs;
 
-    fn world_cfg(world: u32, epochs: usize) -> ElasticTrainConfig {
-        ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training(world) }
+    fn epochs_cfg(epochs: usize) -> ElasticTrainConfig {
+        ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training() }
     }
 
     fn crash_plan(seed: u64, rate: f64, budget: u64) -> FaultPlan {
@@ -369,7 +368,7 @@ mod tests {
             &mut mlp,
             &Fp32Backend,
             &data,
-            &world_cfg(4, 10),
+            &epochs_cfg(10),
             &mut mem,
             None,
             None,
@@ -393,7 +392,7 @@ mod tests {
             &mut clean,
             &Hfp8Backend::default(),
             &data,
-            &world_cfg(4, 10),
+            &epochs_cfg(10),
             &mut mem,
             None,
             None,
@@ -407,7 +406,7 @@ mod tests {
             &mut mlp,
             &Hfp8Backend::default(),
             &data,
-            &world_cfg(4, 10),
+            &epochs_cfg(10),
             &mut mem,
             Some(&mut plan),
             None,
@@ -441,7 +440,7 @@ mod tests {
                 &mut mlp,
                 &Hfp8Backend::default(),
                 &data,
-                &world_cfg(4, 6),
+                &epochs_cfg(6),
                 &mut mem,
                 Some(&mut plan),
                 None,
@@ -463,7 +462,7 @@ mod tests {
             .join(format!("rapid-elastic-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let data = gaussian_blobs(128, 4, 16, 0.35, 44);
-        let cfg = world_cfg(4, 5);
+        let cfg = epochs_cfg(5);
         // Uninterrupted run, checkpointing each barrier.
         let mut full = Mlp::new(&[16, 24, 4], 3);
         let mut mem = Membership::new(4).unwrap();
@@ -530,7 +529,7 @@ mod tests {
         let mut mem = Membership::new(4).unwrap();
         let mut store = CheckpointStore::open(&dir, "el", 4).unwrap();
         let mut plan = crash_plan(13, 0.05, 1);
-        let cfg = ElasticTrainConfig { rejoin_at_barrier: true, ..world_cfg(4, 6) };
+        let cfg = ElasticTrainConfig { rejoin_at_barrier: true, ..epochs_cfg(6) };
         let (_, report) = train_elastic(
             &mut mlp,
             &Fp32Backend,
@@ -559,7 +558,7 @@ mod tests {
             &mut mlp,
             &Fp32Backend,
             &data,
-            &world_cfg(4, 2),
+            &epochs_cfg(2),
             &mut mem,
             Some(&mut plan),
             None,

@@ -31,7 +31,10 @@
 //! identical event trace; every path is bounded in cycles — the module's
 //! zero-hang guarantee is by construction, not by timeout luck.
 
-use crate::reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth, CHUNK_ELEMS};
+use crate::reliable::{
+    chunk_cycles, ideal_exchange_cycles, reliable_allreduce, ReliableConfig, ReliableError,
+    RingHealth, CHUNK_ELEMS, GRAD_BYTES,
+};
 use rapid_fault::{FaultPlan, NodeFault};
 
 /// Heartbeat period in cycles.
@@ -57,24 +60,9 @@ const HEAL_EPOCH_CYCLES: u64 = 1_500;
 /// contributors.
 const STRAGGLER_DEADLINE: f64 = 2.0;
 
-/// Configuration of the elastic collective layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ElasticConfig {
-    /// The reliable chunked transport the survivor exchange runs on.
-    pub reliable: ReliableConfig,
-    /// Minimum contributors an exchange may shrink to before it is an
-    /// error instead of a heal.
-    pub min_world: usize,
-}
-
-impl ElasticConfig {
-    /// The paper's HFP8 training links, with crash detection an order of
-    /// magnitude faster than hang detection and a 2× ideal straggler
-    /// deadline.
-    pub fn rapid_training(chips: u32) -> Self {
-        Self { reliable: ReliableConfig::rapid_training(chips), min_world: 1 }
-    }
-}
+/// Minimum contributors an exchange may shrink to before it is an error
+/// instead of a heal.
+pub const MIN_WORLD: usize = 1;
 
 /// Ring membership under an epoch protocol. Nodes are identified by their
 /// original rank (`0..world`); the member list is always sorted, so the
@@ -382,12 +370,12 @@ pub struct ElasticOutcome {
 ///
 /// [`ElasticError::InvalidConfig`] on shape mismatches,
 /// [`ElasticError::WorldTooSmall`] when failures and straggler drops
-/// leave fewer than [`ElasticConfig::min_world`] contributors, and
+/// leave fewer than [`MIN_WORLD`] contributors, and
 /// [`ElasticError::Reliable`] when the survivor transport itself fails.
 pub fn elastic_allreduce(
     inputs: &[Vec<f32>],
     membership: &mut Membership,
-    cfg: &ElasticConfig,
+    cfg: &ReliableConfig,
     mut faults: Option<&mut FaultPlan>,
     tele: Option<&mut rapid_telemetry::Telemetry>,
 ) -> Result<ElasticOutcome, ElasticError> {
@@ -400,7 +388,7 @@ pub fn elastic_allreduce(
     }
     let members = membership.members().to_vec();
     let Some(&first) = members.first() else {
-        return Err(ElasticError::WorldTooSmall { survivors: 0, min: cfg.min_world.max(1) });
+        return Err(ElasticError::WorldTooSmall { survivors: 0, min: MIN_WORLD });
     };
     let elems = inputs[first as usize].len();
     if members.iter().any(|&m| inputs[m as usize].len() != elems) {
@@ -428,7 +416,7 @@ pub fn elastic_allreduce(
 
     let mut health = ElasticHealth::default();
     let mut events = Vec::new();
-    health.ideal_cycles = cfg.reliable.ideal_exchange_cycles(n, elems);
+    health.ideal_cycles = ideal_exchange_cycles(n, elems);
 
     // Detection: crashes announce themselves via link-down, hangs only
     // via heartbeat silence. Concurrent detections overlap, so the charge
@@ -459,19 +447,15 @@ pub fn elastic_allreduce(
     let dead: Vec<u32> =
         crashed.iter().map(|&(m, _)| m).chain(hung.iter().map(|&(m, _)| m)).collect();
     let survivors: Vec<u32> = members.iter().copied().filter(|m| !dead.contains(m)).collect();
-    if survivors.len() < cfg.min_world.max(1) {
-        return Err(ElasticError::WorldTooSmall {
-            survivors: survivors.len(),
-            min: cfg.min_world.max(1),
-        });
+    if survivors.len() < MIN_WORLD {
+        return Err(ElasticError::WorldTooSmall { survivors: survivors.len(), min: MIN_WORLD });
     }
     let mut heal = 0u64;
     if !dead.is_empty() {
         let shard_len = elems.div_ceil(n);
         let chunks_per_shard = shard_len.div_ceil(CHUNK_ELEMS) as u64;
         health.rereduced_chunks = chunks_per_shard * dead.len() as u64;
-        let grad_chunk_cycles = cfg.reliable.chunk_cycles(cfg.reliable.transport.grad_bytes);
-        heal = HEAL_EPOCH_CYCLES + health.rereduced_chunks * grad_chunk_cycles;
+        heal = HEAL_EPOCH_CYCLES + health.rereduced_chunks * chunk_cycles(GRAD_BYTES);
         health.splices = 1;
         let epoch = membership.splice(&dead);
         events.push(ElasticEvent::Spliced { epoch, survivors: survivors.len() as u32 });
@@ -482,7 +466,7 @@ pub fn elastic_allreduce(
     // ideal(survivor ring)` drops the node from this exchange's
     // contributors; within it, the ring waits (factor multiplies the
     // exchange).
-    let ideal_survivor = cfg.reliable.ideal_exchange_cycles(survivors.len(), elems);
+    let ideal_survivor = ideal_exchange_cycles(survivors.len(), elems);
     let mut wait_factor = 1.0f64;
     let mut contributors = survivors.clone();
     for &(node, factor) in &slow {
@@ -500,11 +484,8 @@ pub fn elastic_allreduce(
             events.push(ElasticEvent::StragglerDropped { node, factor });
         }
     }
-    if contributors.len() < cfg.min_world.max(1) {
-        return Err(ElasticError::WorldTooSmall {
-            survivors: contributors.len(),
-            min: cfg.min_world.max(1),
-        });
+    if contributors.len() < MIN_WORLD {
+        return Err(ElasticError::WorldTooSmall { survivors: contributors.len(), min: MIN_WORLD });
     }
 
     // Survivor exchange: the reliable protocol over the contributor ring
@@ -513,14 +494,7 @@ pub fn elastic_allreduce(
     // contributed, never of when failures were detected.
     let contributor_inputs: Vec<Vec<f32>> =
         contributors.iter().map(|&m| inputs[m as usize].clone()).collect();
-    let rcfg = ReliableConfig {
-        transport: crate::allreduce::AllReduceConfig {
-            chips: contributors.len() as u32,
-            ..cfg.reliable.transport
-        },
-        ..cfg.reliable
-    };
-    let (reduced, transport) = reliable_allreduce(&contributor_inputs, &rcfg, faults, None)?;
+    let (reduced, transport) = reliable_allreduce(&contributor_inputs, cfg, faults, None)?;
     health.transport = transport;
     // A dropped straggler's deadline expires before the fallback
     // completes; a retained one stretches the exchange by its factor.
@@ -608,7 +582,7 @@ mod tests {
         assert_eq!(mem.members(), &[0, 1, 3]);
         // The next exchange proceeds over the survivors.
         let inputs = gradients(4, 1024);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
         assert_eq!(out.contributors, vec![0, 1, 3]);
         assert_eq!(out.epoch, 1);
@@ -624,10 +598,10 @@ mod tests {
     #[test]
     fn fault_free_matches_reliable_over_full_membership() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(4).unwrap();
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, None, None).unwrap();
-        let (expect, rh) = reliable_allreduce(&inputs, &cfg.reliable, None, None).unwrap();
+        let (expect, rh) = reliable_allreduce(&inputs, &cfg, None, None).unwrap();
         assert_eq!(out.reduced, expect);
         assert_eq!(out.contributors, vec![0, 1, 2, 3]);
         assert_eq!(out.epoch, 0);
@@ -640,7 +614,7 @@ mod tests {
     #[test]
     fn crash_heals_the_ring_and_reduces_over_survivors() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(11, 1.0, 1);
         let out = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap();
@@ -654,8 +628,7 @@ mod tests {
         // Values equal the reliable exchange over exactly the survivors.
         let survivor_inputs: Vec<Vec<f32>> =
             out.contributors.iter().map(|&m| inputs[m as usize].clone()).collect();
-        let rcfg = ReliableConfig::rapid_training(3);
-        let (expect, _) = reliable_allreduce(&survivor_inputs, &rcfg, None, None).unwrap();
+        let (expect, _) = reliable_allreduce(&survivor_inputs, &cfg, None, None).unwrap();
         assert_eq!(out.reduced, expect);
         // Healing costs cycles: detection + epoch + re-reduction.
         assert!(out.health.cycles > out.health.transport.cycles);
@@ -665,7 +638,7 @@ mod tests {
     #[test]
     fn same_seed_reproduces_identical_outcome_and_trace() {
         let inputs = gradients(6, 8192);
-        let cfg = ElasticConfig::rapid_training(6);
+        let cfg = ReliableConfig::rapid_training();
         let run = |seed: u64| {
             let mut mem = Membership::new(6).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -689,7 +662,7 @@ mod tests {
     #[test]
     fn hang_detection_is_slower_than_crash_detection() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let detect_of = |hang: bool| {
             let mut mem = Membership::new(4).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -714,7 +687,7 @@ mod tests {
     #[test]
     fn straggler_within_deadline_waits_beyond_it_drops() {
         let inputs = gradients(4, 4096);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let run = |rate: f64, factor: f64| {
             let mut mem = Membership::new(4).unwrap();
             let mut plan = FaultPlan::new(FaultConfig {
@@ -768,12 +741,15 @@ mod tests {
     #[test]
     fn world_too_small_is_a_structured_error() {
         let inputs = gradients(2, 512);
-        let mut cfg = ElasticConfig::rapid_training(2);
-        cfg.min_world = 2;
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(2).unwrap();
+        // Both nodes crash: no survivor is left to reach the minimum world.
         let mut plan = crash_plan(3, 1.0, u64::MAX);
         let err = elastic_allreduce(&inputs, &mut mem, &cfg, Some(&mut plan), None).unwrap_err();
-        assert!(matches!(err, ElasticError::WorldTooSmall { .. }), "{err}");
+        assert!(
+            matches!(err, ElasticError::WorldTooSmall { survivors: 0, min: MIN_WORLD }),
+            "{err}"
+        );
     }
 
     #[test]
@@ -798,7 +774,7 @@ mod tests {
         // Whenever a node hangs, its silence is found after the same
         // number of missed heartbeats.
         let inputs = gradients(4, 2048);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut at_steps = Vec::new();
         for seed in 0..16 {
             let mut mem = Membership::new(4).unwrap();
@@ -823,7 +799,7 @@ mod tests {
     #[test]
     fn instrumented_exchange_fills_the_elastic_registry() {
         let inputs = gradients(4, 2048);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::default();
@@ -841,7 +817,7 @@ mod tests {
     fn instrumented_exchanges_emit_contiguous_spans() {
         use rapid_telemetry::span::{critical_path, validate_forest};
         let inputs = gradients(4, 2048);
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(4).unwrap();
         let mut plan = crash_plan(21, 1.0, 1);
         let mut tele = rapid_telemetry::Telemetry::with_spans();

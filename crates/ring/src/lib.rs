@@ -20,7 +20,14 @@
 //!
 //! The simulator is timing-only (bytes, not values); its measured
 //! effective bandwidths back the communication constants used by
-//! `rapid-model`, and the `ring_bandwidth` bench regenerates them.
+//! `rapid-model`, and the `ring_multicast` bench regenerates them.
+//!
+//! The crate also simulates the training system's chip-to-chip exchange
+//! (paper §IV-A, §V-F): [`reliable`] ring-all-reduces FP16 gradients and
+//! all-gathers 8-bit weights over the 128 GB/s links of
+//! `SystemConfig::training_4x32()`, carrying values through drops,
+//! duplicates and corruption, and [`elastic`] heals that ring through
+//! node crashes, hangs and stragglers.
 //!
 //! # Example
 //!
@@ -37,7 +44,6 @@
 
 // unwrap/expect denial comes from [workspace.lints] in the root manifest.
 
-pub mod allreduce;
 pub mod channel;
 pub mod crc;
 pub mod elastic;
@@ -45,11 +51,10 @@ pub mod node;
 pub mod reliable;
 pub mod sim;
 
-pub use allreduce::{analytic_allreduce_cycles, simulate_allreduce, AllReduceConfig, AllReduceResult};
 pub use crc::CRC8_POLY;
 pub use elastic::{
-    demote_unhealthy, elastic_allreduce, ElasticConfig, ElasticError, ElasticEvent, ElasticHealth,
-    ElasticOutcome, Membership,
+    demote_unhealthy, elastic_allreduce, ElasticError, ElasticEvent, ElasticHealth, ElasticOutcome,
+    Membership,
 };
 pub use reliable::{reliable_allreduce, ReliableConfig, ReliableError, RingHealth};
 pub use channel::{Channel, Direction, Flit, FLIT_BYTES};

@@ -6,7 +6,6 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples fail loudly by design
 
-use rapid::arch::geometry::ChipConfig;
 use rapid::arch::power::ThrottleModel;
 use rapid::model::throttle::throttling_study;
 use rapid::workloads::suite::{apply_pruning_profile, pruned_study_suite};
@@ -26,11 +25,10 @@ fn main() {
 
     println!("\nFig 16(b): pruned-model speedup from sparsity-aware throttling");
     println!("{:>12} {:>12} {:>10}", "benchmark", "sparsity", "speedup");
-    let chip = ChipConfig::rapid_4core();
     let mut speedups = Vec::new();
     for mut net in pruned_study_suite() {
         apply_pruning_profile(&mut net);
-        let study = throttling_study(&net, &chip, &t);
+        let study = throttling_study(&net);
         speedups.push(study.speedup());
         println!(
             "{:>12} {:>11.0}% {:>9.2}x",

@@ -91,9 +91,10 @@
 #                                 prints the workspace `pub fn` count and
 #                                 the settable-value count: the `pub`
 #                                 fields of every `*Config`, `*Options`,
-#                                 `*Params` and `*Policy` struct under
-#                                 crates/*/src (crates/bench aside), each
-#                                 a setting a caller can vary
+#                                 `*Params`, `*Policy`, `*Model`, `*Table`
+#                                 and `*Curve` struct under crates/*/src
+#                                 (crates/bench aside), each a setting a
+#                                 caller can vary
 #   scripts/check.sh --all        every named gate (model, recovery,
 #                                 telemetry, protection, simd, serve,
 #                                 elastic, obs, health, doc, surface)
@@ -260,10 +261,11 @@ identifiers() {
 }
 
 # Prints the number of `pub` fields declared in `*Config`, `*Options`,
-# `*Params` and `*Policy` structs under crates/*/src, crates/bench aside.
+# `*Params`, `*Policy`, `*Model`, `*Table` and `*Curve` structs under
+# crates/*/src, crates/bench aside.
 settable_values() {
     find crates/*/src -name '*.rs' -not -path 'crates/bench/*' -print0 | xargs -0 awk '
-        /^[[:space:]]*pub(\([a-z]+\))? struct [A-Za-z0-9_]*(Config|Options|Params|Policy)[[:space:]]*\{/ { inside = 1; next }
+        /^[[:space:]]*pub(\([a-z]+\))? struct [A-Za-z0-9_]*(Config|Options|Params|Policy|Model|Table|Curve)[[:space:]]*\{/ { inside = 1; next }
         inside && /^[[:space:]]*\}/ { inside = 0; next }
         inside && /^[[:space:]]*pub [a-z_][a-z0-9_]*[[:space:]]*:/ { n++ }
         END { print n + 0 }'

@@ -28,10 +28,10 @@ use rapid::recover::{
 use rapid::refnet::backend::{Fp32Backend, Hfp8Backend};
 use rapid::refnet::data::gaussian_blobs;
 use rapid::refnet::mlp::Mlp;
-use rapid::ring::{elastic_allreduce, ElasticConfig, ElasticError, Membership};
+use rapid::ring::{elastic_allreduce, ElasticError, Membership, ReliableConfig};
 
-fn train_cfg(world: u32, epochs: usize) -> ElasticTrainConfig {
-    ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training(world) }
+fn train_cfg(epochs: usize) -> ElasticTrainConfig {
+    ElasticTrainConfig { epochs, ..ElasticTrainConfig::rapid_training() }
 }
 
 /// One seeded crash mid-run: the ring heals to 3 survivors under a new
@@ -45,7 +45,7 @@ fn crashed_node_is_spliced_and_training_lands_within_two_points() {
         &mut clean,
         &Hfp8Backend::default(),
         &data,
-        &train_cfg(4, 10),
+        &train_cfg(10),
         &mut mem,
         None,
         None,
@@ -64,7 +64,7 @@ fn crashed_node_is_spliced_and_training_lands_within_two_points() {
         &mut mlp,
         &Hfp8Backend::default(),
         &data,
-        &train_cfg(4, 10),
+        &train_cfg(10),
         &mut mem,
         Some(&mut plan),
         None,
@@ -89,7 +89,7 @@ fn node_restored_from_generation_n_minus_1_catches_up_bit_identical() {
     let dir = std::env::temp_dir().join(format!("rapid-elastic-it-catchup-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = gaussian_blobs(128, 4, 16, 0.35, 44);
-    let cfg = train_cfg(4, 6);
+    let cfg = train_cfg(6);
 
     // Uninterrupted run: 6 epochs, one checkpoint generation per barrier.
     let mut full = Mlp::new(&[16, 24, 4], 3);
@@ -147,7 +147,7 @@ fn node_restored_from_generation_n_minus_1_catches_up_bit_identical() {
 #[test]
 fn stragglers_never_cost_membership() {
     let inputs: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32 + 1.0; 64]).collect();
-    let cfg = ElasticConfig::rapid_training(4);
+    let cfg = ReliableConfig::rapid_training();
     // Scan seeds for a run where some but not all members straggle past
     // the deadline (all-dropped legitimately errors instead).
     let dropped_case = (0..64u64).find_map(|seed| {
@@ -175,7 +175,7 @@ fn resuming_another_models_checkpoint_is_a_structured_error() {
     let dir = std::env::temp_dir().join(format!("rapid-elastic-foreign-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let data = gaussian_blobs(64, 4, 16, 0.35, 46);
-    let cfg = train_cfg(2, 2);
+    let cfg = train_cfg(2);
     for (name, widths) in [("wider", &[16, 24, 4][..]), ("shallower", &[16, 4][..])] {
         let mut writer = Mlp::new(widths, 3);
         let mut store = CheckpointStore::open(dir.join(name), "el", 4).unwrap();
@@ -229,7 +229,7 @@ proptest! {
         slow in 0.0f64..0.3,
     ) {
         let inputs: Vec<Vec<f32>> = (0..4).map(|c| vec![c as f32; 32]).collect();
-        let cfg = ElasticConfig::rapid_training(4);
+        let cfg = ReliableConfig::rapid_training();
         let mut mem = Membership::new(4).unwrap();
         let mut plan = FaultPlan::new(FaultConfig {
             seed,

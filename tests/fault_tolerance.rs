@@ -26,6 +26,7 @@ use rapid::numerics::gemm::{
 use rapid::numerics::int::{IntFormat, QuantParams, Signedness};
 use rapid::numerics::{GuardPolicy, NumericsError, Tensor};
 use rapid::ring::sim::{multicast, unicast, RingSim};
+use rapid::ring::reliable::MAX_RETRIES;
 use rapid::ring::{reliable_allreduce, ReliableConfig, ReliableError};
 use rapid::sim::{run_token_programs, SimError};
 
@@ -261,7 +262,7 @@ proptest! {
         let inputs: Vec<Vec<f32>> = (0..chips)
             .map(|c| (0..elems).map(|i| (i + c as usize) as f32).collect())
             .collect();
-        let cfg = ReliableConfig::rapid_training(chips);
+        let cfg = ReliableConfig::rapid_training();
         let mut plan = FaultPlan::new(FaultConfig {
             seed,
             ring_drop_rate: 1.0,
@@ -270,7 +271,7 @@ proptest! {
         match reliable_allreduce(&inputs, &cfg, Some(&mut plan), None) {
             Err(ReliableError::RetriesExhausted { seq: _, retries }) => {
                 // The reported count is the attempt that broke the budget.
-                prop_assert_eq!(retries, cfg.max_retries + 1, "budget must be fully spent");
+                prop_assert_eq!(retries, MAX_RETRIES + 1, "budget must be fully spent");
             }
             other => prop_assert!(false, "dead link must exhaust retries, got {:?}", other),
         }

@@ -179,14 +179,36 @@ proptest! {
         }
     }
 
-    /// The multi-chip all-reduce simulation never undershoots the analytic
-    /// bandwidth bound and converges to it for large payloads.
+    /// The fault-free reliable ring brackets the bandwidth law the training
+    /// model prices the chip-to-chip exchange with: never below
+    /// `(n−1)/n · elems · 3 B` (FP16 gradients plus 8-bit weights) over the
+    /// link bytes per cycle of `SystemConfig::training_4x32()`, and above
+    /// it by at most two step latencies plus one gradient chunk and one
+    /// weight chunk per ring step.
     #[test]
-    fn allreduce_bounded_by_analytic(weights in 1u64..50_000_000, chips in 2u32..16) {
-        use rapid::ring::allreduce::{analytic_allreduce_cycles, simulate_allreduce, AllReduceConfig};
-        let cfg = AllReduceConfig::rapid_training(chips, true);
-        let sim = simulate_allreduce(weights, &cfg).cycles as f64;
-        let analytic = analytic_allreduce_cycles(weights, &cfg);
-        prop_assert!(sim + 1e-9 >= analytic, "sim {} below analytic {}", sim, analytic);
+    fn reliable_ring_brackets_the_exchange_law(chips in 2usize..17, elems in 1usize..100_000) {
+        use rapid::arch::geometry::SystemConfig;
+        use rapid::ring::reliable::{CHUNK_ELEMS, STEP_LATENCY_CYCLES};
+        use rapid::ring::{reliable_allreduce, ReliableConfig};
+        let sys = SystemConfig::training_4x32();
+        let link_bytes_per_cycle = sys.link_bw_gbps / sys.chip.freq_ghz;
+        let n = chips as f64;
+        let law = (n - 1.0) / n * elems as f64 * 3.0 / link_bytes_per_cycle;
+        let chunk =
+            |elem_bytes: f64| (CHUNK_ELEMS as f64 * elem_bytes / link_bytes_per_cycle).ceil();
+        let slack = (n - 1.0) * (2.0 * STEP_LATENCY_CYCLES as f64 + chunk(2.0) + chunk(1.0));
+        let inputs = vec![vec![1.0f32; elems]; chips];
+        let (_, health) =
+            reliable_allreduce(&inputs, &ReliableConfig::rapid_training(), None, None).unwrap();
+        let cycles = health.cycles as f64;
+        prop_assert!(
+            law <= cycles,
+            "{} chips, {} elems: {} cycles below the law {}", chips, elems, cycles, law
+        );
+        prop_assert!(
+            cycles <= law + slack,
+            "{} chips, {} elems: {} cycles above the law {} + {}", chips, elems, cycles, law, slack
+        );
+        prop_assert_eq!(health.cycles, health.ideal_cycles);
     }
 }

@@ -340,7 +340,7 @@ proptest! {
         let mut model = Mlp::new(&[4, 6, 3], 1);
         let mut mem = Membership::new(2).unwrap();
         let cfg =
-            ElasticTrainConfig { epochs: 2, batch: 8, ..ElasticTrainConfig::rapid_training(2) };
+            ElasticTrainConfig { epochs: 2, batch: 8, ..ElasticTrainConfig::rapid_training() };
         let store = Some(&mut store);
         match train_elastic(&mut model, &Fp32Backend, &data, &cfg, &mut mem, None, store, None) {
             Ok((acc, report)) => {
@@ -371,7 +371,7 @@ fn reliable_allreduce_is_bit_identical_under_faults() {
                 .collect()
         })
         .collect();
-    let cfg = ReliableConfig::rapid_training(chips as u32);
+    let cfg = ReliableConfig::rapid_training();
     let (clean, clean_health) =
         reliable_allreduce(&inputs, &cfg, None, None).expect("fault-free allreduce");
 
