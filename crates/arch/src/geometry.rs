@@ -158,10 +158,6 @@ pub struct ChipConfig {
     pub core: CoreConfig,
     /// Nominal clock frequency in GHz.
     pub freq_ghz: f64,
-    /// Minimum supported frequency in GHz (Fig 10: 1.0).
-    pub freq_min_ghz: f64,
-    /// Maximum supported frequency in GHz (Fig 10: 1.6).
-    pub freq_max_ghz: f64,
     /// External memory bandwidth in GB/s (DDR 200 for the 4-core chip,
     /// HBM 400 for the scaled training chip).
     pub mem_bw_gbps: f64,
@@ -174,8 +170,6 @@ impl ChipConfig {
             cores: 4,
             core: CoreConfig::default(),
             freq_ghz: 1.5,
-            freq_min_ghz: 1.0,
-            freq_max_ghz: 1.6,
             mem_bw_gbps: 200.0,
         }
     }
@@ -186,8 +180,6 @@ impl ChipConfig {
             cores: 32,
             core: CoreConfig::default(),
             freq_ghz: 1.5,
-            freq_min_ghz: 1.0,
-            freq_max_ghz: 1.6,
             mem_bw_gbps: 400.0,
         }
     }

@@ -13,7 +13,7 @@
 //! |               | encode/decode energy uplift per access         |
 //! | CRC-8 / flit  | +1 byte per link chunk of payload              |
 //! | ABFT GEMM     | +2(mk + kn + mn) MACs on an `m×k×n` GEMM       |
-//! | Redundancy-r  | ×r compute (majority voting)                   |
+//! | Redundancy-3  | ×3 compute (majority voting)                   |
 //!
 //! ABFT's overhead vanishes as matrices grow (O(m+n+k) per output tile vs
 //! O(mkn) base work) — the reason it beats modular redundancy for GEMM —
@@ -23,8 +23,15 @@
 // per 256-byte ring chunk, ~8% access-energy uplift for the ECC logic
 // (representative of published 7 nm SRAM macro figures).
 
+/// Bits in a SECDED codeword: 32 data + 6 check + 1 overall parity.
+pub const SECDED_CODEWORD_BITS: u32 = 39;
+
+/// Data bits a SECDED codeword carries.
+const SECDED_DATA_BITS: u32 = 32;
+
 /// Extra scratchpad bits per data bit for SECDED(39,32): 7/32.
-pub const SECDED_STORAGE_OVERHEAD: f64 = 7.0 / 32.0;
+pub const SECDED_STORAGE_OVERHEAD: f64 =
+    (SECDED_CODEWORD_BITS - SECDED_DATA_BITS) as f64 / SECDED_DATA_BITS as f64;
 
 /// Energy uplift per protected scratchpad access (encode or
 /// decode+correct logic switching relative to the raw array access).
@@ -43,11 +50,9 @@ pub fn crc_bandwidth_factor() -> f64 {
     CRC_CHUNK_PAYLOAD_BYTES / (CRC_CHUNK_PAYLOAD_BYTES + CRC_BYTES_PER_CHUNK)
 }
 
-/// Compute overhead of `r`-way modular redundancy relative to the
-/// unprotected run (`r - 1` extra executions).
-pub fn redundancy_overhead_ratio(r: u32) -> f64 {
-    f64::from(r.max(1)) - 1.0
-}
+/// Compute overhead of triple modular redundancy relative to the
+/// unprotected run: two extra executions.
+pub const REDUNDANCY3_OVERHEAD_RATIO: f64 = 2.0;
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -69,8 +74,8 @@ mod tests {
 
     #[test]
     fn redundancy_is_linear_in_r() {
-        assert_eq!(redundancy_overhead_ratio(1), 0.0);
-        assert_eq!(redundancy_overhead_ratio(3), 2.0);
-        assert_eq!(redundancy_overhead_ratio(0), 0.0, "r clamps to 1");
+        // r-way redundancy runs r - 1 extra copies; r = 3 votes.
+        let r = 3u32;
+        assert_eq!(REDUNDANCY3_OVERHEAD_RATIO, f64::from(r - 1));
     }
 }

@@ -10,7 +10,7 @@
 //!    with and without the gating bypass.
 
 use rapid_arch::geometry::ChipConfig;
-use rapid_arch::power::PowerModel;
+use rapid_arch::power::{mpe_op_joules, ZERO_GATE_RESIDUAL};
 use rapid_arch::precision::Precision;
 use rapid_bench::{mean, run, section};
 use rapid_compiler::passes::compile;
@@ -105,12 +105,11 @@ fn main() -> std::process::ExitCode {
      the addends — 64 keeps full fidelity while bounding SFU chunk traffic)");
 
         section("ablation 4 — zero-gating energy (§III-C)");
-        let pm = PowerModel::rapid_7nm();
         let chip = ChipConfig::rapid_4core();
-        let e_op = pm.mpe_op_joules(Precision::Fp16, chip.freq_ghz);
+        let e_op = mpe_op_joules(Precision::Fp16, chip.freq_ghz);
         println!("{:<10} {:>18} {:>18} {:>9}", "sparsity", "gated (pJ/MAC)", "ungated (pJ/MAC)", "saving");
         for s in [0.0f64, 0.25, 0.5, 0.75] {
-            let gated = 2.0 * e_op * ((1.0 - s) + s * pm.energy.zero_gate_residual) * 1e12;
+            let gated = 2.0 * e_op * ((1.0 - s) + s * ZERO_GATE_RESIDUAL) * 1e12;
             let ungated = 2.0 * e_op * 1e12;
             println!(
                 "{:<9.0}% {:>18.3} {:>18.3} {:>8.0}%",
@@ -125,7 +124,7 @@ fn main() -> std::process::ExitCode {
             mean(&gains)
         );
         ctx.rec.metric("sfu_doubling_gain.mean", mean(&gains));
-        ctx.rec.metric("zero_gate_residual", pm.energy.zero_gate_residual);
+        ctx.rec.metric("zero_gate_residual", ZERO_GATE_RESIDUAL);
         Ok(())
     })
 }

@@ -3,14 +3,13 @@
 //! per-benchmark speedup of the compiler-guided sparsity-aware schedule
 //! over a dense-budget baseline (pruned FP16 models).
 
-use rapid_arch::power::ThrottleModel;
+use rapid_arch::power::{effective_frequency_ghz, throttle_rate};
 use rapid_bench::{compare, mean, min_max, run, section};
 use rapid_model::throttle::throttling_study;
 use rapid_workloads::suite::{apply_pruning_profile, pruned_study_suite};
 
 fn main() -> std::process::ExitCode {
     run("fig16_throttling", |ctx| {
-        let t = ThrottleModel::rapid_default();
         section("Fig 16(a) — frequency-throttling rate vs weight sparsity");
         println!("{:>10} {:>15} {:>12}", "sparsity", "throttle rate", "f_eff (GHz)");
         let mut s = 0.0;
@@ -18,8 +17,8 @@ fn main() -> std::process::ExitCode {
             println!(
                 "{:>9.0}% {:>14.1}% {:>12.2}",
                 s * 100.0,
-                t.throttle_rate(s) * 100.0,
-                t.effective_frequency_ghz(s)
+                throttle_rate(s) * 100.0,
+                effective_frequency_ghz(s)
             );
             s += 0.1;
         }

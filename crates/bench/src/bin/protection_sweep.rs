@@ -22,7 +22,7 @@
 
 use rapid_arch::precision::Precision;
 use rapid_arch::protection::{
-    crc_bandwidth_factor, redundancy_overhead_ratio, SECDED_ENERGY_UPLIFT,
+    crc_bandwidth_factor, REDUNDANCY3_OVERHEAD_RATIO, SECDED_ENERGY_UPLIFT,
     SECDED_STORAGE_OVERHEAD,
 };
 use rapid_bench::{run, section, try_par_map};
@@ -103,7 +103,7 @@ fn main() -> std::process::ExitCode {
         ctx.rec.metric("train.clean_accuracy", acc_clean);
         // Redundancy-3's compute tax, the analytic row sweep 3 prints for
         // every workload: two extra executions of every MAC.
-        let red3_tax = redundancy_overhead_ratio(3);
+        let red3_tax = REDUNDANCY3_OVERHEAD_RATIO;
 
         let rates: &[f64] = if smoke { &[1e-3] } else { &[1e-4, 1e-3] };
         let rows = try_par_map(rates, |&rate| run_abft(&data, &cfg, seed, rate));

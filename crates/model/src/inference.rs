@@ -10,7 +10,7 @@
 
 use crate::cost::{price_layer, CycleBreakdown, EnergyLedger, IDLE_ACTIVITY};
 use rapid_arch::geometry::ChipConfig;
-use rapid_arch::power::PowerModel;
+use rapid_arch::power;
 use rapid_arch::precision::Precision;
 use rapid_compiler::plan::NetworkPlan;
 use rapid_workloads::graph::Network;
@@ -54,8 +54,7 @@ pub fn evaluate_inference(
     batch: u64,
 ) -> InferenceResult {
     assert_eq!(net.layers.len(), plan.layers.len(), "plan/network mismatch");
-    let pm = PowerModel::rapid_7nm();
-    let dyn_scale = pm.dyn_scale(chip.freq_ghz);
+    let dyn_scale = power::dyn_scale(chip.freq_ghz);
 
     let mut breakdown = CycleBreakdown::default();
     let mut energy = EnergyLedger::default();
@@ -73,20 +72,20 @@ pub fn evaluate_inference(
         if c.mem_s > c.onchip_s {
             memory_bound_s += c.mem_s - c.onchip_s;
         }
-        energy.sfu_j += c.lane_ops * pm.energy.sfu_op_pj * dyn_scale * 1e-12;
+        energy.sfu_j += c.lane_ops * power::SFU_OP_PJ * dyn_scale * 1e-12;
         if !layer.op.is_compute() {
             continue;
         }
 
         let macs = layer.macs() * batch;
         total_macs += macs;
-        energy.mpe_j += macs as f64 * 2.0 * pm.energy.mpe_op_pj(lp.precision) * dyn_scale * 1e-12;
+        energy.mpe_j += macs as f64 * 2.0 * power::mpe_op_pj(lp.precision) * dyn_scale * 1e-12;
         // Overhead cycles toggle the array at a reduced activity.
         let array_macs_per_cycle = chip.macs_per_cycle(lp.precision) as f64;
         energy.mpe_idle_j += c.overhead
             * array_macs_per_cycle
             * 2.0
-            * pm.energy.mpe_op_pj(lp.precision)
+            * power::mpe_op_pj(lp.precision)
             * IDLE_ACTIVITY
             * dyn_scale
             * 1e-12;
@@ -99,16 +98,16 @@ pub fn evaluate_inference(
         let sram_bytes = act_elems * lp.precision.bytes()
             + layer.op.weight_elems() as f64 * rep * lp.precision.bytes();
         energy.sram_j += sram_bytes
-            * (pm.energy.l1_byte_pj + pm.energy.l0_byte_pj)
+            * (power::L1_BYTE_PJ + power::L0_BYTE_PJ)
             * dyn_scale
             * 1e-12;
-        energy.dram_j += c.dram_bytes() * pm.energy.dram_byte_pj * 1e-12;
+        energy.dram_j += c.dram_bytes() * power::DRAM_BYTE_PJ * 1e-12;
         // Input activations multicast over the on-chip ring (average two
         // hops).
-        energy.interconnect_j += c.dram_bytes() * pm.energy.ring_byte_hop_pj * 2.0 * 1e-12;
+        energy.interconnect_j += c.dram_bytes() * power::RING_BYTE_HOP_PJ * 2.0 * 1e-12;
     }
 
-    energy.static_j = pm.static_power_w(chip.cores, chip.freq_ghz) * latency_s;
+    energy.static_j = power::static_power_w(chip.cores, chip.freq_ghz) * latency_s;
     let avg_power_w = if latency_s > 0.0 { energy.total() / latency_s } else { 0.0 };
     let sustained_tops = total_macs as f64 * 2.0 / latency_s / 1e12;
     InferenceResult {

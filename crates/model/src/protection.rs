@@ -9,7 +9,7 @@
 //! analytical counterpart.
 
 use rapid_arch::protection::{
-    crc_bandwidth_factor, redundancy_overhead_ratio, SECDED_ENERGY_UPLIFT,
+    crc_bandwidth_factor, REDUNDANCY3_OVERHEAD_RATIO, SECDED_ENERGY_UPLIFT,
     SECDED_STORAGE_OVERHEAD,
 };
 use rapid_workloads::graph::Network;
@@ -68,7 +68,7 @@ pub fn protection_tax(net: &Network, batch: u64) -> ProtectionTax {
         base_macs: base,
         abft_checksum_macs: checksum,
         abft_overhead_ratio: if base > 0.0 { checksum / base } else { 0.0 },
-        redundancy3_overhead_ratio: redundancy_overhead_ratio(3),
+        redundancy3_overhead_ratio: REDUNDANCY3_OVERHEAD_RATIO,
         l1_storage_factor: 1.0 + SECDED_STORAGE_OVERHEAD,
         link_bandwidth_factor: crc_bandwidth_factor(),
         spad_energy_uplift: SECDED_ENERGY_UPLIFT,

@@ -8,7 +8,7 @@
 
 use crate::inference::{evaluate_inference, InferenceResult};
 use rapid_arch::geometry::ChipConfig;
-use rapid_arch::power::ThrottleModel;
+use rapid_arch::power::{effective_frequency_ghz, F_MAX_GHZ};
 use rapid_arch::precision::Precision;
 use rapid_compiler::passes::compile;
 use rapid_compiler::plan::NetworkPlan;
@@ -38,29 +38,27 @@ impl ThrottleStudy {
 /// The study's two FP16 plans, `[baseline, throttled]`. Compute layers
 /// run at the dense-budget clock in the baseline and at the clock their
 /// `pruned_sparsity` affords in the throttled plan; auxiliary layers run
-/// at `f_max` in both. The chip is the 4-core RaPiD chip under
-/// [`ThrottleModel::rapid_default`].
+/// at [`F_MAX_GHZ`] in both. The chip is the 4-core RaPiD chip.
 fn clocked_plans(net: &Network) -> [NetworkPlan; 2] {
-    let throttle = ThrottleModel::rapid_default();
     let plan = |compute_ghz: &dyn Fn(f64) -> f64| {
         let mut plan = compile(net, &ChipConfig::rapid_4core(), Precision::Fp16);
         for (lp, layer) in plan.layers.iter_mut().zip(&net.layers) {
             lp.effective_ghz = if layer.op.is_compute() {
                 compute_ghz(layer.pruned_sparsity)
             } else {
-                throttle.f_max_ghz
+                F_MAX_GHZ
             };
         }
         plan
     };
-    let dense_ghz = throttle.effective_frequency_ghz(0.0);
-    [plan(&|_| dense_ghz), plan(&|sparsity| throttle.effective_frequency_ghz(sparsity))]
+    let dense_ghz = effective_frequency_ghz(0.0);
+    [plan(&|_| dense_ghz), plan(&effective_frequency_ghz)]
 }
 
 /// Runs the Fig 16 study on a *pruned* network (layers must carry
 /// `pruned_sparsity`; see `rapid_workloads::apply_pruning_profile`).
 /// The study uses FP16 execution, matching the paper's pruned checkpoints,
-/// on the 4-core RaPiD chip under [`ThrottleModel::rapid_default`].
+/// on the 4-core RaPiD chip under [`rapid_arch::power`]'s throttle model.
 pub fn throttling_study(net: &Network) -> ThrottleStudy {
     let chip = ChipConfig::rapid_4core();
     let [base_plan, sparse_plan] = clocked_plans(net);
@@ -114,20 +112,20 @@ mod tests {
     }
 
     /// Pruned vgg16's two plans and the network they clock.
-    fn vgg16_plans() -> (Network, [NetworkPlan; 2], ThrottleModel) {
+    fn vgg16_plans() -> (Network, [NetworkPlan; 2]) {
         let mut net = benchmark("vgg16").unwrap();
         apply_pruning_profile(&mut net);
         let plans = clocked_plans(&net);
-        (net, plans, ThrottleModel::rapid_default())
+        (net, plans)
     }
 
     #[test]
     fn throttled_compute_layers_run_at_their_sparsity_clock() {
-        let (net, [_, throttled], throttle) = vgg16_plans();
+        let (net, [_, throttled]) = vgg16_plans();
         let mut by_sparsity = Vec::new();
         for (layer, lp) in net.layers.iter().zip(&throttled.layers) {
             if layer.op.is_compute() {
-                let ghz = throttle.effective_frequency_ghz(layer.pruned_sparsity);
+                let ghz = effective_frequency_ghz(layer.pruned_sparsity);
                 assert_eq!(lp.effective_ghz, ghz, "{}", layer.name);
                 by_sparsity.push((layer.pruned_sparsity, ghz));
             }
@@ -144,12 +142,12 @@ mod tests {
 
     #[test]
     fn auxiliary_layers_run_at_f_max_in_both_plans() {
-        let (net, plans, throttle) = vgg16_plans();
+        let (net, plans) = vgg16_plans();
         assert!(net.layers.iter().any(|l| !l.op.is_compute()));
         for plan in &plans {
             for (layer, lp) in net.layers.iter().zip(&plan.layers) {
                 if !layer.op.is_compute() {
-                    assert_eq!(lp.effective_ghz, throttle.f_max_ghz, "{}", layer.name);
+                    assert_eq!(lp.effective_ghz, F_MAX_GHZ, "{}", layer.name);
                 }
             }
         }
@@ -157,9 +155,9 @@ mod tests {
 
     #[test]
     fn baseline_compute_layers_run_at_the_dense_clock() {
-        let (net, [baseline, _], throttle) = vgg16_plans();
-        let dense_ghz = throttle.effective_frequency_ghz(0.0);
-        assert!(dense_ghz < throttle.f_max_ghz);
+        let (net, [baseline, _]) = vgg16_plans();
+        let dense_ghz = effective_frequency_ghz(0.0);
+        assert!(dense_ghz < F_MAX_GHZ);
         for (layer, lp) in net.layers.iter().zip(&baseline.layers) {
             if layer.op.is_compute() {
                 assert_eq!(lp.effective_ghz, dense_ghz, "{}", layer.name);

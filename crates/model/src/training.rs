@@ -9,7 +9,7 @@
 
 use crate::cost::{exposed_cycles, EnergyLedger, IDLE_ACTIVITY, PER_LAYER_OVERHEAD_CYCLES};
 use rapid_arch::geometry::SystemConfig;
-use rapid_arch::power::PowerModel;
+use rapid_arch::power;
 use rapid_arch::precision::Precision;
 use rapid_compiler::mapping::map_layer;
 use rapid_compiler::passes::compile;
@@ -19,10 +19,6 @@ use rapid_workloads::graph::Network;
 /// pass: rotated kernels and weight-shaped reductions map worse onto the
 /// weight-stationary dataflow.
 const BACKWARD_DERATE: f64 = 1.4;
-
-/// Fraction of gradient-communication time hidden under compute (0.0: the
-/// update phase is fully exposed).
-const COMM_OVERLAP: f64 = 0.0;
 
 /// Result of one training-step evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,8 +72,7 @@ pub fn evaluate_training(
     let core_corelets = chip.core.corelets;
     let core_lanes = chip.core.sfu_ops_per_cycle() as f64;
     let f_hz = chip.freq_ghz * 1e9;
-    let pm = PowerModel::rapid_7nm();
-    let dyn_scale = pm.dyn_scale(chip.freq_ghz);
+    let dyn_scale = power::dyn_scale(chip.freq_ghz);
 
     let mut compute_cycles = 0.0f64;
     let mut stash_bytes = 0.0f64;
@@ -94,7 +89,7 @@ pub fn evaluate_training(
             energy.sfu_j += 2.0
                 * layer.aux_lane_cycles()
                 * local_batch as f64
-                * pm.energy.sfu_op_pj
+                * power::SFU_OP_PJ
                 * dyn_scale
                 * 1e-12;
             continue;
@@ -120,7 +115,7 @@ pub fn evaluate_training(
         energy.sfu_j += lp.quant.lane_cycles_per_elem()
             * out_elems
             * passes
-            * pm.energy.sfu_op_pj
+            * power::SFU_OP_PJ
             * dyn_scale
             * 1e-12;
 
@@ -132,7 +127,7 @@ pub fn evaluate_training(
         energy.sfu_j += 6.0
             * w_elems
             * f64::from(chip.cores)
-            * pm.energy.sfu_op_pj
+            * power::SFU_OP_PJ
             * dyn_scale
             * 1e-12;
 
@@ -141,7 +136,7 @@ pub fn evaluate_training(
         let shuffle_lane_ops = 2.0 * core_out_elems * 2.0;
         compute_cycles += shuffle_lane_ops / core_lanes;
         energy.sfu_j +=
-            2.0 * out_elems * 2.0 * pm.energy.sfu_op_pj * dyn_scale * 1e-12;
+            2.0 * out_elems * 2.0 * power::SFU_OP_PJ * dyn_scale * 1e-12;
 
         // Activation stash: forward activations (at the training precision)
         // and FP16 error tensors are written and read back for wgrad/dgrad
@@ -156,12 +151,12 @@ pub fn evaluate_training(
         let macs = layer.macs() * local_batch * 3;
         total_macs += macs;
         energy.mpe_j +=
-            macs as f64 * 2.0 * pm.energy.mpe_op_pj(lp.precision) * dyn_scale * 1e-12;
+            macs as f64 * 2.0 * power::mpe_op_pj(lp.precision) * dyn_scale * 1e-12;
         energy.mpe_idle_j += passes
             * (fwd.overhead_cycles() * rep)
             * chip.macs_per_cycle(lp.precision) as f64
             * 2.0
-            * pm.energy.mpe_op_pj(lp.precision)
+            * power::mpe_op_pj(lp.precision)
             * IDLE_ACTIVITY
             * dyn_scale
             * 1e-12;
@@ -171,7 +166,7 @@ pub fn evaluate_training(
             * passes
             * lp.precision.bytes();
         energy.sram_j +=
-            sram_bytes * (pm.energy.l1_byte_pj + pm.energy.l0_byte_pj) * dyn_scale * 1e-12;
+            sram_bytes * (power::L1_BYTE_PJ + power::L0_BYTE_PJ) * dyn_scale * 1e-12;
     }
 
     // Weights stream from HBM each pass when the model exceeds the chip's
@@ -189,28 +184,28 @@ pub fn evaluate_training(
     let mem_bytes = stash_bytes + weight_traffic;
     let memory_s = mem_bytes / (chip.mem_bw_gbps * 1e9);
     energy.dram_j +=
-        mem_bytes * pm.energy.hbm_byte_pj * 1e-12 * f64::from(system.chips);
+        mem_bytes * power::HBM_BYTE_PJ * 1e-12 * f64::from(system.chips);
 
     let compute_s = compute_cycles / f_hz;
 
     // Update phase: ring all-reduce of FP16 gradients, then a broadcast of
-    // updated weights at the training storage width (8-bit in HFP8 mode).
+    // updated weights at the training storage width (8-bit in HFP8 mode),
+    // fully exposed after compute.
     let comm_s = if system.chips > 1 {
         let n = f64::from(system.chips);
         let grad_bytes = net.total_weights() as f64 * 2.0; // FP16 gradients
         let wcast_bytes = net.total_weights() as f64
             * if precision == Precision::Hfp8 { 1.0 } else { 2.0 };
         let bytes = (n - 1.0) / n * (grad_bytes + wcast_bytes);
-        let s = bytes / (system.link_bw_gbps * 1e9);
         energy.interconnect_j +=
-            bytes * pm.energy.link_byte_pj * 1e-12 * f64::from(system.chips);
-        s * (1.0 - COMM_OVERLAP)
+            bytes * power::LINK_BYTE_PJ * 1e-12 * f64::from(system.chips);
+        bytes / (system.link_bw_gbps * 1e9)
     } else {
         0.0
     };
 
     let step_time_s = compute_s.max(memory_s) + comm_s;
-    energy.static_j = pm.static_power_w(chip.cores, chip.freq_ghz)
+    energy.static_j = power::static_power_w(chip.cores, chip.freq_ghz)
         * f64::from(system.chips)
         * step_time_s;
     // Dynamic energy above was accounted per chip for compute terms; scale

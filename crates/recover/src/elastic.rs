@@ -43,17 +43,17 @@ use rapid_ring::elastic::{elastic_allreduce, ElasticError, ElasticEvent, Members
 use rapid_ring::ReliableConfig;
 use rapid_telemetry::Telemetry;
 
-/// Configuration of one elastic training run.
+/// Learning rate of every elastic run.
+const LR: f32 = 0.05;
+
+/// Configuration of one elastic training run. The exchange runs on
+/// [`ReliableConfig::rapid_training`]'s CRC-checked transport.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElasticTrainConfig {
     /// Epochs to run (each ends in a checkpoint barrier).
     pub epochs: usize,
     /// Global batch size, sharded over the current members.
     pub batch: usize,
-    /// Learning rate.
-    pub lr: f32,
-    /// The reliable chunked transport the elastic exchange runs on.
-    pub ring: ReliableConfig,
     /// Whether spliced nodes rejoin at the next barrier, catching up from
     /// the just-written checkpoint generation.
     pub rejoin_at_barrier: bool,
@@ -62,13 +62,7 @@ pub struct ElasticTrainConfig {
 impl ElasticTrainConfig {
     /// Paper-shaped defaults for an HFP8 run.
     pub fn rapid_training() -> Self {
-        Self {
-            epochs: 8,
-            batch: 32,
-            lr: 0.05,
-            ring: ReliableConfig::rapid_training(),
-            rejoin_at_barrier: false,
-        }
+        Self { epochs: 8, batch: 32, rejoin_at_barrier: false }
     }
 }
 
@@ -276,7 +270,7 @@ pub fn train_elastic(
                     let (bx, by) = data.batch(lo, hi);
                     let logits = mlp.try_forward(backend, &bx)?;
                     let (_, grad) = softmax_cross_entropy(&logits, by);
-                    mlp.try_backward_sgd(backend, &grad, cfg.lr)?;
+                    mlp.try_backward_sgd(backend, &grad, LR)?;
                 }
                 let new = mlp.layers().flatten();
                 deltas[node as usize] =
@@ -287,7 +281,7 @@ pub fn train_elastic(
             let out = elastic_allreduce(
                 &deltas,
                 membership,
-                &cfg.ring,
+                &ReliableConfig::rapid_training(),
                 faults.as_deref_mut(),
                 tele.as_deref_mut(),
             )?;

@@ -395,7 +395,6 @@ pub fn train_qat_resilient(
     rcfg: &ResilientConfig,
     store: Option<&mut CheckpointStore>,
 ) -> Result<(f64, RecoveryReport), RecoverError> {
-    let qcfg = *cfg;
     let report = run_resilient(
         qat,
         data,
@@ -410,7 +409,7 @@ pub fn train_qat_resilient(
             m.set_alphas(&s.alphas);
             Ok(())
         },
-        |m, bx, by, scale| m.try_step_with(backend, bx, by, &qcfg, scale),
+        |m, bx, by, scale| m.try_step_with(backend, bx, by, scale),
     )?;
     Ok((qat.accuracy(data), report))
 }

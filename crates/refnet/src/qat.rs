@@ -20,11 +20,12 @@ const ALPHA_LR: f32 = 0.01;
 /// PACT α weight decay (regularizes the range downward).
 const ALPHA_DECAY: f32 = 0.001;
 
+/// Weight/bias learning rate.
+const LR: f32 = 0.1;
+
 /// QAT hyper-parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QatConfig {
-    /// Weight/bias learning rate.
-    pub lr: f32,
     /// Epochs.
     pub epochs: usize,
     /// Mini-batch size.
@@ -33,7 +34,7 @@ pub struct QatConfig {
 
 impl Default for QatConfig {
     fn default() -> Self {
-        Self { lr: 0.1, epochs: 40, batch: 32 }
+        Self { epochs: 40, batch: 32 }
     }
 }
 
@@ -138,14 +139,13 @@ impl QatMlp {
         be: &dyn Backend,
         bx: &Tensor,
         by: &[usize],
-        cfg: &QatConfig,
         loss_scale: f32,
     ) -> Result<(), NumericsError> {
         let mut trace = Vec::new();
         let logits = self.run(be, bx, Some(&mut trace))?;
         let (_, grad0) = softmax_cross_entropy(&logits, by);
         let n = bx.shape()[0] as f32;
-        let lr = cfg.lr / loss_scale;
+        let lr = LR / loss_scale;
         let mut grad = grad0.map(|v| v * loss_scale / n);
         for (i, (input, pre)) in trace.iter().enumerate().rev() {
             if i + 1 < trace.len() {
@@ -195,7 +195,7 @@ pub(crate) fn train_qat_with(
             let end = (start + cfg.batch).min(data.len());
             let (bx, by) = data.batch(start, end);
             #[allow(clippy::expect_used)]
-            model.try_step_with(be, &bx, by, cfg, 1.0).expect("QAT step GEMM failed");
+            model.try_step_with(be, &bx, by, 1.0).expect("QAT step GEMM failed");
             start = end;
         }
     }

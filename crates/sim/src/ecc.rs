@@ -15,14 +15,11 @@
 //! Single Error Correct, Double Error Detect — every 1-bit upset is
 //! repaired transparently on read, every 2-bit upset is *detected* and
 //! escalated instead of silently delivered. Storage overhead is 7 bits
-//! per 32-bit word ([`STORAGE_OVERHEAD`] ≈ 21.9 %), the figure the
-//! `rapid-arch` protection-tax model charges.
+//! per 32-bit word
+//! ([`SECDED_STORAGE_OVERHEAD`](rapid_arch::protection::SECDED_STORAGE_OVERHEAD)
+//! ≈ 21.9 %), the figure the `rapid-arch` protection-tax model charges.
 
-/// Bits in a full codeword: 32 data + 6 check + 1 overall parity.
-pub const CODEWORD_BITS: u32 = 39;
-
-/// Extra storage per data bit: 7 check bits per 32-bit word.
-pub const STORAGE_OVERHEAD: f64 = 7.0 / 32.0;
+pub use rapid_arch::protection::SECDED_CODEWORD_BITS as CODEWORD_BITS;
 
 /// Check-bit positions (powers of two) within the codeword.
 const CHECK_POSITIONS: [u32; 6] = [1, 2, 4, 8, 16, 32];
@@ -188,7 +185,6 @@ mod tests {
 
     #[test]
     fn overhead_constant_matches_geometry() {
-        assert!((STORAGE_OVERHEAD - 7.0 / 32.0).abs() < 1e-12);
         assert_eq!(CODEWORD_BITS, 32 + 6 + 1);
     }
 }

@@ -6,20 +6,19 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // examples fail loudly by design
 
-use rapid::arch::power::ThrottleModel;
+use rapid::arch::power::{effective_frequency_ghz, throttle_rate, BUDGET_FRACTION};
 use rapid::model::throttle::throttling_study;
 use rapid::workloads::suite::{apply_pruning_profile, pruned_study_suite};
 
 fn main() {
-    let t = ThrottleModel::rapid_default();
-    println!("Fig 16(a): throttle rate vs weight sparsity (power budget {:.0}% of dense f_max)", t.budget_fraction * 100.0);
+    println!("Fig 16(a): throttle rate vs weight sparsity (power budget {:.0}% of dense f_max)", BUDGET_FRACTION * 100.0);
     println!("{:>10} {:>14} {:>12}", "sparsity", "throttle rate", "f_eff GHz");
     for s in [0.0, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
         println!(
             "{:>9.0}% {:>13.1}% {:>12.2}",
             s * 100.0,
-            t.throttle_rate(s) * 100.0,
-            t.effective_frequency_ghz(s)
+            throttle_rate(s) * 100.0,
+            effective_frequency_ghz(s)
         );
     }
 

@@ -94,7 +94,11 @@
 #                                 `*Params`, `*Policy`, `*Model`, `*Table`
 #                                 and `*Curve` struct under crates/*/src
 #                                 (crates/bench aside), each a setting a
-#                                 caller can vary
+#                                 caller can vary; it also fails when
+#                                 either count rises above its ceiling
+#                                 (`max_pub_fns`, `max_settable_values`
+#                                 below; lower them when a change
+#                                 shrinks a count)
 #   scripts/check.sh --all        every named gate (model, recovery,
 #                                 telemetry, protection, simd, serve,
 #                                 elastic, obs, health, doc, surface)
@@ -109,6 +113,10 @@ cd "$(dirname "$0")/.."
 
 gates=(model recovery telemetry protection simd serve elastic obs health doc surface)
 out="target/gate-out"
+
+# Ceilings of the two counts the surface gate prints.
+max_pub_fns=532
+max_settable_values=83
 
 # smoke <bin> [args]: builds an experiment binary, runs it under a hard
 # 120 s timeout with `--json $out/<bin>.json`, and returns its exit status.
@@ -292,12 +300,24 @@ surface_gate() {
         done < <(grep -rnoE --include=*.rs '\bpub fn [A-Za-z_][A-Za-z0-9_]*' "$dir/src" |
             sed 's/:pub fn /:/')
     done
-    echo "workspace pub fn count: $(grep -rn --include=*.rs -E '\bpub fn ' crates | wc -l)"
-    echo "settable-value count: $(settable_values)"
+    local pub_fns settable status=0
+    pub_fns=$(grep -rn --include=*.rs -E '\bpub fn ' crates | wc -l)
+    settable=$(settable_values)
+    echo "workspace pub fn count: $pub_fns (ceiling $max_pub_fns)"
+    echo "settable-value count: $settable (ceiling $max_settable_values)"
     if [[ $unnamed -ne 0 ]]; then
         echo "$unnamed pub fn named only inside their own crate"
-        return 1
+        status=1
     fi
+    if ((pub_fns > max_pub_fns)); then
+        echo "workspace pub fn count rose above its ceiling"
+        status=1
+    fi
+    if ((settable > max_settable_values)); then
+        echo "settable-value count rose above its ceiling"
+        status=1
+    fi
+    return $status
 }
 
 case "${1:-}" in

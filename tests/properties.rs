@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rapid::arch::geometry::CoreletConfig;
 use rapid::arch::isa::MpeInstr;
-use rapid::arch::power::ThrottleModel;
+use rapid::arch::power::{effective_frequency_ghz, throttle_rate, F_MAX_GHZ};
 use rapid::arch::precision::Precision;
 use rapid::compiler::mapping::map_layer;
 use rapid::numerics::format::FpFormat;
@@ -119,11 +119,10 @@ proptest! {
     /// Throttle rate falls monotonically with sparsity and stays in [0,1).
     #[test]
     fn throttle_monotone(s1 in 0.0f64..1.0, s2 in 0.0f64..1.0) {
-        let t = ThrottleModel::rapid_default();
         let (lo, hi) = if s1 <= s2 { (s1, s2) } else { (s2, s1) };
-        prop_assert!(t.throttle_rate(lo) >= t.throttle_rate(hi) - 1e-12);
-        prop_assert!((0.0..1.0).contains(&t.throttle_rate(lo)));
-        prop_assert!(t.effective_frequency_ghz(hi) <= t.f_max_ghz + 1e-12);
+        prop_assert!(throttle_rate(lo) >= throttle_rate(hi) - 1e-12);
+        prop_assert!((0.0..1.0).contains(&throttle_rate(lo)));
+        prop_assert!(effective_frequency_ghz(hi) <= F_MAX_GHZ + 1e-12);
     }
 
     /// Chunked dot products commute with input permutation of whole chunks

@@ -81,7 +81,7 @@ fn qat_under_flips_recovers_while_unprotected_run_aborts() {
         while start < data.len() {
             let end = (start + cfg.batch).min(data.len());
             let (bx, by) = data.batch(start, end);
-            if doomed.try_step_with(&unprotected, &bx, by, &cfg, 1.0).is_err() {
+            if doomed.try_step_with(&unprotected, &bx, by, 1.0).is_err() {
                 aborted = true;
                 break 'outer;
             }
@@ -211,7 +211,7 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
 #[test]
 fn rollback_into_another_models_checkpoint_is_a_structured_error() {
     let data = gaussian_blobs(64, 4, 16, 0.35, 47);
-    let cfg = QatConfig { epochs: 1, batch: 16, ..QatConfig::default() };
+    let cfg = QatConfig { epochs: 1, batch: 16 };
     let wider = QatMlp::new(&[16, 24, 4], IntFormat::Int4, 2);
     let same = QatMlp::new(&[16, 32, 4], IntFormat::Int4, 2);
     let foreign = [
@@ -312,7 +312,7 @@ proptest! {
         let mut store = CheckpointStore::open(&dir, "qat", 2).unwrap();
         store.save(&state).unwrap();
         let mut model = QatMlp::new(&[4, 6, 3], IntFormat::Int4, 1);
-        let cfg = QatConfig { epochs: 1, batch: 8, ..QatConfig::default() };
+        let cfg = QatConfig { epochs: 1, batch: 8 };
         match train_qat_resilient(
             &mut model,
             &FailFirst(Cell::new(1)),
