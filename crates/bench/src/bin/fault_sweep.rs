@@ -39,7 +39,7 @@ fn main() -> std::process::ExitCode {
         // ---- sweep 1: MAC bit-flip rate vs HFP8 training convergence --------
         let epochs = if smoke { 4 } else { 25 };
         let data = gaussian_blobs(if smoke { 256 } else { 768 }, 4, 16, 0.35, 42);
-        let cfg = TrainConfig { lr: 0.1, epochs, batch: 32 };
+        let cfg = TrainConfig { epochs };
         let mut fp32 = Mlp::new(&[16, 32, 4], 1);
         let acc32 = train(&mut fp32, &Fp32Backend, &data, &cfg);
 

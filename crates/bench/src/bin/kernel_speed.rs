@@ -2,7 +2,8 @@
 //! against the portable tiled fast paths (`RAPID_SIMD=off`) and the
 //! AVX2 vector backends (`RAPID_SIMD=force`) on the canonical
 //! 128³ GEMM shape (chunk 64), a 1×2048×1000 GEMV (the ResNet50 FC
-//! layer) and a representative convolution, checks every fast output
+//! layer), a representative convolution and one at serving's ResNet50@32
+//! stage-4 shape (one output pixel per image), checks every fast output
 //! bit-for-bit against its scalar reference, and records
 //! `<group>.speedup_vs_scalar` — the ratios `repro_all` gates against
 //! regressions between runs.
@@ -317,6 +318,27 @@ fn main() -> std::process::ExitCode {
         for g in &conv_groups {
             g.report(&mut ctx.rec);
         }
+
+        // Serving's ResNet50@32 stage-4 shape: one output pixel per image
+        // and 64 output channels, so the pixels are A and the weights B,
+        // the whole batch in one product.
+        let (n, ci, hw_in, co) = (4, 64, 2, 64);
+        let spec = ConvSpec { stride: 2, pad: 1 };
+        section(&format!(
+            "conv {n}×{ci}×{hw_in}×{hw_in} · {co}×{ci}×3×3 stride 2 pad 1 ({rounds} paired rounds)"
+        ));
+        let input = filled(vec![n, ci, hw_in, hw_in], 0x2468_ACE0);
+        let weight = filled(vec![co, ci, 3, 3], 0x1357_9BDF);
+        counting_replays(rounds, || {
+            time_group(
+                "conv_hfp8_small",
+                rounds,
+                || conv2d_emulated_scalar(&input, &weight, spec, m, CHUNK),
+                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Off),
+                || conv2d_emulated_with_simd(&input, &weight, spec, m, CHUNK, SimdMode::Force),
+            )
+        })?
+        .report(&mut ctx.rec);
 
         section("bit-exactness");
         compare(

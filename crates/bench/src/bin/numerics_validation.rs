@@ -34,7 +34,7 @@ fn main() -> std::process::ExitCode {
 
         section("E10.2 — HFP8 training parity (paper §II-B, refs [44, 45])");
         let data = gaussian_blobs(1024, 4, 16, 0.35, 42);
-        let cfg = TrainConfig { lr: 0.1, epochs: 40, batch: 32 };
+        let cfg = TrainConfig { epochs: 40 };
         let mut fp32 = Mlp::new(&[16, 32, 4], 1);
         let acc32 = train(&mut fp32, &Fp32Backend, &data, &cfg);
         let mut fp16 = Mlp::new(&[16, 32, 4], 1);

@@ -40,18 +40,26 @@
 //! [`chunk_replays`]); the band loop proves the overflow half of that test
 //! unneeded per B panel from the operands' largest magnitudes, so most
 //! calls test underflow only. Every kernel fans rows out
-//! across threads. A convolution runs the same product core per image,
-//! with the weights as A and the image lowered into `[ci·kh·kw, ho·wo]`
-//! B rows; only the references build an im2col matrix.
+//! across threads. A float convolution runs the same product core with
+//! whichever of `co` and `ho·wo` is larger on the output columns: per
+//! image, the weights as A and the image lowered into `[ci·kh·kw, ho·wo]`
+//! B rows; or, when `co > ho·wo`, the whole batch's im2col matrix as A
+//! and the weights as B ([`conv2d_emulated_with_simd`]).
 //!
 //! The fast path is required to be *bit-exact* against the scalar
 //! reference — same output bits, same [`GemmStats`] — which
 //! `tests/fastpath_bitexact.rs` verifies property-style; the merge of
 //! per-band statistics is deterministic regardless of thread count. NaN
 //! operands are the exception: the fast loops add `NaN × 0` where the
-//! reference gates it, and round a NaN chunk sum to `MAX` where the
+//! reference gates it, unless the zero is on the A port, whose zero
+//! k-steps they skip, and they round a NaN chunk sum to `MAX` where the
 //! reference keeps NaN. The fast backends still agree with each other,
-//! and with the reference's statistics.
+//! and with the reference's statistics. A convolution's orientation
+//! comes from its shape alone, so the backends agree there too; but a
+//! NaN weight meets a zero pixel as `NaN × 0` on the per-image path,
+//! where the weights sit on the A port, and is skipped on the
+//! small-spatial path, where they sit on the B port: which `NaN × 0`
+//! products a fast convolution adds depends on its shape.
 
 use crate::accumulate::ChunkAccumulator;
 use crate::dispatch::{self, SimdMode};
@@ -437,9 +445,9 @@ pub fn matmul_emulated(mode: FmaMode, a: &Tensor, b: &Tensor, chunk_len: usize) 
 
 /// The float GEMM's product core: staged A rows `sa` (`k > 0`) times
 /// row-major `[k, n]` B, staged with `st`, into the row-major `[m, n]`
-/// `out` (`+0.0`). The GEMM and every image of a convolution run it. A
+/// `out` (`+0.0`). The GEMM and the per-image convolution run it. A
 /// single A row takes the row-streamed [`gemv`]; more take B's staged
-/// groups through [`staged_band`], row bands in parallel.
+/// groups through [`grouped_product`].
 fn staged_product(
     sa: &Staged,
     b: &[f32],
@@ -455,9 +463,24 @@ fn staged_product(
         let zb = gemv(sa, b, n, chunk_len, st, kernel, out);
         return gated_stats(&sa.zeros, &zb, m, n);
     }
-    let sb = Staged::groups(b, k, n, st);
+    grouped_product(sa, &Staged::groups(b, k, n, st), n, chunk_len, kernel, out)
+}
+
+/// [`staged_product`] with B already staged into `n` columns of groups
+/// (`sb`), for any number of A rows: [`staged_band`] over row bands in
+/// parallel.
+fn grouped_product(
+    sa: &Staged,
+    sb: &Staged,
+    n: usize,
+    chunk_len: usize,
+    kernel: BandKernel,
+    out: &mut [f32],
+) -> GemmStats {
+    let k = sa.zeros.len();
+    let m = sa.vals.len() / k;
     let work = |row0: usize, band: &mut [f32]| -> GemmStats {
-        staged_band(&sa.vals, &sb, n, row0, chunk_len, kernel, band);
+        staged_band(&sa.vals, sb, n, row0, chunk_len, kernel, band);
         GemmStats::default()
     };
     par_rows(out, m, n, k, &work);
@@ -729,6 +752,27 @@ impl Staged {
             st.run_tiles(block, n, &mut vals, t * G, z);
         }
         Self { vals, zeros }
+    }
+
+    /// Moves `n` staged rows of length `k` (from [`Self::rows`]) into the
+    /// groups of their transpose, the `[k, n]` B of [`Self::groups`]. The
+    /// per-k zero counts of the rows are B's per-row counts as they stand,
+    /// so a convolution's weights, staged as rows, become its B operand
+    /// without a transposed copy. Each group is written in order and read
+    /// 16 rows at a time.
+    fn into_groups(self, n: usize) -> Self {
+        const G: usize = simd::GROUP;
+        let k = self.zeros.len();
+        let mut vals = vec![0.0f32; n.div_ceil(G) * k * G];
+        for (rows, group) in self.vals.chunks(G * k).zip(vals.chunks_exact_mut(k * G)) {
+            let lanes = rows.len() / k;
+            for (p, dst) in group.chunks_exact_mut(G).enumerate() {
+                for (j, d) in dst[..lanes].iter_mut().enumerate() {
+                    *d = rows[j * k + p];
+                }
+            }
+        }
+        Self { vals, zeros: self.zeros }
     }
 }
 
@@ -1718,16 +1762,30 @@ pub fn conv2d_emulated(
 /// [`conv2d_emulated`] under an explicit vectorization policy — the
 /// single fallible conv entry point.
 ///
-/// Each image runs the float GEMM's product core with the weights as A:
-/// `weights [co, ci·kh·kw] × rows`, where `rows` is the image lowered
-/// straight into `[ci·kh·kw, ho·wo]` (the im2col matrix transposed), so
-/// the product is the image's `[co, ho, wo]` output as it stands. The
-/// weights are staged once per call, in the format the scalar reference
-/// gives them (its B port), and each image's rows in the other. FP9 and
-/// lattice products are exact and commute, the chunked accumulation walks
-/// the same k order and the gating count is symmetric, so every backend
-/// (`simd_mode` picks the AVX2 or the portable kernels, as for the GEMM)
-/// reproduces the scalar convolution bit for bit; NaN operands are the
+/// The product runs the float GEMM's core in whichever orientation puts
+/// the larger of `co` and `ho·wo` on the output columns, which fill the
+/// kernels' 16-lane groups. The shape alone picks it, never `simd_mode`:
+///
+/// - `co > ho·wo` (the deep, small-spatial layers): the pixels are A. All
+///   `n` images are lowered into one `[n·ho·wo, ci·kh·kw]` im2col matrix,
+///   and `× weightsᵀ [ci·kh·kw, co]` is one band product for the whole
+///   batch, scattered into `[n, co, ho, wo]`. This is the scalar
+///   reference's own orientation. The weights, staged as rows, move into
+///   B's 16-column groups (`Staged::into_groups`); no f32 transpose is
+///   made, so even `n·ho·wo = 1` takes the band kernels, not the GEMV,
+///   which would need B's rows.
+/// - Otherwise the weights are A. Each image runs `weights [co,
+///   ci·kh·kw] × rows`, where `rows` is the image lowered straight into
+///   `[ci·kh·kw, ho·wo]` (the im2col matrix transposed), so the product
+///   is the image's `[co, ho, wo]` output as it stands.
+///
+/// Either way the weights are staged once per call as `[co, ci·kh·kw]`
+/// rows, in the format the scalar reference gives them (its B port), and
+/// the pixels in the other. FP9 and lattice products are exact and
+/// commute, the chunked accumulation walks the same k order and the
+/// gating count is symmetric, so every backend (`simd_mode` picks the
+/// AVX2 or the portable kernels, as for the GEMM) reproduces the scalar
+/// convolution bit for bit in both orientations; NaN operands are the
 /// exception the module docs describe.
 ///
 /// # Errors
@@ -1754,11 +1812,18 @@ pub fn conv2d_emulated_with_simd(
     }
     let (fa, fb) = mode.operand_formats();
     let use_simd = dispatch::use_simd(simd_mode, (n * co * hw * k) as u64);
-    let sw = Staged::rows(weight.as_slice(), k, Stager::new(mode, fb, use_simd));
-    let stager = Stager::new(mode, fa, use_simd);
+    let (stage_a, stage_b) = (Stager::new(mode, fa, use_simd), Stager::new(mode, fb, use_simd));
     let kernel = BandKernel::new(use_simd, mode, chunk_len);
+    let sw = Staged::rows(weight.as_slice(), k, stage_b);
+    if co > hw {
+        let sa = Staged::rows(im2col(input, lw.kh, lw.kw, spec).as_slice(), k, stage_a);
+        let mut flat = vec![0.0f32; n * hw * co];
+        let stats = grouped_product(&sa, &sw.into_groups(co), co, chunk_len, kernel, &mut flat);
+        scatter_pixel_rows(&flat, co, hw, out.as_mut_slice());
+        return Ok((out, stats));
+    }
     let stats = lw.per_image(input.as_slice(), n, out.as_mut_slice(), |rows, band| {
-        staged_product(&sw, rows, hw, chunk_len, stager, kernel, band)
+        staged_product(&sw, rows, hw, chunk_len, stage_a, kernel, band)
     });
     Ok((out, stats))
 }
@@ -1804,10 +1869,11 @@ pub fn conv2d_int(
 /// The weights and the input are quantized once per call, and each
 /// image's codes are lowered straight into `[ci·kh·kw, ho·wo]` code rows
 /// (padding is code 0, which `quantize(0.0)` gives in every format) for
-/// the integer GEMM's product core, with the weights as A as in
-/// [`conv2d_emulated_with_simd`]. The core picks its kernel once per call:
-/// the saturating accumulator when the chunk length makes INT16
-/// saturation possible, else the windowed or the expanding kernel.
+/// the integer GEMM's product core, with the weights as A as on
+/// [`conv2d_emulated_with_simd`]'s per-image path, for every shape. The
+/// core picks its kernel once per call: the saturating accumulator when
+/// the chunk length makes INT16 saturation possible, else the windowed or
+/// the expanding kernel.
 /// Integer products, the saturating accumulator and the gating count are
 /// symmetric in the operands, so every backend reproduces the scalar
 /// convolution bit for bit.
@@ -1877,22 +1943,26 @@ fn conv2d_via_gemm(
         .reshape(vec![co, lw.cols()])
         .expect("weight reshape is size-preserving")
         .transposed();
-    let (flat, stats) = mm(&cols, &wmat)?; // [n*ho*wo, co]
-    // Rearrange [n*ho*wo, co] -> [n, co, ho, wo] with flat indexing.
+    let (flat, stats) = mm(&cols, &wmat)?;
     let mut out = Tensor::zeros(vec![n, co, lw.ho, lw.wo]);
-    let od = out.as_mut_slice();
-    let fd = flat.as_slice();
-    let hw = lw.ho * lw.wo;
-    for ni in 0..n {
-        for c in 0..co {
-            let dst = (ni * co + c) * hw;
-            let src = ni * hw;
-            for s in 0..hw {
-                od[dst + s] = fd[(src + s) * co + c];
+    scatter_pixel_rows(flat.as_slice(), co, lw.ho * lw.wo, out.as_mut_slice());
+    Ok((out, stats))
+}
+
+/// Rearranges a convolution's `[n·ho·wo, co]` product (one row per output
+/// pixel) into the `[n, co, ho, wo]` `out`, writing each output plane in
+/// order (a read stride of `co` is cheaper than a write stride of `ho·wo`).
+fn scatter_pixel_rows(flat: &[f32], co: usize, hw: usize, out: &mut [f32]) {
+    // An empty output leaves both slices empty; `max(1)` only keeps the
+    // chunking legal.
+    let image = (hw * co).max(1);
+    for (pixels, planes) in flat.chunks_exact(image).zip(out.chunks_exact_mut(image)) {
+        for (c, plane) in planes.chunks_exact_mut(hw).enumerate() {
+            for (s, d) in plane.iter_mut().enumerate() {
+                *d = pixels[s * co + c];
             }
         }
     }
-    Ok((out, stats))
 }
 
 #[cfg(test)]

@@ -376,8 +376,8 @@ fn chunk_registers_past_max_replay_exactly() {
 /// left in the register would reach the output as `MAX`. The scalar
 /// reference keeps the NaN, so only its statistics are compared. No
 /// operand is zero: a zero A value skips its k step, so `NaN × 0` is
-/// added in one operand order and not in the other (the convolution
-/// puts its weights on the A port, see
+/// added in one operand order and not in the other (a convolution's
+/// shape picks which of its operands sits on the A port, see
 /// `nan_weight_conv_agrees_across_backends`).
 #[test]
 fn nan_operands_replay_exactly() {
@@ -391,28 +391,33 @@ fn nan_operands_replay_exactly() {
 }
 
 /// Every backend of the FP16 convolution gives the same bits for a NaN
-/// weight against an all-zero input channel. The scalar reference gates
-/// `NaN × 0` and the fast kernels add it (see `nan_operands_replay_exactly`),
-/// so a backend with the input on the A port would skip the zero and
-/// disagree with one that has the weights there. A 64 → 4 1×1 conv at 8²
-/// (16384 MACs, so `Auto` takes the AVX2 kernels).
+/// weight against an all-zero input channel, in both orientations. The
+/// scalar reference gates `NaN × 0`, and the fast kernels add it unless
+/// the zero sits on the A port, whose zero k-steps they skip (see
+/// `nan_operands_replay_exactly`), so a backend that picked its
+/// orientation differently would disagree. The shape alone picks it:
+/// a 64 → 4 1×1 conv at 8² (16384 MACs, so `Auto` takes the AVX2
+/// kernels) puts the weights on the A port, and a 64 → 8 1×1 conv at 1²
+/// (`ho·wo = 1 < co`, two images) puts the pixels there.
 #[test]
 fn nan_weight_conv_agrees_across_backends() {
-    let mut input = Tensor::from_fn(vec![1, 64, 8, 8], |i| 0.25 * (i % 7) as f32 - 0.75);
-    input.as_mut_slice()[5 * 64..6 * 64].fill(0.0);
-    let mut weight = Tensor::from_fn(vec![4, 64, 1, 1], |i| 0.125 * (i % 5) as f32 - 0.25);
-    weight.as_mut_slice()[64 + 5] = f32::NAN;
-    let spec = ConvSpec { stride: 1, pad: 0 };
-    let conv = |simd| {
-        conv2d_emulated_with_simd(&input, &weight, spec, FmaMode::Fp16, 16, simd).unwrap()
-    };
-    let (portable, portable_stats) = conv(SimdMode::Off);
-    let (_, scalar_stats) = conv2d_emulated_scalar(&input, &weight, spec, FmaMode::Fp16, 16);
-    assert_eq!(portable_stats, scalar_stats);
-    for simd in [SimdMode::Auto, SimdMode::Force] {
-        let (fast, fast_stats) = conv(simd);
-        assert_bits_eq(&fast, &portable);
-        assert_eq!(fast_stats, portable_stats, "{simd:?}");
+    for (n, hw, co) in [(1, 8, 4), (2, 1, 8)] {
+        let mut input = Tensor::from_fn(vec![n, 64, hw, hw], |i| 0.25 * (i % 7) as f32 - 0.75);
+        input.as_mut_slice()[5 * hw * hw..6 * hw * hw].fill(0.0);
+        let mut weight = Tensor::from_fn(vec![co, 64, 1, 1], |i| 0.125 * (i % 5) as f32 - 0.25);
+        weight.as_mut_slice()[64 + 5] = f32::NAN;
+        let spec = ConvSpec { stride: 1, pad: 0 };
+        let conv = |simd| {
+            conv2d_emulated_with_simd(&input, &weight, spec, FmaMode::Fp16, 16, simd).unwrap()
+        };
+        let (portable, portable_stats) = conv(SimdMode::Off);
+        let (_, scalar_stats) = conv2d_emulated_scalar(&input, &weight, spec, FmaMode::Fp16, 16);
+        assert_eq!(portable_stats, scalar_stats, "co={co} ho·wo={}", hw * hw);
+        for simd in [SimdMode::Auto, SimdMode::Force] {
+            let (fast, fast_stats) = conv(simd);
+            assert_bits_eq(&fast, &portable);
+            assert_eq!(fast_stats, portable_stats, "{simd:?} co={co} ho·wo={}", hw * hw);
+        }
     }
 }
 
@@ -848,5 +853,44 @@ proptest! {
         let (iscalar, iscalar_stats) = conv2d_int_scalar(&input, &weight, spec, qa, qw, 16);
         assert_bits_eq(&ifast, &iscalar);
         prop_assert_eq!(ifast_stats, iscalar_stats);
+    }
+
+    /// The float convolution in both of its orientations: `ho·wo` of 1–20
+    /// output pixels against `co` of 1–80 channels (past one 64-lane wide
+    /// sweep), so most shapes have `co > ho·wo` and put the whole batch's
+    /// pixels on the A port, and the rest put the weights there, image by
+    /// image. Up to 8 images, strides 1–2, every float mode with its
+    /// biases drawn, ReLU-sparse inputs against mixed-sign weights, and
+    /// chunk lengths across the depth. `Auto`, `Force` and `Off` must each
+    /// reproduce the scalar convolution's bits and statistics.
+    #[test]
+    fn conv_bit_exact_in_both_orientations(
+        (ni, ci, co) in (1usize..9, 1usize..7, 1usize..81),
+        (ho, wo) in (1usize..6, 1usize..5),
+        (kh, kw) in (1usize..4, 1usize..4),
+        (stride, pad) in (1usize..3, 0usize..2),
+        mode_idx in 0u8..4,
+        (bias_a, bias_b) in (4i32..=10, 4i32..=10),
+        chunk_len in 1usize..80,
+        seed in 0u64..1_000_000,
+    ) {
+        // The input side that gives `o` outputs; where the padding alone
+        // covers the kernel, one row or column (and at most 3 outputs).
+        let side = |o: usize, k: usize| ((o - 1) * stride + k).saturating_sub(2 * pad).max(1);
+        let (h, w) = (side(ho, kh), side(wo, kw));
+        let spec = ConvSpec { stride, pad };
+        let hw = spec.out_dim(h, kh) * spec.out_dim(w, kw);
+        prop_assert!((1..=20).contains(&hw), "{}×{} input gives {} pixels", h, w, hw);
+        let input = maybe_relu(sparse_mat(vec![ni, ci, h, w], seed, -2.0, 2.0), true);
+        let weight = sparse_mat(vec![co, ci, kh, kw], seed.wrapping_add(1), -1.0, 1.0);
+        let mode = mode_from(mode_idx, bias_a, bias_b);
+        let (scalar, scalar_stats) = conv2d_emulated_scalar(&input, &weight, spec, mode, chunk_len);
+        for simd in [SimdMode::Auto, SimdMode::Force, SimdMode::Off] {
+            let (fast, fast_stats) =
+                conv2d_emulated_with_simd(&input, &weight, spec, mode, chunk_len, simd).unwrap();
+            assert_bits_eq(&fast, &scalar);
+            let ctx = format!("{simd:?} {mode:?} n={ni} co={co} ho·wo={hw}");
+            prop_assert_eq!(fast_stats, scalar_stats, "{}", ctx);
+        }
     }
 }

@@ -51,7 +51,7 @@
 //!     GuardPolicy::Error,
 //!     Protection::Abft,
 //! );
-//! let cfg = TrainConfig { epochs: 4, ..TrainConfig::default() };
+//! let cfg = TrainConfig { epochs: 4 };
 //! let (acc, report) = train_mlp_resilient(
 //!     &mut model, &backend, &data, &cfg, &ResilientConfig::default(), None,
 //! ).unwrap();

@@ -48,7 +48,7 @@ use crate::scaler::DynamicLossScaler;
 use rapid_numerics::{NumericsError, Tensor};
 use rapid_refnet::backend::{Backend, Fp32Backend};
 use rapid_refnet::data::Dataset;
-use rapid_refnet::mlp::{softmax_cross_entropy, Mlp, TrainConfig};
+use rapid_refnet::mlp::{softmax_cross_entropy, Mlp, TrainConfig, BATCH, LR};
 use rapid_refnet::qat::{QatConfig, QatMlp};
 
 /// Recovery-loop policy knobs.
@@ -354,12 +354,11 @@ pub fn train_mlp_resilient(
     rcfg: &ResilientConfig,
     store: Option<&mut CheckpointStore>,
 ) -> Result<(f64, RecoveryReport), RecoverError> {
-    let lr = cfg.lr;
     let report = run_resilient(
         mlp,
         data,
         cfg.epochs,
-        cfg.batch,
+        BATCH,
         rcfg,
         store,
         |m| (capture_layers(m.layers()), Vec::new()),
@@ -370,7 +369,7 @@ pub fn train_mlp_resilient(
             // Scale the loss gradient so the FP8 (1,5,2) error tensors
             // stay representable; the update divides the scale back out.
             let scaled = grad.map(|v| v * scale);
-            m.try_backward_sgd(backend, &scaled, lr / scale)
+            m.try_backward_sgd(backend, &scaled, LR / scale)
         },
     )?;
     Ok((mlp.accuracy(&Fp32Backend, data), report))
@@ -441,7 +440,7 @@ mod tests {
     #[test]
     fn fault_free_resilient_matches_plain_training() {
         let data = gaussian_blobs(256, 4, 16, 0.35, 42);
-        let cfg = TrainConfig { epochs: 10, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 10 };
         let mut plain = Mlp::new(&[16, 32, 4], 1);
         let acc_plain = train(&mut plain, &Fp32Backend, &data, &cfg);
         let mut res = Mlp::new(&[16, 32, 4], 1);
@@ -464,7 +463,7 @@ mod tests {
     #[test]
     fn skips_and_recovers_under_flips() {
         let data = gaussian_blobs(256, 4, 16, 0.35, 42);
-        let cfg = TrainConfig { epochs: 12, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 12 };
         let mut clean = Mlp::new(&[16, 32, 4], 1);
         let acc_clean =
             train(&mut clean, &rapid_refnet::backend::Hfp8Backend::default(), &data, &cfg);
@@ -488,7 +487,7 @@ mod tests {
     #[test]
     fn rollback_restores_checkpointed_state() {
         let data = gaussian_blobs(128, 4, 16, 0.35, 43);
-        let cfg = TrainConfig { epochs: 6, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 6 };
         // A rate high enough that rollback_after consecutive failures
         // happen; small rollback_after makes them certain.
         let backend = faulty_backend(11, 2e-2, Protection::None);
@@ -504,7 +503,7 @@ mod tests {
     #[test]
     fn impossible_fault_rate_exhausts_the_skip_budget() {
         let data = gaussian_blobs(64, 4, 16, 0.35, 44);
-        let cfg = TrainConfig { epochs: 50, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 50 };
         let backend = faulty_backend(13, 0.5, Protection::None);
         let mut model = Mlp::new(&[16, 32, 4], 3);
         let rcfg = ResilientConfig { max_skipped_steps: 10, ..Default::default() };

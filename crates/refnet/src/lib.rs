@@ -25,7 +25,7 @@
 //!
 //! let data = gaussian_blobs(256, 3, 8, 0.3, 7);
 //! let mut model = Mlp::new(&[8, 16, 3], 0);
-//! let cfg = TrainConfig { epochs: 10, ..TrainConfig::default() };
+//! let cfg = TrainConfig { epochs: 10 };
 //! let acc = train(&mut model, &Hfp8Backend::default(), &data, &cfg);
 //! assert!(acc > 0.5); // learns well past chance in a few epochs
 //! ```

@@ -15,20 +15,25 @@ pub struct Mlp {
     trace: Trace,
 }
 
-/// Training hyper-parameters.
+/// SGD learning rate of [`train`] (and of `rapid_recover`'s resilient
+/// MLP loop, which must take the same steps).
+pub const LR: f32 = 0.1;
+
+/// Mini-batch size of [`train`] and of `rapid_recover`'s resilient MLP
+/// loop.
+pub const BATCH: usize = 32;
+
+/// Training hyper-parameters: the pass count. The learning rate and the
+/// batch size are the fixed [`LR`] and [`BATCH`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
-    /// SGD learning rate.
-    pub lr: f32,
     /// Number of passes over the data.
     pub epochs: usize,
-    /// Mini-batch size.
-    pub batch: usize,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
-        Self { lr: 0.1, epochs: 40, batch: 32 }
+        Self { epochs: 40 }
     }
 }
 
@@ -206,11 +211,11 @@ pub fn train(mlp: &mut Mlp, backend: &dyn Backend, data: &Dataset, cfg: &TrainCo
     for _ in 0..cfg.epochs {
         let mut start = 0;
         while start < data.len() {
-            let end = (start + cfg.batch).min(data.len());
+            let end = (start + BATCH).min(data.len());
             let (bx, by) = data.batch(start, end);
             let logits = mlp.forward(backend, &bx);
             let (_, grad) = softmax_cross_entropy(&logits, by);
-            mlp.backward_sgd(backend, &grad, cfg.lr);
+            mlp.backward_sgd(backend, &grad, LR);
             start = end;
         }
     }
@@ -262,7 +267,7 @@ mod tests {
     fn forward_and_infer_give_bit_equal_logits() {
         let data = gaussian_blobs(64, 4, 16, 0.35, 5);
         let mut mlp = Mlp::new(&[16, 32, 8, 4], 3);
-        let cfg = TrainConfig { epochs: 2, ..TrainConfig::default() };
+        let cfg = TrainConfig { epochs: 2 };
         let _ = train(&mut mlp, &Fp32Backend, &data, &cfg);
         assert!(mlp.layers().biases(2).iter().any(|&b| b != 0.0));
         for be in [&Fp32Backend as &dyn Backend, &Hfp8Backend::default()] {

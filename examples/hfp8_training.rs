@@ -14,7 +14,7 @@ use rapid::refnet::quantized::QuantizedMlp;
 
 fn main() {
     let data = gaussian_blobs(1024, 4, 16, 0.35, 42);
-    let cfg = TrainConfig { lr: 0.1, epochs: 40, batch: 32 };
+    let cfg = TrainConfig { epochs: 40 };
     println!(
         "Training a [16, 32, 4] MLP on {} samples / {} classes (synthetic blobs)\n",
         data.len(),

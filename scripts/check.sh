@@ -116,7 +116,7 @@ out="target/gate-out"
 
 # Ceilings of the two counts the surface gate prints.
 max_pub_fns=532
-max_settable_values=83
+max_settable_values=81
 
 # smoke <bin> [args]: builds an experiment binary, runs it under a hard
 # 120 s timeout with `--json $out/<bin>.json`, and returns its exit status.

@@ -21,7 +21,7 @@ use rapid::sim::gemm::{CoreSim, GemmJob};
 fn simulated_fxu_matches_emulated_int_gemm_on_trained_weights() {
     let data = gaussian_blobs(256, 4, 16, 0.35, 77);
     let mut mlp = Mlp::new(&[16, 32, 4], 3);
-    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 20, ..Default::default() });
+    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 20 });
     assert!(acc > 0.9, "training must converge first ({acc})");
 
     let w = mlp.layers().weights(0).clone(); // [16, 32]

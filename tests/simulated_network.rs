@@ -50,7 +50,7 @@ fn simulated_mlp_matches_emulated_reference() {
     // (a) refnet's emulated FP16 backend, (b) the cycle simulator.
     let data = gaussian_blobs(64, 4, 16, 0.35, 123);
     let mut mlp = Mlp::new(&[16, 32, 4], 9);
-    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 25, ..Default::default() });
+    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 25 });
     assert!(acc > 0.9, "model must train first ({acc})");
 
     let core = CoreSim::rapid();
@@ -87,7 +87,7 @@ fn simulated_network_classification_matches_software() {
     // may flip only near-ties.
     let data = gaussian_blobs(64, 4, 16, 0.35, 124);
     let mut mlp = Mlp::new(&[16, 24, 4], 10);
-    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 25, ..Default::default() });
+    let acc = train(&mut mlp, &Fp32Backend, &data, &TrainConfig { epochs: 25 });
     assert!(acc > 0.9);
 
     let core = CoreSim::rapid();
